@@ -33,6 +33,6 @@ from .intlinalg import (
 )
 from .monoids import AffineMonoid, GroupRingElement, hilbert_basis
 from .sheaves import FanSheaf, Section, extend_section, sheaf_a0
-from .support_solver import SolverGaveUp
+from .support_solver import CertificateError, SolverGaveUp
 
 __version__ = "0.1.0"

@@ -23,10 +23,16 @@ from itertools import combinations
 from typing import Sequence
 
 from .cones import Cone, Fan
-from .intlinalg import IntMatrix, QuotientLattice, kernel
+from .intlinalg import QuotientLattice
 from .monoids import GroupRingElement
 from .sheaves import FanSheaf, NotSmoothFan, Section, sheaf_a0
-from .support_solver import Constraint, SolverGaveUp, solve_pushforward_system
+from .support_solver import (
+    CertificateError,
+    Constraint,
+    SolverGaveUp,
+    sample_nonzero_solution,
+    solve_pushforward_system,
+)
 
 
 class LevelOverflow(Exception):
@@ -123,29 +129,32 @@ class CechComplex:
             raise NotACocycle("the right-hand side has nonzero differential")
         if not self.fan.is_smooth() and not allow_nonsmooth:
             raise NotSmoothFan("exactness is only guaranteed for smooth fans")
-        slots = self.tuples[z.level - 1]
-        slot_groups = {s: self.stalk(s) for s in slots}
-        constraints = []
-        for t in self.tuples[z.level]:
-            terms = []
-            for j in range(len(t)):
-                s = t[:j] + t[j + 1 :]
-                terms.append((s, 1 if j % 2 == 0 else -1, self.incidence(t, j)))
-            rhs = z.components.get(t, GroupRingElement.zero(self.stalk(t)))
-            constraints.append(
-                Constraint(key=t, target=self.stalk(t), terms=tuple(terms), rhs=rhs)
-            )
+        slot_groups = {s: self.stalk(s) for s in self.tuples[z.level - 1]}
+        constraints = self._d_constraints(z.level - 1, z.components)
         outcome = solve_pushforward_system(slot_groups, constraints, depth)
         if isinstance(outcome, SolverGaveUp):
             return outcome
         solution, _rounds = outcome
-        b = Cochain(
-            self,
-            z.level - 1,
-            {s: val for s, val in solution.items() if not val.is_zero()},
-        )
-        assert self.d(b) == z
+        b = Cochain(self, z.level - 1, solution)
+        if self.d(b) != z:
+            raise CertificateError(f"solver witness fails d(b) = z at level {z.level}")
         return b
+
+    def _d_constraints(self, level: int, rhs: dict) -> list[Constraint]:
+        """The equations d(x) = rhs for an unknown level-``level``
+        cochain x: one per tuple of the next level, over the tuples with
+        one index dropped; ``rhs`` maps tuples to components."""
+        constraints = []
+        for t in self.tuples.get(level + 1, ()):
+            terms = tuple(
+                (t[:j] + t[j + 1 :], 1 if j % 2 == 0 else -1, self.incidence(t, j))
+                for j in range(len(t))
+            )
+            value = rhs.get(t, GroupRingElement.zero(self.stalk(t)))
+            constraints.append(
+                Constraint(key=t, target=self.stalk(t), terms=terms, rhs=value)
+            )
+        return constraints
 
     def random_cocycle(
         self,
@@ -156,74 +165,26 @@ class CechComplex:
         coeff_bound: int = 5,
         max_attempts: int = 50,
     ) -> "Cochain":
-        """A genuine random cocycle: random supports per tuple, integer
-        kernel of the restricted differential, random combination."""
+        """A genuine random cocycle: a random nonzero solution of
+        d(z) = 0 over random supports (see ``sample_nonzero_solution``)."""
         if level > self.top_level:
             raise LevelOverflow(f"no level {level} in this complex")
-
-        def random_coords(q):
-            return q.reduce(
-                tuple(
-                    rng.randint(-coord_bound, coord_bound)
-                    for _ in range(q.coords_len)
-                )
-            )
-
-        for _ in range(max_attempts):
-            # supports mix splitting-lifts of random points in the next
-            # level's stalks (so images collide there) with random points
-            support = {t: set() for t in self.tuples[level]}
-            if level < self.top_level:
-                for t in self.tuples[level + 1]:
-                    for _ in range(rng.randint(1, max_points)):
-                        tgt = random_coords(self.stalk(t))
-                        for j in range(len(t)):
-                            s = t[:j] + t[j + 1 :]
-                            support[s].add(self.incidence(t, j).lift(tgt))
-            for t in self.tuples[level]:
-                for _ in range(rng.randint(1 if not support[t] else 0, max_points)):
-                    support[t].add(random_coords(self.stalk(t)))
-            support = {t: sorted(pts) for t, pts in support.items()}
-            variables = [
-                (t, m) for t in self.tuples[level] for m in support[t]
-            ]
-            var_col = {v: k for k, v in enumerate(variables)}
-            rows = []
-            if level < self.top_level:
-                for t in self.tuples[level + 1]:
-                    images: dict = {}
-                    for j in range(len(t)):
-                        s = t[:j] + t[j + 1 :]
-                        phi = self.incidence(t, j)
-                        sign = 1 if j % 2 == 0 else -1
-                        for m in support[s]:
-                            tgt = phi.apply(m)
-                            images.setdefault(tgt, {})
-                            images[tgt][(s, m)] = images[tgt].get((s, m), 0) + sign
-                    for tgt in sorted(images):
-                        row = [0] * len(variables)
-                        for v, coeff in images[tgt].items():
-                            row[var_col[v]] += coeff
-                        rows.append(row)
-            basis = kernel(IntMatrix(rows, ncols=len(variables)))
-            if basis.nrows == 0:
-                continue
-            combo = [0] * len(variables)
-            for row in basis.rows:
-                k = rng.randint(-coeff_bound, coeff_bound)
-                combo = [a + k * b for a, b in zip(combo, row)]
-            if not any(combo):
-                continue
-            comps = {}
-            for t in self.tuples[level]:
-                terms = {m: combo[var_col[(t, m)]] for m in support[t]}
-                el = GroupRingElement(self.stalk(t), terms)
-                if not el.is_zero():
-                    comps[t] = el
-            z = Cochain(self, level, comps)
-            assert self.is_cocycle(z)
-            return z
-        raise RuntimeError("could not sample a nonzero cocycle")
+        found = sample_nonzero_solution(
+            {t: self.stalk(t) for t in self.tuples[level]},
+            self._d_constraints(level, {}),
+            rng,
+            max_points=max_points,
+            extra_points=max_points,
+            coord_bound=coord_bound,
+            coeff_bound=coeff_bound,
+            max_attempts=max_attempts,
+        )
+        if found is None:
+            raise RuntimeError("could not sample a nonzero cocycle")
+        z = Cochain(self, level, found)
+        if not self.is_cocycle(z):
+            raise CertificateError(f"sampled level-{level} cochain is not a cocycle")
+        return z
 
 
 class Cochain:
@@ -424,7 +385,6 @@ def verify_exactness(
     report = ExactnessReport(level=level, trials=trials, solved=0)
     for i in range(trials):
         z = complex.random_cocycle(level, rng)
-        assert complex.is_cocycle(z)
         outcome = complex.solve_coboundary(z, depth=depth, allow_nonsmooth=allow_nonsmooth)
         if isinstance(outcome, SolverGaveUp):
             report.resolutions.append(
@@ -439,7 +399,6 @@ def verify_exactness(
             )
             continue
         b = outcome
-        assert complex.d(b) == z
         report.solved += 1
         report.resolutions.append(
             ExactnessTrial(

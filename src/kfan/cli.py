@@ -36,7 +36,7 @@ from .sheaves import (
     random_section,
     sheaf_a0,
 )
-from .support_solver import SolverGaveUp
+from .support_solver import CertificateError, SolverGaveUp
 
 
 class InputError(Exception):
@@ -423,8 +423,10 @@ def make_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> JobReport | int:
     """Parse and dispatch, returning the JobReport (or an error exit
     code); the in-process entry point used by tests."""
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    return _dispatch(make_parser().parse_args(argv))
+
+
+def _dispatch(args) -> JobReport | int:
     try:
         return args.fn(args)
     except (FanFileError, InputError) as e:
@@ -433,14 +435,17 @@ def run(argv=None) -> JobReport | int:
     except ConeNotInFan as e:
         print(f"error: cone not in fan: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except CertificateError as e:
+        print(f"error: certificate failed its re-check: {e}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILURE
 
 
 def main(argv=None) -> int:
-    outcome = run(argv)
+    args = make_parser().parse_args(argv)
+    outcome = _dispatch(args)
     if isinstance(outcome, int):
         return outcome
-    as_json = "--json" in (argv if argv is not None else sys.argv[1:])
-    print(outcome.to_json() if as_json else outcome.to_text())
+    print(outcome.to_json() if args.json else outcome.to_text())
     return outcome.exit_status
 
 

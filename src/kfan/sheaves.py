@@ -22,11 +22,15 @@ from .intlinalg import (
     canonical_surjection,
     compose,
     identity_surjection,
-    kernel,
-    IntMatrix,
 )
 from .monoids import GroupRingElement
-from .support_solver import Constraint, SolverGaveUp, solve_pushforward_system
+from .support_solver import (
+    CertificateError,
+    Constraint,
+    SolverGaveUp,
+    sample_nonzero_solution,
+    solve_pushforward_system,
+)
 
 
 class NotSmoothFan(Exception):
@@ -172,23 +176,8 @@ def extend_section(
         return section
 
     maxes = fan.max_cones
-    slot_of = {c: i for i, c in enumerate(maxes)}
     slot_groups = {i: sheaf.stalk(c) for i, c in enumerate(maxes)}
-    constraints = []
-    for i in range(len(maxes)):
-        for j in range(i + 1, len(maxes)):
-            meet = fan.intersection(maxes[i], maxes[j])
-            constraints.append(
-                Constraint(
-                    key=("compat", i, j),
-                    target=sheaf.stalk(meet),
-                    terms=(
-                        (i, 1, sheaf.restriction(maxes[i], meet)),
-                        (j, -1, sheaf.restriction(maxes[j], meet)),
-                    ),
-                    rhs=GroupRingElement.zero(sheaf.stalk(meet)),
-                )
-            )
+    constraints = _compatibility_constraints(sheaf, maxes)
     for lam in section.domain.max_cones():
         for i, top in enumerate(maxes):
             if fan.is_face(lam, top):
@@ -204,11 +193,35 @@ def extend_section(
     if isinstance(outcome, SolverGaveUp):
         return outcome
     solution, _rounds = outcome
-    comps = {c: solution[slot_of[c]] for c in maxes}
+    comps = {c: solution[i] for i, c in enumerate(maxes)}
     extended = Section(sheaf, fan.full_subfan(), comps)
-    assert extended.check()
-    assert extended.restrict(section.domain) == section
+    if not extended.check():
+        raise CertificateError("solver witness is not a global section")
+    if extended.restrict(section.domain) != section:
+        raise CertificateError("solver witness does not restrict to the given section")
     return extended
+
+
+def _compatibility_constraints(sheaf: FanSheaf, cones: list) -> list[Constraint]:
+    """x_i and x_j agree on the meet of cones[i] and cones[j], for every
+    pair; slot i stands for cones[i]."""
+    fan = sheaf.fan
+    constraints = []
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            meet = fan.intersection(cones[i], cones[j])
+            constraints.append(
+                Constraint(
+                    key=("compat", i, j),
+                    target=sheaf.stalk(meet),
+                    terms=(
+                        (i, 1, sheaf.restriction(cones[i], meet)),
+                        (j, -1, sheaf.restriction(cones[j], meet)),
+                    ),
+                    rhs=GroupRingElement.zero(sheaf.stalk(meet)),
+                )
+            )
+    return constraints
 
 
 def random_open_subfan(fan: Fan, rng: random.Random) -> Subfan:
@@ -232,71 +245,31 @@ def random_section(
     coeff_bound: int = 5,
     max_attempts: int = 50,
 ) -> Section:
-    """Sample a genuine section: pick supports on the maximal cones,
-    compute the integer kernel of the pairwise compatibility map on
-    those supports, and take a random combination of its basis.
+    """Sample a genuine section: a random nonzero solution of the
+    pairwise compatibility equations over random supports on the
+    domain's maximal cones (see ``sample_nonzero_solution``).
 
-    Supports mix splitting-lifts of random meet-stalk points (so that
-    fibers actually collide and the kernel is usually nonzero) with
-    purely random points."""
+    Where every pair of maximal cones meets in a big face (the full P^3
+    fan, say) random lifts rarely close up into a compatible family; if
+    no draw succeeds, the section is the character chi^m on every cone,
+    for a random m, which is always a nonzero section of ``sheaf_a0``."""
     cones = domain.max_cones()
-    fan = sheaf.fan
-
-    def random_coords(q):
-        return q.reduce(
-            tuple(rng.randint(-coord_bound, coord_bound) for _ in range(q.coords_len))
-        )
-
-    for _ in range(max_attempts):
-        support = {c: set() for c in cones}
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                meet = fan.intersection(cones[i], cones[j])
-                phi_i = sheaf.restriction(cones[i], meet)
-                phi_j = sheaf.restriction(cones[j], meet)
-                for _ in range(rng.randint(1, max_points)):
-                    t = random_coords(sheaf.stalk(meet))
-                    support[cones[i]].add(phi_i.lift(t))
-                    support[cones[j]].add(phi_j.lift(t))
-        for c in cones:
-            for _ in range(rng.randint(1 if not support[c] else 0, 2)):
-                support[c].add(random_coords(sheaf.stalk(c)))
-        support = {c: sorted(pts) for c, pts in support.items()}
-        variables = [(i, m) for i, c in enumerate(cones) for m in support[c]]
-        var_col = {v: k for k, v in enumerate(variables)}
-        rows = []
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                meet = fan.intersection(cones[i], cones[j])
-                phi_i = sheaf.restriction(cones[i], meet)
-                phi_j = sheaf.restriction(cones[j], meet)
-                images: dict = {}
-                for m in support[cones[i]]:
-                    images.setdefault(phi_i.apply(m), {})[(i, m)] = 1
-                for m in support[cones[j]]:
-                    t = phi_j.apply(m)
-                    images.setdefault(t, {})
-                    images[t][(j, m)] = images[t].get((j, m), 0) - 1
-                for t in sorted(images):
-                    row = [0] * len(variables)
-                    for v, coeff in images[t].items():
-                        row[var_col[v]] += coeff
-                    rows.append(row)
-        mat = IntMatrix(rows, ncols=len(variables))
-        basis = kernel(mat)
-        if basis.nrows == 0:
-            continue
-        combo = [0] * len(variables)
-        for row in basis.rows:
-            k = rng.randint(-coeff_bound, coeff_bound)
-            combo = [a + k * b for a, b in zip(combo, row)]
-        if not any(combo):
-            continue
-        comps = {}
-        for i, c in enumerate(cones):
-            terms = {m: combo[var_col[(i, m)]] for m in support[c]}
-            comps[c] = GroupRingElement(sheaf.stalk(c), terms)
-        section = Section(sheaf, domain, comps)
-        assert section.check()
-        return section
-    raise RuntimeError("could not sample a nonzero section")
+    found = sample_nonzero_solution(
+        {i: sheaf.stalk(c) for i, c in enumerate(cones)},
+        _compatibility_constraints(sheaf, cones),
+        rng,
+        max_points=max_points,
+        extra_points=2,
+        coord_bound=coord_bound,
+        coeff_bound=coeff_bound,
+        max_attempts=max_attempts,
+    )
+    if found is not None:
+        comps = {c: found[i] for i, c in enumerate(cones)}
+    else:
+        m = [rng.randint(-coord_bound, coord_bound) for _ in range(sheaf.fan.lattice.rank)]
+        comps = {c: GroupRingElement.character(sheaf.stalk(c), m) for c in cones}
+    section = Section(sheaf, domain, comps)
+    if not section.check():
+        raise CertificateError("sampled family is not a section")
+    return section

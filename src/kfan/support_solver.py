@@ -18,15 +18,25 @@ incidence graph, and the blocks are solved independently.
 
 A failure to solve within the configured depth is reported as
 ``SolverGaveUp`` and is never a claim that no solution exists.
+
+The same equation builder serves sampling: ``sample_nonzero_solution``
+draws a random nonzero solution of the homogeneous system over random
+supports, which is how random cocycles and random sections are made.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .intlinalg import IntMatrix, QuotientLattice, QuotientSurjection, solve
+from .intlinalg import IntMatrix, QuotientLattice, QuotientSurjection, kernel, solve
 from .monoids import GroupRingElement
+
+
+class CertificateError(Exception):
+    """A witness failed its exact re-check; raised instead of returning
+    a wrong certificate."""
 
 
 @dataclass(frozen=True)
@@ -76,14 +86,10 @@ class _UnionFind:
 def _initial_candidates(constraints: Sequence[Constraint]) -> dict:
     cand: dict = {}
     for c in constraints:
-        for t in c.rhs.support():
-            for slot, _sign, phi in c.terms:
-                cand.setdefault(slot, set())
-                if phi.splitting is not None:
-                    cand[slot].add(phi.lift(t))
-    for c in constraints:
-        for slot, _, _ in c.terms:
-            cand.setdefault(slot, set())
+        for slot, _sign, phi in c.terms:
+            pts = cand.setdefault(slot, set())
+            if phi.splitting is not None:
+                pts.update(phi.lift(t) for t in c.rhs.support())
     return cand
 
 
@@ -127,13 +133,13 @@ def _expand(cand: dict, constraints: Sequence[Constraint]) -> None:
                             cand[slot].add(source.reduce(m))
 
 
-def _try_solve(cand: dict, constraints: Sequence[Constraint]) -> dict | None:
-    variables = sorted(
-        (slot, m) for slot, ms in cand.items() for m in ms
-    )
-    var_index = {v: i for i, v in enumerate(variables)}
-    # materialize equations: one per (constraint, reachable target point)
-    equations = []  # (eq id, {var: coeff}, rhs int)
+def _equations(cand: dict, constraints: Sequence[Constraint]) -> list | None:
+    """The linear system over the candidate supports: one equation
+    ``(eq id, {(slot, m): coeff}, rhs)`` per (constraint, reachable
+    target point), constraints in the given order and target points
+    sorted.  None when a right-hand-side point is reached by no
+    candidate."""
+    equations = []
     for c in constraints:
         pts = set(c.rhs.support())
         rows: dict[tuple, dict] = {}
@@ -151,47 +157,38 @@ def _try_solve(cand: dict, constraints: Sequence[Constraint]) -> dict | None:
                 return None
             if coeffs or rhs != 0:
                 equations.append(((c.key, t), coeffs, rhs))
+    return equations
 
+
+def _try_solve(cand: dict, constraints: Sequence[Constraint]) -> dict | None:
+    equations = _equations(cand, constraints)
+    if equations is None:
+        return None
+    # the system is block-diagonal in the connected components of the
+    # equation/variable incidence graph; every equation has a variable
     uf = _UnionFind()
     for eq_id, coeffs, _rhs in equations:
-        uf.union(("eq", eq_id), ("eq", eq_id))
         for v in coeffs:
             uf.union(("eq", eq_id), ("var", v))
-    for v in variables:
-        uf.find(("var", v))
-
     blocks: dict = {}
     for eq in equations:
-        root = uf.find(("eq", eq[0]))
-        blocks.setdefault(root, ([], []))[0].append(eq)
-    for v in variables:
-        root = uf.find(("var", v))
-        blocks.setdefault(root, ([], []))[1].append(v)
+        blocks.setdefault(uf.find(("eq", eq[0])), []).append(eq)
 
-    values = {v: 0 for v in variables}
-    for eqs, vs in blocks.values():
-        if not eqs:
-            continue
-        vs = sorted(vs)
-        col = {v: i for i, v in enumerate(vs)}
+    values: dict = {}
+    for eqs in blocks.values():
+        vs = sorted({v for _eq_id, coeffs, _rhs in eqs for v in coeffs})
         a = IntMatrix(
-            [
-                [coeffs.get(v, 0) for v in vs]
-                for _eq_id, coeffs, _rhs in eqs
-            ],
+            [[coeffs.get(v, 0) for v in vs] for _eq_id, coeffs, _rhs in eqs],
             ncols=len(vs),
         )
-        b = [rhs for _eq_id, _coeffs, rhs in eqs]
-        x = solve(a, b)
+        x = solve(a, [rhs for _eq_id, _coeffs, rhs in eqs])
         if x is None:
             return None
-        for v in vs:
-            values[v] = x[col[v]]
-
-    out: dict = {}
-    for slot, ms in cand.items():
-        out[slot] = {m: values[(slot, m)] for m in sorted(ms)}
-    return out
+        values.update(zip(vs, x))
+    return {
+        slot: {m: values.get((slot, m), 0) for m in sorted(ms)}
+        for slot, ms in cand.items()
+    }
 
 
 def solve_pushforward_system(
@@ -218,3 +215,60 @@ def solve_pushforward_system(
             }
             return solution, round_no
     return SolverGaveUp(depth, tuple(sizes))
+
+
+def sample_nonzero_solution(
+    slot_groups: dict,
+    constraints: Sequence[Constraint],
+    rng: random.Random,
+    max_points: int,
+    extra_points: int,
+    coord_bound: int,
+    coeff_bound: int,
+    max_attempts: int,
+) -> dict[Hashable, GroupRingElement] | None:
+    """A random nonzero solution of the homogeneous constraints.
+
+    Supports mix splitting-lifts of random target points, 1 to
+    ``max_points`` per constraint and lifted into every participating
+    slot (so that images collide and the kernel is usually nonzero), with
+    up to ``extra_points`` purely random points per slot.  The integer
+    kernel of the whole system over those supports is combined with
+    random coefficients.  Returns None after ``max_attempts`` draws that
+    gave only zero.
+    """
+    constraints = sorted(constraints, key=lambda c: c.key)
+
+    def random_coords(q):
+        return q.reduce(
+            tuple(rng.randint(-coord_bound, coord_bound) for _ in range(q.coords_len))
+        )
+
+    for _ in range(max_attempts):
+        support = {slot: set() for slot in sorted(slot_groups)}
+        for c in constraints:
+            for _ in range(rng.randint(1, max_points)):
+                t = random_coords(c.target)
+                for slot, _sign, phi in c.terms:
+                    support[slot].add(phi.lift(t))
+        for slot, pts in support.items():
+            for _ in range(rng.randint(1 if not pts else 0, extra_points)):
+                pts.add(random_coords(slot_groups[slot]))
+        variables = sorted((slot, m) for slot, ms in support.items() for m in ms)
+        rows = [
+            [coeffs.get(v, 0) for v in variables]
+            for _eq_id, coeffs, _rhs in _equations(support, constraints)
+        ]
+        basis = kernel(IntMatrix(rows, ncols=len(variables)))
+        combo = [0] * len(variables)
+        for row in basis.rows:
+            k = rng.randint(-coeff_bound, coeff_bound)
+            combo = [a + k * b for a, b in zip(combo, row)]
+        if not any(combo):
+            continue
+        values = dict(zip(variables, combo))
+        return {
+            slot: GroupRingElement(slot_groups[slot], {m: values[(slot, m)] for m in ms})
+            for slot, ms in support.items()
+        }
+    return None

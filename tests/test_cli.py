@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -289,3 +293,49 @@ def test_main_prints_json(fanfile, capsys):
     data = json.loads(out)
     assert data["command"] == "info"
     assert data["exit_status"] == 0
+
+
+def test_main_reads_the_parsed_json_flag(fanfile, capsys):
+    # argparse accepts the abbreviation, so output must follow args.json
+    assert main(["info", fanfile(P1), "--js"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "info"
+    assert main(["info", fanfile(P1)]) == 0
+    assert capsys.readouterr().out.startswith("command: info")
+
+
+WRONG_SOLVER_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from kfan import cech, sheaves
+    from kfan.cli import main
+    from kfan.monoids import GroupRingElement
+
+    if __debug__:
+        sys.exit("run this under python -O")
+
+    def wrong_solver(slot_groups, constraints, depth):
+        return {s: GroupRingElement.zero(g) for s, g in slot_groups.items()}, 0
+
+    cech.solve_pushforward_system = wrong_solver
+    sheaves.solve_pushforward_system = wrong_solver
+    path = sys.argv[1]
+    print(main(["check-exactness", path, "--level", "1", "--trials", "2"]))
+    print(main(["check-flasque", path, "--trials", "2"]))
+    """
+)
+
+
+def test_wrong_witness_is_caught_under_python_O(fanfile):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_SOLVER_SCRIPT, fanfile(P2)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
+    assert proc.stderr.count("certificate failed its re-check") == 2

@@ -1,0 +1,37 @@
+"""Same-seed reports must not change across refactors.
+
+Each file in ``tests/golden/`` is the ``--json`` output of the command
+listed here, captured before the sampling and solving code was merged
+into one integer-system core.  A change meant to alter these reports
+must say so and regenerate them from the repository root with
+
+    PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json
+"""
+
+import os
+
+import pytest
+
+from kfan.cli import main
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+GOLDEN = {
+    "exactness-p2-level1": "check-exactness fans/p2.json --level 1 --trials 4 --seed 7",
+    "exactness-p2-level2": "check-exactness fans/p2.json --level 2 --trials 3 --seed 2",
+    "exactness-p1xp1-level1": "check-exactness fans/p1xp1.json --level 1 --trials 3 --seed 11",
+    "exactness-p1xp1-level2": "check-exactness fans/p1xp1.json --level 2 --trials 3 --seed 4",
+    "exactness-f1-level1": "check-exactness tests/golden/f1.json --level 1 --trials 3 --seed 5",
+    "exactness-f1-level2": "check-exactness tests/golden/f1.json --level 2 --trials 2 --seed 8",
+    "flasque-p2": "check-flasque fans/p2.json --trials 4 --seed 3",
+    "flasque-p1xp1": "check-flasque fans/p1xp1.json --trials 3 --seed 6",
+    "flasque-f1": "check-flasque tests/golden/f1.json --trials 3 --seed 9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_matches_golden_file(name, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert main(GOLDEN[name].split() + ["--json"]) == 0
+    with open(os.path.join("tests", "golden", f"{name}.json"), encoding="utf-8") as f:
+        assert capsys.readouterr().out == f.read()

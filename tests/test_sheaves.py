@@ -193,3 +193,18 @@ def test_global_sections_have_constant_augmentation():
             s = random_section(sheaf, fan.full_subfan(), rng)
             augs = {v.augmentation() for v in s.components.values()}
             assert len(augs) == 1
+
+
+def test_random_section_on_full_p3_never_fails():
+    # every pair of maximal cones of P^3 meets in a 2-face, so random
+    # pairwise lifts rarely close up; sampling must still give a section
+    fan = Fan.from_rays_and_indices(
+        Lattice(3),
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+    )
+    sheaf = sheaf_a0(fan)
+    for seed in range(40):
+        s = random_section(sheaf, fan.full_subfan(), random.Random(seed))
+        assert s.check()
+        assert any(not v.is_zero() for v in s.components.values())
