@@ -7,7 +7,7 @@ degree-zero cohomology is the global equivariant K_0 of a smooth toric
 variety, with randomized exactness and flasqueness verifiers.
 """
 
-from .cech import CechComplex, Cochain, H0Ring, build_complex, h0, verify_exactness
+from .cech import CechComplex, Cochain, H0Ring, h0, verify_exactness
 from .cones import Cone, Fan, Subfan, zero_cone
 from .graded import (
     CoefficientSpec,

@@ -47,7 +47,7 @@ class CechComplex:
     """Tuples, stalks and incidence surjections for the maximal-cone
     cover of a fan."""
 
-    __slots__ = ("fan", "sheaf", "tuples", "_cone_of", "_phi")
+    __slots__ = ("fan", "sheaf", "tuples", "_cone_of")
 
     def __init__(self, fan: Fan, sheaf: FanSheaf | None = None):
         self.fan = fan
@@ -65,16 +65,6 @@ class CechComplex:
                 else:
                     prev = self._cone_of[t[:-1]]
                     self._cone_of[t] = fan.intersection(prev, maxes[t[-1]])
-        # incidence surjections: dropping index j from tuple t maps the
-        # bigger intersection onto the smaller one
-        self._phi = {}
-        for p in range(1, n):
-            for t in self.tuples[p]:
-                for j in range(len(t)):
-                    s = t[:j] + t[j + 1 :]
-                    self._phi[(t, j)] = self.sheaf.restriction(
-                        self._cone_of[s], self._cone_of[t]
-                    )
 
     @property
     def top_level(self) -> int:
@@ -87,7 +77,10 @@ class CechComplex:
         return self.sheaf.stalk(self._cone_of[t])
 
     def incidence(self, t: tuple, j: int):
-        return self._phi[(t, j)]
+        """Dropping index j from tuple t maps the bigger intersection
+        onto the smaller one: the sheaf's restriction between them."""
+        s = t[:j] + t[j + 1 :]
+        return self.sheaf.restriction(self._cone_of[s], self._cone_of[t])
 
     def zero_cochain(self, level: int) -> "Cochain":
         return Cochain(self, level, {})
@@ -255,10 +248,6 @@ class Cochain:
         return f"Cochain(level={self.level}, support={sorted(self.components)})"
 
 
-def build_complex(fan: Fan) -> CechComplex:
-    return CechComplex(fan)
-
-
 class H0Ring:
     """Degree-zero cohomology of the cover complex: level-zero cocycles
     with componentwise ring structure.  For smooth fans this is the
@@ -306,9 +295,6 @@ class H0Ring:
             0, {t: a.components[t] * b.components[t] for t in keys}
         )
 
-    def add(self, a: Cochain, b: Cochain) -> Cochain:
-        return a + b
-
     def restrict_to_piece(self, c: Cochain, index: int) -> GroupRingElement:
         """The image in Z[M_sigma] of one affine piece of the cover."""
         return c.component((index,))
@@ -334,7 +320,7 @@ class H0Ring:
 
 
 def h0(fan: Fan) -> H0Ring:
-    return H0Ring(build_complex(fan))
+    return H0Ring(CechComplex(fan))
 
 
 @dataclass
@@ -378,7 +364,7 @@ def verify_exactness(
         raise NotSmoothFan("exactness is only guaranteed for smooth fans")
     if level < 1:
         raise ValueError("exactness questions start at level 1")
-    complex = build_complex(fan)
+    complex = CechComplex(fan)
     if level > complex.top_level:
         raise LevelOverflow(f"fan cover has no level {level}")
     rng = random.Random(seed)

@@ -13,7 +13,7 @@ import json
 import random
 import sys
 
-from .cech import h0, verify_exactness
+from .cech import LevelOverflow, h0, verify_exactness
 from .cones import ConeNotInFan, NotAFan, NotStronglyConvex, UnsupportedRank
 from .fanfile import FanFile, FanFileError, build_fan, load_fan_file
 from .graded import CoefficientSpec, GradedFreeData, k0_affine_toric, k0_class
@@ -37,6 +37,10 @@ from .sheaves import (
     sheaf_a0,
 )
 from .support_solver import CertificateError, SolverGaveUp
+
+
+# k0-global samples distinct characters from [-CHARACTER_BOX, CHARACTER_BOX]^rank
+CHARACTER_BOX = 3
 
 
 class InputError(Exception):
@@ -68,6 +72,13 @@ def _cone_entry(fan, i, cone) -> dict:
         "character_rank": cone.character_quotient().free_rank,
         "maximal": cone in fan.max_cones,
     }
+
+
+def _check_counts(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            raise InputError(f"--{name} must be nonnegative, got {value}")
 
 
 def _get_cone(fan, cone_id: int):
@@ -125,6 +136,14 @@ def cmd_k0_affine(args) -> JobReport:
 
 def cmd_k0_global(args) -> JobReport:
     ff, fan = _load(args.fanfile)
+    _check_counts(args, "sample")
+    n = fan.lattice.rank
+    box_size = (2 * CHARACTER_BOX + 1) ** n
+    if args.sample > box_size:
+        raise InputError(
+            f"--sample {args.sample} exceeds the {box_size} characters "
+            f"in the box [-{CHARACTER_BOX},{CHARACTER_BOX}]^{n}"
+        )
     ring = h0(fan)
     inputs = _fan_inputs(ff, args.fanfile)
     results = {"smooth": fan.is_smooth()}
@@ -166,16 +185,16 @@ def cmd_k0_global(args) -> JobReport:
             )
         return JobReport(command="k0-global", inputs=inputs, results=results)
     rng = random.Random(args.seed)
-    n = fan.lattice.rank
     sampled = []
     seen = set()
     while len(sampled) < args.sample:
-        m = tuple(rng.randint(-3, 3) for _ in range(n))
+        m = tuple(rng.randint(-CHARACTER_BOX, CHARACTER_BOX) for _ in range(n))
         if m in seen:
             continue
         seen.add(m)
         c = ring.character_tuple(m)
-        assert ring.contains(c)
+        if not ring.contains(c):
+            raise CertificateError(f"character tuple for {list(m)} is not a cocycle")
         sampled.append({"character": list(m), "tuple": cochain_to_jsonable(c)})
     results["character_members"] = sampled
     results["unit"] = cochain_to_jsonable(ring.unit())
@@ -184,6 +203,9 @@ def cmd_k0_global(args) -> JobReport:
 
 def cmd_check_exactness(args) -> JobReport:
     ff, fan = _load(args.fanfile)
+    _check_counts(args, "trials", "depth")
+    if args.level < 1:
+        raise InputError(f"--level {args.level}: exactness questions start at level 1")
     inputs = _fan_inputs(ff, args.fanfile)
     inputs.update(
         {"level": args.level, "trials": args.trials, "depth": args.depth, "seed": args.seed}
@@ -199,6 +221,8 @@ def cmd_check_exactness(args) -> JobReport:
         )
     except NotSmoothFan as e:
         raise InputError(f"{e} (pass --experimental-nonsmooth to try anyway)") from e
+    except LevelOverflow as e:
+        raise InputError(f"--level {args.level}: {e}") from e
     certificates = {
         "witnesses": [
             {"cocycle": cochain_to_jsonable(z), "coboundary": cochain_to_jsonable(b)}
@@ -251,6 +275,7 @@ def _section_to_jsonable(fan, section) -> dict:
 
 def cmd_check_flasque(args) -> JobReport:
     ff, fan = _load(args.fanfile)
+    _check_counts(args, "trials", "depth")
     inputs = _fan_inputs(ff, args.fanfile)
     inputs.update({"trials": args.trials, "depth": args.depth, "seed": args.seed})
     if not fan.is_smooth() and not args.experimental_nonsmooth:

@@ -267,13 +267,14 @@ class Fan:
     zero cone is always present.
     """
 
-    __slots__ = ("lattice", "cones", "max_cones", "_canon", "_faces_of")
+    __slots__ = ("lattice", "cones", "max_cones", "_index", "_by_rays", "_faces_of")
 
     def __init__(self, lattice: Lattice, cones, max_cones, faces_of):
         self.lattice = lattice
         self.cones = cones
         self.max_cones = max_cones
-        self._canon = {c: c for c in cones}
+        self._index = {c: i for i, c in enumerate(cones)}
+        self._by_rays = {frozenset(c.rays): c for c in cones}
         self._faces_of = faces_of
 
     @classmethod
@@ -306,9 +307,7 @@ class Fan:
             maximal = [collected[z]]
         cones = tuple(sorted(collected.values(), key=lambda c: (c.dim, c.rays)))
         canon = {c: c for c in cones}
-        faces_of = {
-            c: tuple(canon[f] for f in c.faces()) for c in cones
-        }
+        faces_of = tuple(tuple(canon[f] for f in c.faces()) for c in cones)
         return cls(lattice, cones, tuple(canon[c] for c in maximal), faces_of)
 
     @classmethod
@@ -329,21 +328,35 @@ class Fan:
 
     def canonical(self, cone: Cone) -> Cone:
         """The fan's own instance of an equal cone (KeyError if absent)."""
-        return self._canon[cone]
+        return self.cones[self._index[cone]]
 
     def __contains__(self, cone: Cone) -> bool:
-        return cone in self._canon
+        return cone in self._index
+
+    def index_of(self, cone: Cone) -> int:
+        try:
+            return self._index[cone]
+        except KeyError:
+            raise ConeNotInFan(repr(cone)) from None
 
     def faces_of(self, cone: Cone) -> tuple[Cone, ...]:
-        if cone not in self._canon:
-            raise ConeNotInFan(repr(cone))
-        return self._faces_of[self._canon[cone]]
+        return self._faces_of[self.index_of(cone)]
 
     def is_face(self, tau: Cone, sigma: Cone) -> bool:
         return tau in self.faces_of(sigma)
 
     def intersection(self, a: Cone, b: Cone) -> Cone:
-        return self.canonical(a.intersection(b))
+        """The meet of two cones of the fan, looked up by shared rays.
+
+        The fan was validated at construction, so the meet is a common
+        face of both cones; a face of a strongly convex cone is spanned
+        by the rays of the cone that it contains, so the meet is the
+        fan's cone on the rays ``a`` and ``b`` share.
+        """
+        for c in (a, b):
+            if c not in self._index:
+                raise ConeNotInFan(repr(c))
+        return self._by_rays[frozenset(a.rays) & frozenset(b.rays)]
 
     def star_open(self, sigma: Cone) -> "Subfan":
         """The smallest open set containing sigma: sigma and its faces."""
@@ -374,11 +387,6 @@ class Fan:
                 return False
         return True
 
-    def index_of(self, cone: Cone) -> int:
-        if cone not in self._canon:
-            raise ConeNotInFan(repr(cone))
-        return self.cones.index(self._canon[cone])
-
     def __repr__(self) -> str:
         return f"Fan({len(self.cones)} cones, {len(self.max_cones)} maximal)"
 
@@ -390,25 +398,17 @@ class Subfan:
     __slots__ = ("parent", "members")
 
     def __init__(self, parent: Fan, members: Iterable[Cone]):
-        canon = []
-        for c in members:
-            if c not in parent._canon:
-                raise ConeNotInFan(repr(c))
-            canon.append(parent.canonical(c))
         self.parent = parent
-        self.members = frozenset(canon)
+        self.members = frozenset(parent.cones[parent.index_of(c)] for c in members)
         for c in self.members:
             for f in parent.faces_of(c):
                 if f not in self.members:
                     raise DomainNotOpen(f"missing face {f!r} of {c!r}")
 
     def max_cones(self) -> tuple[Cone, ...]:
-        out = [
-            c
-            for c in self.members
-            if not any(c != d and self.parent.is_face(c, d) for d in self.members)
-        ]
-        return tuple(sorted(out, key=lambda c: (c.dim, c.rays)))
+        """The members that are not proper faces of other members."""
+        proper = {f for c in self.members for f in self.parent.faces_of(c) if f != c}
+        return tuple(sorted(self.members - proper, key=lambda c: (c.dim, c.rays)))
 
     def __contains__(self, cone: Cone) -> bool:
         return cone in self.members

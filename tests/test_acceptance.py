@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from itertools import product
 
 from kfan.catalog import smooth_corpus
-from kfan.cech import build_complex, h0, verify_exactness
+from kfan.cech import CechComplex, h0, verify_exactness
 from kfan.cli import run as cli_run
 from kfan.cones import Cone, zero_cone
 from kfan.graded import (
@@ -192,7 +192,7 @@ def test_criterion_4_differential_squares_to_zero():
     with criterion(4, "d . d = 0 on 100 random cochains per corpus fan", 30.0):
         rng = random.Random(4)
         for name, fan in smooth_corpus().items():
-            cx = build_complex(fan)
+            cx = CechComplex(fan)
             levels = [p for p in cx.tuples if p + 2 <= cx.top_level + 1]
             count = 0
             for _ in range(100):
@@ -279,7 +279,7 @@ def test_criterion_6_h0_ring_on_p1():
         for i in range(50):
             a, b = members[2 * i], members[2 * i + 1]
             assert ring.contains(ring.multiply(a, b))
-            assert ring.contains(ring.add(a, b))
+            assert ring.contains(a + b)
 
 
 def test_criterion_7_flasqueness():

@@ -13,10 +13,10 @@ from kfan.catalog import (
     smooth_corpus,
 )
 from kfan.cech import (
+    CechComplex,
     Cochain,
     LevelOverflow,
     NotACocycle,
-    build_complex,
     h0,
     verify_exactness,
 )
@@ -26,20 +26,20 @@ from kfan.support_solver import SolverGaveUp
 
 
 def test_p1_complex_shape():
-    cx = build_complex(projective_line())
+    cx = CechComplex(projective_line())
     assert {p: len(ts) for p, ts in cx.tuples.items()} == {0: 2, 1: 1}
     assert [cx.stalk(t).free_rank for t in cx.tuples[0]] == [1, 1]
     assert cx.stalk((0, 1)).coords_len == 0
 
 
 def test_single_max_cone_complex_is_level_zero_only():
-    cx = build_complex(affine_plane())
+    cx = CechComplex(affine_plane())
     assert cx.top_level == 0
     assert list(cx.tuples) == [0]
 
 
 def test_p2_complex_shape():
-    cx = build_complex(projective_plane())
+    cx = CechComplex(projective_plane())
     assert {p: len(ts) for p, ts in cx.tuples.items()} == {0: 3, 1: 3, 2: 1}
     assert [cx.stalk(t).free_rank for t in cx.tuples[0]] == [2, 2, 2]
     assert [cx.stalk(t).free_rank for t in cx.tuples[1]] == [1, 1, 1]
@@ -47,7 +47,7 @@ def test_p2_complex_shape():
 
 
 def test_differential_of_constant_cochain_vanishes():
-    cx = build_complex(projective_plane())
+    cx = CechComplex(projective_plane())
     c = cx.cochain(
         0,
         {
@@ -59,7 +59,7 @@ def test_differential_of_constant_cochain_vanishes():
 
 
 def test_p1_differential_is_augmentation_difference():
-    cx = build_complex(projective_line())
+    cx = CechComplex(projective_line())
     q0, q1 = cx.stalk((0,)), cx.stalk((1,))
     c = cx.cochain(
         0,
@@ -75,7 +75,7 @@ def test_p1_differential_is_augmentation_difference():
 def test_differential_squares_to_zero_randomized():
     rng = random.Random(2718)
     for fan in (projective_plane(), p1_times_p1(), blowup_p2()):
-        cx = build_complex(fan)
+        cx = CechComplex(fan)
         for level in range(cx.top_level - 1):
             for _ in range(10):
                 comps = {}
@@ -91,7 +91,7 @@ def test_differential_squares_to_zero_randomized():
 
 
 def test_differential_overflow_at_top():
-    cx = build_complex(projective_line())
+    cx = CechComplex(projective_line())
     c = cx.zero_cochain(1)
     with pytest.raises(LevelOverflow):
         cx.d(c)
@@ -99,7 +99,7 @@ def test_differential_overflow_at_top():
 
 
 def test_every_top_level_cochain_is_a_cocycle():
-    cx = build_complex(projective_line())
+    cx = CechComplex(projective_line())
     q = cx.stalk((0, 1))
     c = cx.cochain(1, {(0, 1): GroupRingElement(q, {(): 9})})
     assert cx.is_cocycle(c)
@@ -107,7 +107,7 @@ def test_every_top_level_cochain_is_a_cocycle():
 
 def test_is_cocycle_of_boundaries():
     rng = random.Random(12)
-    cx = build_complex(projective_plane())
+    cx = CechComplex(projective_plane())
     for _ in range(5):
         comps = {}
         for t in cx.tuples[0]:
@@ -123,7 +123,7 @@ def test_is_cocycle_of_boundaries():
 
 def test_generic_level1_cochain_is_not_a_cocycle():
     rng = random.Random(77)
-    cx = build_complex(projective_plane())
+    cx = CechComplex(projective_plane())
     hits = 0
     for _ in range(10):
         comps = {}
@@ -138,14 +138,14 @@ def test_generic_level1_cochain_is_not_a_cocycle():
 
 
 def test_solve_coboundary_zero():
-    cx = build_complex(projective_plane())
+    cx = CechComplex(projective_plane())
     b = cx.solve_coboundary(cx.zero_cochain(1), depth=1)
     assert isinstance(b, Cochain) and cx.d(b).is_zero()
 
 
 def test_solve_coboundary_roundtrip():
     rng = random.Random(5)
-    cx = build_complex(p1_times_p1())
+    cx = CechComplex(p1_times_p1())
     for _ in range(5):
         comps = {}
         for t in cx.tuples[0]:
@@ -164,7 +164,7 @@ def test_solve_coboundary_roundtrip():
 
 
 def test_solve_coboundary_rejects_noncocycles():
-    cx = build_complex(projective_plane())
+    cx = CechComplex(projective_plane())
     q = cx.stalk((0, 1))
     z = cx.cochain(1, {(0, 1): GroupRingElement(q, {(1,): 1})})
     assert not cx.is_cocycle(z)
@@ -175,7 +175,7 @@ def test_solve_coboundary_rejects_noncocycles():
 def test_solve_coboundary_refuses_singular_fans():
     from kfan.catalog import weighted_p2_fan
 
-    cx = build_complex(weighted_p2_fan())
+    cx = CechComplex(weighted_p2_fan())
     assert not cx.fan.is_smooth()
     with pytest.raises(NotSmoothFan):
         cx.solve_coboundary(cx.zero_cochain(1), depth=1)
@@ -242,7 +242,7 @@ def test_h0_ring_closure():
     for a in members[:3]:
         for b in members[3:]:
             assert ring.contains(ring.multiply(a, b))
-            assert ring.contains(ring.add(a, b))
+            assert ring.contains(a + b)
 
 
 def test_h0_unit_and_restrictions():

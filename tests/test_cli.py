@@ -8,7 +8,7 @@ import pytest
 
 from kfan.cli import main, run
 from kfan.fanfile import build_fan, parse_fan_file
-from kfan.cech import build_complex
+from kfan.cech import CechComplex
 from kfan.report import (
     JobReport,
     cochain_from_jsonable,
@@ -128,7 +128,7 @@ def test_k0_global_character_sampling(fanfile):
     rep = run(["k0-global", fanfile(P2), "--sample", "3", "--seed", "7"])
     assert len(rep.results["character_members"]) == 3
     fan = build_fan(parse_fan_file(json.dumps(P2)))
-    cx = build_complex(fan)
+    cx = CechComplex(fan)
     from kfan.cech import h0
 
     ring = h0(fan)
@@ -140,6 +140,47 @@ def test_k0_global_character_sampling(fanfile):
 
 def test_k0_global_malformed_element(fanfile):
     assert run(["k0-global", fanfile(P1), "--element", "[[nope"]) == 2
+
+
+@pytest.mark.parametrize("fan, level", [(P1, "2"), (P2, "0")])
+def test_check_exactness_level_out_of_range_is_an_input_error(fanfile, fan, level):
+    assert run(["check-exactness", fanfile(fan), "--level", level]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-exactness", "--level", "1", "--trials", "-3"],
+        ["check-exactness", "--level", "1", "--depth", "-1"],
+        ["check-flasque", "--trials", "-1"],
+        ["check-flasque", "--depth", "-2"],
+        ["k0-global", "--sample", "-2"],
+        ["k0-global", "--sample", "50"],  # P2 has 7^2 = 49 characters in the box
+    ],
+)
+def test_bad_counts_are_input_errors(fanfile, argv):
+    assert run([argv[0], fanfile(P2)] + argv[1:]) == 2
+
+
+def test_k0_global_can_sample_the_whole_character_box(fanfile):
+    rep = run(["k0-global", fanfile(P1), "--sample", "7"])
+    chars = sorted(e["character"] for e in rep.results["character_members"])
+    assert chars == [[m] for m in range(-3, 4)]
+
+
+def test_k0_global_oversized_sample_ends_with_exit_2(fanfile):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kfan.cli", "k0-global", fanfile(P1), "--sample", "8"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "--sample 8" in proc.stderr
 
 
 def test_check_exactness_report_and_witness_roundtrip(fanfile):
@@ -160,7 +201,7 @@ def test_check_exactness_report_and_witness_roundtrip(fanfile):
     assert rep.exit_status == 0
     assert rep.results["all_solved"] is True
     fan = build_fan(parse_fan_file(json.dumps(P2)))
-    cx = build_complex(fan)
+    cx = CechComplex(fan)
     for w in rep.certificates["witnesses"]:
         z = cochain_from_jsonable(cx, w["cocycle"])
         b = cochain_from_jsonable(cx, w["coboundary"])
@@ -316,11 +357,16 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     def wrong_solver(slot_groups, constraints, depth):
         return {s: GroupRingElement.zero(g) for s, g in slot_groups.items()}, 0
 
+    def wrong_character_tuple(ring, m):
+        return ring.cochain({0: GroupRingElement.character(ring.complex.stalk((0,)), m)})
+
     cech.solve_pushforward_system = wrong_solver
     sheaves.solve_pushforward_system = wrong_solver
+    cech.H0Ring.character_tuple = wrong_character_tuple
     path = sys.argv[1]
     print(main(["check-exactness", path, "--level", "1", "--trials", "2"]))
     print(main(["check-flasque", path, "--trials", "2"]))
+    print(main(["k0-global", path]))
     """
 )
 
@@ -337,5 +383,5 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "1"]
-    assert proc.stderr.count("certificate failed its re-check") == 2
+    assert proc.stdout.split() == ["1", "1", "1"]
+    assert proc.stderr.count("certificate failed its re-check") == 3

@@ -1,3 +1,6 @@
+import glob
+import os
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -15,7 +18,9 @@ from kfan.cones import (
     primitive,
     zero_cone,
 )
+from kfan.fanfile import build_fan, load_fan_file
 from kfan.intlinalg import IntMatrix, Lattice, dot, in_row_span
+from kfan.sheaves import random_open_subfan
 
 Z1, Z2, Z3 = Lattice(1), Lattice(2), Lattice(3)
 
@@ -367,8 +372,6 @@ def in_cone_caratheodory(rays, v, dim):
 
 
 def test_fuzz_3d_facets_against_caratheodory_oracle():
-    import random
-
     rng = random.Random(909)
     built = 0
     while built < 10:
@@ -405,8 +408,6 @@ def _angular_sort(rays):
 
 
 def test_fuzz_random_complete_2d_fans():
-    import random
-
     rng = random.Random(4242)
     for _ in range(10):
         rays = {(1, 0), (0, 1), (-1, -1)}
@@ -428,3 +429,45 @@ def test_fuzz_random_complete_2d_fans():
         b = fan.star_open(fan.max_cones[rng.randrange(len(fan.max_cones))])
         u = a.union(b)
         assert all(set(fan.faces_of(c)) <= u.members for c in u.members)
+
+
+FAN_FILES = sorted(
+    glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "fans", "*.json"))
+)
+
+
+@pytest.mark.parametrize("path", FAN_FILES, ids=os.path.basename)
+def test_fan_meets_match_the_geometric_intersection(path):
+    fan = build_fan(load_fan_file(path))
+    for a in fan.cones:
+        for b in fan.cones:
+            meet = fan.intersection(a, b)
+            assert meet == fan.canonical(a.intersection(b))
+            assert meet is fan.cones[fan.index_of(meet)]
+
+
+@pytest.mark.parametrize("path", FAN_FILES, ids=os.path.basename)
+def test_subfan_max_cones_match_brute_force(path):
+    fan = build_fan(load_fan_file(path))
+    rng = random.Random(31)
+    for _ in range(20):
+        sub = random_open_subfan(fan, rng)
+        maximal = [
+            c for c in sub.members if not any(c != d and c.is_face(d) for d in sub.members)
+        ]
+        assert sub.max_cones() == tuple(sorted(maximal, key=lambda c: (c.dim, c.rays)))
+
+
+def test_fan_lookups_reject_cones_outside_the_fan():
+    f = p2_fan()
+    outside = Cone.from_rays(Z2, [(3, 1)])
+    inside = f.max_cones[0]
+    for call in (
+        lambda: f.intersection(outside, inside),
+        lambda: f.intersection(inside, outside),
+        lambda: f.index_of(outside),
+        lambda: f.faces_of(outside),
+        lambda: Subfan(f, [outside, zero_cone(Z2)]),
+    ):
+        with pytest.raises(ConeNotInFan):
+            call()

@@ -1,9 +1,11 @@
 """Same-seed reports must not change across refactors.
 
 Each file in ``tests/golden/`` is the ``--json`` output of the command
-listed here, captured before the sampling and solving code was merged
-into one integer-system core.  A change meant to alter these reports
-must say so and regenerate them from the repository root with
+listed here.  The ``check-*`` reports were captured before the sampling
+and solving code was merged into one integer-system core, the
+``k0-global`` reports before fan meets became ray-set lookups.  A change
+meant to alter these reports must say so and regenerate them from the
+repository root with
 
     PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json
 """
@@ -16,6 +18,9 @@ from kfan.cli import main
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
+# chi^(1,0) on three of the four pieces and 1 on the last: not a member
+NON_MEMBER = '{"0":[[[1,0],1]],"1":[[[1,0],1]],"2":[[[1,0],1]],"3":[[[0,0],1]]}'
+
 GOLDEN = {
     "exactness-p2-level1": "check-exactness fans/p2.json --level 1 --trials 4 --seed 7",
     "exactness-p2-level2": "check-exactness fans/p2.json --level 2 --trials 3 --seed 2",
@@ -26,12 +31,18 @@ GOLDEN = {
     "flasque-p2": "check-flasque fans/p2.json --trials 4 --seed 3",
     "flasque-p1xp1": "check-flasque fans/p1xp1.json --trials 3 --seed 6",
     "flasque-f1": "check-flasque tests/golden/f1.json --trials 3 --seed 9",
+    "k0-global-p1xp1-sample": "k0-global fans/p1xp1.json --sample 5",
+    "k0-global-p1xp1-element": f"k0-global fans/p1xp1.json --element {NON_MEMBER}",
+    "k0-global-hirzebruch2-sample": "k0-global fans/hirzebruch2.json --sample 5",
+    "k0-global-hirzebruch2-element": f"k0-global fans/hirzebruch2.json --element {NON_MEMBER}",
 }
+# the reports of these commands end in exit 1 (a non-member, with witness)
+EXIT_STATUS = {"k0-global-p1xp1-element": 1, "k0-global-hirzebruch2-element": 1}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_matches_golden_file(name, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
-    assert main(GOLDEN[name].split() + ["--json"]) == 0
+    assert main(GOLDEN[name].split() + ["--json"]) == EXIT_STATUS.get(name, 0)
     with open(os.path.join("tests", "golden", f"{name}.json"), encoding="utf-8") as f:
         assert capsys.readouterr().out == f.read()
