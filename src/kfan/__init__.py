@@ -20,6 +20,7 @@ from .graded import (
     k0_class,
 )
 from .intlinalg import (
+    CertificateError,
     IntMatrix,
     Lattice,
     QuotientLattice,
@@ -33,6 +34,6 @@ from .intlinalg import (
 )
 from .monoids import AffineMonoid, GroupRingElement, hilbert_basis
 from .sheaves import FanSheaf, Section, extend_section, sheaf_a0
-from .support_solver import CertificateError, SolverGaveUp
+from .support_solver import SolverGaveUp
 
 __version__ = "0.1.0"

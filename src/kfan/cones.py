@@ -236,7 +236,7 @@ class Cone:
             return False
         if not self.rays:
             return True
-        _, d, _, _, _ = smith_with_inverses(IntMatrix(self.rays))
+        _, d, _, _, _ = smith_with_inverses(IntMatrix(self.rays), keep=())
         return all(d.rows[i][i] == 1 for i in range(len(self.rays)))
 
     def __eq__(self, other) -> bool:

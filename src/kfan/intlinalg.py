@@ -1,11 +1,17 @@
-"""Exact integer linear algebra on small dense matrices.
+"""Exact integer linear algebra.
 
 Everything runs over arbitrary-precision Python ints; there is not a
 single float in this module.  Smith normal form is the engine behind
 quotient lattices (with torsion), integer kernels, and solvability of
-``A x = b`` over the integers.  Matrices here are tiny (ambient rank is
-capped at 4 by the geometry layer, test matrices go up to 6x6), so the
-implementation favours clarity and verifiability over asymptotics.
+``A x = b`` over the integers.  Geometry matrices are small (ambient
+rank is capped at 4), but the expanding-support solver hands it sparse
+systems of a few hundred rows and columns with mostly 0/+-1 entries.
+So the reduction tracks only the transforms its caller reads, stops
+each pivot search at the first unit, and adds a multiple of one row to
+another through the nonzero entries only; ``solve_factored`` applies
+one reduction to many right-hand sides.  None of this changes the
+sequence of operations, so D, U and V do not depend on which
+transforms are tracked.
 
 All values are immutable after construction and every function is pure.
 """
@@ -13,7 +19,7 @@ All values are immutable after construction and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -21,6 +27,11 @@ Vec = tuple[int, ...]
 
 class NotASubquotient(Exception):
     """No canonical surjection exists between the given quotients."""
+
+
+class CertificateError(Exception):
+    """A witness failed its exact re-check; raised instead of returning
+    a wrong certificate."""
 
 
 def as_vec(v: Iterable[int]) -> Vec:
@@ -82,6 +93,16 @@ class IntMatrix:
         self.ncols = ncols
 
     @classmethod
+    def _trusted(cls, rows: tuple[Vec, ...], ncols: int) -> "IntMatrix":
+        """Wrap rows that are already a tuple of int tuples of length
+        ``ncols``, without copying or checking them."""
+        self = object.__new__(cls)
+        self.rows = rows
+        self.nrows = len(rows)
+        self.ncols = ncols
+        return self
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(
             [[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n
@@ -98,17 +119,16 @@ class IntMatrix:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        if not self.rows:
+            return IntMatrix._trusted(((),) * self.ncols, 0)
+        return IntMatrix._trusted(tuple(zip(*self.rows)), self.nrows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        cols = [other.column(j) for j in range(other.ncols)]
-        return IntMatrix(
-            [[dot(r, c) for c in cols] for r in self.rows], ncols=other.ncols
+        cols = other.transpose().rows
+        return IntMatrix._trusted(
+            tuple(tuple(dot(r, c) for c in cols) for r in self.rows), other.ncols
         )
 
     def apply(self, v: Sequence[int]) -> Vec:
@@ -174,56 +194,81 @@ def _eye(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-class _SmithWorkspace:
-    """Mutable state for the Smith reduction, tracking U, V and inverses.
+def _mix(rows: list[list[int]], i: int, j: int, p: int, q: int, r: int, s: int) -> None:
+    """Replace rows x = rows[i] and y = rows[j] by p*x + q*y and r*x + s*y.
 
-    Invariants maintained by every operation:
+    Swaps move the two lists; an elementary operation (one row kept, the
+    other plus a multiple of it) updates one list in place, touching only
+    the nonzero entries of the added row, which are few in sparse systems.
+    """
+    x, y = rows[i], rows[j]
+    if p == 1 and q == 0 and s == 1:
+        for c in compress(range(len(x)), x):
+            y[c] += r * x[c]
+    elif r == 0 and s == 1 and p == 1:
+        for c in compress(range(len(y)), y):
+            x[c] += q * y[c]
+    elif p == 0 and q == 1 and r == 1 and s == 0:
+        rows[i], rows[j] = y, x
+    else:
+        rows[i] = [p * a + q * b for a, b in zip(x, y)]
+        rows[j] = [r * a + s * b for a, b in zip(x, y)]
+
+
+TRANSFORMS = ("u", "v", "uinv", "vinv")
+
+
+class _SmithWorkspace:
+    """Mutable state for the Smith reduction.
+
+    ``d`` starts as a copy of a0.  Each transform named in ``keep`` is
+    tracked, the others are None and never touched.  Invariants kept by
+    every operation, for the tracked transforms:
         u @ a0 @ v == d,   uinv @ u == I,   v @ vinv == I.
+    Column operations on v and uinv are row operations on their
+    transposes, so those two are stored transposed (``vt``, ``uinvt``).
     """
 
-    def __init__(self, a: IntMatrix):
-        self.m, self.n = a.nrows, a.ncols
+    def __init__(self, a: IntMatrix, keep: frozenset[str]):
+        self.m, self.n = m, n = a.nrows, a.ncols
         self.d = [list(r) for r in a.rows]
-        self.u = _eye(self.m)
-        self.uinv = _eye(self.m)
-        self.v = _eye(self.n)
-        self.vinv = _eye(self.n)
+        self.u = _eye(m) if "u" in keep else None
+        self.uinvt = _eye(m) if "uinv" in keep else None
+        self.vt = _eye(n) if "v" in keep else None
+        self.vinv = _eye(n) if "vinv" in keep else None
 
     def row_block(self, i: int, j: int, p: int, q: int, r: int, s: int) -> None:
         """Left-multiply rows (i, j) of d by ((p,q),(r,s)); det must be +-1."""
         e = p * s - q * r
         assert e in (1, -1)
-        for mat in (self.d, self.u):
-            ri, rj = mat[i], mat[j]
-            for c in range(len(ri)):
-                ri[c], rj[c] = p * ri[c] + q * rj[c], r * ri[c] + s * rj[c]
+        _mix(self.d, i, j, p, q, r, s)
+        if self.u is not None:
+            _mix(self.u, i, j, p, q, r, s)
         # uinv <- uinv @ block^{-1}, block^{-1} = e * ((s,-q),(-r,p))
-        for row in self.uinv:
-            ci, cj = row[i], row[j]
-            row[i] = e * (s * ci - r * cj)
-            row[j] = e * (-q * ci + p * cj)
+        if self.uinvt is not None:
+            _mix(self.uinvt, i, j, e * s, -e * r, -e * q, e * p)
 
     def col_block(self, i: int, j: int, p: int, q: int, r: int, s: int) -> None:
         """Right-multiply cols (i, j) of d by ((p,q),(r,s)); det must be +-1."""
         e = p * s - q * r
         assert e in (1, -1)
-        for mat in (self.d, self.v):
-            for row in mat:
-                ci, cj = row[i], row[j]
+        # the rows above i are zero in both columns: the reduction combines
+        # columns i < j only right of the pivots it has already isolated
+        for row in self.d[i:]:
+            ci, cj = row[i], row[j]
+            if ci or cj:
                 row[i] = p * ci + r * cj
                 row[j] = q * ci + s * cj
+        if self.vt is not None:
+            _mix(self.vt, i, j, p, r, q, s)
         # vinv <- block^{-1} @ vinv
-        ri, rj = self.vinv[i], self.vinv[j]
-        for c in range(len(ri)):
-            a, b = ri[c], rj[c]
-            ri[c] = e * (s * a - q * b)
-            rj[c] = e * (-r * a + p * b)
+        if self.vinv is not None:
+            _mix(self.vinv, i, j, e * s, -e * q, -e * r, e * p)
 
     def negate_row(self, i: int) -> None:
-        self.d[i] = [-x for x in self.d[i]]
-        self.u[i] = [-x for x in self.u[i]]
-        for row in self.uinv:
-            row[i] = -row[i]
+        for mat in (self.d, self.u, self.uinvt):
+            if mat is not None:
+                mat[i] = [-x for x in mat[i]]
 
     def clear_col_entry(self, t: int, k: int) -> None:
         a, b = self.d[t][t], self.d[k][t]
@@ -243,29 +288,54 @@ class _SmithWorkspace:
             self.col_block(t, k, x, -b // g, y, a // g)
 
 
+def _wrap_rows(rows, ncols: int) -> IntMatrix:
+    return IntMatrix._trusted(tuple(map(tuple, rows)), ncols)
+
+
+def _wrap_transposed(square) -> IntMatrix:
+    return IntMatrix._trusted(tuple(zip(*square)), len(square))
+
+
 def smith_with_inverses(
-    a: IntMatrix,
-) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    a: IntMatrix, *, keep: Iterable[str] = TRANSFORMS
+) -> tuple[
+    Optional[IntMatrix], IntMatrix, Optional[IntMatrix], Optional[IntMatrix], Optional[IntMatrix]
+]:
     """Smith normal form with transform inverses.
 
     Returns (U, D, V, Uinv, Vinv) with U*a*V = D, D diagonal with
-    d1 | d2 | ... and di >= 0, U and V unimodular.
+    d1 | d2 | ... and di >= 0, U and V unimodular.  ``keep`` names the
+    transforms to compute (a subset of ``TRANSFORMS``); the others come
+    back as None.  D and every kept transform are the same whatever is
+    kept: the operations on D do not depend on ``keep``.
     """
-    ws = _SmithWorkspace(a)
+    keep = frozenset(keep)
+    if not keep <= frozenset(TRANSFORMS):
+        raise ValueError(f"unknown transforms {sorted(keep - frozenset(TRANSFORMS))}")
+    ws = _SmithWorkspace(a, keep)
     m, n = ws.m, ws.n
     d = ws.d
 
     t = 0
     while t < min(m, n):
-        # pick the smallest-magnitude nonzero pivot to limit entry swell
-        pivot = None
+        # pick the smallest-magnitude nonzero pivot to limit entry swell,
+        # the first in row-major order; a unit cannot be beaten, so the
+        # scan stops at the first one
+        best = 0
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                if d[i][j] != 0 and (pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+                x = row[j]
+                if x:
+                    x = abs(x)
+                    if not best or x < best:
+                        best, pi, pj = x, i, j
+                        if x == 1:
+                            break
+            if best == 1:
+                break
+        if not best:
             break
-        pi, pj = pivot
         if pi != t:
             ws.row_block(t, pi, 0, 1, 1, 0)
         if pj != t:
@@ -277,9 +347,7 @@ def smith_with_inverses(
             for k in range(t + 1, n):
                 if d[t][k] != 0:
                     ws.clear_row_entry(t, k)
-            if all(d[k][t] == 0 for k in range(t + 1, m)) and all(
-                d[t][k] == 0 for k in range(t + 1, n)
-            ):
+            if all(d[k][t] == 0 for k in range(t + 1, m)) and not any(d[t][t + 1:]):
                 break
         t += 1
 
@@ -303,17 +371,17 @@ def smith_with_inverses(
             ws.negate_row(i)
 
     return (
-        IntMatrix(ws.u, ncols=m),
-        IntMatrix(ws.d, ncols=n),
-        IntMatrix(ws.v, ncols=n),
-        IntMatrix(ws.uinv, ncols=m),
-        IntMatrix(ws.vinv, ncols=n),
+        None if ws.u is None else _wrap_rows(ws.u, m),
+        _wrap_rows(d, n),
+        None if ws.vt is None else _wrap_transposed(ws.vt),
+        None if ws.uinvt is None else _wrap_transposed(ws.uinvt),
+        None if ws.vinv is None else _wrap_rows(ws.vinv, n),
     )
 
 
 def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: U*a*V = D, D diagonal, d1 | d2 | ..., di >= 0."""
-    u, d, v, _, _ = smith_with_inverses(a)
+    u, d, v, _, _ = smith_with_inverses(a, keep=("u", "v"))
     return u, d, v
 
 
@@ -362,20 +430,28 @@ def rank(a: IntMatrix) -> int:
 def kernel(a: IntMatrix) -> IntMatrix:
     """Rows generate {x : a @ x = 0}; the result is a basis of a saturated
     sublattice of Z^ncols (possibly with zero rows, i.e. trivial kernel)."""
-    _, d, v, _, _ = smith_with_inverses(a)
+    _, d, v, _, _ = smith_with_inverses(a, keep=("v",))
     m, n = a.nrows, a.ncols
     # column j of V is in the kernel iff the diagonal entry d_j is
     # absent (j >= nrows) or zero
     free = [j for j in range(n) if j >= min(m, n) or d.rows[j][j] == 0]
-    return IntMatrix([v.column(j) for j in free], ncols=n)
+    return IntMatrix._trusted(tuple(v.column(j) for j in free), n)
 
 
 def solve(a: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
     """Any integer solution x of a @ x = b, or None when there is none."""
-    if len(b) != a.nrows:
-        raise ValueError(f"rhs length {len(b)}, matrix has {a.nrows} rows")
-    u, d, v, _, _ = smith_with_inverses(a)
-    m, n = a.nrows, a.ncols
+    u, d, v, _, _ = smith_with_inverses(a, keep=("u", "v"))
+    return solve_factored(u, d, v, b)
+
+
+def solve_factored(
+    u: IntMatrix, d: IntMatrix, v: IntMatrix, b: Sequence[int]
+) -> Optional[Vec]:
+    """``solve(a, b)`` from the Smith factors U*a*V = D of a, so that one
+    reduction serves many right-hand sides."""
+    m, n = d.nrows, d.ncols
+    if len(b) != m:
+        raise ValueError(f"rhs length {len(b)}, matrix has {m} rows")
     c = u.apply(b)
     y = [0] * n
     for i in range(m):
@@ -531,7 +607,7 @@ def quotient(ambient: Lattice, relations: IntMatrix) -> QuotientLattice:
             f"relations have {relations.ncols} columns, ambient rank is {ambient.rank}"
         )
     n, r = ambient.rank, relations.nrows
-    u, d, _, uinv, _ = smith_with_inverses(relations.transpose())
+    u, d, _, uinv, _ = smith_with_inverses(relations.transpose(), keep=("u", "uinv"))
     k = min(n, r)
     diag = [d.rows[i][i] for i in range(k)]
     torsion_idx = [i for i in range(k) if diag[i] > 1]
@@ -578,10 +654,6 @@ class QuotientSurjection:
             raise ValueError("no splitting stored (target is not free)")
         return self.source.reduce(self.splitting.apply(coords))
 
-    def kernel_basis(self) -> IntMatrix:
-        """Generators of {c in source coords : apply(c) = 0}, free targets only."""
-        return kernel(self.matrix)
-
     def maps_equal(self, other: "QuotientSurjection") -> bool:
         if self.source != other.source or self.target != other.target:
             return False
@@ -612,20 +684,26 @@ def canonical_surjection(
     """
     if source.ambient != target.ambient:
         raise NotASubquotient("different ambient lattices")
+    # the target's projection is read off the Smith form of its relations,
+    # so it vanishes exactly on their row span: no further reduction
     for row in source.relations.rows:
-        if not in_row_span(target.relations, row):
+        if not target.is_relation(row):
             raise NotASubquotient(f"relation {row} not in target relations")
     matrix = target.projection @ source.section
     splitting = None
     if target.is_free:
         splitting = source.projection @ target.section
-        assert (matrix @ splitting) == IntMatrix.identity(target.coords_len)
     phi = QuotientSurjection(source, target, matrix, splitting)
+    if phi.splitting is not None and (
+        phi.matrix @ phi.splitting != IntMatrix.identity(target.coords_len)
+    ):
+        raise CertificateError("splitting is not a right inverse of the surjection")
     # cross-check: phi . source.project == target.project on the ambient basis
     n = source.ambient.rank
     for j in range(n):
         e = tuple(1 if i == j else 0 for i in range(n))
-        assert phi.apply(source.project(e)) == target.project(e)
+        if phi.apply(source.project(e)) != target.project(e):
+            raise CertificateError("surjection does not commute with the projections")
     return phi
 
 

@@ -17,6 +17,7 @@ import random
 
 from .cones import Cone, Fan, Subfan
 from .intlinalg import (
+    CertificateError,
     QuotientLattice,
     QuotientSurjection,
     canonical_surjection,
@@ -25,7 +26,6 @@ from .intlinalg import (
 )
 from .monoids import GroupRingElement
 from .support_solver import (
-    CertificateError,
     Constraint,
     SolverGaveUp,
     sample_nonzero_solution,
@@ -49,15 +49,19 @@ class FanSheaf:
         self._stalks = stalks
         self._restrictions = restrictions
         for sigma in fan.cones:
-            assert self.restriction(sigma, sigma).maps_equal(
+            if not self.restriction(sigma, sigma).maps_equal(
                 identity_surjection(self.stalk(sigma))
-            )
+            ):
+                raise CertificateError(f"restriction of {sigma!r} to itself is not the identity")
         for sigma in fan.cones:
             for tau in fan.faces_of(sigma):
                 for rho in fan.faces_of(tau):
                     direct = self.restriction(sigma, rho)
                     via = compose(self.restriction(tau, rho), self.restriction(sigma, tau))
-                    assert direct.maps_equal(via)
+                    if not direct.maps_equal(via):
+                        raise CertificateError(
+                            f"restrictions {sigma!r} -> {tau!r} -> {rho!r} are not functorial"
+                        )
 
     def stalk(self, sigma: Cone) -> QuotientLattice:
         return self._stalks[self.fan.canonical(sigma)]

@@ -30,13 +30,17 @@ import random
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .intlinalg import IntMatrix, QuotientLattice, QuotientSurjection, kernel, solve
+from .intlinalg import (  # CertificateError is re-exported from here
+    CertificateError,
+    IntMatrix,
+    QuotientLattice,
+    QuotientSurjection,
+    kernel,
+    smith_with_inverses,
+    solve,
+    solve_factored,
+)
 from .monoids import GroupRingElement
-
-
-class CertificateError(Exception):
-    """A witness failed its exact re-check; raised instead of returning
-    a wrong certificate."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,8 @@ def _expand(cand: dict, constraints: Sequence[Constraint]) -> None:
     """One closure round: push candidates to targets, lift every target
     point back into each participating slot, and add joint lifts --
     points hitting prescribed targets of two constraints at once, which
-    single splittings miss."""
+    single splittings miss.  Each stacked pair of maps is reduced once
+    and its factors serve every pair of target points."""
     new_targets: dict[tuple, set] = {}
     for c in constraints:
         pts = set(c.rhs.support())
@@ -120,15 +125,20 @@ def _expand(cand: dict, constraints: Sequence[Constraint]) -> None:
             continue
         for a in range(len(involved)):
             for b in range(a + 1, len(involved)):
-                _, phi1 = involved[a]
-                _, phi2 = involved[b]
+                key1, phi1 = involved[a]
+                key2, phi2 = involved[b]
+                targets1 = sorted(new_targets[key1])
+                targets2 = sorted(new_targets[key2])
+                if not targets1 or not targets2:
+                    continue
                 stacked = IntMatrix(
                     list(phi1.matrix.rows) + list(phi2.matrix.rows),
                     ncols=source.coords_len,
                 )
-                for t1 in sorted(new_targets[involved[a][0]]):
-                    for t2 in sorted(new_targets[involved[b][0]]):
-                        m = solve(stacked, tuple(t1) + tuple(t2))
+                u, d, v, _, _ = smith_with_inverses(stacked, keep=("u", "v"))
+                for t1 in targets1:
+                    for t2 in targets2:
+                        m = solve_factored(u, d, v, tuple(t1) + tuple(t2))
                         if m is not None:
                             cand[slot].add(source.reduce(m))
 

@@ -347,7 +347,7 @@ def test_main_reads_the_parsed_json_flag(fanfile, capsys):
 WRONG_SOLVER_SCRIPT = textwrap.dedent(
     """
     import sys
-    from kfan import cech, sheaves
+    from kfan import cech, intlinalg, sheaves
     from kfan.cli import main
     from kfan.monoids import GroupRingElement
 
@@ -360,6 +360,13 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     def wrong_character_tuple(ring, m):
         return ring.cochain({0: GroupRingElement.character(ring.complex.stalk((0,)), m)})
 
+    surjection_init = intlinalg.QuotientSurjection.__init__
+
+    def zero_splitting_init(self, source, target, matrix, splitting):
+        if splitting is not None:
+            splitting = intlinalg.IntMatrix.zero(splitting.nrows, splitting.ncols)
+        surjection_init(self, source, target, matrix, splitting)
+
     cech.solve_pushforward_system = wrong_solver
     sheaves.solve_pushforward_system = wrong_solver
     cech.H0Ring.character_tuple = wrong_character_tuple
@@ -367,6 +374,8 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     print(main(["check-exactness", path, "--level", "1", "--trials", "2"]))
     print(main(["check-flasque", path, "--trials", "2"]))
     print(main(["k0-global", path]))
+    intlinalg.QuotientSurjection.__init__ = zero_splitting_init
+    print(main(["check-flasque", path, "--trials", "2"]))
     """
 )
 
@@ -383,5 +392,6 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "1", "1"]
-    assert proc.stderr.count("certificate failed its re-check") == 3
+    assert proc.stdout.split() == ["1", "1", "1", "1"]
+    assert proc.stderr.count("certificate failed its re-check") == 4
+    assert "splitting is not a right inverse" in proc.stderr

@@ -5,9 +5,11 @@ from itertools import combinations, product
 import pytest
 
 from kfan.intlinalg import (
+    CertificateError,
     IntMatrix,
     Lattice,
     NotASubquotient,
+    QuotientSurjection,
     canonical_surjection,
     compose,
     det,
@@ -297,3 +299,34 @@ def test_compose_splitting_is_right_inverse():
         for j in range(c.target.coords_len):
             e = tuple(1 if i == j else 0 for i in range(c.target.coords_len))
             assert c.apply(c.lift(e)) == c.target.reduce(e)
+
+
+def _z2_onto_z():
+    ambient = Lattice(2)
+    source = quotient(ambient, IntMatrix.zero(0, 2))
+    target = quotient(ambient, IntMatrix([(0, 1)]))
+    return source, target
+
+
+def test_canonical_surjection_rejects_a_wrong_splitting(monkeypatch):
+    source, target = _z2_onto_z()
+    init = QuotientSurjection.__init__
+
+    def zero_splitting(self, source, target, matrix, splitting):
+        init(self, source, target, matrix, IntMatrix.zero(splitting.nrows, splitting.ncols))
+
+    monkeypatch.setattr(QuotientSurjection, "__init__", zero_splitting)
+    with pytest.raises(CertificateError, match="right inverse"):
+        canonical_surjection(source, target)
+
+
+def test_canonical_surjection_rejects_a_map_off_the_projections(monkeypatch):
+    source, target = _z2_onto_z()
+    apply = QuotientSurjection.apply
+
+    def shifted_apply(self, coords):
+        return tuple(x + 1 for x in apply(self, coords))
+
+    monkeypatch.setattr(QuotientSurjection, "apply", shifted_apply)
+    with pytest.raises(CertificateError, match="projections"):
+        canonical_surjection(source, target)

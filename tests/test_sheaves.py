@@ -10,9 +10,10 @@ from kfan.catalog import (
     singular_quadric_cone_fan,
 )
 from kfan.cones import Cone, Fan, zero_cone
-from kfan.intlinalg import Lattice
+from kfan.intlinalg import CertificateError, IntMatrix, Lattice, QuotientSurjection
 from kfan.monoids import GroupRingElement
 from kfan.sheaves import (
+    FanSheaf,
     NotSmoothFan,
     Section,
     extend_section,
@@ -208,3 +209,30 @@ def test_random_section_on_full_p3_never_fails():
         s = random_section(sheaf, fan.full_subfan(), random.Random(seed))
         assert s.check()
         assert any(not v.is_zero() for v in s.components.values())
+
+
+def _negated(phi: QuotientSurjection) -> QuotientSurjection:
+    matrix = IntMatrix([[-x for x in row] for row in phi.matrix.rows], ncols=phi.matrix.ncols)
+    return QuotientSurjection(phi.source, phi.target, matrix, None)
+
+
+def test_fan_sheaf_rejects_a_self_restriction_that_is_not_the_identity():
+    fan = projective_plane()
+    good = sheaf_a0(fan)
+    sigma = fan.max_cones[0]
+    restrictions = dict(good._restrictions)
+    restrictions[(sigma, sigma)] = _negated(good.restriction(sigma, sigma))
+    with pytest.raises(CertificateError, match="not the identity"):
+        FanSheaf(fan, good._stalks, restrictions)
+
+
+def test_fan_sheaf_rejects_restrictions_that_are_not_functorial():
+    z3 = Lattice(3)
+    fan = Fan.from_max_cones(z3, [Cone.from_rays(z3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])])
+    good = sheaf_a0(fan)
+    sigma = fan.max_cones[0]
+    ray = fan.canonical(Cone.from_rays(z3, [(1, 0, 0)]))
+    restrictions = dict(good._restrictions)
+    restrictions[(sigma, ray)] = _negated(good.restriction(sigma, ray))
+    with pytest.raises(CertificateError, match="not functorial"):
+        FanSheaf(fan, good._stalks, restrictions)

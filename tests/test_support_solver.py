@@ -1,0 +1,67 @@
+"""The expanding-support solver reduces each stacked pair of maps once,
+and the Smith reductions behind ``kernel`` and ``solve`` track only the
+transforms those functions read."""
+
+from kfan import intlinalg, support_solver
+from kfan.catalog import hirzebruch, p1_times_p1, projective_plane
+from kfan.cech import verify_exactness
+from kfan.intlinalg import IntMatrix, kernel, solve
+
+
+def _slot_pairs(constraints) -> int:
+    """The number of (slot, two constraint terms on it) the joint-lift
+    step of ``_expand`` can stack, over slots with a nonzero group."""
+    per_slot: dict = {}
+    for c in constraints:
+        for slot, _sign, phi in c.terms:
+            if phi.source.coords_len:
+                per_slot[slot] = per_slot.get(slot, 0) + 1
+    return sum(k * (k - 1) // 2 for k in per_slot.values())
+
+
+def test_expand_reduces_each_stacked_pair_once(monkeypatch):
+    reductions, solves, rounds = [], [], []
+    reduce, solve_with = support_solver.smith_with_inverses, support_solver.solve_factored
+    expand = support_solver._expand
+
+    def counting_reduce(a, **kwargs):
+        reductions.append(kwargs.get("keep"))
+        return reduce(a, **kwargs)
+
+    def counting_solve(*args):
+        solves.append(args[-1])
+        return solve_with(*args)
+
+    def watched_expand(cand, constraints):
+        before = len(reductions), len(solves)
+        expand(cand, constraints)
+        made, solved = len(reductions) - before[0], len(solves) - before[1]
+        assert made <= _slot_pairs(constraints)
+        rounds.append((made, solved))
+
+    monkeypatch.setattr(support_solver, "smith_with_inverses", counting_reduce)
+    monkeypatch.setattr(support_solver, "solve_factored", counting_solve)
+    monkeypatch.setattr(support_solver, "_expand", watched_expand)
+    for fan in (projective_plane(), p1_times_p1(), hirzebruch(1)):
+        for level in (1, 2):
+            assert verify_exactness(fan, level, trials=3, depth=3, seed=level).all_solved
+
+    assert rounds, "no expansion round ran"
+    # many target pairs share one reduction
+    assert sum(solved for _made, solved in rounds) > sum(made for made, _solved in rounds)
+    assert all(keep == ("u", "v") for keep in reductions)
+
+
+def test_kernel_and_solve_track_neither_inverse(monkeypatch):
+    requests = []
+    reduce = intlinalg.smith_with_inverses
+
+    def recording(a, **kwargs):
+        requests.append(set(kwargs["keep"]))
+        return reduce(a, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "smith_with_inverses", recording)
+    a = IntMatrix([[2, 4, 4, 1], [-6, 6, 12, 0], [10, -4, -16, 3]])
+    assert kernel(a).nrows == 1
+    assert solve(a, a.apply((1, 2, 3, 4))) is not None
+    assert requests == [{"v"}, {"u", "v"}]
