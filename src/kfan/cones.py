@@ -2,13 +2,20 @@
 
 A cone carries both descriptions -- primitive extreme rays and integer
 facet inequalities -- cross-checked at construction, since faces want
-the inequality side and duals want the generator side.  Fans are finite
-face-closed collections of cones; their subfans are the open sets of
-the poset topology used by the sheaf layer.
+the inequality side and duals want the generator side.  A cross-check
+that fails raises ``CertificateError``, so it holds under ``python -O``.
+Fans are finite face-closed collections of cones; their subfans are the
+open sets of the poset topology used by the sheaf layer.
 
 The double-description step enumerates candidate facet normals from
 subsets of rays, which is exact and entirely adequate at the ambient
-ranks this package supports (<= 4).
+ranks this package supports (<= 4).  Faces need no double description
+of their own to be found: a face is spanned by the rays of the cone
+that are tight on a set of its facets, so ``_face_rays`` lists every
+face as a sorted ray tuple, for both ``Cone.faces`` and ``Fan``.  A fan
+builds each distinct face once, from that tuple, and every maximal cone
+containing the face shares the instance; checking that two maximal
+cones meet in a common face takes one double description per pair.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .intlinalg import (
+    CertificateError,
     IntMatrix,
     Lattice,
     QuotientLattice,
@@ -147,16 +155,20 @@ class Cone:
         if n - kernel(facet_mat).nrows < n:
             raise NotStronglyConvex(f"cone on {prim} contains a line")
         dual_lin, extreme = dual_ray_generators(facets, n)
-        assert not dual_lin
+        if dual_lin:
+            raise CertificateError(f"the facets of the cone on {prim} cut out a line")
         dim = n - len(lin)
         cone = cls(lattice, extreme, facets, dim, pointed=True)
         # cross-checks between the two descriptions
         for r in prim:
-            assert cone.contains(r)
-        proper = cone._proper_facets()
-        for u in proper:
+            if not cone.contains(r):
+                raise CertificateError(f"ray {r} violates a facet of the cone on {prim}")
+        for u in cone._proper_facets():
             tight = [r for r in extreme if dot(u, r) == 0]
-            assert n - kernel(IntMatrix(tight, ncols=n)).nrows == dim - 1
+            if n - kernel(IntMatrix(tight, ncols=n)).nrows != dim - 1:
+                raise CertificateError(
+                    f"facet {u} of the cone on {prim} is not tight on rank {dim - 1}"
+                )
         return cone
 
     def _proper_facets(self) -> list[Vec]:
@@ -185,32 +197,22 @@ class Cone:
 
     def faces(self) -> tuple["Cone", ...]:
         """All faces, from the zero cone up to the cone itself."""
-        if self._faces is not None:
-            return self._faces
-        assert self.pointed, "face enumeration needs a strongly convex cone"
-        proper = self._proper_facets()
-        seen: dict[tuple, Cone] = {}
-        for k in range(len(proper) + 1):
-            for subset in combinations(proper, k):
-                tight = tuple(
-                    r for r in self.rays if all(dot(u, r) == 0 for u in subset)
-                )
-                if tight not in seen:
-                    seen[tight] = Cone.from_rays(self.lattice, tight)
-        faces = tuple(sorted(seen.values(), key=lambda c: (c.dim, c.rays)))
-        self._faces = faces
-        return faces
+        if self._faces is None:
+            faces = (Cone.from_rays(self.lattice, t) for t in _face_rays(self))
+            self._faces = tuple(sorted(faces, key=lambda c: (c.dim, c.rays)))
+        return self._faces
 
     def is_face(self, other: "Cone") -> bool:
         """Is this cone a face of ``other``?"""
-        return any(self == f for f in other.faces())
+        return self.lattice == other.lattice and self.rays in _face_rays(other)
 
     def intersection(self, other: "Cone") -> "Cone":
         if self.lattice != other.lattice:
             raise ValueError("cones live in different lattices")
         n = self.lattice.rank
-        lin, rays = dual_ray_generators(list(self.facets) + list(other.facets), n)
-        assert not lin
+        lin, rays = dual_ray_generators(self.facets + other.facets, n)
+        if lin:
+            raise CertificateError("the meet of two strongly convex cones contains a line")
         return Cone.from_rays(self.lattice, rays)
 
     def perp_lattice(self) -> IntMatrix:
@@ -223,7 +225,10 @@ class Cone:
         free, of rank dim."""
         if self._charq is None:
             q = quotient(Lattice(self.lattice.rank), self.perp_lattice())
-            assert q.is_free and q.free_rank == self.dim
+            if not (q.is_free and q.free_rank == self.dim):
+                raise CertificateError(
+                    f"character group of {self!r} is not free of rank {self.dim}"
+                )
             self._charq = q
         return self._charq
 
@@ -253,6 +258,23 @@ class Cone:
         return f"Cone(rays={[list(r) for r in self.rays]})"
 
 
+def _face_rays(cone: Cone) -> set[tuple[Vec, ...]]:
+    """The faces of a strongly convex cone, each as its sorted ray tuple.
+
+    A face is the set of points tight on some set of proper facets, and
+    it is spanned by the cone's rays tight on them; closing the full ray
+    tuple under "keep the rays tight on one more facet" reaches the
+    tight rays of every set of facets, the empty tuple (the zero cone)
+    included.
+    """
+    if not cone.pointed:
+        raise ValueError("face enumeration needs a strongly convex cone")
+    faces = {cone.rays}
+    for u in cone._proper_facets():
+        faces |= {tuple(r for r in f if dot(u, r) == 0) for f in faces}
+    return faces
+
+
 def zero_cone(lattice: Lattice) -> Cone:
     return Cone.from_rays(lattice, [])
 
@@ -279,36 +301,62 @@ class Fan:
 
     @classmethod
     def from_max_cones(cls, lattice: Lattice, max_cones: Iterable[Cone]) -> "Fan":
+        """The fan of the given cones and all their faces.
+
+        Input cones that repeat another or are a proper face of another
+        are dropped; the rest keep their order as ``max_cones``.  Every
+        pair of maximal cones must meet in a common face (else
+        ``NotAFan``): one double description of the pair's facets gives
+        the meet's rays, which must be the ray tuple of a face of each.
+
+        Each distinct face is built once, by ``Cone.from_rays`` on its
+        sorted ray tuple, and is shared by every maximal cone that has
+        it.  A lower-dimensional maximal cone is rebuilt that way too,
+        since the lineality part of its facets depends on the order of
+        its rays; a full-dimensional one is kept as given.  The faces of
+        a cone are those faces of a maximal cone containing it whose
+        rays it contains.
+        """
         if lattice.rank > MAX_RANK:
             raise UnsupportedRank(f"ambient rank {lattice.rank} > {MAX_RANK}")
-        given = list(max_cones)
-        for c in given:
+        distinct: dict[tuple, Cone] = {}
+        for c in max_cones:
             if c.lattice != lattice:
                 raise ValueError("cone lattice does not match the fan lattice")
-        # drop duplicates and cones that are proper faces of other input cones
-        maximal: list[Cone] = []
-        for c in given:
-            if any(c != d and c.is_face(d) for d in given):
-                continue
-            if c not in maximal:
-                maximal.append(c)
-        for i in range(len(maximal)):
+            distinct.setdefault(c.rays, c)
+        face_rays = {rays: _face_rays(c) for rays, c in distinct.items()}
+        maximal = [
+            c
+            for rays, c in distinct.items()
+            if not any(rays != other and rays in fs for other, fs in face_rays.items())
+        ]
+        for i, a in enumerate(maximal):
             for j in range(i + 1, len(maximal)):
-                meet = maximal[i].intersection(maximal[j])
-                if not (meet.is_face(maximal[i]) and meet.is_face(maximal[j])):
+                b = maximal[j]
+                lin, rays = dual_ray_generators(a.facets + b.facets, lattice.rank)
+                meet = tuple(rays)
+                if lin or meet not in face_rays[a.rays] or meet not in face_rays[b.rays]:
                     raise NotAFan(i, j)
-        collected: dict[Cone, Cone] = {}
+        # a full-dimensional cone has no lineality, so its facets do not
+        # depend on the order its rays came in: it is its own rebuild
+        built = {c.rays: c for c in maximal if c.dim == lattice.rank}
+        home = {rays: face_rays[rays] for rays in built}  # faces of a maximal cone above
         for c in maximal:
-            for f in c.faces():
-                collected.setdefault(f, f)
-        z = zero_cone(lattice)
-        collected.setdefault(z, z)
+            for t in face_rays[c.rays]:
+                if t not in built:
+                    built[t] = Cone.from_rays(lattice, t)
+                    home[t] = face_rays[c.rays]
         if not maximal:
-            maximal = [collected[z]]
-        cones = tuple(sorted(collected.values(), key=lambda c: (c.dim, c.rays)))
-        canon = {c: c for c in cones}
-        faces_of = tuple(tuple(canon[f] for f in c.faces()) for c in cones)
-        return cls(lattice, cones, tuple(canon[c] for c in maximal), faces_of)
+            built[()] = zero_cone(lattice)
+            home[()] = {()}
+        cones = tuple(sorted(built.values(), key=lambda c: (c.dim, c.rays)))
+        faces_of = []
+        for c in cones:
+            inside = set(c.rays)
+            faces = (built[t] for t in home[c.rays] if inside.issuperset(t))
+            faces_of.append(tuple(sorted(faces, key=lambda f: (f.dim, f.rays))))
+        max_out = tuple(built[c.rays] for c in maximal) or (built[()],)
+        return cls(lattice, cones, max_out, tuple(faces_of))
 
     @classmethod
     def from_rays_and_indices(

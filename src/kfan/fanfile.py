@@ -8,6 +8,8 @@
     }
 
 Rays are primitivized on load (with a warning) and indices are checked.
+Every number must be a JSON integer: floats, strings and booleans are
+rejected, never rounded or coerced.
 """
 
 from __future__ import annotations
@@ -44,6 +46,15 @@ class FanFile:
         return out
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: ``bool`` is a subclass of ``int`` in Python."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(x) -> bool:
+    return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
 def parse_fan_file(text: str, origin: str = "<string>") -> FanFile:
     try:
         data = json.loads(text)
@@ -51,22 +62,28 @@ def parse_fan_file(text: str, origin: str = "<string>") -> FanFile:
         raise FanFileError(
             f"{origin}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except (ValueError, RecursionError) as e:  # an oversized integer, deep nesting
+        raise FanFileError(f"{origin}: unreadable JSON: {e}") from e
     if not isinstance(data, dict):
         raise FanFileError(f"{origin}: expected a JSON object")
     try:
-        rank = int(data["lattice_rank"])
+        rank = data["lattice_rank"]
         rays_in = data["rays"]
         cones_in = data["max_cones"]
     except KeyError as e:
         raise FanFileError(f"{origin}: missing field {e.args[0]!r}") from e
-    if rank < 1:
-        raise FanFileError(f"{origin}: lattice_rank must be positive")
+    if not _is_int(rank) or rank < 1:
+        raise FanFileError(f"{origin}: lattice_rank must be a positive integer")
+    for key, value in (("rays", rays_in), ("max_cones", cones_in)):
+        if not isinstance(value, list):
+            raise FanFileError(f"{origin}: {key} must be a list")
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise FanFileError(f"{origin}: name must be a string")
     warnings = []
     rays = []
     for i, r in enumerate(rays_in):
-        if not isinstance(r, list) or len(r) != rank or not all(
-            isinstance(x, int) for x in r
-        ):
+        if not _int_list(r) or len(r) != rank:
             raise FanFileError(f"{origin}: ray {i} is not an integer vector of length {rank}")
         p = primitive(r)
         if p is None:
@@ -76,7 +93,7 @@ def parse_fan_file(text: str, origin: str = "<string>") -> FanFile:
         rays.append(p)
     cones = []
     for i, c in enumerate(cones_in):
-        if not isinstance(c, list) or not all(isinstance(x, int) for x in c):
+        if not _int_list(c):
             raise FanFileError(f"{origin}: max cone {i} is not a list of ray indices")
         for x in c:
             if not 0 <= x < len(rays):
@@ -86,7 +103,7 @@ def parse_fan_file(text: str, origin: str = "<string>") -> FanFile:
         lattice_rank=rank,
         rays=tuple(rays),
         max_cones=tuple(cones),
-        name=data.get("name"),
+        name=name,
         warnings=warnings,
     )
 
@@ -95,7 +112,7 @@ def load_fan_file(path: str | Path) -> FanFile:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FanFileError(f"cannot read {path}: {e}") from e
     return parse_fan_file(text, origin=str(path))
 

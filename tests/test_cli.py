@@ -5,6 +5,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kfan.cli import main, run
 from kfan.fanfile import build_fan, parse_fan_file
@@ -84,6 +86,115 @@ def test_parse_error_exit_code(fanfile, tmp_path, capsys):
 def test_bad_ray_index_exit_code(fanfile):
     data = dict(P1, max_cones=[[0], [7]])
     assert run(["info", fanfile(data)]) == 2
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"lattice_rank": "x"},
+        {"lattice_rank": "2"},
+        {"lattice_rank": 2.7},
+        {"lattice_rank": 2.0},
+        {"lattice_rank": True},
+        {"rays": 5},
+        {"max_cones": 3},
+        {"rays": [[True, 0], [0, 1], [-1, -1]]},
+        {"rays": [[1.0, 0], [0, 1], [-1, -1]]},
+        {"max_cones": [[0, True], [1, 2], [2, 0]]},
+        {"name": ["P2"]},
+    ],
+)
+def test_malformed_fan_files_are_input_errors(fanfile, change):
+    assert run(["info", fanfile(dict(P2, **change))]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"lattice_rank": 1e400, "rays": [], "max_cones": []}',
+        '{"lattice_rank": 2, "rays": [[1%s, 0]], "max_cones": []}' % ("0" * 5000),
+        "[" * 100000,
+    ],
+)
+def test_unreadable_fan_json_is_an_input_error(tmp_path, text):
+    path = tmp_path / "fan.json"
+    path.write_text(text)
+    assert run(["info", str(path)]) == 2
+
+
+def test_undecodable_fan_file_is_an_input_error(tmp_path):
+    path = tmp_path / "fan.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert run(["info", str(path)]) == 2
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.sampled_from([4, -7, 10**30, -(10**30)])
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+VALID_FANS = [
+    P1,
+    P2,
+    SINGULAR,
+    ZERO_FAN,
+    {
+        "lattice_rank": 3,
+        "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+        "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+    },
+]
+
+
+def _paths(node, prefix=()):
+    """The paths of every value below ``node``."""
+    keys = sorted(node) if isinstance(node, dict) else range(len(node))
+    for k in keys:
+        yield prefix + (k,)
+        if isinstance(node[k], (dict, list)):
+            yield from _paths(node[k], prefix + (k,))
+
+
+@st.composite
+def mutated_fans(draw):
+    """A valid fan file with one to three values replaced, deleted or
+    appended somewhere below its top-level object."""
+    data = json.loads(json.dumps(draw(st.sampled_from(VALID_FANS))))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(data))
+        if not paths:
+            break
+        *up, key = paths[draw(st.integers(0, len(paths) - 1))]
+        parent = data
+        for k in up:
+            parent = parent[k]
+        action = draw(st.sampled_from(["replace", "replace", "delete", "append"]))
+        if action == "replace":  # a small integer half the time
+            parent[key] = draw(st.integers(-3, 3) | JSON_VALUES)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.append(draw(JSON_VALUES))
+        else:
+            parent[draw(st.text(max_size=3))] = draw(JSON_VALUES)
+    return data
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_fans())
+def test_mutated_fan_files_give_exit_2_or_a_report(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "fan.json"
+    path.write_text(json.dumps(data))
+    outcome = run(["info", str(path)])
+    if isinstance(outcome, JobReport):
+        assert outcome.exit_status == 0
+    else:
+        assert outcome == 2
 
 
 def test_k0_affine_zero_cone(fanfile):
@@ -347,7 +458,7 @@ def test_main_reads_the_parsed_json_flag(fanfile, capsys):
 WRONG_SOLVER_SCRIPT = textwrap.dedent(
     """
     import sys
-    from kfan import cech, intlinalg, sheaves
+    from kfan import cech, cones, intlinalg, sheaves
     from kfan.cli import main
     from kfan.monoids import GroupRingElement
 
@@ -376,6 +487,15 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     print(main(["k0-global", path]))
     intlinalg.QuotientSurjection.__init__ = zero_splitting_init
     print(main(["check-flasque", path, "--trials", "2"]))
+
+    dual_ray_generators = cones.dual_ray_generators
+
+    def spurious_lineality(vectors, rank):
+        lin, rays = dual_ray_generators(vectors, rank)
+        return lin + [(1,) + (0,) * (rank - 1)], rays
+
+    cones.dual_ray_generators = spurious_lineality
+    print(main(["info", path]))
     """
 )
 
@@ -392,6 +512,7 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "1", "1", "1"]
-    assert proc.stderr.count("certificate failed its re-check") == 4
+    assert proc.stdout.split() == ["1", "1", "1", "1", "1"]
+    assert proc.stderr.count("certificate failed its re-check") == 5
     assert "splitting is not a right inverse" in proc.stderr
+    assert "cut out a line" in proc.stderr

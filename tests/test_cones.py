@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from kfan import cones
 from kfan.cones import (
     Cone,
     ConeNotInFan,
@@ -19,7 +20,7 @@ from kfan.cones import (
     zero_cone,
 )
 from kfan.fanfile import build_fan, load_fan_file
-from kfan.intlinalg import IntMatrix, Lattice, dot, in_row_span
+from kfan.intlinalg import CertificateError, IntMatrix, Lattice, dot, in_row_span
 from kfan.sheaves import random_open_subfan
 
 Z1, Z2, Z3 = Lattice(1), Lattice(2), Lattice(3)
@@ -203,6 +204,46 @@ def test_smoothness():
     assert not square.is_simplicial() and not square.is_smooth()
     assert zero_cone(Z3).is_smooth()
     assert Cone.from_rays(Z3, [(1, 0, 0), (0, 1, 0)]).is_smooth()
+
+
+def patch_dual_ray_generators(monkeypatch, call, corrupt):
+    """Make the ``call``-th double description (0: the facets of the
+    input rays, 1: the rays of those facets) return corrupt(lin, rays)."""
+    dual = cones.dual_ray_generators
+    seen = []
+
+    def patched(vectors, rank):
+        lin, rays = dual(vectors, rank)
+        seen.append(None)
+        return corrupt(lin, rays) if len(seen) == call + 1 else (lin, rays)
+
+    monkeypatch.setattr(cones, "dual_ray_generators", patched)
+
+
+@pytest.mark.parametrize(
+    "call, corrupt, message",
+    [
+        (1, lambda lin, rays: (lin + [(1, 0)], rays), "cut out a line"),
+        (0, lambda lin, rays: (lin, [(0, 1), (1, -1)]), "violates a facet"),
+        (1, lambda lin, rays: (lin, rays[:1]), "is not tight on rank 1"),
+    ],
+)
+def test_from_rays_cross_checks_raise(monkeypatch, call, corrupt, message):
+    patch_dual_ray_generators(monkeypatch, call, corrupt)
+    with pytest.raises(CertificateError, match=message):
+        Cone.from_rays(Z2, [(1, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("scale", [0, 2])
+def test_character_quotient_freeness_check_raises(monkeypatch, scale):
+    # scale 0 drops the relation (rank 2, not 1), scale 2 leaves torsion
+    ray = Cone.from_rays(Z2, [(1, 0)])
+    perp = ray.perp_lattice()
+    monkeypatch.setattr(
+        Cone, "perp_lattice", lambda self: IntMatrix([[scale * x for x in perp.row(0)]])
+    )
+    with pytest.raises(CertificateError, match="is not free of rank 1"):
+        ray.character_quotient()
 
 
 # ---------------------------------------------------------------------------
