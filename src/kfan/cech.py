@@ -10,9 +10,12 @@ the geometry (difference of the two restrictions), the higher signs are
 the usual simplicial convention over the fixed ordering of the maximal
 cones, and d . d = 0 holds by telescoping.
 
-For smooth fans the complex is exact in positive levels; the coboundary
-solver searches for preimages over splitting-generated supports, and a
-``SolverGaveUp`` is a search failure, never a counterexample.
+For smooth fans the complex is exact in positive levels, because the
+structure sheaf is flasque, and ``solve_coboundary`` builds a preimage
+by peeling off one maximal cone at a time with the closed-form lift of
+``kfan.sheaves``.  On non-smooth fans, allowed only on request, the
+preimage is searched for by the expanding-support solver, and a
+``SolverGaveUp`` there is a search failure, never a counterexample.
 """
 
 from __future__ import annotations
@@ -25,7 +28,17 @@ from typing import Sequence
 from .cones import Cone, Fan
 from .intlinalg import QuotientLattice
 from .monoids import GroupRingElement
-from .sheaves import FanSheaf, NotSmoothFan, Section, sheaf_a0
+from .sheaves import (
+    FanSheaf,
+    NotSmoothFan,
+    Section,
+    accumulate,
+    from_ray_terms,
+    pad_rays,
+    ray_terms,
+    restrict_rays,
+    sheaf_a0,
+)
 from .support_solver import (
     CertificateError,
     Constraint,
@@ -114,24 +127,75 @@ class CechComplex:
     def solve_coboundary(
         self, z: "Cochain", depth: int = 3, allow_nonsmooth: bool = False
     ) -> "Cochain | SolverGaveUp":
-        """A cochain b with d(b) = z, searched over splitting-generated
-        supports; re-verified exactly before being returned."""
+        """A cochain b with d(b) = z, re-verified exactly before being
+        returned.
+
+        On a smooth fan b is built by peeling (``_peel``) and ``depth``
+        is ignored.  Non-smooth fans are refused unless explicitly
+        allowed; then the expanding-support solver searches to the given
+        depth and may give up.
+        """
         if z.level < 1:
             raise ValueError("coboundaries live above level zero")
         if not self.is_cocycle(z):
             raise NotACocycle("the right-hand side has nonzero differential")
-        if not self.fan.is_smooth() and not allow_nonsmooth:
+        if self.fan.is_smooth():
+            b = self._peel(z)
+        elif not allow_nonsmooth:
             raise NotSmoothFan("exactness is only guaranteed for smooth fans")
-        slot_groups = {s: self.stalk(s) for s in self.tuples[z.level - 1]}
-        constraints = self._d_constraints(z.level - 1, z.components)
-        outcome = solve_pushforward_system(slot_groups, constraints, depth)
-        if isinstance(outcome, SolverGaveUp):
-            return outcome
-        solution, _rounds = outcome
-        b = Cochain(self, z.level - 1, solution)
+        else:
+            slot_groups = {s: self.stalk(s) for s in self.tuples[z.level - 1]}
+            constraints = self._d_constraints(z.level - 1, z.components)
+            outcome = solve_pushforward_system(slot_groups, constraints, depth)
+            if isinstance(outcome, SolverGaveUp):
+                return outcome
+            b = Cochain(self, z.level - 1, outcome[0])
         if self.d(b) != z:
-            raise CertificateError(f"solver witness fails d(b) = z at level {z.level}")
+            raise CertificateError(f"witness fails d(b) = z at level {z.level}")
         return b
+
+    def _peel(self, z: "Cochain") -> "Cochain":
+        """A preimage of the level-p cocycle z on a smooth fan, one
+        maximal cone at a time.
+
+        Let a0 be the first maximal cone left.  For every p-tuple I of
+        the later ones, b_I is the closed-form lift to sigma_I of data
+        that are z_{a0 I} on the faces of sigma_{a0 I} and zero on the
+        faces of cones already peeled.  By inclusion-exclusion that lift
+        is iota(z_{a0 I}), zero-padded in the ray coordinates of
+        sigma_I: the faces outside sigma_{a0 I} contribute nothing.
+        Then z - d(b) vanishes on every tuple containing a0 and, being a
+        cocycle, on the faces of sigma_{a0}, which is what makes the
+        zero data compatible at the next step.  Only the tuples of later
+        cones are updated, since no later step reads the others; the
+        caller re-checks d(b) = z in full.  Everything runs in ray
+        coordinates, converted at the boundary.
+        """
+        p = z.level
+        n = len(self.fan.max_cones)
+        cone_of = self._cone_of
+        rest = {t: ray_terms(cone_of[t], v) for t, v in z.components.items()}
+        b: dict[tuple, dict] = {}
+        for a0 in range(n - p):
+            for t in sorted(key for key in rest if key[0] == a0):
+                x = rest.pop(t)
+                if not x:
+                    continue
+                s = t[1:]
+                step = pad_rays(x, cone_of[t], cone_of[s])
+                accumulate(b.setdefault(s, {}), step, 1)
+                for e in range(a0 + 1, n):
+                    if e in s:
+                        continue
+                    u = tuple(sorted(s + (e,)))
+                    sign = -1 if u.index(e) % 2 == 0 else 1
+                    pushed = restrict_rays(step, cone_of[s], cone_of[u])
+                    accumulate(rest.setdefault(u, {}), pushed, sign)
+        return Cochain(
+            self,
+            p - 1,
+            {s: from_ray_terms(self.stalk(s), cone_of[s], terms) for s, terms in b.items()},
+        )
 
     def _d_constraints(self, level: int, rhs: dict) -> list[Constraint]:
         """The equations d(x) = rhs for an unknown level-``level``
@@ -211,8 +275,12 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.components
 
+    def _check_same_level(self, other: "Cochain") -> None:
+        if self.complex is not other.complex or self.level != other.level:
+            raise ValueError("cochains of different complexes or levels")
+
     def __add__(self, other: "Cochain") -> "Cochain":
-        assert self.complex is other.complex and self.level == other.level
+        self._check_same_level(other)
         keys = set(self.components) | set(other.components)
         return Cochain(
             self.complex,
@@ -221,7 +289,7 @@ class Cochain:
         )
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        assert self.complex is other.complex and self.level == other.level
+        self._check_same_level(other)
         keys = set(self.components) | set(other.components)
         return Cochain(
             self.complex,
@@ -289,7 +357,10 @@ class H0Ring:
         )
 
     def multiply(self, a: Cochain, b: Cochain) -> Cochain:
-        assert a.level == 0 and b.level == 0
+        if a.complex is not self.complex or b.complex is not self.complex:
+            raise ValueError("cochains of a different complex")
+        if a.level != 0 or b.level != 0:
+            raise ValueError("the ring structure is on level-0 cochains")
         keys = set(a.components) & set(b.components)
         return self.complex.cochain(
             0, {t: a.components[t] * b.components[t] for t in keys}

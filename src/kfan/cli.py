@@ -9,6 +9,7 @@ failure (with witness), 2 input error, 3 solver gave up.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -445,10 +446,17 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call
+    in the process: parsing leaves it unchanged."""
+    return make_parser()
+
+
 def run(argv=None) -> JobReport | int:
     """Parse and dispatch, returning the JobReport (or an error exit
     code); the in-process entry point used by tests."""
-    return _dispatch(make_parser().parse_args(argv))
+    return _dispatch(_parser().parse_args(argv))
 
 
 def _dispatch(args) -> JobReport | int:
@@ -466,7 +474,7 @@ def _dispatch(args) -> JobReport | int:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     outcome = _dispatch(args)
     if isinstance(outcome, int):
         return outcome

@@ -127,7 +127,9 @@ class Cone:
     go by the sorted primitive ray set.
     """
 
-    __slots__ = ("lattice", "rays", "facets", "dim", "pointed", "_faces", "_charq")
+    __slots__ = (
+        "lattice", "rays", "facets", "dim", "pointed", "_faces", "_charq", "_smooth", "_chart"
+    )
 
     def __init__(self, lattice: Lattice, rays, facets, dim: int, pointed: bool):
         self.lattice = lattice
@@ -137,6 +139,8 @@ class Cone:
         self.pointed = pointed
         self._faces = None
         self._charq = None
+        self._smooth = None
+        self._chart = None
 
     @classmethod
     def from_rays(cls, lattice: Lattice, rays: Iterable[Sequence[int]]) -> "Cone":
@@ -236,13 +240,44 @@ class Cone:
         return len(self.rays) == self.dim
 
     def is_smooth(self) -> bool:
-        """Do the rays extend to a basis of the lattice?"""
-        if not self.is_simplicial():
-            return False
-        if not self.rays:
-            return True
-        _, d, _, _, _ = smith_with_inverses(IntMatrix(self.rays), keep=())
-        return all(d.rows[i][i] == 1 for i in range(len(self.rays)))
+        """Do the rays extend to a basis of the lattice?  Decided once
+        per cone."""
+        if self._smooth is None:
+            if not self.is_simplicial():
+                self._smooth = False
+            elif not self.rays:
+                self._smooth = True
+            else:
+                _, d, _, _, _ = smith_with_inverses(IntMatrix(self.rays), keep=())
+                self._smooth = all(d.rows[i][i] == 1 for i in range(len(self.rays)))
+        return self._smooth
+
+    def ray_chart(self) -> tuple[IntMatrix, IntMatrix]:
+        """The ray coordinates of a smooth cone's character group.
+
+        With rays v_1..v_k (in ``rays`` order), m -> (<m,v_1>, ..,
+        <m,v_k>) maps M_sigma = ``character_quotient()`` isomorphically
+        onto Z^k, and restriction to a face keeps the coordinates of the
+        face's rays.  Returns (T, T^-1): the unimodular k x k matrix
+        taking normal-form coordinates to ray coordinates, R * section
+        for the ray matrix R, and its inverse.  Built once per cone and
+        cross-checked: T * projection = R and T * T^-1 = I.
+        """
+        if self._chart is None:
+            if not self.is_smooth():
+                raise ValueError(f"{self!r} is not smooth: its rays give no chart")
+            q = self.character_quotient()
+            k = len(self.rays)
+            ray_matrix = IntMatrix(self.rays, ncols=self.lattice.rank)
+            t = ray_matrix @ q.section
+            u, d, v, _, _ = smith_with_inverses(t, keep=("u", "v"))
+            if any(d.rows[i][i] != 1 for i in range(k)):
+                raise CertificateError(f"ray map of {self!r} is not unimodular")
+            t_inv = v @ u  # U T V = I
+            if t @ q.projection != ray_matrix or t @ t_inv != IntMatrix.identity(k):
+                raise CertificateError(f"ray chart of {self!r} fails its cross-check")
+            self._chart = (t, t_inv)
+        return self._chart
 
     def __eq__(self, other) -> bool:
         return (

@@ -5,10 +5,25 @@ cone and a quotient surjection for every face pair, functorial along
 chains.  Sections over an open subfan are stored on its maximal cones;
 compatibility over pairwise meets pins the whole limit.
 
-The sheaf of interest assigns to each cone the group ring of its
-minimal-orbit character group; for smooth fans it is flasque, i.e.
-every section of every open subfan extends to a global one, and the
-extension is searched for by the expanding-support integer solver.
+The sheaf of interest, ``sheaf_a0``, assigns to each cone sigma the
+group ring Z[M_sigma] of its minimal-orbit character group.  For smooth
+fans it is flasque, and the witnesses are built, not searched for.  A
+smooth cone with rays v_1..v_k has ray coordinates m -> (<m,v_1>, ..,
+<m,v_k>) on M_sigma (``Cone.ray_chart``), in which restriction to a
+face keeps the coordinates of the face's rays.  Compatible data f_tau
+on the proper faces of sigma then lift in closed form, by
+inclusion-exclusion, to
+
+    F = sum over tau < sigma of (-1)^(dim sigma - 1 - dim tau) iota_tau(f_tau),
+
+where iota_tau pads zeros at the rays tau lacks; F restricts to f_T on
+every proper face T (``lift``).  A section over an open subfan extends
+by lifting onto the missing cones in order of dimension.  Elements are
+converted into ray coordinates and back at the boundary; stalks keep
+their normal-form coordinates.  On non-smooth fans, allowed only on
+request, the extension is still searched for by the expanding-support
+solver, and a ``SolverGaveUp`` there is a search failure, never a proof
+that no extension exists.
 """
 
 from __future__ import annotations
@@ -18,6 +33,7 @@ import random
 from .cones import Cone, Fan, Subfan
 from .intlinalg import (
     CertificateError,
+    Vec,
     QuotientLattice,
     QuotientSurjection,
     canonical_surjection,
@@ -161,24 +177,148 @@ class Section:
         return f"Section(on {len(self.components)} maximal cones)"
 
 
+def ray_terms(cone: Cone, element: GroupRingElement) -> dict[Vec, int]:
+    """The terms of an element of Z[M_cone] in the cone's ray
+    coordinates (the cone must be smooth)."""
+    chart, _ = cone.ray_chart()
+    return {chart.apply(c): k for c, k in element.terms.items()}
+
+
+def from_ray_terms(group: QuotientLattice, cone: Cone, terms: dict) -> GroupRingElement:
+    """The element of ``group``, the stalk at ``cone``, whose terms in
+    the cone's ray coordinates are ``terms``."""
+    _, inverse = cone.ray_chart()
+    return GroupRingElement(group, {inverse.apply(e): k for e, k in terms.items()})
+
+
+def _positions(face: Cone, cone: Cone) -> tuple[int, ...]:
+    """Where each ray of a face sits among the rays of the cone."""
+    where = {r: i for i, r in enumerate(cone.rays)}
+    return tuple(where[r] for r in face.rays)
+
+
+def restrict_rays(terms: dict, cone: Cone, face: Cone) -> dict:
+    """Restriction to a face, in ray coordinates: keep the coordinates
+    of the face's rays."""
+    idx = _positions(face, cone)
+    out: dict = {}
+    for e, k in terms.items():
+        key = tuple(e[i] for i in idx)
+        out[key] = out.get(key, 0) + k
+    return {e: k for e, k in out.items() if k}
+
+
+def pad_rays(terms: dict, face: Cone, cone: Cone) -> dict:
+    """iota: from a face's ray coordinates to the cone's, with zeros at
+    the rays the face lacks.  A right inverse of ``restrict_rays``."""
+    idx = _positions(face, cone)
+    width = len(cone.rays)
+    out = {}
+    for e, k in terms.items():
+        v = [0] * width
+        for i, x in zip(idx, e):
+            v[i] = x
+        out[tuple(v)] = k
+    return out
+
+
+def accumulate(acc: dict, terms: dict, sign: int) -> None:
+    """acc += sign * terms, for term dicts; zero coefficients dropped."""
+    for e, k in terms.items():
+        total = acc.get(e, 0) + sign * k
+        if total:
+            acc[e] = total
+        else:
+            acc.pop(e, None)
+
+
+def _lift_rays(sigma: Cone, faces, values: dict) -> dict:
+    """The closed-form lift in ray coordinates: the signed sum of the
+    padded values over the proper faces of sigma."""
+    out: dict = {}
+    for tau in faces:
+        sign = -1 if (sigma.dim - 1 - tau.dim) % 2 else 1
+        accumulate(out, pad_rays(values[tau], tau, sigma), sign)
+    return out
+
+
+def lift(sheaf: FanSheaf, sigma: Cone, boundary: dict) -> GroupRingElement:
+    """The closed-form lift to a smooth cone of ``sheaf_a0`` data on its
+    proper faces.
+
+    ``boundary`` maps every proper face tau of sigma to an element of
+    Z[M_tau]; when the data are compatible under restriction, the lift
+    F = sum of (-1)^(dim sigma - 1 - dim tau) iota_tau(f_tau) restricts
+    to f_T on every proper face T.  (Restricted to T, the terms of the
+    faces tau meeting T in a given face rho of T carry signs that sum to
+    1 when rho = T and to 0 otherwise.)
+    """
+    fan = sheaf.fan
+    sigma = fan.canonical(sigma)
+    faces = [tau for tau in fan.faces_of(sigma) if tau is not sigma]
+    values = {tau: ray_terms(tau, boundary[tau]) for tau in faces}
+    return from_ray_terms(sheaf.stalk(sigma), sigma, _lift_rays(sigma, faces, values))
+
+
 def extend_section(
     section: Section, depth: int = 3, allow_nonsmooth: bool = False
 ) -> Section | SolverGaveUp:
-    """Search for a global section restricting to the given one.
+    """A global section restricting to the given one.
 
-    For smooth fans the sheaf is flasque, so an extension exists; the
-    solver looks for one over splitting-generated supports and a
-    ``SolverGaveUp`` outcome is a search failure, never a proof of
-    nonexistence.  Non-smooth fans are refused unless explicitly
-    allowed, since nothing guarantees an extension exists there.
+    On a smooth fan the extension is constructed: the section's values
+    on the domain are taken into ray coordinates, each missing cone is
+    added in order of dimension by the closed-form lift of the values
+    on its proper faces, and ``depth`` is ignored.  Non-smooth fans are
+    refused unless explicitly allowed, since nothing guarantees an
+    extension exists there; when allowed, the expanding-support solver
+    searches to the given depth, and a ``SolverGaveUp`` outcome is a
+    search failure, never a proof of nonexistence.  Either way the
+    extension is re-checked: it must be a section and restrict to the
+    given one.
     """
     sheaf = section.sheaf
     fan = sheaf.fan
-    if not fan.is_smooth() and not allow_nonsmooth:
+    smooth = fan.is_smooth()
+    if not smooth and not allow_nonsmooth:
         raise NotSmoothFan("extension is only guaranteed over smooth fans")
     if section.domain.is_full():
         return section
 
+    if smooth:
+        extended = _construct_extension(section)
+    else:
+        extended = _search_extension(section, depth)
+        if isinstance(extended, SolverGaveUp):
+            return extended
+    if not extended.check():
+        raise CertificateError("extension is not a global section")
+    if extended.restrict(section.domain) != section:
+        raise CertificateError("extension does not restrict to the given section")
+    return extended
+
+
+def _construct_extension(section: Section) -> Section:
+    """Lift onto the cones outside the domain in order of dimension."""
+    sheaf = section.sheaf
+    fan = sheaf.fan
+    values: dict = {}
+    for top in section.domain.max_cones():
+        terms = ray_terms(top, section.components[top])
+        for tau in fan.faces_of(top):
+            if tau not in values:
+                values[tau] = restrict_rays(terms, top, tau)
+    for sigma in fan.cones:  # sorted by dimension
+        if sigma not in values:
+            faces = [tau for tau in fan.faces_of(sigma) if tau is not sigma]
+            values[sigma] = _lift_rays(sigma, faces, values)
+    comps = {c: from_ray_terms(sheaf.stalk(c), c, values[c]) for c in fan.max_cones}
+    return Section(sheaf, fan.full_subfan(), comps)
+
+
+def _search_extension(section: Section, depth: int) -> Section | SolverGaveUp:
+    """The expanding-support search, for fans without the closed form."""
+    sheaf = section.sheaf
+    fan = sheaf.fan
     maxes = fan.max_cones
     slot_groups = {i: sheaf.stalk(c) for i, c in enumerate(maxes)}
     constraints = _compatibility_constraints(sheaf, maxes)
@@ -197,13 +337,7 @@ def extend_section(
     if isinstance(outcome, SolverGaveUp):
         return outcome
     solution, _rounds = outcome
-    comps = {c: solution[i] for i, c in enumerate(maxes)}
-    extended = Section(sheaf, fan.full_subfan(), comps)
-    if not extended.check():
-        raise CertificateError("solver witness is not a global section")
-    if extended.restrict(section.domain) != section:
-        raise CertificateError("solver witness does not restrict to the given section")
-    return extended
+    return Section(sheaf, fan.full_subfan(), {c: solution[i] for i, c in enumerate(maxes)})
 
 
 def _compatibility_constraints(sheaf: FanSheaf, cones: list) -> list[Constraint]:

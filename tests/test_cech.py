@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -348,3 +352,48 @@ def test_fuzz_exactness_and_extension_on_random_smooth_fans():
         extended = extend_section(section, depth=3)
         assert not isinstance(extended, SolverGaveUp)
         assert extended.restrict(domain) == section
+
+
+COCHAIN_CHECKS_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from kfan.catalog import projective_plane
+    from kfan.cech import CechComplex, H0Ring
+
+    if __debug__:
+        sys.exit("run this under python -O")
+
+    cx, other = CechComplex(projective_plane()), CechComplex(projective_plane())
+    ring = H0Ring(cx)
+    cases = [
+        lambda: cx.zero_cochain(0) + cx.zero_cochain(1),
+        lambda: cx.zero_cochain(1) + other.zero_cochain(1),
+        lambda: cx.zero_cochain(0) - cx.zero_cochain(1),
+        lambda: cx.zero_cochain(1) - other.zero_cochain(1),
+        lambda: ring.multiply(cx.zero_cochain(1), ring.unit()),
+        lambda: ring.multiply(ring.unit(), other.zero_cochain(0)),
+    ]
+    for case in cases:
+        try:
+            case()
+        except ValueError:
+            print("ValueError")
+        else:
+            print("accepted")
+    """
+)
+
+
+def test_cochain_arithmetic_checks_hold_under_python_O():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", COCHAIN_CHECKS_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 6

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kfan import cli
 from kfan.cli import main, run
 from kfan.fanfile import build_fan, parse_fan_file
 from kfan.cech import CechComplex
@@ -406,16 +407,50 @@ def test_kclass_needs_a_monoid():
     assert run(["kclass", "--shifts", "[[0]]"]) == 2
 
 
+WEIGHTED_P2 = {
+    "name": "P(1,1,2)",
+    "lattice_rank": 2,
+    "rays": [[1, 0], [0, 1], [-1, -2]],
+    "max_cones": [[0, 1], [1, 2], [2, 0]],
+}
+
+
 def test_solver_gave_up_exit_code(fanfile):
-    # depth 0 starves the support expansion on extension problems that
-    # need joint lifts, so some trials must give up
+    # only non-smooth fans reach the search; depth 0 starves the support
+    # expansion on extension problems that need joint lifts, so some
+    # trials must give up
     rep = run(
-        ["check-flasque", fanfile(P2), "--trials", "10", "--depth", "0", "--seed", "42"]
+        [
+            "check-flasque",
+            fanfile(WEIGHTED_P2),
+            "--experimental-nonsmooth",
+            "--trials",
+            "10",
+            "--depth",
+            "0",
+            "--seed",
+            "42",
+        ]
     )
     assert rep.exit_status == 3
     assert rep.results["extended"] < rep.results["trials"]
     gave_up = [t for t in rep.statistics["trials"] if not t["extended"]]
     assert gave_up and all("support_sizes_tried" in t for t in gave_up)
+
+
+def test_smooth_fans_never_give_up_at_depth_0(fanfile):
+    # the witnesses on smooth fans are constructed, so depth is unused
+    path = fanfile(P2)
+    for argv in (
+        ["check-flasque", path, "--trials", "10", "--seed", "42"],
+        ["check-exactness", path, "--level", "1", "--trials", "5"],
+        ["check-exactness", path, "--level", "2", "--trials", "5"],
+    ):
+        starved = run(argv + ["--depth", "0"])
+        assert starved.exit_status == 0
+        deep = run(argv + ["--depth", "5"])
+        assert starved.certificates == deep.certificates
+        assert starved.statistics == deep.statistics
 
 
 def test_reports_are_deterministic(fanfile):
@@ -436,6 +471,21 @@ def test_reports_are_deterministic(fanfile):
     assert a.to_json() == b.to_json()
     argv2 = ["check-flasque", fanfile(P2), "--trials", "3", "--seed", "5"]
     assert run(argv2).to_json() == run(argv2).to_json()
+
+
+def test_the_parser_is_built_once(fanfile, monkeypatch):
+    cli._parser()
+
+    def rebuild():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli, "make_parser", rebuild)
+    path = fanfile(P2)
+    assert run(["check-flasque", path, "--trials", "1", "--seed", "3"]).inputs["trials"] == 1
+    # a shared parser must not carry values from one call into the next
+    rep = run(["check-flasque", path, "--trials", "2"])
+    assert (rep.inputs["trials"], rep.inputs["seed"]) == (2, 0)
+    assert run(["info", path]).exit_status == 0
 
 
 def test_main_prints_json(fanfile, capsys):
@@ -468,6 +518,9 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     def wrong_solver(slot_groups, constraints, depth):
         return {s: GroupRingElement.zero(g) for s, g in slot_groups.items()}, 0
 
+    def zero_padding(terms, face, cone):
+        return {}
+
     def wrong_character_tuple(ring, m):
         return ring.cochain({0: GroupRingElement.character(ring.complex.stalk((0,)), m)})
 
@@ -478,12 +531,18 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
             splitting = intlinalg.IntMatrix.zero(splitting.nrows, splitting.ncols)
         surjection_init(self, source, target, matrix, splitting)
 
+    # smooth fans: iota, the zero-padding that the closed-form lift and
+    # the peeling coboundary are built from, now returns zero
+    cech.pad_rays = zero_padding
+    sheaves.pad_rays = zero_padding
+    # non-smooth fans: the search returns zero
     cech.solve_pushforward_system = wrong_solver
     sheaves.solve_pushforward_system = wrong_solver
     cech.H0Ring.character_tuple = wrong_character_tuple
-    path = sys.argv[1]
+    path, nonsmooth = sys.argv[1], sys.argv[2]
     print(main(["check-exactness", path, "--level", "1", "--trials", "2"]))
     print(main(["check-flasque", path, "--trials", "2"]))
+    print(main(["check-flasque", nonsmooth, "--trials", "2", "--experimental-nonsmooth"]))
     print(main(["k0-global", path]))
     intlinalg.QuotientSurjection.__init__ = zero_splitting_init
     print(main(["check-flasque", path, "--trials", "2"]))
@@ -505,14 +564,25 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", WRONG_SOLVER_SCRIPT, fanfile(P2)],
+        [
+            sys.executable,
+            "-O",
+            "-c",
+            WRONG_SOLVER_SCRIPT,
+            fanfile(P2),
+            fanfile(WEIGHTED_P2, name="weighted.json"),
+        ],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "1", "1", "1", "1"]
-    assert proc.stderr.count("certificate failed its re-check") == 5
+    assert proc.stdout.split() == ["1", "1", "1", "1", "1", "1"]
+    assert proc.stderr.count("certificate failed its re-check") == 6
+    assert "witness fails d(b) = z" in proc.stderr
+    assert proc.stderr.count("extension does not restrict") + proc.stderr.count(
+        "extension is not a global section"
+    ) == 2
     assert "splitting is not a right inverse" in proc.stderr
     assert "cut out a line" in proc.stderr

@@ -1,11 +1,13 @@
 """Same-seed reports must not change across refactors.
 
 Each file in ``tests/golden/`` is the ``--json`` output of the command
-listed here.  The ``check-*`` reports were captured before the sampling
-and solving code was merged into one integer-system core, the
-``k0-global`` reports before fan meets became ray-set lookups.  A change
-meant to alter these reports must say so and regenerate them from the
-repository root with
+listed here.  The ``check-*`` reports were regenerated when witnesses on
+smooth fans came to be constructed (closed-form lift, peeling
+coboundary) instead of searched for: only the ``coboundary`` and
+``extension`` certificates and ``witness_support`` changed then.  The
+``k0-global`` reports were captured before fan meets became ray-set
+lookups.  A change meant to alter these reports must say so and
+regenerate them from the repository root with
 
     PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json
 """

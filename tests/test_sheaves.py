@@ -185,6 +185,27 @@ def test_extend_refuses_singular_fans_without_flag():
     assert isinstance(ext, (Section, SolverGaveUp))
 
 
+def test_the_search_gives_up_on_a_quadric_cone_section_that_does_not_extend():
+    # <m,(1,0)> and <m,(1,2)> have the same parity for every m, so chi^(1)
+    # on the first ray and 1 on the second lift to no element of Z[M_sigma]
+    fan = singular_quadric_cone_fan()
+    sheaf = sheaf_a0(fan)
+    rays = {c.rays[0]: c for c in fan.cones if c.dim == 1}
+    first, second = rays[(1, 0)], rays[(1, 2)]
+    s = Section(
+        sheaf,
+        fan.subfan([c for c in fan.cones if c.dim <= 1]),
+        {
+            first: GroupRingElement.character(sheaf.stalk(first), (1, 0)),
+            second: GroupRingElement.one(sheaf.stalk(second)),
+        },
+    )
+    assert s.check()
+    for depth in (0, 3):
+        outcome = extend_section(s, depth=depth, allow_nonsmooth=True)
+        assert isinstance(outcome, SolverGaveUp) and outcome.rounds == depth
+
+
 def test_global_sections_have_constant_augmentation():
     # connectivity through the zero cone forces equal augmentations
     rng = random.Random(3)
