@@ -120,9 +120,15 @@ class CechComplex:
         return Cochain(self, c.level + 1, out)
 
     def is_cocycle(self, c: "Cochain") -> bool:
+        """Is d(c) zero?  Decided once per cochain of this complex: a
+        cochain never changes, so the answer is kept on it."""
         if c.level >= self.top_level:
             return True
-        return self.d(c).is_zero()
+        if c.complex is not self:
+            return self.d(c).is_zero()
+        if c._cocycle is None:
+            c._cocycle = self.d(c).is_zero()
+        return c._cocycle
 
     def solve_coboundary(
         self, z: "Cochain", depth: int = 3, allow_nonsmooth: bool = False
@@ -247,7 +253,7 @@ class CechComplex:
 class Cochain:
     """Finitely supported components on the level's tuples."""
 
-    __slots__ = ("complex", "level", "components")
+    __slots__ = ("complex", "level", "components", "_cocycle")
 
     def __init__(self, complex: CechComplex, level: int, components: dict):
         if level < 0 or level > complex.top_level:
@@ -265,6 +271,7 @@ class Cochain:
         self.complex = complex
         self.level = level
         self.components = comps
+        self._cocycle = None  # is d(self) zero?  Set by CechComplex.is_cocycle
 
     def component(self, t: tuple) -> GroupRingElement:
         t = tuple(t)

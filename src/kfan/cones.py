@@ -9,13 +9,20 @@ open sets of the poset topology used by the sheaf layer.
 
 The double-description step enumerates candidate facet normals from
 subsets of rays, which is exact and entirely adequate at the ambient
-ranks this package supports (<= 4).  Faces need no double description
-of their own to be found: a face is spanned by the rays of the cone
-that are tight on a set of its facets, so ``_face_rays`` lists every
-face as a sorted ray tuple, for both ``Cone.faces`` and ``Fan``.  A fan
-builds each distinct face once, from that tuple, and every maximal cone
-containing the face shares the instance; checking that two maximal
-cones meet in a common face takes one double description per pair.
+ranks this package supports (<= 4).  Each candidate is the generalised
+cross product of a subset stacked on the lineality basis
+(``intlinalg.normal_vector``: a few determinants of at most 3 x 3), and
+every rank test is a fraction-free elimination (``intlinalg.rank``), so
+a Smith reduction runs only to find the lineality of an input that does
+not span the space.
+
+Faces need no double description of their own to be found: a face is
+spanned by the rays of the cone that are tight on a set of its facets,
+so ``_face_rays`` lists every face as a sorted ray tuple, for both
+``Cone.faces`` and ``Fan``.  A fan builds each distinct face once, from
+that tuple, and every maximal cone containing the face shares the
+instance; checking that two maximal cones meet in a common face takes
+one double description per pair.
 """
 
 from __future__ import annotations
@@ -33,9 +40,10 @@ from .intlinalg import (
     as_vec,
     dot,
     kernel,
+    normal_vector,
     quotient,
+    rank as matrix_rank,
     smith_with_inverses,
-    stack_rows,
     vec_neg,
 )
 
@@ -94,23 +102,27 @@ def dual_ray_generators(
 
     Returns (lineality_basis, pointed_rays): the dual cone is the span
     of +-lineality_basis plus nonnegative combinations of pointed_rays.
-    Every extreme ray of the pointed part is cut out by a rank-(d-1)
-    subset of the input vectors inside their span, so enumerating
-    (d-1)-subsets finds them all.
+    The lineality is the kernel of the input vectors, taken only when
+    their rank d is below the ambient rank.  Every extreme ray of the
+    pointed part is cut out by a rank-(d-1) subset of the input vectors
+    inside their span, so enumerating (d-1)-subsets finds them all:
+    such a subset stacked on the lineality basis is (rank-1) x rank, and
+    its normal vector (``normal_vector``) is the candidate ray, kept
+    with the sign that is nonnegative on every input.
     """
     vecs = _unique_primitives(vectors)
     mat = IntMatrix(vecs, ncols=rank)
-    lin = kernel(mat)  # both the dual's lineality and the span constraints
-    d = rank - lin.nrows
+    d = matrix_rank(mat)
+    lin = kernel(mat) if d < rank else IntMatrix([], ncols=rank)
+    if lin.nrows != rank - d:
+        raise CertificateError(f"rank {d} and kernel rank {lin.nrows} disagree in Z^{rank}")
     if d == 0:
         return list(lin.rows), []
     pointed: set[Vec] = set()
-    for subset in combinations(range(len(vecs)), d - 1):
-        stacked = stack_rows([IntMatrix([vecs[i] for i in subset], ncols=rank), lin], rank)
-        ker = kernel(stacked)
-        if ker.nrows != 1:
+    for subset in combinations(vecs, d - 1):
+        u = normal_vector(IntMatrix._trusted(subset + lin.rows, rank))
+        if u is None:
             continue
-        u = ker.row(0)
         if all(dot(u, w) >= 0 for w in vecs):
             pointed.add(u)
         elif all(dot(u, w) <= 0 for w in vecs):
@@ -155,8 +167,7 @@ class Cone:
         for l in lin:
             facets.append(l)
             facets.append(vec_neg(l))
-        facet_mat = IntMatrix(facets, ncols=n)
-        if n - kernel(facet_mat).nrows < n:
+        if matrix_rank(IntMatrix(facets, ncols=n)) < n:
             raise NotStronglyConvex(f"cone on {prim} contains a line")
         dual_lin, extreme = dual_ray_generators(facets, n)
         if dual_lin:
@@ -169,7 +180,7 @@ class Cone:
                 raise CertificateError(f"ray {r} violates a facet of the cone on {prim}")
         for u in cone._proper_facets():
             tight = [r for r in extreme if dot(u, r) == 0]
-            if n - kernel(IntMatrix(tight, ncols=n)).nrows != dim - 1:
+            if matrix_rank(IntMatrix(tight, ncols=n)) != dim - 1:
                 raise CertificateError(
                     f"facet {u} of the cone on {prim} is not tight on rank {dim - 1}"
                 )
@@ -189,8 +200,7 @@ class Cone:
         lineality shows up as opposite ray pairs.
         """
         n = self.lattice.rank
-        ray_mat = IntMatrix(self.facets, ncols=n)
-        dim = n - kernel(ray_mat).nrows
+        dim = matrix_rank(IntMatrix(self.facets, ncols=n))
         return Cone(
             self.lattice.dual(),
             rays=self.facets,
@@ -478,7 +488,7 @@ class Subfan:
     """A downward-closed set of cones of a fan: an open set of the
     poset topology."""
 
-    __slots__ = ("parent", "members")
+    __slots__ = ("parent", "members", "_max_cones")
 
     def __init__(self, parent: Fan, members: Iterable[Cone]):
         self.parent = parent
@@ -487,11 +497,17 @@ class Subfan:
             for f in parent.faces_of(c):
                 if f not in self.members:
                     raise DomainNotOpen(f"missing face {f!r} of {c!r}")
+        self._max_cones = None
 
     def max_cones(self) -> tuple[Cone, ...]:
-        """The members that are not proper faces of other members."""
-        proper = {f for c in self.members for f in self.parent.faces_of(c) if f != c}
-        return tuple(sorted(self.members - proper, key=lambda c: (c.dim, c.rays)))
+        """The members that are not proper faces of other members,
+        found on the first call and kept (the members never change)."""
+        if self._max_cones is None:
+            proper = {f for c in self.members for f in self.parent.faces_of(c) if f != c}
+            self._max_cones = tuple(
+                sorted(self.members - proper, key=lambda c: (c.dim, c.rays))
+            )
+        return self._max_cones
 
     def __contains__(self, cone: Cone) -> bool:
         return cone in self.members

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, product
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -158,20 +159,22 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.rows]}, ncols={self.ncols})"
 
 
-def stack_rows(mats: Iterable[IntMatrix | Sequence[Sequence[int]]], ncols: int) -> IntMatrix:
-    rows: list[Vec] = []
-    for m in mats:
-        rows.extend(m.rows if isinstance(m, IntMatrix) else (as_vec(r) for r in m))
-    return IntMatrix(rows, ncols=ncols)
-
-
 def det(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: cofactor expansion up to 3 x 3, fraction-free
+    (Bareiss) elimination above."""
     if a.nrows != a.ncols:
         raise ValueError("determinant of a non-square matrix")
     n = a.nrows
-    if n == 0:
-        return 1
+    if n <= 3:
+        if n == 0:
+            return 1
+        if n == 1:
+            return a.rows[0][0]
+        if n == 2:
+            (p, q), (r, s) = a.rows
+            return p * s - q * r
+        (p, q, r), (s, t, u), (v, w, x) = a.rows
+        return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
     m = [list(r) for r in a.rows]
     sign = 1
     prev = 1
@@ -240,7 +243,8 @@ class _SmithWorkspace:
     def row_block(self, i: int, j: int, p: int, q: int, r: int, s: int) -> None:
         """Left-multiply rows (i, j) of d by ((p,q),(r,s)); det must be +-1."""
         e = p * s - q * r
-        assert e in (1, -1)
+        if e not in (1, -1):
+            raise CertificateError(f"row operation of determinant {e} is not unimodular")
         _mix(self.d, i, j, p, q, r, s)
         if self.u is not None:
             _mix(self.u, i, j, p, q, r, s)
@@ -251,7 +255,8 @@ class _SmithWorkspace:
     def col_block(self, i: int, j: int, p: int, q: int, r: int, s: int) -> None:
         """Right-multiply cols (i, j) of d by ((p,q),(r,s)); det must be +-1."""
         e = p * s - q * r
-        assert e in (1, -1)
+        if e not in (1, -1):
+            raise CertificateError(f"column operation of determinant {e} is not unimodular")
         # the rows above i are zero in both columns: the reduction combines
         # columns i < j only right of the pivots it has already isolated
         for row in self.d[i:]:
@@ -424,7 +429,58 @@ def hnf(a: IntMatrix) -> IntMatrix:
 
 
 def rank(a: IntMatrix) -> int:
-    return hnf(a).nrows
+    """The rank, by fraction-free (Bareiss) row elimination.
+
+    Every entry below the pivot rows is a minor of the input, so each
+    division by the previous pivot is exact and the entries stay as
+    small as those minors.
+    """
+    rows = [list(r) for r in a.rows if any(r)]
+    m = len(rows)
+    r = 0
+    prev = 1
+    for c in range(a.ncols):
+        pivot = next((i for i in range(r, m) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i in range(r + 1, m):
+            row = rows[i]
+            x = row[c]
+            rows[i] = [(p * row[j] - x * top[j]) // prev for j in range(a.ncols)]
+        prev = p
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def normal_vector(a: IntMatrix) -> Vec | None:
+    """The primitive generator of the kernel of an (n-1) x n matrix of
+    rank n-1, or None when the rank is lower.
+
+    Up to sign and the gcd of its entries, the kernel is spanned by the
+    generalised cross product of the rows, whose j-th entry is
+    (-1)^j times the minor without column j; it is nonzero exactly when
+    the rows are independent.  Dividing by the gcd saturates it, so the
+    result is +- the one row of ``kernel(a)``.
+    """
+    n = a.ncols
+    if a.nrows != n - 1:
+        raise ValueError(f"normal vector of a {a.nrows} x {n} matrix")
+    minors = []
+    g = 0
+    for j in range(n):
+        minor = det(IntMatrix._trusted(tuple(r[:j] + r[j + 1:] for r in a.rows), n - 1))
+        if j % 2:
+            minor = -minor
+        minors.append(minor)
+        g = gcd(g, minor)
+    if g == 0:
+        return None
+    return tuple(x // g for x in minors)
 
 
 def kernel(a: IntMatrix) -> IntMatrix:
@@ -657,6 +713,9 @@ class QuotientSurjection:
     def maps_equal(self, other: "QuotientSurjection") -> bool:
         if self.source != other.source or self.target != other.target:
             return False
+        if self.target.is_free:
+            # reduce is the identity: apply(e_j) is column j of the matrix
+            return self.matrix == other.matrix
         m = self.source.coords_len
         for j in range(m):
             e = tuple(1 if i == j else 0 for i in range(m))

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 from .cones import Cone, UnsupportedRank, dual_ray_generators
 from .intlinalg import (
+    CertificateError,
     IntMatrix,
     Lattice,
     QuotientLattice,
@@ -66,15 +67,18 @@ def _parallelepiped_points(rays: Sequence[Vec], n: int) -> list[Vec]:
     d = len(rays)
     mat = IntMatrix(rays, ncols=n)
     sat = kernel(kernel(mat))  # basis of Z^n intersected with the ray span
-    assert sat.nrows == d
+    if sat.nrows != d:
+        raise ValueError(f"the rays {list(rays)} are not linearly independent")
     coords = []
     for r in rays:
         c = solve(sat.transpose(), r)
-        assert c is not None
+        if c is None:
+            raise CertificateError(f"ray {r} is not in the saturation of its own span")
         coords.append(c)
     c_mat = IntMatrix(coords, ncols=d)
     grp = quotient(Lattice(d), c_mat)
-    assert grp.free_rank == 0
+    if grp.free_rank != 0:
+        raise CertificateError("independent rays generate a sublattice of infinite index")
     points = []
     for torsion in product(*(range(f) for f in grp.invariant_factors)):
         y = grp.lift(torsion)
@@ -85,9 +89,11 @@ def _parallelepiped_points(rays: Sequence[Vec], n: int) -> list[Vec]:
             xi - sum(s * r[k] for s, r in zip(shift, rays)) for k, xi in enumerate(x)
         )
         py = solve(sat.transpose(), p)
-        assert py is not None
+        if py is None:
+            raise CertificateError(f"shifted point {p} left the span of the rays")
         tt = _solve_rational_square(c_mat.transpose(), py)
-        assert all(0 <= ti < 1 for ti in tt)
+        if not all(0 <= ti < 1 for ti in tt):
+            raise CertificateError(f"point {p} is outside the fundamental parallelepiped")
         if any(p):
             points.append(p)
     return points
@@ -102,7 +108,10 @@ def _star_triangulation(cone: Cone) -> list[tuple[Vec, ...]]:
         if dot(u, r0) == 0:
             continue
         tight = [r for r in cone.rays if dot(u, r) == 0]
-        assert len(tight) == 2
+        if len(tight) != 2:
+            raise CertificateError(
+                f"facet {u} of a 3-dimensional cone is tight on {len(tight)} rays"
+            )
         simplices.append((r0,) + tuple(tight))
     return simplices
 
@@ -146,9 +155,10 @@ def _pointed_hilbert_basis(cone: Cone) -> list[Vec]:
     rays = cone.rays
     if len(rays) == d:
         simplices = [rays]
-    else:
-        assert d == 3, "pointed cones of dimension <= 2 are simplicial"
+    elif d == 3:
         simplices = _star_triangulation(cone)
+    else:
+        raise CertificateError(f"pointed cone of dimension {d} <= 2 has {len(rays)} rays")
     candidates = set(rays)
     for simplex in simplices:
         candidates.update(_parallelepiped_points(simplex, n))
@@ -263,7 +273,8 @@ class AffineMonoid:
             return False
         t = len(q.invariant_factors)
         free = [img[t:] for img in images]
-        assert all(any(f) for f in free)
+        if not all(any(f) for f in free):
+            raise CertificateError("a nonunit generator has a torsion image")
         lin_duals, pointed_duals = dual_ray_generators(free, q.free_rank)
         vfree = target[t:]
         if any(dot(l, vfree) != 0 for l in lin_duals):
@@ -272,7 +283,8 @@ class AffineMonoid:
             return False
         w = tuple(sum(u[i] for u in pointed_duals) for i in range(q.free_rank))
         weights = [dot(w, f) for f in free]
-        assert all(x > 0 for x in weights)
+        if not all(x > 0 for x in weights):
+            raise CertificateError("the nonunit generators do not span a pointed cone")
         order = sorted(range(len(images)), key=lambda i: -weights[i])
 
         def search(pos: int, remaining: Vec) -> bool:

@@ -202,6 +202,38 @@ def test_verify_exactness_small_runs():
             assert rep.all_solved
 
 
+def test_one_exactness_trial_computes_two_differentials(monkeypatch):
+    # d(z) once (the sample's check, remembered for solve_coboundary's
+    # input check) and d(b) once (the witness re-check)
+    calls = []
+    d = CechComplex.d
+
+    def counting(self, c):
+        calls.append(c.level)
+        return d(self, c)
+
+    monkeypatch.setattr(CechComplex, "d", counting)
+    rep = verify_exactness(projective_plane(), level=1, trials=1, depth=3, seed=4)
+    assert rep.solved == 1
+    assert calls == [1, 0]
+
+
+def test_is_cocycle_is_remembered_per_cochain(monkeypatch):
+    cx = CechComplex(projective_plane())
+    t = cx.tuples[1][0]
+    not_closed = cx.cochain(1, {t: GroupRingElement(cx.stalk(t), {(1,): 1})})
+    z = cx.random_cocycle(1, random.Random(2))
+    calls = []
+    d = CechComplex.d
+    monkeypatch.setattr(CechComplex, "d", lambda self, c: calls.append(c) or d(self, c))
+    for _ in range(2):
+        assert cx.is_cocycle(z)
+        assert not cx.is_cocycle(not_closed)
+    with pytest.raises(NotACocycle):
+        cx.solve_coboundary(not_closed)
+    assert calls == [not_closed]  # z was decided when it was sampled
+
+
 def test_verify_exactness_rejects_singular():
     with pytest.raises(NotSmoothFan):
         verify_exactness(singular_quadric_cone_fan(), level=1, trials=1, depth=1, seed=0)

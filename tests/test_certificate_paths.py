@@ -1,0 +1,186 @@
+"""The consistency checks of ``intlinalg`` and ``monoids`` raise, also
+under ``python -O``.
+
+Most of these checks cannot fail on valid input, so the cases below
+reach them by handing a private function an input it never gets, by
+building an inconsistent object directly, or by patching a module
+attribute for the duration of one call.  Each case runs in-process and,
+all together, in one ``python -O`` subprocess.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+CASES_SCRIPT = r'''
+from contextlib import contextmanager
+from fractions import Fraction
+
+from kfan import intlinalg, monoids
+from kfan.cones import Cone
+from kfan.intlinalg import IntMatrix, Lattice, quotient
+from kfan.monoids import AffineMonoid
+
+
+@contextmanager
+def patched(module, name, value):
+    old = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        yield
+    finally:
+        setattr(module, name, old)
+
+
+def row_block_not_unimodular():
+    ws = intlinalg._SmithWorkspace(IntMatrix.identity(2), frozenset(intlinalg.TRANSFORMS))
+    ws.row_block(0, 1, 2, 0, 0, 1)
+
+
+def col_block_not_unimodular():
+    ws = intlinalg._SmithWorkspace(IntMatrix.identity(2), frozenset(intlinalg.TRANSFORMS))
+    ws.col_block(0, 1, 1, 1, 1, 1)
+
+
+SKEW = [(1, 0), (1, 2)]  # the parallelepiped holds one nonzero point
+
+
+def parallelepiped_dependent_rays():
+    monoids._parallelepiped_points([(1, 0), (2, 0)], 2)
+
+
+def parallelepiped_ray_outside_span():
+    with patched(monoids, "solve", lambda a, b: None):
+        monoids._parallelepiped_points(SKEW, 2)
+
+
+def parallelepiped_infinite_index():
+    free = lambda ambient, relations: quotient(ambient, IntMatrix([], ncols=ambient.rank))
+    with patched(monoids, "quotient", free):
+        monoids._parallelepiped_points(SKEW, 2)
+
+
+def parallelepiped_shift_leaves_span():
+    solve = monoids.solve
+    calls = []
+
+    def third_fails(a, b):
+        calls.append(b)
+        return None if len(calls) > len(SKEW) else solve(a, b)
+
+    with patched(monoids, "solve", third_fails):
+        monoids._parallelepiped_points(SKEW, 2)
+
+
+def parallelepiped_point_outside():
+    outside = lambda a, b: [Fraction(5)] * a.nrows
+    with patched(monoids, "_solve_rational_square", outside):
+        monoids._parallelepiped_points(SKEW, 2)
+
+
+def star_triangulation_bad_facet():
+    rays = [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    cone = Cone(Lattice(3), rays, facets=[(0, 0, 1)], dim=3, pointed=True)
+    monoids._star_triangulation(cone)
+
+
+def pointed_hilbert_basis_low_dimension():
+    rays = [(1, 0), (0, 1), (1, 1)]
+    cone = Cone(Lattice(2), rays, facets=[(1, 0), (0, 1)], dim=2, pointed=True)
+    monoids._pointed_hilbert_basis(cone)
+
+
+def contains_torsion_image():
+    twice = IntMatrix([[2]])
+    monoid = AffineMonoid(Lattice(1), [(1,)], twice, quotient(Lattice(1), twice))
+    monoid.contains((1,))
+
+
+def contains_not_pointed():
+    none = IntMatrix([], ncols=1)
+    monoid = AffineMonoid(Lattice(1), [(1,), (-1,)], none, quotient(Lattice(1), none))
+    monoid.contains((1,))
+
+
+CASES = {
+    fn.__name__: fn
+    for fn in (
+        row_block_not_unimodular,
+        col_block_not_unimodular,
+        parallelepiped_dependent_rays,
+        parallelepiped_ray_outside_span,
+        parallelepiped_infinite_index,
+        parallelepiped_shift_leaves_span,
+        parallelepiped_point_outside,
+        star_triangulation_bad_facet,
+        pointed_hilbert_basis_low_dimension,
+        contains_torsion_image,
+        contains_not_pointed,
+    )
+}
+
+if __name__ == "__main__":
+    for name, fn in CASES.items():
+        try:
+            fn()
+        except Exception as e:
+            print(name, type(e).__name__)
+        else:
+            print(name, "nothing")
+'''
+
+EXPECTED = {
+    "row_block_not_unimodular": "CertificateError",
+    "col_block_not_unimodular": "CertificateError",
+    "parallelepiped_dependent_rays": "ValueError",
+    "parallelepiped_ray_outside_span": "CertificateError",
+    "parallelepiped_infinite_index": "CertificateError",
+    "parallelepiped_shift_leaves_span": "CertificateError",
+    "parallelepiped_point_outside": "CertificateError",
+    "star_triangulation_bad_facet": "CertificateError",
+    "pointed_hilbert_basis_low_dimension": "CertificateError",
+    "contains_torsion_image": "CertificateError",
+    "contains_not_pointed": "CertificateError",
+}
+
+
+def _cases():
+    namespace = {"__name__": "certificate_cases"}
+    exec(CASES_SCRIPT, namespace)
+    return namespace["CASES"]
+
+
+@pytest.fixture(scope="module")
+def optimized_outcomes():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CASES_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return dict(line.split() for line in proc.stdout.splitlines())
+
+
+def test_every_case_is_listed():
+    assert set(_cases()) == set(EXPECTED)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_check_raises(name):
+    from kfan.intlinalg import CertificateError
+
+    expected = {"CertificateError": CertificateError, "ValueError": ValueError}[EXPECTED[name]]
+    with pytest.raises(expected):
+        _cases()[name]()
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_check_raises_under_python_O(optimized_outcomes, name):
+    assert optimized_outcomes[name] == EXPECTED[name]

@@ -499,6 +499,20 @@ def test_subfan_max_cones_match_brute_force(path):
         assert sub.max_cones() == tuple(sorted(maximal, key=lambda c: (c.dim, c.rays)))
 
 
+def test_subfan_max_cones_are_found_once(monkeypatch):
+    f = p2_fan()
+    sub = f.full_subfan()
+    calls = []
+    faces_of = Fan.faces_of
+    monkeypatch.setattr(Fan, "faces_of", lambda self, c: calls.append(c) or faces_of(self, c))
+    first = sub.max_cones()
+    found = len(calls)
+    assert found == len(sub.members)
+    assert sub.max_cones() is first
+    assert len(calls) == found
+    assert set(first) == set(f.max_cones)
+
+
 def test_fan_lookups_reject_cones_outside_the_fan():
     f = p2_fan()
     outside = Cone.from_rays(Z2, [(3, 1)])
