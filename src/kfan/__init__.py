@@ -26,7 +26,6 @@ from .intlinalg import (
     QuotientLattice,
     QuotientSurjection,
     canonical_surjection,
-    hnf,
     kernel,
     quotient,
     snf,

@@ -140,7 +140,8 @@ class Cone:
     """
 
     __slots__ = (
-        "lattice", "rays", "facets", "dim", "pointed", "_faces", "_charq", "_smooth", "_chart"
+        "lattice", "rays", "facets", "dim", "pointed",
+        "_faces", "_charq", "_smooth", "_chart", "_hash",
     )
 
     def __init__(self, lattice: Lattice, rays, facets, dim: int, pointed: bool):
@@ -153,6 +154,7 @@ class Cone:
         self._charq = None
         self._smooth = None
         self._chart = None
+        self._hash = None
 
     @classmethod
     def from_rays(cls, lattice: Lattice, rays: Iterable[Sequence[int]]) -> "Cone":
@@ -297,7 +299,10 @@ class Cone:
         )
 
     def __hash__(self) -> int:
-        return hash((self.lattice, self.rays))
+        # found on first use and kept: cones key the fan's lookup tables
+        if self._hash is None:
+            self._hash = hash((self.lattice, self.rays))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Cone(rays={[list(r) for r in self.rays]})"

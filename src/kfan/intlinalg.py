@@ -4,14 +4,24 @@ Everything runs over arbitrary-precision Python ints; there is not a
 single float in this module.  Smith normal form is the engine behind
 quotient lattices (with torsion), integer kernels, and solvability of
 ``A x = b`` over the integers.  Geometry matrices are small (ambient
-rank is capped at 4), but the expanding-support solver hands it sparse
-systems of a few hundred rows and columns with mostly 0/+-1 entries.
-So the reduction tracks only the transforms its caller reads, stops
-each pivot search at the first unit, and adds a multiple of one row to
-another through the nonzero entries only; ``solve_factored`` applies
-one reduction to many right-hand sides.  None of this changes the
-sequence of operations, so D, U and V do not depend on which
-transforms are tracked.
+rank is capped at 4), but sampling random cocycles and sections hands
+it sparse systems of a few hundred rows and columns with mostly 0/+-1
+entries.  So the reduction
+  - tracks only the transforms its caller reads;
+  - in its pivot search, skips zero entries (and so zero rows) at C
+    speed, so that in a sparse row only the nonzero entries up to the
+    first unit are looked at;
+  - adds a multiple of one row to another through the nonzero entries
+    only;
+  - once column t is cleared below the pivot, clears row t with column
+    operations that change row t alone, until a gcd step (which mixes
+    column t with another) sends it back to the general update.
+``solve_factored`` applies one reduction to many right-hand sides.
+None of this changes the sequence of operations: the pivot is still
+the first unit in row-major order, else the first nonzero entry of
+smallest magnitude, and the rows a single-row column step skips are
+ones the general update leaves unchanged.  So D, U and V are those of
+the plain reduction, whichever transforms are tracked.
 
 All values are immutable after construction and every function is pure.
 """
@@ -19,8 +29,9 @@ All values are immutable after construction and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress, islice, product
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -239,6 +250,9 @@ class _SmithWorkspace:
         self.uinvt = _eye(m) if "uinv" in keep else None
         self.vt = _eye(n) if "v" in keep else None
         self.vinv = _eye(n) if "vinv" in keep else None
+        # column ``clean`` of d is zero below row ``clean``; -1 when no
+        # column is known to be
+        self.clean = -1
 
     def row_block(self, i: int, j: int, p: int, q: int, r: int, s: int) -> None:
         """Left-multiply rows (i, j) of d by ((p,q),(r,s)); det must be +-1."""
@@ -246,6 +260,7 @@ class _SmithWorkspace:
         if e not in (1, -1):
             raise CertificateError(f"row operation of determinant {e} is not unimodular")
         _mix(self.d, i, j, p, q, r, s)
+        self.clean = -1
         if self.u is not None:
             _mix(self.u, i, j, p, q, r, s)
         # uinv <- uinv @ block^{-1}, block^{-1} = e * ((s,-q),(-r,p))
@@ -257,13 +272,21 @@ class _SmithWorkspace:
         e = p * s - q * r
         if e not in (1, -1):
             raise CertificateError(f"column operation of determinant {e} is not unimodular")
-        # the rows above i are zero in both columns: the reduction combines
-        # columns i < j only right of the pivots it has already isolated
-        for row in self.d[i:]:
-            ci, cj = row[i], row[j]
-            if ci or cj:
-                row[i] = p * ci + r * cj
-                row[j] = q * ci + s * cj
+        if i == self.clean and r == 0 and s == 1:
+            # column i is zero below row i, so col_j += q * col_i changes
+            # row i alone and column i stays clean
+            row = self.d[i]
+            row[i], row[j] = p * row[i], q * row[i] + row[j]
+        else:
+            # the rows above i are zero in both columns: the reduction
+            # combines columns i < j only right of the pivots it has
+            # already isolated
+            self.clean = -1
+            for row in self.d[i:]:
+                ci, cj = row[i], row[j]
+                if ci or cj:
+                    row[i] = p * ci + r * cj
+                    row[j] = q * ci + s * cj
         if self.vt is not None:
             _mix(self.vt, i, j, p, r, q, s)
         # vinv <- block^{-1} @ vinv
@@ -325,18 +348,17 @@ def smith_with_inverses(
     while t < min(m, n):
         # pick the smallest-magnitude nonzero pivot to limit entry swell,
         # the first in row-major order; a unit cannot be beaten, so the
-        # scan stops at the first one
+        # scan stops at the first one.  Zero entries, and so zero rows,
+        # are skipped at C speed.
         best = 0
         for i in range(t, m):
             row = d[i]
-            for j in range(t, n):
-                x = row[j]
-                if x:
-                    x = abs(x)
-                    if not best or x < best:
-                        best, pi, pj = x, i, j
-                        if x == 1:
-                            break
+            for j in compress(range(t, n), islice(row, t, None)):
+                x = abs(row[j])
+                if not best or x < best:
+                    best, pi, pj = x, i, j
+                    if x == 1:
+                        break
             if best == 1:
                 break
         if not best:
@@ -349,10 +371,14 @@ def smith_with_inverses(
             for k in range(t + 1, m):
                 if d[k][t] != 0:
                     ws.clear_col_entry(t, k)
+            # column t is now zero below the pivot
+            ws.clean = t
             for k in range(t + 1, n):
                 if d[t][k] != 0:
                     ws.clear_row_entry(t, k)
-            if all(d[k][t] == 0 for k in range(t + 1, m)) and not any(d[t][t + 1:]):
+            if (ws.clean == t or all(d[k][t] == 0 for k in range(t + 1, m))) and not any(
+                d[t][t + 1:]
+            ):
                 break
         t += 1
 
@@ -392,40 +418,6 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 def diagonal(d: IntMatrix) -> list[int]:
     return [d.rows[i][i] for i in range(min(d.nrows, d.ncols))]
-
-
-def hnf(a: IntMatrix) -> IntMatrix:
-    """Row-style Hermite normal form with zero rows dropped.
-
-    Pivots are positive, entries below a pivot are zero, entries above
-    are reduced into [0, pivot).
-    """
-    m, n = a.nrows, a.ncols
-    rows = [list(r) for r in a.rows]
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c] != 0 and (piv is None or abs(rows[i][c]) < abs(rows[piv][c])):
-                piv = i
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, m):
-            while rows[i][c] != 0:
-                a_, b_ = rows[r][c], rows[i][c]
-                g, x, y = xgcd(a_, b_)
-                rr = [x * p + y * q for p, q in zip(rows[r], rows[i])]
-                ri = [(-b_ // g) * p + (a_ // g) * q for p, q in zip(rows[r], rows[i])]
-                rows[r], rows[i] = rr, ri
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        for i in range(r):
-            q = rows[i][c] // rows[r][c]
-            if q:
-                rows[i] = [p - q * s for p, s in zip(rows[i], rows[r])]
-        r += 1
-    return IntMatrix(rows[:r], ncols=n)
 
 
 def rank(a: IntMatrix) -> int:
@@ -491,7 +483,8 @@ def kernel(a: IntMatrix) -> IntMatrix:
     # column j of V is in the kernel iff the diagonal entry d_j is
     # absent (j >= nrows) or zero
     free = [j for j in range(n) if j >= min(m, n) or d.rows[j][j] == 0]
-    return IntMatrix._trusted(tuple(v.column(j) for j in free), n)
+    columns = v.transpose().rows
+    return IntMatrix._trusted(tuple(columns[j] for j in free), n)
 
 
 def solve(a: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
@@ -644,7 +637,9 @@ class QuotientLattice:
         )
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QuotientLattice) and self._key() == other._key()
+        return self is other or (
+            isinstance(other, QuotientLattice) and self._key() == other._key()
+        )
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -703,7 +698,14 @@ class QuotientSurjection:
         self.splitting = splitting
 
     def apply(self, coords: Sequence[int]) -> Vec:
-        return self.target.reduce(self.matrix.apply(coords))
+        if self.target.invariant_factors:
+            return self.target.reduce(self.matrix.apply(coords))
+        # on a free target the raw image is already in normal form
+        if len(coords) != self.matrix.ncols:
+            raise ValueError(
+                f"vector length {len(coords)}, matrix has {self.matrix.ncols} cols"
+            )
+        return tuple([sum(map(mul, r, coords)) for r in self.matrix.rows])
 
     def lift(self, coords: Sequence[int]) -> Vec:
         if self.splitting is None:

@@ -317,7 +317,13 @@ class AffineMonoid:
 class GroupRingElement:
     """A finitely supported integer combination of characters chi^q,
     q in a quotient lattice.  Immutable; zero coefficients are never
-    stored."""
+    stored.
+
+    The public constructor reduces every key to normal form and merges
+    keys that become equal.  ``pushforward``, ``+`` and unary ``-``
+    already produce distinct normal-form keys, so they build their
+    result through ``_normal``, which only drops zero coefficients.
+    """
 
     __slots__ = ("group", "terms")
 
@@ -330,6 +336,16 @@ class GroupRingElement:
             clean[key] = clean.get(key, 0) + int(coeff)
         self.group = group
         self.terms = {k: v for k, v in clean.items() if v != 0}
+
+    @classmethod
+    def _normal(cls, group: QuotientLattice, terms: dict) -> "GroupRingElement":
+        """The element with these terms, whose keys must be distinct
+        normal-form coordinates of ``group`` and whose coefficients must
+        be ints; only zero coefficients are dropped."""
+        self = object.__new__(cls)
+        self.group = group
+        self.terms = {k: v for k, v in terms.items() if v}
+        return self
 
     @classmethod
     def zero(cls, group: QuotientLattice) -> "GroupRingElement":
@@ -357,10 +373,10 @@ class GroupRingElement:
         terms = dict(self.terms)
         for k, v in other.terms.items():
             terms[k] = terms.get(k, 0) + v
-        return GroupRingElement(self.group, terms)
+        return GroupRingElement._normal(self.group, terms)
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.group, {k: -v for k, v in self.terms.items()})
+        return GroupRingElement._normal(self.group, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
@@ -399,7 +415,7 @@ class GroupRingElement:
         for coords, coeff in self.terms.items():
             k = phi.apply(coords)
             terms[k] = terms.get(k, 0) + coeff
-        return GroupRingElement(phi.target, terms)
+        return GroupRingElement._normal(phi.target, terms)
 
     def support(self) -> list[Vec]:
         return sorted(self.terms)

@@ -265,11 +265,14 @@ def sample_nonzero_solution(
             for _ in range(rng.randint(1 if not pts else 0, extra_points)):
                 pts.add(random_coords(slot_groups[slot]))
         variables = sorted((slot, m) for slot, ms in support.items() for m in ms)
-        rows = [
-            [coeffs.get(v, 0) for v in variables]
-            for _eq_id, coeffs, _rhs in _equations(support, constraints)
-        ]
-        basis = kernel(IntMatrix(rows, ncols=len(variables)))
+        column = {v: j for j, v in enumerate(variables)}
+        rows = []
+        for _eq_id, coeffs, _rhs in _equations(support, constraints):
+            row = [0] * len(variables)
+            for v, coeff in coeffs.items():
+                row[column[v]] = coeff
+            rows.append(tuple(row))
+        basis = kernel(IntMatrix._trusted(tuple(rows), len(variables)))
         combo = [0] * len(variables)
         for row in basis.rows:
             k = rng.randint(-coeff_bound, coeff_bound)

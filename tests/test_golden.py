@@ -6,7 +6,10 @@ smooth fans came to be constructed (closed-form lift, peeling
 coboundary) instead of searched for: only the ``coboundary`` and
 ``extension`` certificates and ``witness_support`` changed then.  The
 ``k0-global`` reports were captured before fan meets became ray-set
-lookups.  A change meant to alter these reports must say so and
+lookups.  The P1xP1xP1 and P3 reports, whose sampled systems are the
+largest, were captured before the Smith reduction began to skip zero
+entries and to update one row per column step after a column clear.
+A change meant to alter these reports must say so and
 regenerate them from the repository root with
 
     PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json
@@ -33,6 +36,9 @@ GOLDEN = {
     "flasque-p2": "check-flasque fans/p2.json --trials 4 --seed 3",
     "flasque-p1xp1": "check-flasque fans/p1xp1.json --trials 3 --seed 6",
     "flasque-f1": "check-flasque tests/golden/f1.json --trials 3 --seed 9",
+    "exactness-p1xp1xp1-level1": "check-exactness tests/golden/p1xp1xp1.json --level 1 --trials 3 --seed 13",
+    "exactness-p1xp1xp1-level2": "check-exactness tests/golden/p1xp1xp1.json --level 2 --trials 2 --seed 10",
+    "flasque-p3": "check-flasque tests/golden/p3.json --trials 3 --seed 12",
     "k0-global-p1xp1-sample": "k0-global fans/p1xp1.json --sample 5",
     "k0-global-p1xp1-element": f"k0-global fans/p1xp1.json --element {NON_MEMBER}",
     "k0-global-hirzebruch2-sample": "k0-global fans/hirzebruch2.json --sample 5",

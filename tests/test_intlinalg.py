@@ -13,7 +13,6 @@ from kfan.intlinalg import (
     canonical_surjection,
     compose,
     det,
-    hnf,
     identity_surjection,
     in_row_span,
     kernel,
@@ -97,22 +96,6 @@ def test_snf_random_matrices():
             [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
         )
         check_snf(a)
-
-
-def test_hnf_shape_and_span():
-    a = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    h = hnf(a)
-    # pivots positive, staircase, and same row span as the input
-    last = -1
-    for r in h.rows:
-        lead = next(i for i, x in enumerate(r) if x != 0)
-        assert lead > last
-        assert r[lead] > 0
-        last = lead
-    for row in a.rows:
-        assert in_row_span(h, row)
-    for row in h.rows:
-        assert in_row_span(a, row)
 
 
 def test_rank():

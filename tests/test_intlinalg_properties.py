@@ -6,6 +6,12 @@ expanding-support solver.  Every partial-transform request must give
 the same U, D and V as the full reduction, and those must match a
 reference reduction that tracks every transform and scans every pivot
 candidate, so that the lean engine performs the same operations.
+
+Larger sparse systems (up to 40 x 48, like the sampled cocycle systems)
+have many zero rows, long runs of unit pivots, and rows without units,
+so that the engine's zero-row skip, its first-unit search and its
+single-row column step after a clean column phase all meet the
+reference, including where a non-unit pivot or a gcd step follows.
 """
 
 from itertools import combinations
@@ -17,7 +23,10 @@ from hypothesis import strategies as st
 from kfan.intlinalg import (
     TRANSFORMS,
     IntMatrix,
+    Lattice,
+    canonical_surjection,
     kernel,
+    quotient,
     smith_with_inverses,
     solve,
     solve_factored,
@@ -39,6 +48,35 @@ def matrices(draw, max_rows=8, max_cols=10):
     entry = draw(st.sampled_from([DENSE, SPARSE]))
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
     return IntMatrix(rows, ncols=n)
+
+
+UNIT_ENTRIES = st.sampled_from([1, -1, 1, -1, 2, -3])
+NON_UNIT_ENTRIES = st.sampled_from([2, -2, 3, 4, -6])
+
+
+@st.composite
+def sparse_systems(draw, max_rows=40, max_cols=48):
+    """Rows that are zero, sparse with mostly unit entries, or sparse
+    with no unit at all; each nonzero row has at most five entries."""
+    m = draw(st.integers(0, max_rows))
+    n = draw(st.integers(1, max_cols))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["zero", "units", "units", "non-units"]))
+        row = [0] * n
+        if kind != "zero":
+            values = UNIT_ENTRIES if kind == "units" else NON_UNIT_ENTRIES
+            for col, x in draw(
+                st.lists(st.tuples(st.integers(0, n - 1), values), min_size=1, max_size=5)
+            ):
+                row[col] = x
+        rows.append(row)
+    return IntMatrix(rows, ncols=n)
+
+
+SPARSE_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
 
 
 def _reference_smith(a: IntMatrix):
@@ -149,6 +187,29 @@ def test_partial_requests_agree_with_full(a, keep):
         assert partial[index] == (full[index] if name in keep else None)
 
 
+@SPARSE_SETTINGS
+@given(sparse_systems())
+def test_sparse_system_reduction_matches_reference(a):
+    assert smith_with_inverses(a) == _reference_smith(a)
+
+
+@SPARSE_SETTINGS
+@given(sparse_systems(), st.sets(st.sampled_from(TRANSFORMS)))
+def test_sparse_system_partial_requests_agree_with_full(a, keep):
+    full = smith_with_inverses(a)
+    partial = smith_with_inverses(a, keep=keep)
+    assert partial[1] == full[1]
+    for index, name in ((0, "u"), (2, "v"), (3, "uinv"), (4, "vinv")):
+        assert partial[index] == (full[index] if name in keep else None)
+
+
+def test_non_unit_pivot_after_a_clean_column_phase():
+    # a unit pivot, then a block without units: the pivot 2 clears 4
+    # with an elementary column step and 3 with a gcd step
+    a = IntMatrix([[1, 0, 0, 1], [0, 0, 0, 0], [0, 2, 4, 3], [1, 0, 6, 0]])
+    assert smith_with_inverses(a) == _reference_smith(a)
+
+
 @SETTINGS
 @given(matrices())
 def test_transforms_diagonalise_with_divisibility_chain(a):
@@ -215,3 +276,49 @@ def test_right_hand_side_of_the_wrong_length_is_rejected():
         solve(a, (1, 2))
     with pytest.raises(ValueError):
         solve_factored(u, d, v, (1, 2, 3, 4))
+
+
+# quotients: project . lift, and surjections onto free targets
+
+
+@st.composite
+def quotients(draw, max_rank=4, max_relations=4):
+    n = draw(st.integers(1, max_rank))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=max_relations
+        )
+    )
+    return quotient(Lattice(n), IntMatrix(rows, ncols=n))
+
+
+def _coords(q):
+    return st.lists(st.integers(-9, 9), min_size=q.coords_len, max_size=q.coords_len)
+
+
+@SETTINGS
+@given(quotients(), st.data())
+def test_project_of_lift_is_the_identity(q, data):
+    c = q.reduce(data.draw(_coords(q)))
+    assert q.project(q.lift(c)) == c
+
+
+@SETTINGS
+@given(quotients(), st.data())
+def test_surjection_onto_free_target_is_split_by_its_lift(source, data):
+    # the saturation of (source relations + extra rows) gives a free target
+    n = source.ambient.rank
+    extra = data.draw(
+        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=2)
+    )
+    spanned = IntMatrix(source.relations.rows + tuple(map(tuple, extra)), ncols=n)
+    target = quotient(source.ambient, kernel(kernel(spanned)))
+    assert target.is_free
+    phi = canonical_surjection(source, target)
+    t = tuple(data.draw(_coords(target)))
+    assert phi.apply(phi.lift(t)) == t
+    m = data.draw(_coords(source))
+    assert phi.apply(m) == target.reduce(phi.matrix.apply(m))
+    with pytest.raises(ValueError):
+        phi.apply(tuple(m) + (0,))
+

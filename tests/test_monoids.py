@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kfan.cones import Cone, UnsupportedRank, zero_cone
 from kfan.intlinalg import (
@@ -310,3 +312,79 @@ def test_no_zero_coefficients_stored():
     x = GroupRingElement(g, {(1,): 1})
     assert (x - x).terms == {}
     assert GroupRingElement(g, {(0,): 0}).terms == {}
+
+
+# the fast constructors: results equal the public constructor's
+
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def relation_matrices(draw, n, max_rows=3):
+    rows = draw(st.lists(st.lists(SMALL, min_size=n, max_size=n), max_size=max_rows))
+    return IntMatrix(rows, ncols=n)
+
+
+@st.composite
+def group_ring_pairs(draw):
+    """Two elements over a random quotient of Z^n (free or with torsion),
+    their keys given in raw coordinates."""
+    n = draw(st.integers(1, 3))
+    g = quotient(Lattice(n), draw(relation_matrices(n)))
+    raw = st.dictionaries(
+        st.lists(SMALL, min_size=g.coords_len, max_size=g.coords_len).map(tuple),
+        SMALL,
+        max_size=5,
+    )
+    return GroupRingElement(g, draw(raw)), GroupRingElement(g, draw(raw))
+
+
+@st.composite
+def pushforward_cases(draw):
+    """An element and the canonical surjection onto a coarser quotient
+    (source relations plus random extra ones: free or torsion)."""
+    n = draw(st.integers(1, 3))
+    rel = draw(relation_matrices(n))
+    extra = draw(relation_matrices(n, max_rows=2))
+    source = quotient(Lattice(n), rel)
+    target = quotient(Lattice(n), IntMatrix(rel.rows + extra.rows, ncols=n))
+    terms = draw(
+        st.dictionaries(
+            st.lists(SMALL, min_size=n, max_size=n).map(source.project), SMALL, max_size=6
+        )
+    )
+    return GroupRingElement(source, terms), canonical_surjection(source, target)
+
+
+FAST_PATH_SETTINGS = settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@FAST_PATH_SETTINGS
+@given(group_ring_pairs())
+def test_sum_and_negation_equal_the_public_constructor(pair):
+    x, y = pair
+    merged = dict(x.terms)
+    for k, v in y.terms.items():
+        merged[k] = merged.get(k, 0) + v
+    for got, want in (
+        (x + y, GroupRingElement(x.group, merged)),
+        (-x, GroupRingElement(x.group, {k: -v for k, v in x.terms.items()})),
+        (x - x, GroupRingElement.zero(x.group)),
+    ):
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+@FAST_PATH_SETTINGS
+@given(pushforward_cases())
+def test_pushforward_equals_the_public_constructor(case):
+    x, phi = case
+    # raw images, reduced and merged by the public constructor only
+    raw = {}
+    for coords, coeff in x.terms.items():
+        image = phi.matrix.apply(coords)
+        raw[image] = raw.get(image, 0) + coeff
+    assert x.pushforward(phi) == GroupRingElement(phi.target, raw)
+
