@@ -29,7 +29,6 @@ from .cones import Cone, Fan
 from .intlinalg import QuotientLattice
 from .monoids import GroupRingElement
 from .sheaves import (
-    FanSheaf,
     NotSmoothFan,
     Section,
     accumulate,
@@ -62,9 +61,9 @@ class CechComplex:
 
     __slots__ = ("fan", "sheaf", "tuples", "_cone_of")
 
-    def __init__(self, fan: Fan, sheaf: FanSheaf | None = None):
+    def __init__(self, fan: Fan):
         self.fan = fan
-        self.sheaf = sheaf if sheaf is not None else sheaf_a0(fan)
+        self.sheaf = sheaf_a0(fan)
         maxes = fan.max_cones
         n = len(maxes)
         self.tuples = {
@@ -219,15 +218,7 @@ class CechComplex:
             )
         return constraints
 
-    def random_cocycle(
-        self,
-        level: int,
-        rng: random.Random,
-        max_points: int = 3,
-        coord_bound: int = 3,
-        coeff_bound: int = 5,
-        max_attempts: int = 50,
-    ) -> "Cochain":
+    def random_cocycle(self, level: int, rng: random.Random) -> "Cochain":
         """A genuine random cocycle: a random nonzero solution of
         d(z) = 0 over random supports (see ``sample_nonzero_solution``)."""
         if level > self.top_level:
@@ -236,11 +227,7 @@ class CechComplex:
             {t: self.stalk(t) for t in self.tuples[level]},
             self._d_constraints(level, {}),
             rng,
-            max_points=max_points,
-            extra_points=max_points,
-            coord_bound=coord_bound,
-            coeff_bound=coeff_bound,
-            max_attempts=max_attempts,
+            extra_points=3,
         )
         if found is None:
             raise RuntimeError("could not sample a nonzero cocycle")

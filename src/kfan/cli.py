@@ -15,8 +15,8 @@ import random
 import sys
 
 from .cech import LevelOverflow, h0, verify_exactness
-from .cones import ConeNotInFan, NotAFan, NotStronglyConvex, UnsupportedRank
-from .fanfile import FanFile, FanFileError, build_fan, load_fan_file
+from .cones import MAX_RANK, ConeNotInFan, NotAFan, NotStronglyConvex, UnsupportedRank
+from .fanfile import FanFile, FanFileError, build_fan, is_int_list, load_fan_file
 from .graded import CoefficientSpec, GradedFreeData, k0_affine_toric, k0_class
 from .intlinalg import Lattice
 from .monoids import AffineMonoid, hilbert_basis
@@ -73,6 +73,22 @@ def _cone_entry(fan, i, cone) -> dict:
         "character_rank": cone.character_quotient().free_rank,
         "maximal": cone in fan.max_cones,
     }
+
+
+def _json_option(name: str, text: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # also an oversized integer, deep nesting
+        raise InputError(f"malformed {name}: {e}") from e
+
+
+def _int_vectors(name: str, text: str) -> list:
+    """A JSON list of integer lists, read by the fan-file rule: floats,
+    strings and booleans are rejected, never rounded or coerced."""
+    data = _json_option(name, text)
+    if not isinstance(data, list) or not all(is_int_list(v) for v in data):
+        raise InputError(f"malformed {name}: expected a JSON list of integer lists")
+    return data
 
 
 def _check_counts(args, *names: str) -> None:
@@ -156,11 +172,13 @@ def cmd_k0_global(args) -> JobReport:
             "without the identification with equivariant K_0"
         )
     if args.element is not None:
+        data = _json_option("element", args.element)
         try:
-            data = json.loads(args.element)
             comps = {}
             for key, val in data.items():
                 i = int(key)
+                if str(i) != key:  # "00" and "+0" would overwrite "0"
+                    raise InputError(f"max-cone index {key!r} is not written canonically")
                 if not 0 <= i < len(fan.max_cones):
                     raise InputError(f"max-cone index {i} out of range")
                 comps[i] = element_from_jsonable(ring.complex.stalk((i,)), val)
@@ -170,7 +188,7 @@ def cmd_k0_global(args) -> JobReport:
                     element_from_jsonable(ring.complex.stalk((i,)), []),
                 )
             c = ring.cochain(comps)
-        except (json.JSONDecodeError, ValueError, TypeError, AttributeError) as e:
+        except (ValueError, TypeError, AttributeError) as e:
             raise InputError(f"malformed element: {e}") from e
         ok, witness = ring.membership(c)
         results["member"] = ok
@@ -358,19 +376,23 @@ def cmd_kclass(args) -> JobReport:
         inputs.update(_fan_inputs(ff, args.fan))
         inputs["cone_id"] = args.cone
     elif args.generators is not None:
+        gens = _int_vectors("generators", args.generators)
+        if not gens:
+            raise InputError("malformed generators: none given")
+        rank = len(gens[0])
+        if rank > MAX_RANK:
+            raise InputError(f"generators of rank {rank}: the rank cap is {MAX_RANK}")
         try:
-            gens = json.loads(args.generators)
-            rank = len(gens[0])
             monoid = AffineMonoid.from_generators(Lattice(rank), gens)
-        except (json.JSONDecodeError, ValueError, TypeError, IndexError) as e:
+        except ValueError as e:
             raise InputError(f"malformed generators: {e}") from e
         inputs["generators"] = gens
     else:
         raise InputError("give a monoid: --fan/--cone or --generators")
+    shifts = _int_vectors("shifts", args.shifts)
     try:
-        shifts = json.loads(args.shifts)
         data = GradedFreeData(monoid, shifts)
-    except (json.JSONDecodeError, ValueError, TypeError) as e:
+    except ValueError as e:
         raise InputError(f"malformed shifts: {e}") from e
     cls = k0_class(data, CoefficientSpec(args.coeff))
     q = monoid.coset_quotient

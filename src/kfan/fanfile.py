@@ -46,13 +46,13 @@ class FanFile:
         return out
 
 
-def _is_int(x) -> bool:
+def is_int(x) -> bool:
     """A JSON integer: ``bool`` is a subclass of ``int`` in Python."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _int_list(x) -> bool:
-    return isinstance(x, list) and all(_is_int(v) for v in x)
+def is_int_list(x) -> bool:
+    return isinstance(x, list) and all(is_int(v) for v in x)
 
 
 def parse_fan_file(text: str, origin: str = "<string>") -> FanFile:
@@ -72,7 +72,7 @@ def parse_fan_file(text: str, origin: str = "<string>") -> FanFile:
         cones_in = data["max_cones"]
     except KeyError as e:
         raise FanFileError(f"{origin}: missing field {e.args[0]!r}") from e
-    if not _is_int(rank) or rank < 1:
+    if not is_int(rank) or rank < 1:
         raise FanFileError(f"{origin}: lattice_rank must be a positive integer")
     for key, value in (("rays", rays_in), ("max_cones", cones_in)):
         if not isinstance(value, list):
@@ -83,7 +83,7 @@ def parse_fan_file(text: str, origin: str = "<string>") -> FanFile:
     warnings = []
     rays = []
     for i, r in enumerate(rays_in):
-        if not _int_list(r) or len(r) != rank:
+        if not is_int_list(r) or len(r) != rank:
             raise FanFileError(f"{origin}: ray {i} is not an integer vector of length {rank}")
         p = primitive(r)
         if p is None:
@@ -93,7 +93,7 @@ def parse_fan_file(text: str, origin: str = "<string>") -> FanFile:
         rays.append(p)
     cones = []
     for i, c in enumerate(cones_in):
-        if not _int_list(c):
+        if not is_int_list(c):
             raise FanFileError(f"{origin}: max cone {i} is not a list of ray indices")
         for x in c:
             if not 0 <= x < len(rays):

@@ -147,9 +147,6 @@ class AffineKDescription:
         """The class of the rank-one module shifted by a character."""
         return GroupRingElement.character(self.characters, ambient_vector)
 
-    def k0_element(self, terms: dict) -> GroupRingElement:
-        return GroupRingElement(self.characters, terms)
-
 
 def k0_affine_toric(cone: Cone, coeff: CoefficientSpec) -> AffineKDescription:
     """K-theory description of the affine toric variety of a strongly

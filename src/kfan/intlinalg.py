@@ -29,7 +29,7 @@ All values are immutable after construction and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice, product
+from itertools import compress, islice
 from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -53,7 +53,7 @@ def as_vec(v: Iterable[int]) -> Vec:
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError(f"dot of length {len(u)} with length {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_add(u: Sequence[int], v: Sequence[int]) -> Vec:
@@ -127,9 +127,6 @@ class IntMatrix:
     def row(self, i: int) -> Vec:
         return self.rows[i]
 
-    def column(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.rows)
-
     def transpose(self) -> "IntMatrix":
         if not self.rows:
             return IntMatrix._trusted(((),) * self.ncols, 0)
@@ -140,14 +137,15 @@ class IntMatrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         cols = other.transpose().rows
         return IntMatrix._trusted(
-            tuple(tuple(dot(r, c) for c in cols) for r in self.rows), other.ncols
+            tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.rows),
+            other.ncols,
         )
 
     def apply(self, v: Sequence[int]) -> Vec:
         """Matrix times column vector."""
         if len(v) != self.ncols:
             raise ValueError(f"vector length {len(v)}, matrix has {self.ncols} cols")
-        return tuple(dot(r, v) for r in self.rows)
+        return tuple([sum(map(mul, r, v)) for r in self.rows])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -605,26 +603,14 @@ class QuotientLattice:
     def add(self, a: Sequence[int], b: Sequence[int]) -> Vec:
         return self.reduce(vec_add(a, b))
 
-    def neg(self, a: Sequence[int]) -> Vec:
-        return self.reduce(vec_neg(a))
-
     def sub(self, a: Sequence[int], b: Sequence[int]) -> Vec:
         return self.reduce(vec_sub(a, b))
 
     def scale(self, k: int, a: Sequence[int]) -> Vec:
         return self.reduce(vec_scale(k, a))
 
-    def free_part(self, coords: Sequence[int]) -> Vec:
-        return tuple(coords[len(self.invariant_factors):])
-
     def is_relation(self, v: Sequence[int]) -> bool:
         return self.project(v) == self.zero()
-
-    def elements(self):
-        """All elements (torsion groups only)."""
-        if self.free_rank:
-            raise ValueError("infinite quotient")
-        return [tuple(c) for c in product(*(range(d) for d in self.invariant_factors))]
 
     def _key(self):
         return (
@@ -698,14 +684,9 @@ class QuotientSurjection:
         self.splitting = splitting
 
     def apply(self, coords: Sequence[int]) -> Vec:
-        if self.target.invariant_factors:
-            return self.target.reduce(self.matrix.apply(coords))
+        image = self.matrix.apply(coords)
         # on a free target the raw image is already in normal form
-        if len(coords) != self.matrix.ncols:
-            raise ValueError(
-                f"vector length {len(coords)}, matrix has {self.matrix.ncols} cols"
-            )
-        return tuple([sum(map(mul, r, coords)) for r in self.matrix.rows])
+        return self.target.reduce(image) if self.target.invariant_factors else image
 
     def lift(self, coords: Sequence[int]) -> Vec:
         if self.splitting is None:

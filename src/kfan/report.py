@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .cech import Cochain
+from .fanfile import is_int, is_int_list
 from .monoids import GroupRingElement
 
 EXIT_OK = 0
@@ -26,10 +27,14 @@ def element_to_jsonable(el: GroupRingElement) -> list:
 
 
 def element_from_jsonable(group, data) -> GroupRingElement:
+    """Inverse of ``element_to_jsonable``; coordinates and coefficients
+    must be JSON integers (see ``fanfile.is_int``), never coerced."""
     terms = {}
     for coords, coeff in data:
-        key = tuple(int(x) for x in coords)
-        terms[key] = terms.get(key, 0) + int(coeff)
+        if not is_int_list(coords) or not is_int(coeff):
+            raise ValueError(f"term {[coords, coeff]} is not [integer list, integer]")
+        key = tuple(coords)
+        terms[key] = terms.get(key, 0) + coeff
     return GroupRingElement(group, terms)
 
 

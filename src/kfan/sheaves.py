@@ -42,6 +42,7 @@ from .intlinalg import (
 )
 from .monoids import GroupRingElement
 from .support_solver import (
+    COORD_BOUND,
     Constraint,
     SolverGaveUp,
     sample_nonzero_solution,
@@ -378,10 +379,6 @@ def random_section(
     sheaf: FanSheaf,
     domain: Subfan,
     rng: random.Random,
-    max_points: int = 3,
-    coord_bound: int = 3,
-    coeff_bound: int = 5,
-    max_attempts: int = 50,
 ) -> Section:
     """Sample a genuine section: a random nonzero solution of the
     pairwise compatibility equations over random supports on the
@@ -396,16 +393,12 @@ def random_section(
         {i: sheaf.stalk(c) for i, c in enumerate(cones)},
         _compatibility_constraints(sheaf, cones),
         rng,
-        max_points=max_points,
         extra_points=2,
-        coord_bound=coord_bound,
-        coeff_bound=coeff_bound,
-        max_attempts=max_attempts,
     )
     if found is not None:
         comps = {c: found[i] for i, c in enumerate(cones)}
     else:
-        m = [rng.randint(-coord_bound, coord_bound) for _ in range(sheaf.fan.lattice.rank)]
+        m = [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(sheaf.fan.lattice.rank)]
         comps = {c: GroupRingElement.character(sheaf.stalk(c), m) for c in cones}
     section = Section(sheaf, domain, comps)
     if not section.check():

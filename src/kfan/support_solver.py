@@ -227,37 +227,42 @@ def solve_pushforward_system(
     return SolverGaveUp(depth, tuple(sizes))
 
 
+# The trial distribution of ``sample_nonzero_solution``: a seed gives
+# the same report only while these stay fixed.
+POINTS_PER_CONSTRAINT = 3
+COORD_BOUND = 3
+COEFF_BOUND = 5
+MAX_ATTEMPTS = 50
+
+
 def sample_nonzero_solution(
     slot_groups: dict,
     constraints: Sequence[Constraint],
     rng: random.Random,
-    max_points: int,
     extra_points: int,
-    coord_bound: int,
-    coeff_bound: int,
-    max_attempts: int,
 ) -> dict[Hashable, GroupRingElement] | None:
     """A random nonzero solution of the homogeneous constraints.
 
     Supports mix splitting-lifts of random target points, 1 to
-    ``max_points`` per constraint and lifted into every participating
-    slot (so that images collide and the kernel is usually nonzero), with
-    up to ``extra_points`` purely random points per slot.  The integer
+    ``POINTS_PER_CONSTRAINT`` per constraint and lifted into every
+    participating slot (so that images collide and the kernel is usually
+    nonzero), with up to ``extra_points`` purely random points per slot;
+    random coordinates lie in [-COORD_BOUND, COORD_BOUND].  The integer
     kernel of the whole system over those supports is combined with
-    random coefficients.  Returns None after ``max_attempts`` draws that
-    gave only zero.
+    coefficients in [-COEFF_BOUND, COEFF_BOUND].  Returns None after
+    ``MAX_ATTEMPTS`` draws that gave only zero.
     """
     constraints = sorted(constraints, key=lambda c: c.key)
 
     def random_coords(q):
         return q.reduce(
-            tuple(rng.randint(-coord_bound, coord_bound) for _ in range(q.coords_len))
+            tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(q.coords_len))
         )
 
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         support = {slot: set() for slot in sorted(slot_groups)}
         for c in constraints:
-            for _ in range(rng.randint(1, max_points)):
+            for _ in range(rng.randint(1, POINTS_PER_CONSTRAINT)):
                 t = random_coords(c.target)
                 for slot, _sign, phi in c.terms:
                     support[slot].add(phi.lift(t))
@@ -275,7 +280,7 @@ def sample_nonzero_solution(
         basis = kernel(IntMatrix._trusted(tuple(rows), len(variables)))
         combo = [0] * len(variables)
         for row in basis.rows:
-            k = rng.randint(-coeff_bound, coeff_bound)
+            k = rng.randint(-COEFF_BOUND, COEFF_BOUND)
             combo = [a + k * b for a, b in zip(combo, row)]
         if not any(combo):
             continue

@@ -254,6 +254,22 @@ def test_k0_global_malformed_element(fanfile):
     assert run(["k0-global", fanfile(P1), "--element", "[[nope"]) == 2
 
 
+@pytest.mark.parametrize(
+    "element",
+    [
+        {"0": [[[0.7], 1]], "1": [[[0], 1]]},  # once read as [0]: a member
+        {"0": [[[1.9], 1]], "1": [[[1], 1]]},  # once read as [1]: a member
+        {"0": [[[0], 1.5]], "1": [[[0], 1]]},
+        {"0": [[[0], 1]], "00": [[[3], 1]], "1": [[[0], 1]]},  # "00" overwrote "0"
+        "[" * 100_000,
+    ],
+    ids=["coordinate-0.7", "coordinate-1.9", "coefficient-1.5", "index-00", "deep-nesting"],
+)
+def test_k0_global_element_follows_the_integer_rule(fanfile, element):
+    text = element if isinstance(element, str) else json.dumps(element)
+    assert run(["k0-global", fanfile(P1), "--element", text]) == 2
+
+
 @pytest.mark.parametrize("fan, level", [(P1, "2"), (P2, "0")])
 def test_check_exactness_level_out_of_range_is_an_input_error(fanfile, fan, level):
     assert run(["check-exactness", fanfile(fan), "--level", level]) == 2
@@ -312,11 +328,16 @@ def test_check_exactness_report_and_witness_roundtrip(fanfile):
     )
     assert rep.exit_status == 0
     assert rep.results["all_solved"] is True
-    fan = build_fan(parse_fan_file(json.dumps(P2)))
+    assert_exactness_witnesses_recheck(build_fan(parse_fan_file(json.dumps(P2))), rep)
+
+
+def assert_exactness_witnesses_recheck(fan, rep):
+    """Every reported cocycle is one, and d of its coboundary gives it back."""
     cx = CechComplex(fan)
     for w in rep.certificates["witnesses"]:
         z = cochain_from_jsonable(cx, w["cocycle"])
         b = cochain_from_jsonable(cx, w["coboundary"])
+        assert cx.is_cocycle(z)
         assert cx.d(b) == z
 
 
@@ -344,7 +365,12 @@ def test_check_flasque_report_and_witness_roundtrip(fanfile):
     )
     assert rep.exit_status == 0
     assert rep.results["all_extended"] is True
-    fan = build_fan(parse_fan_file(json.dumps(P1)))
+    assert_flasque_witnesses_recheck(build_fan(parse_fan_file(json.dumps(P1))), rep)
+
+
+def assert_flasque_witnesses_recheck(fan, rep):
+    """Every reported extension is a global section restricting to its
+    problem section."""
     sheaf = sheaf_a0(fan)
     for w in rep.certificates["witnesses"]:
         ext = w["extension"]
@@ -405,6 +431,27 @@ def test_kclass_from_cone(fanfile):
 
 def test_kclass_needs_a_monoid():
     assert run(["kclass", "--shifts", "[[0]]"]) == 2
+
+
+@pytest.mark.parametrize(
+    "generators, shifts",
+    [
+        ("[[1]]", "[[0.5]]"),
+        ("[[1]]", "[[true]]"),
+        ("[[1]]", '[["2"]]'),
+        ("[[1.9]]", "[[2]]"),  # once echoed as 1.9 but computed with 1
+        ("[" * 100_000, "[[0]]"),
+    ],
+    ids=["shift-0.5", "shift-true", "shift-string", "generator-1.9", "deep-nesting"],
+)
+def test_kclass_follows_the_integer_rule(generators, shifts):
+    assert run(["kclass", "--generators", generators, "--shifts", shifts]) == 2
+
+
+def test_kclass_generators_above_the_rank_cap_are_an_input_error(capsys):
+    argv = ["kclass", "--generators", "[[1,0,0,0,0]]", "--shifts", "[[0,0,0,0,0]]"]
+    assert run(argv) == 2
+    assert "rank cap" in capsys.readouterr().err
 
 
 WEIGHTED_P2 = {

@@ -113,7 +113,7 @@ def test_peeling_solves_cocycles_at_every_level(no_solver, fan, seed):
     rng = random.Random(seed)
     cx = CechComplex(fan)
     for level in range(1, cx.top_level + 1):
-        z = cx.random_cocycle(level, rng, max_attempts=200)
+        z = cx.random_cocycle(level, rng)
         b = cx.solve_coboundary(z, depth=0)
         assert b.level == level - 1
         assert cx.d(b) == z
