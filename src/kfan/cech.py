@@ -57,42 +57,46 @@ class NotACocycle(Exception):
 
 class CechComplex:
     """Tuples, stalks and incidence surjections for the maximal-cone
-    cover of a fan."""
+    cover of a fan.  Nothing is built up front: a level's tuples are
+    listed, and a tuple's meet found, when first read."""
 
-    __slots__ = ("fan", "sheaf", "tuples", "_cone_of")
+    __slots__ = ("fan", "sheaf", "top_level", "tuples", "_cone_of")
 
     def __init__(self, fan: Fan):
         self.fan = fan
         self.sheaf = sheaf_a0(fan)
-        maxes = fan.max_cones
-        n = len(maxes)
-        self.tuples = {
-            p: tuple(combinations(range(n), p + 1)) for p in range(n)
-        }
-        self._cone_of = {}
-        for p in range(n):
-            for t in self.tuples[p]:
-                if p == 0:
-                    self._cone_of[t] = maxes[t[0]]
-                else:
-                    prev = self._cone_of[t[:-1]]
-                    self._cone_of[t] = fan.intersection(prev, maxes[t[-1]])
+        self.top_level = len(fan.max_cones) - 1
+        self.tuples = {}  # level -> its tuples, listed on first read
+        self._cone_of = {(i,): cone for i, cone in enumerate(fan.max_cones)}
 
-    @property
-    def top_level(self) -> int:
-        return len(self.fan.max_cones) - 1
+    def level_tuples(self, p: int) -> tuple:
+        """The strictly increasing (p+1)-tuples of maximal-cone indices,
+        in lexicographic order, listed on first read and kept."""
+        if p not in self.tuples:
+            if not 0 <= p <= self.top_level:
+                raise LevelOverflow(f"no level {p} in this complex")
+            self.tuples[p] = tuple(combinations(range(self.top_level + 1), p + 1))
+        return self.tuples[p]
 
     def cone_of(self, t: tuple) -> Cone:
-        return self._cone_of[t]
+        """The meet of the tuple's maximal cones, found on first ask from
+        the meet of the tuple without its last index, and kept."""
+        cone = self._cone_of.get(t)
+        if cone is None:
+            if len(t) < 2 or not t[-2] < t[-1] <= self.top_level:
+                raise KeyError(t)
+            cone = self.fan.intersection(self.cone_of(t[:-1]), self.fan.max_cones[t[-1]])
+            self._cone_of[t] = cone
+        return cone
 
     def stalk(self, t: tuple) -> QuotientLattice:
-        return self.sheaf.stalk(self._cone_of[t])
+        return self.sheaf.stalk(self.cone_of(t))
 
     def incidence(self, t: tuple, j: int):
         """Dropping index j from tuple t maps the bigger intersection
         onto the smaller one: the sheaf's restriction between them."""
         s = t[:j] + t[j + 1 :]
-        return self.sheaf.restriction(self._cone_of[s], self._cone_of[t])
+        return self.sheaf.restriction(self.cone_of(s), self.cone_of(t))
 
     def zero_cochain(self, level: int) -> "Cochain":
         return Cochain(self, level, {})
@@ -105,7 +109,7 @@ class CechComplex:
         if c.level >= self.top_level:
             raise LevelOverflow(f"level {c.level} is the top of the complex")
         out = {}
-        for t in self.tuples[c.level + 1]:
+        for t in self.level_tuples(c.level + 1):
             acc = GroupRingElement.zero(self.stalk(t))
             for j in range(len(t)):
                 s = t[:j] + t[j + 1 :]
@@ -149,7 +153,7 @@ class CechComplex:
         elif not allow_nonsmooth:
             raise NotSmoothFan("exactness is only guaranteed for smooth fans")
         else:
-            slot_groups = {s: self.stalk(s) for s in self.tuples[z.level - 1]}
+            slot_groups = {s: self.stalk(s) for s in self.level_tuples(z.level - 1)}
             constraints = self._d_constraints(z.level - 1, z.components)
             outcome = solve_pushforward_system(slot_groups, constraints, depth)
             if isinstance(outcome, SolverGaveUp):
@@ -178,8 +182,7 @@ class CechComplex:
         """
         p = z.level
         n = len(self.fan.max_cones)
-        cone_of = self._cone_of
-        rest = {t: ray_terms(cone_of[t], v) for t, v in z.components.items()}
+        rest = {t: ray_terms(self.cone_of(t), v) for t, v in z.components.items()}
         b: dict[tuple, dict] = {}
         for a0 in range(n - p):
             for t in sorted(key for key in rest if key[0] == a0):
@@ -187,19 +190,19 @@ class CechComplex:
                 if not x:
                     continue
                 s = t[1:]
-                step = pad_rays(x, cone_of[t], cone_of[s])
+                step = pad_rays(x, self.cone_of(t), self.cone_of(s))
                 accumulate(b.setdefault(s, {}), step, 1)
                 for e in range(a0 + 1, n):
                     if e in s:
                         continue
                     u = tuple(sorted(s + (e,)))
                     sign = -1 if u.index(e) % 2 == 0 else 1
-                    pushed = restrict_rays(step, cone_of[s], cone_of[u])
+                    pushed = restrict_rays(step, self.cone_of(s), self.cone_of(u))
                     accumulate(rest.setdefault(u, {}), pushed, sign)
         return Cochain(
             self,
             p - 1,
-            {s: from_ray_terms(self.stalk(s), cone_of[s], terms) for s, terms in b.items()},
+            {s: from_ray_terms(self.stalk(s), self.cone_of(s), terms) for s, terms in b.items()},
         )
 
     def _d_constraints(self, level: int, rhs: dict) -> list[Constraint]:
@@ -207,7 +210,7 @@ class CechComplex:
         cochain x: one per tuple of the next level, over the tuples with
         one index dropped; ``rhs`` maps tuples to components."""
         constraints = []
-        for t in self.tuples.get(level + 1, ()):
+        for t in self.level_tuples(level + 1) if level < self.top_level else ():
             terms = tuple(
                 (t[:j] + t[j + 1 :], 1 if j % 2 == 0 else -1, self.incidence(t, j))
                 for j in range(len(t))
@@ -224,7 +227,7 @@ class CechComplex:
         if level > self.top_level:
             raise LevelOverflow(f"no level {level} in this complex")
         found = sample_nonzero_solution(
-            {t: self.stalk(t) for t in self.tuples[level]},
+            {t: self.stalk(t) for t in self.level_tuples(level)},
             self._d_constraints(level, {}),
             rng,
             extra_points=3,
@@ -245,7 +248,7 @@ class Cochain:
     def __init__(self, complex: CechComplex, level: int, components: dict):
         if level < 0 or level > complex.top_level:
             raise LevelOverflow(f"no level {level} in this complex")
-        valid = set(complex.tuples[level])
+        valid = set(complex.level_tuples(level))
         comps = {}
         for t, val in components.items():
             t = tuple(t)
@@ -342,13 +345,8 @@ class H0Ring:
         return self.membership(c)[0]
 
     def unit(self) -> Cochain:
-        return self.complex.cochain(
-            0,
-            {
-                (i,): GroupRingElement.one(self.complex.stalk((i,)))
-                for i in range(len(self.fan.max_cones))
-            },
-        )
+        cx = self.complex
+        return cx.cochain(0, {t: GroupRingElement.one(cx.stalk(t)) for t in cx.level_tuples(0)})
 
     def multiply(self, a: Cochain, b: Cochain) -> Cochain:
         if a.complex is not self.complex or b.complex is not self.complex:
@@ -367,11 +365,10 @@ class H0Ring:
     def character_tuple(self, m: Sequence[int]) -> Cochain:
         """The member chi^[m] on every piece, for a character m of the
         big torus; a cocycle by functoriality of the quotients."""
-        comps = {}
-        for i in range(len(self.fan.max_cones)):
-            q = self.complex.stalk((i,))
-            comps[(i,)] = GroupRingElement.character(q, m)
-        return self.complex.cochain(0, comps)
+        cx = self.complex
+        return cx.cochain(
+            0, {t: GroupRingElement.character(cx.stalk(t), m) for t in cx.level_tuples(0)}
+        )
 
     def as_section(self, c: Cochain) -> Section:
         """The same data as a section of the structure sheaf on the
@@ -393,7 +390,6 @@ class ExactnessTrial:
     index: int
     cocycle_support: int
     solved: bool
-    rounds: int | None
     witness_support: int | None
     gave_up: SolverGaveUp | None
 
@@ -437,29 +433,19 @@ def verify_exactness(
     for i in range(trials):
         z = complex.random_cocycle(level, rng)
         outcome = complex.solve_coboundary(z, depth=depth, allow_nonsmooth=allow_nonsmooth)
-        if isinstance(outcome, SolverGaveUp):
-            report.resolutions.append(
-                ExactnessTrial(
-                    index=i,
-                    cocycle_support=sum(len(v.terms) for v in z.components.values()),
-                    solved=False,
-                    rounds=None,
-                    witness_support=None,
-                    gave_up=outcome,
-                )
-            )
-            continue
-        b = outcome
-        report.solved += 1
+        solved = not isinstance(outcome, SolverGaveUp)
         report.resolutions.append(
             ExactnessTrial(
                 index=i,
                 cocycle_support=sum(len(v.terms) for v in z.components.values()),
-                solved=True,
-                rounds=None,
-                witness_support=sum(len(v.terms) for v in b.components.values()),
-                gave_up=None,
+                solved=solved,
+                witness_support=(
+                    sum(len(v.terms) for v in outcome.components.values()) if solved else None
+                ),
+                gave_up=None if solved else outcome,
             )
         )
-        report.witnesses.append((z, b))
+        if solved:
+            report.solved += 1
+            report.witnesses.append((z, outcome))
     return report

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 
 from .cech import LevelOverflow, h0, verify_exactness
 from .cones import MAX_RANK, ConeNotInFan, NotAFan, NotStronglyConvex, UnsupportedRank
-from .fanfile import FanFile, FanFileError, build_fan, is_int_list, load_fan_file
+from .fanfile import FanFile, FanFileError, build_fan, is_int_list, load_fan_file, strict_json
 from .graded import CoefficientSpec, GradedFreeData, k0_affine_toric, k0_class
 from .intlinalg import Lattice
 from .monoids import AffineMonoid, hilbert_basis
@@ -77,8 +76,8 @@ def _cone_entry(fan, i, cone) -> dict:
 
 def _json_option(name: str, text: str):
     try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as e:  # also an oversized integer, deep nesting
+        return strict_json(text)
+    except (ValueError, RecursionError) as e:  # a repeated key, an oversized integer, deep nesting
         raise InputError(f"malformed {name}: {e}") from e
 
 

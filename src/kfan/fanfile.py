@@ -9,7 +9,8 @@
 
 Rays are primitivized on load (with a warning) and indices are checked.
 Every number must be a JSON integer: floats, strings and booleans are
-rejected, never rounded or coerced.
+rejected, never rounded or coerced.  An object with a repeated key is
+rejected too, rather than read as its last value.
 """
 
 from __future__ import annotations
@@ -55,14 +56,29 @@ def is_int_list(x) -> bool:
     return isinstance(x, list) and all(is_int(v) for v in x)
 
 
+def _unique_keys(pairs: list) -> dict:
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
+def strict_json(text: str):
+    """``json.loads``, except that a repeated key in an object raises
+    ``ValueError`` instead of silently keeping the last value."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def parse_fan_file(text: str, origin: str = "<string>") -> FanFile:
     try:
-        data = json.loads(text)
+        data = strict_json(text)
     except json.JSONDecodeError as e:
         raise FanFileError(
             f"{origin}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
-    except (ValueError, RecursionError) as e:  # an oversized integer, deep nesting
+    except (ValueError, RecursionError) as e:  # a repeated key, an oversized integer, deep nesting
         raise FanFileError(f"{origin}: unreadable JSON: {e}") from e
     if not isinstance(data, dict):
         raise FanFileError(f"{origin}: expected a JSON object")

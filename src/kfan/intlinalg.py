@@ -414,10 +414,6 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return u, d, v
 
 
-def diagonal(d: IntMatrix) -> list[int]:
-    return [d.rows[i][i] for i in range(min(d.nrows, d.ncols))]
-
-
 def rank(a: IntMatrix) -> int:
     """The rank, by fraction-free (Bareiss) row elimination.
 

@@ -81,12 +81,11 @@ class FanSheaf:
                         )
 
     def stalk(self, sigma: Cone) -> QuotientLattice:
-        return self._stalks[self.fan.canonical(sigma)]
+        return self._stalks[sigma]
 
     def restriction(self, sigma: Cone, tau: Cone) -> QuotientSurjection:
         """The map from the stalk at sigma to the stalk at a face tau."""
-        key = (self.fan.canonical(sigma), self.fan.canonical(tau))
-        return self._restrictions[key]
+        return self._restrictions[sigma, tau]
 
 
 def sheaf_a0(fan: Fan) -> FanSheaf:

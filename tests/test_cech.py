@@ -3,8 +3,11 @@ import random
 import subprocess
 import sys
 import textwrap
+from itertools import combinations, product
 
 import pytest
+
+from kfan import cech
 
 from kfan.catalog import (
     affine_plane,
@@ -24,6 +27,8 @@ from kfan.cech import (
     h0,
     verify_exactness,
 )
+from kfan.cones import Fan
+from kfan.intlinalg import Lattice
 from kfan.monoids import GroupRingElement
 from kfan.sheaves import NotSmoothFan
 from kfan.support_solver import SolverGaveUp
@@ -31,23 +36,88 @@ from kfan.support_solver import SolverGaveUp
 
 def test_p1_complex_shape():
     cx = CechComplex(projective_line())
-    assert {p: len(ts) for p, ts in cx.tuples.items()} == {0: 2, 1: 1}
-    assert [cx.stalk(t).free_rank for t in cx.tuples[0]] == [1, 1]
+    assert [len(cx.level_tuples(p)) for p in range(cx.top_level + 1)] == [2, 1]
+    assert [cx.stalk(t).free_rank for t in cx.level_tuples(0)] == [1, 1]
     assert cx.stalk((0, 1)).coords_len == 0
 
 
 def test_single_max_cone_complex_is_level_zero_only():
     cx = CechComplex(affine_plane())
     assert cx.top_level == 0
-    assert list(cx.tuples) == [0]
+    assert cx.level_tuples(0) == ((0,),)
+    with pytest.raises(LevelOverflow):
+        cx.level_tuples(1)
 
 
 def test_p2_complex_shape():
     cx = CechComplex(projective_plane())
-    assert {p: len(ts) for p, ts in cx.tuples.items()} == {0: 3, 1: 3, 2: 1}
-    assert [cx.stalk(t).free_rank for t in cx.tuples[0]] == [2, 2, 2]
-    assert [cx.stalk(t).free_rank for t in cx.tuples[1]] == [1, 1, 1]
+    assert [len(cx.level_tuples(p)) for p in range(cx.top_level + 1)] == [3, 3, 1]
+    assert [cx.stalk(t).free_rank for t in cx.level_tuples(0)] == [2, 2, 2]
+    assert [cx.stalk(t).free_rank for t in cx.level_tuples(1)] == [1, 1, 1]
     assert cx.stalk((0, 1, 2)).coords_len == 0
+
+
+def blown_up_ladder(n_cones: int) -> Fan:
+    """P1 x P1 blown up at torus-fixed points until it has n_cones
+    maximal cones: each blow-up puts u + v between neighbouring rays u,
+    v, going once round the fan before starting again."""
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    i = 0
+    while len(rays) < n_cones:
+        u, v = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+        i = (i + 2) % len(rays)
+    k = len(rays)
+    return Fan.from_rays_and_indices(Lattice(2), rays, [[j, (j + 1) % k] for j in range(k)])
+
+
+def test_complex_lists_no_level_at_construction():
+    cx = CechComplex(projective_plane())
+    assert cx.tuples == {}
+    assert cx.cone_of((0, 2)) == cx.fan.intersection(*cx.fan.max_cones[::2])
+    assert cx.tuples == {}
+    with pytest.raises(KeyError):
+        cx.cone_of((2, 0))
+
+
+def test_h0_on_a_long_ladder_reads_only_levels_0_and_1(monkeypatch):
+    fan = blown_up_ladder(24)
+    n = len(fan.max_cones)
+    assert n == 24 and fan.is_smooth()
+
+    def first_two_levels_only(pool, r):
+        # listing level 2 or above here is a 2^24 blow-up, so stop at once
+        if r > 2:
+            raise AssertionError(f"level {r - 1} listed")
+        return combinations(pool, r)
+
+    meets = []
+    intersection = Fan.intersection
+    monkeypatch.setattr(cech, "combinations", first_two_levels_only)
+    monkeypatch.setattr(Fan, "intersection", lambda *a: meets.append(a) or intersection(*a))
+    ring = h0(fan)
+    assert ring.complex.tuples == {} and not meets
+    for m in [(0, 0), (1, 0), (-2, 3), (5, -7)]:
+        assert ring.membership(ring.character_tuple(m)) == (True, None)
+    c = ring.character_tuple((1, 1))
+    changed = ring.cochain({i: c.component((i,)) for i in range(n - 1)})
+    ok, (pair, _) = ring.membership(changed)
+    assert not ok and n - 1 in pair
+    assert sorted(ring.complex.tuples) == [0, 1]
+    assert len(meets) <= n * (n - 1) // 2
+
+
+def test_exactness_at_level_2_lists_only_levels_1_to_3(monkeypatch):
+    rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    cones = [[a, 2 + b, 4 + c] for a, b, c in product((0, 1), repeat=3)]
+    fan = Fan.from_rays_and_indices(Lattice(3), rays, cones)
+    built = []
+    init = CechComplex.__init__
+    monkeypatch.setattr(CechComplex, "__init__", lambda cx, f: built.append(cx) or init(cx, f))
+    rep = verify_exactness(fan, level=2, trials=2, depth=3, seed=0)
+    assert rep.all_solved
+    [cx] = built
+    assert cx.top_level == 7 and sorted(cx.tuples) == [1, 2, 3]
 
 
 def test_differential_of_constant_cochain_vanishes():
@@ -83,7 +153,7 @@ def test_differential_squares_to_zero_randomized():
         for level in range(cx.top_level - 1):
             for _ in range(10):
                 comps = {}
-                for t in cx.tuples[level]:
+                for t in cx.level_tuples(level):
                     q = cx.stalk(t)
                     terms = {
                         tuple(rng.randint(-3, 3) for _ in range(q.coords_len)): rng.randint(-5, 5)
@@ -114,7 +184,7 @@ def test_is_cocycle_of_boundaries():
     cx = CechComplex(projective_plane())
     for _ in range(5):
         comps = {}
-        for t in cx.tuples[0]:
+        for t in cx.level_tuples(0):
             q = cx.stalk(t)
             terms = {
                 tuple(rng.randint(-2, 2) for _ in range(q.coords_len)): rng.randint(-4, 4)
@@ -131,7 +201,7 @@ def test_generic_level1_cochain_is_not_a_cocycle():
     hits = 0
     for _ in range(10):
         comps = {}
-        for t in cx.tuples[1]:
+        for t in cx.level_tuples(1):
             q = cx.stalk(t)
             comps[t] = GroupRingElement(
                 q, {(rng.randint(-3, 3),): rng.randint(1, 5)}
@@ -152,7 +222,7 @@ def test_solve_coboundary_roundtrip():
     cx = CechComplex(p1_times_p1())
     for _ in range(5):
         comps = {}
-        for t in cx.tuples[0]:
+        for t in cx.level_tuples(0):
             q = cx.stalk(t)
             comps[t] = GroupRingElement(
                 q,
@@ -220,7 +290,7 @@ def test_one_exactness_trial_computes_two_differentials(monkeypatch):
 
 def test_is_cocycle_is_remembered_per_cochain(monkeypatch):
     cx = CechComplex(projective_plane())
-    t = cx.tuples[1][0]
+    t = cx.level_tuples(1)[0]
     not_closed = cx.cochain(1, {t: GroupRingElement(cx.stalk(t), {(1,): 1})})
     z = cx.random_cocycle(1, random.Random(2))
     calls = []
@@ -308,7 +378,7 @@ def test_h0_matches_section_check():
     cx = ring.complex
     for _ in range(10):
         comps = {}
-        for t in cx.tuples[0]:
+        for t in cx.level_tuples(0):
             q = cx.stalk(t)
             comps[t] = GroupRingElement(
                 q,

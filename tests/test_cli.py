@@ -123,6 +123,13 @@ def test_unreadable_fan_json_is_an_input_error(tmp_path, text):
     assert run(["info", str(path)]) == 2
 
 
+def test_fan_file_with_a_repeated_key_is_an_input_error(tmp_path):
+    # read as its last value, the first "rays" would vanish unseen
+    path = tmp_path / "fan.json"
+    path.write_text('{"lattice_rank": 1, "rays": [[5]], "rays": [[1]], "max_cones": [[0]]}')
+    assert run(["info", str(path)]) == 2
+
+
 def test_undecodable_fan_file_is_an_input_error(tmp_path):
     path = tmp_path / "fan.json"
     path.write_bytes(b"\xff\xfe{")
@@ -252,6 +259,12 @@ def test_k0_global_character_sampling(fanfile):
 
 def test_k0_global_malformed_element(fanfile):
     assert run(["k0-global", fanfile(P1), "--element", "[[nope"]) == 2
+
+
+def test_k0_global_element_with_a_repeated_key_is_an_input_error(fanfile):
+    # read as its last value, the first "0" would be dropped unseen
+    text = '{"0": [[[0], 1]], "0": [[[3], 1]], "1": [[[0], 1]]}'
+    assert run(["k0-global", fanfile(P1), "--element", text]) == 2
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,13 @@ def test_a0_stalk_on_single_smooth_cone():
     fan = Fan.from_max_cones(Z2, [Cone.from_rays(Z2, [(1, 0), (0, 1)])])
     sheaf = sheaf_a0(fan)
     assert sheaf.stalk(fan.max_cones[0]).free_rank == 2
+    # looked up by value: an equal cone finds the stalk, a cone outside the fan does not
+    assert sheaf.stalk(Cone.from_rays(Z2, [(0, 1), (1, 0)])) is sheaf.stalk(fan.max_cones[0])
+    outside = Cone.from_rays(Z2, [(1, 0), (1, 2)])
+    with pytest.raises(KeyError):
+        sheaf.stalk(outside)
+    with pytest.raises(KeyError):
+        sheaf.restriction(outside, zero_cone(Z2))
 
 
 def test_a0_stalk_at_zero_cone_is_rank_zero():

@@ -53,7 +53,7 @@ def test_expand_reduces_each_stacked_pair_once(monkeypatch):
             for _ in range(3):
                 z = cx.random_cocycle(level, rng)
                 outcome = support_solver.solve_pushforward_system(
-                    {s: cx.stalk(s) for s in cx.tuples[level - 1]},
+                    {s: cx.stalk(s) for s in cx.level_tuples(level - 1)},
                     cx._d_constraints(level - 1, z.components),
                     3,
                 )
