@@ -10,11 +10,17 @@ the geometry (difference of the two restrictions), the higher signs are
 the usual simplicial convention over the fixed ordering of the maximal
 cones, and d . d = 0 holds by telescoping.
 
-For smooth fans the complex is exact in positive levels, because the
-structure sheaf is flasque, and ``solve_coboundary`` builds a preimage
-by peeling off one maximal cone at a time with the closed-form lift of
-``kfan.sheaves``.  On non-smooth fans, allowed only on request, the
-preimage is searched for by the expanding-support solver, and a
+For smooth fans the complex splits per cone.  In ray coordinates
+Z[M_sigma] is the sum of summands A_tau over the faces tau of sigma
+(``kfan.sheaves.split_rays``), and restriction keeps those of the
+smaller cone's faces.  So the complex is the sum over the cones tau of
+the complexes of full simplices on S_tau, the maximal cones containing
+tau, with coefficients A_tau; each is exact in positive levels,
+contracted onto a_tau = min S_tau.  ``random_cocycle`` draws per tau,
+``solve_coboundary`` returns the contraction, and ``H0Ring.membership``
+compares tau-parts.  On non-smooth fans, allowed only on request,
+cocycles are random kernel elements of the whole system d(z) = 0,
+preimages are searched for by the expanding-support solver, and a
 ``SolverGaveUp`` there is a search failure, never a counterexample.
 """
 
@@ -32,13 +38,16 @@ from .sheaves import (
     NotSmoothFan,
     Section,
     accumulate,
+    assemble_rays,
     from_ray_terms,
     pad_rays,
+    random_part,
     ray_terms,
-    restrict_rays,
     sheaf_a0,
+    split_rays,
 )
 from .support_solver import (
+    MAX_ATTEMPTS,
     CertificateError,
     Constraint,
     SolverGaveUp,
@@ -60,7 +69,7 @@ class CechComplex:
     cover of a fan.  Nothing is built up front: a level's tuples are
     listed, and a tuple's meet found, when first read."""
 
-    __slots__ = ("fan", "sheaf", "top_level", "tuples", "_cone_of")
+    __slots__ = ("fan", "sheaf", "top_level", "tuples", "_cone_of", "stars")
 
     def __init__(self, fan: Fan):
         self.fan = fan
@@ -68,6 +77,10 @@ class CechComplex:
         self.top_level = len(fan.max_cones) - 1
         self.tuples = {}  # level -> its tuples, listed on first read
         self._cone_of = {(i,): cone for i, cone in enumerate(fan.max_cones)}
+        self.stars = {}  # cone tau -> S_tau, the maximal cones containing it, increasing
+        for i, sigma in enumerate(fan.max_cones):
+            for tau in fan.faces_of(sigma):
+                self.stars.setdefault(tau, []).append(i)
 
     def level_tuples(self, p: int) -> tuple:
         """The strictly increasing (p+1)-tuples of maximal-cone indices,
@@ -108,19 +121,18 @@ class CechComplex:
         """The alternating-sign differential."""
         if c.level >= self.top_level:
             raise LevelOverflow(f"level {c.level} is the top of the complex")
-        out = {}
-        for t in self.level_tuples(c.level + 1):
-            acc = GroupRingElement.zero(self.stalk(t))
-            for j in range(len(t)):
-                s = t[:j] + t[j + 1 :]
-                comp = c.components.get(s)
-                if comp is None:
-                    continue
+        comps = {t: self._d_at(c, t) for t in self.level_tuples(c.level + 1)}
+        return Cochain(self, c.level + 1, {t: v for t, v in comps.items() if v.terms})
+
+    def _d_at(self, c: "Cochain", t: tuple) -> GroupRingElement:
+        """The component of d(c) at the tuple t."""
+        acc: dict = {}
+        for j in range(len(t)):
+            comp = c.components.get(t[:j] + t[j + 1 :])
+            if comp is not None:
                 pushed = comp.pushforward(self.incidence(t, j))
-                acc = acc + (pushed if j % 2 == 0 else -pushed)
-            if not acc.is_zero():
-                out[t] = acc
-        return Cochain(self, c.level + 1, out)
+                accumulate(acc, pushed.terms, -1 if j % 2 else 1)
+        return GroupRingElement._normal(self.stalk(t), acc)
 
     def is_cocycle(self, c: "Cochain") -> bool:
         """Is d(c) zero?  Decided once per cochain of this complex: a
@@ -136,20 +148,16 @@ class CechComplex:
     def solve_coboundary(
         self, z: "Cochain", depth: int = 3, allow_nonsmooth: bool = False
     ) -> "Cochain | SolverGaveUp":
-        """A cochain b with d(b) = z, re-verified exactly before being
-        returned.
-
-        On a smooth fan b is built by peeling (``_peel``) and ``depth``
-        is ignored.  Non-smooth fans are refused unless explicitly
-        allowed; then the expanding-support solver searches to the given
-        depth and may give up.
-        """
+        """A cochain b with d(b) = z, re-verified exactly.  On a smooth fan
+        b is the contraction (``_contract``) and ``depth`` is ignored.
+        Non-smooth fans are refused unless allowed; then the expanding-
+        support solver searches to the given depth and may give up."""
         if z.level < 1:
             raise ValueError("coboundaries live above level zero")
         if not self.is_cocycle(z):
             raise NotACocycle("the right-hand side has nonzero differential")
         if self.fan.is_smooth():
-            b = self._peel(z)
+            b = self._contract(z)
         elif not allow_nonsmooth:
             raise NotSmoothFan("exactness is only guaranteed for smooth fans")
         else:
@@ -163,47 +171,21 @@ class CechComplex:
             raise CertificateError(f"witness fails d(b) = z at level {z.level}")
         return b
 
-    def _peel(self, z: "Cochain") -> "Cochain":
-        """A preimage of the level-p cocycle z on a smooth fan, one
-        maximal cone at a time.
+    def _contract(self, z: "Cochain") -> "Cochain":
+        """A preimage of the cocycle z on a smooth fan: b_K is the sum of
+        iota(z^tau_{(a_tau) K}) over the cones tau with a_tau < K in S_tau.
+        The caller re-checks d(b) = z."""
+        b: dict = {}
+        for t, value in z.components.items():
+            cone = self.cone_of(t)
+            faces = [tau for tau in self.fan.faces_of(cone) if self.stars[tau][0] == t[0]]
+            parts = split_rays(ray_terms(cone, value), cone, faces)
+            accumulate(b.setdefault(t[1:], {}), assemble_rays(parts, self.cone_of(t[1:])), 1)
+        return self._from_rays(z.level - 1, b)
 
-        Let a0 be the first maximal cone left.  For every p-tuple I of
-        the later ones, b_I is the closed-form lift to sigma_I of data
-        that are z_{a0 I} on the faces of sigma_{a0 I} and zero on the
-        faces of cones already peeled.  By inclusion-exclusion that lift
-        is iota(z_{a0 I}), zero-padded in the ray coordinates of
-        sigma_I: the faces outside sigma_{a0 I} contribute nothing.
-        Then z - d(b) vanishes on every tuple containing a0 and, being a
-        cocycle, on the faces of sigma_{a0}, which is what makes the
-        zero data compatible at the next step.  Only the tuples of later
-        cones are updated, since no later step reads the others; the
-        caller re-checks d(b) = z in full.  Everything runs in ray
-        coordinates, converted at the boundary.
-        """
-        p = z.level
-        n = len(self.fan.max_cones)
-        rest = {t: ray_terms(self.cone_of(t), v) for t, v in z.components.items()}
-        b: dict[tuple, dict] = {}
-        for a0 in range(n - p):
-            for t in sorted(key for key in rest if key[0] == a0):
-                x = rest.pop(t)
-                if not x:
-                    continue
-                s = t[1:]
-                step = pad_rays(x, self.cone_of(t), self.cone_of(s))
-                accumulate(b.setdefault(s, {}), step, 1)
-                for e in range(a0 + 1, n):
-                    if e in s:
-                        continue
-                    u = tuple(sorted(s + (e,)))
-                    sign = -1 if u.index(e) % 2 == 0 else 1
-                    pushed = restrict_rays(step, self.cone_of(s), self.cone_of(u))
-                    accumulate(rest.setdefault(u, {}), pushed, sign)
-        return Cochain(
-            self,
-            p - 1,
-            {s: from_ray_terms(self.stalk(s), self.cone_of(s), terms) for s, terms in b.items()},
-        )
+    def _from_rays(self, level: int, terms: dict) -> "Cochain":
+        comps = {t: from_ray_terms(self.stalk(t), self.cone_of(t), v) for t, v in terms.items()}
+        return Cochain(self, level, comps)
 
     def _d_constraints(self, level: int, rhs: dict) -> list[Constraint]:
         """The equations d(x) = rhs for an unknown level-``level``
@@ -222,19 +204,33 @@ class CechComplex:
         return constraints
 
     def random_cocycle(self, level: int, rng: random.Random) -> "Cochain":
-        """A genuine random cocycle: a random nonzero solution of
-        d(z) = 0 over random supports (see ``sample_nonzero_solution``)."""
+        """A random nonzero cocycle, re-checked.  On a smooth fan, per cone
+        tau: random values b_K in A_tau (``random_part``) on the tuples
+        (a_tau) K, and z_I = sum over j of (-1)^j b_{I minus i_j} on the
+        others; redrawn while zero.  Otherwise a random nonzero kernel
+        element of d (``sample_nonzero_solution``)."""
         if level > self.top_level:
             raise LevelOverflow(f"no level {level} in this complex")
-        found = sample_nonzero_solution(
-            {t: self.stalk(t) for t in self.level_tuples(level)},
-            self._d_constraints(level, {}),
-            rng,
-            extra_points=3,
-        )
-        if found is None:
+        if self.fan.is_smooth():
+            for _ in range(MAX_ATTEMPTS):
+                comps: dict = {}
+                for tau, star in self.stars.items():
+                    b = {k: random_part(tau, rng) for k in combinations(star[1:], level)}
+                    for t in combinations(star, level + 1):
+                        value: dict = {}
+                        for j in range(len(t)):
+                            accumulate(value, b.get(t[:j] + t[j + 1 :], {}), -1 if j % 2 else 1)
+                        padded = pad_rays(value, tau, self.cone_of(t))
+                        accumulate(comps.setdefault(t, {}), padded, 1)
+                z = self._from_rays(level, comps)
+                if not z.is_zero():
+                    break
+        else:
+            slots = {t: self.stalk(t) for t in self.level_tuples(level)}
+            found = sample_nonzero_solution(slots, self._d_constraints(level, {}), rng, 3)
+            z = Cochain(self, level, found or {})
+        if z.is_zero():
             raise RuntimeError("could not sample a nonzero cocycle")
-        z = Cochain(self, level, found)
         if not self.is_cocycle(z):
             raise CertificateError(f"sampled level-{level} cochain is not a cocycle")
         return z
@@ -279,20 +275,11 @@ class Cochain:
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check_same_level(other)
         keys = set(self.components) | set(other.components)
-        return Cochain(
-            self.complex,
-            self.level,
-            {t: self.component(t) + other.component(t) for t in keys},
-        )
+        comps = {t: self.component(t) + other.component(t) for t in keys}
+        return Cochain(self.complex, self.level, comps)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        self._check_same_level(other)
-        keys = set(self.components) | set(other.components)
-        return Cochain(
-            self.complex,
-            self.level,
-            {t: self.component(t) - other.component(t) for t in keys},
-        )
+        return self + other.scale(-1)
 
     def scale(self, k: int) -> "Cochain":
         return Cochain(
@@ -324,22 +311,32 @@ class H0Ring:
 
     def cochain(self, components: dict) -> Cochain:
         """Build a level-0 cochain from {max-cone index: element}."""
-        return self.complex.cochain(
-            0, {(i,): val for i, val in components.items()}
-        )
+        return self.complex.cochain(0, {(i,): val for i, val in components.items()})
 
     def membership(self, c: Cochain):
         """(True, None) for members; (False, witness) otherwise, the
-        witness being the first index pair whose restrictions differ."""
+        witness being the first index pair whose restrictions differ.  On
+        a smooth fan, members are those whose tau-part is the same on
+        every maximal cone containing tau."""
         if c.level != 0:
             raise ValueError("membership is about level-0 cochains")
-        if c.complex.top_level == 0:
+        cx = self.complex
+        if cx.top_level == 0 or (self.fan.is_smooth() and self._parts_agree(c)):
             return True, None
-        dc = self.complex.d(c)
-        if dc.is_zero():
-            return True, None
-        t = sorted(dc.components)[0]
-        return False, (t, dc.components[t])
+        for t in cx.level_tuples(1):
+            diff = cx._d_at(c, t)
+            if not diff.is_zero():
+                return False, (t, diff)
+        return True, None
+
+    def _parts_agree(self, c: Cochain) -> bool:
+        first: dict = {}
+        for i, cone in enumerate(self.fan.max_cones):
+            faces = self.fan.faces_of(cone)
+            parts = split_rays(ray_terms(cone, c.component((i,))), cone, faces)
+            if any(first.setdefault(tau, parts.get(tau)) != parts.get(tau) for tau in faces):
+                return False
+        return True
 
     def contains(self, c: Cochain) -> bool:
         return self.membership(c)[0]

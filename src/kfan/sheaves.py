@@ -6,29 +6,27 @@ chains.  Sections over an open subfan are stored on its maximal cones;
 compatibility over pairwise meets pins the whole limit.
 
 The sheaf of interest, ``sheaf_a0``, assigns to each cone sigma the
-group ring Z[M_sigma] of its minimal-orbit character group.  For smooth
-fans it is flasque, and the witnesses are built, not searched for.  A
-smooth cone with rays v_1..v_k has ray coordinates m -> (<m,v_1>, ..,
-<m,v_k>) on M_sigma (``Cone.ray_chart``), in which restriction to a
-face keeps the coordinates of the face's rays.  Compatible data f_tau
-on the proper faces of sigma then lift in closed form, by
-inclusion-exclusion, to
-
-    F = sum over tau < sigma of (-1)^(dim sigma - 1 - dim tau) iota_tau(f_tau),
-
-where iota_tau pads zeros at the rays tau lacks; F restricts to f_T on
-every proper face T (``lift``).  A section over an open subfan extends
-by lifting onto the missing cones in order of dimension.  Elements are
-converted into ray coordinates and back at the boundary; stalks keep
-their normal-form coordinates.  On non-smooth fans, allowed only on
-request, the extension is still searched for by the expanding-support
-solver, and a ``SolverGaveUp`` there is a search failure, never a proof
-that no extension exists.
+group ring Z[M_sigma] of its minimal-orbit character group.  A smooth
+cone with rays v_1..v_k has ray coordinates m -> (<m,v_1>, .., <m,v_k>)
+on M_sigma (``Cone.ray_chart``), in which restriction to a face keeps
+the coordinates of the face's rays, and Z[M_sigma] is the sum over the
+faces tau of sigma of A_tau, the tensor product over the rays of tau of
+(1 - x_i) Z[x_i^+-1]: the tau-part of an element is its restriction to
+tau under the projector prod (1 - eps_i), eps_i setting x_i = 1
+(``split_rays``), and the parts sum back by zero-padding
+(``assemble_rays``).  So on a smooth fan ``sheaf_a0`` is the sum over
+the cones tau of the constant sheaf A_tau on star(tau), and it is
+flasque: a section extends by zero tau-parts on the cones outside its
+domain.  Elements are converted into ray coordinates and back at the
+boundary.  On non-smooth fans, allowed only on request, the extension
+is searched for by the expanding-support solver, and a ``SolverGaveUp``
+there is a search failure, never a proof that no extension exists.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .cones import Cone, Fan, Subfan
 from .intlinalg import (
@@ -42,7 +40,9 @@ from .intlinalg import (
 )
 from .monoids import GroupRingElement
 from .support_solver import (
+    COEFF_BOUND,
     COORD_BOUND,
+    MAX_ATTEMPTS,
     Constraint,
     SolverGaveUp,
     sample_nonzero_solution,
@@ -70,9 +70,9 @@ class FanSheaf:
                 identity_surjection(self.stalk(sigma))
             ):
                 raise CertificateError(f"restriction of {sigma!r} to itself is not the identity")
-        for sigma in fan.cones:
-            for tau in fan.faces_of(sigma):
-                for rho in fan.faces_of(tau):
+        for sigma in fan.cones:  # [:-1] drops the cone itself: identities are checked above
+            for tau in fan.faces_of(sigma)[:-1]:
+                for rho in fan.faces_of(tau)[:-1]:
                     direct = self.restriction(sigma, rho)
                     via = compose(self.restriction(tau, rho), self.restriction(sigma, tau))
                     if not direct.maps_equal(via):
@@ -185,10 +185,10 @@ def ray_terms(cone: Cone, element: GroupRingElement) -> dict[Vec, int]:
 
 
 def from_ray_terms(group: QuotientLattice, cone: Cone, terms: dict) -> GroupRingElement:
-    """The element of ``group``, the stalk at ``cone``, whose terms in
-    the cone's ray coordinates are ``terms``."""
+    """The element of the stalk ``group`` at ``cone`` with these terms in ray
+    coordinates; the unimodular chart gives distinct normal-form keys."""
     _, inverse = cone.ray_chart()
-    return GroupRingElement(group, {inverse.apply(e): k for e, k in terms.items()})
+    return GroupRingElement._normal(group, {inverse.apply(e): k for e, k in terms.items()})
 
 
 def _positions(face: Cone, cone: Cone) -> tuple[int, ...]:
@@ -232,50 +232,51 @@ def accumulate(acc: dict, terms: dict, sign: int) -> None:
             acc.pop(e, None)
 
 
-def _lift_rays(sigma: Cone, faces, values: dict) -> dict:
-    """The closed-form lift in ray coordinates: the signed sum of the
-    padded values over the proper faces of sigma."""
+def _top_part(terms: dict) -> dict:
+    """The projector prod (1 - eps_i) on ray-coordinate terms: x^e goes
+    to prod (x_i^e_i - 1), which is 0 when some e_i is."""
     out: dict = {}
-    for tau in faces:
-        sign = -1 if (sigma.dim - 1 - tau.dim) % 2 else 1
-        accumulate(out, pad_rays(values[tau], tau, sigma), sign)
+    for e, k in terms.items():
+        for keep in product((1, 0), repeat=len(e)) if 0 not in e else ():
+            key = tuple(x * kept for x, kept in zip(e, keep))
+            out[key] = out.get(key, 0) + (k if (len(e) - sum(keep)) % 2 == 0 else -k)
+    return {e: k for e, k in out.items() if k}
+
+
+def split_rays(terms: dict, cone: Cone, faces) -> dict:
+    """The nonzero tau-parts, in tau's ray coordinates, of an element in
+    the cone's: restrict to each face tau, then project onto A_tau."""
+    parts = {tau: _top_part(restrict_rays(terms, cone, tau)) for tau in faces}
+    return {tau: part for tau, part in parts.items() if part}
+
+
+def assemble_rays(parts: dict, cone: Cone) -> dict:
+    """The sum of the zero-padded tau-parts over the faces tau of the
+    cone that have one: the inverse of ``split_rays`` over all faces."""
+    out: dict = {}
+    rays = set(cone.rays)
+    for tau, part in parts.items():
+        if rays.issuperset(tau.rays):
+            accumulate(out, pad_rays(part, tau, cone), 1)
     return out
 
 
-def lift(sheaf: FanSheaf, sigma: Cone, boundary: dict) -> GroupRingElement:
-    """The closed-form lift to a smooth cone of ``sheaf_a0`` data on its
-    proper faces.
-
-    ``boundary`` maps every proper face tau of sigma to an element of
-    Z[M_tau]; when the data are compatible under restriction, the lift
-    F = sum of (-1)^(dim sigma - 1 - dim tau) iota_tau(f_tau) restricts
-    to f_T on every proper face T.  (Restricted to T, the terms of the
-    faces tau meeting T in a given face rho of T carry signs that sum to
-    1 when rho = T and to 0 otherwise.)
-    """
-    fan = sheaf.fan
-    sigma = fan.canonical(sigma)
-    faces = [tau for tau in fan.faces_of(sigma) if tau is not sigma]
-    values = {tau: ray_terms(tau, boundary[tau]) for tau in faces}
-    return from_ray_terms(sheaf.stalk(sigma), sigma, _lift_rays(sigma, faces, values))
+def random_part(tau: Cone, rng: random.Random) -> dict:
+    """The A_tau-part of a random monomial: coordinates in
+    [-COORD_BOUND, COORD_BOUND], coefficient in [-COEFF_BOUND, COEFF_BOUND]."""
+    e = tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in tau.rays)
+    return _top_part({e: rng.randint(-COEFF_BOUND, COEFF_BOUND)})
 
 
 def extend_section(
     section: Section, depth: int = 3, allow_nonsmooth: bool = False
 ) -> Section | SolverGaveUp:
-    """A global section restricting to the given one.
-
-    On a smooth fan the extension is constructed: the section's values
-    on the domain are taken into ray coordinates, each missing cone is
-    added in order of dimension by the closed-form lift of the values
-    on its proper faces, and ``depth`` is ignored.  Non-smooth fans are
-    refused unless explicitly allowed, since nothing guarantees an
-    extension exists there; when allowed, the expanding-support solver
-    searches to the given depth, and a ``SolverGaveUp`` outcome is a
-    search failure, never a proof of nonexistence.  Either way the
-    extension is re-checked: it must be a section and restrict to the
-    given one.
-    """
+    """A global section restricting to the given one, re-checked as
+    both.  On a smooth fan it is built (``_split_extension``) and
+    ``depth`` is ignored.  Non-smooth fans are refused unless allowed,
+    since nothing guarantees an extension there; then the expanding-
+    support solver searches to the given depth, and a ``SolverGaveUp``
+    is a search failure, never a proof of nonexistence."""
     sheaf = section.sheaf
     fan = sheaf.fan
     smooth = fan.is_smooth()
@@ -285,7 +286,7 @@ def extend_section(
         return section
 
     if smooth:
-        extended = _construct_extension(section)
+        extended = _split_extension(section)
     else:
         extended = _search_extension(section, depth)
         if isinstance(extended, SolverGaveUp):
@@ -297,22 +298,21 @@ def extend_section(
     return extended
 
 
-def _construct_extension(section: Section) -> Section:
-    """Lift onto the cones outside the domain in order of dimension."""
+def _split_extension(section: Section) -> Section:
+    """The section on its domain; elsewhere its tau-parts, assembled with
+    zero parts for the cones outside the domain."""
     sheaf = section.sheaf
-    fan = sheaf.fan
-    values: dict = {}
-    for top in section.domain.max_cones():
-        terms = ray_terms(top, section.components[top])
-        for tau in fan.faces_of(top):
-            if tau not in values:
-                values[tau] = restrict_rays(terms, top, tau)
-    for sigma in fan.cones:  # sorted by dimension
-        if sigma not in values:
-            faces = [tau for tau in fan.faces_of(sigma) if tau is not sigma]
-            values[sigma] = _lift_rays(sigma, faces, values)
-    comps = {c: from_ray_terms(sheaf.stalk(c), c, values[c]) for c in fan.max_cones}
-    return Section(sheaf, fan.full_subfan(), comps)
+    parts: dict = {}
+    for top, value in section.components.items():
+        faces = [tau for tau in sheaf.fan.faces_of(top) if tau not in parts]
+        parts.update(split_rays(ray_terms(top, value), top, faces))
+    outside = [c for c in sheaf.fan.max_cones if c not in section.components]
+    comps = {**section.components, **_assembled(sheaf, parts, outside)}
+    return Section(sheaf, sheaf.fan.full_subfan(), comps)
+
+
+def _assembled(sheaf: FanSheaf, parts: dict, cones) -> dict:
+    return {c: from_ray_terms(sheaf.stalk(c), c, assemble_rays(parts, c)) for c in cones}
 
 
 def _search_extension(section: Section, depth: int) -> Section | SolverGaveUp:
@@ -379,25 +379,26 @@ def random_section(
     domain: Subfan,
     rng: random.Random,
 ) -> Section:
-    """Sample a genuine section: a random nonzero solution of the
-    pairwise compatibility equations over random supports on the
-    domain's maximal cones (see ``sample_nonzero_solution``).
-
-    Where every pair of maximal cones meets in a big face (the full P^3
-    fan, say) random lifts rarely close up into a compatible family; if
-    no draw succeeds, the section is the character chi^m on every cone,
-    for a random m, which is always a nonzero section of ``sheaf_a0``."""
+    """A random nonzero section, re-checked.  On a smooth fan, a random
+    tau-part (``random_part``) for each cone tau of the domain, redrawn
+    while all zero; otherwise a random nonzero solution of the pairwise
+    compatibility equations (``sample_nonzero_solution``).  Failing that,
+    chi^m on every cone for a random m."""
+    fan = sheaf.fan
     cones = domain.max_cones()
-    found = sample_nonzero_solution(
-        {i: sheaf.stalk(c) for i, c in enumerate(cones)},
-        _compatibility_constraints(sheaf, cones),
-        rng,
-        extra_points=2,
-    )
-    if found is not None:
-        comps = {c: found[i] for i, c in enumerate(cones)}
+    comps = None
+    if fan.is_smooth():
+        for _ in range(MAX_ATTEMPTS):
+            parts = {tau: random_part(tau, rng) for tau in fan.cones if tau in domain}
+            if any(parts.values()):
+                comps = _assembled(sheaf, parts, cones)
+                break
     else:
-        m = [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(sheaf.fan.lattice.rank)]
+        slots = {i: sheaf.stalk(c) for i, c in enumerate(cones)}
+        found = sample_nonzero_solution(slots, _compatibility_constraints(sheaf, cones), rng, 2)
+        comps = found and {c: found[i] for i, c in enumerate(cones)}
+    if not comps:
+        m = [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(fan.lattice.rank)]
         comps = {c: GroupRingElement.character(sheaf.stalk(c), m) for c in cones}
     section = Section(sheaf, domain, comps)
     if not section.check():

@@ -21,7 +21,8 @@ A failure to solve within the configured depth is reported as
 
 The same equation builder serves sampling: ``sample_nonzero_solution``
 draws a random nonzero solution of the homogeneous system over random
-supports, which is how random cocycles and random sections are made.
+supports: the random cocycles and sections of non-smooth fans.  Smooth
+fans need neither the solver nor the sampler: they split per cone.
 """
 
 from __future__ import annotations
@@ -227,8 +228,8 @@ def solve_pushforward_system(
     return SolverGaveUp(depth, tuple(sizes))
 
 
-# The trial distribution of ``sample_nonzero_solution``: a seed gives
-# the same report only while these stay fixed.
+# The trial distribution of every random draw, per-cone ones included: a
+# seed gives the same report only while these stay fixed.
 POINTS_PER_CONSTRAINT = 3
 COORD_BOUND = 3
 COEFF_BOUND = 5

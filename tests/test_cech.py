@@ -391,6 +391,38 @@ def test_h0_matches_section_check():
         assert ring.contains(c) == ring.as_section(c).check()
 
 
+def test_membership_by_parts_matches_the_differential(monkeypatch):
+    # on smooth fans members are found by their tau-parts, without d; a
+    # non-member still reports the first pair where d(c) is nonzero
+    rng = random.Random(21)
+    seen = set()
+    for fan in (projective_plane(), hirzebruch(2), blowup_p2()):
+        ring = h0(fan)
+        cx = ring.complex
+        for trial in range(12):
+            if trial % 3:
+                z = cx.random_cocycle(0, rng)
+                comps = {i: z.component((i,)) for i in range(len(fan.max_cones))}
+            else:
+                comps = {}
+            i = rng.randrange(len(fan.max_cones))
+            if trial % 3 != 1:
+                extra = GroupRingElement(cx.stalk((i,)), {(rng.randint(-1, 1),) * 2: 1})
+                comps[i] = comps.get(i, GroupRingElement.zero(cx.stalk((i,)))) + extra
+            c = ring.cochain(comps)
+            dc = cx.d(c)
+            first = min(dc.components, default=None)
+            expected = (True, None) if first is None else (False, (first, dc.components[first]))
+            calls = []
+            d = CechComplex.d
+            monkeypatch.setattr(CechComplex, "d", lambda self, c: calls.append(c) or d(self, c))
+            assert ring.membership(c) == expected
+            assert calls == []
+            monkeypatch.undo()
+            seen.add(expected[0])
+    assert seen == {True, False}
+
+
 def test_h0_members_have_constant_augmentation():
     rng = random.Random(55)
     for fan in (projective_plane(), hirzebruch(2)):

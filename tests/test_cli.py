@@ -578,8 +578,13 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     def wrong_solver(slot_groups, constraints, depth):
         return {s: GroupRingElement.zero(g) for s, g in slot_groups.items()}, 0
 
-    def zero_padding(terms, face, cone):
-        return {}
+    def zero_witness(cx, z):
+        return cx.zero_cochain(z.level - 1)
+
+    def zero_extension(section):
+        fan = section.sheaf.fan
+        zero = {c: GroupRingElement.zero(section.sheaf.stalk(c)) for c in fan.max_cones}
+        return sheaves.Section(section.sheaf, fan.full_subfan(), zero)
 
     def wrong_character_tuple(ring, m):
         return ring.cochain({0: GroupRingElement.character(ring.complex.stalk((0,)), m)})
@@ -591,10 +596,10 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
             splitting = intlinalg.IntMatrix.zero(splitting.nrows, splitting.ncols)
         surjection_init(self, source, target, matrix, splitting)
 
-    # smooth fans: iota, the zero-padding that the closed-form lift and
-    # the peeling coboundary are built from, now returns zero
-    cech.pad_rays = zero_padding
-    sheaves.pad_rays = zero_padding
+    # smooth fans: the contraction and the extension by tau-parts now
+    # return zero
+    cech.CechComplex._contract = zero_witness
+    sheaves._split_extension = zero_extension
     # non-smooth fans: the search returns zero
     cech.solve_pushforward_system = wrong_solver
     sheaves.solve_pushforward_system = wrong_solver

@@ -1,11 +1,15 @@
 """Witnesses on smooth fans are constructed, not searched for.
 
-The closed-form lift restricts back to the face data it was given on
-every smooth cone of the fan files; the peeling coboundary solves
-random cocycles at every level, and the extension built from the lift
-restricts back to the section, on random smooth fans (2D blow-ups of
-P1 x P1, P3 and P1 x P1 x P1); neither reaches the solver.  Also: the
-ray charts, and the one-line closed form the peeling uses for b_I.
+In ray coordinates an element splits into tau-parts, one per face, and
+the parts assemble back to it (``split_rays``, ``assemble_rays``); a
+tau-part restricts to 0 on every proper face of tau, and parts taken
+from face data assemble to an element restricting to that data.  The
+contraction solves random cocycles at every level, also those drawn by
+the kernel sampler, and the extension by zero parts restricts back to
+the section, on random smooth fans (2D blow-ups of P1 x P1, P3 and
+P1 x P1 x P1); neither reaches the solver, and after the sheaf is built
+the smooth ``check-*`` commands make no kernel call.  Also: the ray
+charts.
 """
 
 import glob
@@ -16,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kfan import cech, cones, sheaves
+from kfan import cech, cli, cones, intlinalg, monoids, sheaves, support_solver
 from kfan.cech import CechComplex
 from kfan.cones import Cone, Fan
 from kfan.fanfile import build_fan, load_fan_file
@@ -24,16 +28,19 @@ from kfan.intlinalg import CertificateError, IntMatrix, Lattice
 from kfan.monoids import GroupRingElement
 from kfan.sheaves import (
     Section,
+    assemble_rays,
     extend_section,
     from_ray_terms,
-    lift,
     pad_rays,
     random_open_subfan,
     random_section,
     ray_terms,
+    restrict_rays,
     sheaf_a0,
+    split_rays,
 )
 from test_fan_construction import blown_up_p1xp1
+from test_support_solver import kernel_cocycle
 
 HERE = os.path.dirname(__file__)
 FAN_FILES = sorted(
@@ -79,6 +86,16 @@ def no_solver(monkeypatch):
 SMOOTH_FILES = [p for p in FAN_FILES if load(p).is_smooth()]
 
 
+def assembled_from_faces(sheaf, sigma, known: dict) -> GroupRingElement:
+    """The element of Z[M_sigma] whose tau-part, for each face tau of
+    sigma in ``known``, is the tau-part of known[tau], and zero for the
+    other faces."""
+    parts = {}
+    for tau, value in known.items():
+        parts.update(split_rays(ray_terms(tau, value), tau, [tau]))
+    return from_ray_terms(sheaf.stalk(sigma), sigma, assemble_rays(parts, sigma))
+
+
 @pytest.mark.parametrize("path", SMOOTH_FILES, ids=os.path.basename)
 @SETTINGS
 @given(seed=st.integers(0, 2**32))
@@ -93,7 +110,7 @@ def test_lift_restricts_to_the_face_data(path, seed):
             for tau in fan.faces_of(sigma)
             if tau != sigma
         }
-        f = lift(sheaf, sigma, boundary)
+        f = assembled_from_faces(sheaf, sigma, boundary)
         assert f.group == sheaf.stalk(sigma)
         for tau, value in boundary.items():
             assert f.pushforward(sheaf.restriction(sigma, tau)) == value
@@ -108,7 +125,7 @@ def random_smooth_fans():
 
 @RANDOM_FANS
 @given(fan=random_smooth_fans(), seed=st.integers(0, 2**32))
-def test_peeling_solves_cocycles_at_every_level(no_solver, fan, seed):
+def test_contraction_solves_cocycles_at_every_level(no_solver, fan, seed):
     assert fan.is_smooth()
     rng = random.Random(seed)
     cx = CechComplex(fan)
@@ -134,21 +151,10 @@ def test_extension_restricts_to_the_section(no_solver, fan, seed):
         assert extended.restrict(domain) == section
 
 
-def closed_form_extension(sheaf, sigma, known: dict) -> GroupRingElement:
-    """Extend data given on an open set of the faces of sigma by lifting
-    onto the missing faces in order of dimension."""
-    values = dict(known)
-    for tau in sheaf.fan.faces_of(sigma):  # sorted by dimension
-        if tau not in values:
-            faces = [rho for rho in sheaf.fan.faces_of(tau) if rho != tau]
-            values[tau] = lift(sheaf, tau, {rho: values[rho] for rho in faces})
-    return values[sigma]
-
-
 @pytest.mark.parametrize("name", ["p3", "p1xp1xp1"])
 def test_lift_with_zero_data_off_a_face_is_the_padding(name):
-    # the peeling step: data x on the faces of A and zero on the faces of
-    # a facet B of sigma, with x zero on A n B, lift to iota(x)
+    # data x on the faces of A and zero on the faces of a facet B of
+    # sigma, with x zero on A n B, assemble to iota(x)
     fan = bench_fan(name)
     sheaf = sheaf_a0(fan)
     rng = random.Random(3)
@@ -167,7 +173,7 @@ def test_lift_with_zero_data_off_a_face_is_the_padding(name):
                     assert tau not in known or pushed == known[tau]
                     known[tau] = pushed
                 padded = from_ray_terms(sheaf.stalk(sigma), sigma, pad_rays(ray_terms(a, x), a, sigma))
-                assert closed_form_extension(sheaf, sigma, known) == padded
+                assert assembled_from_faces(sheaf, sigma, known) == padded
                 checked += 1
     assert checked > 20
 
@@ -220,3 +226,97 @@ def test_smoothness_is_decided_once_per_cone(monkeypatch):
     for _ in range(3):
         assert fan.is_smooth()
     assert len(calls) == len(fan.max_cones)
+
+
+@pytest.mark.parametrize("path", ["fans/p2.json", "bench/fans/f1.json", "bench/fans/p3.json",
+                                  "bench/fans/p1xp1xp1.json"])
+def test_the_contraction_solves_kernel_sampled_cocycles(no_solver, path):
+    # an independent check: these cocycles come from the whole system
+    # d(z) = 0, not from the per-cone split the contraction is built on
+    cx = CechComplex(load(os.path.join(HERE, os.pardir, path)))
+    for level in (1, 2):
+        rng = random.Random(level)
+        for _ in range(2):
+            z = kernel_cocycle(cx, level, rng)
+            assert not z.is_zero() and cx.is_cocycle(z)
+            b = cx.solve_coboundary(z)
+            assert cx.d(b) == z
+
+
+def all_parts(terms: dict, cone, fan) -> dict:
+    return split_rays(terms, cone, fan.faces_of(cone))
+
+
+@RANDOM_FANS
+@given(fan=random_smooth_fans(), seed=st.integers(0, 2**32))
+def test_assembling_the_split_gives_back_cocycles_and_sections(fan, seed):
+    rng = random.Random(seed)
+    cx = CechComplex(fan)
+    for level in range(min(cx.top_level, 2) + 1):
+        z = cx.random_cocycle(level, rng)
+        for t, value in z.components.items():
+            cone = cx.cone_of(t)
+            terms = ray_terms(cone, value)
+            assert assemble_rays(all_parts(terms, cone, fan), cone) == terms
+    sheaf = sheaf_a0(fan)
+    section = random_section(sheaf, random_open_subfan(fan, rng), rng)
+    for cone, value in section.components.items():
+        terms = ray_terms(cone, value)
+        assert assemble_rays(all_parts(terms, cone, fan), cone) == terms
+
+
+@RANDOM_FANS
+@given(fan=random_smooth_fans(), seed=st.integers(0, 2**32))
+def test_a_part_restricts_to_zero_on_the_proper_faces(fan, seed):
+    rng = random.Random(seed)
+    sheaf = sheaf_a0(fan)
+    for sigma in fan.max_cones:
+        terms = ray_terms(sigma, random_element(sheaf.stalk(sigma), rng))
+        for tau, part in all_parts(terms, sigma, fan).items():
+            assert part
+            for rho in fan.faces_of(tau):
+                if rho != tau:
+                    assert restrict_rays(part, tau, rho) == {}
+
+
+@pytest.mark.parametrize("name", ["f1", "p3", "p1xp1xp1"])
+def test_smooth_checks_make_no_kernel_call_after_the_build(monkeypatch, name):
+    # a count, not a timing: once the sheaf's stalks are built, sampling
+    # and solving on a smooth fan reduce no integer system
+    built, calls = [], []
+
+    def after_build(f):
+        def wrapped(*args, **kwargs):
+            out = f(*args, **kwargs)
+            built.append(True)
+            return out
+
+        return wrapped
+
+    def counted(label, f):
+        def wrapped(*args, **kwargs):
+            if built:
+                calls.append(label)
+            return f(*args, **kwargs)
+
+        return wrapped
+
+    for module in (cech, cli):
+        monkeypatch.setattr(module, "sheaf_a0", after_build(module.sheaf_a0))
+    for module in (intlinalg, cones, monoids, support_solver):
+        monkeypatch.setattr(module, "kernel", counted("kernel", module.kernel))
+    for module in (cech, sheaves):
+        monkeypatch.setattr(
+            module,
+            "sample_nonzero_solution",
+            counted("sample_nonzero_solution", module.sample_nonzero_solution),
+        )
+    path = os.path.join(HERE, os.pardir, "bench", "fans", f"{name}.json")
+    for argv in (
+        ["check-exactness", path, "--level", "1", "--trials", "3"],
+        ["check-exactness", path, "--level", "2", "--trials", "3"],
+        ["check-flasque", path, "--trials", "5"],
+    ):
+        built.clear()  # each command loads its fan again
+        assert cli.main(argv + ["--json"]) == 0
+        assert built and calls == []

@@ -1,16 +1,15 @@
 """Same-seed reports must not change across refactors.
 
 Each file in ``tests/golden/`` is the ``--json`` output of the command
-listed here.  The ``check-*`` reports were regenerated when witnesses on
-smooth fans came to be constructed (closed-form lift, peeling
-coboundary) instead of searched for: only the ``coboundary`` and
-``extension`` certificates and ``witness_support`` changed then.  The
-``k0-global`` reports were captured before fan meets became ray-set
-lookups.  The P1xP1xP1 and P3 reports, whose sampled systems are the
-largest, were captured before the Smith reduction began to skip zero
-entries and to update one row per column step after a column clear.
-A change meant to alter these reports must say so and
-regenerate them from the repository root with
+listed here.  The 12 ``check-*`` reports were regenerated when smooth
+fans came to be split per cone: cocycles and sections are drawn per
+cone (no longer as kernel elements of the whole system), witnesses are
+the contraction and the extension by zero parts, and the results gain a
+``split`` line; so the sampled data, the certificates and the supports
+all changed then.  The ``k0-global`` reports did not change: membership
+by tau-parts gives the same answers and witnesses.  They were captured
+before fan meets became ray-set lookups.  A change meant to alter these
+reports must say so and regenerate them from the repository root with
 
     PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json
 """

@@ -21,6 +21,20 @@ def _slot_pairs(constraints) -> int:
     return sum(k * (k - 1) // 2 for k in per_slot.values())
 
 
+def kernel_cocycle(cx, level, rng) -> Cochain:
+    """A random level-``level`` cocycle drawn by the kernel sampler, with
+    the arguments ``random_cocycle`` passes it on non-smooth fans, also
+    on a smooth fan."""
+    found = support_solver.sample_nonzero_solution(
+        {t: cx.stalk(t) for t in cx.level_tuples(level)},
+        cx._d_constraints(level, {}),
+        rng,
+        extra_points=3,
+    )
+    assert found is not None
+    return Cochain(cx, level, found)
+
+
 def test_expand_reduces_each_stacked_pair_once(monkeypatch):
     reductions, solves, rounds = [], [], []
     reduce, solve_with = support_solver.smith_with_inverses, support_solver.solve_factored
@@ -51,7 +65,7 @@ def test_expand_reduces_each_stacked_pair_once(monkeypatch):
         for level in (1, 2):
             rng = random.Random(level)
             for _ in range(3):
-                z = cx.random_cocycle(level, rng)
+                z = kernel_cocycle(cx, level, rng)
                 outcome = support_solver.solve_pushforward_system(
                     {s: cx.stalk(s) for s in cx.level_tuples(level - 1)},
                     cx._d_constraints(level - 1, z.components),
