@@ -1,11 +1,11 @@
 """Strongly convex rational polyhedral cones and fans.
 
 A cone carries both descriptions -- primitive extreme rays and integer
-facet inequalities -- cross-checked at construction, since faces want
-the inequality side and duals want the generator side.  A cross-check
-that fails raises ``CertificateError``, so it holds under ``python -O``.
-Fans are finite face-closed collections of cones; their subfans are the
-open sets of the poset topology used by the sheaf layer.
+facet inequalities -- certified at construction, since faces want the
+inequality side and duals want the generator side.  A check that fails
+raises ``CertificateError``, so it holds under ``python -O``.  Fans are
+finite face-closed collections of cones; their subfans are the open
+sets of the poset topology used by the sheaf layer.
 
 The double-description step enumerates candidate facet normals from
 subsets of rays, which is exact and entirely adequate at the ambient
@@ -16,13 +16,21 @@ every rank test is a fraction-free elimination (``intlinalg.rank``), so
 a Smith reduction runs only to find the lineality of an input that does
 not span the space.
 
+Most cones need less.  On linearly independent rays the facets are the
+normals of the other rays, and a diagonal pairing matrix with a
+positive diagonal certifies them (``Cone._simplicial``); only dependent
+rays take a second double description back to rays and its
+cross-checks.
+
 Faces need no double description of their own to be found: a face is
 spanned by the rays of the cone that are tight on a set of its facets,
 so ``_face_rays`` lists every face as a sorted ray tuple, for both
 ``Cone.faces`` and ``Fan``.  A fan builds each distinct face once, from
 that tuple, and every maximal cone containing the face shares the
-instance; checking that two maximal cones meet in a common face takes
-one double description per pair.
+instance.  Two maximal cones meet in a common face when a functional
+built from one cone's facets separates them (``_separates``, the
+separation lemma); a pair it does not settle takes one double
+description of both cones' facets.
 """
 
 from __future__ import annotations
@@ -164,6 +172,8 @@ class Cone:
         prim = _unique_primitives(rays)
         if any(len(r) != n for r in prim):
             raise ValueError("ray length does not match the lattice rank")
+        if matrix_rank(IntMatrix(prim, ncols=n)) == len(prim):
+            return cls._simplicial(lattice, prim)
         lin, pnt = dual_ray_generators(prim, n)
         facets = list(pnt)
         for l in lin:
@@ -187,6 +197,53 @@ class Cone:
                     f"facet {u} of the cone on {prim} is not tight on rank {dim - 1}"
                 )
         return cone
+
+    @classmethod
+    def _simplicial(cls, lattice: Lattice, prim: list[Vec]) -> "Cone":
+        """The cone on linearly independent primitive rays r_1..r_d,
+        certified by dot products instead of a second double description.
+
+        The facets are the normals u_i of the rays without r_i stacked
+        on the lineality basis L (a kernel basis of the rays), signed so
+        that u_i.r_i > 0: the subsets the double description enumerates
+        for these rays, so the facets are the ones it finds.  The check:
+        the pairing matrix (u_i.r_j) is diagonal with a positive
+        diagonal, each u_i vanishes on L, and L vanishes on the rays.
+        Then the r_j and L form a basis of Q^n, and writing x in it
+        shows that {x : u_i.x >= 0, L.x = 0} is exactly cone(r_j); each
+        u_i is tight on the d - 1 independent rays r_j, j != i; and the
+        u_i with L span Q^n, so the cone contains no line.  A failure
+        raises ``CertificateError``.
+        """
+        n = lattice.rank
+        lin = kernel(IntMatrix(prim, ncols=n)).rows if len(prim) < n else ()
+        if len(lin) != n - len(prim):
+            raise CertificateError(
+                f"rank {len(prim)} and kernel rank {len(lin)} disagree in Z^{n}"
+            )
+        facets = []
+        for i, r in enumerate(prim):
+            u = normal_vector(IntMatrix._trusted(tuple(prim[:i] + prim[i + 1:]) + lin, n))
+            if u is None:
+                raise CertificateError(f"the rays {prim} and their lineality are dependent")
+            facets.append(u if dot(u, r) > 0 else vec_neg(u))
+        for i, u in enumerate(facets):
+            pairing = [dot(u, r) for r in prim]
+            if (
+                pairing[i] <= 0
+                or any(pairing[:i])
+                or any(pairing[i + 1:])
+                or any(dot(u, l) for l in lin)
+            ):
+                raise CertificateError(
+                    f"facet {u} of the cone on {prim} fails the pairing check"
+                )
+        if any(dot(l, r) for l in lin for r in prim):
+            raise CertificateError(f"the lineality of the cone on {prim} meets its rays")
+        for l in lin:
+            facets.append(l)
+            facets.append(vec_neg(l))
+        return cls(lattice, prim, facets, n - len(lin), pointed=True)
 
     def _proper_facets(self) -> list[Vec]:
         fs = set(self.facets)
@@ -325,6 +382,26 @@ def _face_rays(cone: Cone) -> set[tuple[Vec, ...]]:
     return faces
 
 
+def _separates(facets: list[Vec], shared: tuple[Vec, ...], rays: tuple[Vec, ...]) -> bool:
+    """Does the sum u of the ``facets`` of a cone a that vanish on
+    ``shared`` weigh every one of ``rays`` outside ``shared`` negatively?
+
+    ``shared`` must be the ray tuple of a face of a, and ``facets`` a's
+    proper facets.  Then u >= 0 on a, and u is zero on a exactly on
+    cone(shared).  If u < 0 on every other ray of a cone b, a point of
+    both cones is a combination of b's rays with u >= 0 on it, so it
+    uses the shared rays only: a meets b in cone(shared), which is a
+    face of b too, the one where -u >= 0 on b vanishes.  This is the
+    separation lemma (Fulton, Introduction to Toric Varieties, 1.2;
+    Cox-Little-Schenck, Lemma 1.2.13).
+    """
+    tight = [f for f in facets if not any(dot(f, r) for r in shared)]
+    if not tight:
+        return False  # no functional to try: the double description decides
+    u = tuple(map(sum, zip(*tight)))
+    return all(dot(u, r) < 0 for r in rays if r not in shared)
+
+
 def zero_cone(lattice: Lattice) -> Cone:
     return Cone.from_rays(lattice, [])
 
@@ -356,8 +433,13 @@ class Fan:
         Input cones that repeat another or are a proper face of another
         are dropped; the rest keep their order as ``max_cones``.  Every
         pair of maximal cones must meet in a common face (else
-        ``NotAFan``): one double description of the pair's facets gives
-        the meet's rays, which must be the ray tuple of a face of each.
+        ``NotAFan``).  When the rays the pair shares span a face of one
+        cone and a sum of its facets separates the other's remaining
+        rays (``_separates``), the meet is that face, and a face of the
+        other cone too.  Otherwise one double description of the pair's
+        facets gives the meet's rays, which must be the ray tuple of a
+        face of each; it would accept every pair the separation accepts,
+        so ``NotAFan`` names the same pair either way.
 
         Each distinct face is built once, by ``Cone.from_rays`` on its
         sorted ray tuple, and is shared by every maximal cone that has
@@ -380,9 +462,18 @@ class Fan:
             for rays, c in distinct.items()
             if not any(rays != other and rays in fs for other, fs in face_rays.items())
         ]
+        proper = {c.rays: c._proper_facets() for c in maximal}
         for i, a in enumerate(maximal):
             for j in range(i + 1, len(maximal)):
                 b = maximal[j]
+                inside = set(b.rays)
+                shared = tuple(r for r in a.rays if r in inside)
+                if (
+                    shared in face_rays[a.rays] and _separates(proper[a.rays], shared, b.rays)
+                ) or (
+                    shared in face_rays[b.rays] and _separates(proper[b.rays], shared, a.rays)
+                ):
+                    continue
                 lin, rays = dual_ray_generators(a.facets + b.facets, lattice.rank)
                 meet = tuple(rays)
                 if lin or meet not in face_rays[a.rays] or meet not in face_rays[b.rays]:

@@ -1,5 +1,5 @@
-"""The consistency checks of ``intlinalg`` and ``monoids`` raise, also
-under ``python -O``.
+"""The consistency checks of ``intlinalg``, ``cones`` and ``monoids``
+raise, also under ``python -O``.
 
 Most of these checks cannot fail on valid input, so the cases below
 reach them by handing a private function an input it never gets, by
@@ -18,7 +18,7 @@ CASES_SCRIPT = r'''
 from contextlib import contextmanager
 from fractions import Fraction
 
-from kfan import intlinalg, monoids
+from kfan import cones, intlinalg, monoids
 from kfan.cones import Cone
 from kfan.intlinalg import IntMatrix, Lattice, quotient
 from kfan.monoids import AffineMonoid
@@ -104,6 +104,29 @@ def contains_not_pointed():
     monoid.contains((1,))
 
 
+QUADRANT = [(1, 0), (0, 1)]
+
+
+def simplicial_facet_not_tight():
+    with patched(cones, "normal_vector", lambda a: (1, 1)):
+        Cone.from_rays(Lattice(2), QUADRANT)
+
+
+def simplicial_facet_tight_on_its_ray():
+    with patched(cones, "normal_vector", lambda a: (0, 1)):
+        Cone.from_rays(Lattice(2), QUADRANT)
+
+
+def simplicial_facet_off_the_span():
+    with patched(cones, "normal_vector", lambda a: (1, 1)):
+        Cone.from_rays(Lattice(2), [(1, 0)])
+
+
+def simplicial_lineality_meets_rays():
+    with patched(cones, "kernel", lambda a: IntMatrix([[1, 1]])):
+        Cone.from_rays(Lattice(2), [(1, 0)])
+
+
 CASES = {
     fn.__name__: fn
     for fn in (
@@ -118,6 +141,10 @@ CASES = {
         pointed_hilbert_basis_low_dimension,
         contains_torsion_image,
         contains_not_pointed,
+        simplicial_facet_not_tight,
+        simplicial_facet_tight_on_its_ray,
+        simplicial_facet_off_the_span,
+        simplicial_lineality_meets_rays,
     )
 }
 
@@ -143,6 +170,10 @@ EXPECTED = {
     "pointed_hilbert_basis_low_dimension": "CertificateError",
     "contains_torsion_image": "CertificateError",
     "contains_not_pointed": "CertificateError",
+    "simplicial_facet_not_tight": "CertificateError",
+    "simplicial_facet_tight_on_its_ray": "CertificateError",
+    "simplicial_facet_off_the_span": "CertificateError",
+    "simplicial_lineality_meets_rays": "CertificateError",
 }
 
 

@@ -604,7 +604,7 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     cech.solve_pushforward_system = wrong_solver
     sheaves.solve_pushforward_system = wrong_solver
     cech.H0Ring.character_tuple = wrong_character_tuple
-    path, nonsmooth = sys.argv[1], sys.argv[2]
+    path, nonsmooth, square = sys.argv[1:]
     print(main(["check-exactness", path, "--level", "1", "--trials", "2"]))
     print(main(["check-flasque", path, "--trials", "2"]))
     print(main(["check-flasque", nonsmooth, "--trials", "2", "--experimental-nonsmooth"]))
@@ -618,10 +618,21 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
         lin, rays = dual_ray_generators(vectors, rank)
         return lin + [(1,) + (0,) * (rank - 1)], rays
 
+    # the double descriptions run on the square's four dependent rays
     cones.dual_ray_generators = spurious_lineality
+    print(main(["info", square]))
+    cones.dual_ray_generators = dual_ray_generators
+    # independent rays take the pairing check instead
+    cones.normal_vector = lambda a: (1,) * a.ncols
     print(main(["info", path]))
     """
 )
+
+SQUARE_CONE = {
+    "lattice_rank": 3,
+    "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+    "max_cones": [[0, 1, 2, 3]],
+}
 
 
 def test_wrong_witness_is_caught_under_python_O(fanfile):
@@ -636,6 +647,7 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
             WRONG_SOLVER_SCRIPT,
             fanfile(P2),
             fanfile(WEIGHTED_P2, name="weighted.json"),
+            fanfile(SQUARE_CONE, name="square.json"),
         ],
         capture_output=True,
         text=True,
@@ -643,11 +655,12 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "1", "1", "1", "1", "1"]
-    assert proc.stderr.count("certificate failed its re-check") == 6
+    assert proc.stdout.split() == ["1"] * 7
+    assert proc.stderr.count("certificate failed its re-check") == 7
     assert "witness fails d(b) = z" in proc.stderr
     assert proc.stderr.count("extension does not restrict") + proc.stderr.count(
         "extension is not a global section"
     ) == 2
     assert "splitting is not a right inverse" in proc.stderr
     assert "cut out a line" in proc.stderr
+    assert "fails the pairing check" in proc.stderr

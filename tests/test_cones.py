@@ -229,9 +229,60 @@ def patch_dual_ray_generators(monkeypatch, call, corrupt):
     ],
 )
 def test_from_rays_cross_checks_raise(monkeypatch, call, corrupt, message):
+    # the redundant ray (1, 1) makes the input dependent, so the double
+    # descriptions run: independent rays take the pairing check instead
     patch_dual_ray_generators(monkeypatch, call, corrupt)
     with pytest.raises(CertificateError, match=message):
-        Cone.from_rays(Z2, [(1, 0), (0, 1)])
+        Cone.from_rays(Z2, [(1, 0), (0, 1), (1, 1)])
+
+
+SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "call, corrupt, message",
+    [
+        (1, lambda lin, rays: (lin + [(1, 0, 0)], rays), "cut out a line"),
+        (0, lambda lin, rays: (lin, rays + [(1, 1, -2)]), "violates a facet"),
+        (1, lambda lin, rays: (lin, rays[:3]), "is not tight on rank 2"),
+    ],
+    ids=["line", "violated", "not-tight"],
+)
+def test_from_rays_cross_checks_raise_on_the_square(monkeypatch, call, corrupt, message):
+    patch_dual_ray_generators(monkeypatch, call, corrupt)
+    with pytest.raises(CertificateError, match=message):
+        Cone.from_rays(Z3, SQUARE)
+
+
+def test_independent_rays_run_no_double_description(monkeypatch):
+    def refuse(vectors, rank):
+        raise AssertionError("a double description ran")
+
+    monkeypatch.setattr(cones, "dual_ray_generators", refuse)
+    cone = Cone.from_rays(Z3, [(1, 1, 0), (0, 1, 0)])
+    assert cone.rays == ((0, 1, 0), (1, 1, 0)) and cone.dim == 2
+    assert cone.facets == ((-1, 1, 0), (0, 0, -1), (0, 0, 1), (1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "name, value, rays, message",
+    [
+        # not tight on the other ray: off the diagonal of the pairing
+        ("normal_vector", lambda a: (1, 1), [(1, 0), (0, 1)], "fails the pairing check"),
+        # tight on its own ray: zero on the diagonal
+        ("normal_vector", lambda a: (0, 1), [(1, 0), (0, 1)], "fails the pairing check"),
+        # a facet of a ray that does not vanish on the lineality
+        ("normal_vector", lambda a: (1, 1), [(1, 0)], "fails the pairing check"),
+        ("normal_vector", lambda a: None, [(1, 0), (0, 1)], "are dependent"),
+        ("kernel", lambda a: IntMatrix([[1, 1]]), [(1, 0)], "meets its rays"),
+        ("kernel", lambda a: IntMatrix([], ncols=2), [(1, 0)], "kernel rank 0 disagree"),
+    ],
+    ids=["off-diagonal", "zero-diagonal", "off-the-span", "dependent", "lineality", "kernel-rank"],
+)
+def test_pairing_check_raises(monkeypatch, name, value, rays, message):
+    monkeypatch.setattr(cones, name, value)
+    with pytest.raises(CertificateError, match=message):
+        Cone.from_rays(Z2, rays)
 
 
 @pytest.mark.parametrize("scale", [0, 2])

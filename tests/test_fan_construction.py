@@ -1,24 +1,43 @@
 """Fan construction against a reference, call counts and reordering.
 
-``reference_fan`` is the plain construction: every maximal cone builds
-its own faces with ``Cone.faces()``, faces are merged by equality, and
-each pair of maximal cones is checked with ``Cone.intersection``.
-``Fan.from_max_cones`` builds each face once from a shared table and
-must give the same cones (rays, facets and dimension), maximal cones
-and face lists.
+``reference_cone`` is the plain cone construction: two double
+descriptions (rays to facets, facets back to rays) and every
+cross-check between them, for every input.  ``Cone.from_rays`` takes
+that path only for dependent rays; independent ones are certified by
+their pairing matrix, and must give the same cones.
+
+``reference_fan`` is the plain fan construction on top of it: every
+maximal cone builds its own faces, faces are merged by equality, and
+each pair of maximal cones is checked with a double description of
+their facets.  ``Fan.from_max_cones`` builds each face once from a
+shared table, skips the double description of a pair that a separating
+functional certifies, and must give the same cones (rays, facets,
+dimension), maximal cones and face lists, or ``NotAFan`` on the same
+pair.
 """
 
 import glob
 import os
 import random
+import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kfan.cones import Cone, Fan, NotAFan, zero_cone
+from kfan import cones
+from kfan.cones import (
+    MAX_RANK,
+    Cone,
+    Fan,
+    NotAFan,
+    NotStronglyConvex,
+    _face_rays,
+    dual_ray_generators,
+    primitive,
+)
 from kfan.fanfile import load_fan_file
-from kfan.intlinalg import Lattice
+from kfan.intlinalg import CertificateError, IntMatrix, Lattice, dot, rank, vec_neg
 
 Z2, Z3 = Lattice(2), Lattice(3)
 HERE = os.path.dirname(__file__)
@@ -31,37 +50,72 @@ SETTINGS = settings(
 )
 
 
+def reference_cone(lattice, rays):
+    """The cone on ``rays`` by two double descriptions and every
+    cross-check between them (rays violating a facet, facets not tight
+    on a ridge's worth of rays)."""
+    n = lattice.rank
+    prim = list(dict.fromkeys(p for p in map(primitive, rays) if p is not None))
+    lin, pointed = dual_ray_generators(prim, n)
+    facets = pointed + [v for l in lin for v in (l, vec_neg(l))]
+    if rank(IntMatrix(facets, ncols=n)) < n:
+        raise NotStronglyConvex(f"cone on {prim} contains a line")
+    dual_lin, extreme = dual_ray_generators(facets, n)
+    if dual_lin:
+        raise CertificateError("the facets cut out a line")
+    dim = n - len(lin)
+    cone = Cone(lattice, extreme, facets, dim, pointed=True)
+    if not all(cone.contains(r) for r in prim):
+        raise CertificateError("a ray violates a facet")
+    for u in cone.facets:
+        if vec_neg(u) not in cone.facets:
+            tight = [r for r in extreme if dot(u, r) == 0]
+            if rank(IntMatrix(tight, ncols=n)) != dim - 1:
+                raise CertificateError("a facet is not tight on a ridge")
+    return cone
+
+
+def reference_faces(cone):
+    faces = (reference_cone(cone.lattice, t) for t in _face_rays(cone))
+    return sorted(faces, key=lambda c: (c.dim, c.rays))
+
+
 def reference_fan(lattice, given):
     """(cones, max_cones, faces_of) of the fan of ``given``, or NotAFan."""
+    faces = {c: reference_faces(c) for c in given}
     maximal = []
     for c in given:
-        if any(c != d and c in d.faces() for d in given):
+        if any(c != d and c in faces[d] for d in given):
             continue
         if c not in maximal:
             maximal.append(c)
     for i in range(len(maximal)):
         for j in range(i + 1, len(maximal)):
-            meet = maximal[i].intersection(maximal[j])
-            if not (meet in maximal[i].faces() and meet in maximal[j].faces()):
+            a, b = maximal[i], maximal[j]
+            lin, rays = dual_ray_generators(a.facets + b.facets, lattice.rank)
+            if lin:
+                raise CertificateError("the meet of two strongly convex cones contains a line")
+            meet = reference_cone(lattice, rays)
+            if not (meet in faces[a] and meet in faces[b]):
                 raise NotAFan(i, j)
     collected = {}
     for c in maximal:
-        for f in c.faces():
+        for f in faces[c]:
             collected.setdefault(f, f)
-    z = zero_cone(lattice)
+    z = reference_cone(lattice, [])
     collected.setdefault(z, z)
     if not maximal:
         maximal = [collected[z]]
     cones = sorted(collected.values(), key=lambda c: (c.dim, c.rays))
     canon = {c: c for c in cones}
-    faces_of = [tuple(canon[f] for f in c.faces()) for c in cones]
+    faces_of = [tuple(canon[f] for f in reference_faces(c)) for c in cones]
     return cones, [canon[c] for c in maximal], faces_of
 
 
 def tables(cones, max_cones, faces_of):
     """Everything a fan reports, as plain data."""
     return (
-        [(c.rays, c.facets, c.dim) for c in cones],
+        [(c.rays, c.facets, c.dim, c.pointed) for c in cones],
         [c.rays for c in max_cones],
         [[f.rays for f in fs] for fs in faces_of],
     )
@@ -71,19 +125,63 @@ def fan_tables(fan):
     return tables(fan.cones, fan.max_cones, [fan.faces_of(c) for c in fan.cones])
 
 
-def given_cones(lattice, rays, max_cone_indices):
-    return [Cone.from_rays(lattice, [rays[i] for i in idxs]) for idxs in max_cone_indices]
+def given_cones(lattice, rays, max_cone_indices, build=None):
+    build = build or Cone.from_rays
+    return [build(lattice, [rays[i] for i in idxs]) for idxs in max_cone_indices]
+
+
+def reference_given(lattice, rays, max_cone_indices):
+    return given_cones(lattice, rays, max_cone_indices, build=reference_cone)
 
 
 def assert_matches_reference(lattice, rays, max_cone_indices):
-    # separate instances, so that no face cache is shared between the two
-    expected = tables(*reference_fan(lattice, given_cones(lattice, rays, max_cone_indices)))
+    expected = tables(*reference_fan(lattice, reference_given(lattice, rays, max_cone_indices)))
     fan = Fan.from_max_cones(lattice, given_cones(lattice, rays, max_cone_indices))
     assert fan_tables(fan) == expected
     for c in fan.cones:
         assert all(f is fan.cones[fan.index_of(f)] for f in fan.faces_of(c))
     assert all(c is fan.cones[fan.index_of(c)] for c in fan.max_cones)
     return fan
+
+
+def cone_outcome(build, lattice, rays):
+    try:
+        cone = build(lattice, rays)
+    except NotStronglyConvex:
+        return NotStronglyConvex
+    return cone.rays, cone.facets, cone.dim, cone.pointed
+
+
+@st.composite
+def ray_lists(draw):
+    """Up to n random rays in Z^n, n <= 4, in random order, and as
+    drawn no other ray, the sum of two of them (dependent rays) or the
+    negative of one (a line)."""
+    n = draw(st.integers(1, MAX_RANK))
+    rays = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=n))
+    extra = draw(st.sampled_from(["none", "sum", "negative"])) if rays else "none"
+    if extra != "none":
+        a, b = (rays[draw(st.integers(0, len(rays) - 1))] for _ in range(2))
+        rays.append(tuple(x + y for x, y in zip(a, b)) if extra == "sum" else vec_neg(a))
+    return Lattice(n), draw(st.permutations(rays))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ray_lists())
+# full-dimensional simplicial; the square (not simplicial); a redundant
+# ray; lower-dimensional, in an order whose lineality basis differs from
+# the sorted order's; a line; the zero cone
+@example((Z3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)]))
+@example((Z3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]))
+@example((Z2, [(1, 0), (1, 1), (0, 1)]))
+@example((Lattice(4), [(1, -1, -2, 2), (-2, -2, 2, -1)]))
+@example((Lattice(4), [(-2, -2, 2, -1), (1, -1, -2, 2), (0, 0, 0, 1)]))
+@example((Z2, [(1, 0), (0, 1), (-1, 0)]))
+@example((Z3, []))
+def test_from_rays_matches_the_two_double_descriptions(data):
+    lattice, rays = data
+    expected = cone_outcome(reference_cone, lattice, rays)
+    assert cone_outcome(Cone.from_rays, lattice, rays) == expected
 
 
 def load(path):
@@ -142,7 +240,7 @@ def test_overlapping_2d_cones_are_not_a_fan():
     # the pair indexes the maximal cones, after the ray (a face) is dropped
     for indices in ([[0, 1], [2, 3]], [[0, 1], [0], [2, 3]]):
         with pytest.raises(NotAFan) as ref:
-            reference_fan(Z2, given_cones(Z2, rays, indices))
+            reference_fan(Z2, reference_given(Z2, rays, indices))
         with pytest.raises(NotAFan) as ei:
             Fan.from_max_cones(Z2, given_cones(Z2, rays, indices))
         assert ei.value.pair == ref.value.pair == (0, 1)
@@ -158,7 +256,7 @@ def test_cones_sharing_a_diagonal_of_a_square_are_not_a_fan():
     ).faces()
     for indices in ([square, other], [other, square]):
         with pytest.raises(NotAFan) as ref:
-            reference_fan(Z3, given_cones(Z3, rays, indices))
+            reference_fan(Z3, reference_given(Z3, rays, indices))
         with pytest.raises(NotAFan) as ei:
             Fan.from_max_cones(Z3, given_cones(Z3, rays, indices))
         assert ei.value.pair == ref.value.pair == (0, 1)
@@ -227,3 +325,98 @@ def test_reordering_random_2d_fans_keeps_cones_and_faces(fan_data, rng):
     rays, indices = fan_data
     expected = cones_and_faces(Fan.from_rays_and_indices(Z2, rays, indices))
     assert cones_and_faces(Fan.from_rays_and_indices(Z2, rays, permuted(indices, rng))) == expected
+
+
+def fan_outcome(lattice, rays, indices):
+    try:
+        return fan_tables(Fan.from_rays_and_indices(lattice, rays, indices))
+    except NotAFan as e:
+        return NotAFan, e.pair
+    except NotStronglyConvex:
+        return NotStronglyConvex
+
+
+def reference_outcome(lattice, rays, indices):
+    try:
+        return tables(*reference_fan(lattice, reference_given(lattice, rays, indices)))
+    except NotAFan as e:
+        return NotAFan, e.pair
+    except NotStronglyConvex:
+        return NotStronglyConvex
+
+
+@st.composite
+def cone_lists(draw):
+    """Random rays in Z^2 or Z^3 and random maximal-cone index lists:
+    mostly not fans."""
+    n = draw(st.sampled_from([2, 3]))
+    vec = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    rays = draw(st.lists(vec, min_size=n + 1, max_size=6, unique=True))
+    cone = st.lists(st.integers(0, len(rays) - 1), min_size=n, max_size=n + 1, unique=True)
+    return Lattice(n), rays, draw(st.lists(cone, min_size=2, max_size=5))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cone_lists())
+def test_random_cone_lists_match_the_reference(data):
+    assert fan_outcome(*data) == reference_outcome(*data)
+
+
+def count_pair_double_descriptions(monkeypatch):
+    """Record the double descriptions that ``Fan.from_max_cones`` runs
+    on a pair of maximal cones."""
+    calls = []
+    dual = cones.dual_ray_generators
+
+    def counting(vectors, rank):
+        if sys._getframe(1).f_code.co_name == "from_max_cones":
+            calls.append(vectors)
+        return dual(vectors, rank)
+
+    monkeypatch.setattr(cones, "dual_ray_generators", counting)
+    return calls
+
+
+PYRAMID_AND_DIAGONAL = [
+    (0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, -2, 2),
+]
+
+# pairs that the separating functional cannot certify, so the double
+# description decides: (lattice, rays, maximal cones, NotAFan pair or None)
+REFUSED = [
+    # a's functional (1, 1) is tight on b's ray (1, -1), and b's (0, -1)
+    # on a's ray (1, 0); the cones meet in the origin
+    (Z2, [(1, 0), (0, 1), (1, -1), (0, -1)], [[0, 1], [2, 3]], None),
+    # the cones share the ray (1, 0) and overlap
+    (Z2, [(1, 0), (0, 1), (1, 1)], [[0, 1], [0, 2]], (0, 1)),
+    (Z3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [[0, 1, 2], [0, 1, 3]], (0, 1)),
+    # a is the cone over a square pyramid, and b meets it in the cone
+    # over a diagonal of the base: the base's normal separates b's third
+    # ray, but the diagonal is not a face of a (in both orders)
+    (Lattice(4), PYRAMID_AND_DIAGONAL, [[0, 1, 2, 3, 4], [0, 2, 5]], (0, 1)),
+    (Lattice(4), PYRAMID_AND_DIAGONAL, [[0, 2, 5], [0, 1, 2, 3, 4]], (0, 1)),
+]
+
+
+@pytest.mark.parametrize("lattice,rays,indices,pair", REFUSED, ids=range(len(REFUSED)))
+def test_refused_pairs_take_the_double_description(monkeypatch, lattice, rays, indices, pair):
+    given = given_cones(lattice, rays, indices)
+    calls = count_pair_double_descriptions(monkeypatch)
+    expected = reference_outcome(lattice, rays, indices)
+    calls.clear()
+    if pair is None:
+        assert fan_tables(Fan.from_max_cones(lattice, given)) == expected
+    else:
+        with pytest.raises(NotAFan) as ei:
+            Fan.from_max_cones(lattice, given)
+        assert (NotAFan, ei.value.pair) == expected == (NotAFan, pair)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, most", [("p3", 0), ("p1xp1xp1", 0), ("ladder-12", 65)])
+def test_separated_pairs_run_no_double_description(monkeypatch, name, most):
+    lattice, rays, indices = load(os.path.join(HERE, os.pardir, "bench", "fans", f"{name}.json"))
+    given = given_cones(lattice, rays, indices)
+    calls = count_pair_double_descriptions(monkeypatch)
+    Fan.from_max_cones(lattice, given)
+    assert len(calls) <= most
