@@ -4,6 +4,13 @@ Reports are deterministic: identical inputs and seeds give bit-identical
 JSON, so iteration is always over sorted structures.  Every success
 carries enough certificate data (witness cochains, extended sections)
 to re-verify the claim through the library independently.
+
+``JobReport.to_json`` writes a report with ``_encode``, a small writer
+whose output is byte-identical to ``json.dumps(obj, sort_keys=True,
+indent=2)``.  The stdlib drops from its C encoder to a pure-Python one
+whenever ``indent`` is set, yielding one string per scalar; ``_encode``
+builds each list or dict with one ``str.join`` and uses the C string
+escaper, which is about twice as fast and holds about half the memory.
 """
 
 from __future__ import annotations
@@ -48,11 +55,20 @@ def cochain_to_jsonable(c: Cochain) -> dict:
 
 
 def cochain_from_jsonable(complex, data) -> Cochain:
+    """Inverse of ``cochain_to_jsonable``; the level and the tuple entries
+    must be JSON integers, never coerced, and no tuple may repeat."""
+    level = data["level"]
+    if not is_int(level):
+        raise ValueError(f"level {level!r} is not an integer")
     comps = {}
     for t, val in data["components"]:
-        t = tuple(int(x) for x in t)
-        comps[t] = element_from_jsonable(complex.stalk(t), val)
-    return complex.cochain(int(data["level"]), comps)
+        if not is_int_list(t):
+            raise ValueError(f"tuple {t!r} is not an integer list")
+        key = tuple(t)
+        if key in comps:
+            raise ValueError(f"tuple {t!r} is repeated")
+        comps[key] = element_from_jsonable(complex.stalk(key), val)
+    return complex.cochain(level, comps)
 
 
 @dataclass
@@ -75,7 +91,7 @@ class JobReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
+        return _encode(self.to_jsonable(), "\n")
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -98,3 +114,89 @@ def _render(value) -> str:
     if isinstance(value, (dict, list, tuple)):
         return json.dumps(value, sort_keys=True)
     return str(value)
+
+
+_encode_str = json.encoder.encode_basestring_ascii  # the C one when built
+_INF = float("inf")
+
+
+def _encode(value, newline: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a value that
+    sits after ``newline`` (a line break and its indent).
+
+    Exact ints, strs, lists and dicts take the fast paths; everything
+    else follows the stdlib's rules.  A circular value ends in
+    ``RecursionError`` where the stdlib raises ``ValueError``.
+    """
+    cls = type(value)
+    if cls is int:
+        return int.__repr__(value)
+    if cls is str:
+        return _encode_str(value)
+    if cls is list:
+        return _encode_list(value, newline)
+    if cls is dict:
+        return _encode_dict(value, newline)
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _encode_float(value)
+    if isinstance(value, (list, tuple)):
+        return _encode_list(value, newline)
+    if isinstance(value, dict):
+        return _encode_dict(value, newline)
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+
+def _encode_list(value, newline: str) -> str:
+    if not value:
+        return "[]"
+    inner = newline + "  "
+    # the item list is a temporary, gone before the brackets are added
+    body = ("," + inner).join(
+        [int.__repr__(v) if type(v) is int else _encode(v, inner) for v in value]
+    )
+    return f"[{inner}{body}{newline}]"
+
+
+def _encode_dict(value, newline: str) -> str:
+    if not value:
+        return "{}"
+    inner = newline + "  "
+    body = ("," + inner).join(
+        [
+            f"{_encode_str(k) if type(k) is str else _encode_key(k)}: {_encode(v, inner)}"
+            for k, v in sorted(value.items())
+        ]
+    )
+    return f"{{{inner}{body}{newline}}}"
+
+
+def _encode_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode_key(key) -> str:
+    """A dict key as the stdlib coerces it: bool, None, int and float keys
+    become the text of their JSON value, as a string."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return _encode_str(_encode(key, ""))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
