@@ -10,6 +10,15 @@ the geometry (difference of the two restrictions), the higher signs are
 the usual simplicial convention over the fixed ordering of the maximal
 cones, and d . d = 0 holds by telescoping.
 
+The differential reads each level's incidence plan (``incidence_plan``):
+every tuple's meet and its signed faces, with the restriction left out
+(None) where a face has the tuple's own meet, since the sheaf certifies
+a cone's restriction to itself as the identity.  So one d pushes each
+nonzero component once per distinct meet it restricts to and passes it
+through unchanged elsewhere; on a ladder most meets are the origin, and
+most faces are identities.  H0 membership and the solver's equations
+read the same plan.
+
 For smooth fans the complex splits per cone.  In ray coordinates
 Z[M_sigma] is the sum of summands A_tau over the faces tau of sigma
 (``kfan.sheaves.split_rays``), and restriction keeps those of the
@@ -66,16 +75,21 @@ class NotACocycle(Exception):
 
 class CechComplex:
     """Tuples, stalks and incidence surjections for the maximal-cone
-    cover of a fan.  Nothing is built up front: a level's tuples are
-    listed, and a tuple's meet found, when first read."""
+    cover of a fan.  Nothing is built up front: a level's tuples, and its
+    incidence plan, are listed, and a tuple's meet found, when first
+    read."""
 
-    __slots__ = ("fan", "sheaf", "top_level", "tuples", "_cone_of", "stars")
+    __slots__ = (
+        "fan", "sheaf", "top_level", "tuples", "_tuple_sets", "_plans", "_cone_of", "stars"
+    )
 
     def __init__(self, fan: Fan):
         self.fan = fan
         self.sheaf = sheaf_a0(fan)
         self.top_level = len(fan.max_cones) - 1
         self.tuples = {}  # level -> its tuples, listed on first read
+        self._tuple_sets = {}  # level -> the same tuples as a set, listed with them
+        self._plans = {}  # level -> its incidence plan, listed on first read
         self._cone_of = {(i,): cone for i, cone in enumerate(fan.max_cones)}
         self.stars = {}  # cone tau -> S_tau, the maximal cones containing it, increasing
         for i, sigma in enumerate(fan.max_cones):
@@ -88,8 +102,15 @@ class CechComplex:
         if p not in self.tuples:
             if not 0 <= p <= self.top_level:
                 raise LevelOverflow(f"no level {p} in this complex")
-            self.tuples[p] = tuple(combinations(range(self.top_level + 1), p + 1))
+            tuples = tuple(combinations(range(self.top_level + 1), p + 1))
+            self.tuples[p] = tuples
+            self._tuple_sets[p] = frozenset(tuples)
         return self.tuples[p]
+
+    def tuple_set(self, p: int) -> frozenset:
+        """The tuples of level p as a set, listed with ``level_tuples``."""
+        self.level_tuples(p)
+        return self._tuple_sets[p]
 
     def cone_of(self, t: tuple) -> Cone:
         """The meet of the tuple's maximal cones, found on first ask from
@@ -111,6 +132,26 @@ class CechComplex:
         s = t[:j] + t[j + 1 :]
         return self.sheaf.restriction(self.cone_of(s), self.cone_of(t))
 
+    def incidence_plan(self, p: int) -> dict:
+        """Tuple t of level p >= 1 -> (t's meet, its signed faces), in the
+        order of ``level_tuples``, listed on first read and kept.  A face
+        is (s, (-1)^j, restriction) for s = t without its j-th index; the
+        restriction is None when s has the same meet as t, where
+        ``FanSheaf`` certifies it as the identity."""
+        plan = self._plans.get(p)
+        if plan is None:
+            plan = {}
+            for t in self.level_tuples(p):
+                meet = self.cone_of(t)
+                faces = []
+                for j in range(p + 1):
+                    s = t[:j] + t[j + 1 :]
+                    same = self.cone_of(s) == meet
+                    faces.append((s, -1 if j % 2 else 1, None if same else self.incidence(t, j)))
+                plan[t] = (meet, tuple(faces))
+            self._plans[p] = plan
+        return plan
+
     def zero_cochain(self, level: int) -> "Cochain":
         return Cochain(self, level, {})
 
@@ -118,21 +159,36 @@ class CechComplex:
         return Cochain(self, level, components)
 
     def d(self, c: "Cochain") -> "Cochain":
-        """The alternating-sign differential."""
+        """The alternating-sign differential, read off the incidence plan:
+        each nonzero component is pushed once to each meet it restricts
+        to, and passed through unchanged where the meet is its own."""
         if c.level >= self.top_level:
             raise LevelOverflow(f"level {c.level} is the top of the complex")
-        comps = {t: self._d_at(c, t) for t in self.level_tuples(c.level + 1)}
-        return Cochain(self, c.level + 1, {t: v for t, v in comps.items() if v.terms})
+        pushed: dict = {}
+        comps = {}
+        for t, (meet, faces) in self.incidence_plan(c.level + 1).items():
+            terms = self._d_at(c, meet, faces, pushed)
+            if terms:
+                comps[t] = GroupRingElement._normal(self.sheaf.stalk(meet), terms)
+        return Cochain(self, c.level + 1, comps)
 
-    def _d_at(self, c: "Cochain", t: tuple) -> GroupRingElement:
-        """The component of d(c) at the tuple t."""
+    def _d_at(self, c: "Cochain", meet: Cone, faces: tuple, pushed: dict) -> dict:
+        """The terms of d(c) at a tuple with this meet and these faces
+        (an entry of the incidence plan).  ``pushed`` keeps, for one
+        cochain, the pushforward of a component s to a meet."""
         acc: dict = {}
-        for j in range(len(t)):
-            comp = c.components.get(t[:j] + t[j + 1 :])
-            if comp is not None:
-                pushed = comp.pushforward(self.incidence(t, j))
-                accumulate(acc, pushed.terms, -1 if j % 2 else 1)
-        return GroupRingElement._normal(self.stalk(t), acc)
+        for s, sign, restriction in faces:
+            comp = c.components.get(s)
+            if comp is None:
+                continue
+            if restriction is None:
+                terms = comp.terms
+            else:
+                terms = pushed.get((s, meet))
+                if terms is None:
+                    terms = pushed[s, meet] = comp.pushforward(restriction).terms
+            accumulate(acc, terms, sign)
+        return acc
 
     def is_cocycle(self, c: "Cochain") -> bool:
         """Is d(c) zero?  Decided once per cochain of this complex: a
@@ -189,18 +245,17 @@ class CechComplex:
 
     def _d_constraints(self, level: int, rhs: dict) -> list[Constraint]:
         """The equations d(x) = rhs for an unknown level-``level``
-        cochain x: one per tuple of the next level, over the tuples with
-        one index dropped; ``rhs`` maps tuples to components."""
+        cochain x: one per tuple of the next level, over its faces in the
+        incidence plan; ``rhs`` maps tuples to components."""
+        if level >= self.top_level:
+            return []
         constraints = []
-        for t in self.level_tuples(level + 1) if level < self.top_level else ():
-            terms = tuple(
-                (t[:j] + t[j + 1 :], 1 if j % 2 == 0 else -1, self.incidence(t, j))
-                for j in range(len(t))
-            )
-            value = rhs.get(t, GroupRingElement.zero(self.stalk(t)))
-            constraints.append(
-                Constraint(key=t, target=self.stalk(t), terms=terms, rhs=value)
-            )
+        for t, (meet, faces) in self.incidence_plan(level + 1).items():
+            target = self.sheaf.stalk(meet)
+            identity = self.sheaf.restriction(meet, meet)
+            terms = tuple((s, sign, identity if r is None else r) for s, sign, r in faces)
+            value = rhs.get(t, GroupRingElement.zero(target))
+            constraints.append(Constraint(key=t, target=target, terms=terms, rhs=value))
         return constraints
 
     def random_cocycle(self, level: int, rng: random.Random) -> "Cochain":
@@ -244,7 +299,7 @@ class Cochain:
     def __init__(self, complex: CechComplex, level: int, components: dict):
         if level < 0 or level > complex.top_level:
             raise LevelOverflow(f"no level {level} in this complex")
-        valid = set(complex.level_tuples(level))
+        valid = complex.tuple_set(level)
         comps = {}
         for t, val in components.items():
             t = tuple(t)
@@ -323,10 +378,11 @@ class H0Ring:
         cx = self.complex
         if cx.top_level == 0 or (self.fan.is_smooth() and self._parts_agree(c)):
             return True, None
-        for t in cx.level_tuples(1):
-            diff = cx._d_at(c, t)
-            if not diff.is_zero():
-                return False, (t, diff)
+        pushed: dict = {}
+        for t, (meet, faces) in cx.incidence_plan(1).items():
+            diff = cx._d_at(c, meet, faces, pushed)
+            if diff:
+                return False, (t, GroupRingElement._normal(cx.sheaf.stalk(meet), diff))
         return True, None
 
     def _parts_agree(self, c: Cochain) -> bool:

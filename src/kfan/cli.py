@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import sys
 
@@ -500,7 +501,13 @@ def main(argv=None) -> int:
     outcome = _dispatch(args)
     if isinstance(outcome, int):
         return outcome
-    print(outcome.to_json() if args.json else outcome.to_text())
+    try:
+        print(outcome.to_json() if args.json else outcome.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (``| head``): send what is still buffered
+        # to devnull, so that the interpreter's last flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return outcome.exit_status
 
 

@@ -393,7 +393,10 @@ def _separates(facets: list[Vec], shared: tuple[Vec, ...], rays: tuple[Vec, ...]
     uses the shared rays only: a meets b in cone(shared), which is a
     face of b too, the one where -u >= 0 on b vanishes.  This is the
     separation lemma (Fulton, Introduction to Toric Varieties, 1.2;
-    Cox-Little-Schenck, Lemma 1.2.13).
+    Cox-Little-Schenck, Lemma 1.2.13).  It must be strict: u <= 0
+    still makes the meet cone(shared), but u may vanish on more rays of
+    b than the shared ones, and then cone(shared) need not be a face of
+    b (a simplicial cone along the diagonal of a pyramid's square base).
     """
     tight = [f for f in facets if not any(dot(f, r) for r in shared)]
     if not tight:

@@ -584,6 +584,8 @@ class QuotientLattice:
     def reduce(self, coords: Sequence[int]) -> Vec:
         if len(coords) != self.coords_len:
             raise ValueError("bad coordinate length")
+        if not self.invariant_factors:
+            return tuple(coords)  # free coordinates are their own normal form
         t = len(self.invariant_factors)
         return tuple(
             c % d for c, d in zip(coords[:t], self.invariant_factors)
@@ -663,9 +665,13 @@ def quotient(ambient: Lattice, relations: IntMatrix) -> QuotientLattice:
 class QuotientSurjection:
     """A surjection between quotients of the same ambient lattice,
     expressed in normal-form coordinates, with a splitting when the
-    target is free."""
+    target is free.
 
-    __slots__ = ("source", "target", "matrix", "splitting")
+    Onto a free target, a matrix whose rows are all unit vectors picks
+    coordinates: ``selection`` holds the picked column of each row, and
+    ``apply`` indexes instead of multiplying.  Otherwise it is None."""
+
+    __slots__ = ("source", "target", "matrix", "splitting", "selection")
 
     def __init__(
         self,
@@ -678,8 +684,15 @@ class QuotientSurjection:
         self.target = target
         self.matrix = matrix
         self.splitting = splitting
+        self.selection = _selection(matrix) if target.is_free else None
 
     def apply(self, coords: Sequence[int]) -> Vec:
+        if self.selection is not None:
+            if len(coords) != self.matrix.ncols:
+                raise ValueError(
+                    f"vector length {len(coords)}, matrix has {self.matrix.ncols} cols"
+                )
+            return tuple([coords[j] for j in self.selection])
         image = self.matrix.apply(coords)
         # on a free target the raw image is already in normal form
         return self.target.reduce(image) if self.target.invariant_factors else image
@@ -704,6 +717,17 @@ class QuotientSurjection:
 
     def __repr__(self) -> str:
         return f"QuotientSurjection({self.source!r} -> {self.target!r})"
+
+
+def _selection(matrix: IntMatrix) -> tuple[int, ...] | None:
+    """The column of the one 1 in each row, when every row is a unit
+    vector; else None."""
+    picks = []
+    for row in matrix.rows:
+        if row.count(1) != 1 or row.count(0) != len(row) - 1:
+            return None
+        picks.append(row.index(1))
+    return tuple(picks)
 
 
 def identity_surjection(q: QuotientLattice) -> QuotientSurjection:
@@ -736,11 +760,11 @@ def canonical_surjection(
         phi.matrix @ phi.splitting != IntMatrix.identity(target.coords_len)
     ):
         raise CertificateError("splitting is not a right inverse of the surjection")
-    # cross-check: phi . source.project == target.project on the ambient basis
-    n = source.ambient.rank
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        if phi.apply(source.project(e)) != target.project(e):
+    # cross-check: phi . source.project == target.project on the ambient
+    # basis, whose raw images under the projections are their columns
+    columns = zip(source.projection.transpose().rows, target.projection.transpose().rows)
+    for image, expected in columns:
+        if phi.apply(source.reduce(image)) != target.reduce(expected):
             raise CertificateError("surjection does not commute with the projections")
     return phi
 

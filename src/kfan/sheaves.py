@@ -146,12 +146,17 @@ class Section:
         return self.incompatible_pair() is None
 
     def value_at(self, cone: Cone) -> GroupRingElement:
-        """The component at any cone of the domain, derived by pushing
-        forward from a maximal cone containing it."""
+        """The component at any cone of the domain: its own at a maximal
+        cone of the domain (whose restriction to itself ``FanSheaf``
+        certifies as the identity), else pushed forward from a maximal
+        cone containing it."""
         fan = self.sheaf.fan
         cone = fan.canonical(cone)
         if cone not in self.domain:
             raise ValueError("cone outside the section's domain")
+        own = self.components.get(cone)
+        if own is not None:
+            return own
         for top in self.domain.max_cones():
             if fan.is_face(cone, top):
                 return self.components[top].pushforward(

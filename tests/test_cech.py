@@ -531,3 +531,26 @@ def test_cochain_arithmetic_checks_hold_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ValueError"] * 6
+
+
+def test_cochains_check_their_tuples_against_one_kept_set(monkeypatch):
+    cx = CechComplex(projective_plane())
+    listed = []
+
+    def listing(pool, r):
+        listed.append(r)
+        return combinations(pool, r)
+
+    monkeypatch.setattr(cech, "combinations", listing)
+    valid = cx.tuple_set(1)
+    assert valid == set(cx.level_tuples(1)) and cx.tuple_set(1) is valid
+    t = cx.level_tuples(1)[0]
+    one = GroupRingElement(cx.stalk(t), {(1,): 1})
+    for _ in range(3):
+        assert cx.cochain(1, {t: one}).components == {t: one}
+    for bad in ((0, 1, 2), t[::-1], (0, 3)):
+        with pytest.raises(ValueError, match="not a level-1 tuple"):
+            cx.cochain(1, {bad: one})
+    with pytest.raises(ValueError, match="wrong group"):
+        cx.cochain(1, {t: GroupRingElement.one(cx.stalk((0,)))})
+    assert listed == [2]

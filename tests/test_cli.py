@@ -324,6 +324,31 @@ def test_k0_global_oversized_sample_ends_with_exit_2(fanfile):
     assert "--sample 8" in proc.stderr
 
 
+def test_closed_stdout_ends_quietly_with_the_report_status():
+    # `kfan ... --json | head -c 1`: the report is far larger than a pipe
+    # buffer, so the write fails once the reader has gone
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    argv = ["check-flasque", os.path.join(root, "bench", "fans", "p1xp1xp1.json"),
+            "--trials", "10", "--seed", "3", "--json"]
+    rep = run(argv)
+    assert len(rep.to_json()) > 1 << 17
+    env = dict(os.environ)
+    src = os.path.join(root, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kfan.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == rep.exit_status
+    assert stderr == b""
+
+
 def test_check_exactness_report_and_witness_roundtrip(fanfile):
     rep = run(
         [

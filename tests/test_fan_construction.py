@@ -17,6 +17,7 @@ pair.
 """
 
 import glob
+import json
 import os
 import random
 import sys
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kfan import cones
+from kfan import cli, cones
 from kfan.cones import (
     MAX_RANK,
     Cone,
@@ -263,6 +264,44 @@ def test_cones_sharing_a_diagonal_of_a_square_are_not_a_fan():
     # the cone over the diagonal itself is not a face of the square either
     with pytest.raises(NotAFan):
         Fan.from_max_cones(Z3, given_cones(Z3, rays, [square, [0, 2]]))
+
+
+# a cone over a pyramid on a square, and a simplicial cone meeting it
+# along the cone over the square's diagonal (1, 0, 1, 0), (-1, 0, 1, 0)
+PYRAMID_MEETS_SIMPLEX = (
+    Lattice(4),
+    [(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0), (0, 0, 1, -1),
+     (0, 1, 1, 1), (0, -1, 1, 1)],
+    [[0, 1, 2, 3, 4], [0, 2, 5, 6]],
+)
+
+
+def test_a_simplex_along_the_diagonal_of_a_pyramid_is_not_a_fan(tmp_path, monkeypatch):
+    lattice, rays, indices = PYRAMID_MEETS_SIMPLEX
+    for order in (indices, indices[::-1]):
+        with pytest.raises(NotAFan) as ref:
+            reference_fan(lattice, reference_given(lattice, rays, order))
+        with pytest.raises(NotAFan) as ei:
+            Fan.from_max_cones(lattice, given_cones(lattice, rays, order))
+        assert ei.value.pair == ref.value.pair == (0, 1)
+    path = tmp_path / "pyramid.json"
+    path.write_text(json.dumps({"lattice_rank": 4, "rays": rays, "max_cones": indices}))
+    assert cli.run(["info", str(path)]) == 2
+
+    # why _separates asks for u < 0: the simplex's facets that vanish on
+    # the diagonal sum to a u that is <= 0 on the pyramid's rays but zero
+    # on two more of them, so u <= 0 would accept the diagonal as a face
+    def relaxed(facets, shared, other):
+        tight = [f for f in facets if not any(dot(f, r) for r in shared)]
+        u = tuple(map(sum, zip(*tight)))
+        return bool(tight) and all(dot(u, r) <= 0 for r in other if r not in shared)
+
+    monkeypatch.setattr(cones, "_separates", relaxed)
+    fan = Fan.from_max_cones(lattice, given_cones(lattice, rays, indices))
+    pyramid, simplex = fan.max_cones
+    meet = fan.intersection(pyramid, simplex)
+    assert meet.rays == ((-1, 0, 1, 0), (1, 0, 1, 0))
+    assert meet in fan.faces_of(simplex) and meet not in fan.faces_of(pyramid)
 
 
 def count_from_rays(monkeypatch):

@@ -1,0 +1,163 @@
+"""The differential read off the incidence plan, against the textbook sum.
+
+``reference_d`` is the plain differential: for every tuple t of the next
+level, the sum over j of (-1)^j times the pushforward of c_{t minus j}
+along ``incidence(t, j)``, one pushforward per (tuple, dropped index).
+``CechComplex.d`` pushes each component once per distinct meet and
+passes it through where the meet is its own; both must agree on random
+cochains (not only cocycles) at every level below the top.
+"""
+
+import glob
+import os
+import random
+
+import pytest
+
+from kfan.cech import CechComplex, Cochain, LevelOverflow, h0
+from kfan.cones import Fan
+from kfan.fanfile import build_fan, load_fan_file
+from kfan.intlinalg import Lattice, identity_surjection
+from kfan.monoids import GroupRingElement
+
+HERE = os.path.dirname(__file__)
+FAN_FILES = sorted(
+    glob.glob(os.path.join(HERE, os.pardir, "fans", "*.json"))
+    + glob.glob(os.path.join(HERE, os.pardir, "bench", "fans", "*.json"))
+)
+
+
+def load(path):
+    return build_fan(load_fan_file(path))
+
+
+def bench_fan(name):
+    return load(os.path.join(HERE, os.pardir, "bench", "fans", f"{name}.json"))
+
+
+def weighted_p2():
+    """P(1,1,2): complete and not smooth; two of its restrictions are not
+    selection maps."""
+    rays = [(1, 0), (0, 1), (-1, -2)]
+    return Fan.from_rays_and_indices(Lattice(2), rays, [[0, 1], [1, 2], [2, 0]])
+
+
+FANS = [(os.path.basename(p), lambda p=p: load(p)) for p in FAN_FILES] + [
+    ("weighted-p2", weighted_p2)
+]
+
+
+def random_element(group, rng):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        torsion = [rng.randrange(d) for d in group.invariant_factors]
+        free = [rng.randint(-2, 2) for _ in range(group.free_rank)]
+        terms[tuple(torsion + free)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return GroupRingElement(group, terms)
+
+
+def random_cochain(cx, level, rng, density):
+    """Random components on about ``density`` of the tuples, and on one
+    at least."""
+    tuples = cx.level_tuples(level)
+    picked = {rng.choice(tuples)} | {t for t in tuples if rng.random() < density}
+    return Cochain(cx, level, {t: random_element(cx.stalk(t), rng) for t in picked})
+
+
+def reference_d(cx, c):
+    out = {}
+    for t in cx.level_tuples(c.level + 1):
+        acc = GroupRingElement.zero(cx.stalk(t))
+        for j in range(len(t)):
+            s = t[:j] + t[j + 1 :]
+            if s in c.components:
+                pushed = c.components[s].pushforward(cx.incidence(t, j))
+                acc = acc - pushed if j % 2 else acc + pushed
+        out[t] = acc
+    return Cochain(cx, c.level + 1, out)
+
+
+@pytest.mark.parametrize("name,make", FANS, ids=[name for name, _ in FANS])
+def test_plan_d_matches_the_reference_on_random_cochains(name, make):
+    cx = CechComplex(make())
+    rng = random.Random(name)
+    for level in range(cx.top_level):
+        for density in (0.3, 1.0):
+            c = random_cochain(cx, level, rng, density)
+            assert cx.d(c) == reference_d(cx, c)
+    with pytest.raises(LevelOverflow):
+        cx.d(cx.zero_cochain(cx.top_level))
+
+
+@pytest.mark.parametrize("name,make", FANS, ids=[name for name, _ in FANS])
+def test_plan_faces_are_the_incidences(name, make):
+    # identity faces are exactly those with the tuple's own meet
+    cx = CechComplex(make())
+    for level in range(1, min(cx.top_level, 3) + 1):
+        plan = cx.incidence_plan(level)
+        assert tuple(plan) == cx.level_tuples(level)
+        for t, (meet, faces) in plan.items():
+            assert meet == cx.cone_of(t)
+            assert [(s, sign) for s, sign, _ in faces] == [
+                (t[:j] + t[j + 1 :], -1 if j % 2 else 1) for j in range(len(t))
+            ]
+            for j, (s, _, restriction) in enumerate(faces):
+                if restriction is None:
+                    assert cx.cone_of(s) == meet
+                    assert cx.incidence(t, j).maps_equal(identity_surjection(cx.stalk(t)))
+                else:
+                    assert cx.cone_of(s) != meet and restriction is cx.incidence(t, j)
+        assert cx.incidence_plan(level) is plan
+
+
+def test_membership_witness_matches_the_reference():
+    rng = random.Random(3)
+    for name in ("p1xp1xp1", "ladder-8", "f1"):
+        ring = h0(bench_fan(name))
+        cx = ring.complex
+        for _ in range(4):
+            c = random_cochain(cx, 0, rng, 0.7)
+            ok, witness = ring.membership(c)
+            dc = reference_d(cx, c)
+            assert ok == dc.is_zero()
+            if not ok:
+                t = min(dc.components)
+                assert witness == (t, dc.components[t])
+
+
+def count_pushforwards(monkeypatch):
+    calls = []
+    push = GroupRingElement.pushforward
+
+    def counting(self, phi):
+        calls.append(phi)
+        return push(self, phi)
+
+    monkeypatch.setattr(GroupRingElement, "pushforward", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["p1xp1xp1", "ladder-12"])
+def test_one_d_pushes_each_component_once_per_meet(monkeypatch, name):
+    fan = bench_fan(name)
+    rng = random.Random(5)
+    for level in (1, 2):
+        cx = CechComplex(fan)
+        for c in (cx.random_cocycle(level, rng), random_cochain(cx, level, rng, 1.0)):
+            distinct, naive = set(), 0
+            for t in cx.level_tuples(level + 1):
+                for j in range(len(t)):
+                    s = t[:j] + t[j + 1 :]
+                    if s in c.components:
+                        naive += 1
+                        if cx.cone_of(s) != cx.cone_of(t):
+                            distinct.add((s, cx.cone_of(t)))
+            calls = count_pushforwards(monkeypatch)
+            dc = cx.d(c)
+            monkeypatch.undo()
+            assert len(calls) == len(distinct) < naive
+            assert dc == reference_d(cx, c)
+            if name == "ladder-12":
+                # only the 12 pairs of neighbours meet in a ray; every
+                # triple meets in the origin, as does everything above
+                assert len(calls) <= (12 if level == 1 else 0)

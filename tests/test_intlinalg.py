@@ -1,4 +1,6 @@
+import glob
 import math
+import os
 import random
 from itertools import combinations, product
 
@@ -22,6 +24,8 @@ from kfan.intlinalg import (
     snf,
     solve,
 )
+from kfan.fanfile import build_fan, load_fan_file
+from kfan.sheaves import sheaf_a0
 
 
 def gcd_of_minors(a: IntMatrix, k: int) -> int:
@@ -313,3 +317,73 @@ def test_canonical_surjection_rejects_a_map_off_the_projections(monkeypatch):
     monkeypatch.setattr(QuotientSurjection, "apply", shifted_apply)
     with pytest.raises(CertificateError, match="projections"):
         canonical_surjection(source, target)
+
+
+def restrictions_of_every_fan_file():
+    here = os.path.dirname(__file__)
+    paths = glob.glob(os.path.join(here, os.pardir, "fans", "*.json"))
+    paths += glob.glob(os.path.join(here, os.pardir, "bench", "fans", "*.json"))
+    for path in sorted(paths):
+        fan = build_fan(load_fan_file(path))
+        sheaf = sheaf_a0(fan)
+        for sigma in fan.cones:
+            for tau in fan.faces_of(sigma):
+                yield sheaf.restriction(sigma, tau)
+
+
+def test_selection_maps_apply_as_their_matrix():
+    rng = random.Random(8)
+    kinds = set()
+    for phi in restrictions_of_every_fan_file():
+        kinds.add(phi.selection is not None)
+        if phi.selection is not None:
+            assert phi.target.is_free
+            for row, j in zip(phi.matrix.rows, phi.selection):
+                assert row == tuple(int(k == j) for k in range(len(row)))
+        m = phi.source.coords_len
+        for _ in range(3):
+            v = tuple(rng.randint(-5, 5) for _ in range(m))
+            assert phi.apply(v) == phi.matrix.apply(v)
+            assert phi.apply(list(v)) == phi.matrix.apply(v)
+        for wrong in ((0,) * (m + 1), (0,) * (m - 1) if m else None):
+            if wrong is not None:
+                with pytest.raises(ValueError, match="vector length"):
+                    phi.apply(wrong)
+    assert kinds == {True, False}
+
+
+def test_torsion_targets_still_reduce():
+    # Z^2 onto Z/2 + Z: unit rows, but the target is not free
+    ambient = Lattice(2)
+    source = quotient(ambient, IntMatrix.zero(0, 2))
+    target = quotient(ambient, IntMatrix([(2, 0)]))
+    phi = canonical_surjection(source, target)
+    assert target.invariant_factors == (2,) and phi.selection is None
+    seen = set()
+    for v in product(range(-3, 4), repeat=2):
+        image = phi.apply(v)
+        assert image == target.reduce(phi.matrix.apply(v)) == target.project(v)
+        assert 0 <= image[0] < 2
+        seen.add(image != phi.matrix.apply(v))
+    assert seen == {True, False}
+    with pytest.raises(ValueError):
+        phi.apply((1, 2, 3))
+
+
+def test_free_reduce_keeps_the_coordinates_and_checks_their_length():
+    q = quotient(Lattice(3), IntMatrix([(1, 1, 0)]))
+    assert q.is_free and q.coords_len == 2
+    assert q.reduce([7, -4]) == (7, -4)
+    with pytest.raises(ValueError, match="length"):
+        q.reduce((1, 2, 3))
+
+
+def test_identity_and_compositions_of_selections_are_selections():
+    q = quotient(Lattice(3), IntMatrix.zero(0, 3))
+    ident = identity_surjection(q)
+    assert ident.selection == (0, 1, 2)
+    onto = canonical_surjection(q, quotient(Lattice(3), IntMatrix([(0, 1, 0)])))
+    assert onto.selection == (0, 2)
+    both = compose(onto, ident)
+    assert both.selection == onto.selection
+    assert both.apply((4, 5, 6)) == onto.apply((4, 5, 6)) == (4, 6)

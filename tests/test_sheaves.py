@@ -9,7 +9,7 @@ from kfan.catalog import (
     projective_plane,
     singular_quadric_cone_fan,
 )
-from kfan.cones import Cone, Fan, zero_cone
+from kfan.cones import Cone, Fan, Subfan, zero_cone
 from kfan.intlinalg import CertificateError, IntMatrix, Lattice, QuotientSurjection
 from kfan.monoids import GroupRingElement
 from kfan.sheaves import (
@@ -124,6 +124,34 @@ def test_restrict_section_roundtrip_and_transitivity():
     ray = next(c for c in fan.faces_of(sigma) if c.dim == 1)
     tiny = fan.star_open(ray)
     assert s.restrict(tiny) == restricted.restrict(tiny)
+
+
+def pushed_value(section, cone):
+    """The component at a cone of the domain pushed forward from the
+    first maximal cone of the domain containing it."""
+    fan = section.sheaf.fan
+    top = next(t for t in section.domain.max_cones() if fan.is_face(cone, t))
+    return section.components[top].pushforward(section.sheaf.restriction(top, cone))
+
+
+def test_restrict_matches_the_pushforward_from_a_maximal_cone():
+    rng = random.Random(13)
+    for fan in (projective_plane(), hirzebruch(2), p1_times_p1(), singular_quadric_cone_fan()):
+        sheaf = sheaf_a0(fan)
+        for _ in range(6):
+            domain = random_open_subfan(fan, rng)
+            s = random_section(sheaf, domain, rng)
+            for cone in fan.cones:
+                if cone in domain:
+                    assert s.value_at(cone) == pushed_value(s, cone)
+            picks = [c for c in domain.max_cones() if rng.random() < 0.5]
+            faces = [f for c in picks for f in fan.faces_of(c)]
+            smaller = Subfan(fan, [zero_cone(fan.lattice)] + faces)
+            restricted = s.restrict(smaller)
+            assert restricted.components == {
+                c: pushed_value(s, c) for c in smaller.max_cones()
+            }
+            assert restricted.check()
 
 
 def test_restrict_p1_section_to_zero_cone_star():
