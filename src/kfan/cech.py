@@ -16,8 +16,10 @@ every tuple's meet and its signed faces, with the restriction left out
 a cone's restriction to itself as the identity.  So one d pushes each
 nonzero component once per distinct meet it restricts to and passes it
 through unchanged elsewhere; on a ladder most meets are the origin, and
-most faces are identities.  H0 membership and the solver's equations
-read the same plan.
+most faces are identities.  The solver's equations read the same plan.
+H0 membership reads no plan: it asks ``kfan.sheaves.first_disagreement``
+whether the components agree on every pairwise meet, as a section's
+check does, and so touches level 0 only.
 
 For smooth fans the complex splits per cone.  In ray coordinates
 Z[M_sigma] is the sum of summands A_tau over the faces tau of sigma
@@ -25,9 +27,8 @@ Z[M_sigma] is the sum of summands A_tau over the faces tau of sigma
 smaller cone's faces.  So the complex is the sum over the cones tau of
 the complexes of full simplices on S_tau, the maximal cones containing
 tau, with coefficients A_tau; each is exact in positive levels,
-contracted onto a_tau = min S_tau.  ``random_cocycle`` draws per tau,
-``solve_coboundary`` returns the contraction, and ``H0Ring.membership``
-compares tau-parts.  On non-smooth fans, allowed only on request,
+contracted onto a_tau = min S_tau.  ``random_cocycle`` draws per tau
+and ``solve_coboundary`` returns the contraction.  On non-smooth fans
 cocycles are random kernel elements of the whole system d(z) = 0,
 preimages are searched for by the expanding-support solver, and a
 ``SolverGaveUp`` there is a search failure, never a counterexample.
@@ -44,10 +45,10 @@ from .cones import Cone, Fan
 from .intlinalg import QuotientLattice
 from .monoids import GroupRingElement
 from .sheaves import (
-    NotSmoothFan,
     Section,
     accumulate,
     assemble_rays,
+    first_disagreement,
     from_ray_terms,
     pad_rays,
     random_part,
@@ -164,31 +165,24 @@ class CechComplex:
         to, and passed through unchanged where the meet is its own."""
         if c.level >= self.top_level:
             raise LevelOverflow(f"level {c.level} is the top of the complex")
-        pushed: dict = {}
+        pushed: dict = {}  # (face s, meet) -> the terms of c_s pushed to the meet
         comps = {}
         for t, (meet, faces) in self.incidence_plan(c.level + 1).items():
-            terms = self._d_at(c, meet, faces, pushed)
-            if terms:
-                comps[t] = GroupRingElement._normal(self.sheaf.stalk(meet), terms)
+            acc: dict = {}
+            for s, sign, restriction in faces:
+                comp = c.components.get(s)
+                if comp is None:
+                    continue
+                if restriction is None:
+                    terms = comp.terms
+                else:
+                    terms = pushed.get((s, meet))
+                    if terms is None:
+                        terms = pushed[s, meet] = comp.pushforward(restriction).terms
+                accumulate(acc, terms, sign)
+            if acc:
+                comps[t] = GroupRingElement._normal(self.sheaf.stalk(meet), acc)
         return Cochain(self, c.level + 1, comps)
-
-    def _d_at(self, c: "Cochain", meet: Cone, faces: tuple, pushed: dict) -> dict:
-        """The terms of d(c) at a tuple with this meet and these faces
-        (an entry of the incidence plan).  ``pushed`` keeps, for one
-        cochain, the pushforward of a component s to a meet."""
-        acc: dict = {}
-        for s, sign, restriction in faces:
-            comp = c.components.get(s)
-            if comp is None:
-                continue
-            if restriction is None:
-                terms = comp.terms
-            else:
-                terms = pushed.get((s, meet))
-                if terms is None:
-                    terms = pushed[s, meet] = comp.pushforward(restriction).terms
-            accumulate(acc, terms, sign)
-        return acc
 
     def is_cocycle(self, c: "Cochain") -> bool:
         """Is d(c) zero?  Decided once per cochain of this complex: a
@@ -201,21 +195,18 @@ class CechComplex:
             c._cocycle = self.d(c).is_zero()
         return c._cocycle
 
-    def solve_coboundary(
-        self, z: "Cochain", depth: int = 3, allow_nonsmooth: bool = False
-    ) -> "Cochain | SolverGaveUp":
+    def solve_coboundary(self, z: "Cochain", depth: int = 3) -> "Cochain | SolverGaveUp":
         """A cochain b with d(b) = z, re-verified exactly.  On a smooth fan
-        b is the contraction (``_contract``) and ``depth`` is ignored.
-        Non-smooth fans are refused unless allowed; then the expanding-
-        support solver searches to the given depth and may give up."""
+        b is the contraction (``_contract``) and ``depth`` is ignored.  On
+        a non-smooth fan the expanding-support solver searches to the
+        given depth, and a ``SolverGaveUp`` is a search failure, never a
+        counterexample to exactness."""
         if z.level < 1:
             raise ValueError("coboundaries live above level zero")
         if not self.is_cocycle(z):
             raise NotACocycle("the right-hand side has nonzero differential")
         if self.fan.is_smooth():
             b = self._contract(z)
-        elif not allow_nonsmooth:
-            raise NotSmoothFan("exactness is only guaranteed for smooth fans")
         else:
             slot_groups = {s: self.stalk(s) for s in self.level_tuples(z.level - 1)}
             constraints = self._d_constraints(z.level - 1, z.components)
@@ -369,30 +360,23 @@ class H0Ring:
         return self.complex.cochain(0, {(i,): val for i, val in components.items()})
 
     def membership(self, c: Cochain):
-        """(True, None) for members; (False, witness) otherwise, the
-        witness being the first index pair whose restrictions differ.  On
-        a smooth fan, members are those whose tau-part is the same on
-        every maximal cone containing tau."""
+        """(True, None) for members; (False, ((i, j), difference))
+        otherwise, for the first index pair i < j whose components differ
+        on their meet, the difference being c_j - c_i there: the first
+        nonzero component of d(c).  Decided by ``first_disagreement``
+        over the maximal cones in order, with the meets the complex keeps
+        (``cone_of``), so no level above zero is listed."""
         if c.level != 0:
             raise ValueError("membership is about level-0 cochains")
         cx = self.complex
-        if cx.top_level == 0 or (self.fan.is_smooth() and self._parts_agree(c)):
+        values = [c.component((i,)) for i in range(len(self.fan.max_cones))]
+        found = first_disagreement(
+            cx.sheaf, self.fan.max_cones, values, lambda i, j: cx.cone_of((i, j))
+        )
+        if found is None:
             return True, None
-        pushed: dict = {}
-        for t, (meet, faces) in cx.incidence_plan(1).items():
-            diff = cx._d_at(c, meet, faces, pushed)
-            if diff:
-                return False, (t, GroupRingElement._normal(cx.sheaf.stalk(meet), diff))
-        return True, None
-
-    def _parts_agree(self, c: Cochain) -> bool:
-        first: dict = {}
-        for i, cone in enumerate(self.fan.max_cones):
-            faces = self.fan.faces_of(cone)
-            parts = split_rays(ray_terms(cone, c.component((i,))), cone, faces)
-            if any(first.setdefault(tau, parts.get(tau)) != parts.get(tau) for tau in faces):
-                return False
-        return True
+        i, j, _, difference = found
+        return False, ((i, j), difference)
 
     def contains(self, c: Cochain) -> bool:
         return self.membership(c)[0]
@@ -466,16 +450,15 @@ def verify_exactness(
     trials: int,
     depth: int,
     seed: int,
-    allow_nonsmooth: bool = False,
 ) -> ExactnessReport:
     """Sample random cocycles at the given level and solve each one back
-    to a coboundary, re-verifying every witness exactly.
+    to a coboundary, re-verifying every witness exactly.  Exactness is
+    proved only for smooth fans; on a non-smooth one the trials search,
+    and a trial that gives up is a search failure, never a counterexample.
 
     Also re-checks d(d(.)) = 0 on the way: each sampled cocycle is
     verified to be killed by the differential before solving.
     """
-    if not fan.is_smooth() and not allow_nonsmooth:
-        raise NotSmoothFan("exactness is only guaranteed for smooth fans")
     if level < 1:
         raise ValueError("exactness questions start at level 1")
     complex = CechComplex(fan)
@@ -485,7 +468,7 @@ def verify_exactness(
     report = ExactnessReport(level=level, trials=trials, solved=0)
     for i in range(trials):
         z = complex.random_cocycle(level, rng)
-        outcome = complex.solve_coboundary(z, depth=depth, allow_nonsmooth=allow_nonsmooth)
+        outcome = complex.solve_coboundary(z, depth=depth)
         solved = not isinstance(outcome, SolverGaveUp)
         report.resolutions.append(
             ExactnessTrial(

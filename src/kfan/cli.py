@@ -30,13 +30,7 @@ from .report import (
     element_from_jsonable,
     element_to_jsonable,
 )
-from .sheaves import (
-    NotSmoothFan,
-    extend_section,
-    random_open_subfan,
-    random_section,
-    sheaf_a0,
-)
+from .sheaves import extend_section, random_open_subfan, random_section, sheaf_a0
 from .support_solver import CertificateError, SolverGaveUp
 
 
@@ -96,6 +90,13 @@ def _check_counts(args, *names: str) -> None:
         value = getattr(args, name)
         if value < 0:
             raise InputError(f"--{name} must be nonnegative, got {value}")
+
+
+def _require_smooth(fan, args, claim: str) -> None:
+    """The one gate on non-smooth fans: the library searches there, and
+    a search is run only when ``--experimental-nonsmooth`` asks for it."""
+    if not fan.is_smooth() and not args.experimental_nonsmooth:
+        raise InputError(f"{claim} (pass --experimental-nonsmooth to try anyway)")
 
 
 def _get_cone(fan, cone_id: int):
@@ -225,6 +226,7 @@ def cmd_check_exactness(args) -> JobReport:
     _check_counts(args, "trials", "depth")
     if args.level < 1:
         raise InputError(f"--level {args.level}: exactness questions start at level 1")
+    _require_smooth(fan, args, "exactness is only guaranteed for smooth fans")
     inputs = _fan_inputs(ff, args.fanfile)
     inputs.update(
         {"level": args.level, "trials": args.trials, "depth": args.depth, "seed": args.seed}
@@ -236,10 +238,7 @@ def cmd_check_exactness(args) -> JobReport:
             trials=args.trials,
             depth=args.depth,
             seed=args.seed,
-            allow_nonsmooth=args.experimental_nonsmooth,
         )
-    except NotSmoothFan as e:
-        raise InputError(f"{e} (pass --experimental-nonsmooth to try anyway)") from e
     except LevelOverflow as e:
         raise InputError(f"--level {args.level}: {e}") from e
     certificates = {
@@ -299,11 +298,7 @@ def cmd_check_flasque(args) -> JobReport:
     _check_counts(args, "trials", "depth")
     inputs = _fan_inputs(ff, args.fanfile)
     inputs.update({"trials": args.trials, "depth": args.depth, "seed": args.seed})
-    if not fan.is_smooth() and not args.experimental_nonsmooth:
-        raise InputError(
-            "extension is only guaranteed over smooth fans "
-            "(pass --experimental-nonsmooth to try anyway)"
-        )
+    _require_smooth(fan, args, "extension is only guaranteed over smooth fans")
     sheaf = sheaf_a0(fan)
     rng = random.Random(args.seed)
     trials = []
@@ -312,9 +307,7 @@ def cmd_check_flasque(args) -> JobReport:
     for i in range(args.trials):
         domain = random_open_subfan(fan, rng)
         section = random_section(sheaf, domain, rng)
-        outcome = extend_section(
-            section, depth=args.depth, allow_nonsmooth=args.experimental_nonsmooth
-        )
+        outcome = extend_section(section, depth=args.depth)
         entry = {
             "index": i,
             "domain_cone_ids": sorted(fan.index_of(c) for c in domain.members),
@@ -368,6 +361,8 @@ def cmd_hilbert(args) -> JobReport:
 
 def cmd_kclass(args) -> JobReport:
     inputs = {}
+    if args.generators is not None and (args.fan is not None or args.cone is not None):
+        raise InputError("give a monoid once: --fan/--cone or --generators, not both")
     if args.fan is not None:
         if args.cone is None:
             raise InputError("--fan needs --cone to pick the monoid")

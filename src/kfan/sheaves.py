@@ -18,9 +18,13 @@ tau under the projector prod (1 - eps_i), eps_i setting x_i = 1
 the cones tau of the constant sheaf A_tau on star(tau), and it is
 flasque: a section extends by zero tau-parts on the cones outside its
 domain.  Elements are converted into ray coordinates and back at the
-boundary.  On non-smooth fans, allowed only on request, the extension
-is searched for by the expanding-support solver, and a ``SolverGaveUp``
-there is a search failure, never a proof that no extension exists.
+boundary.  On non-smooth fans the extension is searched for by the
+expanding-support solver, and a ``SolverGaveUp`` there is a search
+failure, never a proof that no extension exists.
+
+Whether values on maximal cones agree on their pairwise meets is asked
+in one place, ``first_disagreement``: by ``Section.check`` here and by
+H0 membership in ``kfan.cech``.
 """
 
 from __future__ import annotations
@@ -48,10 +52,6 @@ from .support_solver import (
     sample_nonzero_solution,
     solve_pushforward_system,
 )
-
-
-class NotSmoothFan(Exception):
-    """The requested operation is only guaranteed for smooth fans."""
 
 
 class FanSheaf:
@@ -101,6 +101,28 @@ def sheaf_a0(fan: Fan) -> FanSheaf:
     return FanSheaf(fan, stalks, restrictions)
 
 
+def first_disagreement(sheaf: FanSheaf, cones, values, meet_of):
+    """The first pair i < j, in the order of ``cones``, whose values
+    differ on the meet ``meet_of(i, j)``: (i, j, meet, value_j - value_i)
+    there, or None if every pair agrees.  Each value is pushed at most
+    once to each meet."""
+    pushed: dict = {}
+
+    def at(i: int, meet: Cone) -> GroupRingElement:
+        value = pushed.get((i, meet))
+        if value is None:
+            value = pushed[i, meet] = values[i].pushforward(sheaf.restriction(cones[i], meet))
+        return value
+
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            meet = meet_of(i, j)
+            a, b = at(i, meet), at(j, meet)
+            if a != b:
+                return i, j, meet, b - a
+    return None
+
+
 class Section:
     """A compatible-in-waiting family over the maximal cones of an open
     subfan; ``check`` decides whether it actually is a section."""
@@ -125,22 +147,15 @@ class Section:
 
     def incompatible_pair(self):
         """The first pair of maximal cones whose components disagree on
-        the meet, or None; checking the meet suffices because smaller
-        common faces factor through it."""
+        the meet, with the meet, or None; checking the meet suffices
+        because smaller common faces factor through it."""
         cones = self.domain.max_cones()
+        values = [self.components[c] for c in cones]
         fan = self.sheaf.fan
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                meet = fan.intersection(cones[i], cones[j])
-                a = self.components[cones[i]].pushforward(
-                    self.sheaf.restriction(cones[i], meet)
-                )
-                b = self.components[cones[j]].pushforward(
-                    self.sheaf.restriction(cones[j], meet)
-                )
-                if a != b:
-                    return cones[i], cones[j], meet
-        return None
+        found = first_disagreement(
+            self.sheaf, cones, values, lambda i, j: fan.intersection(cones[i], cones[j])
+        )
+        return found and (cones[found[0]], cones[found[1]], found[2])
 
     def check(self) -> bool:
         return self.incompatible_pair() is None
@@ -273,24 +288,16 @@ def random_part(tau: Cone, rng: random.Random) -> dict:
     return _top_part({e: rng.randint(-COEFF_BOUND, COEFF_BOUND)})
 
 
-def extend_section(
-    section: Section, depth: int = 3, allow_nonsmooth: bool = False
-) -> Section | SolverGaveUp:
+def extend_section(section: Section, depth: int = 3) -> Section | SolverGaveUp:
     """A global section restricting to the given one, re-checked as
     both.  On a smooth fan it is built (``_split_extension``) and
-    ``depth`` is ignored.  Non-smooth fans are refused unless allowed,
-    since nothing guarantees an extension there; then the expanding-
-    support solver searches to the given depth, and a ``SolverGaveUp``
-    is a search failure, never a proof of nonexistence."""
-    sheaf = section.sheaf
-    fan = sheaf.fan
-    smooth = fan.is_smooth()
-    if not smooth and not allow_nonsmooth:
-        raise NotSmoothFan("extension is only guaranteed over smooth fans")
+    ``depth`` is ignored.  On a non-smooth fan nothing guarantees an
+    extension: the expanding-support solver searches to the given
+    depth, and a ``SolverGaveUp`` is a search failure, never a proof of
+    nonexistence."""
     if section.domain.is_full():
         return section
-
-    if smooth:
+    if section.sheaf.fan.is_smooth():
         extended = _split_extension(section)
     else:
         extended = _search_extension(section, depth)

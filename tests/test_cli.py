@@ -492,12 +492,48 @@ def test_kclass_generators_above_the_rank_cap_are_an_input_error(capsys):
     assert "rank cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--fan", "P2", "--cone", "0", "--generators", "[[1]]"],
+        ["--generators", "[[1]]", "--cone", "5"],
+    ],
+    ids=["fan-and-generators", "generators-and-cone"],
+)
+def test_kclass_refuses_a_monoid_given_twice(fanfile, capsys, extra):
+    # each of these once exited 0, reading one source and ignoring the other
+    argv = ["kclass"] + [fanfile(P2) if a == "P2" else a for a in extra]
+    assert run(argv + ["--shifts", "[[1,0]]"]) == 2
+    assert "not both" in capsys.readouterr().err
+
+
 WEIGHTED_P2 = {
     "name": "P(1,1,2)",
     "lattice_rank": 2,
     "rays": [[1, 0], [0, 1], [-1, -2]],
     "max_cones": [[0, 1], [1, 2], [2, 0]],
 }
+
+
+def test_the_nonsmooth_gate_comes_after_counts_and_level(fanfile, capsys):
+    # the library searches on any fan; only the CLI asks for the flag,
+    # after the counts and the level and before the level's existence
+    weighted, cone = fanfile(WEIGHTED_P2), fanfile(SINGULAR, name="cone.json")
+    exactness, flasque = "exactness is only guaranteed for", "extension is only guaranteed over"
+    for argv, message in [
+        (["check-exactness", weighted, "--level", "1", "--trials", "-1"], "--trials must be"),
+        (["check-exactness", weighted, "--level", "0"], "start at level 1"),
+        (["check-exactness", cone, "--level", "5"], f"{exactness} smooth fans (pass"),
+        (["check-flasque", weighted, "--depth", "-1"], "--depth must be"),
+        (["check-flasque", weighted], f"{flasque} smooth fans (pass"),
+    ]:
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
+    assert run(["check-exactness", cone, "--level", "5", "--experimental-nonsmooth"]) == 2
+    assert "no level 5" in capsys.readouterr().err
+    for argv in (["check-exactness", weighted, "--level", "1"], ["check-flasque", weighted]):
+        rep = run(argv + ["--trials", "2", "--experimental-nonsmooth"])
+        assert rep.exit_status == 0
 
 
 def test_solver_gave_up_exit_code(fanfile):

@@ -6,11 +6,17 @@ along ``incidence(t, j)``, one pushforward per (tuple, dropped index).
 ``CechComplex.d`` pushes each component once per distinct meet and
 passes it through where the meet is its own; both must agree on random
 cochains (not only cocycles) at every level below the top.
+
+``reference_disagreement`` is the plain meet-agreement test: push both
+values of every pair to their meet and compare.
+``sheaves.first_disagreement``, which serves both ``Section.check`` and
+H0 membership, must find the same first pair and difference.
 """
 
 import glob
 import os
 import random
+from itertools import combinations
 
 import pytest
 
@@ -19,6 +25,7 @@ from kfan.cones import Fan
 from kfan.fanfile import build_fan, load_fan_file
 from kfan.intlinalg import Lattice, identity_surjection
 from kfan.monoids import GroupRingElement
+from kfan.sheaves import Section, first_disagreement, random_open_subfan, random_section
 
 HERE = os.path.dirname(__file__)
 FAN_FILES = sorted(
@@ -161,3 +168,72 @@ def test_one_d_pushes_each_component_once_per_meet(monkeypatch, name):
                 # only the 12 pairs of neighbours meet in a ray; every
                 # triple meets in the origin, as does everything above
                 assert len(calls) <= (12 if level == 1 else 0)
+
+
+def reference_disagreement(sheaf, cones, values, meet_of):
+    for i, j in combinations(range(len(cones)), 2):
+        meet = meet_of(i, j)
+        a = values[i].pushforward(sheaf.restriction(cones[i], meet))
+        b = values[j].pushforward(sheaf.restriction(cones[j], meet))
+        if a != b:
+            return i, j, meet, b - a
+    return None
+
+
+def corrupted(sheaf, comps, rng):
+    """The components with a random element added to one of them."""
+    cone = rng.choice(sorted(comps, key=lambda c: c.rays))
+    return {**comps, cone: comps[cone] + random_element(sheaf.stalk(cone), rng)}
+
+
+def checked_scan(monkeypatch, sheaf, cones, values):
+    """``first_disagreement`` over these cones, checked against the
+    reference, and with at most one pushforward per (cone, meet) pair."""
+    fan = sheaf.fan
+
+    def meet_of(i, j):
+        return fan.intersection(cones[i], cones[j])
+
+    expected = reference_disagreement(sheaf, cones, values, meet_of)
+    calls = count_pushforwards(monkeypatch)
+    got = first_disagreement(sheaf, cones, values, meet_of)
+    monkeypatch.undo()
+    assert got == expected
+    pairs = combinations(range(len(cones)), 2)
+    assert len(calls) <= len({(k, meet_of(i, j)) for i, j in pairs for k in (i, j)})
+    return expected
+
+
+@pytest.mark.parametrize("name,make", FANS, ids=[name for name, _ in FANS])
+def test_first_disagreement_matches_the_reference(monkeypatch, name, make):
+    # members, non-members and members with one corrupted component, on
+    # the whole fan and on random open subfans: scanned in the domain's
+    # order as Section.check reads them, and on the whole fan also in
+    # the fan's order as H0 membership reads them
+    ring = h0(make())
+    fan, cx, sheaf = ring.fan, ring.complex, ring.complex.sheaf
+    rng = random.Random(name)
+    whole, tops = fan.full_subfan(), fan.max_cones
+    families = []
+    for m in [(0,) * fan.lattice.rank, tuple(rng.randint(-3, 3) for _ in range(fan.lattice.rank))]:
+        families.append((whole, ring.as_section(ring.character_tuple(m)).components))
+    for domain in (whole, random_open_subfan(fan, rng), random_open_subfan(fan, rng)):
+        families.append((domain, random_section(sheaf, domain, rng).components))
+    families.append((whole, ring.as_section(random_cochain(cx, 0, rng, 0.7)).components))
+    families += [(domain, corrupted(sheaf, comps, rng)) for domain, comps in families]
+    verdicts = set()
+    for domain, comps in families:
+        cones = domain.max_cones()
+        found = checked_scan(monkeypatch, sheaf, cones, [comps[c] for c in cones])
+        assert Section(sheaf, domain, comps).incompatible_pair() == (
+            found and (cones[found[0]], cones[found[1]], found[2])
+        )
+        if domain == whole:
+            values = [comps[c] for c in tops]
+            found = checked_scan(monkeypatch, sheaf, tops, values)
+            c = ring.cochain(dict(enumerate(values)))
+            assert ring.membership(c) == (
+                (True, None) if found is None else (False, (found[:2], found[3]))
+            )
+            verdicts.add(found is None)
+    assert verdicts == ({True, False} if len(tops) > 1 else {True})

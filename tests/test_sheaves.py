@@ -14,7 +14,6 @@ from kfan.intlinalg import CertificateError, IntMatrix, Lattice, QuotientSurject
 from kfan.monoids import GroupRingElement
 from kfan.sheaves import (
     FanSheaf,
-    NotSmoothFan,
     Section,
     extend_section,
     random_open_subfan,
@@ -205,21 +204,6 @@ def test_extend_random_sections_on_smooth_fans():
             assert ext.restrict(dom) == s
 
 
-def test_extend_refuses_singular_fans_without_flag():
-    fan = singular_quadric_cone_fan()
-    sheaf = sheaf_a0(fan)
-    sigma = fan.max_cones[0]
-    ray = next(c for c in fan.cones if c.dim == 1)
-    dom = fan.star_open(ray)
-    s = Section(
-        sheaf, dom, {ray: GroupRingElement.one(sheaf.stalk(ray))}
-    )
-    with pytest.raises(NotSmoothFan):
-        extend_section(s, depth=2)
-    ext = extend_section(s, depth=2, allow_nonsmooth=True)
-    assert isinstance(ext, (Section, SolverGaveUp))
-
-
 def test_the_search_gives_up_on_a_quadric_cone_section_that_does_not_extend():
     # <m,(1,0)> and <m,(1,2)> have the same parity for every m, so chi^(1)
     # on the first ray and 1 on the second lift to no element of Z[M_sigma]
@@ -237,7 +221,7 @@ def test_the_search_gives_up_on_a_quadric_cone_section_that_does_not_extend():
     )
     assert s.check()
     for depth in (0, 3):
-        outcome = extend_section(s, depth=depth, allow_nonsmooth=True)
+        outcome = extend_section(s, depth=depth)
         assert isinstance(outcome, SolverGaveUp) and outcome.rounds == depth
 
 
