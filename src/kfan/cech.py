@@ -2,6 +2,13 @@
 of maximal cones, degree-zero cohomology as the global equivariant K_0
 ring, and randomized exactness verification.
 
+Degree-zero cohomology is the ring of global sections of ``sheaf_a0``
+(``H0Ring``, whose elements are ``kfan.sheaves.Section``s on the whole
+fan): a level-0 cochain is a cocycle exactly when its components agree
+on every pairwise meet, which ``kfan.sheaves.first_disagreement`` asks
+as a section's check does.  So H0 builds no ``CechComplex``, lists no
+level and reads no incidence plan.
+
 Level p holds one group-ring slot per strictly increasing (p+1)-tuple
 of maximal-cone indices, valued in the character group of the tuple's
 intersection cone.  The differential takes the standard alternating
@@ -17,9 +24,6 @@ a cone's restriction to itself as the identity.  So one d pushes each
 nonzero component once per distinct meet it restricts to and passes it
 through unchanged elsewhere; on a ladder most meets are the origin, and
 most faces are identities.  The solver's equations read the same plan.
-H0 membership reads no plan: it asks ``kfan.sheaves.first_disagreement``
-whether the components agree on every pairwise meet, as a section's
-check does, and so touches level 0 only.
 
 For smooth fans the complex splits per cone.  In ray coordinates
 Z[M_sigma] is the sum of summands A_tau over the faces tau of sigma
@@ -305,34 +309,8 @@ class Cochain:
         self.components = comps
         self._cocycle = None  # is d(self) zero?  Set by CechComplex.is_cocycle
 
-    def component(self, t: tuple) -> GroupRingElement:
-        t = tuple(t)
-        return self.components.get(
-            t, GroupRingElement.zero(self.complex.stalk(t))
-        )
-
     def is_zero(self) -> bool:
         return not self.components
-
-    def _check_same_level(self, other: "Cochain") -> None:
-        if self.complex is not other.complex or self.level != other.level:
-            raise ValueError("cochains of different complexes or levels")
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        self._check_same_level(other)
-        keys = set(self.components) | set(other.components)
-        comps = {t: self.component(t) + other.component(t) for t in keys}
-        return Cochain(self.complex, self.level, comps)
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + other.scale(-1)
-
-    def scale(self, k: int) -> "Cochain":
-        return Cochain(
-            self.complex,
-            self.level,
-            {t: v.scale(k) for t, v in self.components.items()},
-        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -347,79 +325,59 @@ class Cochain:
 
 
 class H0Ring:
-    """Degree-zero cohomology of the cover complex: level-zero cocycles
-    with componentwise ring structure.  For smooth fans this is the
-    global equivariant K_0; membership is meaningful for any fan."""
+    """Degree-zero cohomology of the cover complex as the global
+    sections of ``sheaf_a0`` on the whole fan, with componentwise ring
+    structure.  For smooth fans this is the global
+    equivariant K_0; membership is meaningful for any fan.  No cover
+    complex is built."""
 
-    def __init__(self, complex: CechComplex):
-        self.complex = complex
-        self.fan = complex.fan
+    def __init__(self, fan: Fan):
+        self.fan = fan
+        self.sheaf = sheaf_a0(fan)
+        self.domain = fan.full_subfan()
 
-    def cochain(self, components: dict) -> Cochain:
-        """Build a level-0 cochain from {max-cone index: element}."""
-        return self.complex.cochain(0, {(i,): val for i, val in components.items()})
+    def _check(self, section: Section) -> None:
+        if section.sheaf is not self.sheaf or not section.domain.is_full():
+            raise ValueError("not a global section of this ring's sheaf")
 
-    def membership(self, c: Cochain):
+    # kept by name: bench/tracing.TARGETS wraps it as cech.membership
+    def membership(self, section: Section):
         """(True, None) for members; (False, ((i, j), difference))
-        otherwise, for the first index pair i < j whose components differ
-        on their meet, the difference being c_j - c_i there: the first
-        nonzero component of d(c).  Decided by ``first_disagreement``
-        over the maximal cones in order, with the meets the complex keeps
-        (``cone_of``), so no level above zero is listed."""
-        if c.level != 0:
-            raise ValueError("membership is about level-0 cochains")
-        cx = self.complex
-        values = [c.component((i,)) for i in range(len(self.fan.max_cones))]
-        found = first_disagreement(
-            cx.sheaf, self.fan.max_cones, values, lambda i, j: cx.cone_of((i, j))
-        )
+        otherwise, for the first index pair i < j of maximal cones whose
+        components differ on their meet, the difference being
+        value_j - value_i there: the first nonzero component of the
+        cover differential.  Decided by ``first_disagreement`` over
+        ``fan.max_cones`` in the fan's order, not the (dim, rays) order
+        of ``Section.incompatible_pair``, so the pair is the complex's."""
+        self._check(section)
+        cones = self.fan.max_cones
+        values = [section.components[c] for c in cones]
+        found = first_disagreement(self.sheaf, cones, values)
         if found is None:
             return True, None
         i, j, _, difference = found
         return False, ((i, j), difference)
 
-    def contains(self, c: Cochain) -> bool:
-        return self.membership(c)[0]
+    def contains(self, section: Section) -> bool:
+        return self.membership(section)[0]
 
-    def unit(self) -> Cochain:
-        cx = self.complex
-        return cx.cochain(0, {t: GroupRingElement.one(cx.stalk(t)) for t in cx.level_tuples(0)})
+    def _on_every_piece(self, make) -> Section:
+        comps = {c: make(self.sheaf.stalk(c)) for c in self.fan.max_cones}
+        return Section(self.sheaf, self.domain, comps)
 
-    def multiply(self, a: Cochain, b: Cochain) -> Cochain:
-        if a.complex is not self.complex or b.complex is not self.complex:
-            raise ValueError("cochains of a different complex")
-        if a.level != 0 or b.level != 0:
-            raise ValueError("the ring structure is on level-0 cochains")
-        keys = set(a.components) & set(b.components)
-        return self.complex.cochain(
-            0, {t: a.components[t] * b.components[t] for t in keys}
-        )
+    def unit(self) -> Section:
+        return self._on_every_piece(GroupRingElement.one)
 
-    def restrict_to_piece(self, c: Cochain, index: int) -> GroupRingElement:
-        """The image in Z[M_sigma] of one affine piece of the cover."""
-        return c.component((index,))
-
-    def character_tuple(self, m: Sequence[int]) -> Cochain:
+    def character(self, m: Sequence[int]) -> Section:
         """The member chi^[m] on every piece, for a character m of the
-        big torus; a cocycle by functoriality of the quotients."""
-        cx = self.complex
-        return cx.cochain(
-            0, {t: GroupRingElement.character(cx.stalk(t), m) for t in cx.level_tuples(0)}
-        )
+        big torus; a section by functoriality of the quotients."""
+        return self._on_every_piece(lambda q: GroupRingElement.character(q, m))
 
-    def as_section(self, c: Cochain) -> Section:
-        """The same data as a section of the structure sheaf on the
-        whole fan."""
-        comps = {
-            self.fan.max_cones[t[0]]: val for t, val in c.components.items()
-        }
-        for i, cone in enumerate(self.fan.max_cones):
-            comps.setdefault(cone, GroupRingElement.zero(self.complex.stalk((i,))))
-        return Section(self.complex.sheaf, self.fan.full_subfan(), comps)
-
-
-def h0(fan: Fan) -> H0Ring:
-    return H0Ring(CechComplex(fan))
+    def multiply(self, a: Section, b: Section) -> Section:
+        self._check(a)
+        self._check(b)
+        comps = {c: a.components[c] * b.components[c] for c in self.fan.max_cones}
+        return Section(self.sheaf, self.domain, comps)
 
 
 @dataclass

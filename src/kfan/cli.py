@@ -14,12 +14,12 @@ import os
 import random
 import sys
 
-from .cech import LevelOverflow, h0, verify_exactness
+from .cech import H0Ring, LevelOverflow, verify_exactness
 from .cones import MAX_RANK, ConeNotInFan, NotAFan, NotStronglyConvex, UnsupportedRank
 from .fanfile import FanFile, FanFileError, build_fan, is_int_list, load_fan_file, strict_json
 from .graded import CoefficientSpec, GradedFreeData, k0_affine_toric, k0_class
 from .intlinalg import Lattice
-from .monoids import AffineMonoid, hilbert_basis
+from .monoids import AffineMonoid, GroupRingElement, hilbert_basis
 from .report import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
@@ -30,7 +30,7 @@ from .report import (
     element_from_jsonable,
     element_to_jsonable,
 )
-from .sheaves import extend_section, random_open_subfan, random_section, sheaf_a0
+from .sheaves import Section, extend_section, random_open_subfan, random_section, sheaf_a0
 from .support_solver import CertificateError, SolverGaveUp
 
 
@@ -152,6 +152,14 @@ def cmd_k0_affine(args) -> JobReport:
     )
 
 
+def _h0_to_jsonable(fan, section) -> dict:
+    """A global section in the level-0 cochain layout of ``k0-global``
+    reports: its nonzero values, keyed [i] by maximal-cone index."""
+    values = enumerate(section.components[c] for c in fan.max_cones)
+    comps = [[[i], element_to_jsonable(v)] for i, v in values if not v.is_zero()]
+    return {"level": 0, "components": comps}
+
+
 def cmd_k0_global(args) -> JobReport:
     ff, fan = _load(args.fanfile)
     _check_counts(args, "sample")
@@ -162,7 +170,7 @@ def cmd_k0_global(args) -> JobReport:
             f"--sample {args.sample} exceeds the {box_size} characters "
             f"in the box [-{CHARACTER_BOX},{CHARACTER_BOX}]^{n}"
         )
-    ring = h0(fan)
+    ring = H0Ring(fan)
     inputs = _fan_inputs(ff, args.fanfile)
     results = {"smooth": fan.is_smooth()}
     if fan.is_smooth():
@@ -182,13 +190,11 @@ def cmd_k0_global(args) -> JobReport:
                     raise InputError(f"max-cone index {key!r} is not written canonically")
                 if not 0 <= i < len(fan.max_cones):
                     raise InputError(f"max-cone index {i} out of range")
-                comps[i] = element_from_jsonable(ring.complex.stalk((i,)), val)
-            for i in range(len(fan.max_cones)):
-                comps.setdefault(
-                    i,
-                    element_from_jsonable(ring.complex.stalk((i,)), []),
-                )
-            c = ring.cochain(comps)
+                cone = fan.max_cones[i]
+                comps[cone] = element_from_jsonable(ring.sheaf.stalk(cone), val)
+            for cone in fan.max_cones:
+                comps.setdefault(cone, GroupRingElement.zero(ring.sheaf.stalk(cone)))
+            c = Section(ring.sheaf, ring.domain, comps)
         except (ValueError, TypeError, AttributeError) as e:
             raise InputError(f"malformed element: {e}") from e
         ok, witness = ring.membership(c)
@@ -212,12 +218,12 @@ def cmd_k0_global(args) -> JobReport:
         if m in seen:
             continue
         seen.add(m)
-        c = ring.character_tuple(m)
+        c = ring.character(m)
         if not ring.contains(c):
             raise CertificateError(f"character tuple for {list(m)} is not a cocycle")
-        sampled.append({"character": list(m), "tuple": cochain_to_jsonable(c)})
+        sampled.append({"character": list(m), "tuple": _h0_to_jsonable(fan, c)})
     results["character_members"] = sampled
-    results["unit"] = cochain_to_jsonable(ring.unit())
+    results["unit"] = _h0_to_jsonable(fan, ring.unit())
     return JobReport(command="k0-global", inputs=inputs, results=results)
 
 

@@ -223,11 +223,10 @@ class AffineMonoid:
     def from_generators(
         cls, ambient: Lattice, generators: Iterable[Sequence[int]]
     ) -> "AffineMonoid":
-        gens = tuple(
-            dict.fromkeys(as_vec(g) for g in generators if any(g))
-        )
-        if any(len(g) != ambient.rank for g in gens):
+        gens = [as_vec(g) for g in generators]
+        if any(len(g) != ambient.rank for g in gens):  # zero generators too
             raise ValueError("generator length does not match the lattice rank")
+        gens = tuple(dict.fromkeys(g for g in gens if any(g)))
         # g is invertible iff -g lies in the rational cone of the
         # generators, iff every facet functional of that cone kills g
         _, pointed_duals = dual_ray_generators(gens, ambient.rank)

@@ -24,7 +24,8 @@ failure, never a proof that no extension exists.
 
 Whether values on maximal cones agree on their pairwise meets is asked
 in one place, ``first_disagreement``: by ``Section.check`` here and by
-H0 membership in ``kfan.cech``.
+H0 membership in ``kfan.cech``, whose ring elements are the sections on
+the whole fan, scanned there in the fan's order of maximal cones.
 """
 
 from __future__ import annotations
@@ -101,11 +102,12 @@ def sheaf_a0(fan: Fan) -> FanSheaf:
     return FanSheaf(fan, stalks, restrictions)
 
 
-def first_disagreement(sheaf: FanSheaf, cones, values, meet_of):
+def first_disagreement(sheaf: FanSheaf, cones, values):
     """The first pair i < j, in the order of ``cones``, whose values
-    differ on the meet ``meet_of(i, j)``: (i, j, meet, value_j - value_i)
+    differ on the meet of cones i and j: (i, j, meet, value_j - value_i)
     there, or None if every pair agrees.  Each value is pushed at most
     once to each meet."""
+    fan = sheaf.fan
     pushed: dict = {}
 
     def at(i: int, meet: Cone) -> GroupRingElement:
@@ -116,7 +118,7 @@ def first_disagreement(sheaf: FanSheaf, cones, values, meet_of):
 
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
-            meet = meet_of(i, j)
+            meet = fan.intersection(cones[i], cones[j])
             a, b = at(i, meet), at(j, meet)
             if a != b:
                 return i, j, meet, b - a
@@ -151,10 +153,7 @@ class Section:
         because smaller common faces factor through it."""
         cones = self.domain.max_cones()
         values = [self.components[c] for c in cones]
-        fan = self.sheaf.fan
-        found = first_disagreement(
-            self.sheaf, cones, values, lambda i, j: fan.intersection(cones[i], cones[j])
-        )
+        found = first_disagreement(self.sheaf, cones, values)
         return found and (cones[found[0]], cones[found[1]], found[2])
 
     def check(self) -> bool:

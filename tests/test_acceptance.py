@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from itertools import product
 
 from kfan.catalog import smooth_corpus
-from kfan.cech import CechComplex, h0, verify_exactness
+from kfan.cech import CechComplex, H0Ring, verify_exactness
 from kfan.cli import run as cli_run
 from kfan.cones import Cone, zero_cone
 from kfan.graded import (
@@ -23,6 +23,7 @@ from kfan.graded import (
 from kfan.intlinalg import Lattice, dot, vec_sub
 from kfan.monoids import AffineMonoid, GroupRingElement, hilbert_basis
 from kfan.sheaves import (
+    Section,
     extend_section,
     random_open_subfan,
     random_section,
@@ -247,10 +248,13 @@ def test_criterion_6_h0_ring_on_p1():
     with criterion(6, "P1 global K_0: membership is augmentation matching; ring closure", 10.0):
         from kfan.catalog import projective_line
 
-        ring = h0(projective_line())
-        cx = ring.complex
-        q0, q1 = cx.stalk((0,)), cx.stalk((1,))
+        ring = H0Ring(projective_line())
+        p0, p1 = ring.fan.max_cones
+        q0, q1 = ring.sheaf.stalk(p0), ring.sheaf.stalk(p1)
         rng = random.Random(6)
+
+        def pair(f, g):
+            return Section(ring.sheaf, ring.domain, {p0: f, p1: g})
 
         def random_element(q):
             return GroupRingElement(
@@ -263,7 +267,7 @@ def test_criterion_6_h0_ring_on_p1():
 
         for _ in range(100):
             f, g = random_element(q0), random_element(q1)
-            c = ring.cochain({0: f, 1: g})
+            c = pair(f, g)
             # brute-force augmentation oracle: plain coefficient sums
             eps_f = sum(f.terms.values())
             eps_g = sum(g.terms.values())
@@ -273,13 +277,13 @@ def test_criterion_6_h0_ring_on_p1():
             f, g = random_element(q0), random_element(q1)
             delta = sum(f.terms.values()) - sum(g.terms.values())
             g = g + GroupRingElement(q1, {(0,): delta})
-            c = ring.cochain({0: f, 1: g})
+            c = pair(f, g)
             assert ring.contains(c)
             members.append(c)
         for i in range(50):
             a, b = members[2 * i], members[2 * i + 1]
             assert ring.contains(ring.multiply(a, b))
-            assert ring.contains(a + b)
+            assert ring.contains(pair(*(a.components[p] + b.components[p] for p in (p0, p1))))
 
 
 def test_criterion_7_flasqueness():

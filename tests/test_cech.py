@@ -21,14 +21,15 @@ from kfan.catalog import (
 from kfan.cech import (
     CechComplex,
     Cochain,
+    H0Ring,
     LevelOverflow,
     NotACocycle,
-    h0,
     verify_exactness,
 )
 from kfan.cones import Fan
 from kfan.intlinalg import Lattice
 from kfan.monoids import GroupRingElement
+from kfan.sheaves import Section, random_section
 from kfan.support_solver import SolverGaveUp
 
 
@@ -83,26 +84,24 @@ def test_h0_on_a_long_ladder_reads_only_level_0(monkeypatch):
     n = len(fan.max_cones)
     assert n == 24 and fan.is_smooth()
 
-    def first_two_levels_only(pool, r):
-        # listing level 2 or above here is a 2^24 blow-up, so stop at once
-        if r > 2:
-            raise AssertionError(f"level {r - 1} listed")
-        return combinations(pool, r)
+    def no_level(pool, r):
+        # H0 is global sections: no cover complex, and no level listed
+        raise AssertionError(f"level {r - 1} listed")
 
     meets = []
     intersection = Fan.intersection
-    monkeypatch.setattr(cech, "combinations", first_two_levels_only)
+    monkeypatch.setattr(cech, "combinations", no_level)
     monkeypatch.setattr(Fan, "intersection", lambda *a: meets.append(a) or intersection(*a))
-    ring = h0(fan)
-    assert ring.complex.tuples == {} and not meets
+    monkeypatch.setattr(CechComplex, "__init__", None)
+    ring = H0Ring(fan)
+    assert not meets
     for m in [(0, 0), (1, 0), (-2, 3), (5, -7)]:
-        assert ring.membership(ring.character_tuple(m)) == (True, None)
-    c = ring.character_tuple((1, 1))
-    changed = ring.cochain({i: c.component((i,)) for i in range(n - 1)})
+        assert ring.membership(ring.character(m)) == (True, None)
+    c = ring.character((1, 1))
+    changed = section(ring, {i: c.components[cone] for i, cone in enumerate(fan.max_cones[:-1])})
     ok, (pair, _) = ring.membership(changed)
     assert not ok and n - 1 in pair
-    assert sorted(ring.complex.tuples) == [0]
-    assert len(meets) <= n * (n - 1) // 2
+    assert len(meets) <= 5 * n * (n - 1) // 2  # one meet per pair and membership call
 
 
 def test_exactness_at_level_2_lists_only_levels_1_to_3(monkeypatch):
@@ -292,27 +291,45 @@ def test_is_cocycle_is_remembered_per_cochain(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# degree-zero cohomology
+# degree-zero cohomology: global sections
+
+
+def stalk(ring, i):
+    return ring.sheaf.stalk(ring.fan.max_cones[i])
+
+
+def section(ring, values: dict) -> Section:
+    """The global section with these values on the maximal cones by
+    index, and zero on the others."""
+    comps = {
+        cone: values.get(i, GroupRingElement.zero(stalk(ring, i)))
+        for i, cone in enumerate(ring.fan.max_cones)
+    }
+    return Section(ring.sheaf, ring.domain, comps)
+
+
+def random_member(ring, rng) -> Section:
+    return random_section(ring.sheaf, ring.domain, rng)
 
 
 def test_h0_affine_case_everything_is_a_cocycle():
-    ring = h0(affine_plane())
-    q = ring.complex.stalk((0,))
-    c = ring.cochain({0: GroupRingElement(q, {(5, -3): 2})})
+    ring = H0Ring(affine_plane())
+    c = section(ring, {0: GroupRingElement(stalk(ring, 0), {(5, -3): 2})})
     assert ring.contains(c)
 
 
 def test_h0_p1_membership_is_augmentation_match():
-    ring = h0(projective_line())
-    q0, q1 = ring.complex.stalk((0,)), ring.complex.stalk((1,))
-    member = ring.cochain(
-        {0: GroupRingElement(q0, {(4,): 2}), 1: GroupRingElement(q1, {(0,): 1, (1,): 1})}
+    ring = H0Ring(projective_line())
+    q0, q1 = stalk(ring, 0), stalk(ring, 1)
+    member = section(
+        ring, {0: GroupRingElement(q0, {(4,): 2}), 1: GroupRingElement(q1, {(0,): 1, (1,): 1})}
     )
     ok, witness = ring.membership(member)
     assert ok and witness is None
-    non = ring.cochain(
+    non = section(
+        ring,
         {0: GroupRingElement(q0, {(2,): 1}),
-         1: GroupRingElement(q1, {(0,): 1, (1,): 1, (3,): -3})}
+         1: GroupRingElement(q1, {(0,): 1, (1,): 1, (3,): -3})},
     )
     ok, witness = ring.membership(non)
     assert not ok
@@ -321,56 +338,55 @@ def test_h0_p1_membership_is_augmentation_match():
 
 def test_h0_ring_closure():
     rng = random.Random(88)
-    ring = h0(projective_plane())
+    ring = H0Ring(projective_plane())
     members = []
     for _ in range(6):
-        z = ring.complex.random_cocycle(0, rng)
+        z = random_member(ring, rng)
         members.append(z)
         assert ring.contains(z)
     for a in members[:3]:
         for b in members[3:]:
             assert ring.contains(ring.multiply(a, b))
-            assert ring.contains(a + b)
+            tops = enumerate(ring.fan.max_cones)
+            assert ring.contains(section(ring, {i: a.components[c] + b.components[c] for i, c in tops}))
 
 
 def test_h0_unit_and_restrictions():
-    ring = h0(projective_plane())
+    ring = H0Ring(projective_plane())
     one = ring.unit()
     assert ring.contains(one)
-    for i in range(3):
-        piece = ring.restrict_to_piece(one, i)
-        assert piece == GroupRingElement.one(ring.complex.stalk((i,)))
+    for i, cone in enumerate(ring.fan.max_cones):
+        assert one.components[cone] == GroupRingElement.one(stalk(ring, i))
 
 
 def test_h0_character_tuples_are_members_and_multiply():
-    ring = h0(projective_plane())
+    ring = H0Ring(projective_plane())
     for m in [(1, 1), (0, 2), (-3, 1), (2, -2)]:
-        c = ring.character_tuple(m)
+        c = ring.character(m)
         assert ring.contains(c)
-    a = ring.character_tuple((1, 0))
-    b = ring.character_tuple((0, 1))
+    a = ring.character((1, 0))
+    b = ring.character((0, 1))
     prod = ring.multiply(a, b)
     assert ring.contains(prod)
-    assert prod == ring.character_tuple((1, 1))
+    assert prod == ring.character((1, 1))
 
 
 def test_h0_matches_section_check():
     rng = random.Random(314)
-    ring = h0(p1_times_p1())
-    cx = ring.complex
+    ring = H0Ring(p1_times_p1())
     for _ in range(10):
-        comps = {}
-        for t in cx.level_tuples(0):
-            q = cx.stalk(t)
-            comps[t] = GroupRingElement(
+        values = {}
+        for i in range(len(ring.fan.max_cones)):
+            q = stalk(ring, i)
+            values[i] = GroupRingElement(
                 q,
                 {
                     tuple(rng.randint(-2, 2) for _ in range(q.coords_len)): rng.randint(-4, 4)
                     for _ in range(rng.randint(1, 2))
                 },
             )
-        c = cx.cochain(0, comps)
-        assert ring.contains(c) == ring.as_section(c).check()
+        c = section(ring, values)
+        assert ring.contains(c) == c.check()
 
 
 def test_membership_scan_matches_the_differential(monkeypatch):
@@ -379,20 +395,20 @@ def test_membership_scan_matches_the_differential(monkeypatch):
     rng = random.Random(21)
     seen = set()
     for fan in (projective_plane(), hirzebruch(2), blowup_p2()):
-        ring = h0(fan)
-        cx = ring.complex
+        ring = H0Ring(fan)
+        cx = CechComplex(fan)
         for trial in range(12):
             if trial % 3:
-                z = cx.random_cocycle(0, rng)
-                comps = {i: z.component((i,)) for i in range(len(fan.max_cones))}
+                z = random_member(ring, rng)
+                values = {i: z.components[c] for i, c in enumerate(fan.max_cones)}
             else:
-                comps = {}
+                values = {}
             i = rng.randrange(len(fan.max_cones))
             if trial % 3 != 1:
-                extra = GroupRingElement(cx.stalk((i,)), {(rng.randint(-1, 1),) * 2: 1})
-                comps[i] = comps.get(i, GroupRingElement.zero(cx.stalk((i,)))) + extra
-            c = ring.cochain(comps)
-            dc = cx.d(c)
+                extra = GroupRingElement(stalk(ring, i), {(rng.randint(-1, 1),) * 2: 1})
+                values[i] = values.get(i, GroupRingElement.zero(stalk(ring, i))) + extra
+            c = section(ring, values)
+            dc = cx.d(cx.cochain(0, {(i,): v for i, v in values.items()}))
             first = min(dc.components, default=None)
             expected = (True, None) if first is None else (False, (first, dc.components[first]))
             calls = []
@@ -408,24 +424,19 @@ def test_membership_scan_matches_the_differential(monkeypatch):
 def test_h0_members_have_constant_augmentation():
     rng = random.Random(55)
     for fan in (projective_plane(), hirzebruch(2)):
-        ring = h0(fan)
+        ring = H0Ring(fan)
         for _ in range(5):
-            z = ring.complex.random_cocycle(0, rng)
-            augs = {
-                ring.restrict_to_piece(z, i).augmentation()
-                for i in range(len(fan.max_cones))
-            }
+            z = random_member(ring, rng)
+            augs = {v.augmentation() for v in z.components.values()}
             assert len(augs) == 1
 
 
 def test_h0_unit_restricts_to_unit_on_each_affine_piece():
     for name, fan in smooth_corpus().items():
-        ring = h0(fan)
+        ring = H0Ring(fan)
         one = ring.unit()
-        for i in range(len(fan.max_cones)):
-            assert ring.restrict_to_piece(one, i).terms == {
-                ring.complex.stalk((i,)).zero(): 1
-            }
+        for i, cone in enumerate(fan.max_cones):
+            assert one.components[cone].terms == {stalk(ring, i).zero(): 1}
 
 
 def _random_smooth_complete_fan(rng, subdivisions):
@@ -470,24 +481,24 @@ def test_fuzz_exactness_and_extension_on_random_smooth_fans():
         assert extended.restrict(domain) == section
 
 
-COCHAIN_CHECKS_SCRIPT = textwrap.dedent(
+H0_CHECKS_SCRIPT = textwrap.dedent(
     """
     import sys
     from kfan.catalog import projective_plane
-    from kfan.cech import CechComplex, H0Ring
+    from kfan.cech import H0Ring
 
     if __debug__:
         sys.exit("run this under python -O")
 
-    cx, other = CechComplex(projective_plane()), CechComplex(projective_plane())
-    ring = H0Ring(cx)
+    ring, other = H0Ring(projective_plane()), H0Ring(projective_plane())
+    fan = ring.fan
+    local = ring.unit().restrict(fan.subfan(fan.faces_of(fan.max_cones[0])))
     cases = [
-        lambda: cx.zero_cochain(0) + cx.zero_cochain(1),
-        lambda: cx.zero_cochain(1) + other.zero_cochain(1),
-        lambda: cx.zero_cochain(0) - cx.zero_cochain(1),
-        lambda: cx.zero_cochain(1) - other.zero_cochain(1),
-        lambda: ring.multiply(cx.zero_cochain(1), ring.unit()),
-        lambda: ring.multiply(ring.unit(), other.zero_cochain(0)),
+        lambda: ring.multiply(other.unit(), ring.unit()),
+        lambda: ring.multiply(ring.unit(), other.character((1, 0))),
+        lambda: ring.multiply(local, ring.unit()),
+        lambda: ring.membership(other.unit()),
+        lambda: ring.membership(local),
     ]
     for case in cases:
         try:
@@ -500,19 +511,19 @@ COCHAIN_CHECKS_SCRIPT = textwrap.dedent(
 )
 
 
-def test_cochain_arithmetic_checks_hold_under_python_O():
+def test_h0_ring_checks_hold_under_python_O():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", COCHAIN_CHECKS_SCRIPT],
+        [sys.executable, "-O", "-c", H0_CHECKS_SCRIPT],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 6
+    assert proc.stdout.split() == ["ValueError"] * 5
 
 
 def test_cochains_check_their_tuples_against_one_kept_set(monkeypatch):

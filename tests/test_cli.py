@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from kfan import cli
 from kfan.cli import main, run
 from kfan.fanfile import build_fan, parse_fan_file
-from kfan.cech import CechComplex
+from kfan.cech import CechComplex, H0Ring
+from kfan.monoids import GroupRingElement
 from kfan.report import (
     JobReport,
     cochain_from_jsonable,
@@ -248,13 +249,31 @@ def test_k0_global_character_sampling(fanfile):
     assert len(rep.results["character_members"]) == 3
     fan = build_fan(parse_fan_file(json.dumps(P2)))
     cx = CechComplex(fan)
-    from kfan.cech import h0
-
-    ring = h0(fan)
+    ring = H0Ring(fan)
     for entry in rep.results["character_members"]:
+        # the emitted member is a level-0 cochain; re-verify it through
+        # the library as a global section
         c = cochain_from_jsonable(cx, entry["tuple"])
-        # re-verify the emitted member through the library
-        assert ring.contains(ring.complex.cochain(0, c.components))
+        comps = {
+            cone: c.components.get((i,), GroupRingElement.zero(ring.sheaf.stalk(cone)))
+            for i, cone in enumerate(fan.max_cones)
+        }
+        assert ring.contains(Section(ring.sheaf, ring.domain, comps))
+
+
+def test_k0_global_builds_no_cover_complex(fanfile, monkeypatch):
+    # H^0 is the ring of global sections: no cover complex, no level
+    def no_complex(self, fan):
+        raise AssertionError("k0-global built a cover complex")
+
+    monkeypatch.setattr(CechComplex, "__init__", no_complex)
+    path = fanfile(P2)
+    assert run(["k0-global", path, "--sample", "3"]).exit_status == 0
+    member = json.dumps({str(i): [[[1, -2], 3]] for i in range(3)})
+    assert run(["k0-global", path, "--element", member]).exit_status == 0
+    non = json.dumps({"0": [[[1, -2], 3]]})
+    rep = run(["k0-global", path, "--element", non])
+    assert rep.exit_status == 1 and rep.results["failing_pair"] == [0, 1]
 
 
 def test_k0_global_malformed_element(fanfile):
@@ -479,8 +498,18 @@ def test_kclass_needs_a_monoid():
         ("[[1]]", '[["2"]]'),
         ("[[1.9]]", "[[2]]"),  # once echoed as 1.9 but computed with 1
         ("[" * 100_000, "[[0]]"),
+        ("[[1,0],[0]]", "[[1,1]]"),  # a short zero generator was dropped unchecked
+        ("[[1,0],[]]", "[[1,1]]"),
     ],
-    ids=["shift-0.5", "shift-true", "shift-string", "generator-1.9", "deep-nesting"],
+    ids=[
+        "shift-0.5",
+        "shift-true",
+        "shift-string",
+        "generator-1.9",
+        "deep-nesting",
+        "short-zero-generator",
+        "empty-generator",
+    ],
 )
 def test_kclass_follows_the_integer_rule(generators, shifts):
     assert run(["kclass", "--generators", generators, "--shifts", shifts]) == 2
@@ -647,8 +676,12 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
         zero = {c: GroupRingElement.zero(section.sheaf.stalk(c)) for c in fan.max_cones}
         return sheaves.Section(section.sheaf, fan.full_subfan(), zero)
 
-    def wrong_character_tuple(ring, m):
-        return ring.cochain({0: GroupRingElement.character(ring.complex.stalk((0,)), m)})
+    def wrong_character(ring, m):
+        # chi^m on the first piece only: not a section
+        comps = {c: GroupRingElement.zero(ring.sheaf.stalk(c)) for c in ring.fan.max_cones}
+        first = ring.fan.max_cones[0]
+        comps[first] = GroupRingElement.character(ring.sheaf.stalk(first), m)
+        return sheaves.Section(ring.sheaf, ring.domain, comps)
 
     surjection_init = intlinalg.QuotientSurjection.__init__
 
@@ -664,7 +697,7 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     # non-smooth fans: the search returns zero
     cech.solve_pushforward_system = wrong_solver
     sheaves.solve_pushforward_system = wrong_solver
-    cech.H0Ring.character_tuple = wrong_character_tuple
+    cech.H0Ring.character = wrong_character
     path, nonsmooth, square = sys.argv[1:]
     print(main(["check-exactness", path, "--level", "1", "--trials", "2"]))
     print(main(["check-flasque", path, "--trials", "2"]))
@@ -719,6 +752,7 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
     assert proc.stdout.split() == ["1"] * 7
     assert proc.stderr.count("certificate failed its re-check") == 7
     assert "witness fails d(b) = z" in proc.stderr
+    assert "character tuple for" in proc.stderr
     assert proc.stderr.count("extension does not restrict") + proc.stderr.count(
         "extension is not a global section"
     ) == 2

@@ -6,9 +6,10 @@ fans came to be split per cone: cocycles and sections are drawn per
 cone (no longer as kernel elements of the whole system), witnesses are
 the contraction and the extension by zero parts, and the results gain a
 ``split`` line; so the sampled data, the certificates and the supports
-all changed then.  The ``k0-global`` reports did not change: membership
-by tau-parts gives the same answers and witnesses.  They were captured
-before fan meets became ray-set lookups.  A change meant to alter these
+all changed then.  The ``k0-global`` reports did not change then, nor
+when degree-zero cohomology came to be kept as global sections rather
+than level-0 cochains; the rank-3 and non-smooth ``k0-global`` reports
+were captured before that change.  A change meant to alter these
 reports must say so and regenerate them from the repository root with
 
     PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json
@@ -24,6 +25,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 # chi^(1,0) on three of the four pieces and 1 on the last: not a member
 NON_MEMBER = '{"0":[[[1,0],1]],"1":[[[1,0],1]],"2":[[[1,0],1]],"3":[[[0,0],1]]}'
+# values on two of the eight octants, zero elsewhere: pieces 0 and 1 already disagree
+NON_MEMBER_3D = '{"0":[[[1,0,0],1]],"5":[[[0,0,1],2]]}'
 
 GOLDEN = {
     "exactness-p2-level1": "check-exactness fans/p2.json --level 1 --trials 4 --seed 7",
@@ -42,9 +45,16 @@ GOLDEN = {
     "k0-global-p1xp1-element": f"k0-global fans/p1xp1.json --element {NON_MEMBER}",
     "k0-global-hirzebruch2-sample": "k0-global fans/hirzebruch2.json --sample 5",
     "k0-global-hirzebruch2-element": f"k0-global fans/hirzebruch2.json --element {NON_MEMBER}",
+    "k0-global-p1xp1xp1-sample": "k0-global tests/golden/p1xp1xp1.json --sample 3 --seed 4",
+    "k0-global-quadric-cone-sample": "k0-global fans/quadric-cone.json --sample 2 --seed 1",
+    "k0-global-p1xp1xp1-element": f"k0-global tests/golden/p1xp1xp1.json --element {NON_MEMBER_3D}",
 }
 # the reports of these commands end in exit 1 (a non-member, with witness)
-EXIT_STATUS = {"k0-global-p1xp1-element": 1, "k0-global-hirzebruch2-element": 1}
+EXIT_STATUS = {
+    "k0-global-p1xp1-element": 1,
+    "k0-global-hirzebruch2-element": 1,
+    "k0-global-p1xp1xp1-element": 1,
+}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

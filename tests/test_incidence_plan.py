@@ -20,7 +20,7 @@ from itertools import combinations
 
 import pytest
 
-from kfan.cech import CechComplex, Cochain, LevelOverflow, h0
+from kfan.cech import CechComplex, Cochain, H0Ring, LevelOverflow
 from kfan.cones import Fan
 from kfan.fanfile import build_fan, load_fan_file
 from kfan.intlinalg import Lattice, identity_surjection
@@ -69,6 +69,16 @@ def random_cochain(cx, level, rng, density):
     tuples = cx.level_tuples(level)
     picked = {rng.choice(tuples)} | {t for t in tuples if rng.random() < density}
     return Cochain(cx, level, {t: random_element(cx.stalk(t), rng) for t in picked})
+
+
+def section_of(ring, c):
+    """The level-0 cochain c as a family on the whole fan, zero where c
+    has no component."""
+    comps = {
+        cone: c.components.get((i,), GroupRingElement.zero(ring.sheaf.stalk(cone)))
+        for i, cone in enumerate(ring.fan.max_cones)
+    }
+    return Section(ring.sheaf, ring.domain, comps)
 
 
 def reference_d(cx, c):
@@ -120,11 +130,11 @@ def test_plan_faces_are_the_incidences(name, make):
 def test_membership_witness_matches_the_reference():
     rng = random.Random(3)
     for name in ("p1xp1xp1", "ladder-8", "f1"):
-        ring = h0(bench_fan(name))
-        cx = ring.complex
+        fan = bench_fan(name)
+        ring, cx = H0Ring(fan), CechComplex(fan)
         for _ in range(4):
             c = random_cochain(cx, 0, rng, 0.7)
-            ok, witness = ring.membership(c)
+            ok, witness = ring.membership(section_of(ring, c))
             dc = reference_d(cx, c)
             assert ok == dc.is_zero()
             if not ok:
@@ -196,7 +206,7 @@ def checked_scan(monkeypatch, sheaf, cones, values):
 
     expected = reference_disagreement(sheaf, cones, values, meet_of)
     calls = count_pushforwards(monkeypatch)
-    got = first_disagreement(sheaf, cones, values, meet_of)
+    got = first_disagreement(sheaf, cones, values)
     monkeypatch.undo()
     assert got == expected
     pairs = combinations(range(len(cones)), 2)
@@ -210,16 +220,17 @@ def test_first_disagreement_matches_the_reference(monkeypatch, name, make):
     # the whole fan and on random open subfans: scanned in the domain's
     # order as Section.check reads them, and on the whole fan also in
     # the fan's order as H0 membership reads them
-    ring = h0(make())
-    fan, cx, sheaf = ring.fan, ring.complex, ring.complex.sheaf
+    ring = H0Ring(make())
+    fan, sheaf = ring.fan, ring.sheaf
     rng = random.Random(name)
     whole, tops = fan.full_subfan(), fan.max_cones
     families = []
     for m in [(0,) * fan.lattice.rank, tuple(rng.randint(-3, 3) for _ in range(fan.lattice.rank))]:
-        families.append((whole, ring.as_section(ring.character_tuple(m)).components))
+        families.append((whole, ring.character(m).components))
     for domain in (whole, random_open_subfan(fan, rng), random_open_subfan(fan, rng)):
         families.append((domain, random_section(sheaf, domain, rng).components))
-    families.append((whole, ring.as_section(random_cochain(cx, 0, rng, 0.7)).components))
+    candidate = random_cochain(CechComplex(fan), 0, rng, 0.7)
+    families.append((whole, section_of(ring, candidate).components))
     families += [(domain, corrupted(sheaf, comps, rng)) for domain, comps in families]
     verdicts = set()
     for domain, comps in families:
@@ -231,8 +242,7 @@ def test_first_disagreement_matches_the_reference(monkeypatch, name, make):
         if domain == whole:
             values = [comps[c] for c in tops]
             found = checked_scan(monkeypatch, sheaf, tops, values)
-            c = ring.cochain(dict(enumerate(values)))
-            assert ring.membership(c) == (
+            assert ring.membership(Section(sheaf, whole, comps)) == (
                 (True, None) if found is None else (False, (found[:2], found[3]))
             )
             verdicts.add(found is None)

@@ -17,11 +17,12 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kfan.cech import h0
+from kfan.cech import H0Ring
 from kfan.cli import run
 from kfan.cones import Fan
 from kfan.fanfile import build_fan, load_fan_file
 from kfan.monoids import GroupRingElement
+from kfan.sheaves import Section
 from test_cli import assert_exactness_witnesses_recheck, assert_flasque_witnesses_recheck
 from test_constructive import random_smooth_fans
 from test_fan_construction import permuted
@@ -76,7 +77,7 @@ def fan_json(fan) -> dict:
 
 
 def combination(ring, piece, characters):
-    q = ring.complex.stalk((piece,))
+    q = ring.sheaf.stalk(ring.fan.max_cones[piece])
     out = GroupRingElement.zero(q)
     for m, k in characters:
         out = out + GroupRingElement.character(q, m).scale(k)
@@ -86,11 +87,11 @@ def combination(ring, piece, characters):
 def tuples(ring, characters, changed_piece, extra):
     """A combination of character tuples, and the same tuple with one
     more character term on ``changed_piece``."""
-    n = len(ring.complex.fan.max_cones)
-    member = {i: combination(ring, i, characters) for i in range(n)}
+    tops = ring.fan.max_cones
+    member = {c: combination(ring, i, characters) for i, c in enumerate(tops)}
     changed = dict(member)
-    changed[changed_piece] = combination(ring, changed_piece, characters + [extra])
-    return ring.cochain(member), ring.cochain(changed)
+    changed[tops[changed_piece]] = combination(ring, changed_piece, characters + [extra])
+    return Section(ring.sheaf, ring.domain, member), Section(ring.sheaf, ring.domain, changed)
 
 
 @SETTINGS
@@ -109,11 +110,11 @@ def test_h0_membership_is_invariant(fan, seed):
     piece = rng.randrange(len(fan.max_cones))
 
     gt = transpose(g)
-    ring = h0(fan)
+    ring = H0Ring(fan)
     member, changed = tuples(
         ring, [(times(gt, m), k) for m, k in chars], piece, (times(gt, extra[0]), extra[1])
     )
-    ring_other = h0(other)
+    ring_other = H0Ring(other)
     member_other, changed_other = tuples(ring_other, chars, image[piece], extra)
 
     assert ring.contains(member) and ring_other.contains(member_other)

@@ -180,6 +180,12 @@ def test_numerical_semigroup_membership():
     assert not m.contains((2, 1))
 
 
+@pytest.mark.parametrize("ragged", [[(1, 0), (0,)], [(1, 0), ()], [(0, 0, 0)]])
+def test_generator_lengths_are_checked_before_zero_generators_are_dropped(ragged):
+    with pytest.raises(ValueError, match="generator length"):
+        AffineMonoid.from_generators(Z2, ragged)
+
+
 def test_membership_in_quadrant_monoid():
     m = AffineMonoid.from_cone(Cone.from_rays(Z2, [(1, 0), (0, 1)]))
     assert m.contains((0, 0))
