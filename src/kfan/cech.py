@@ -17,13 +17,16 @@ the geometry (difference of the two restrictions), the higher signs are
 the usual simplicial convention over the fixed ordering of the maximal
 cones, and d . d = 0 holds by telescoping.
 
-The differential reads each level's incidence plan (``incidence_plan``):
-every tuple's meet and its signed faces, with the restriction left out
-(None) where a face has the tuple's own meet, since the sheaf certifies
-a cone's restriction to itself as the identity.  So one d pushes each
-nonzero component once per distinct meet it restricts to and passes it
-through unchanged elsewhere; on a ladder most meets are the origin, and
-most faces are identities.  The solver's equations read the same plan.
+The differential visits only the cofaces of a cochain's support, the
+tuples t = s + {i} for s in the support.  Each tuple's entry (its meet
+and its signed faces, with the restriction left out, None, where a face
+has the tuple's own meet, since the sheaf certifies a cone's
+restriction to itself as the identity) is built on first use and kept.
+So one d pushes each nonzero component once per distinct meet it
+restricts to and passes it through unchanged elsewhere; on a ladder
+most meets are the origin, and most faces are identities.  A level's
+incidence plan (``incidence_plan``), which the solver's equations read,
+is put together from the same entries.
 
 For smooth fans the complex splits per cone.  In ray coordinates
 Z[M_sigma] is the sum of summands A_tau over the faces tau of sigma
@@ -31,8 +34,11 @@ Z[M_sigma] is the sum of summands A_tau over the faces tau of sigma
 smaller cone's faces.  So the complex is the sum over the cones tau of
 the complexes of full simplices on S_tau, the maximal cones containing
 tau, with coefficients A_tau; each is exact in positive levels,
-contracted onto a_tau = min S_tau.  ``random_cocycle`` draws per tau
-and ``solve_coboundary`` returns the contraction.  On non-smooth fans
+contracted onto a_tau = min S_tau, and ``solve_coboundary`` returns the
+contraction.  There ``random_cocycle`` draws sparse cocycles z = d(b0),
+with b0 one random monomial on each of ``SPARSE_TUPLES`` random tuples
+one level down: d and the contraction are linear, so a dense z would
+test them no better, and no trial lists a level.  On non-smooth fans
 cocycles are random kernel elements of the whole system d(z) = 0,
 preimages are searched for by the expanding-support solver, and a
 ``SolverGaveUp`` there is a search failure, never a counterexample.
@@ -54,13 +60,13 @@ from .sheaves import (
     assemble_rays,
     first_disagreement,
     from_ray_terms,
-    pad_rays,
-    random_part,
     ray_terms,
     sheaf_a0,
     split_rays,
 )
 from .support_solver import (
+    COEFF_BOUND,
+    COORD_BOUND,
     MAX_ATTEMPTS,
     CertificateError,
     Constraint,
@@ -68,6 +74,9 @@ from .support_solver import (
     sample_nonzero_solution,
     solve_pushforward_system,
 )
+
+# tuples of b0 in a smooth fan's random cocycle z = d(b0)
+SPARSE_TUPLES = 3
 
 
 class LevelOverflow(Exception):
@@ -80,21 +89,19 @@ class NotACocycle(Exception):
 
 class CechComplex:
     """Tuples, stalks and incidence surjections for the maximal-cone
-    cover of a fan.  Nothing is built up front: a level's tuples, and its
-    incidence plan, are listed, and a tuple's meet found, when first
-    read."""
+    cover of a fan.  Nothing is built up front: a tuple's meet, and its
+    entry of signed faces, are found when first read, and a level's
+    tuples, and its incidence plan, only when asked for."""
 
-    __slots__ = (
-        "fan", "sheaf", "top_level", "tuples", "_tuple_sets", "_plans", "_cone_of", "stars"
-    )
+    __slots__ = ("fan", "sheaf", "top_level", "tuples", "_entries", "_plans", "_cone_of", "stars")
 
     def __init__(self, fan: Fan):
         self.fan = fan
         self.sheaf = sheaf_a0(fan)
         self.top_level = len(fan.max_cones) - 1
         self.tuples = {}  # level -> its tuples, listed on first read
-        self._tuple_sets = {}  # level -> the same tuples as a set, listed with them
-        self._plans = {}  # level -> its incidence plan, listed on first read
+        self._entries = {}  # tuple -> (its meet, its signed faces), built on first use
+        self._plans = {}  # level -> its incidence plan, put together on first read
         self._cone_of = {(i,): cone for i, cone in enumerate(fan.max_cones)}
         self.stars = {}  # cone tau -> S_tau, the maximal cones containing it, increasing
         for i, sigma in enumerate(fan.max_cones):
@@ -107,15 +114,8 @@ class CechComplex:
         if p not in self.tuples:
             if not 0 <= p <= self.top_level:
                 raise LevelOverflow(f"no level {p} in this complex")
-            tuples = tuple(combinations(range(self.top_level + 1), p + 1))
-            self.tuples[p] = tuples
-            self._tuple_sets[p] = frozenset(tuples)
+            self.tuples[p] = tuple(combinations(range(self.top_level + 1), p + 1))
         return self.tuples[p]
-
-    def tuple_set(self, p: int) -> frozenset:
-        """The tuples of level p as a set, listed with ``level_tuples``."""
-        self.level_tuples(p)
-        return self._tuple_sets[p]
 
     def cone_of(self, t: tuple) -> Cone:
         """The meet of the tuple's maximal cones, found on first ask from
@@ -137,24 +137,28 @@ class CechComplex:
         s = t[:j] + t[j + 1 :]
         return self.sheaf.restriction(self.cone_of(s), self.cone_of(t))
 
+    def _entry(self, t: tuple) -> tuple:
+        """(t's meet, its signed faces) for a tuple of level >= 1, built on
+        first use and kept.  A face is (s, (-1)^j, restriction) for s = t
+        without its j-th index; the restriction is None when s has the
+        same meet as t, where ``FanSheaf`` certifies it as the identity."""
+        found = self._entries.get(t)
+        if found is None:
+            meet = self.cone_of(t)
+            faces = []
+            for j in range(len(t)):
+                s = t[:j] + t[j + 1 :]
+                same = self.cone_of(s) == meet
+                faces.append((s, -1 if j % 2 else 1, None if same else self.incidence(t, j)))
+            found = self._entries[t] = (meet, tuple(faces))
+        return found
+
     def incidence_plan(self, p: int) -> dict:
-        """Tuple t of level p >= 1 -> (t's meet, its signed faces), in the
-        order of ``level_tuples``, listed on first read and kept.  A face
-        is (s, (-1)^j, restriction) for s = t without its j-th index; the
-        restriction is None when s has the same meet as t, where
-        ``FanSheaf`` certifies it as the identity."""
+        """Tuple t of level p >= 1 -> its entry (``_entry``), in the order of
+        ``level_tuples``, put together on first read and kept."""
         plan = self._plans.get(p)
         if plan is None:
-            plan = {}
-            for t in self.level_tuples(p):
-                meet = self.cone_of(t)
-                faces = []
-                for j in range(p + 1):
-                    s = t[:j] + t[j + 1 :]
-                    same = self.cone_of(s) == meet
-                    faces.append((s, -1 if j % 2 else 1, None if same else self.incidence(t, j)))
-                plan[t] = (meet, tuple(faces))
-            self._plans[p] = plan
+            plan = self._plans[p] = {t: self._entry(t) for t in self.level_tuples(p)}
         return plan
 
     def zero_cochain(self, level: int) -> "Cochain":
@@ -164,14 +168,18 @@ class CechComplex:
         return Cochain(self, level, components)
 
     def d(self, c: "Cochain") -> "Cochain":
-        """The alternating-sign differential, read off the incidence plan:
-        each nonzero component is pushed once to each meet it restricts
-        to, and passed through unchanged where the meet is its own."""
+        """The alternating-sign differential over the cofaces of c's
+        support, read off their entries: each nonzero component is pushed
+        once to each meet it restricts to, and passed through unchanged
+        where the meet is its own."""
         if c.level >= self.top_level:
             raise LevelOverflow(f"level {c.level} is the top of the complex")
         pushed: dict = {}  # (face s, meet) -> the terms of c_s pushed to the meet
         comps = {}
-        for t, (meet, faces) in self.incidence_plan(c.level + 1).items():
+        n = self.top_level + 1
+        cofaces = {tuple(sorted(s + (i,))) for s in c.components for i in range(n) if i not in s}
+        for t in sorted(cofaces):
+            meet, faces = self._entry(t)
             acc: dict = {}
             for s, sign, restriction in faces:
                 comp = c.components.get(s)
@@ -254,25 +262,24 @@ class CechComplex:
         return constraints
 
     def random_cocycle(self, level: int, rng: random.Random) -> "Cochain":
-        """A random nonzero cocycle, re-checked.  On a smooth fan, per cone
-        tau: random values b_K in A_tau (``random_part``) on the tuples
-        (a_tau) K, and z_I = sum over j of (-1)^j b_{I minus i_j} on the
-        others; redrawn while zero.  Otherwise a random nonzero kernel
-        element of d (``sample_nonzero_solution``)."""
+        """A random nonzero cocycle, re-checked.  On a smooth fan z = d(b0)
+        for a level-(level - 1) cochain b0 with one random monomial, in the
+        ray coordinates of the meet, on each of ``SPARSE_TUPLES`` random
+        tuples, redrawn while z is zero; level-0 cocycles are global
+        sections, which ``random_section`` draws.  Otherwise a random
+        nonzero kernel element of d (``sample_nonzero_solution``)."""
         if level > self.top_level:
             raise LevelOverflow(f"no level {level} in this complex")
         if self.fan.is_smooth():
+            if level < 1:
+                raise ValueError("level-0 cocycles are global sections: use random_section")
             for _ in range(MAX_ATTEMPTS):
-                comps: dict = {}
-                for tau, star in self.stars.items():
-                    b = {k: random_part(tau, rng) for k in combinations(star[1:], level)}
-                    for t in combinations(star, level + 1):
-                        value: dict = {}
-                        for j in range(len(t)):
-                            accumulate(value, b.get(t[:j] + t[j + 1 :], {}), -1 if j % 2 else 1)
-                        padded = pad_rays(value, tau, self.cone_of(t))
-                        accumulate(comps.setdefault(t, {}), padded, 1)
-                z = self._from_rays(level, comps)
+                b0: dict = {}
+                for _ in range(SPARSE_TUPLES):
+                    s = tuple(sorted(rng.sample(range(self.top_level + 1), level)))
+                    e = tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in self.cone_of(s).rays)
+                    accumulate(b0.setdefault(s, {}), {e: rng.randint(-COEFF_BOUND, COEFF_BOUND)}, 1)
+                z = self.d(self._from_rays(level - 1, b0))
                 if not z.is_zero():
                     break
         else:
@@ -287,18 +294,26 @@ class CechComplex:
 
 
 class Cochain:
-    """Finitely supported components on the level's tuples."""
+    """Finitely supported components on the level's tuples.  A tuple is
+    checked by its shape: p + 1 int indices, strictly increasing, in
+    [0, top_level]; no level is listed."""
 
     __slots__ = ("complex", "level", "components", "_cocycle")
 
     def __init__(self, complex: CechComplex, level: int, components: dict):
         if level < 0 or level > complex.top_level:
             raise LevelOverflow(f"no level {level} in this complex")
-        valid = complex.tuple_set(level)
+        top = complex.top_level
         comps = {}
         for t, val in components.items():
             t = tuple(t)
-            if t not in valid:
+            if not (
+                len(t) == level + 1
+                and all(type(i) is int for i in t)  # bools are ints, but not indices
+                and 0 <= t[0]
+                and t[-1] <= top
+                and all(a < b for a, b in zip(t, t[1:]))
+            ):
                 raise ValueError(f"{t} is not a level-{level} tuple")
             if val.group != complex.stalk(t):
                 raise ValueError(f"component at {t} lives over the wrong group")
@@ -415,7 +430,10 @@ def verify_exactness(
     and a trial that gives up is a search failure, never a counterexample.
 
     Also re-checks d(d(.)) = 0 on the way: each sampled cocycle is
-    verified to be killed by the differential before solving.
+    verified to be killed by the differential before solving, and on a
+    smooth fan it is drawn as z = d(b0) for a sparse b0.  Each trial
+    visits only the cofaces of the supports of b0, z and the witness, so
+    a smooth trial lists no level of the complex.
     """
     if level < 1:
         raise ValueError("exactness questions start at level 1")

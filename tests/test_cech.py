@@ -1,13 +1,15 @@
+import importlib.util
+import json
 import os
 import random
 import subprocess
 import sys
 import textwrap
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
-from kfan import cech
+from kfan import cech, cli
 
 from kfan.catalog import (
     affine_plane,
@@ -29,6 +31,7 @@ from kfan.cech import (
 from kfan.cones import Fan
 from kfan.intlinalg import Lattice
 from kfan.monoids import GroupRingElement
+from kfan.report import cochain_from_jsonable, cochain_to_jsonable
 from kfan.sheaves import Section, random_section
 from kfan.support_solver import SolverGaveUp
 
@@ -104,17 +107,54 @@ def test_h0_on_a_long_ladder_reads_only_level_0(monkeypatch):
     assert len(meets) <= 5 * n * (n - 1) // 2  # one meet per pair and membership call
 
 
-def test_exactness_at_level_2_lists_only_levels_1_to_3(monkeypatch):
+def test_smooth_exactness_lists_no_level(monkeypatch):
+    # sparse draws and a differential over the cofaces of the support:
+    # no smooth trial reads a whole level of the complex
     rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     cones = [[a, 2 + b, 4 + c] for a, b, c in product((0, 1), repeat=3)]
-    fan = Fan.from_rays_and_indices(Lattice(3), rays, cones)
+    cube = Fan.from_rays_and_indices(Lattice(3), rays, cones)
+
+    def no_level(cx, p):
+        raise AssertionError(f"level {p} listed")
+
+    monkeypatch.setattr(CechComplex, "level_tuples", no_level)
+    for fan in (cube, blown_up_ladder(16)):
+        assert fan.is_smooth()
+        for level in (1, 2, 3):
+            rep = verify_exactness(fan, level=level, trials=2, depth=3, seed=level)
+            assert rep.all_solved
+            for z, b in rep.witnesses:
+                assert z.level == level and z.complex.d(b) == z
+
+
+def load_gen_fans():
+    """``bench/gen_fans.py``, which writes the benchmark's ladders."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "gen_fans.py")
+    spec = importlib.util.spec_from_file_location("gen_fans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exactness_cost_follows_the_support_on_a_64_cone_ladder(monkeypatch, tmp_path):
+    # a count, not a timing: level 3 has C(64, 4) tuples and level 4,
+    # which the cocycle check reaches, C(64, 5) (about 7.6 million); a
+    # trial builds the entries of the cofaces of its supports only
+    path = tmp_path / "ladder-64.json"
+    path.write_text(json.dumps(load_gen_fans().ladder(64)))
     built = []
     init = CechComplex.__init__
     monkeypatch.setattr(CechComplex, "__init__", lambda cx, f: built.append(cx) or init(cx, f))
-    rep = verify_exactness(fan, level=2, trials=2, depth=3, seed=0)
-    assert rep.all_solved
+    rep = cli.run(["check-exactness", str(path), "--level", "3", "--trials", "5", "--json"])
+    assert rep.exit_status == 0 and rep.results["all_solved"]
     [cx] = built
-    assert cx.top_level == 7 and sorted(cx.tuples) == [1, 2, 3]
+    n = cx.top_level + 1
+    supports = sum(
+        len(w[key]["components"]) for w in rep.certificates["witnesses"] for key in w
+    )
+    # cofaces of b0, of z (its check) and of the witness b (its re-check)
+    assert 0 < len(cx._entries) <= n * (5 * cech.SPARSE_TUPLES + supports)
+    assert cx.tuples == {}
 
 
 def test_differential_of_constant_cochain_vanishes():
@@ -258,9 +298,10 @@ def test_verify_exactness_small_runs():
             assert rep.all_solved
 
 
-def test_one_exactness_trial_computes_two_differentials(monkeypatch):
-    # d(z) once (the sample's check, remembered for solve_coboundary's
-    # input check) and d(b) once (the witness re-check)
+def test_one_exactness_trial_computes_three_differentials(monkeypatch):
+    # d(b0) once (the sample z = d(b0)), d(z) once (the sample's check,
+    # remembered for solve_coboundary's input check) and d(b) once (the
+    # witness re-check)
     calls = []
     d = CechComplex.d
 
@@ -271,7 +312,14 @@ def test_one_exactness_trial_computes_two_differentials(monkeypatch):
     monkeypatch.setattr(CechComplex, "d", counting)
     rep = verify_exactness(projective_plane(), level=1, trials=1, depth=3, seed=4)
     assert rep.solved == 1
-    assert calls == [1, 0]
+    assert calls == [0, 1, 0]
+
+
+def test_smooth_random_cocycle_starts_at_level_1():
+    # level-0 cocycles are global sections, drawn by random_section
+    cx = CechComplex(projective_plane())
+    with pytest.raises(ValueError, match="random_section"):
+        cx.random_cocycle(0, random.Random(0))
 
 
 def test_is_cocycle_is_remembered_per_cochain(monkeypatch):
@@ -526,24 +574,21 @@ def test_h0_ring_checks_hold_under_python_O():
     assert proc.stdout.split() == ["ValueError"] * 5
 
 
-def test_cochains_check_their_tuples_against_one_kept_set(monkeypatch):
+def test_cochains_check_their_tuples_by_shape(monkeypatch):
+    # p + 1 int indices, strictly increasing, in [0, top_level]; the
+    # check lists no level.  (False, True) == (0, 1), but it would be
+    # written as [false, true], which cochain_from_jsonable refuses
     cx = CechComplex(projective_plane())
-    listed = []
-
-    def listing(pool, r):
-        listed.append(r)
-        return combinations(pool, r)
-
-    monkeypatch.setattr(cech, "combinations", listing)
-    valid = cx.tuple_set(1)
-    assert valid == set(cx.level_tuples(1)) and cx.tuple_set(1) is valid
-    t = cx.level_tuples(1)[0]
+    monkeypatch.setattr(cech, "combinations", None)
+    t = (0, 2)
     one = GroupRingElement(cx.stalk(t), {(1,): 1})
-    for _ in range(3):
-        assert cx.cochain(1, {t: one}).components == {t: one}
-    for bad in ((0, 1, 2), t[::-1], (0, 3)):
+    c = cx.cochain(1, {t: one})
+    assert c.components == {t: one}
+    assert cochain_from_jsonable(cx, json.loads(json.dumps(cochain_to_jsonable(c)))) == c
+    top = cx.top_level
+    for bad in ((False, True), (1, 0), (0, 0), (-1, 2), (0, top + 1), (0, 1, 2), (0,)):
         with pytest.raises(ValueError, match="not a level-1 tuple"):
             cx.cochain(1, {bad: one})
     with pytest.raises(ValueError, match="wrong group"):
         cx.cochain(1, {t: GroupRingElement.one(cx.stalk((0,)))})
-    assert listed == [2]
+    assert cx.tuples == {}

@@ -6,10 +6,16 @@ fans came to be split per cone: cocycles and sections are drawn per
 cone (no longer as kernel elements of the whole system), witnesses are
 the contraction and the extension by zero parts, and the results gain a
 ``split`` line; so the sampled data, the certificates and the supports
-all changed then.  The ``k0-global`` reports did not change then, nor
-when degree-zero cohomology came to be kept as global sections rather
-than level-0 cochains; the rank-3 and non-smooth ``k0-global`` reports
-were captured before that change.  A change meant to alter these
+all changed then.  The eight ``exactness-*`` reports were regenerated
+again when smooth-fan cocycles came to be drawn sparse, as z = d(b0)
+for one random monomial on each of a few random tuples one level down
+(``cech.SPARSE_TUPLES``): the cocycles, their witnesses and their
+supports changed, and the reports shrank.  The ``check-flasque``
+reports did not change then.  The ``k0-global`` reports did not change
+when cocycles were first split per cone, nor when degree-zero
+cohomology came to be kept as global sections rather than level-0
+cochains; the rank-3 and non-smooth ``k0-global`` reports were captured
+before that change.  A change meant to alter these
 reports must say so and regenerate them from the repository root with
 
     PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json
