@@ -128,6 +128,18 @@ class CechComplex:
             self._cone_of[t] = cone
         return cone
 
+    def is_level_tuple(self, t: tuple, level: int) -> bool:
+        """Is t a level-``level`` tuple by its shape: level + 1 int
+        indices, strictly increasing, in [0, top_level]?  No level is
+        listed."""
+        return (
+            len(t) == level + 1 > 0
+            and all(type(i) is int for i in t)  # bools are ints, but not indices
+            and 0 <= t[0]
+            and t[-1] <= self.top_level
+            and all(a < b for a, b in zip(t, t[1:]))
+        )
+
     def stalk(self, t: tuple) -> QuotientLattice:
         return self.sheaf.stalk(self.cone_of(t))
 
@@ -295,25 +307,18 @@ class CechComplex:
 
 class Cochain:
     """Finitely supported components on the level's tuples.  A tuple is
-    checked by its shape: p + 1 int indices, strictly increasing, in
-    [0, top_level]; no level is listed."""
+    checked by its shape (``CechComplex.is_level_tuple``); no level is
+    listed."""
 
     __slots__ = ("complex", "level", "components", "_cocycle")
 
     def __init__(self, complex: CechComplex, level: int, components: dict):
         if level < 0 or level > complex.top_level:
             raise LevelOverflow(f"no level {level} in this complex")
-        top = complex.top_level
         comps = {}
         for t, val in components.items():
             t = tuple(t)
-            if not (
-                len(t) == level + 1
-                and all(type(i) is int for i in t)  # bools are ints, but not indices
-                and 0 <= t[0]
-                and t[-1] <= top
-                and all(a < b for a, b in zip(t, t[1:]))
-            ):
+            if not complex.is_level_tuple(t, level):
                 raise ValueError(f"{t} is not a level-{level} tuple")
             if val.group != complex.stalk(t):
                 raise ValueError(f"component at {t} lives over the wrong group")

@@ -56,7 +56,9 @@ def cochain_to_jsonable(c: Cochain) -> dict:
 
 def cochain_from_jsonable(complex, data) -> Cochain:
     """Inverse of ``cochain_to_jsonable``; the level and the tuple entries
-    must be JSON integers, never coerced, and no tuple may repeat."""
+    must be JSON integers, never coerced, no tuple may repeat, and each
+    must have the level's shape (``CechComplex.is_level_tuple``) before
+    its stalk is looked up."""
     level = data["level"]
     if not is_int(level):
         raise ValueError(f"level {level!r} is not an integer")
@@ -67,6 +69,8 @@ def cochain_from_jsonable(complex, data) -> Cochain:
         key = tuple(t)
         if key in comps:
             raise ValueError(f"tuple {t!r} is repeated")
+        if not complex.is_level_tuple(key, level):
+            raise ValueError(f"tuple {t!r} is not a level-{level} tuple")
         comps[key] = element_from_jsonable(complex.stalk(key), val)
     return complex.cochain(level, comps)
 

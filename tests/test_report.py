@@ -8,6 +8,7 @@ on every value, and raise ``TypeError`` wherever the stdlib does.
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import pytest
@@ -214,4 +215,12 @@ def test_cochain_tuple_must_not_repeat(p2_complex, cocycle):
     first = cocycle["components"][0]
     comps = cocycle["components"] + [[list(first[0]), first[1]]]
     with pytest.raises(ValueError, match="repeated"):
+        cochain_from_jsonable(p2_complex, dict(cocycle, components=comps))
+
+
+@pytest.mark.parametrize("bad", [[1, 0], [0, 7], [-1, 2], [0, 0]], ids=str)
+def test_cochain_tuple_shape_is_checked_before_its_stalk(p2_complex, cocycle, bad):
+    # each of these used to end in KeyError from the stalk lookup
+    comps = [[bad, cocycle["components"][0][1]]] + cocycle["components"][1:]
+    with pytest.raises(ValueError, match=re.escape(f"tuple {bad!r} is not a level-1 tuple")):
         cochain_from_jsonable(p2_complex, dict(cocycle, components=comps))

@@ -1,16 +1,29 @@
+import glob
+import os
 import random
 
 import pytest
 
+from kfan import sheaves
 from kfan.catalog import (
     hirzebruch,
     p1_times_p1,
     projective_line,
     projective_plane,
     singular_quadric_cone_fan,
+    weighted_p2_fan,
 )
 from kfan.cones import Cone, Fan, Subfan, zero_cone
-from kfan.intlinalg import CertificateError, IntMatrix, Lattice, QuotientSurjection
+from kfan.fanfile import build_fan, load_fan_file
+from kfan.intlinalg import (
+    CertificateError,
+    IntMatrix,
+    Lattice,
+    QuotientSurjection,
+    canonical_surjection,
+    compose,
+    identity_surjection,
+)
 from kfan.monoids import GroupRingElement
 from kfan.sheaves import (
     FanSheaf,
@@ -276,3 +289,91 @@ def test_fan_sheaf_rejects_restrictions_that_are_not_functorial():
     restrictions[(sigma, ray)] = _negated(good.restriction(sigma, ray))
     with pytest.raises(CertificateError, match="not functorial"):
         FanSheaf(fan, good._stalks, restrictions)
+
+
+def every_fan():
+    """Every fan file in fans/ and bench/fans/, and a weighted P2."""
+    here = os.path.dirname(__file__)
+    paths = glob.glob(os.path.join(here, os.pardir, "fans", "*.json"))
+    paths += glob.glob(os.path.join(here, os.pardir, "bench", "fans", "*.json"))
+    fans = [(os.path.basename(p), build_fan(load_fan_file(p))) for p in sorted(paths)]
+    return fans + [("weighted-p2", weighted_p2_fan())]
+
+
+@pytest.mark.parametrize("fan", [pytest.param(fan, id=name) for name, fan in every_fan()])
+def test_shared_stalks_and_restrictions_are_those_of_each_cone(fan):
+    sheaf = sheaf_a0(fan)
+    for sigma in fan.cones:
+        assert sheaf.stalk(sigma) == sigma.character_quotient()
+        for tau in fan.faces_of(sigma):
+            phi = sheaf.restriction(sigma, tau)
+            fresh = canonical_surjection(sigma.character_quotient(), tau.character_quotient())
+            assert phi.source == fresh.source and phi.target == fresh.target
+            assert phi.matrix == fresh.matrix and phi.splitting == fresh.splitting
+
+
+def p1_cubed():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "fans", "p1xp1xp1.json")
+    return build_fan(load_fan_file(path))
+
+
+def test_p1_cubed_builds_one_map_per_stalk_pair_and_checks_each_case_once(monkeypatch):
+    fan = p1_cubed()
+    built, compared = [], []
+    maps_equal = QuotientSurjection.maps_equal
+
+    def counted_surjection(source, target):
+        built.append((source, target))
+        return canonical_surjection(source, target)
+
+    def counted_maps_equal(self, other):
+        compared.append(self)
+        return maps_equal(self, other)
+
+    monkeypatch.setattr(sheaves, "canonical_surjection", counted_surjection)
+    monkeypatch.setattr(QuotientSurjection, "maps_equal", counted_maps_equal)
+    sheaf = sheaf_a0(fan)
+    assert len(fan.cones) == 27 and len(sheaf._restrictions) == 125
+    assert len({id(q) for q in sheaf._stalks.values()}) == 8
+    assert len(built) == 27  # one per distinct stalk pair, not 125
+    assert len({id(phi) for phi in sheaf._restrictions.values()}) == 27
+    # 8 identity cases (one per stalk) and 18 distinct map triples,
+    # against 27 cones and 120 chains
+    assert len(compared) == 8 + 18
+
+
+def first_failure_checking_every_chain(fan, stalks, restrictions):
+    """The first error ``FanSheaf`` would raise if it checked every cone
+    and every chain, or None."""
+    for sigma in fan.cones:
+        if not restrictions[sigma, sigma].maps_equal(identity_surjection(stalks[sigma])):
+            return f"restriction of {sigma!r} to itself is not the identity"
+    for sigma in fan.cones:
+        for tau in fan.faces_of(sigma)[:-1]:
+            for rho in fan.faces_of(tau)[:-1]:
+                via = compose(restrictions[tau, rho], restrictions[sigma, tau])
+                if not restrictions[sigma, rho].maps_equal(via):
+                    return f"restrictions {sigma!r} -> {tau!r} -> {rho!r} are not functorial"
+    return None
+
+
+def test_fan_sheaf_rejects_a_shared_wrong_map_with_the_first_error_of_every_chain():
+    fan = p1_cubed()
+    good = sheaf_a0(fan)
+    shared = {}
+    for pair, phi in good._restrictions.items():
+        shared.setdefault(id(phi), (phi, []))[1].append(pair)
+    kinds = set()
+    for phi, pairs in shared.values():
+        if phi.target.is_zero or len(pairs) < 2:
+            continue  # a map onto the zero group is its own negation
+        wrong = _negated(phi)  # one object, put on every face pair that shared phi
+        restrictions = dict(good._restrictions)
+        restrictions.update((pair, wrong) for pair in pairs)
+        expected = first_failure_checking_every_chain(fan, good._stalks, restrictions)
+        assert expected is not None
+        with pytest.raises(CertificateError) as raised:
+            FanSheaf(fan, good._stalks, restrictions)
+        assert str(raised.value) == expected
+        kinds.add("identity" if "identity" in expected else "functorial")
+    assert kinds == {"identity", "functorial"}
