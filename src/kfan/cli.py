@@ -182,6 +182,11 @@ def cmd_k0_global(args) -> JobReport:
         )
     if args.element is not None:
         data = _json_option("element", args.element)
+        if not isinstance(data, dict):
+            raise InputError(
+                "malformed element: expected a JSON object mapping max-cone index "
+                "to a term list"
+            )
         try:
             comps = {}
             for key, val in data.items():

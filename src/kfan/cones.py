@@ -149,7 +149,7 @@ class Cone:
 
     __slots__ = (
         "lattice", "rays", "facets", "dim", "pointed",
-        "_faces", "_charq", "_smooth", "_chart", "_hash",
+        "_faces", "_charq", "_smooth", "_chart", "_ray_index", "_hash",
     )
 
     def __init__(self, lattice: Lattice, rays, facets, dim: int, pointed: bool):
@@ -162,6 +162,7 @@ class Cone:
         self._charq = None
         self._smooth = None
         self._chart = None
+        self._ray_index = None
         self._hash = None
 
     @classmethod
@@ -348,6 +349,13 @@ class Cone:
             self._chart = (t, t_inv)
         return self._chart
 
+    def ray_index(self) -> dict[Vec, int]:
+        """The position of each ray in ``rays``, the order of the ray
+        coordinates; built once per cone."""
+        if self._ray_index is None:
+            self._ray_index = {r: i for i, r in enumerate(self.rays)}
+        return self._ray_index
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Cone)
@@ -419,7 +427,9 @@ class Fan:
     zero cone is always present.
     """
 
-    __slots__ = ("lattice", "cones", "max_cones", "_index", "_by_rays", "_faces_of")
+    __slots__ = (
+        "lattice", "cones", "max_cones", "_index", "_by_rays", "_faces_of", "_full_max_cones",
+    )
 
     def __init__(self, lattice: Lattice, cones, max_cones, faces_of):
         self.lattice = lattice
@@ -428,6 +438,7 @@ class Fan:
         self._index = {c: i for i, c in enumerate(cones)}
         self._by_rays = {frozenset(c.rays): c for c in cones}
         self._faces_of = faces_of
+        self._full_max_cones = None
 
     @classmethod
     def from_max_cones(cls, lattice: Lattice, max_cones: Iterable[Cone]) -> "Fan":
@@ -600,12 +611,21 @@ class Subfan:
 
     def max_cones(self) -> tuple[Cone, ...]:
         """The members that are not proper faces of other members,
-        found on the first call and kept (the members never change)."""
+        found on the first call and kept (the members never change).
+        Those of the whole fan are found once per fan and kept on it, as
+        a tuple of cones: a kept ``Subfan`` would point back at the fan."""
         if self._max_cones is None:
-            proper = {f for c in self.members for f in self.parent.faces_of(c) if f != c}
-            self._max_cones = tuple(
-                sorted(self.members - proper, key=lambda c: (c.dim, c.rays))
-            )
+            parent = self.parent
+            full = len(self.members) == len(parent.cones)  # members are cones of the fan
+            if full and parent._full_max_cones is not None:
+                self._max_cones = parent._full_max_cones
+            else:
+                proper = {f for c in self.members for f in parent.faces_of(c) if f != c}
+                self._max_cones = tuple(
+                    sorted(self.members - proper, key=lambda c: (c.dim, c.rays))
+                )
+                if full:
+                    parent._full_max_cones = self._max_cones
         return self._max_cones
 
     def __contains__(self, cone: Cone) -> bool:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, islice
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -669,9 +669,13 @@ class QuotientSurjection:
 
     Onto a free target, a matrix whose rows are all unit vectors picks
     coordinates: ``selection`` holds the picked column of each row, and
-    ``apply`` indexes instead of multiplying.  Otherwise it is None."""
+    ``picker`` is that selection compiled once into an ``itemgetter``
+    (``picker`` below), which ``apply`` and
+    ``GroupRingElement.pushforward`` call instead of multiplying.
+    Otherwise, and onto a torsion target, both are None: the matrix is
+    applied and the image reduced."""
 
-    __slots__ = ("source", "target", "matrix", "splitting", "selection")
+    __slots__ = ("source", "target", "matrix", "splitting", "selection", "picker")
 
     def __init__(
         self,
@@ -685,14 +689,15 @@ class QuotientSurjection:
         self.matrix = matrix
         self.splitting = splitting
         self.selection = _selection(matrix) if target.is_free else None
+        self.picker = None if self.selection is None else picker(self.selection)
 
     def apply(self, coords: Sequence[int]) -> Vec:
-        if self.selection is not None:
+        if self.picker is not None:
             if len(coords) != self.matrix.ncols:
                 raise ValueError(
                     f"vector length {len(coords)}, matrix has {self.matrix.ncols} cols"
                 )
-            return tuple([coords[j] for j in self.selection])
+            return self.picker(tuple(coords))
         image = self.matrix.apply(coords)
         # on a free target the raw image is already in normal form
         return self.target.reduce(image) if self.target.invariant_factors else image
@@ -717,6 +722,18 @@ class QuotientSurjection:
 
     def __repr__(self) -> str:
         return f"QuotientSurjection({self.source!r} -> {self.target!r})"
+
+
+def picker(positions: Sequence[int]):
+    """The map taking a tuple v to (v[p] for p in positions), compiled
+    into one ``operator.itemgetter``: a tuple for every length, where a
+    bare itemgetter of one position returns the entry itself and one of
+    none cannot be built."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(slice(0, 0))
 
 
 def _selection(matrix: IntMatrix) -> tuple[int, ...] | None:

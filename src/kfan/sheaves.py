@@ -14,7 +14,11 @@ faces tau of sigma of A_tau, the tensor product over the rays of tau of
 (1 - x_i) Z[x_i^+-1]: the tau-part of an element is its restriction to
 tau under the projector prod (1 - eps_i), eps_i setting x_i = 1
 (``split_rays``), and the parts sum back by zero-padding
-(``assemble_rays``).  So on a smooth fan ``sheaf_a0`` is the sum over
+(``assemble_rays``).  These coordinate maps run as compiled pickers
+(``intlinalg.picker``): restriction and padding read their positions
+from the cones' ray indices (``Cone.ray_index``), and the projector
+reads one table of sign patterns per width, built once up to
+``MAX_RANK``.  So on a smooth fan ``sheaf_a0`` is the sum over
 the cones tau of the constant sheaf A_tau on star(tau), and it is
 flasque: a section extends by zero tau-parts on the cones outside its
 domain.  Elements are converted into ray coordinates and back at the
@@ -42,7 +46,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .cones import Cone, Fan, Subfan
+from .cones import MAX_RANK, Cone, Fan, Subfan
 from .intlinalg import (
     CertificateError,
     Vec,
@@ -51,6 +55,7 @@ from .intlinalg import (
     canonical_surjection,
     compose,
     identity_surjection,
+    picker,
 )
 from .monoids import GroupRingElement
 from .support_solver import (
@@ -251,33 +256,30 @@ def from_ray_terms(group: QuotientLattice, cone: Cone, terms: dict) -> GroupRing
 
 def _positions(face: Cone, cone: Cone) -> tuple[int, ...]:
     """Where each ray of a face sits among the rays of the cone."""
-    where = {r: i for i, r in enumerate(cone.rays)}
-    return tuple(where[r] for r in face.rays)
+    return tuple(map(cone.ray_index().__getitem__, face.rays))
 
 
 def restrict_rays(terms: dict, cone: Cone, face: Cone) -> dict:
     """Restriction to a face, in ray coordinates: keep the coordinates
     of the face's rays."""
-    idx = _positions(face, cone)
+    pick = picker(_positions(face, cone))
     out: dict = {}
     for e, k in terms.items():
-        key = tuple(e[i] for i in idx)
+        key = pick(e)
         out[key] = out.get(key, 0) + k
     return {e: k for e, k in out.items() if k}
 
 
 def pad_rays(terms: dict, face: Cone, cone: Cone) -> dict:
     """iota: from a face's ray coordinates to the cone's, with zeros at
-    the rays the face lacks.  A right inverse of ``restrict_rays``."""
-    idx = _positions(face, cone)
-    width = len(cone.rays)
-    out = {}
-    for e, k in terms.items():
-        v = [0] * width
-        for i, x in zip(idx, e):
-            v[i] = x
-        out[tuple(v)] = k
-    return out
+    the rays the face lacks.  A right inverse of ``restrict_rays``.
+    Each key gets one trailing 0, which the cone's other rays pick."""
+    width = len(face.rays)
+    sources = [width] * len(cone.rays)
+    for j, i in enumerate(_positions(face, cone)):
+        sources[i] = j
+    pick = picker(sources)
+    return {pick(e + (0,)): k for e, k in terms.items()}
 
 
 def accumulate(acc: dict, terms: dict, sign: int) -> None:
@@ -290,14 +292,37 @@ def accumulate(acc: dict, terms: dict, sign: int) -> None:
             acc.pop(e, None)
 
 
+def _sign_patterns(width: int) -> tuple:
+    """(picker, sign) for each choice of the kept factors x_i^e_i in the
+    expansion of prod (x_i^e_i - 1) over ``width`` coordinates, in the
+    order of ``product((1, 0), repeat=width)``: the picker reads a key
+    with one trailing 0, which the dropped coordinates pick, and the
+    sign is that of the dropped factors' -1s."""
+    return tuple(
+        (
+            picker([i if kept else width for i, kept in enumerate(keep)]),
+            -1 if (width - sum(keep)) % 2 else 1,
+        )
+        for keep in product((1, 0), repeat=width)
+    )
+
+
+# a smooth cone has at most as many rays as the lattice rank
+_SIGN_PATTERNS = tuple(_sign_patterns(w) for w in range(MAX_RANK + 1))
+
+
 def _top_part(terms: dict) -> dict:
     """The projector prod (1 - eps_i) on ray-coordinate terms: x^e goes
-    to prod (x_i^e_i - 1), which is 0 when some e_i is."""
+    to prod (x_i^e_i - 1), which is 0 when some e_i is; its terms are
+    read off the sign patterns of the width of e."""
     out: dict = {}
     for e, k in terms.items():
-        for keep in product((1, 0), repeat=len(e)) if 0 not in e else ():
-            key = tuple(x * kept for x, kept in zip(e, keep))
-            out[key] = out.get(key, 0) + (k if (len(e) - sum(keep)) % 2 == 0 else -k)
+        if 0 in e:
+            continue
+        padded = e + (0,)
+        for pick, sign in _SIGN_PATTERNS[len(e)]:
+            key = pick(padded)
+            out[key] = out.get(key, 0) + sign * k
     return {e: k for e, k in out.items() if k}
 
 

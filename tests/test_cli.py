@@ -280,6 +280,14 @@ def test_k0_global_malformed_element(fanfile):
     assert run(["k0-global", fanfile(P1), "--element", "[[nope"]) == 2
 
 
+@pytest.mark.parametrize("text", ["[]", "3", '"x"'], ids=["list", "int", "string"])
+def test_k0_global_element_that_is_not_an_object_names_the_shape(fanfile, capsys, text):
+    assert run(["k0-global", fanfile(P1), "--element", text]) == 2
+    err = capsys.readouterr().err
+    assert "expected a JSON object mapping max-cone index to a term list" in err
+    assert "Traceback" not in err and "attribute" not in err
+
+
 def test_k0_global_element_with_a_repeated_key_is_an_input_error(fanfile):
     # read as its last value, the first "0" would be dropped unseen
     text = '{"0": [[[0], 1]], "0": [[[3], 1]], "1": [[[0], 1]]}'

@@ -15,7 +15,10 @@ reports did not change then.  The ``k0-global`` reports did not change
 when cocycles were first split per cone, nor when degree-zero
 cohomology came to be kept as global sections rather than level-0
 cochains; the rank-3 and non-smooth ``k0-global`` reports were captured
-before that change.  A change meant to alter these
+before that change.  ``flasque-p1xp1xp1``, the benchmark's largest
+flasque job, was captured before coordinate selections and the ray
+helpers came to run as compiled pickers, and did not change with them.
+A change meant to alter these
 reports must say so and regenerate them from the repository root with
 
     PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json
@@ -47,6 +50,7 @@ GOLDEN = {
     "exactness-p1xp1xp1-level1": "check-exactness tests/golden/p1xp1xp1.json --level 1 --trials 3 --seed 13",
     "exactness-p1xp1xp1-level2": "check-exactness tests/golden/p1xp1xp1.json --level 2 --trials 2 --seed 10",
     "flasque-p3": "check-flasque tests/golden/p3.json --trials 3 --seed 12",
+    "flasque-p1xp1xp1": "check-flasque bench/fans/p1xp1xp1.json --trials 10 --seed 3",
     "k0-global-p1xp1-sample": "k0-global fans/p1xp1.json --sample 5",
     "k0-global-p1xp1-element": f"k0-global fans/p1xp1.json --element {NON_MEMBER}",
     "k0-global-hirzebruch2-sample": "k0-global fans/hirzebruch2.json --sample 5",
