@@ -57,14 +57,14 @@ def _fan_inputs(ff: FanFile, path: str) -> dict:
     return out
 
 
-def _cone_entry(fan, i, cone) -> dict:
+def _cone_entry(fan, i, cone, interned: dict) -> dict:
     return {
         "id": i,
         "dim": cone.dim,
         "rays": [list(r) for r in cone.rays],
         "smooth": cone.is_smooth(),
         "simplicial": cone.is_simplicial(),
-        "character_rank": cone.character_quotient().free_rank,
+        "character_rank": cone.character_quotient(interned).free_rank,
         "maximal": cone in fan.max_cones,
     }
 
@@ -113,9 +113,11 @@ def cmd_info(args) -> JobReport:
         complete = fan.is_complete()
     except UnsupportedRank:
         complete = None
+    interned: dict = {}
     results = {
         "num_cones": len(fan.cones),
-        "cones": [_cone_entry(fan, i, c) for i, c in enumerate(fan.cones)],
+        # one character group per distinct perp lattice, as in sheaf_a0
+        "cones": [_cone_entry(fan, i, c, interned) for i, c in enumerate(fan.cones)],
         "max_cone_ids": [fan.index_of(c) for c in fan.max_cones],
         "smooth": fan.is_smooth(),
         "complete": complete,

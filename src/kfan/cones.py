@@ -20,7 +20,14 @@ Most cones need less.  On linearly independent rays the facets are the
 normals of the other rays, and a diagonal pairing matrix with a
 positive diagonal certifies them (``Cone._simplicial``); only dependent
 rays take a second double description back to rays and its
-cross-checks.
+cross-checks.  A cone on independent rays reduces its ray matrix once,
+and only below full rank (``_ray_reduction``): the kernel is the
+lineality the facets are built on and, for rays in sorted order, the
+cone's ``perp_lattice()``; the Smith diagonal, the same whichever
+transforms are tracked, decides ``is_smooth()``.  A full-dimensional
+cone has no kernel and is smooth exactly when |det| = 1 of its rays.
+The ray chart of a smooth cone is inverted by cofactors
+(``intlinalg.adjugate``), so that no Smith reduction runs for it.
 
 Faces need no double description of their own to be found: a face is
 spanned by the rays of the cone that are tight on a set of its facets,
@@ -45,13 +52,15 @@ from .intlinalg import (
     Lattice,
     QuotientLattice,
     Vec,
+    adjugate,
     as_vec,
+    det,
     dot,
     kernel,
     normal_vector,
     quotient,
     rank as matrix_rank,
-    smith_with_inverses,
+    smith_kernel,
     vec_neg,
 )
 
@@ -149,7 +158,7 @@ class Cone:
 
     __slots__ = (
         "lattice", "rays", "facets", "dim", "pointed",
-        "_faces", "_charq", "_smooth", "_chart", "_ray_index", "_hash",
+        "_faces", "_perp", "_charq", "_smooth", "_chart", "_ray_index", "_hash",
     )
 
     def __init__(self, lattice: Lattice, rays, facets, dim: int, pointed: bool):
@@ -159,6 +168,7 @@ class Cone:
         self.dim = dim
         self.pointed = pointed
         self._faces = None
+        self._perp = None
         self._charq = None
         self._smooth = None
         self._chart = None
@@ -215,9 +225,15 @@ class Cone:
         u_i is tight on the d - 1 independent rays r_j, j != i; and the
         u_i with L span Q^n, so the cone contains no line.  A failure
         raises ``CertificateError``.
+
+        The reduction that finds L also decides smoothness
+        (``_ray_reduction``), and the cone keeps both: L is its
+        ``perp_lattice()`` when the rays came in sorted order, the order
+        of ``rays``, as they do for every face a fan builds.
         """
         n = lattice.rank
-        lin = kernel(IntMatrix(prim, ncols=n)).rows if len(prim) < n else ()
+        perp, smooth = _ray_reduction(tuple(prim), n)
+        lin = perp.rows
         if len(lin) != n - len(prim):
             raise CertificateError(
                 f"rank {len(prim)} and kernel rank {len(lin)} disagree in Z^{n}"
@@ -244,7 +260,11 @@ class Cone:
         for l in lin:
             facets.append(l)
             facets.append(vec_neg(l))
-        return cls(lattice, prim, facets, n - len(lin), pointed=True)
+        cone = cls(lattice, prim, facets, n - len(lin), pointed=True)
+        cone._smooth = smooth
+        if not lin or cone.rays == tuple(prim):
+            cone._perp = perp
+        return cone
 
     def _proper_facets(self) -> list[Vec]:
         fs = set(self.facets)
@@ -290,36 +310,47 @@ class Cone:
         return Cone.from_rays(self.lattice, rays)
 
     def perp_lattice(self) -> IntMatrix:
-        """Generators of the functionals vanishing on the cone."""
-        return kernel(IntMatrix(self.rays, ncols=self.lattice.rank))
+        """Generators of the functionals vanishing on the cone: the
+        kernel of the matrix of ``rays``.  Kept from construction where
+        ``_simplicial`` found it, else found on the first call; kept
+        either way."""
+        if self._perp is None:
+            self._perp = kernel(IntMatrix(self.rays, ncols=self.lattice.rank))
+        return self._perp
 
-    def character_quotient(self) -> QuotientLattice:
+    def character_quotient(self, interned: dict | None = None) -> QuotientLattice:
         """M modulo the functionals vanishing on the cone: the character
         group of the minimal orbit of the affine toric variety.  Always
-        free, of rank dim."""
+        free, of rank dim; built once per cone.
+
+        ``interned`` maps perp rows to the group of the first cone that
+        had them.  The quotient is a function of its relations, so a
+        cone whose perp rows are there takes that group instead of
+        reducing again, and the interned group is returned."""
         if self._charq is None:
-            q = quotient(Lattice(self.lattice.rank), self.perp_lattice())
+            perp = self.perp_lattice()
+            q = None if interned is None else interned.get(perp.rows)
+            if q is None:
+                q = quotient(Lattice(self.lattice.rank), perp)
             if not (q.is_free and q.free_rank == self.dim):
                 raise CertificateError(
                     f"character group of {self!r} is not free of rank {self.dim}"
                 )
             self._charq = q
-        return self._charq
+        if interned is None:
+            return self._charq
+        return interned.setdefault(self.perp_lattice().rows, self._charq)
 
     def is_simplicial(self) -> bool:
         return len(self.rays) == self.dim
 
     def is_smooth(self) -> bool:
         """Do the rays extend to a basis of the lattice?  Decided once
-        per cone."""
+        per cone: at construction for a cone on independent rays, by the
+        reduction that finds its lineality or, at full rank, by
+        |det| = 1."""
         if self._smooth is None:
-            if not self.is_simplicial():
-                self._smooth = False
-            elif not self.rays:
-                self._smooth = True
-            else:
-                _, d, _, _, _ = smith_with_inverses(IntMatrix(self.rays), keep=())
-                self._smooth = all(d.rows[i][i] == 1 for i in range(len(self.rays)))
+            self._smooth = self.is_simplicial() and _ray_reduction(self.rays, self.lattice.rank)[1]
         return self._smooth
 
     def ray_chart(self) -> tuple[IntMatrix, IntMatrix]:
@@ -330,20 +361,21 @@ class Cone:
         onto Z^k, and restriction to a face keeps the coordinates of the
         face's rays.  Returns (T, T^-1): the unimodular k x k matrix
         taking normal-form coordinates to ray coordinates, R * section
-        for the ray matrix R, and its inverse.  Built once per cone and
-        cross-checked: T * projection = R and T * T^-1 = I.
+        for the ray matrix R, and its inverse, det(T) * adj(T) by
+        cofactors (k <= ``MAX_RANK``).  Built once per cone and
+        cross-checked: det T = +-1, T * projection = R and T * T^-1 = I.
         """
         if self._chart is None:
             if not self.is_smooth():
                 raise ValueError(f"{self!r} is not smooth: its rays give no chart")
             q = self.character_quotient()
             k = len(self.rays)
-            ray_matrix = IntMatrix(self.rays, ncols=self.lattice.rank)
+            ray_matrix = IntMatrix._trusted(self.rays, self.lattice.rank)
             t = ray_matrix @ q.section
-            u, d, v, _, _ = smith_with_inverses(t, keep=("u", "v"))
-            if any(d.rows[i][i] != 1 for i in range(k)):
+            e = det(t)
+            if e not in (1, -1):
                 raise CertificateError(f"ray map of {self!r} is not unimodular")
-            t_inv = v @ u  # U T V = I
+            t_inv = IntMatrix._trusted(tuple(tuple(e * x for x in r) for r in adjugate(t).rows), k)
             if t @ q.projection != ray_matrix or t @ t_inv != IntMatrix.identity(k):
                 raise CertificateError(f"ray chart of {self!r} fails its cross-check")
             self._chart = (t, t_inv)
@@ -371,6 +403,20 @@ class Cone:
 
     def __repr__(self) -> str:
         return f"Cone(rays={[list(r) for r in self.rays]})"
+
+
+def _ray_reduction(rays: tuple[Vec, ...], n: int) -> tuple[IntMatrix, bool]:
+    """The kernel of the matrix of linearly independent ``rays`` in Z^n,
+    and whether the rays extend to a basis of Z^n.  Below full rank one
+    Smith reduction gives both (``smith_kernel``): the rays extend to a
+    basis exactly when every diagonal entry is 1.  At full rank the
+    kernel is zero and the rays are a basis exactly when |det| = 1, so
+    no reduction runs."""
+    mat = IntMatrix._trusted(rays, n)
+    if len(rays) < n:
+        perp, diagonal = smith_kernel(mat)
+        return perp, all(x == 1 for x in diagonal)
+    return IntMatrix._trusted((), n), abs(det(mat)) == 1
 
 
 def _face_rays(cone: Cone) -> set[tuple[Vec, ...]]:
@@ -566,7 +612,10 @@ class Fan:
         return Subfan(self, self.faces_of(sigma))
 
     def full_subfan(self) -> "Subfan":
-        return Subfan(self, self.cones)
+        """The whole fan as an open set.  Its cones are the fan's own
+        instances and face-closed by construction, so nothing is
+        re-canonicalised or re-checked."""
+        return Subfan._trusted(self, frozenset(self.cones))
 
     def subfan(self, members: Iterable[Cone]) -> "Subfan":
         return Subfan(self, members)
@@ -609,6 +658,16 @@ class Subfan:
                     raise DomainNotOpen(f"missing face {f!r} of {c!r}")
         self._max_cones = None
 
+    @classmethod
+    def _trusted(cls, parent: Fan, members: frozenset) -> "Subfan":
+        """Wrap members that are already the fan's own instances and
+        closed under faces, without checking them."""
+        self = object.__new__(cls)
+        self.parent = parent
+        self.members = members
+        self._max_cones = None
+        return self
+
     def max_cones(self) -> tuple[Cone, ...]:
         """The members that are not proper faces of other members,
         found on the first call and kept (the members never change).
@@ -641,7 +700,8 @@ class Subfan:
         return Subfan(self.parent, self.members & other.members)
 
     def is_full(self) -> bool:
-        return self.members == frozenset(self.parent.cones)
+        # the members are distinct cones of the fan
+        return len(self.members) == len(self.parent.cones)
 
     def __eq__(self, other) -> bool:
         return (

@@ -116,9 +116,14 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n
-        )
+        """The n x n identity: one kept instance per size, since the
+        matrices are immutable."""
+        eye = _IDENTITIES.get(n)
+        if eye is None:
+            eye = _IDENTITIES[n] = cls(
+                [[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n
+            )
+        return eye
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
@@ -168,6 +173,9 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.rows]}, ncols={self.ncols})"
 
 
+_IDENTITIES: dict[int, IntMatrix] = {}
+
+
 def det(a: IntMatrix) -> int:
     """Exact determinant: cofactor expansion up to 3 x 3, fraction-free
     (Bareiss) elimination above."""
@@ -200,6 +208,33 @@ def det(a: IntMatrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def adjugate(a: IntMatrix) -> IntMatrix:
+    """The adjugate of a square matrix, by cofactors: entry (i, j) is
+    (-1)^(i+j) times the minor of ``a`` without row j and column i, so
+    that a @ adjugate(a) = det(a) I.  For det(a) = +-1 the inverse is
+    det(a) * adjugate(a).  Meant for the small matrices of the geometry
+    layer: it takes n^2 determinants of size n - 1."""
+    if a.nrows != a.ncols:
+        raise ValueError("adjugate of a non-square matrix")
+    n = a.nrows
+    minors = [
+        [
+            det(IntMatrix._trusted(
+                tuple(r[:i] + r[i + 1:] for k, r in enumerate(a.rows) if k != j), n - 1
+            ))
+            for i in range(n)
+        ]
+        for j in range(n)
+    ]
+    return IntMatrix._trusted(
+        tuple(
+            tuple(-m if (i + j) % 2 else m for j, m in enumerate(row))
+            for i, row in enumerate(zip(*minors))
+        ),
+        n,
+    )
 
 
 def _eye(n: int) -> list[list[int]]:
@@ -472,13 +507,20 @@ def normal_vector(a: IntMatrix) -> Vec | None:
 def kernel(a: IntMatrix) -> IntMatrix:
     """Rows generate {x : a @ x = 0}; the result is a basis of a saturated
     sublattice of Z^ncols (possibly with zero rows, i.e. trivial kernel)."""
+    return smith_kernel(a)[0]
+
+
+def smith_kernel(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
+    """``kernel(a)`` and the diagonal d_1 | d_2 | ... of the Smith form
+    of ``a``, from one reduction."""
     _, d, v, _, _ = smith_with_inverses(a, keep=("v",))
-    m, n = a.nrows, a.ncols
+    n = a.ncols
+    diagonal = tuple(d.rows[i][i] for i in range(min(a.nrows, n)))
     # column j of V is in the kernel iff the diagonal entry d_j is
     # absent (j >= nrows) or zero
-    free = [j for j in range(n) if j >= min(m, n) or d.rows[j][j] == 0]
+    free = [j for j in range(n) if j >= len(diagonal) or diagonal[j] == 0]
     columns = v.transpose().rows
-    return IntMatrix._trusted(tuple(columns[j] for j in free), n)
+    return IntMatrix._trusted(tuple(columns[j] for j in free), n), diagonal
 
 
 def solve(a: IntMatrix, b: Sequence[int]) -> Optional[Vec]:

@@ -35,11 +35,18 @@ def element_to_jsonable(el: GroupRingElement) -> list:
 
 def element_from_jsonable(group, data) -> GroupRingElement:
     """Inverse of ``element_to_jsonable``; coordinates and coefficients
-    must be JSON integers (see ``fanfile.is_int``), never coerced."""
+    must be JSON integers (see ``fanfile.is_int``), never coerced.  The
+    shape is checked before a term is unpacked: a list of two-entry
+    lists."""
+    if not isinstance(data, list):
+        raise ValueError(f"element {data!r} is not a list of [integer list, integer] terms")
     terms = {}
-    for coords, coeff in data:
+    for term in data:
+        if not isinstance(term, list) or len(term) != 2:
+            raise ValueError(f"term {term!r} is not [integer list, integer]")
+        coords, coeff = term
         if not is_int_list(coords) or not is_int(coeff):
-            raise ValueError(f"term {[coords, coeff]} is not [integer list, integer]")
+            raise ValueError(f"term {term!r} is not [integer list, integer]")
         key = tuple(coords)
         terms[key] = terms.get(key, 0) + coeff
     return GroupRingElement(group, terms)

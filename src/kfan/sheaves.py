@@ -26,10 +26,12 @@ boundary.  On non-smooth fans the extension is searched for by the
 expanding-support solver, and a ``SolverGaveUp`` there is a search
 failure, never a proof that no extension exists.
 
-Cones with the same span have equal character groups, so ``sheaf_a0``
-interns its stalks (one group object per distinct group) and builds one
-certified restriction per distinct pair of stalks, shared by every face
-pair between them: 27 maps for the 125 face pairs of P1 x P1 x P1.
+A character group is the quotient by the cone's perp lattice, a
+function of its perp rows, so ``sheaf_a0`` interns its stalks by those
+rows: one quotient per distinct perp lattice, shared by the cones that
+have it (and by their ray charts), and one certified restriction per
+distinct pair of stalks, shared by every face pair between them: 27
+maps for the 125 face pairs of P1 x P1 x P1.
 ``FanSheaf`` then checks each distinct identity case and each distinct
 (direct, outer, inner) triple of maps once; a check reads only its
 objects, so the verdict, and the first error, are those of checking
@@ -125,14 +127,12 @@ class FanSheaf:
 def sheaf_a0(fan: Fan) -> FanSheaf:
     """The structure sheaf of this package: cone -> Z[M_sigma], face
     inclusion -> pushforward along the canonical character surjection.
-    Each cone gets the first equal character group in the order of
-    ``fan.cones``, and each distinct pair of stalks one certified map,
-    kept by this build only."""
-    interned: dict = {}
-    stalks = {}
-    for c in fan.cones:
-        q = c.character_quotient()
-        stalks[c] = interned.setdefault(q, q)
+    Stalks are interned by the cones' perp rows, so each distinct perp
+    lattice takes one quotient and each cone the group of the first cone
+    with its perp rows, in the order of ``fan.cones``; each distinct
+    pair of stalks gets one certified map, kept by this build only."""
+    interned: dict = {}  # perp rows -> the stalk of the first cone with them
+    stalks = {c: c.character_quotient(interned) for c in fan.cones}
     maps: dict = {}  # (id of source stalk, id of target stalk) -> the shared map
     restrictions = {}
     for sigma in fan.cones:

@@ -123,8 +123,26 @@ def simplicial_facet_off_the_span():
 
 
 def simplicial_lineality_meets_rays():
-    with patched(cones, "kernel", lambda a: IntMatrix([[1, 1]])):
+    with patched(cones, "smith_kernel", lambda a: (IntMatrix([[1, 1]]), (1,))):
         Cone.from_rays(Lattice(2), [(1, 0)])
+
+
+def ray_chart_not_unimodular():
+    cone = Cone.from_rays(Lattice(2), [(1, 0), (1, 1)])
+    with patched(cones, "det", lambda a: 2):
+        cone.ray_chart()
+
+
+def ray_chart_corrupted_inverse():
+    cone = Cone.from_rays(Lattice(2), [(1, 0), (1, 1)])
+    adjugate = cones.adjugate
+
+    def corrupted(a):
+        (p, q), (r, s) = adjugate(a).rows
+        return IntMatrix([[p, q + 1], [r, s]])
+
+    with patched(cones, "adjugate", corrupted):
+        cone.ray_chart()
 
 
 CASES = {
@@ -145,6 +163,8 @@ CASES = {
         simplicial_facet_tight_on_its_ray,
         simplicial_facet_off_the_span,
         simplicial_lineality_meets_rays,
+        ray_chart_not_unimodular,
+        ray_chart_corrupted_inverse,
     )
 }
 
@@ -174,6 +194,8 @@ EXPECTED = {
     "simplicial_facet_tight_on_its_ray": "CertificateError",
     "simplicial_facet_off_the_span": "CertificateError",
     "simplicial_lineality_meets_rays": "CertificateError",
+    "ray_chart_not_unimodular": "CertificateError",
+    "ray_chart_corrupted_inverse": "CertificateError",
 }
 
 

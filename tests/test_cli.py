@@ -288,6 +288,19 @@ def test_k0_global_element_that_is_not_an_object_names_the_shape(fanfile, capsys
     assert "Traceback" not in err and "attribute" not in err
 
 
+@pytest.mark.parametrize(
+    "terms",
+    ["3", "[5]", "[[1,2,3]]", '"ab"', "[[[1]]]", "[[]]"],
+    ids=["int", "bare-int-term", "three-entry-term", "string", "one-entry-term", "empty-term"],
+)
+def test_k0_global_malformed_term_names_the_term_shape(terms, capsys):
+    p1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "fans", "p1.json")
+    assert main(["k0-global", p1, "--element", '{"0": ' + terms + "}"]) == 2
+    err = capsys.readouterr().err
+    assert "[integer list, integer]" in err
+    assert "unpack" not in err and "iterable" not in err
+
+
 def test_k0_global_element_with_a_repeated_key_is_an_input_error(fanfile):
     # read as its last value, the first "0" would be dropped unseen
     text = '{"0": [[[0], 1]], "0": [[[3], 1]], "1": [[[0], 1]]}'

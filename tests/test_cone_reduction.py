@@ -1,0 +1,141 @@
+"""One Smith reduction per cone, checked against independent computations.
+
+A cone on independent rays reduces its ray matrix once, at construction
+(``cones._ray_reduction``): the kernel is its ``perp_lattice()`` and the
+Smith diagonal decides ``is_smooth()``; a full-dimensional one needs no
+reduction, only |det| = 1.  ``ray_chart()`` inverts its unimodular
+matrix by cofactors.  Here every cone of every fan file, of GL_n(Z)
+images of them and of P4 is compared with the kernel, the Smith diagonal
+and the Smith-based inverse computed afresh; and ``sheaf_a0`` with every
+chart on P1 x P1 x P1 is counted against one reduction per cone below
+full dimension plus one per distinct perp lattice.
+"""
+
+import glob
+import json
+import os
+import random
+
+import pytest
+
+from kfan import intlinalg
+from kfan.cones import Cone, Fan, NotStronglyConvex
+from kfan.fanfile import build_fan, load_fan_file
+from kfan.intlinalg import IntMatrix, Lattice, kernel, smith_with_inverses
+from kfan.sheaves import sheaf_a0
+from test_fan_construction import permuted
+from test_invariance import random_unimodular, rays_and_indices, times
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def _is_fan_file(path) -> bool:
+    with open(path, encoding="utf-8") as f:
+        return "max_cones" in json.load(f)
+
+
+FAN_FILES = sorted(
+    p
+    for folder in ("fans", os.path.join("bench", "fans"), os.path.join("tests", "golden"))
+    for p in glob.glob(os.path.join(ROOT, folder, "*.json"))
+    if _is_fan_file(p)
+)
+
+
+def load(path) -> Fan:
+    return build_fan(load_fan_file(path))
+
+
+def assert_matches_independent_computation(fan):
+    n = fan.lattice.rank
+    for cone in fan.cones:
+        rays = IntMatrix(cone.rays, ncols=n)
+        assert cone.perp_lattice() == kernel(rays)
+        _, d, _, _, _ = smith_with_inverses(rays, keep=())
+        smooth = cone.is_simplicial() and all(d.rows[i][i] == 1 for i in range(len(cone.rays)))
+        assert cone.is_smooth() == smooth
+        if not smooth:
+            continue
+        chart, inverse = cone.ray_chart()
+        assert chart == rays @ cone.character_quotient().section
+        u, d, v, _, _ = smith_with_inverses(chart, keep=("u", "v"))
+        assert d == IntMatrix.identity(len(cone.rays))
+        assert inverse == v @ u  # U T V = I
+
+
+def test_every_fan_file_is_found():
+    names = {os.path.basename(p) for p in FAN_FILES}
+    assert {"p1.json", "quadric-cone.json", "ladder-12.json", "p4.json", "f1.json"} <= names
+
+
+@pytest.mark.parametrize("path", FAN_FILES, ids=os.path.basename)
+def test_cone_data_matches_independent_computation(path):
+    assert_matches_independent_computation(load(path))
+
+
+@pytest.mark.parametrize("path", FAN_FILES, ids=os.path.basename)
+def test_cone_data_matches_on_gl_n_images(path):
+    fan = load(path)
+    rays, indices = rays_and_indices(fan)
+    for seed in range(3):
+        rng = random.Random(seed)
+        n = fan.lattice.rank
+        g = random_unimodular(n, rng) if n > 1 else [[rng.choice((-1, 1))]]
+        moved = Fan.from_rays_and_indices(
+            fan.lattice, [times(g, r) for r in rays], permuted(indices, rng)
+        )
+        assert moved.is_smooth() == fan.is_smooth()
+        assert_matches_independent_computation(moved)
+
+
+def test_standalone_cones_in_any_ray_order():
+    # the kernel of a ray matrix depends on the order of its rows: the
+    # one reduced at construction is the perp lattice only for sorted rays
+    rng = random.Random(5)
+    cone = Cone.from_rays(Lattice(4), [(3, 2, 3, -3), (2, -3, 2, 3)])
+    assert kernel(IntMatrix(cone.rays[::-1])) != kernel(IntMatrix(cone.rays))
+    cones = [cone]
+    while len(cones) < 300:
+        n = rng.randint(1, 4)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, n))]
+        try:
+            cones.append(Cone.from_rays(Lattice(n), rays))
+        except NotStronglyConvex:
+            continue
+    for cone in cones:
+        n = cone.lattice.rank
+        rays = IntMatrix(cone.rays, ncols=n)
+        assert cone.perp_lattice() == kernel(rays)
+        _, d, _, _, _ = smith_with_inverses(rays, keep=())
+        smooth = cone.is_simplicial() and all(d.rows[i][i] == 1 for i in range(len(cone.rays)))
+        assert cone.is_smooth() == smooth
+        if smooth:
+            chart, inverse = cone.ray_chart()
+            assert chart @ inverse == IntMatrix.identity(len(cone.rays))
+
+
+def test_p4_is_smooth_and_charted():
+    fan = load(os.path.join(ROOT, "tests", "golden", "p4.json"))
+    assert fan.lattice.rank == 4 and len(fan.max_cones) == 5 and len(fan.cones) == 31
+    assert fan.is_smooth()
+    assert all(c.ray_chart()[0].nrows == c.dim for c in fan.cones)
+
+
+def test_sheaf_and_charts_take_one_reduction_per_cone_and_perp_lattice(monkeypatch):
+    calls = []
+    reduce = intlinalg.smith_with_inverses
+
+    def counting(a, **kwargs):
+        calls.append(a)
+        return reduce(a, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "smith_with_inverses", counting)
+    fan = load(os.path.join(ROOT, "bench", "fans", "p1xp1xp1.json"))
+    sheaf_a0(fan)
+    for cone in fan.cones:
+        cone.ray_chart()
+    n = fan.lattice.rank
+    below = sum(1 for c in fan.cones if c.dim < n)
+    perps = len({c.perp_lattice().rows for c in fan.cones})
+    assert below == 19
+    assert len(calls) <= below + perps

@@ -274,8 +274,10 @@ def test_independent_rays_run_no_double_description(monkeypatch):
         # a facet of a ray that does not vanish on the lineality
         ("normal_vector", lambda a: (1, 1), [(1, 0)], "fails the pairing check"),
         ("normal_vector", lambda a: None, [(1, 0), (0, 1)], "are dependent"),
-        ("kernel", lambda a: IntMatrix([[1, 1]]), [(1, 0)], "meets its rays"),
-        ("kernel", lambda a: IntMatrix([], ncols=2), [(1, 0)], "kernel rank 0 disagree"),
+        # the reduction that finds the lineality, with the Smith diagonal of (1, 0)
+        ("smith_kernel", lambda a: (IntMatrix([[1, 1]]), (1,)), [(1, 0)], "meets its rays"),
+        ("smith_kernel", lambda a: (IntMatrix([], ncols=2), (1,)), [(1, 0)],
+         "kernel rank 0 disagree"),
     ],
     ids=["off-diagonal", "zero-diagonal", "off-the-span", "dependent", "lineality", "kernel-rank"],
 )
@@ -548,6 +550,27 @@ def test_subfan_max_cones_match_brute_force(path):
             c for c in sub.members if not any(c != d and c.is_face(d) for d in sub.members)
         ]
         assert sub.max_cones() == tuple(sorted(maximal, key=lambda c: (c.dim, c.rays)))
+
+
+ALL_FAN_FILES = FAN_FILES + sorted(
+    glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "bench", "fans", "*.json"))
+)
+
+
+@pytest.mark.parametrize("path", ALL_FAN_FILES, ids=os.path.basename)
+def test_full_subfan_is_the_checked_subfan_of_every_cone(path):
+    fan = build_fan(load_fan_file(path))
+    full = fan.full_subfan()
+    assert full == Subfan(fan, fan.cones) and full.is_full()
+    assert all(fan.canonical(c) is c for c in full.members)
+    assert full.max_cones() == Subfan(fan, fan.cones).max_cones()
+    # a member set without one of its faces is still refused, and a
+    # proper open set is not full
+    top = fan.max_cones[0]
+    with pytest.raises(DomainNotOpen):
+        Subfan(fan, [top])
+    if len(fan.max_cones) > 1:
+        assert not fan.star_open(top).is_full()
 
 
 def test_subfan_max_cones_are_found_once(monkeypatch):

@@ -18,7 +18,12 @@ cochains; the rank-3 and non-smooth ``k0-global`` reports were captured
 before that change.  ``flasque-p1xp1xp1``, the benchmark's largest
 flasque job, was captured before coordinate selections and the ray
 helpers came to run as compiled pickers, and did not change with them.
-A change meant to alter these
+The four rank-4 and ``info`` reports (``p4.json`` is P4: rays e1..e4
+and -(e1 + .. + e4), five maximal cones) were captured before cones came
+to keep the kernel and the smoothness found by the one Smith reduction
+of their ray matrix, and ray charts to be inverted by cofactors; in
+``info-quadric-cone`` the determinant test decides that the maximal
+cone is not smooth.  A change meant to alter these
 reports must say so and regenerate them from the repository root with
 
     PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json
@@ -58,6 +63,10 @@ GOLDEN = {
     "k0-global-p1xp1xp1-sample": "k0-global tests/golden/p1xp1xp1.json --sample 3 --seed 4",
     "k0-global-quadric-cone-sample": "k0-global fans/quadric-cone.json --sample 2 --seed 1",
     "k0-global-p1xp1xp1-element": f"k0-global tests/golden/p1xp1xp1.json --element {NON_MEMBER_3D}",
+    "info-p4": "info tests/golden/p4.json",
+    "exactness-p4-level2": "check-exactness tests/golden/p4.json --level 2 --trials 2 --seed 14",
+    "flasque-p4": "check-flasque tests/golden/p4.json --trials 2 --seed 15",
+    "info-quadric-cone": "info fans/quadric-cone.json",
 }
 # the reports of these commands end in exit 1 (a non-member, with witness)
 EXIT_STATUS = {

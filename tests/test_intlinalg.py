@@ -11,6 +11,7 @@ from kfan.intlinalg import (
     IntMatrix,
     Lattice,
     NotASubquotient,
+    adjugate,
     QuotientSurjection,
     canonical_surjection,
     compose,
@@ -20,6 +21,7 @@ from kfan.intlinalg import (
     kernel,
     quotient,
     rank,
+    smith_kernel,
     smith_with_inverses,
     snf,
     solve,
@@ -387,3 +389,29 @@ def test_identity_and_compositions_of_selections_are_selections():
     both = compose(onto, ident)
     assert both.selection == onto.selection
     assert both.apply((4, 5, 6)) == onto.apply((4, 5, 6)) == (4, 6)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_adjugate_times_matrix_is_the_determinant(n):
+    rng = random.Random(n)
+    for _ in range(50):
+        a = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)], ncols=n)
+        scaled = IntMatrix([[det(a) * (i == j) for j in range(n)] for i in range(n)], ncols=n)
+        assert a @ adjugate(a) == scaled == adjugate(a) @ a
+
+
+def test_smith_kernel_is_the_kernel_and_the_smith_diagonal():
+    rng = random.Random(3)
+    for _ in range(100):
+        m, n = rng.randint(0, 4), rng.randint(1, 4)
+        a = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)], ncols=n)
+        perp, diagonal = smith_kernel(a)
+        _, d, _ = snf(a)
+        assert perp == kernel(a)
+        assert diagonal == tuple(d.rows[i][i] for i in range(min(m, n)))
+
+
+def test_identity_is_one_kept_instance_per_size():
+    assert IntMatrix.identity(3) is IntMatrix.identity(3)
+    assert IntMatrix.identity(2) == IntMatrix([[1, 0], [0, 1]])
+    assert IntMatrix.identity(0).shape == (0, 0)
