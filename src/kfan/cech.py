@@ -6,8 +6,8 @@ Degree-zero cohomology is the ring of global sections of ``sheaf_a0``
 (``H0Ring``, whose elements are ``kfan.sheaves.Section``s on the whole
 fan): a level-0 cochain is a cocycle exactly when its components agree
 on every pairwise meet, which ``kfan.sheaves.first_disagreement`` asks
-as a section's check does.  So H0 builds no ``CechComplex``, lists no
-level and reads no incidence plan.
+as a section's check does.  So H0 builds no ``CechComplex`` and lists
+no level.
 
 Level p holds one group-ring slot per strictly increasing (p+1)-tuple
 of maximal-cone indices, valued in the character group of the tuple's
@@ -24,9 +24,8 @@ has the tuple's own meet, since the sheaf certifies a cone's
 restriction to itself as the identity) is built on first use and kept.
 So one d pushes each nonzero component once per distinct meet it
 restricts to and passes it through unchanged elsewhere; on a ladder
-most meets are the origin, and most faces are identities.  A level's
-incidence plan (``incidence_plan``), which the solver's equations read,
-is put together from the same entries.
+most meets are the origin, and most faces are identities.  The solver's
+equations read the same entries, one per tuple of the level above.
 
 For smooth fans the complex splits per cone.  In ray coordinates
 Z[M_sigma] is the sum of summands A_tau over the faces tau of sigma
@@ -91,9 +90,9 @@ class CechComplex:
     """Tuples, stalks and incidence surjections for the maximal-cone
     cover of a fan.  Nothing is built up front: a tuple's meet, and its
     entry of signed faces, are found when first read, and a level's
-    tuples, and its incidence plan, only when asked for."""
+    tuples only when asked for."""
 
-    __slots__ = ("fan", "sheaf", "top_level", "tuples", "_entries", "_plans", "_cone_of", "stars")
+    __slots__ = ("fan", "sheaf", "top_level", "tuples", "_entries", "_cone_of", "stars")
 
     def __init__(self, fan: Fan):
         self.fan = fan
@@ -101,7 +100,6 @@ class CechComplex:
         self.top_level = len(fan.max_cones) - 1
         self.tuples = {}  # level -> its tuples, listed on first read
         self._entries = {}  # tuple -> (its meet, its signed faces), built on first use
-        self._plans = {}  # level -> its incidence plan, put together on first read
         self._cone_of = {(i,): cone for i, cone in enumerate(fan.max_cones)}
         self.stars = {}  # cone tau -> S_tau, the maximal cones containing it, increasing
         for i, sigma in enumerate(fan.max_cones):
@@ -143,35 +141,23 @@ class CechComplex:
     def stalk(self, t: tuple) -> QuotientLattice:
         return self.sheaf.stalk(self.cone_of(t))
 
-    def incidence(self, t: tuple, j: int):
-        """Dropping index j from tuple t maps the bigger intersection
-        onto the smaller one: the sheaf's restriction between them."""
-        s = t[:j] + t[j + 1 :]
-        return self.sheaf.restriction(self.cone_of(s), self.cone_of(t))
-
     def _entry(self, t: tuple) -> tuple:
         """(t's meet, its signed faces) for a tuple of level >= 1, built on
         first use and kept.  A face is (s, (-1)^j, restriction) for s = t
-        without its j-th index; the restriction is None when s has the
-        same meet as t, where ``FanSheaf`` certifies it as the identity."""
+        without its j-th index: the sheaf's restriction from the bigger
+        meet of s onto t's, or None when s has the same meet as t, where
+        ``FanSheaf`` certifies it as the identity."""
         found = self._entries.get(t)
         if found is None:
             meet = self.cone_of(t)
             faces = []
             for j in range(len(t)):
                 s = t[:j] + t[j + 1 :]
-                same = self.cone_of(s) == meet
-                faces.append((s, -1 if j % 2 else 1, None if same else self.incidence(t, j)))
+                face = self.cone_of(s)
+                restriction = None if face == meet else self.sheaf.restriction(face, meet)
+                faces.append((s, -1 if j % 2 else 1, restriction))
             found = self._entries[t] = (meet, tuple(faces))
         return found
-
-    def incidence_plan(self, p: int) -> dict:
-        """Tuple t of level p >= 1 -> its entry (``_entry``), in the order of
-        ``level_tuples``, put together on first read and kept."""
-        plan = self._plans.get(p)
-        if plan is None:
-            plan = self._plans[p] = {t: self._entry(t) for t in self.level_tuples(p)}
-        return plan
 
     def zero_cochain(self, level: int) -> "Cochain":
         return Cochain(self, level, {})
@@ -260,12 +246,14 @@ class CechComplex:
 
     def _d_constraints(self, level: int, rhs: dict) -> list[Constraint]:
         """The equations d(x) = rhs for an unknown level-``level``
-        cochain x: one per tuple of the next level, over its faces in the
-        incidence plan; ``rhs`` maps tuples to components."""
+        cochain x: one per tuple of the next level, in the order of
+        ``level_tuples``, over the faces of its entry; ``rhs`` maps tuples
+        to components."""
         if level >= self.top_level:
             return []
         constraints = []
-        for t, (meet, faces) in self.incidence_plan(level + 1).items():
+        for t in self.level_tuples(level + 1):
+            meet, faces = self._entry(t)
             target = self.sheaf.stalk(meet)
             identity = self.sheaf.restriction(meet, meet)
             terms = tuple((s, sign, identity if r is None else r) for s, sign, r in faces)

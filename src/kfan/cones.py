@@ -16,16 +16,22 @@ every rank test is a fraction-free elimination (``intlinalg.rank``), so
 a Smith reduction runs only to find the lineality of an input that does
 not span the space.
 
+A cone is built from its sorted primitive rays, so everything it
+keeps is a function of its ray set: two cones equal under ``==`` have
+the same facets and ``perp_lattice()``.  An input with rays that are
+not extreme is certified as given, and the cone is then built again
+from its sorted extreme rays.
+
 Most cones need less.  On linearly independent rays the facets are the
 normals of the other rays, and a diagonal pairing matrix with a
 positive diagonal certifies them (``Cone._simplicial``); only dependent
 rays take a second double description back to rays and its
 cross-checks.  A cone on independent rays reduces its ray matrix once,
 and only below full rank (``_ray_reduction``): the kernel is the
-lineality the facets are built on and, for rays in sorted order, the
-cone's ``perp_lattice()``; the Smith diagonal, the same whichever
-transforms are tracked, decides ``is_smooth()``.  A full-dimensional
-cone has no kernel and is smooth exactly when |det| = 1 of its rays.
+lineality the facets are built on and the cone's ``perp_lattice()``;
+the Smith diagonal, the same whichever transforms are tracked, decides
+``is_smooth()``.  A full-dimensional cone has no kernel and is smooth
+exactly when |det| = 1 of its rays.
 The ray chart of a smooth cone is inverted by cofactors
 (``intlinalg.adjugate``), so that no Smith reduction runs for it.
 
@@ -177,10 +183,14 @@ class Cone:
 
     @classmethod
     def from_rays(cls, lattice: Lattice, rays: Iterable[Sequence[int]]) -> "Cone":
+        """The cone generated by ``rays``, built from their sorted
+        primitive vectors.  When some of them are not extreme, the cone
+        they generate is certified and then built again from its sorted
+        extreme rays, so the result depends on the cone alone."""
         n = lattice.rank
         if n > MAX_RANK:
             raise UnsupportedRank(f"ambient rank {n} > {MAX_RANK}")
-        prim = _unique_primitives(rays)
+        prim = sorted(_unique_primitives(rays))
         if any(len(r) != n for r in prim):
             raise ValueError("ray length does not match the lattice rank")
         if matrix_rank(IntMatrix(prim, ncols=n)) == len(prim):
@@ -207,12 +217,15 @@ class Cone:
                 raise CertificateError(
                     f"facet {u} of the cone on {prim} is not tight on rank {dim - 1}"
                 )
+        if cone.rays != tuple(prim):
+            return cls.from_rays(lattice, cone.rays)
         return cone
 
     @classmethod
     def _simplicial(cls, lattice: Lattice, prim: list[Vec]) -> "Cone":
-        """The cone on linearly independent primitive rays r_1..r_d,
-        certified by dot products instead of a second double description.
+        """The cone on linearly independent primitive rays r_1..r_d, in
+        sorted order, certified by dot products instead of a second
+        double description.
 
         The facets are the normals u_i of the rays without r_i stacked
         on the lineality basis L (a kernel basis of the rays), signed so
@@ -228,8 +241,7 @@ class Cone:
 
         The reduction that finds L also decides smoothness
         (``_ray_reduction``), and the cone keeps both: L is its
-        ``perp_lattice()`` when the rays came in sorted order, the order
-        of ``rays``, as they do for every face a fan builds.
+        ``perp_lattice()``.
         """
         n = lattice.rank
         perp, smooth = _ray_reduction(tuple(prim), n)
@@ -262,8 +274,7 @@ class Cone:
             facets.append(vec_neg(l))
         cone = cls(lattice, prim, facets, n - len(lin), pointed=True)
         cone._smooth = smooth
-        if not lin or cone.rays == tuple(prim):
-            cone._perp = perp
+        cone._perp = perp
         return cone
 
     def _proper_facets(self) -> list[Vec]:
@@ -311,9 +322,9 @@ class Cone:
 
     def perp_lattice(self) -> IntMatrix:
         """Generators of the functionals vanishing on the cone: the
-        kernel of the matrix of ``rays``.  Kept from construction where
-        ``_simplicial`` found it, else found on the first call; kept
-        either way."""
+        kernel of the matrix of ``rays``.  Kept from construction on
+        independent rays, else found on the first call; kept either
+        way."""
         if self._perp is None:
             self._perp = kernel(IntMatrix(self.rays, ncols=self.lattice.rank))
         return self._perp
@@ -501,13 +512,12 @@ class Fan:
         face of each; it would accept every pair the separation accepts,
         so ``NotAFan`` names the same pair either way.
 
-        Each distinct face is built once, by ``Cone.from_rays`` on its
-        sorted ray tuple, and is shared by every maximal cone that has
-        it.  A lower-dimensional maximal cone is rebuilt that way too,
-        since the lineality part of its facets depends on the order of
-        its rays; a full-dimensional one is kept as given.  The faces of
-        a cone are those faces of a maximal cone containing it whose
-        rays it contains.
+        The fan trusts the certificates of its input cones: every
+        maximal cone is kept as given.  Each other distinct face is
+        built once, by ``Cone.from_rays`` on its sorted ray tuple, and
+        is shared by every maximal cone that has it.  The faces of a
+        cone are those faces of a maximal cone containing it whose rays
+        it contains.
         """
         if lattice.rank > MAX_RANK:
             raise UnsupportedRank(f"ambient rank {lattice.rank} > {MAX_RANK}")
@@ -538,10 +548,8 @@ class Fan:
                 meet = tuple(rays)
                 if lin or meet not in face_rays[a.rays] or meet not in face_rays[b.rays]:
                     raise NotAFan(i, j)
-        # a full-dimensional cone has no lineality, so its facets do not
-        # depend on the order its rays came in: it is its own rebuild
-        built = {c.rays: c for c in maximal if c.dim == lattice.rank}
-        home = {rays: face_rays[rays] for rays in built}  # faces of a maximal cone above
+        built = {c.rays: c for c in maximal}
+        home = {c.rays: face_rays[c.rays] for c in maximal}  # faces of a maximal cone above
         for c in maximal:
             for t in face_rays[c.rays]:
                 if t not in built:
@@ -556,8 +564,7 @@ class Fan:
             inside = set(c.rays)
             faces = (built[t] for t in home[c.rays] if inside.issuperset(t))
             faces_of.append(tuple(sorted(faces, key=lambda f: (f.dim, f.rays))))
-        max_out = tuple(built[c.rays] for c in maximal) or (built[()],)
-        return cls(lattice, cones, max_out, tuple(faces_of))
+        return cls(lattice, cones, tuple(maximal) or (built[()],), tuple(faces_of))
 
     @classmethod
     def from_rays_and_indices(

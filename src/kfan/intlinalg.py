@@ -262,7 +262,7 @@ def _mix(rows: list[list[int]], i: int, j: int, p: int, q: int, r: int, s: int) 
         rows[j] = [r * a + s * b for a, b in zip(x, y)]
 
 
-TRANSFORMS = ("u", "v", "uinv", "vinv")
+TRANSFORMS = ("u", "v", "uinv")
 
 
 class _SmithWorkspace:
@@ -271,7 +271,7 @@ class _SmithWorkspace:
     ``d`` starts as a copy of a0.  Each transform named in ``keep`` is
     tracked, the others are None and never touched.  Invariants kept by
     every operation, for the tracked transforms:
-        u @ a0 @ v == d,   uinv @ u == I,   v @ vinv == I.
+        u @ a0 @ v == d,   uinv @ u == I.
     Column operations on v and uinv are row operations on their
     transposes, so those two are stored transposed (``vt``, ``uinvt``).
     """
@@ -282,7 +282,6 @@ class _SmithWorkspace:
         self.u = _eye(m) if "u" in keep else None
         self.uinvt = _eye(m) if "uinv" in keep else None
         self.vt = _eye(n) if "v" in keep else None
-        self.vinv = _eye(n) if "vinv" in keep else None
         # column ``clean`` of d is zero below row ``clean``; -1 when no
         # column is known to be
         self.clean = -1
@@ -322,9 +321,6 @@ class _SmithWorkspace:
                     row[j] = q * ci + s * cj
         if self.vt is not None:
             _mix(self.vt, i, j, p, r, q, s)
-        # vinv <- block^{-1} @ vinv
-        if self.vinv is not None:
-            _mix(self.vinv, i, j, e * s, -e * q, -e * r, e * p)
 
     def negate_row(self, i: int) -> None:
         for mat in (self.d, self.u, self.uinvt):
@@ -359,12 +355,10 @@ def _wrap_transposed(square) -> IntMatrix:
 
 def smith_with_inverses(
     a: IntMatrix, *, keep: Iterable[str] = TRANSFORMS
-) -> tuple[
-    Optional[IntMatrix], IntMatrix, Optional[IntMatrix], Optional[IntMatrix], Optional[IntMatrix]
-]:
-    """Smith normal form with transform inverses.
+) -> tuple[Optional[IntMatrix], IntMatrix, Optional[IntMatrix], Optional[IntMatrix]]:
+    """Smith normal form with the inverse of the row transform.
 
-    Returns (U, D, V, Uinv, Vinv) with U*a*V = D, D diagonal with
+    Returns (U, D, V, Uinv) with U*a*V = D, D diagonal with
     d1 | d2 | ... and di >= 0, U and V unimodular.  ``keep`` names the
     transforms to compute (a subset of ``TRANSFORMS``); the others come
     back as None.  D and every kept transform are the same whatever is
@@ -439,13 +433,12 @@ def smith_with_inverses(
         _wrap_rows(d, n),
         None if ws.vt is None else _wrap_transposed(ws.vt),
         None if ws.uinvt is None else _wrap_transposed(ws.uinvt),
-        None if ws.vinv is None else _wrap_rows(ws.vinv, n),
     )
 
 
 def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: U*a*V = D, D diagonal, d1 | d2 | ..., di >= 0."""
-    u, d, v, _, _ = smith_with_inverses(a, keep=("u", "v"))
+    u, d, v, _ = smith_with_inverses(a, keep=("u", "v"))
     return u, d, v
 
 
@@ -513,7 +506,7 @@ def kernel(a: IntMatrix) -> IntMatrix:
 def smith_kernel(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
     """``kernel(a)`` and the diagonal d_1 | d_2 | ... of the Smith form
     of ``a``, from one reduction."""
-    _, d, v, _, _ = smith_with_inverses(a, keep=("v",))
+    _, d, v, _ = smith_with_inverses(a, keep=("v",))
     n = a.ncols
     diagonal = tuple(d.rows[i][i] for i in range(min(a.nrows, n)))
     # column j of V is in the kernel iff the diagonal entry d_j is
@@ -525,7 +518,7 @@ def smith_kernel(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
 
 def solve(a: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
     """Any integer solution x of a @ x = b, or None when there is none."""
-    u, d, v, _, _ = smith_with_inverses(a, keep=("u", "v"))
+    u, d, v, _ = smith_with_inverses(a, keep=("u", "v"))
     return solve_factored(u, d, v, b)
 
 
@@ -684,7 +677,7 @@ def quotient(ambient: Lattice, relations: IntMatrix) -> QuotientLattice:
             f"relations have {relations.ncols} columns, ambient rank is {ambient.rank}"
         )
     n, r = ambient.rank, relations.nrows
-    u, d, _, uinv, _ = smith_with_inverses(relations.transpose(), keep=("u", "uinv"))
+    u, d, _, uinv = smith_with_inverses(relations.transpose(), keep=("u", "uinv"))
     k = min(n, r)
     diag = [d.rows[i][i] for i in range(k)]
     torsion_idx = [i for i in range(k) if diag[i] > 1]

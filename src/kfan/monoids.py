@@ -13,8 +13,6 @@ convolution over the group law.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -26,7 +24,9 @@ from .intlinalg import (
     QuotientLattice,
     QuotientSurjection,
     Vec,
+    adjugate,
     as_vec,
+    det,
     dot,
     kernel,
     quotient,
@@ -44,26 +44,16 @@ class NotASubmonoid(Exception):
     pass
 
 
-def _solve_rational_square(a: IntMatrix, b: Sequence[int]) -> list[Fraction]:
-    """Solve a @ x = b exactly over Q; a must be square and invertible."""
-    n = a.nrows
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a.rows, b)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if m[i][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
 def _parallelepiped_points(rays: Sequence[Vec], n: int) -> list[Vec]:
     """Nonzero lattice points of {sum t_i r_i : 0 <= t_i < 1} for
     linearly independent rays: one representative per class of the
-    saturated span modulo the sublattice the rays generate."""
+    saturated span modulo the sublattice the rays generate.
+
+    In coordinates y of the saturated span the rays are the columns of
+    a square C, so t = C^-1 y = adj(C) y / det(C), and floor(t) is the
+    integer (floor) division of adj(C) y by det(C), whatever its sign.
+    A point is in the half-open parallelepiped exactly when that floor
+    is zero."""
     d = len(rays)
     mat = IntMatrix(rays, ncols=n)
     sat = kernel(kernel(mat))  # basis of Z^n intersected with the ray span
@@ -79,20 +69,20 @@ def _parallelepiped_points(rays: Sequence[Vec], n: int) -> list[Vec]:
     grp = quotient(Lattice(d), c_mat)
     if grp.free_rank != 0:
         raise CertificateError("independent rays generate a sublattice of infinite index")
+    columns = c_mat.transpose()
+    e, adj = det(columns), adjugate(columns)
     points = []
     for torsion in product(*(range(f) for f in grp.invariant_factors)):
         y = grp.lift(torsion)
         x = sat.transpose().apply(y)
-        t = _solve_rational_square(c_mat.transpose(), y)
-        shift = [math.floor(ti) for ti in t]
+        shift = [ti // e for ti in adj.apply(y)]
         p = tuple(
             xi - sum(s * r[k] for s, r in zip(shift, rays)) for k, xi in enumerate(x)
         )
         py = solve(sat.transpose(), p)
         if py is None:
             raise CertificateError(f"shifted point {p} left the span of the rays")
-        tt = _solve_rational_square(c_mat.transpose(), py)
-        if not all(0 <= ti < 1 for ti in tt):
+        if any(ti // e for ti in adj.apply(py)):
             raise CertificateError(f"point {p} is outside the fundamental parallelepiped")
         if any(p):
             points.append(p)

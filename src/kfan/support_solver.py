@@ -136,7 +136,7 @@ def _expand(cand: dict, constraints: Sequence[Constraint]) -> None:
                     list(phi1.matrix.rows) + list(phi2.matrix.rows),
                     ncols=source.coords_len,
                 )
-                u, d, v, _, _ = smith_with_inverses(stacked, keep=("u", "v"))
+                u, d, v, _ = smith_with_inverses(stacked, keep=("u", "v"))
                 for t1 in targets1:
                     for t2 in targets2:
                         m = solve_factored(u, d, v, tuple(t1) + tuple(t2))

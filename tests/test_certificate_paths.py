@@ -16,7 +16,6 @@ import pytest
 
 CASES_SCRIPT = r'''
 from contextlib import contextmanager
-from fractions import Fraction
 
 from kfan import cones, intlinalg, monoids
 from kfan.cones import Cone
@@ -62,21 +61,29 @@ def parallelepiped_infinite_index():
         monoids._parallelepiped_points(SKEW, 2)
 
 
-def parallelepiped_shift_leaves_span():
+def shifted_point_solved_as(wrong):
+    """``solve`` with the coordinates of each shifted point, every call
+    after those of the rays, replaced by ``wrong(a, b)``."""
     solve = monoids.solve
     calls = []
 
-    def third_fails(a, b):
+    def third_replaced(a, b):
         calls.append(b)
-        return None if len(calls) > len(SKEW) else solve(a, b)
+        return wrong(a, b) if len(calls) > len(SKEW) else solve(a, b)
 
-    with patched(monoids, "solve", third_fails):
+    return patched(monoids, "solve", third_replaced)
+
+
+def parallelepiped_shift_leaves_span():
+    with shifted_point_solved_as(lambda a, b: None):
         monoids._parallelepiped_points(SKEW, 2)
 
 
 def parallelepiped_point_outside():
-    outside = lambda a, b: [Fraction(5)] * a.nrows
-    with patched(monoids, "_solve_rational_square", outside):
+    # coordinates 5 times those of the point: for SKEW's nonzero point
+    # t = adj(C) y / det(C) is then (5/2, 5/2), whose floor is not zero
+    far = lambda a, b: tuple(5 * x for x in intlinalg.solve(a, b))
+    with shifted_point_solved_as(far):
         monoids._parallelepiped_points(SKEW, 2)
 
 

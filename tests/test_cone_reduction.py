@@ -51,14 +51,14 @@ def assert_matches_independent_computation(fan):
     for cone in fan.cones:
         rays = IntMatrix(cone.rays, ncols=n)
         assert cone.perp_lattice() == kernel(rays)
-        _, d, _, _, _ = smith_with_inverses(rays, keep=())
+        _, d, _, _ = smith_with_inverses(rays, keep=())
         smooth = cone.is_simplicial() and all(d.rows[i][i] == 1 for i in range(len(cone.rays)))
         assert cone.is_smooth() == smooth
         if not smooth:
             continue
         chart, inverse = cone.ray_chart()
         assert chart == rays @ cone.character_quotient().section
-        u, d, v, _, _ = smith_with_inverses(chart, keep=("u", "v"))
+        u, d, v, _ = smith_with_inverses(chart, keep=("u", "v"))
         assert d == IntMatrix.identity(len(cone.rays))
         assert inverse == v @ u  # U T V = I
 
@@ -89,8 +89,9 @@ def test_cone_data_matches_on_gl_n_images(path):
 
 
 def test_standalone_cones_in_any_ray_order():
-    # the kernel of a ray matrix depends on the order of its rows: the
-    # one reduced at construction is the perp lattice only for sorted rays
+    # the kernel of a ray matrix depends on the order of its rows; a cone
+    # is built from its sorted rays, so the kernel reduced at construction
+    # is its perp lattice whatever order the rays came in
     rng = random.Random(5)
     cone = Cone.from_rays(Lattice(4), [(3, 2, 3, -3), (2, -3, 2, 3)])
     assert kernel(IntMatrix(cone.rays[::-1])) != kernel(IntMatrix(cone.rays))
@@ -106,7 +107,7 @@ def test_standalone_cones_in_any_ray_order():
         n = cone.lattice.rank
         rays = IntMatrix(cone.rays, ncols=n)
         assert cone.perp_lattice() == kernel(rays)
-        _, d, _, _, _ = smith_with_inverses(rays, keep=())
+        _, d, _, _ = smith_with_inverses(rays, keep=())
         smooth = cone.is_simplicial() and all(d.rows[i][i] == 1 for i in range(len(cone.rays)))
         assert cone.is_smooth() == smooth
         if smooth:

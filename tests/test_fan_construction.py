@@ -4,7 +4,9 @@
 descriptions (rays to facets, facets back to rays) and every
 cross-check between them, for every input.  ``Cone.from_rays`` takes
 that path only for dependent rays; independent ones are certified by
-their pairing matrix, and must give the same cones.
+their pairing matrix.  It builds a cone from its sorted extreme rays,
+so it must give the cone the reference builds on those, and the same
+cone for every order of its rays and with redundant rays added.
 
 ``reference_fan`` is the plain fan construction on top of it: every
 maximal cone builds its own faces, faces are merged by equality, and
@@ -21,6 +23,7 @@ import json
 import os
 import random
 import sys
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -153,6 +156,12 @@ def cone_outcome(build, lattice, rays):
     return cone.rays, cone.facets, cone.dim, cone.pointed
 
 
+def reference_on_extreme_rays(lattice, rays):
+    """``reference_cone`` on the input as given, for its checks, then on
+    the sorted extreme rays it finds."""
+    return reference_cone(lattice, reference_cone(lattice, rays).rays)
+
+
 @st.composite
 def ray_lists(draw):
     """Up to n random rays in Z^n, n <= 4, in random order, and as
@@ -171,7 +180,8 @@ def ray_lists(draw):
 @given(ray_lists())
 # full-dimensional simplicial; the square (not simplicial); a redundant
 # ray; lower-dimensional, in an order whose lineality basis differs from
-# the sorted order's; a line; the zero cone
+# the sorted order's (so the reference on the rays as given finds other
+# facets); a line; the zero cone
 @example((Z3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)]))
 @example((Z3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]))
 @example((Z2, [(1, 0), (1, 1), (0, 1)]))
@@ -181,8 +191,36 @@ def ray_lists(draw):
 @example((Z3, []))
 def test_from_rays_matches_the_two_double_descriptions(data):
     lattice, rays = data
-    expected = cone_outcome(reference_cone, lattice, rays)
+    expected = cone_outcome(reference_on_extreme_rays, lattice, rays)
     assert cone_outcome(Cone.from_rays, lattice, rays) == expected
+
+
+def cone_data(lattice, rays):
+    """What a cone keeps, as plain data, or ``NotStronglyConvex``."""
+    try:
+        cone = Cone.from_rays(lattice, rays)
+    except NotStronglyConvex:
+        return NotStronglyConvex
+    return cone.rays, cone.facets, cone.dim, cone.perp_lattice().rows, cone.is_smooth()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ray_lists())
+# rank 4, lower-dimensional: the two orders of the rays give different
+# lineality bases to a construction that keeps the input order
+@example((Lattice(4), [(3, 2, 3, -3), (2, -3, 2, 3)]))
+@example((Lattice(4), [(1, -1, -2, 2), (-2, -2, 2, -1), (0, 0, 0, 1)]))
+def test_a_cone_depends_on_its_ray_set_alone(data):
+    # every order of the rays, and the rays with the sum of two of them
+    # added, first and last
+    lattice, rays = data
+    expected = cone_data(lattice, rays)
+    for order in permutations(rays):
+        assert cone_data(lattice, list(order)) == expected
+    for a, b in combinations(rays, 2):
+        redundant = tuple(x + y for x, y in zip(a, b))
+        assert cone_data(lattice, [redundant] + rays) == expected
+        assert cone_data(lattice, rays + [redundant]) == expected
 
 
 def load(path):
@@ -196,8 +234,9 @@ def test_fan_files_match_the_reference(path):
 
 
 # lower-dimensional maximal cones given with unsorted or redundant rays
-# (their facets' lineality part depends on ray order), duplicates, input
-# cones that are faces of others, rank 4, and the empty fan
+# (a construction that kept the input order would find other lineality
+# parts of their facets), duplicates, input cones that are faces of
+# others, rank 4, and the empty fan
 HAND_MADE = [
     (Z3, [(0, 1, 0), (1, 0, 0), (0, 0, 1)], [[0, 1], [2, 1]]),
     (Z3, [(1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2], [3]]),

@@ -23,7 +23,13 @@ and -(e1 + .. + e4), five maximal cones) were captured before cones came
 to keep the kernel and the smoothness found by the one Smith reduction
 of their ray matrix, and ray charts to be inverted by cofactors; in
 ``info-quadric-cone`` the determinant test decides that the maximal
-cone is not smooth.  A change meant to alter these
+cone is not smooth.  The three non-smooth ``check-*`` reports
+(``weighted-p2.json`` is the weighted projective plane P(1,1,2): rays
+(1,0), (0,1), (-1,-2)) were captured before cones came to be built from
+their sorted extreme rays, before the cover complex lost its incidence
+plan, and before parallelepiped points were found in integers; they go
+through the kernel sampler and the support solver, and
+``flasque-weighted-p2`` ends in exit 3 when the solver gives up.  A change meant to alter these
 reports must say so and regenerate them from the repository root with
 
     PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json
@@ -67,12 +73,17 @@ GOLDEN = {
     "exactness-p4-level2": "check-exactness tests/golden/p4.json --level 2 --trials 2 --seed 14",
     "flasque-p4": "check-flasque tests/golden/p4.json --trials 2 --seed 15",
     "info-quadric-cone": "info fans/quadric-cone.json",
+    "exactness-weighted-p2-level1": "check-exactness tests/golden/weighted-p2.json --level 1 --trials 2 --experimental-nonsmooth",
+    "flasque-quadric-cone": "check-flasque fans/quadric-cone.json --trials 2 --seed 1 --experimental-nonsmooth",
+    "flasque-weighted-p2": "check-flasque tests/golden/weighted-p2.json --trials 3 --seed 2 --experimental-nonsmooth",
 }
 # the reports of these commands end in exit 1 (a non-member, with witness)
+# or in exit 3 (the support solver gave up on a non-smooth fan)
 EXIT_STATUS = {
     "k0-global-p1xp1-element": 1,
     "k0-global-hirzebruch2-element": 1,
     "k0-global-p1xp1xp1-element": 1,
+    "flasque-weighted-p2": 3,
 }
 
 

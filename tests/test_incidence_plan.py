@@ -1,11 +1,12 @@
-"""The differential read off the incidence plan, against the textbook sum.
+"""The differential read off the tuples' entries, against the textbook sum.
 
 ``reference_d`` is the plain differential: for every tuple t of the next
 level, the sum over j of (-1)^j times the pushforward of c_{t minus j}
-along ``incidence(t, j)``, one pushforward per (tuple, dropped index).
-``CechComplex.d`` pushes each component once per distinct meet and
-passes it through where the meet is its own; both must agree on random
-cochains (not only cocycles) at every level below the top.
+along the sheaf's restriction from the meet of t minus j onto the meet
+of t, one pushforward per (tuple, dropped index).  ``CechComplex.d``
+pushes each component once per distinct meet and passes it through
+where the meet is its own; both must agree on random cochains (not only
+cocycles) at every level below the top.
 
 ``reference_disagreement`` is the plain meet-agreement test: push both
 values of every pair to their meet and compare.
@@ -88,7 +89,8 @@ def reference_d(cx, c):
         for j in range(len(t)):
             s = t[:j] + t[j + 1 :]
             if s in c.components:
-                pushed = c.components[s].pushforward(cx.incidence(t, j))
+                restriction = cx.sheaf.restriction(cx.cone_of(s), cx.cone_of(t))
+                pushed = c.components[s].pushforward(restriction)
                 acc = acc - pushed if j % 2 else acc + pushed
         out[t] = acc
     return Cochain(cx, c.level + 1, out)
@@ -108,23 +110,25 @@ def test_plan_d_matches_the_reference_on_random_cochains(name, make):
 
 @pytest.mark.parametrize("name,make", FANS, ids=[name for name, _ in FANS])
 def test_plan_faces_are_the_incidences(name, make):
-    # identity faces are exactly those with the tuple's own meet
+    # each tuple's entry lists its signed faces with the sheaf's
+    # restrictions; identity faces are exactly those with its own meet
     cx = CechComplex(make())
     for level in range(1, min(cx.top_level, 3) + 1):
-        plan = cx.incidence_plan(level)
-        assert tuple(plan) == cx.level_tuples(level)
-        for t, (meet, faces) in plan.items():
+        for t in cx.level_tuples(level):
+            entry = cx._entry(t)
+            meet, faces = entry
             assert meet == cx.cone_of(t)
             assert [(s, sign) for s, sign, _ in faces] == [
                 (t[:j] + t[j + 1 :], -1 if j % 2 else 1) for j in range(len(t))
             ]
-            for j, (s, _, restriction) in enumerate(faces):
+            for s, _, restriction in faces:
+                incidence = cx.sheaf.restriction(cx.cone_of(s), meet)
                 if restriction is None:
                     assert cx.cone_of(s) == meet
-                    assert cx.incidence(t, j).maps_equal(identity_surjection(cx.stalk(t)))
+                    assert incidence.maps_equal(identity_surjection(cx.stalk(t)))
                 else:
-                    assert cx.cone_of(s) != meet and restriction is cx.incidence(t, j)
-        assert cx.incidence_plan(level) is plan
+                    assert cx.cone_of(s) != meet and restriction is incidence
+            assert cx._entry(t) is entry
 
 
 def test_membership_witness_matches_the_reference():

@@ -41,10 +41,9 @@ def gcd_of_minors(a: IntMatrix, k: int) -> int:
 
 
 def check_snf(a: IntMatrix):
-    u, d, v, uinv, vinv = smith_with_inverses(a)
+    u, d, v, uinv = smith_with_inverses(a)
     assert (u @ a) @ v == d
     assert uinv @ u == IntMatrix.identity(a.nrows)
-    assert v @ vinv == IntMatrix.identity(a.ncols)
     assert abs(det(u)) == 1 and abs(det(v)) == 1
     diag = [d.rows[i][i] for i in range(min(d.nrows, d.ncols))]
     for i in range(d.nrows):
