@@ -40,10 +40,18 @@ spanned by the rays of the cone that are tight on a set of its facets,
 so ``_face_rays`` lists every face as a sorted ray tuple, for both
 ``Cone.faces`` and ``Fan``.  A fan builds each distinct face once, from
 that tuple, and every maximal cone containing the face shares the
-instance.  Two maximal cones meet in a common face when a functional
-built from one cone's facets separates them (``_separates``, the
-separation lemma); a pair it does not settle takes one double
-description of both cones' facets.
+instance.
+
+A fan is validated in one of two ways.  A complete simplicial fan of
+rank >= 2 is certified by its ridges, each shared by two maximal cones
+on opposite sides, and by one probe point covered once
+(``_certified_walls``): no pair of maximal cones is looked at, and the
+pairs that share a ridge are kept as the fan's ``walls``.  Any other
+input, and any input that fails that certificate, takes the pairwise
+check (``_check_pairs``): two maximal cones meet in a common face when
+a functional built from one cone's facets separates them
+(``_separates``, the separation lemma); a pair it does not settle takes
+one double description of both cones' facets.
 """
 
 from __future__ import annotations
@@ -470,6 +478,116 @@ def _separates(facets: list[Vec], shared: tuple[Vec, ...], rays: tuple[Vec, ...]
     return all(dot(u, r) < 0 for r in rays if r not in shared)
 
 
+def _check_pairs(rank: int, maximal: list[Cone], face_rays: dict) -> None:
+    """Raise ``NotAFan(i, j)`` for the first pair i < j of ``maximal``
+    that does not meet in a common face; ``face_rays`` maps each cone's
+    rays to its face tuples.  When the rays the pair shares span a face
+    of one cone and a sum of its facets separates the other's remaining
+    rays (``_separates``), the meet is that face, and a face of the
+    other cone too.  Otherwise one double description of the pair's
+    facets gives the meet's rays, which must be the ray tuple of a face
+    of each; it would accept every pair the separation accepts, so
+    ``NotAFan`` names the same pair either way."""
+    proper = {c.rays: c._proper_facets() for c in maximal}
+    for i, a in enumerate(maximal):
+        for j in range(i + 1, len(maximal)):
+            b = maximal[j]
+            inside = set(b.rays)
+            shared = tuple(r for r in a.rays if r in inside)
+            if (
+                shared in face_rays[a.rays] and _separates(proper[a.rays], shared, b.rays)
+            ) or (
+                shared in face_rays[b.rays] and _separates(proper[b.rays], shared, a.rays)
+            ):
+                continue
+            lin, rays = dual_ray_generators(a.facets + b.facets, rank)
+            meet = tuple(rays)
+            if lin or meet not in face_rays[a.rays] or meet not in face_rays[b.rays]:
+                raise NotAFan(i, j)
+
+
+def _certified_walls(rank: int, maximal: list[Cone]) -> list | None:
+    """The walls (i, j, ridge), i < j, of the cones in ``maximal`` when
+    they are certified to form a complete simplicial fan without
+    looking at pairs of cones; None when the certificate does not apply.
+
+    It applies when rank n >= 2 and
+    (a) every cone has dimension n and n rays, and each of its facets
+        is nonzero on exactly one of its rays;
+    (b) every ridge, the rays of a cone a without one ray r, is a ridge
+        of exactly two of the cones, a and b, and b's ray off the ridge
+        is negative on a's facet that is positive on r: a and b lie on
+        opposite sides of the ridge's hyperplane.  That facet is one of
+        a's certified facets, so a ridge costs one dot product;
+    (c) the probe w = (1, B, .., B^(n-1)), with B = 2 max |facet entry|
+        + 1, lies in the interior of exactly one cone.  No facet u
+        vanishes on w: if u's last nonzero entry is u_k, then |u_k B^k|
+        >= B^k, and the earlier terms sum to at most (B^k - 1)/2 in
+        size.
+
+    These are the pseudomanifold property and a point covered once,
+    which characterise the triangulations of a vector configuration
+    (De Loera, Rambau and Santos, *Triangulations*, Springer 2010,
+    section 4.5).  The degree argument, for a cone tau that is a face
+    of one of the cones: its star (the cones containing it) maps to
+    full-dimensional simplicial cones in V = R^n / span(tau), of
+    dimension k, and each ridge containing tau is again a facet of
+    exactly two of them, on opposite sides.  For k >= 2, count the
+    cones of the star whose interior holds a point of V on no cone's
+    boundary.  Off the faces of codimension 2, whose complement in V is
+    connected, the count changes only across a ridge, and there it
+    loses the cone on one side and gains the one on the other: the
+    count is constant, and positive, since the star is not empty.  So
+    the star covers a neighbourhood of every point x in the relative
+    interior of tau (for k = 1 by the two sides, for k = 0 trivially).
+    For tau = 0 the count is 1, by (c): the cones cover R^n with
+    disjoint interiors.  If x lies in cones a and b, with x in the
+    relative interior of the face tau of a, a point of b's interior near
+    x is covered twice unless b contains tau; so x lies in the cone on
+    the rays a and b share, which is a face of both.
+
+    Conversely every complete simplicial fan of rank >= 2 passes, so
+    the walls are those of exactly these fans.
+    """
+    if rank < 2:
+        return None
+    walls = _ridge_walls(rank, maximal)
+    if walls is None or _probe_count(rank, maximal) != 1:
+        return None
+    return walls
+
+
+def _ridge_walls(rank: int, maximal: list[Cone]) -> list | None:
+    """Conditions (a) and (b) of ``_certified_walls``: the pairs (i, j,
+    ridge) of cones that share each ridge, or None."""
+    sides: dict = {}  # ridge -> [(cone index, ray off the ridge, facet positive on it)]
+    for i, a in enumerate(maximal):
+        if a.dim != rank or len(a.rays) != rank or len(a.facets) != rank:
+            return None
+        for u in a.facets:
+            off = [r for r in a.rays if dot(u, r)]
+            if len(off) != 1:
+                return None
+            sides.setdefault(tuple(r for r in a.rays if r != off[0]), []).append((i, off[0], u))
+    walls = []
+    for ridge, found in sides.items():
+        if len(found) != 2:
+            return None
+        (i, _, u), (j, r, _) = found
+        if dot(u, r) >= 0:
+            return None
+        walls.append((i, j, ridge))
+    return walls
+
+
+def _probe_count(rank: int, maximal: list[Cone]) -> int:
+    """How many of the cones hold the probe w of ``_certified_walls`` in
+    their interior: (1, B, .., B^(rank-1)), B = 2 max |facet entry| + 1."""
+    base = 2 * max((abs(x) for a in maximal for u in a.facets for x in u), default=0) + 1
+    w = tuple(base**k for k in range(rank))
+    return sum(all(dot(u, w) > 0 for u in a.facets) for a in maximal)
+
+
 def zero_cone(lattice: Lattice) -> Cone:
     return Cone.from_rays(lattice, [])
 
@@ -481,21 +599,27 @@ class Fan:
     ``max_cones`` keeps the order the maximal cones were given in; the
     alternating signs of the cover complex depend on it, so it is fixed
     for the fan's lifetime.  ``cones`` is canonically sorted and the
-    zero cone is always present.
+    zero cone is always present.  ``walls`` holds, for a fan certified
+    complete and simplicial by its ridges, each pair of maximal cones
+    that share a ridge as (a, b, ridge), a before b in ``max_cones``;
+    it is empty for every other fan.
     """
 
     __slots__ = (
-        "lattice", "cones", "max_cones", "_index", "_by_rays", "_faces_of", "_full_max_cones",
+        "lattice", "cones", "max_cones", "walls", "_index", "_by_rays", "_faces_of",
+        "_full_max_cones", "_stars_connected",
     )
 
-    def __init__(self, lattice: Lattice, cones, max_cones, faces_of):
+    def __init__(self, lattice: Lattice, cones, max_cones, faces_of, walls=()):
         self.lattice = lattice
         self.cones = cones
         self.max_cones = max_cones
+        self.walls = walls
         self._index = {c: i for i, c in enumerate(cones)}
         self._by_rays = {frozenset(c.rays): c for c in cones}
         self._faces_of = faces_of
         self._full_max_cones = None
+        self._stars_connected = None
 
     @classmethod
     def from_max_cones(cls, lattice: Lattice, max_cones: Iterable[Cone]) -> "Fan":
@@ -504,13 +628,13 @@ class Fan:
         Input cones that repeat another or are a proper face of another
         are dropped; the rest keep their order as ``max_cones``.  Every
         pair of maximal cones must meet in a common face (else
-        ``NotAFan``).  When the rays the pair shares span a face of one
-        cone and a sum of its facets separates the other's remaining
-        rays (``_separates``), the meet is that face, and a face of the
-        other cone too.  Otherwise one double description of the pair's
-        facets gives the meet's rays, which must be the ray tuple of a
-        face of each; it would accept every pair the separation accepts,
-        so ``NotAFan`` names the same pair either way.
+        ``NotAFan``).  A complete simplicial fan of rank >= 2 is
+        certified by its ridges and one probe point
+        (``_certified_walls``), in time linear in the number of maximal
+        cones, and keeps the pairs that share a ridge as its ``walls``.
+        Anything else, and anything that fails that certificate, is
+        checked pair by pair (``_check_pairs``), so a ``NotAFan`` always
+        names the pair that check finds.
 
         The fan trusts the certificates of its input cones: every
         maximal cone is kept as given.  Each other distinct face is
@@ -527,27 +651,11 @@ class Fan:
                 raise ValueError("cone lattice does not match the fan lattice")
             distinct.setdefault(c.rays, c)
         face_rays = {rays: _face_rays(c) for rays, c in distinct.items()}
-        maximal = [
-            c
-            for rays, c in distinct.items()
-            if not any(rays != other and rays in fs for other, fs in face_rays.items())
-        ]
-        proper = {c.rays: c._proper_facets() for c in maximal}
-        for i, a in enumerate(maximal):
-            for j in range(i + 1, len(maximal)):
-                b = maximal[j]
-                inside = set(b.rays)
-                shared = tuple(r for r in a.rays if r in inside)
-                if (
-                    shared in face_rays[a.rays] and _separates(proper[a.rays], shared, b.rays)
-                ) or (
-                    shared in face_rays[b.rays] and _separates(proper[b.rays], shared, a.rays)
-                ):
-                    continue
-                lin, rays = dual_ray_generators(a.facets + b.facets, lattice.rank)
-                meet = tuple(rays)
-                if lin or meet not in face_rays[a.rays] or meet not in face_rays[b.rays]:
-                    raise NotAFan(i, j)
+        proper = {t for rays, fs in face_rays.items() for t in fs if t != rays}
+        maximal = [c for rays, c in distinct.items() if rays not in proper]
+        walls = _certified_walls(lattice.rank, maximal)
+        if walls is None:
+            _check_pairs(lattice.rank, maximal, face_rays)
         built = {c.rays: c for c in maximal}
         home = {c.rays: face_rays[c.rays] for c in maximal}  # faces of a maximal cone above
         for c in maximal:
@@ -564,7 +672,13 @@ class Fan:
             inside = set(c.rays)
             faces = (built[t] for t in home[c.rays] if inside.issuperset(t))
             faces_of.append(tuple(sorted(faces, key=lambda f: (f.dim, f.rays))))
-        return cls(lattice, cones, tuple(maximal) or (built[()],), tuple(faces_of))
+        return cls(
+            lattice,
+            cones,
+            tuple(maximal) or (built[()],),
+            tuple(faces_of),
+            tuple((maximal[i], maximal[j], built[t]) for i, j, t in walls or ()),
+        )
 
     @classmethod
     def from_rays_and_indices(
@@ -631,11 +745,14 @@ class Fan:
         return all(c.is_smooth() for c in self.max_cones)
 
     def is_complete(self) -> bool:
-        """Does the fan cover the whole space?  Decided by the ridge
-        criterion: rank <= 3 only."""
+        """Does the fan cover the whole space?  Rank <= 3 only.  A fan
+        with walls was certified complete at construction; any other
+        fan is decided by the ridge criterion."""
         n = self.lattice.rank
         if n > 3:
             raise UnsupportedRank("completeness test implemented for rank <= 3")
+        if self.walls:
+            return True
         if any(c.dim != n for c in self.max_cones):
             return False
         for ridge in self.cones:
@@ -645,6 +762,41 @@ class Fan:
             if count != 2:
                 return False
         return True
+
+    def stars_wall_connected(self) -> bool:
+        """Are the maximal cones containing each cone tau connected
+        through walls whose ridge contains tau?  Decided on the first
+        call and kept, in time linear in the number of pairs (face,
+        maximal cone).  A fan without walls has no such certificate.
+
+        When it holds, values on the maximal cones that agree across
+        every wall agree on every meet: two maximal cones meeting in tau
+        are joined by a chain of walls whose ridges contain tau, and
+        restriction to tau factors through each ridge."""
+        if self._stars_connected is None:
+            links: dict = {}  # (tau, maximal cone) -> its neighbours across walls containing tau
+            for a, b, ridge in self.walls:
+                for tau in self.faces_of(ridge):
+                    links.setdefault((tau, a), []).append(b)
+                    links.setdefault((tau, b), []).append(a)
+            stars: dict = {}
+            for sigma in self.max_cones:
+                for tau in self.faces_of(sigma):
+                    stars.setdefault(tau, []).append(sigma)
+
+            def star_connected(tau, star) -> bool:
+                seen, todo = {star[0]}, [star[0]]
+                while todo:
+                    for other in links.get((tau, todo.pop()), ()):
+                        if other not in seen:
+                            seen.add(other)
+                            todo.append(other)
+                return len(seen) == len(star)
+
+            self._stars_connected = bool(self.walls) and all(
+                star_connected(tau, star) for tau, star in stars.items()
+            )
+        return self._stars_connected
 
     def __repr__(self) -> str:
         return f"Fan({len(self.cones)} cones, {len(self.max_cones)} maximal)"

@@ -3,7 +3,8 @@
 A sheaf here is the contravariant-functor data: a stalk group for every
 cone and a quotient surjection for every face pair, functorial along
 chains.  Sections over an open subfan are stored on its maximal cones;
-compatibility over pairwise meets pins the whole limit.
+compatibility over pairwise meets pins the whole limit, and on a
+complete simplicial fan compatibility across its walls already does.
 
 The sheaf of interest, ``sheaf_a0``, assigns to each cone sigma the
 group ring Z[M_sigma] of its minimal-orbit character group.  A smooth
@@ -37,10 +38,16 @@ maps for the 125 face pairs of P1 x P1 x P1.
 objects, so the verdict, and the first error, are those of checking
 every cone and chain.
 
-Whether values on maximal cones agree on their pairwise meets is asked
-in one place, ``first_disagreement``: by ``Section.check`` here and by
-H0 membership in ``kfan.cech``, whose ring elements are the sections on
-the whole fan, scanned there in the fan's order of maximal cones.
+Whether values on maximal cones agree on their meets is asked in one
+place, ``first_disagreement``: by ``Section.check`` here and by H0
+membership in ``kfan.cech``, whose ring elements are the sections on
+the whole fan, scanned there in the fan's order of maximal cones.  On
+the whole of a fan with walls (``Fan.walls``, a complete simplicial
+fan) whose stars are wall-connected, agreement is checked across the
+walls alone, the wall-crossing description of K-theory classes
+(Anderson-Payne, "Operational K-theory", Doc. Math. 2015), so a member
+costs one comparison per wall; a disagreement, and every subfan, takes
+the scan over all pairs of maximal cones.
 """
 
 from __future__ import annotations
@@ -150,7 +157,18 @@ def first_disagreement(sheaf: FanSheaf, cones, values):
     """The first pair i < j, in the order of ``cones``, whose values
     differ on the meet of cones i and j: (i, j, meet, value_j - value_i)
     there, or None if every pair agrees.  Each value is pushed at most
-    once to each meet."""
+    once to each meet.
+
+    When ``cones`` are all the maximal cones of a fan with walls, in any
+    order, and its stars are wall-connected
+    (``Fan.stars_wall_connected``), the values are first compared at
+    the ridge of each wall.  If they agree there they agree on every
+    meet: two maximal cones meeting in tau are joined by walls whose
+    ridges contain tau, and restriction to tau factors through each
+    ridge (``FanSheaf`` certifies functoriality), so the answer is None
+    after two pushforwards per wall.  A disagreement runs the scan over
+    all pairs to find the first pair; a wall is a pair whose meet is its
+    ridge, so the scan reuses the wall's pushes."""
     fan = sheaf.fan
     pushed: dict = {}
 
@@ -160,6 +178,14 @@ def first_disagreement(sheaf: FanSheaf, cones, values):
             value = pushed[i, meet] = values[i].pushforward(sheaf.restriction(cones[i], meet))
         return value
 
+    if fan.walls and len(cones) == len(fan.max_cones):
+        position = {c: i for i, c in enumerate(cones)}
+        if (
+            all(c in position for c in fan.max_cones)
+            and fan.stars_wall_connected()
+            and all(at(position[a], t) == at(position[b], t) for a, b, t in fan.walls)
+        ):
+            return None
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
             meet = fan.intersection(cones[i], cones[j])

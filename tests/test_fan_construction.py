@@ -12,10 +12,13 @@ cone for every order of its rays and with redundant rays added.
 maximal cone builds its own faces, faces are merged by equality, and
 each pair of maximal cones is checked with a double description of
 their facets.  ``Fan.from_max_cones`` builds each face once from a
-shared table, skips the double description of a pair that a separating
-functional certifies, and must give the same cones (rays, facets,
-dimension), maximal cones and face lists, or ``NotAFan`` on the same
-pair.
+shared table, certifies a complete simplicial fan by its ridges and a
+probe point (``_certified_walls``) and checks any other fan pair by
+pair (``_check_pairs``), skipping the double description of a pair that
+a separating functional certifies.  It must give the same cones (rays,
+facets, dimension), maximal cones and face lists, or ``NotAFan`` on the
+same pair; and whenever the ridge certificate accepts, the pairwise
+check must accept too.
 """
 
 import glob
@@ -42,6 +45,7 @@ from kfan.cones import (
 )
 from kfan.fanfile import load_fan_file
 from kfan.intlinalg import CertificateError, IntMatrix, Lattice, dot, rank, vec_neg
+from test_cech import load_gen_fans
 
 Z2, Z3 = Lattice(2), Lattice(3)
 HERE = os.path.dirname(__file__)
@@ -441,13 +445,13 @@ def test_random_cone_lists_match_the_reference(data):
 
 
 def count_pair_double_descriptions(monkeypatch):
-    """Record the double descriptions that ``Fan.from_max_cones`` runs
-    on a pair of maximal cones."""
+    """Record the double descriptions that the pairwise check
+    (``_check_pairs``) runs on a pair of maximal cones."""
     calls = []
     dual = cones.dual_ray_generators
 
     def counting(vectors, rank):
-        if sys._getframe(1).f_code.co_name == "from_max_cones":
+        if sys._getframe(1).f_code.co_name == "_check_pairs":
             calls.append(vectors)
         return dual(vectors, rank)
 
@@ -491,10 +495,151 @@ def test_refused_pairs_take_the_double_description(monkeypatch, lattice, rays, i
     assert len(calls) == 1
 
 
+def face_table(given):
+    return {c.rays: _face_rays(c) for c in given}
+
+
 @pytest.mark.parametrize("name, most", [("p3", 0), ("p1xp1xp1", 0), ("ladder-12", 65)])
 def test_separated_pairs_run_no_double_description(monkeypatch, name, most):
+    # the pairwise check itself: these complete fans never reach it
     lattice, rays, indices = load(os.path.join(HERE, os.pardir, "bench", "fans", f"{name}.json"))
     given = given_cones(lattice, rays, indices)
     calls = count_pair_double_descriptions(monkeypatch)
-    Fan.from_max_cones(lattice, given)
+    cones._check_pairs(lattice.rank, given, face_table(given))
     assert len(calls) <= most
+
+
+def ladder(n):
+    data = load_gen_fans().ladder(n)
+    return Z2, [tuple(r) for r in data["rays"]], data["max_cones"]
+
+
+def count_calls(monkeypatch, name):
+    """Record the calls of the ``cones`` function ``name``."""
+    calls = []
+    original = getattr(cones, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cones, name, counting)
+    return calls
+
+
+def test_a_64_cone_ladder_is_built_without_looking_at_pairs(monkeypatch):
+    lattice, rays, indices = ladder(64)
+    given = given_cones(lattice, rays, indices)
+    separations = count_calls(monkeypatch, "_separates")
+    descriptions = count_calls(monkeypatch, "dual_ray_generators")
+    fan = Fan.from_max_cones(lattice, given)
+    assert separations == [] and descriptions == []
+    assert len(fan.walls) == 64 and fan.is_complete()
+
+
+def ridge_pairs(fan):
+    """The pairs of maximal cones whose rays share a ridge, found from
+    the fan's own face lists."""
+    pairs = set()
+    for a, b in combinations(fan.max_cones, 2):
+        meet = fan.intersection(a, b)
+        if meet.dim == fan.lattice.rank - 1:
+            pairs.add((fan.max_cones.index(a), fan.max_cones.index(b), meet.rays))
+    return pairs
+
+
+COMPLETE_SIMPLICIAL = ["p3", "p1xp1xp1", "ladder-6", "ladder-12", "f1", "bl1p2"]
+
+
+@pytest.mark.parametrize("name", COMPLETE_SIMPLICIAL)
+def test_walls_are_the_pairs_that_share_a_ridge(name):
+    fan = Fan.from_rays_and_indices(*load(os.path.join(HERE, os.pardir, "bench", "fans", f"{name}.json")))
+    walls = {(fan.max_cones.index(a), fan.max_cones.index(b), t.rays) for a, b, t in fan.walls}
+    assert walls == ridge_pairs(fan) and len(walls) == len(fan.walls)
+    assert all(t in fan.faces_of(a) and t in fan.faces_of(b) for a, b, t in fan.walls)
+    assert fan.stars_wall_connected()
+
+
+@pytest.mark.parametrize("path", FAN_FILES, ids=os.path.basename)
+def test_only_complete_simplicial_fans_have_walls(path):
+    fan = Fan.from_rays_and_indices(*load(path))
+    n = fan.lattice.rank
+    simplicial = all(c.dim == n == len(c.rays) for c in fan.max_cones)
+    assert bool(fan.walls) == (n >= 2 and simplicial and fan.is_complete())
+    if fan.walls:
+        # the ridge criterion agrees with the walls
+        fan.walls = ()
+        assert fan.is_complete()
+
+
+# a 16-ray fan winding twice round the origin: every ray lies in two
+# neighbouring cones on opposite sides, but each generic point in two
+WINDING = (
+    Z2,
+    [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
+     (2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1)],
+    [[i, (i + 1) % 16] for i in range(16)],
+)
+
+
+def test_a_fan_winding_twice_passes_the_ridges_and_fails_the_probe():
+    lattice, rays, indices = WINDING
+    given = given_cones(lattice, rays, indices)
+    # every ray is a ridge of two neighbours on opposite sides, but the
+    # probe lies in two cones
+    assert len(cones._ridge_walls(2, given)) == 16
+    assert cones._probe_count(2, given) == 2
+    assert cones._certified_walls(2, given) is None
+    with pytest.raises(NotAFan) as ref:
+        reference_fan(lattice, reference_given(lattice, rays, indices))
+    with pytest.raises(NotAFan) as ei:
+        Fan.from_max_cones(lattice, given)
+    assert ei.value.pair == ref.value.pair == (0, 7)
+
+
+def pairwise_fan_outcome(lattice, rays, indices):
+    """``fan_outcome`` with the ridge certificate switched off, so that
+    every input takes the pairwise check."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cones, "_certified_walls", lambda rank, maximal: None)
+        return fan_outcome(lattice, rays, indices)
+
+
+def bench_fan_data(name):
+    return load(os.path.join(HERE, os.pardir, "bench", "fans", f"{name}.json"))
+
+
+@st.composite
+def perturbed_fans(draw):
+    """A ladder of 6-20 cones, P^3 or P^1 x P^1 x P^1 with one ray
+    replaced, one cone index replaced or two rays swapped."""
+    base = draw(st.sampled_from(["ladder", "p3", "p1xp1xp1"]))
+    if base == "ladder":
+        lattice, rays, indices = ladder(2 * draw(st.integers(3, 10)))
+    else:
+        lattice, rays, indices = bench_fan_data(base)
+    rays, indices = list(rays), [list(c) for c in indices]
+    n, k = lattice.rank, len(rays)
+    kind = draw(st.sampled_from(["ray", "index", "swap"]))
+    if kind == "ray":
+        vec = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+        rays[draw(st.integers(0, k - 1))] = draw(vec)
+    elif kind == "index":
+        cone = draw(st.integers(0, len(indices) - 1))
+        indices[cone][draw(st.integers(0, n - 1))] = draw(st.integers(0, k - 1))
+    else:
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        rays[i], rays[j] = rays[j], rays[i]
+    return lattice, rays, indices
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(perturbed_fans())
+@example((Z2, *ladder(8)[1:]))
+@example(bench_fan_data("p3"))
+@example(bench_fan_data("p1xp1xp1"))
+@example(WINDING)
+def test_the_ridge_certificate_accepts_only_what_the_pairwise_check_accepts(data):
+    # a fan the certificate accepts must come out of the pairwise check
+    # with the same tables; anything else takes that check anyway
+    assert fan_outcome(*data) == pairwise_fan_outcome(*data)

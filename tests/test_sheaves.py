@@ -1,4 +1,5 @@
 import glob
+import json
 import os
 import random
 
@@ -34,6 +35,9 @@ from kfan.sheaves import (
     sheaf_a0,
 )
 from kfan.support_solver import SolverGaveUp
+from test_fan_construction import ladder
+from test_incidence_plan import count_pushforwards
+from test_invariance import moved, random_unimodular
 
 Z2 = Lattice(2)
 
@@ -377,3 +381,127 @@ def test_fan_sheaf_rejects_a_shared_wrong_map_with_the_first_error_of_every_chai
         assert str(raised.value) == expected
         kinds.add("identity" if "identity" in expected else "functorial")
     assert kinds == {"identity", "functorial"}
+
+
+# -- global sections checked on walls --------------------------------------
+
+
+def pairwise_disagreement(sheaf, cones, values):
+    """The plain scan over all pairs, the reference for
+    ``first_disagreement``: the first pair i < j whose values differ on
+    their meet."""
+    fan = sheaf.fan
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            meet = fan.intersection(cones[i], cones[j])
+            a = values[i].pushforward(sheaf.restriction(cones[i], meet))
+            b = values[j].pushforward(sheaf.restriction(cones[j], meet))
+            if a != b:
+                return i, j, meet, b - a
+    return None
+
+
+def ridge_criterion(fan):
+    """Complete by the ridge criterion, in any rank: every maximal cone
+    full-dimensional, every ridge in exactly two of them."""
+    n = fan.lattice.rank
+    return all(c.dim == n for c in fan.max_cones) and all(
+        sum(ridge in fan.faces_of(c) for c in fan.max_cones) == 2
+        for ridge in fan.cones
+        if ridge.dim == n - 1
+    )
+
+
+def complete_fans():
+    here = os.path.dirname(__file__)
+    paths = glob.glob(os.path.join(here, os.pardir, "fans", "*.json"))
+    paths += glob.glob(os.path.join(here, os.pardir, "bench", "fans", "*.json"))
+    paths += glob.glob(os.path.join(here, "golden", "*.json"))
+    out = []
+    for p in sorted(paths):
+        with open(p) as f:
+            if "lattice_rank" not in json.load(f):
+                continue  # a report
+        fan = build_fan(load_fan_file(p))
+        if ridge_criterion(fan):
+            out.append((os.path.relpath(p, os.path.join(here, os.pardir)), fan))
+    return out + [("ladder-64", ladder_fan(64))]
+
+
+def ladder_fan(n):
+    return Fan.from_rays_and_indices(*ladder(n))
+
+
+def with_one_monomial_added(sheaf, comps, rng):
+    """The components with one monomial added on one maximal cone: not a
+    section when there are two or more maximal cones."""
+    cone = rng.choice(sorted(comps, key=lambda c: c.rays))
+    m = [rng.randint(-3, 3) for _ in range(sheaf.fan.lattice.rank)]
+    return {**comps, cone: comps[cone] + GroupRingElement.character(sheaf.stalk(cone), m)}
+
+
+def assert_wall_scan_matches_the_pairwise_scan(fan, rng):
+    sheaf = sheaf_a0(fan)
+    orders = [list(fan.max_cones), list(fan.full_subfan().max_cones()), list(fan.max_cones)[::-1]]
+    orders.append(rng.sample(orders[0], len(orders[0])))
+    verdicts = []
+    for _ in range(2):
+        member = random_section(sheaf, fan.full_subfan(), rng).components
+        for comps in (member, with_one_monomial_added(sheaf, member, rng)):
+            for cones in orders:
+                values = [comps[c] for c in cones]
+                found = sheaves.first_disagreement(sheaf, cones, values)
+                assert found == pairwise_disagreement(sheaf, cones, values)
+                verdicts.append(found is None)
+    assert set(verdicts) == ({True, False} if len(fan.max_cones) > 1 else {True})
+
+
+@pytest.mark.parametrize("fan", [pytest.param(fan, id=name) for name, fan in complete_fans()])
+def test_the_wall_scan_matches_the_pairwise_scan_on_complete_fans(fan):
+    if fan.lattice.rank >= 2:
+        assert fan.walls and fan.stars_wall_connected()
+    assert_wall_scan_matches_the_pairwise_scan(fan, random.Random(len(fan.cones)))
+
+
+@pytest.mark.parametrize("name", ["ladder-12.json", "p3.json", "p1xp1xp1.json", "bl1p2.json"])
+def test_the_wall_scan_matches_the_pairwise_scan_under_gl_n_and_reordering(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "fans", name)
+    fan = build_fan(load_fan_file(path))
+    rng = random.Random(name)
+    for _ in range(3):
+        other, _ = moved(fan, random_unimodular(fan.lattice.rank, rng), rng)
+        assert len(other.walls) == len(fan.walls)
+        assert_wall_scan_matches_the_pairwise_scan(other, rng)
+
+
+def test_a_member_costs_two_pushforwards_per_wall(monkeypatch):
+    fan = ladder_fan(64)
+    sheaf = sheaf_a0(fan)
+    section = random_section(sheaf, fan.full_subfan(), random.Random(3))
+    calls = count_pushforwards(monkeypatch)
+    assert section.check()
+    assert 0 < len(calls) <= 2 * len(fan.walls) == 128
+    calls.clear()
+    values = [section.components[c] for c in fan.max_cones]
+    assert sheaves.first_disagreement(sheaf, fan.max_cones, values) is None
+    assert len(calls) <= 2 * len(fan.walls)
+
+
+def test_a_missing_wall_fails_the_star_certificate_and_the_pairs_are_scanned(monkeypatch):
+    fan = ladder_fan(12)
+    fan.walls = fan.walls[1:]
+    assert not fan.stars_wall_connected()
+    sheaf = sheaf_a0(fan)
+    rng = random.Random(7)
+    member = random_section(sheaf, fan.full_subfan(), rng).components
+    cones = fan.max_cones
+    for comps in (member, with_one_monomial_added(sheaf, member, rng)):
+        values = [comps[c] for c in cones]
+        calls = count_pushforwards(monkeypatch)
+        found = sheaves.first_disagreement(sheaf, cones, values)
+        monkeypatch.undo()
+        assert found == pairwise_disagreement(sheaf, cones, values)
+        if found is None:
+            # every cone pushed once to each of its meets: the origin
+            # and its two rays
+            assert len(calls) == 3 * len(cones) > 2 * len(fan.walls)
