@@ -237,7 +237,7 @@ class CechComplex:
             cone = self.cone_of(t)
             faces = [tau for tau in self.fan.faces_of(cone) if self.stars[tau][0] == t[0]]
             parts = split_rays(ray_terms(cone, value), cone, faces)
-            accumulate(b.setdefault(t[1:], {}), assemble_rays(parts, self.cone_of(t[1:])), 1)
+            accumulate(b.setdefault(t[1:], {}), assemble_rays(parts, self.cone_of(t[1:]), faces), 1)
         return self._from_rays(z.level - 1, b)
 
     def _from_rays(self, level: int, terms: dict) -> "Cochain":

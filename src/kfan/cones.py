@@ -1,9 +1,10 @@
 """Strongly convex rational polyhedral cones and fans.
 
 A cone carries both descriptions -- primitive extreme rays and integer
-facet inequalities -- certified at construction, since faces want the
-inequality side and duals want the generator side.  A check that fails
-raises ``CertificateError``, so it holds under ``python -O``.  Fans are
+facet inequalities -- certified at construction, or on first use for a
+face of a simplicial cone, since faces want the inequality side and
+duals want the generator side.  A check that fails raises
+``CertificateError``, so it holds under ``python -O``.  Fans are
 finite face-closed collections of cones; their subfans are the open
 sets of the poset topology used by the sheaf layer.
 
@@ -11,7 +12,7 @@ The double-description step enumerates candidate facet normals from
 subsets of rays, which is exact and entirely adequate at the ambient
 ranks this package supports (<= 4).  Each candidate is the generalised
 cross product of a subset stacked on the lineality basis
-(``intlinalg.normal_vector``: a few determinants of at most 3 x 3), and
+(``intlinalg.normal_vector``: closed-form minors of at most 3 x 3), and
 every rank test is a fraction-free elimination (``intlinalg.rank``), so
 a Smith reduction runs only to find the lineality of an input that does
 not span the space.
@@ -24,23 +25,25 @@ from its sorted extreme rays.
 
 Most cones need less.  On linearly independent rays the facets are the
 normals of the other rays, and a diagonal pairing matrix with a
-positive diagonal certifies them (``Cone._simplicial``); only dependent
+positive diagonal certifies them (``_simplicial_facets``); only dependent
 rays take a second double description back to rays and its
-cross-checks.  A cone on independent rays reduces its ray matrix once,
-and only below full rank (``_ray_reduction``): the kernel is the
-lineality the facets are built on and the cone's ``perp_lattice()``;
-the Smith diagonal, the same whichever transforms are tracked, decides
-``is_smooth()``.  A full-dimensional cone has no kernel and is smooth
-exactly when |det| = 1 of its rays.
+cross-checks.  Fewer rays than the rank are reduced once
+(``_ray_reduction``): the Smith diagonal, the same whichever transforms
+are tracked, decides whether they are independent and whether the cone
+is smooth, and the kernel is the lineality the facets are built on and
+the cone's ``perp_lattice()``.  At full rank det != 0 decides
+independence and |det| = 1 smoothness, and no reduction runs.
 The ray chart of a smooth cone is inverted by cofactors
 (``intlinalg.adjugate``), so that no Smith reduction runs for it.
 
 Faces need no double description of their own to be found: a face is
 spanned by the rays of the cone that are tight on a set of its facets,
-so ``_face_rays`` lists every face as a sorted ray tuple, for both
-``Cone.faces`` and ``Fan``.  A fan builds each distinct face once, from
-that tuple, and every maximal cone containing the face shares the
-instance.
+every subset of the rays when they are independent, so ``_face_rays``
+lists every face as a sorted ray tuple, for both ``Cone.faces`` and
+``Fan``.  A fan builds each distinct face once, from that tuple, and
+every maximal cone containing the face shares the instance.  A face of
+a simplicial cone is built from its rays alone and certified on first
+use (``Cone._face``), so a command pays only for the faces it reads.
 
 A fan is validated in one of two ways.  A complete simplicial fan of
 rank >= 2 is certified by its ridges, each shared by two maximal cones
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence
 
 from .intlinalg import (
@@ -167,18 +171,20 @@ class Cone:
     Cones built by ``from_rays`` are strongly convex; duals of
     lower-dimensional cones contain lines and store them as opposite
     ray pairs, with ``pointed`` False.  Immutable; equality and hashing
-    go by the sorted primitive ray set.
+    go by the sorted primitive ray set.  ``facets`` None makes a face
+    of a certified simplicial cone (``_face``), whose facets are found
+    on their first read.
     """
 
     __slots__ = (
-        "lattice", "rays", "facets", "dim", "pointed",
+        "lattice", "rays", "_facets", "dim", "pointed",
         "_faces", "_perp", "_charq", "_smooth", "_chart", "_ray_index", "_hash",
     )
 
     def __init__(self, lattice: Lattice, rays, facets, dim: int, pointed: bool):
         self.lattice = lattice
-        self.rays = tuple(sorted(as_vec(r) for r in rays))
-        self.facets = tuple(sorted(as_vec(f) for f in facets))
+        self.rays = tuple(sorted(map(as_vec, rays)))
+        self._facets = None if facets is None else tuple(sorted(map(as_vec, facets)))
         self.dim = dim
         self.pointed = pointed
         self._faces = None
@@ -201,8 +207,9 @@ class Cone:
         prim = sorted(_unique_primitives(rays))
         if any(len(r) != n for r in prim):
             raise ValueError("ray length does not match the lattice rank")
-        if matrix_rank(IntMatrix(prim, ncols=n)) == len(prim):
-            return cls._simplicial(lattice, prim)
+        reduction = _ray_reduction(tuple(prim), n)
+        if reduction is not None:
+            return cls._simplicial(lattice, prim, *reduction)
         lin, pnt = dual_ray_generators(prim, n)
         facets = list(pnt)
         for l in lin:
@@ -230,60 +237,37 @@ class Cone:
         return cone
 
     @classmethod
-    def _simplicial(cls, lattice: Lattice, prim: list[Vec]) -> "Cone":
-        """The cone on linearly independent primitive rays r_1..r_d, in
-        sorted order, certified by dot products instead of a second
-        double description.
-
-        The facets are the normals u_i of the rays without r_i stacked
-        on the lineality basis L (a kernel basis of the rays), signed so
-        that u_i.r_i > 0: the subsets the double description enumerates
-        for these rays, so the facets are the ones it finds.  The check:
-        the pairing matrix (u_i.r_j) is diagonal with a positive
-        diagonal, each u_i vanishes on L, and L vanishes on the rays.
-        Then the r_j and L form a basis of Q^n, and writing x in it
-        shows that {x : u_i.x >= 0, L.x = 0} is exactly cone(r_j); each
-        u_i is tight on the d - 1 independent rays r_j, j != i; and the
-        u_i with L span Q^n, so the cone contains no line.  A failure
-        raises ``CertificateError``.
-
-        The reduction that finds L also decides smoothness
-        (``_ray_reduction``), and the cone keeps both: L is its
-        ``perp_lattice()``.
-        """
+    def _simplicial(cls, lattice: Lattice, prim: list, perp: IntMatrix, smooth: bool) -> "Cone":
+        """The cone on linearly independent primitive rays, in sorted
+        order, certified by dot products instead of a second double
+        description (``_simplicial_facets``).  The reduction that found
+        the rays independent (``_ray_reduction``) also gave their
+        lineality ``perp`` and decided ``smooth``, and the cone keeps
+        both: the lineality is its ``perp_lattice()``."""
         n = lattice.rank
-        perp, smooth = _ray_reduction(tuple(prim), n)
-        lin = perp.rows
-        if len(lin) != n - len(prim):
-            raise CertificateError(
-                f"rank {len(prim)} and kernel rank {len(lin)} disagree in Z^{n}"
-            )
-        facets = []
-        for i, r in enumerate(prim):
-            u = normal_vector(IntMatrix._trusted(tuple(prim[:i] + prim[i + 1:]) + lin, n))
-            if u is None:
-                raise CertificateError(f"the rays {prim} and their lineality are dependent")
-            facets.append(u if dot(u, r) > 0 else vec_neg(u))
-        for i, u in enumerate(facets):
-            pairing = [dot(u, r) for r in prim]
-            if (
-                pairing[i] <= 0
-                or any(pairing[:i])
-                or any(pairing[i + 1:])
-                or any(dot(u, l) for l in lin)
-            ):
-                raise CertificateError(
-                    f"facet {u} of the cone on {prim} fails the pairing check"
-                )
-        if any(dot(l, r) for l in lin for r in prim):
-            raise CertificateError(f"the lineality of the cone on {prim} meets its rays")
-        for l in lin:
-            facets.append(l)
-            facets.append(vec_neg(l))
-        cone = cls(lattice, prim, facets, n - len(lin), pointed=True)
+        cone = cls(lattice, prim, _simplicial_facets(prim, perp.rows, n), len(prim), pointed=True)
         cone._smooth = smooth
         cone._perp = perp
         return cone
+
+    @classmethod
+    def _face(cls, lattice: Lattice, rays: tuple[Vec, ...]) -> "Cone":
+        """The face on ``rays``, a sorted tuple of some of the rays of a
+        certified simplicial cone: they are independent and primitive by
+        that cone's certificate, so nothing is checked or reduced here.
+        The one Smith reduction runs on the first call of
+        ``perp_lattice()`` or ``is_smooth()``, and the facets are found
+        and certified on the first read of ``facets``."""
+        return cls(lattice, rays, None, len(rays), pointed=True)
+
+    @property
+    def facets(self) -> tuple[Vec, ...]:
+        """The sorted integer inequalities cutting out the cone; for a
+        face built by ``_face``, found and certified on the first read."""
+        if self._facets is None:
+            lin = self.perp_lattice().rows
+            self._facets = _simplicial_facets(self.rays, lin, self.lattice.rank)
+        return self._facets
 
     def _proper_facets(self) -> list[Vec]:
         fs = set(self.facets)
@@ -309,10 +293,12 @@ class Cone:
         )
 
     def faces(self) -> tuple["Cone", ...]:
-        """All faces, from the zero cone up to the cone itself."""
+        """All faces, from the zero cone up to the cone itself; those of
+        a simplicial cone are built by ``_face``."""
         if self._faces is None:
-            faces = (Cone.from_rays(self.lattice, t) for t in _face_rays(self))
-            self._faces = tuple(sorted(faces, key=lambda c: (c.dim, c.rays)))
+            make = Cone._face if self.is_simplicial() else Cone.from_rays
+            faces = (self if t == self.rays else make(self.lattice, t) for t in _face_rays(self))
+            self._faces = tuple(sorted(faces, key=_order))
         return self._faces
 
     def is_face(self, other: "Cone") -> bool:
@@ -330,11 +316,14 @@ class Cone:
 
     def perp_lattice(self) -> IntMatrix:
         """Generators of the functionals vanishing on the cone: the
-        kernel of the matrix of ``rays``.  Kept from construction on
-        independent rays, else found on the first call; kept either
-        way."""
+        kernel of the matrix of ``rays``.  Found on the first call, by
+        the reduction that also decides ``is_smooth()`` on independent
+        rays (``_ray_reduction``), and kept."""
         if self._perp is None:
-            self._perp = kernel(IntMatrix(self.rays, ncols=self.lattice.rank))
+            if self.is_simplicial():
+                self._perp, self._smooth = _ray_reduction(self.rays, self.lattice.rank)
+            else:
+                self._perp = kernel(IntMatrix(self.rays, ncols=self.lattice.rank))
         return self._perp
 
     def character_quotient(self, interned: dict | None = None) -> QuotientLattice:
@@ -365,11 +354,13 @@ class Cone:
 
     def is_smooth(self) -> bool:
         """Do the rays extend to a basis of the lattice?  Decided once
-        per cone: at construction for a cone on independent rays, by the
-        reduction that finds its lineality or, at full rank, by
-        |det| = 1."""
+        per cone, on independent rays by the reduction that finds the
+        lineality (``perp_lattice()``) or, at full rank, by |det| = 1."""
         if self._smooth is None:
-            self._smooth = self.is_simplicial() and _ray_reduction(self.rays, self.lattice.rank)[1]
+            if self.is_simplicial():
+                self.perp_lattice()
+            else:
+                self._smooth = False
         return self._smooth
 
     def ray_chart(self) -> tuple[IntMatrix, IntMatrix]:
@@ -424,18 +415,70 @@ class Cone:
         return f"Cone(rays={[list(r) for r in self.rays]})"
 
 
-def _ray_reduction(rays: tuple[Vec, ...], n: int) -> tuple[IntMatrix, bool]:
-    """The kernel of the matrix of linearly independent ``rays`` in Z^n,
-    and whether the rays extend to a basis of Z^n.  Below full rank one
-    Smith reduction gives both (``smith_kernel``): the rays extend to a
-    basis exactly when every diagonal entry is 1.  At full rank the
-    kernel is zero and the rays are a basis exactly when |det| = 1, so
-    no reduction runs."""
+def _order(cone: Cone) -> tuple:
+    """The canonical order of cones: by dimension, then by rays."""
+    return (cone.dim, cone.rays)
+
+
+def _ray_reduction(rays: tuple[Vec, ...], n: int) -> tuple[IntMatrix, bool] | None:
+    """The kernel of the matrix of ``rays`` in Z^n and whether the rays
+    extend to a basis of Z^n, or None when they are linearly dependent.
+    Below full rank one Smith reduction decides all three
+    (``smith_kernel``): the rays are independent exactly when no
+    diagonal entry is 0, and extend to a basis exactly when every one
+    is 1.  At full rank the kernel is zero, and the rays are independent
+    when det != 0 and a basis when |det| = 1, so no reduction runs."""
+    if len(rays) > n:
+        return None
     mat = IntMatrix._trusted(rays, n)
     if len(rays) < n:
         perp, diagonal = smith_kernel(mat)
-        return perp, all(x == 1 for x in diagonal)
-    return IntMatrix._trusted((), n), abs(det(mat)) == 1
+        return (perp, all(x == 1 for x in diagonal)) if all(diagonal) else None
+    d = det(mat)
+    return (IntMatrix._trusted((), n), abs(d) == 1) if d else None
+
+
+def _simplicial_facets(prim: Sequence[Vec], lin: tuple[Vec, ...], n: int) -> tuple[Vec, ...]:
+    """The sorted facets of the cone on linearly independent primitive
+    rays r_1..r_d (``prim``, in sorted order) with lineality basis L
+    (``lin``, a kernel basis of the rays), certified by dot products.
+
+    The facets are +-L and the normals u_i of the rays without r_i
+    stacked on L, signed so that u_i.r_i > 0: the subsets the double
+    description enumerates for these rays, so the facets are the ones
+    it finds.  The check: the pairing matrix (u_i.r_j) is diagonal with
+    a positive diagonal, each u_i vanishes on L, and L vanishes on the
+    rays.  Then the r_j and L form a basis of Q^n, and writing x in it
+    shows that {x : u_i.x >= 0, L.x = 0} is exactly cone(r_j); each u_i
+    is tight on the d - 1 independent rays r_j, j != i; and the u_i
+    with L span Q^n, so the cone contains no line.  A failure raises
+    ``CertificateError``.
+    """
+    on = list(prim)
+    if len(lin) != n - len(prim):
+        raise CertificateError(f"rank {len(prim)} and kernel rank {len(lin)} disagree in Z^{n}")
+    facets = []
+    for i in range(len(prim)):
+        u = normal_vector(IntMatrix._trusted(tuple(on[:i] + on[i + 1:]) + lin, n))
+        if u is None:
+            raise CertificateError(f"the rays {on} and their lineality are dependent")
+        pairing = [sum(map(mul, u, r)) for r in prim]
+        if pairing[i] < 0:
+            u, pairing = vec_neg(u), [-x for x in pairing]
+        if (
+            not pairing[i]
+            or any(pairing[:i])
+            or any(pairing[i + 1:])
+            or any(sum(map(mul, u, l)) for l in lin)
+        ):
+            raise CertificateError(f"facet {u} of the cone on {on} fails the pairing check")
+        facets.append(u)
+    if any(sum(map(mul, l, r)) for l in lin for r in prim):
+        raise CertificateError(f"the lineality of the cone on {on} meets its rays")
+    for l in lin:
+        facets.append(l)
+        facets.append(vec_neg(l))
+    return tuple(sorted(facets))
 
 
 def _face_rays(cone: Cone) -> set[tuple[Vec, ...]]:
@@ -445,10 +488,13 @@ def _face_rays(cone: Cone) -> set[tuple[Vec, ...]]:
     it is spanned by the cone's rays tight on them; closing the full ray
     tuple under "keep the rays tight on one more facet" reaches the
     tight rays of every set of facets, the empty tuple (the zero cone)
-    included.
+    included.  On independent rays every subset spans a face, so a
+    simplicial cone lists its subsets and reads no facet.
     """
     if not cone.pointed:
         raise ValueError("face enumeration needs a strongly convex cone")
+    if cone.is_simplicial():
+        return {t for k in range(cone.dim + 1) for t in combinations(cone.rays, k)}
     faces = {cone.rays}
     for u in cone._proper_facets():
         faces |= {tuple(r for r in f if dot(u, r) == 0) for f in faces}
@@ -562,19 +608,20 @@ def _ridge_walls(rank: int, maximal: list[Cone]) -> list | None:
     ridge) of cones that share each ridge, or None."""
     sides: dict = {}  # ridge -> [(cone index, ray off the ridge, facet positive on it)]
     for i, a in enumerate(maximal):
-        if a.dim != rank or len(a.rays) != rank or len(a.facets) != rank:
+        rays, facets = a.rays, a.facets
+        if a.dim != rank or len(rays) != rank or len(facets) != rank:
             return None
-        for u in a.facets:
-            off = [r for r in a.rays if dot(u, r)]
+        for u in facets:
+            off = [r for r in rays if sum(map(mul, u, r))]
             if len(off) != 1:
                 return None
-            sides.setdefault(tuple(r for r in a.rays if r != off[0]), []).append((i, off[0], u))
+            sides.setdefault(tuple(r for r in rays if r != off[0]), []).append((i, off[0], u))
     walls = []
     for ridge, found in sides.items():
         if len(found) != 2:
             return None
         (i, _, u), (j, r, _) = found
-        if dot(u, r) >= 0:
+        if sum(map(mul, u, r)) >= 0:
             return None
         walls.append((i, j, ridge))
     return walls
@@ -585,7 +632,7 @@ def _probe_count(rank: int, maximal: list[Cone]) -> int:
     their interior: (1, B, .., B^(rank-1)), B = 2 max |facet entry| + 1."""
     base = 2 * max((abs(x) for a in maximal for u in a.facets for x in u), default=0) + 1
     w = tuple(base**k for k in range(rank))
-    return sum(all(dot(u, w) > 0 for u in a.facets) for a in maximal)
+    return sum(all(sum(map(mul, u, w)) > 0 for u in a.facets) for a in maximal)
 
 
 def zero_cone(lattice: Lattice) -> Cone:
@@ -638,10 +685,11 @@ class Fan:
 
         The fan trusts the certificates of its input cones: every
         maximal cone is kept as given.  Each other distinct face is
-        built once, by ``Cone.from_rays`` on its sorted ray tuple, and
-        is shared by every maximal cone that has it.  The faces of a
-        cone are those faces of a maximal cone containing it whose rays
-        it contains.
+        built once from its sorted ray tuple, and is shared by every
+        maximal cone that has it: by ``Cone._face``, certified on first
+        use, when the first maximal cone that has it is simplicial,
+        else by ``Cone.from_rays``.  The faces of each cone are looked
+        up by their ray tuples (``_face_rays``).
         """
         if lattice.rank > MAX_RANK:
             raise UnsupportedRank(f"ambient rank {lattice.rank} > {MAX_RANK}")
@@ -657,26 +705,22 @@ class Fan:
         if walls is None:
             _check_pairs(lattice.rank, maximal, face_rays)
         built = {c.rays: c for c in maximal}
-        home = {c.rays: face_rays[c.rays] for c in maximal}  # faces of a maximal cone above
         for c in maximal:
+            make = Cone._face if c.is_simplicial() else Cone.from_rays
             for t in face_rays[c.rays]:
                 if t not in built:
-                    built[t] = Cone.from_rays(lattice, t)
-                    home[t] = face_rays[c.rays]
+                    built[t] = make(lattice, t)
         if not maximal:
             built[()] = zero_cone(lattice)
-            home[()] = {()}
-        cones = tuple(sorted(built.values(), key=lambda c: (c.dim, c.rays)))
-        faces_of = []
-        for c in cones:
-            inside = set(c.rays)
-            faces = (built[t] for t in home[c.rays] if inside.issuperset(t))
-            faces_of.append(tuple(sorted(faces, key=lambda f: (f.dim, f.rays))))
+        cones = tuple(sorted(built.values(), key=_order))
+        faces_of = tuple(
+            tuple(sorted(map(built.__getitem__, _face_rays(c)), key=_order)) for c in cones
+        )
         return cls(
             lattice,
             cones,
             tuple(maximal) or (built[()],),
-            tuple(faces_of),
+            faces_of,
             tuple((maximal[i], maximal[j], built[t]) for i, j, t in walls or ()),
         )
 
@@ -839,9 +883,7 @@ class Subfan:
                 self._max_cones = parent._full_max_cones
             else:
                 proper = {f for c in self.members for f in parent.faces_of(c) if f != c}
-                self._max_cones = tuple(
-                    sorted(self.members - proper, key=lambda c: (c.dim, c.rays))
-                )
+                self._max_cones = tuple(sorted(self.members - proper, key=_order))
                 if full:
                     parent._full_max_cones = self._max_cones
         return self._max_cones

@@ -47,7 +47,7 @@ class CertificateError(Exception):
 
 
 def as_vec(v: Iterable[int]) -> Vec:
-    return tuple(int(x) for x in v)
+    return tuple(map(int, v))
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -140,9 +140,9 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        cols = other.transpose().rows
+        cols = tuple(zip(*other.rows)) or ((),) * other.ncols
         return IntMatrix._trusted(
-            tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.rows),
+            tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in self.rows]),
             other.ncols,
         )
 
@@ -177,22 +177,27 @@ _IDENTITIES: dict[int, IntMatrix] = {}
 
 
 def det(a: IntMatrix) -> int:
-    """Exact determinant: cofactor expansion up to 3 x 3, fraction-free
-    (Bareiss) elimination above."""
+    """Exact determinant of a square matrix (``_det`` on its rows)."""
     if a.nrows != a.ncols:
         raise ValueError("determinant of a non-square matrix")
-    n = a.nrows
+    return _det(a.rows)
+
+
+def _det(rows: Sequence[Vec]) -> int:
+    """The determinant of a square tuple of rows: a closed form up to
+    3 x 3, fraction-free (Bareiss) elimination above."""
+    n = len(rows)
     if n <= 3:
         if n == 0:
             return 1
         if n == 1:
-            return a.rows[0][0]
+            return rows[0][0]
         if n == 2:
-            (p, q), (r, s) = a.rows
+            (p, q), (r, s) = rows
             return p * s - q * r
-        (p, q, r), (s, t, u), (v, w, x) = a.rows
+        (p, q, r), (s, t, u), (v, w, x) = rows
         return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
-    m = [list(r) for r in a.rows]
+    m = [list(r) for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -210,31 +215,38 @@ def det(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _cross(rows: Sequence[Vec]) -> list[int]:
+    """The generalised cross product of n - 1 rows of length n: entry j
+    is (-1)^j times the minor without column j, so that it is zero on
+    every row; a closed form up to n = 3 (the cross product there)."""
+    n = len(rows) + 1
+    if n == 1:
+        return [1]
+    if n == 2:
+        ((a, b),) = rows
+        return [b, -a]
+    if n == 3:
+        (a, b, c), (p, q, r) = rows
+        return [b * r - c * q, c * p - a * r, a * q - b * p]
+    return [
+        -m if j % 2 else m
+        for j, m in enumerate(_det([r[:j] + r[j + 1:] for r in rows]) for j in range(n))
+    ]
+
+
 def adjugate(a: IntMatrix) -> IntMatrix:
-    """The adjugate of a square matrix, by cofactors: entry (i, j) is
-    (-1)^(i+j) times the minor of ``a`` without row j and column i, so
-    that a @ adjugate(a) = det(a) I.  For det(a) = +-1 the inverse is
-    det(a) * adjugate(a).  Meant for the small matrices of the geometry
-    layer: it takes n^2 determinants of size n - 1."""
+    """The adjugate of a square matrix: entry (i, j) is (-1)^(i+j) times
+    the minor of ``a`` without row j and column i, so that a @
+    adjugate(a) = det(a) I.  For det(a) = +-1 the inverse is det(a) *
+    adjugate(a).  Column j is the generalised cross product of the rows
+    other than j (``_cross``), signed by (-1)^j: meant for the small
+    matrices of the geometry layer."""
     if a.nrows != a.ncols:
         raise ValueError("adjugate of a non-square matrix")
-    n = a.nrows
-    minors = [
-        [
-            det(IntMatrix._trusted(
-                tuple(r[:i] + r[i + 1:] for k, r in enumerate(a.rows) if k != j), n - 1
-            ))
-            for i in range(n)
-        ]
-        for j in range(n)
-    ]
-    return IntMatrix._trusted(
-        tuple(
-            tuple(-m if (i + j) % 2 else m for j, m in enumerate(row))
-            for i, row in enumerate(zip(*minors))
-        ),
-        n,
-    )
+    rows = a.rows
+    columns = (_cross(rows[:j] + rows[j + 1:]) for j in range(len(rows)))
+    columns = [[-x for x in c] if j % 2 else c for j, c in enumerate(columns)]
+    return IntMatrix._trusted(tuple(zip(*columns)), a.ncols)
 
 
 def _eye(n: int) -> list[list[int]]:
@@ -476,22 +488,14 @@ def normal_vector(a: IntMatrix) -> Vec | None:
     rank n-1, or None when the rank is lower.
 
     Up to sign and the gcd of its entries, the kernel is spanned by the
-    generalised cross product of the rows, whose j-th entry is
-    (-1)^j times the minor without column j; it is nonzero exactly when
-    the rows are independent.  Dividing by the gcd saturates it, so the
-    result is +- the one row of ``kernel(a)``.
+    generalised cross product of the rows (``_cross``), which is nonzero
+    exactly when the rows are independent.  Dividing by the gcd
+    saturates it, so the result is +- the one row of ``kernel(a)``.
     """
-    n = a.ncols
-    if a.nrows != n - 1:
-        raise ValueError(f"normal vector of a {a.nrows} x {n} matrix")
-    minors = []
-    g = 0
-    for j in range(n):
-        minor = det(IntMatrix._trusted(tuple(r[:j] + r[j + 1:] for r in a.rows), n - 1))
-        if j % 2:
-            minor = -minor
-        minors.append(minor)
-        g = gcd(g, minor)
+    if a.nrows != a.ncols - 1:
+        raise ValueError(f"normal vector of a {a.nrows} x {a.ncols} matrix")
+    minors = _cross(a.rows)
+    g = gcd(*minors)
     if g == 0:
         return None
     return tuple(x // g for x in minors)

@@ -359,13 +359,15 @@ def split_rays(terms: dict, cone: Cone, faces) -> dict:
     return {tau: part for tau, part in parts.items() if part}
 
 
-def assemble_rays(parts: dict, cone: Cone) -> dict:
-    """The sum of the zero-padded tau-parts over the faces tau of the
-    cone that have one: the inverse of ``split_rays`` over all faces."""
+def assemble_rays(parts: dict, cone: Cone, faces) -> dict:
+    """The sum of the zero-padded tau-parts over the ``faces`` tau of the
+    cone that have one: the inverse of ``split_rays`` over all faces.
+    Only the parts of those faces are read, so the cost follows the
+    cone, not the number of parts."""
     out: dict = {}
-    rays = set(cone.rays)
-    for tau, part in parts.items():
-        if rays.issuperset(tau.rays):
+    for tau in faces:
+        part = parts.get(tau)
+        if part:
             accumulate(out, pad_rays(part, tau, cone), 1)
     return out
 
@@ -413,7 +415,8 @@ def _split_extension(section: Section) -> Section:
 
 
 def _assembled(sheaf: FanSheaf, parts: dict, cones) -> dict:
-    return {c: from_ray_terms(sheaf.stalk(c), c, assemble_rays(parts, c)) for c in cones}
+    faces = sheaf.fan.faces_of
+    return {c: from_ray_terms(sheaf.stalk(c), c, assemble_rays(parts, c, faces(c))) for c in cones}
 
 
 def _search_extension(section: Section, depth: int) -> Section | SolverGaveUp:

@@ -5,10 +5,13 @@ generalised cross products (``normal_vector``), ranks come from
 fraction-free elimination (``rank``), and equality of surjections onto
 free targets is equality of matrices.  Each is compared here with the
 Smith-form computation it replaced: ``kernel``, and an in-test copy of
-the Smith-form ``dual_ray_generators``.
+the Smith-form ``dual_ray_generators``.  The closed forms of ``det``,
+``adjugate`` and ``normal_vector`` are compared with plain cofactor
+expansion.
 """
 
 from itertools import combinations
+from math import gcd
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from kfan.intlinalg import (
     IntMatrix,
     Lattice,
     QuotientSurjection,
+    adjugate,
     det,
     dot,
     kernel,
@@ -128,6 +132,48 @@ def _bareiss_det(rows):
 def test_det_matches_elimination(rows):
     n = len(rows)
     assert det(IntMatrix(rows, ncols=n)) == _bareiss_det(rows)
+
+
+def _cofactor_det(rows):
+    """Plain cofactor expansion along the first row: the reference for
+    the closed forms of ``det``, ``adjugate`` and ``normal_vector``."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
+
+
+def _minor(rows, i, j):
+    """``rows`` without row i and column j."""
+    return [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.sampled_from([SMALL, SPARSE, DENSE]).flatmap(
+            lambda e: rows_of_rank_at_most(n, n, e)
+        )
+    )
+)
+@SETTINGS
+def test_kernels_match_cofactor_expansion(rows):
+    n = len(rows)
+    a = IntMatrix(rows, ncols=n)
+    d = _cofactor_det(rows)
+    assert det(a) == d
+    adj = adjugate(a)
+    assert adj.rows == tuple(
+        tuple((-1) ** (i + j) * _cofactor_det(_minor(rows, j, i)) for j in range(n))
+        for i in range(n)
+    )
+    assert a @ adj == IntMatrix([[d * (i == j) for j in range(n)] for i in range(n)], ncols=n)
+    # the rows but the last: their normal vector, None when dependent
+    cross = [(-1) ** j * _cofactor_det(_minor(rows, n - 1, j)) for j in range(n)]
+    g = gcd(*cross)
+    expected = tuple(x // g for x in cross) if g else None
+    assert normal_vector(IntMatrix(rows[:-1], ncols=n)) == expected
 
 
 def _smith_dual_ray_generators(vectors, n):

@@ -1,6 +1,7 @@
 """One Smith reduction per cone, checked against independent computations.
 
 A cone on independent rays reduces its ray matrix once, at construction
+or, for a face of a simplicial cone, on first use
 (``cones._ray_reduction``): the kernel is its ``perp_lattice()`` and the
 Smith diagonal decides ``is_smooth()``; a full-dimensional one needs no
 reduction, only |det| = 1.  ``ray_chart()`` inverts its unimodular

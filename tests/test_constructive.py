@@ -13,6 +13,7 @@ charts.
 """
 
 import glob
+import json
 import os
 import random
 
@@ -39,6 +40,7 @@ from kfan.sheaves import (
     sheaf_a0,
     split_rays,
 )
+from test_cech import load_gen_fans
 from test_fan_construction import blown_up_p1xp1
 from test_support_solver import kernel_cocycle
 
@@ -93,7 +95,8 @@ def assembled_from_faces(sheaf, sigma, known: dict) -> GroupRingElement:
     parts = {}
     for tau, value in known.items():
         parts.update(split_rays(ray_terms(tau, value), tau, [tau]))
-    return from_ray_terms(sheaf.stalk(sigma), sigma, assemble_rays(parts, sigma))
+    faces = sheaf.fan.faces_of(sigma)
+    return from_ray_terms(sheaf.stalk(sigma), sigma, assemble_rays(parts, sigma, faces))
 
 
 @pytest.mark.parametrize("path", SMOOTH_FILES, ids=os.path.basename)
@@ -258,12 +261,59 @@ def test_assembling_the_split_gives_back_cocycles_and_sections(fan, seed):
         for t, value in z.components.items():
             cone = cx.cone_of(t)
             terms = ray_terms(cone, value)
-            assert assemble_rays(all_parts(terms, cone, fan), cone) == terms
+            assert assemble_rays(all_parts(terms, cone, fan), cone, fan.faces_of(cone)) == terms
     sheaf = sheaf_a0(fan)
     section = random_section(sheaf, random_open_subfan(fan, rng), rng)
     for cone, value in section.components.items():
         terms = ray_terms(cone, value)
-        assert assemble_rays(all_parts(terms, cone, fan), cone) == terms
+        assert assemble_rays(all_parts(terms, cone, fan), cone, fan.faces_of(cone)) == terms
+
+
+class CountingParts(dict):
+    """Parts that count how many of them are read."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def items(self):
+        self.reads += len(self)
+        return super().items()
+
+
+def test_assembling_reads_the_parts_of_the_cone_only(monkeypatch, tmp_path):
+    # a count, not a timing: on a 64-cone ladder a random section has a
+    # part on each of its 129 cones, and a cone is assembled from the
+    # parts of its at most 4 faces
+    path = tmp_path / "ladder-64.json"
+    path.write_text(json.dumps(load_gen_fans().ladder(64)))
+    reads, calls = [], []
+    original = sheaves.assemble_rays
+
+    def counting(parts, cone, faces):
+        parts = CountingParts(parts)
+        out = original(parts, cone, faces)
+        reads.append(parts.reads)
+        calls.append(len(faces))
+        return out
+
+    for module in (sheaves, cech):
+        monkeypatch.setattr(module, "assemble_rays", counting)
+    fan = load(str(path))
+    sheaf = sheaf_a0(fan)
+    rng = random.Random(3)
+    section = random_section(sheaf, fan.full_subfan(), rng)
+    assert section.check() and len(calls) == len(fan.max_cones) == 64
+    assert extend_section(random_section(sheaf, random_open_subfan(fan, rng), rng)).check()
+    assert cli.main(["check-exactness", str(path), "--level", "2", "--trials", "3", "--json"]) == 0
+    assert len(calls) > 64 and max(calls) == 4
+    assert reads == calls
 
 
 @RANDOM_FANS
