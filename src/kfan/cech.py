@@ -17,15 +17,12 @@ the geometry (difference of the two restrictions), the higher signs are
 the usual simplicial convention over the fixed ordering of the maximal
 cones, and d . d = 0 holds by telescoping.
 
-The differential visits only the cofaces of a cochain's support, the
-tuples t = s + {i} for s in the support.  Each tuple's entry (its meet
-and its signed faces, with the restriction left out, None, where a face
-has the tuple's own meet, since the sheaf certifies a cone's
-restriction to itself as the identity) is built on first use and kept.
-So one d pushes each nonzero component once per distinct meet it
-restricts to and passes it through unchanged elsewhere; on a ladder
-most meets are the origin, and most faces are identities.  The solver's
-equations read the same entries, one per tuple of the level above.
+The differential walks the pairs (s, i) of a cochain's support and the
+indices outside s: t = s + {i} takes the sign of i's position, its meet
+is the fan's cone on the rays of s's meet in maximal cone i, and each
+component is pushed once per distinct meet and summed in place.  The
+complex keeps the meets of supports and their prefixes, nothing per
+coface; the solver's equations find signed faces by the same rule.
 
 For smooth fans the complex splits per cone.  In ray coordinates
 Z[M_sigma] is the sum of summands A_tau over the faces tau of sigma
@@ -88,23 +85,21 @@ class NotACocycle(Exception):
 
 class CechComplex:
     """Tuples, stalks and incidence surjections for the maximal-cone
-    cover of a fan.  Nothing is built up front: a tuple's meet, and its
-    entry of signed faces, are found when first read, and a level's
-    tuples only when asked for."""
+    cover of a fan, each found when first asked for."""
 
-    __slots__ = ("fan", "sheaf", "top_level", "tuples", "_entries", "_cone_of", "stars")
+    __slots__ = ("fan", "sheaf", "top_level", "tuples", "_meets", "_max_rays", "anchors")
 
     def __init__(self, fan: Fan):
         self.fan = fan
         self.sheaf = sheaf_a0(fan)
         self.top_level = len(fan.max_cones) - 1
         self.tuples = {}  # level -> its tuples, listed on first read
-        self._entries = {}  # tuple -> (its meet, its signed faces), built on first use
-        self._cone_of = {(i,): cone for i, cone in enumerate(fan.max_cones)}
-        self.stars = {}  # cone tau -> S_tau, the maximal cones containing it, increasing
+        self._meets = {(i,): cone for i, cone in enumerate(fan.max_cones)}
+        self._max_rays = [frozenset(cone.rays) for cone in fan.max_cones]
+        self.anchors = {}  # cone tau -> a_tau, the first maximal cone containing it
         for i, sigma in enumerate(fan.max_cones):
             for tau in fan.faces_of(sigma):
-                self.stars.setdefault(tau, []).append(i)
+                self.anchors.setdefault(tau, i)
 
     def level_tuples(self, p: int) -> tuple:
         """The strictly increasing (p+1)-tuples of maximal-cone indices,
@@ -118,13 +113,16 @@ class CechComplex:
     def cone_of(self, t: tuple) -> Cone:
         """The meet of the tuple's maximal cones, found on first ask from
         the meet of the tuple without its last index, and kept."""
-        cone = self._cone_of.get(t)
+        cone = self._meets.get(t)
         if cone is None:
             if len(t) < 2 or not t[-2] < t[-1] <= self.top_level:
                 raise KeyError(t)
-            cone = self.fan.intersection(self.cone_of(t[:-1]), self.fan.max_cones[t[-1]])
-            self._cone_of[t] = cone
+            cone = self._meets[t] = self._coface_meet(t[:-1], t[-1])
         return cone
+
+    def _coface_meet(self, s: tuple, i: int) -> Cone:
+        """The meet of s + {i}, one lookup as in ``Fan.intersection``."""
+        return self.fan._by_rays[frozenset(self.cone_of(s).rays) & self._max_rays[i]]
 
     def is_level_tuple(self, t: tuple, level: int) -> bool:
         """Is t a level-``level`` tuple by its shape: level + 1 int
@@ -141,23 +139,19 @@ class CechComplex:
     def stalk(self, t: tuple) -> QuotientLattice:
         return self.sheaf.stalk(self.cone_of(t))
 
-    def _entry(self, t: tuple) -> tuple:
-        """(t's meet, its signed faces) for a tuple of level >= 1, built on
-        first use and kept.  A face is (s, (-1)^j, restriction) for s = t
-        without its j-th index: the sheaf's restriction from the bigger
-        meet of s onto t's, or None when s has the same meet as t, where
-        ``FanSheaf`` certifies it as the identity."""
-        found = self._entries.get(t)
-        if found is None:
-            meet = self.cone_of(t)
-            faces = []
-            for j in range(len(t)):
-                s = t[:j] + t[j + 1 :]
-                face = self.cone_of(s)
-                restriction = None if face == meet else self.sheaf.restriction(face, meet)
-                faces.append((s, -1 if j % 2 else 1, restriction))
-            found = self._entries[t] = (meet, tuple(faces))
-        return found
+    def _faces(self, t: tuple) -> tuple:
+        """(t's meet, its signed faces (s, (-1)^j, restriction)), kept
+        nowhere: s is t without index j, and the restriction of s's meet
+        onto t's is None where the meets are equal (``FanSheaf``
+        certifies a cone's restriction to itself as the identity)."""
+        meet = self._coface_meet(t[1:], t[0])
+        faces = []
+        for j in range(len(t)):
+            s = t[:j] + t[j + 1 :]
+            face = self.cone_of(s)
+            restriction = None if face == meet else self.sheaf.restriction(face, meet)
+            faces.append((s, -1 if j % 2 else 1, restriction))
+        return meet, tuple(faces)
 
     def zero_cochain(self, level: int) -> "Cochain":
         return Cochain(self, level, {})
@@ -166,33 +160,36 @@ class CechComplex:
         return Cochain(self, level, components)
 
     def d(self, c: "Cochain") -> "Cochain":
-        """The alternating-sign differential over the cofaces of c's
-        support, read off their entries: each nonzero component is pushed
-        once to each meet it restricts to, and passed through unchanged
-        where the meet is its own."""
+        """The alternating-sign differential, walked over the pairs (s, i)
+        of c's support and the indices outside s (see the module)."""
         if c.level >= self.top_level:
             raise LevelOverflow(f"level {c.level} is the top of the complex")
-        pushed: dict = {}  # (face s, meet) -> the terms of c_s pushed to the meet
-        comps = {}
-        n = self.top_level + 1
-        cofaces = {tuple(sorted(s + (i,))) for s in c.components for i in range(n) if i not in s}
-        for t in sorted(cofaces):
-            meet, faces = self._entry(t)
-            acc: dict = {}
-            for s, sign, restriction in faces:
-                comp = c.components.get(s)
-                if comp is None:
-                    continue
-                if restriction is None:
-                    terms = comp.terms
-                else:
-                    terms = pushed.get((s, meet))
-                    if terms is None:
-                        terms = pushed[s, meet] = comp.pushforward(restriction).terms
-                accumulate(acc, terms, sign)
-            if acc:
-                comps[t] = GroupRingElement._normal(self.sheaf.stalk(meet), acc)
-        return Cochain(self, c.level + 1, comps)
+        by_rays, max_rays, restriction = self.fan._by_rays, self._max_rays, self.sheaf.restriction
+        sums: dict = {}  # coface t -> (its stalk, its summed terms), while they do not cancel
+        for s, comp in c.components.items():
+            meet = self.cone_of(s)
+            rays = frozenset(meet.rays)
+            pushed = {rays: (self.sheaf.stalk(meet), comp.terms)}  # shared rays -> c_s pushed there
+            for j, (lo, hi) in enumerate(zip((-1,) + s, s + (len(max_rays),))):
+                head, tail, sign = s[:j], s[j:], -1 if j % 2 else 1
+                for i in range(lo + 1, hi):  # i takes position j in t
+                    shared = rays & max_rays[i]
+                    found = pushed.get(shared)
+                    if found is None:
+                        image = comp.pushforward(restriction(meet, by_rays[shared]))
+                        found = pushed[shared] = image.group, image.terms
+                    t = head + (i,) + tail
+                    acc = sums.get(t)
+                    if acc is None:
+                        group, terms = found
+                        terms = dict(terms) if sign > 0 else {e: -v for e, v in terms.items()}
+                        sums[t] = group, terms
+                    else:
+                        accumulate(acc[1], found[1], sign)
+                        if not acc[1]:
+                            del sums[t]
+        comps = {t: GroupRingElement._normal(group, acc) for t, (group, acc) in sums.items()}
+        return Cochain._trusted(self, c.level + 1, comps)
 
     def is_cocycle(self, c: "Cochain") -> bool:
         """Is d(c) zero?  Decided once per cochain of this complex: a
@@ -233,27 +230,31 @@ class CechComplex:
         iota(z^tau_{(a_tau) K}) over the cones tau with a_tau < K in S_tau.
         The caller re-checks d(b) = z."""
         b: dict = {}
+        anchored: dict = {}  # (meet, a) -> the faces tau of the meet with a_tau = a
         for t, value in z.components.items():
             cone = self.cone_of(t)
-            faces = [tau for tau in self.fan.faces_of(cone) if self.stars[tau][0] == t[0]]
+            faces = anchored.get((cone, t[0]))
+            if faces is None:
+                faces = [tau for tau in self.fan.faces_of(cone) if self.anchors[tau] == t[0]]
+                anchored[cone, t[0]] = faces
             parts = split_rays(ray_terms(cone, value), cone, faces)
             accumulate(b.setdefault(t[1:], {}), assemble_rays(parts, self.cone_of(t[1:]), faces), 1)
         return self._from_rays(z.level - 1, b)
 
     def _from_rays(self, level: int, terms: dict) -> "Cochain":
         comps = {t: from_ray_terms(self.stalk(t), self.cone_of(t), v) for t, v in terms.items()}
-        return Cochain(self, level, comps)
+        return Cochain._trusted(self, level, comps)
 
     def _d_constraints(self, level: int, rhs: dict) -> list[Constraint]:
         """The equations d(x) = rhs for an unknown level-``level``
         cochain x: one per tuple of the next level, in the order of
-        ``level_tuples``, over the faces of its entry; ``rhs`` maps tuples
-        to components."""
+        ``level_tuples``, over its ``_faces``; ``rhs`` maps tuples to
+        components."""
         if level >= self.top_level:
             return []
         constraints = []
         for t in self.level_tuples(level + 1):
-            meet, faces = self._entry(t)
+            meet, faces = self._faces(t)
             target = self.sheaf.stalk(meet)
             identity = self.sheaf.restriction(meet, meet)
             terms = tuple((s, sign, identity if r is None else r) for s, sign, r in faces)
@@ -316,6 +317,16 @@ class Cochain:
         self.level = level
         self.components = comps
         self._cocycle = None  # is d(self) zero?  Set by CechComplex.is_cocycle
+
+    @classmethod
+    def _trusted(cls, complex: CechComplex, level: int, components: dict) -> "Cochain":
+        """A cochain the complex built itself: only zero components drop."""
+        self = object.__new__(cls)
+        self.complex = complex
+        self.level = level
+        self.components = {t: v for t, v in components.items() if v.terms}
+        self._cocycle = None
+        return self
 
     def is_zero(self) -> bool:
         return not self.components
@@ -424,9 +435,8 @@ def verify_exactness(
 
     Also re-checks d(d(.)) = 0 on the way: each sampled cocycle is
     verified to be killed by the differential before solving, and on a
-    smooth fan it is drawn as z = d(b0) for a sparse b0.  Each trial
-    visits only the cofaces of the supports of b0, z and the witness, so
-    a smooth trial lists no level of the complex.
+    smooth fan it is drawn as z = d(b0) for a sparse b0, and a trial
+    walks the cofaces of the supports of b0, z and the witness only.
     """
     if level < 1:
         raise ValueError("exactness questions start at level 1")

@@ -199,7 +199,7 @@ class Section:
     """A compatible-in-waiting family over the maximal cones of an open
     subfan; ``check`` decides whether it actually is a section."""
 
-    __slots__ = ("sheaf", "domain", "components")
+    __slots__ = ("sheaf", "domain", "components", "_home")
 
     def __init__(self, sheaf: FanSheaf, domain: Subfan, components: dict):
         if domain.parent is not sheaf.fan:
@@ -216,6 +216,7 @@ class Section:
                 raise ValueError(f"component at {c!r} lives over the wrong group")
             comps[c] = val
         self.components = comps
+        self._home = None  # cone of the domain -> the first maximal cone containing it
 
     def incompatible_pair(self):
         """The first pair of maximal cones whose components disagree on
@@ -232,8 +233,9 @@ class Section:
     def value_at(self, cone: Cone) -> GroupRingElement:
         """The component at any cone of the domain: its own at a maximal
         cone of the domain (whose restriction to itself ``FanSheaf``
-        certifies as the identity), else pushed forward from a maximal
-        cone containing it."""
+        certifies as the identity), else pushed forward from the first
+        maximal cone of the domain containing it, looked up in a table
+        built on the first call and kept (the domain never changes)."""
         fan = self.sheaf.fan
         cone = fan.canonical(cone)
         if cone not in self.domain:
@@ -241,12 +243,13 @@ class Section:
         own = self.components.get(cone)
         if own is not None:
             return own
-        for top in self.domain.max_cones():
-            if fan.is_face(cone, top):
-                return self.components[top].pushforward(
-                    self.sheaf.restriction(top, cone)
-                )
-        raise AssertionError("open sets contain a maximal cone above each member")
+        if self._home is None:
+            self._home = {}
+            for top in self.domain.max_cones():
+                for tau in fan.faces_of(top):
+                    self._home.setdefault(tau, top)
+        top = self._home[cone]  # an open set has a maximal cone above each member
+        return self.components[top].pushforward(self.sheaf.restriction(top, cone))
 
     def restrict(self, smaller: Subfan) -> "Section":
         if not smaller <= self.domain:

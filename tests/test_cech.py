@@ -139,21 +139,25 @@ def load_gen_fans():
 def test_exactness_cost_follows_the_support_on_a_64_cone_ladder(monkeypatch, tmp_path):
     # a count, not a timing: level 3 has C(64, 4) tuples and level 4,
     # which the cocycle check reaches, C(64, 5) (about 7.6 million); a
-    # trial builds the entries of the cofaces of its supports only
+    # trial walks the cofaces of its supports and keeps none of them
     path = tmp_path / "ladder-64.json"
     path.write_text(json.dumps(load_gen_fans().ladder(64)))
-    built = []
-    init = CechComplex.__init__
+    built, supports = [], set()
+    init, d, from_rays = CechComplex.__init__, CechComplex.d, CechComplex._from_rays
     monkeypatch.setattr(CechComplex, "__init__", lambda cx, f: built.append(cx) or init(cx, f))
+    monkeypatch.setattr(CechComplex, "d", lambda cx, c: supports.update(c.components) or d(cx, c))
+    monkeypatch.setattr(
+        CechComplex, "_from_rays", lambda cx, p, v: supports.update(v) or from_rays(cx, p, v)
+    )
     rep = cli.run(["check-exactness", str(path), "--level", "3", "--trials", "5", "--json"])
     assert rep.exit_status == 0 and rep.results["all_solved"]
     [cx] = built
     n = cx.top_level + 1
-    supports = sum(
-        len(w[key]["components"]) for w in rep.certificates["witnesses"] for key in w
-    )
-    # cofaces of b0, of z (its check) and of the witness b (its re-check)
-    assert 0 < len(cx._entries) <= n * (5 * cech.SPARSE_TUPLES + supports)
+    # b0 and the witness b are built from ray terms, and d ran on b0, on
+    # z (its check) and on b (its re-check); the meet memo holds the
+    # maximal cones, those supports and their prefixes, and no coface
+    prefixes = {t[:k] for t in supports for k in range(2, len(t) + 1)}
+    assert {(i,) for i in range(n)} < set(cx._meets) <= {(i,) for i in range(n)} | prefixes
     assert cx.tuples == {}
 
 

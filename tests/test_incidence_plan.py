@@ -20,6 +20,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kfan.cech import CechComplex, Cochain, H0Ring, LevelOverflow
 from kfan.cones import Fan
@@ -27,6 +29,7 @@ from kfan.fanfile import build_fan, load_fan_file
 from kfan.intlinalg import Lattice, identity_surjection
 from kfan.monoids import GroupRingElement
 from kfan.sheaves import Section, first_disagreement, random_open_subfan, random_section
+from test_constructive import random_smooth_fans
 
 HERE = os.path.dirname(__file__)
 FAN_FILES = sorted(
@@ -108,15 +111,36 @@ def test_plan_d_matches_the_reference_on_random_cochains(name, make):
         cx.d(cx.zero_cochain(cx.top_level))
 
 
+def smooth_fans_of_ranks_2_to_4():
+    p4 = os.path.join(HERE, "golden", "p4.json")
+    return st.one_of(random_smooth_fans(), st.just(p4).map(load))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fan=smooth_fans_of_ranks_2_to_4(), seed=st.integers(0, 2**32))
+def test_walk_signs_and_meets_match_the_reference(fan, seed):
+    # the walk over (s, i) takes each coface's sign from the position of
+    # i and its meet from the meet of s: random cochains, with the
+    # maximal cones in a random order, against the textbook sum
+    rng = random.Random(seed)
+    shuffled = rng.sample(fan.max_cones, len(fan.max_cones))
+    cx = CechComplex(Fan.from_max_cones(fan.lattice, shuffled))
+    for level in range(cx.top_level):
+        c = random_cochain(cx, level, rng, rng.choice((0.2, 1.0)))
+        dc = cx.d(c)
+        assert dc == reference_d(cx, c)
+        if level + 1 < cx.top_level:
+            assert cx.d(dc).is_zero()
+
+
 @pytest.mark.parametrize("name,make", FANS, ids=[name for name, _ in FANS])
 def test_plan_faces_are_the_incidences(name, make):
-    # each tuple's entry lists its signed faces with the sheaf's
-    # restrictions; identity faces are exactly those with its own meet
+    # each tuple's signed faces come with the sheaf's restrictions;
+    # identity faces are exactly those with its own meet
     cx = CechComplex(make())
     for level in range(1, min(cx.top_level, 3) + 1):
         for t in cx.level_tuples(level):
-            entry = cx._entry(t)
-            meet, faces = entry
+            meet, faces = cx._faces(t)
             assert meet == cx.cone_of(t)
             assert [(s, sign) for s, sign, _ in faces] == [
                 (t[:j] + t[j + 1 :], -1 if j % 2 else 1) for j in range(len(t))
@@ -128,7 +152,6 @@ def test_plan_faces_are_the_incidences(name, make):
                     assert incidence.maps_equal(identity_surjection(cx.stalk(t)))
                 else:
                     assert cx.cone_of(s) != meet and restriction is incidence
-            assert cx._entry(t) is entry
 
 
 def test_membership_witness_matches_the_reference():

@@ -170,6 +170,31 @@ def test_restrict_matches_the_pushforward_from_a_maximal_cone():
             assert restricted.check()
 
 
+BENCH_FANS = sorted(
+    glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "bench", "fans", "*.json"))
+)
+
+
+@pytest.mark.parametrize("path", BENCH_FANS, ids=os.path.basename)
+def test_home_table_matches_the_scan(path):
+    # value_at looks a cone's maximal cone up in a table: it must be the
+    # first maximal cone of the domain that the scan finds above it
+    fan = build_fan(load_fan_file(path))
+    sheaf = sheaf_a0(fan)
+    rng = random.Random(os.path.basename(path))
+    tables = 0
+    for _ in range(6):
+        domain = random_open_subfan(fan, rng)
+        s = random_section(sheaf, domain, rng)
+        tops = domain.max_cones()
+        for cone in sorted(domain.members, key=lambda c: (c.dim, c.rays)):
+            assert s.value_at(cone) == pushed_value(s, cone)
+        if len(tops) < len(domain.members):
+            tables += 1
+            assert s._home == {c: next(t for t in tops if fan.is_face(c, t)) for c in domain.members}
+    assert tables
+
+
 def test_restrict_p1_section_to_zero_cone_star():
     fan = projective_line()
     sheaf = sheaf_a0(fan)
