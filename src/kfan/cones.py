@@ -654,7 +654,7 @@ class Fan:
 
     __slots__ = (
         "lattice", "cones", "max_cones", "walls", "_index", "_by_rays", "_faces_of",
-        "_full_max_cones", "_stars_connected",
+        "_full_max_cones",
     )
 
     def __init__(self, lattice: Lattice, cones, max_cones, faces_of, walls=()):
@@ -666,7 +666,6 @@ class Fan:
         self._by_rays = {frozenset(c.rays): c for c in cones}
         self._faces_of = faces_of
         self._full_max_cones = None
-        self._stars_connected = None
 
     @classmethod
     def from_max_cones(cls, lattice: Lattice, max_cones: Iterable[Cone]) -> "Fan":
@@ -791,7 +790,8 @@ class Fan:
     def is_complete(self) -> bool:
         """Does the fan cover the whole space?  Rank <= 3 only.  A fan
         with walls was certified complete at construction; any other
-        fan is decided by the ridge criterion."""
+        fan is decided by the ridge criterion, each ridge counted in one
+        pass over the faces of the maximal cones."""
         n = self.lattice.rank
         if n > 3:
             raise UnsupportedRank("completeness test implemented for rank <= 3")
@@ -799,48 +799,12 @@ class Fan:
             return True
         if any(c.dim != n for c in self.max_cones):
             return False
-        for ridge in self.cones:
-            if ridge.dim != n - 1:
-                continue
-            count = sum(1 for c in self.max_cones if self.is_face(ridge, c))
-            if count != 2:
-                return False
-        return True
-
-    def stars_wall_connected(self) -> bool:
-        """Are the maximal cones containing each cone tau connected
-        through walls whose ridge contains tau?  Decided on the first
-        call and kept, in time linear in the number of pairs (face,
-        maximal cone).  A fan without walls has no such certificate.
-
-        When it holds, values on the maximal cones that agree across
-        every wall agree on every meet: two maximal cones meeting in tau
-        are joined by a chain of walls whose ridges contain tau, and
-        restriction to tau factors through each ridge."""
-        if self._stars_connected is None:
-            links: dict = {}  # (tau, maximal cone) -> its neighbours across walls containing tau
-            for a, b, ridge in self.walls:
-                for tau in self.faces_of(ridge):
-                    links.setdefault((tau, a), []).append(b)
-                    links.setdefault((tau, b), []).append(a)
-            stars: dict = {}
-            for sigma in self.max_cones:
-                for tau in self.faces_of(sigma):
-                    stars.setdefault(tau, []).append(sigma)
-
-            def star_connected(tau, star) -> bool:
-                seen, todo = {star[0]}, [star[0]]
-                while todo:
-                    for other in links.get((tau, todo.pop()), ()):
-                        if other not in seen:
-                            seen.add(other)
-                            todo.append(other)
-                return len(seen) == len(star)
-
-            self._stars_connected = bool(self.walls) and all(
-                star_connected(tau, star) for tau, star in stars.items()
-            )
-        return self._stars_connected
+        count = {ridge: 0 for ridge in self.cones if ridge.dim == n - 1}
+        for c in self.max_cones:
+            for ridge in self.faces_of(c):
+                if ridge.dim == n - 1:
+                    count[ridge] += 1
+        return all(k == 2 for k in count.values())
 
     def __repr__(self) -> str:
         return f"Fan({len(self.cones)} cones, {len(self.max_cones)} maximal)"

@@ -310,8 +310,9 @@ class GroupRingElement:
 
     The public constructor reduces every key to normal form and merges
     keys that become equal.  ``pushforward``, ``+`` and unary ``-``
-    already produce distinct normal-form keys, so they build their
-    result through ``_normal``, which only drops zero coefficients.
+    already produce distinct normal-form keys in a fresh dict, so they
+    build their result through ``_normal``, which only drops zero
+    coefficients, in place.
     """
 
     __slots__ = ("group", "terms")
@@ -330,10 +331,14 @@ class GroupRingElement:
     def _normal(cls, group: QuotientLattice, terms: dict) -> "GroupRingElement":
         """The element with these terms, whose keys must be distinct
         normal-form coordinates of ``group`` and whose coefficients must
-        be ints; only zero coefficients are dropped."""
+        be ints.  The element takes the dict over, so it must be fresh:
+        its zero coefficients are dropped in place."""
+        if 0 in terms.values():
+            for k in [k for k, v in terms.items() if not v]:
+                del terms[k]
         self = object.__new__(cls)
         self.group = group
-        self.terms = {k: v for k, v in terms.items() if v}
+        self.terms = terms
         return self
 
     @classmethod

@@ -2,9 +2,8 @@
 
 A sheaf here is the contravariant-functor data: a stalk group for every
 cone and a quotient surjection for every face pair, functorial along
-chains.  Sections over an open subfan are stored on its maximal cones;
-compatibility over pairwise meets pins the whole limit, and on a
-complete simplicial fan compatibility across its walls already does.
+chains.  Sections over an open subfan are stored on its maximal cones,
+and compatibility over pairwise meets pins the whole limit.
 
 The sheaf of interest, ``sheaf_a0``, assigns to each cone sigma the
 group ring Z[M_sigma] of its minimal-orbit character group.  A smooth
@@ -42,12 +41,12 @@ Whether values on maximal cones agree on their meets is asked in one
 place, ``first_disagreement``: by ``Section.check`` here and by H0
 membership in ``kfan.cech``, whose ring elements are the sections on
 the whole fan, scanned there in the fan's order of maximal cones.  On
-the whole of a fan with walls (``Fan.walls``, a complete simplicial
-fan) whose stars are wall-connected, agreement is checked across the
-walls alone, the wall-crossing description of K-theory classes
-(Anderson-Payne, "Operational K-theory", Doc. Math. 2015), so a member
-costs one comparison per wall; a disagreement, and every subfan, takes
-the scan over all pairs of maximal cones.
+every fan and open subfan it compares values once per (cone, face)
+incidence, at the faces where a cone meets the last earlier cone that
+contains them, so a member costs time linear in the incidences (the
+families agreeing on every meet, Vezzosi-Vistoli, Invent. Math. 2003;
+Anderson-Payne, "Operational K-theory", Doc. Math. 2015); only a
+disagreement takes the scan over all pairs, to name the first pair.
 """
 
 from __future__ import annotations
@@ -154,21 +153,23 @@ def sheaf_a0(fan: Fan) -> FanSheaf:
 
 
 def first_disagreement(sheaf: FanSheaf, cones, values):
-    """The first pair i < j, in the order of ``cones``, whose values
-    differ on the meet of cones i and j: (i, j, meet, value_j - value_i)
-    there, or None if every pair agrees.  Each value is pushed at most
-    once to each meet.
+    """The first pair i < j, in the order of ``cones`` (distinct cones
+    of the fan), whose values differ on the meet of cones i and j:
+    (i, j, meet, value_j - value_i) there, or None if every pair agrees.
+    Each value is pushed at most once to each meet.
 
-    When ``cones`` are all the maximal cones of a fan with walls, in any
-    order, and its stars are wall-connected
-    (``Fan.stars_wall_connected``), the values are first compared at
-    the ridge of each wall.  If they agree there they agree on every
-    meet: two maximal cones meeting in tau are joined by walls whose
-    ridges contain tau, and restriction to tau factors through each
-    ridge (``FanSheaf`` certifies functoriality), so the answer is None
-    after two pushforwards per wall.  A disagreement runs the scan over
-    all pairs to find the first pair; a wall is a pair whose meet is its
-    ridge, so the scan reuses the wall's pushes."""
+    The verdict walks each (cone, face) incidence once, cones i in list
+    order and their faces tau, cone i included: the values of i and of
+    h, the last index before i whose cone contains tau, are compared at
+    tau when the two cones meet exactly there, that is, share
+    ``len(tau.rays)`` rays.  If every comparison agrees, so does every
+    pair, by induction on the dimension of its meet mu, largest first:
+    two consecutive cones of the list that contain mu either meet in mu,
+    and were compared there, or meet in a larger cone, where they agree
+    by induction, and restriction to mu factors through that cone
+    (``FanSheaf`` certifies functoriality).  So the cones containing mu
+    agree on it, link by link.  A disagreement runs the scan over all
+    pairs, reusing the pushes made so far, to name the first pair."""
     fan = sheaf.fan
     pushed: dict = {}
 
@@ -178,21 +179,27 @@ def first_disagreement(sheaf: FanSheaf, cones, values):
             value = pushed[i, meet] = values[i].pushforward(sheaf.restriction(cones[i], meet))
         return value
 
-    if fan.walls and len(cones) == len(fan.max_cones):
-        position = {c: i for i, c in enumerate(cones)}
-        if (
-            all(c in position for c in fan.max_cones)
-            and fan.stars_wall_connected()
-            and all(at(position[a], t) == at(position[b], t) for a, b, t in fan.walls)
-        ):
-            return None
+    def agrees() -> bool:
+        rays = [frozenset(c.rays) for c in cones]
+        last: dict = {}  # face -> the last index so far whose cone contains it
+        for i, sigma in enumerate(cones):
+            for tau in fan.faces_of(sigma):
+                h = last.get(tau)
+                last[tau] = i
+                if h is not None and len(rays[h] & rays[i]) == len(tau.rays):
+                    if at(h, tau) != at(i, tau):
+                        return False
+        return True
+
+    if agrees():
+        return None
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
             meet = fan.intersection(cones[i], cones[j])
             a, b = at(i, meet), at(j, meet)
             if a != b:
                 return i, j, meet, b - a
-    return None
+    raise CertificateError("the incidence walk found a disagreement that no pair has")
 
 
 class Section:
@@ -429,15 +436,16 @@ def _search_extension(section: Section, depth: int) -> Section | SolverGaveUp:
     maxes = fan.max_cones
     slot_groups = {i: sheaf.stalk(c) for i, c in enumerate(maxes)}
     constraints = _compatibility_constraints(sheaf, maxes)
-    for lam in section.domain.max_cones():
-        for i, top in enumerate(maxes):
-            if fan.is_face(lam, top):
+    given = section.components  # the maximal cones of the domain
+    for i, top in enumerate(maxes):
+        for lam in fan.faces_of(top):
+            if lam in given:
                 constraints.append(
                     Constraint(
                         key=("restrict", fan.index_of(lam), i),
                         target=sheaf.stalk(lam),
                         terms=((i, 1, sheaf.restriction(top, lam)),),
-                        rhs=section.components[lam],
+                        rhs=given[lam],
                     )
                 )
     outcome = solve_pushforward_system(slot_groups, constraints, depth)

@@ -382,6 +382,17 @@ def test_is_complete():
     assert p2_fan().is_complete()
     affine = Fan.from_max_cones(Z2, [Cone.from_rays(Z2, [(1, 0), (0, 1)])])
     assert not affine.is_complete()
+    # the cones over the square faces of [-1, 1]^3 have no walls, so
+    # their ridges are counted
+    vertices = list(product((1, -1), repeat=3))
+    squares = [
+        Cone.from_rays(Lattice(3), [v for v in vertices if v[k] == side])
+        for k in range(3)
+        for side in (1, -1)
+    ]
+    cube = Fan.from_max_cones(Lattice(3), squares)
+    assert not cube.walls and cube.is_complete()
+    assert not Fan.from_max_cones(Lattice(3), squares[1:]).is_complete()
 
 
 def test_is_complete_rank_cap():

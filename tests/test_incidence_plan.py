@@ -17,7 +17,7 @@ H0 membership, must find the same first pair and difference.
 import glob
 import os
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,6 +30,7 @@ from kfan.intlinalg import Lattice, identity_surjection
 from kfan.monoids import GroupRingElement
 from kfan.sheaves import Section, first_disagreement, random_open_subfan, random_section
 from test_constructive import random_smooth_fans
+from test_fan_construction import ladder
 
 HERE = os.path.dirname(__file__)
 FAN_FILES = sorted(
@@ -53,8 +54,25 @@ def weighted_p2():
     return Fan.from_rays_and_indices(Lattice(2), rays, [[0, 1], [1, 2], [2, 0]])
 
 
+def cube_face_fan():
+    """The cones over the six square faces of [-1, 1]^3: complete, and
+    no maximal cone is simplicial."""
+    rays = list(product((1, -1), repeat=3))
+    faces = [[i for i, v in enumerate(rays) if v[k] == side] for k in range(3) for side in (1, -1)]
+    return Fan.from_rays_and_indices(Lattice(3), rays, faces)
+
+
+def apart_at_the_origin():
+    """Two opposite quadrants and a ray between them: every pair of
+    maximal cones meets only at the origin."""
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1), (-1, 1)]
+    return Fan.from_rays_and_indices(Lattice(2), rays, [[0, 1], [2, 3], [4]])
+
+
 FANS = [(os.path.basename(p), lambda p=p: load(p)) for p in FAN_FILES] + [
-    ("weighted-p2", weighted_p2)
+    ("weighted-p2", weighted_p2),
+    ("cube-face-fan", cube_face_fan),
+    ("apart-at-the-origin", apart_at_the_origin),
 ]
 
 
@@ -274,3 +292,31 @@ def test_first_disagreement_matches_the_reference(monkeypatch, name, make):
             )
             verdicts.add(found is None)
     assert verdicts == ({True, False} if len(tops) > 1 else {True})
+    # any list of distinct cones of the fan, faces included, in any order
+    section = Section(sheaf, whole, families[2][1])
+    cones = rng.sample(fan.cones, rng.randint(2, len(fan.cones)))
+    values = [section.value_at(c) for c in cones]
+    assert checked_scan(monkeypatch, sheaf, cones, values) is None
+    k = rng.randrange(len(cones))
+    values[k] = values[k] + random_element(sheaf.stalk(cones[k]), rng)
+    checked_scan(monkeypatch, sheaf, cones, values)
+
+
+def test_a_member_on_an_open_subfan_looks_up_no_meet(monkeypatch):
+    # the verdict reads the faces of each maximal cone of the domain; no
+    # pair of them is met unless the family disagrees somewhere
+    fan = Fan.from_rays_and_indices(*ladder(256))
+    sheaf = H0Ring(fan).sheaf
+    rng = random.Random(11)
+    sections = [random_section(sheaf, random_open_subfan(fan, rng), rng) for _ in range(5)]
+    calls = []
+    meet = Fan.intersection
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return meet(self, a, b)
+
+    monkeypatch.setattr(Fan, "intersection", counting)
+    for section in sections:
+        assert len(section.components) > 1 and section.check()
+    assert calls == []

@@ -408,7 +408,7 @@ def test_fan_sheaf_rejects_a_shared_wrong_map_with_the_first_error_of_every_chai
     assert kinds == {"identity", "functorial"}
 
 
-# -- global sections checked on walls --------------------------------------
+# -- global sections checked by incidences ---------------------------------
 
 
 def pairwise_disagreement(sheaf, cones, values):
@@ -465,7 +465,7 @@ def with_one_monomial_added(sheaf, comps, rng):
     return {**comps, cone: comps[cone] + GroupRingElement.character(sheaf.stalk(cone), m)}
 
 
-def assert_wall_scan_matches_the_pairwise_scan(fan, rng):
+def assert_the_scan_matches_the_pairwise_scan(fan, rng):
     sheaf = sheaf_a0(fan)
     orders = [list(fan.max_cones), list(fan.full_subfan().max_cones()), list(fan.max_cones)[::-1]]
     orders.append(rng.sample(orders[0], len(orders[0])))
@@ -484,8 +484,8 @@ def assert_wall_scan_matches_the_pairwise_scan(fan, rng):
 @pytest.mark.parametrize("fan", [pytest.param(fan, id=name) for name, fan in complete_fans()])
 def test_the_wall_scan_matches_the_pairwise_scan_on_complete_fans(fan):
     if fan.lattice.rank >= 2:
-        assert fan.walls and fan.stars_wall_connected()
-    assert_wall_scan_matches_the_pairwise_scan(fan, random.Random(len(fan.cones)))
+        assert fan.walls
+    assert_the_scan_matches_the_pairwise_scan(fan, random.Random(len(fan.cones)))
 
 
 @pytest.mark.parametrize("name", ["ladder-12.json", "p3.json", "p1xp1xp1.json", "bl1p2.json"])
@@ -496,37 +496,31 @@ def test_the_wall_scan_matches_the_pairwise_scan_under_gl_n_and_reordering(name)
     for _ in range(3):
         other, _ = moved(fan, random_unimodular(fan.lattice.rank, rng), rng)
         assert len(other.walls) == len(fan.walls)
-        assert_wall_scan_matches_the_pairwise_scan(other, rng)
+        assert_the_scan_matches_the_pairwise_scan(other, rng)
 
 
-def test_a_member_costs_two_pushforwards_per_wall(monkeypatch):
+def test_a_member_costs_at_most_two_pushforwards_per_incidence(monkeypatch):
     fan = ladder_fan(64)
     sheaf = sheaf_a0(fan)
     section = random_section(sheaf, fan.full_subfan(), random.Random(3))
+    incidences = sum(len(fan.faces_of(c)) for c in fan.max_cones)
     calls = count_pushforwards(monkeypatch)
     assert section.check()
-    assert 0 < len(calls) <= 2 * len(fan.walls) == 128
+    assert 0 < len(calls) <= 2 * incidences == 512
     calls.clear()
     values = [section.components[c] for c in fan.max_cones]
     assert sheaves.first_disagreement(sheaf, fan.max_cones, values) is None
-    assert len(calls) <= 2 * len(fan.walls)
+    assert len(calls) <= 2 * incidences
 
 
-def test_a_missing_wall_fails_the_star_certificate_and_the_pairs_are_scanned(monkeypatch):
+def test_the_verdict_does_not_read_the_walls():
     fan = ladder_fan(12)
     fan.walls = fan.walls[1:]
-    assert not fan.stars_wall_connected()
     sheaf = sheaf_a0(fan)
     rng = random.Random(7)
     member = random_section(sheaf, fan.full_subfan(), rng).components
     cones = fan.max_cones
     for comps in (member, with_one_monomial_added(sheaf, member, rng)):
         values = [comps[c] for c in cones]
-        calls = count_pushforwards(monkeypatch)
         found = sheaves.first_disagreement(sheaf, cones, values)
-        monkeypatch.undo()
         assert found == pairwise_disagreement(sheaf, cones, values)
-        if found is None:
-            # every cone pushed once to each of its meets: the origin
-            # and its two rays
-            assert len(calls) == 3 * len(cones) > 2 * len(fan.walls)
