@@ -6,8 +6,9 @@ Degree-zero cohomology is the ring of global sections of ``sheaf_a0``
 (``H0Ring``, whose elements are ``kfan.sheaves.Section``s on the whole
 fan): a level-0 cochain is a cocycle exactly when its components agree
 on every pairwise meet, which ``kfan.sheaves.first_disagreement`` asks
-as a section's check does (one comparison per agreeing incidence of a
-maximal cone and a face, the pairs scanned only to name a disagreement).
+as a section's check does (comparisons only at the maximal faces each
+maximal cone shares with earlier ones, the pairs scanned only to name a
+disagreement).
 So H0 builds no ``CechComplex`` and lists no level.
 
 Level p holds one group-ring slot per strictly increasing (p+1)-tuple

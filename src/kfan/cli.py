@@ -57,7 +57,7 @@ def _fan_inputs(ff: FanFile, path: str) -> dict:
     return out
 
 
-def _cone_entry(fan, i, cone, interned: dict) -> dict:
+def _cone_entry(i, cone, interned: dict, maximal: set) -> dict:
     return {
         "id": i,
         "dim": cone.dim,
@@ -65,7 +65,7 @@ def _cone_entry(fan, i, cone, interned: dict) -> dict:
         "smooth": cone.is_smooth(),
         "simplicial": cone.is_simplicial(),
         "character_rank": cone.character_quotient(interned).free_rank,
-        "maximal": cone in fan.max_cones,
+        "maximal": cone in maximal,
     }
 
 
@@ -114,10 +114,11 @@ def cmd_info(args) -> JobReport:
     except UnsupportedRank:
         complete = None
     interned: dict = {}
+    maximal = set(fan.max_cones)
     results = {
         "num_cones": len(fan.cones),
         # one character group per distinct perp lattice, as in sheaf_a0
-        "cones": [_cone_entry(fan, i, c, interned) for i, c in enumerate(fan.cones)],
+        "cones": [_cone_entry(i, c, interned, maximal) for i, c in enumerate(fan.cones)],
         "max_cone_ids": [fan.index_of(c) for c in fan.max_cones],
         "smooth": fan.is_smooth(),
         "complete": complete,

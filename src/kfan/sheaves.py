@@ -26,25 +26,27 @@ boundary.  On non-smooth fans the extension is searched for by the
 expanding-support solver, and a ``SolverGaveUp`` there is a search
 failure, never a proof that no extension exists.
 
-A character group is the quotient by the cone's perp lattice, a
-function of its perp rows, so ``sheaf_a0`` interns its stalks by those
-rows: one quotient per distinct perp lattice, shared by the cones that
-have it (and by their ray charts), and one certified restriction per
-distinct pair of stalks, shared by every face pair between them: 27
-maps for the 125 face pairs of P1 x P1 x P1.
-``FanSheaf`` then checks each distinct identity case and each distinct
-(direct, outer, inner) triple of maps once; a check reads only its
-objects, so the verdict, and the first error, are those of checking
-every cone and chain.
+``sheaf_a0`` builds nothing up front: a stalk is built on its first
+read, interned by the cone's perp rows (a character group is the
+quotient by the perp lattice, a function of those rows), so each
+distinct perp lattice takes one quotient, shared by the cones that have
+it and by their ray charts; a restriction is built on its first read,
+one certified map per distinct pair of stalks, shared by every face
+pair between them.  A command reads few of them: a member of H0 on
+P1 x P1 x P1 reads the maps of its walls only.  The certificate
+is per object (``FanSheaf``): each distinct stalk's projection is
+checked onto and each distinct map commutes with the projections, and
+identity and functoriality on every chain follow from those.
 
 Whether values on maximal cones agree on their meets is asked in one
 place, ``first_disagreement``: by ``Section.check`` here and by H0
 membership in ``kfan.cech``, whose ring elements are the sections on
 the whole fan, scanned there in the fan's order of maximal cones.  On
-every fan and open subfan it compares values once per (cone, face)
-incidence, at the faces where a cone meets the last earlier cone that
-contains them, so a member costs time linear in the incidences (the
-families agreeing on every meet, Vezzosi-Vistoli, Invent. Math. 2003;
+every fan and open subfan it walks each cone's faces once, largest
+first, and compares values only at the maximal faces a cone shares with
+earlier cones, where it meets the last earlier cone containing them
+exactly, so a member costs time linear in the incidences (the families
+agreeing on every meet, Vezzosi-Vistoli, Invent. Math. 2003;
 Anderson-Payne, "Operational K-theory", Doc. Math. 2015); only a
 disagreement takes the scan over all pairs, to name the first pair.
 """
@@ -57,12 +59,11 @@ from itertools import product
 from .cones import MAX_RANK, Cone, Fan, Subfan
 from .intlinalg import (
     CertificateError,
+    IntMatrix,
     Vec,
     QuotientLattice,
     QuotientSurjection,
     canonical_surjection,
-    compose,
-    identity_surjection,
     picker,
 )
 from .monoids import GroupRingElement
@@ -78,78 +79,78 @@ from .support_solver import (
 
 
 class FanSheaf:
-    """Stalks indexed by cones, restriction surjections indexed by face
-    pairs (bigger cone -> smaller cone), functoriality checked at
-    construction.
+    """The structure sheaf ``sheaf_a0`` of a fan, built on demand: the
+    stalk at a cone sigma is Z[M_sigma], M_sigma = M / (sigma^perp), and
+    the restriction from sigma to a face tau is the pushforward along
+    the canonical surjection M_sigma -> M_tau.
 
-    Cones and face pairs may share objects (``sheaf_a0`` does), so each
-    check runs once per distinct case, in the order of the first cone,
-    face pair or chain that presents it: the identity check once per
-    (restriction, stalk) pair of objects, functoriality once per
-    (direct, outer, inner) triple.  A check reads nothing but its
-    objects, so a repeated case has the verdict of its first one, and a
-    family is accepted, or rejected with the same first error, exactly
-    as if every cone and chain were checked."""
+    ``stalk(sigma)`` builds sigma's character group on its first read,
+    interned by perp rows (``Cone.character_quotient``): one quotient
+    per distinct perp lattice, shared by the cones that have it.
+    ``restriction(sigma, tau)`` builds one ``canonical_surjection`` per
+    distinct pair of stalks on its first read, shared by every face
+    pair between them: at most 27 maps for the 125 face pairs of
+    P1 x P1 x P1.  A cone outside the fan, or a pair that is not a face
+    pair, raises ``KeyError``.  Nothing is kept beyond this sheaf.
 
-    __slots__ = ("fan", "_stalks", "_restrictions")
+    The certificate is per object, not per chain.  Write pi_sigma for
+    the projection M -> M_sigma of the stalk's quotient; each distinct
+    stalk is checked once for P S = I (its projection times its
+    section), so pi_sigma is onto.  Each distinct map phi_sigma,tau is
+    checked by ``canonical_surjection``: the source relations lie in
+    the target's, the splitting is a right inverse, and phi pi_sigma =
+    pi_tau on the basis of M.  Identity and functoriality follow:
 
-    def __init__(self, fan: Fan, stalks: dict, restrictions: dict):
+    - phi_sigma,sigma pi_sigma = pi_sigma and pi_sigma is onto, so
+      phi_sigma,sigma is the identity;
+    - for faces rho <= tau <= sigma, phi_tau,rho phi_sigma,tau pi_sigma =
+      phi_tau,rho pi_tau = pi_rho = phi_sigma,rho pi_sigma, and pi_sigma
+      is onto, so phi_tau,rho phi_sigma,tau = phi_sigma,rho.
+
+    So every cone and chain that a command reads is as certified as if
+    all of them had been checked up front."""
+
+    __slots__ = ("fan", "_interned", "_stalks", "_maps", "_restrictions")
+
+    def __init__(self, fan: Fan):
         self.fan = fan
-        self._stalks = stalks
-        self._restrictions = restrictions
-        # ids stand for objects held by the two dicts for the whole check
-        seen = set()
-        for sigma in fan.cones:
-            phi, q = self.restriction(sigma, sigma), self.stalk(sigma)
-            case = (id(phi), id(q))
-            if case in seen:
-                continue
-            seen.add(case)
-            if not phi.maps_equal(identity_surjection(q)):
-                raise CertificateError(f"restriction of {sigma!r} to itself is not the identity")
-        seen = set()
-        for sigma in fan.cones:  # [:-1] drops the cone itself: identities are checked above
-            for tau in fan.faces_of(sigma)[:-1]:
-                for rho in fan.faces_of(tau)[:-1]:
-                    direct = self.restriction(sigma, rho)
-                    outer, inner = self.restriction(tau, rho), self.restriction(sigma, tau)
-                    case = (id(direct), id(outer), id(inner))
-                    if case in seen:
-                        continue
-                    seen.add(case)
-                    if not direct.maps_equal(compose(outer, inner)):
-                        raise CertificateError(
-                            f"restrictions {sigma!r} -> {tau!r} -> {rho!r} are not functorial"
-                        )
+        self._interned: dict = {}  # perp rows -> the stalk of the first cone read with them
+        self._stalks: dict = {}  # cone -> its stalk
+        self._maps: dict = {}  # (id of source stalk, id of target stalk) -> the shared map
+        self._restrictions: dict = {}  # (cone, face) -> its map
 
     def stalk(self, sigma: Cone) -> QuotientLattice:
-        return self._stalks[sigma]
+        """The character group M_sigma of a cone of the fan."""
+        q = self._stalks.get(sigma)
+        if q is None:
+            distinct = len(self._interned)
+            q = self.fan.canonical(sigma).character_quotient(self._interned)
+            new = len(self._interned) > distinct  # one entry per distinct stalk
+            if new and q.projection @ q.section != IntMatrix.identity(q.coords_len):
+                raise CertificateError(f"the projection onto the stalk at {sigma!r} is not onto")
+            self._stalks[sigma] = q
+        return q
 
     def restriction(self, sigma: Cone, tau: Cone) -> QuotientSurjection:
         """The map from the stalk at sigma to the stalk at a face tau."""
-        return self._restrictions[sigma, tau]
+        phi = self._restrictions.get((sigma, tau))
+        if phi is None:
+            if tau not in self.fan._faces_of[self.fan._index[sigma]]:
+                raise KeyError((sigma, tau))
+            source, target = self.stalk(sigma), self.stalk(tau)
+            phi = self._maps.get((id(source), id(target)))
+            if phi is None:
+                phi = self._maps[id(source), id(target)] = canonical_surjection(source, target)
+            self._restrictions[sigma, tau] = phi
+        return phi
 
 
 def sheaf_a0(fan: Fan) -> FanSheaf:
     """The structure sheaf of this package: cone -> Z[M_sigma], face
-    inclusion -> pushforward along the canonical character surjection.
-    Stalks are interned by the cones' perp rows, so each distinct perp
-    lattice takes one quotient and each cone the group of the first cone
-    with its perp rows, in the order of ``fan.cones``; each distinct
-    pair of stalks gets one certified map, kept by this build only."""
-    interned: dict = {}  # perp rows -> the stalk of the first cone with them
-    stalks = {c: c.character_quotient(interned) for c in fan.cones}
-    maps: dict = {}  # (id of source stalk, id of target stalk) -> the shared map
-    restrictions = {}
-    for sigma in fan.cones:
-        source = stalks[sigma]
-        for tau in fan.faces_of(sigma):
-            target = stalks[tau]
-            phi = maps.get((id(source), id(target)))
-            if phi is None:
-                phi = maps[id(source), id(target)] = canonical_surjection(source, target)
-            restrictions[(sigma, tau)] = phi
-    return FanSheaf(fan, stalks, restrictions)
+    inclusion -> pushforward along the canonical character surjection,
+    each stalk and map built and certified on its first read
+    (``FanSheaf``)."""
+    return FanSheaf(fan)
 
 
 def first_disagreement(sheaf: FanSheaf, cones, values):
@@ -158,18 +159,23 @@ def first_disagreement(sheaf: FanSheaf, cones, values):
     (i, j, meet, value_j - value_i) there, or None if every pair agrees.
     Each value is pushed at most once to each meet.
 
-    The verdict walks each (cone, face) incidence once, cones i in list
-    order and their faces tau, cone i included: the values of i and of
-    h, the last index before i whose cone contains tau, are compared at
-    tau when the two cones meet exactly there, that is, share
-    ``len(tau.rays)`` rays.  If every comparison agrees, so does every
-    pair, by induction on the dimension of its meet mu, largest first:
-    two consecutive cones of the list that contain mu either meet in mu,
-    and were compared there, or meet in a larger cone, where they agree
-    by induction, and restriction to mu factors through that cone
-    (``FanSheaf`` certifies functoriality).  So the cones containing mu
-    agree on it, link by link.  A disagreement runs the scan over all
-    pairs, reusing the pushes made so far, to name the first pair."""
+    The verdict walks the cones in list order and the faces of each,
+    largest first.  Cone i is compared only at its faces tau that an
+    earlier cone contains and that lie in no larger face so compared:
+    walked largest first, these are the maximal faces of cone i shared
+    with earlier cones.  There it is compared with h, the last earlier
+    cone containing tau, and the two meet exactly in tau: their meet is
+    a face of cone i shared with h that contains tau, and tau is
+    maximal among those.
+
+    If every comparison agrees, so does every pair.  Take a meet mu and
+    the cones of the list that contain it.  Each of them but the first
+    has mu in a compared face nu, since an earlier cone contains mu, and
+    was compared at nu with an earlier cone containing nu, hence mu;
+    restriction to mu factors through nu (``FanSheaf`` certifies
+    functoriality), so each agrees on mu with an earlier one, and all of
+    them with the first.  A disagreement runs the scan over all pairs,
+    reusing the pushes made so far, to name the first pair."""
     fan = sheaf.fan
     pushed: dict = {}
 
@@ -180,15 +186,20 @@ def first_disagreement(sheaf: FanSheaf, cones, values):
         return value
 
     def agrees() -> bool:
-        rays = [frozenset(c.rays) for c in cones]
         last: dict = {}  # face -> the last index so far whose cone contains it
         for i, sigma in enumerate(cones):
-            for tau in fan.faces_of(sigma):
+            compared: list = []  # ray sets of the faces of cone i compared so far
+            for tau in reversed(fan.faces_of(sigma)):
                 h = last.get(tau)
                 last[tau] = i
-                if h is not None and len(rays[h] & rays[i]) == len(tau.rays):
-                    if at(h, tau) != at(i, tau):
-                        return False
+                if h is None:
+                    continue
+                rays = frozenset(tau.rays)
+                if any(rays <= nu for nu in compared):
+                    continue
+                compared.append(rays)
+                if at(h, tau) != at(i, tau):
+                    return False
         return True
 
     if agrees():

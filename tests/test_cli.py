@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kfan import cli
 from kfan.cli import main, run
+from kfan.cones import Cone
 from kfan.fanfile import build_fan, parse_fan_file
 from kfan.cech import CechComplex, H0Ring
 from kfan.monoids import GroupRingElement
@@ -19,6 +20,7 @@ from kfan.report import (
     element_from_jsonable,
 )
 from kfan.sheaves import Section, sheaf_a0
+from test_fan_construction import load_gen_fans
 
 P1 = {
     "name": "P1",
@@ -780,3 +782,21 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
     assert "splitting is not a right inverse" in proc.stderr
     assert "cut out a line" in proc.stderr
     assert "fails the pairing check" in proc.stderr
+
+
+def test_info_compares_cones_linearly_on_a_256_cone_ladder(fanfile, monkeypatch):
+    # each cone's "maximal" flag is one set lookup, not a scan of the
+    # maximal cones with Cone.__eq__
+    path = fanfile(load_gen_fans().ladder(256))
+    calls = []
+    eq = Cone.__eq__
+
+    def counting(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(Cone, "__eq__", counting)
+    rep = run(["info", path])
+    assert rep.results["num_cones"] == 513
+    assert sum(c["maximal"] for c in rep.results["cones"]) == 256
+    assert len(calls) <= rep.results["num_cones"]

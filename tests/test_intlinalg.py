@@ -12,6 +12,7 @@ from kfan.intlinalg import (
     Lattice,
     NotASubquotient,
     adjugate,
+    QuotientLattice,
     QuotientSurjection,
     canonical_surjection,
     compose,
@@ -318,6 +319,40 @@ def test_canonical_surjection_rejects_a_map_off_the_projections(monkeypatch):
     monkeypatch.setattr(QuotientSurjection, "apply", shifted_apply)
     with pytest.raises(CertificateError, match="projections"):
         canonical_surjection(source, target)
+
+
+def _free(relations, projection, section):
+    """A hand-built free quotient of Z^2: its data are taken as given."""
+    relations, projection = IntMatrix(relations, ncols=2), IntMatrix(projection, ncols=2)
+    section = IntMatrix(section)
+    return QuotientLattice(Lattice(2), relations, (), projection.nrows, projection, section)
+
+
+# Z^2 onto Z^2 / <(0, 1)>, the first coordinate, with its right inverse
+_ONTO_FIRST = ([(0, 1)], [(1, 0)], [(1,), (0,)])
+
+
+def test_canonical_surjection_rejects_a_hand_built_relation_outside_the_target():
+    source = _free([(1, 0)], [(0, 1)], [(0,), (1,)])
+    with pytest.raises(NotASubquotient, match="not in target relations"):
+        canonical_surjection(source, _free(*_ONTO_FIRST))
+
+
+def test_canonical_surjection_rejects_a_hand_built_splitting_that_is_no_right_inverse():
+    # the source's section swaps the coordinates: the map picks the
+    # second one, and the splitting puts the first back
+    source = _free([], [(1, 0), (0, 1)], [(0, 1), (1, 0)])
+    with pytest.raises(CertificateError, match="right inverse"):
+        canonical_surjection(source, _free(*_ONTO_FIRST))
+
+
+def test_canonical_surjection_rejects_a_hand_built_map_off_the_projections():
+    # the source's projection is a shear that its section does not undo:
+    # the map and its splitting still compose to the identity, but the
+    # map sends the image of e_2 to 1 where the target's projection gives 0
+    source = _free([], [(1, 1), (0, 1)], [(1, 0), (0, 1)])
+    with pytest.raises(CertificateError, match="projections"):
+        canonical_surjection(source, _free(*_ONTO_FIRST))
 
 
 def restrictions_of_every_fan_file():

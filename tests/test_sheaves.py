@@ -14,16 +14,18 @@ from kfan.catalog import (
     singular_quadric_cone_fan,
     weighted_p2_fan,
 )
+from kfan.cech import H0Ring
 from kfan.cones import Cone, Fan, Subfan, zero_cone
 from kfan.fanfile import build_fan, load_fan_file
 from kfan.intlinalg import (
     CertificateError,
     IntMatrix,
     Lattice,
-    QuotientSurjection,
+    QuotientLattice,
     canonical_surjection,
     compose,
     identity_surjection,
+    quotient,
 )
 from kfan.monoids import GroupRingElement
 from kfan.sheaves import (
@@ -293,33 +295,6 @@ def test_random_section_on_full_p3_never_fails():
         assert any(not v.is_zero() for v in s.components.values())
 
 
-def _negated(phi: QuotientSurjection) -> QuotientSurjection:
-    matrix = IntMatrix([[-x for x in row] for row in phi.matrix.rows], ncols=phi.matrix.ncols)
-    return QuotientSurjection(phi.source, phi.target, matrix, None)
-
-
-def test_fan_sheaf_rejects_a_self_restriction_that_is_not_the_identity():
-    fan = projective_plane()
-    good = sheaf_a0(fan)
-    sigma = fan.max_cones[0]
-    restrictions = dict(good._restrictions)
-    restrictions[(sigma, sigma)] = _negated(good.restriction(sigma, sigma))
-    with pytest.raises(CertificateError, match="not the identity"):
-        FanSheaf(fan, good._stalks, restrictions)
-
-
-def test_fan_sheaf_rejects_restrictions_that_are_not_functorial():
-    z3 = Lattice(3)
-    fan = Fan.from_max_cones(z3, [Cone.from_rays(z3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])])
-    good = sheaf_a0(fan)
-    sigma = fan.max_cones[0]
-    ray = fan.canonical(Cone.from_rays(z3, [(1, 0, 0)]))
-    restrictions = dict(good._restrictions)
-    restrictions[(sigma, ray)] = _negated(good.restriction(sigma, ray))
-    with pytest.raises(CertificateError, match="not functorial"):
-        FanSheaf(fan, good._stalks, restrictions)
-
-
 def every_fan():
     """Every fan file in fans/ and bench/fans/, and a weighted P2."""
     here = os.path.dirname(__file__)
@@ -341,71 +316,82 @@ def test_shared_stalks_and_restrictions_are_those_of_each_cone(fan):
             assert phi.matrix == fresh.matrix and phi.splitting == fresh.splitting
 
 
+def first_failure_checking_every_chain(sheaf):
+    """The reference for the per-object certificate of ``FanSheaf``:
+    read every stalk and face pair, then check the identity on every
+    cone and functoriality on every chain.  The first failure, or
+    None."""
+    fan = sheaf.fan
+    for sigma in fan.cones:
+        if not sheaf.restriction(sigma, sigma).maps_equal(identity_surjection(sheaf.stalk(sigma))):
+            return f"restriction of {sigma!r} to itself is not the identity"
+    for sigma in fan.cones:
+        for tau in fan.faces_of(sigma)[:-1]:
+            for rho in fan.faces_of(tau)[:-1]:
+                via = compose(sheaf.restriction(tau, rho), sheaf.restriction(sigma, tau))
+                if not sheaf.restriction(sigma, rho).maps_equal(via):
+                    return f"restrictions {sigma!r} -> {tau!r} -> {rho!r} are not functorial"
+    return None
+
+
+@pytest.mark.parametrize("fan", [pytest.param(fan, id=name) for name, fan in every_fan()])
+def test_every_chain_is_functorial_by_the_reference_loop(fan):
+    # in the fan's order and in reverse: whichever cone reads a stalk or
+    # a map first, the certified objects satisfy every chain
+    for order in (fan.cones, fan.cones[::-1]):
+        sheaf = sheaf_a0(fan)
+        for sigma in order:
+            for tau in fan.faces_of(sigma):
+                sheaf.restriction(sigma, tau)
+        assert first_failure_checking_every_chain(sheaf) is None
+
+
+def test_a_stalk_whose_projection_is_not_onto_is_rejected_on_first_read(monkeypatch):
+    # free quotients of the right rank whose projection misses half the
+    # group: P S = 2 I, so P is not onto and no map from one is certified
+    def doubled(ambient, relations):
+        q = quotient(ambient, relations)
+        section = IntMatrix([[2 * x for x in row] for row in q.section.rows], ncols=q.section.ncols)
+        return QuotientLattice(ambient, relations, (), q.free_rank, q.projection, section)
+
+    fan = projective_plane()
+    sheaf = sheaf_a0(fan)  # builds nothing
+    monkeypatch.setattr("kfan.cones.quotient", doubled)
+    ray = next(c for c in fan.cones if c.dim == 1)
+    with pytest.raises(CertificateError, match="not onto"):
+        sheaf.stalk(ray)
+
+
 def p1_cubed():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "fans", "p1xp1xp1.json")
     return build_fan(load_fan_file(path))
 
 
-def test_p1_cubed_builds_one_map_per_stalk_pair_and_checks_each_case_once(monkeypatch):
+def test_p1_cubed_membership_builds_only_the_maps_it_reads(monkeypatch):
     fan = p1_cubed()
-    built, compared = [], []
-    maps_equal = QuotientSurjection.maps_equal
+    ring = H0Ring(fan)
+    sheaf = ring.sheaf
+    member = ring.character((1, -2, 3))
+    built, read = [], set()
+    restriction = FanSheaf.restriction
 
     def counted_surjection(source, target):
-        built.append((source, target))
+        built.append((id(source), id(target)))
         return canonical_surjection(source, target)
 
-    def counted_maps_equal(self, other):
-        compared.append(self)
-        return maps_equal(self, other)
+    def recorded(self, sigma, tau):
+        read.add((sigma, tau))
+        return restriction(self, sigma, tau)
 
     monkeypatch.setattr(sheaves, "canonical_surjection", counted_surjection)
-    monkeypatch.setattr(QuotientSurjection, "maps_equal", counted_maps_equal)
-    sheaf = sheaf_a0(fan)
-    assert len(fan.cones) == 27 and len(sheaf._restrictions) == 125
-    assert len({id(q) for q in sheaf._stalks.values()}) == 8
-    assert len(built) == 27  # one per distinct stalk pair, not 125
-    assert len({id(phi) for phi in sheaf._restrictions.values()}) == 27
-    # 8 identity cases (one per stalk) and 18 distinct map triples,
-    # against 27 cones and 120 chains
-    assert len(compared) == 8 + 18
-
-
-def first_failure_checking_every_chain(fan, stalks, restrictions):
-    """The first error ``FanSheaf`` would raise if it checked every cone
-    and every chain, or None."""
-    for sigma in fan.cones:
-        if not restrictions[sigma, sigma].maps_equal(identity_surjection(stalks[sigma])):
-            return f"restriction of {sigma!r} to itself is not the identity"
-    for sigma in fan.cones:
-        for tau in fan.faces_of(sigma)[:-1]:
-            for rho in fan.faces_of(tau)[:-1]:
-                via = compose(restrictions[tau, rho], restrictions[sigma, tau])
-                if not restrictions[sigma, rho].maps_equal(via):
-                    return f"restrictions {sigma!r} -> {tau!r} -> {rho!r} are not functorial"
-    return None
-
-
-def test_fan_sheaf_rejects_a_shared_wrong_map_with_the_first_error_of_every_chain():
-    fan = p1_cubed()
-    good = sheaf_a0(fan)
-    shared = {}
-    for pair, phi in good._restrictions.items():
-        shared.setdefault(id(phi), (phi, []))[1].append(pair)
-    kinds = set()
-    for phi, pairs in shared.values():
-        if phi.target.is_zero or len(pairs) < 2:
-            continue  # a map onto the zero group is its own negation
-        wrong = _negated(phi)  # one object, put on every face pair that shared phi
-        restrictions = dict(good._restrictions)
-        restrictions.update((pair, wrong) for pair in pairs)
-        expected = first_failure_checking_every_chain(fan, good._stalks, restrictions)
-        assert expected is not None
-        with pytest.raises(CertificateError) as raised:
-            FanSheaf(fan, good._stalks, restrictions)
-        assert str(raised.value) == expected
-        kinds.add("identity" if "identity" in expected else "functorial")
-    assert kinds == {"identity", "functorial"}
+    monkeypatch.setattr(FanSheaf, "restriction", recorded)
+    assert ring.membership(member) == (True, None)
+    assert len(fan.cones) == 27 and len(fan.walls) == 12
+    # two maximal cones at each wall, one map per distinct pair of stalks
+    assert len(read) == 24 and {tau for _, tau in read} == {tau for _, _, tau in fan.walls}
+    pairs = {(id(sheaf.stalk(sigma)), id(sheaf.stalk(tau))) for sigma, tau in read}
+    assert len(built) == len(set(built)) == len(pairs)
+    assert len(built) < 27
 
 
 # -- global sections checked by incidences ---------------------------------
@@ -513,6 +499,19 @@ def test_a_member_costs_at_most_two_pushforwards_per_incidence(monkeypatch):
     assert len(calls) <= 2 * incidences
 
 
+@pytest.mark.parametrize("make", [p1_cubed, lambda: ladder_fan(64)], ids=["p1xp1xp1", "ladder-64"])
+def test_membership_costs_at_most_two_pushforwards_per_wall(monkeypatch, make):
+    # in the fan's order each maximal cone is compared only at the
+    # maximal faces it shares with earlier cones: here walls, each read
+    # by its two cones
+    fan = make()
+    ring = H0Ring(fan)
+    section = random_section(ring.sheaf, fan.full_subfan(), random.Random(5))
+    calls = count_pushforwards(monkeypatch)
+    assert ring.membership(section) == (True, None)
+    assert 0 < len(calls) <= 2 * len(fan.walls)
+
+
 def test_the_verdict_does_not_read_the_walls():
     fan = ladder_fan(12)
     fan.walls = fan.walls[1:]
@@ -524,3 +523,24 @@ def test_the_verdict_does_not_read_the_walls():
         values = [comps[c] for c in cones]
         found = sheaves.first_disagreement(sheaf, cones, values)
         assert found == pairwise_disagreement(sheaf, cones, values)
+
+
+@pytest.mark.parametrize("name", ["p1xp1xp1.json", "p3.json", "ladder-12.json"])
+def test_a_family_that_differs_at_one_wall_only_is_caught(name):
+    # adding the ridge's top part (prod over its rays of (x_i - 1)) to one
+    # cone at a wall changes its value at that ridge and nowhere below:
+    # the walk must compare every maximal shared face, not only the first
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "fans", name)
+    fan = build_fan(load_fan_file(path))
+    sheaf = sheaf_a0(fan)
+    member = random_section(sheaf, fan.full_subfan(), random.Random(name)).components
+    for a, b, ridge in fan.walls:
+        for cone in (a, b):
+            part = sheaves.pad_rays(sheaves._top_part({(1,) * len(ridge.rays): 1}), ridge, cone)
+            bump = sheaves.from_ray_terms(sheaf.stalk(cone), cone, part)
+            comps = {**member, cone: member[cone] + bump}
+            for cones in (fan.max_cones, fan.full_subfan().max_cones()):
+                values = [comps[c] for c in cones]
+                found = sheaves.first_disagreement(sheaf, cones, values)
+                assert found is not None
+                assert found == pairwise_disagreement(sheaf, cones, values)
