@@ -368,8 +368,8 @@ class H0Ring:
         components differ on their meet, the difference being
         value_j - value_i there: the first nonzero component of the
         cover differential.  Decided by ``first_disagreement`` over
-        ``fan.max_cones`` in the fan's order, not the (dim, rays) order
-        of ``Section.incompatible_pair``, so the pair is the complex's."""
+        ``fan.max_cones`` in the fan's order, so the pair is the
+        complex's."""
         self._check(section)
         cones = self.fan.max_cones
         values = [section.components[c] for c in cones]

@@ -57,14 +57,20 @@ def _fan_inputs(ff: FanFile, path: str) -> dict:
     return out
 
 
-def _cone_entry(i, cone, interned: dict, maximal: set) -> dict:
+def _cone_entry(i, cone, maximal: set) -> dict:
+    """The cone's ``info`` entry.  Its character group M / perp is free
+    of rank n - rank(perp), so that rank is read off the perp lattice,
+    with no quotient built, and must be the cone's dimension."""
+    rank = cone.lattice.rank - cone.perp_lattice().nrows
+    if rank != cone.dim:
+        raise CertificateError(f"character group of {cone!r} has rank {rank}, not {cone.dim}")
     return {
         "id": i,
         "dim": cone.dim,
         "rays": [list(r) for r in cone.rays],
         "smooth": cone.is_smooth(),
         "simplicial": cone.is_simplicial(),
-        "character_rank": cone.character_quotient(interned).free_rank,
+        "character_rank": rank,
         "maximal": cone in maximal,
     }
 
@@ -113,12 +119,10 @@ def cmd_info(args) -> JobReport:
         complete = fan.is_complete()
     except UnsupportedRank:
         complete = None
-    interned: dict = {}
     maximal = set(fan.max_cones)
     results = {
         "num_cones": len(fan.cones),
-        # one character group per distinct perp lattice, as in sheaf_a0
-        "cones": [_cone_entry(i, c, interned, maximal) for i, c in enumerate(fan.cones)],
+        "cones": [_cone_entry(i, c, maximal) for i, c in enumerate(fan.cones)],
         "max_cone_ids": [fan.index_of(c) for c in fan.max_cones],
         "smooth": fan.is_smooth(),
         "complete": complete,
@@ -357,10 +361,7 @@ def cmd_check_flasque(args) -> JobReport:
 def cmd_hilbert(args) -> JobReport:
     ff, fan = _load(args.fanfile)
     cone = _get_cone(fan, args.cone)
-    try:
-        basis = hilbert_basis(cone.dual())
-    except UnsupportedRank as e:
-        raise InputError(str(e)) from e
+    basis = hilbert_basis(cone.dual())
     results = {
         "cone_id": args.cone,
         "cone_rays": [list(r) for r in cone.rays],

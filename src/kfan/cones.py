@@ -652,10 +652,7 @@ class Fan:
     it is empty for every other fan.
     """
 
-    __slots__ = (
-        "lattice", "cones", "max_cones", "walls", "_index", "_by_rays", "_faces_of",
-        "_full_max_cones",
-    )
+    __slots__ = ("lattice", "cones", "max_cones", "walls", "_index", "_by_rays", "_faces_of")
 
     def __init__(self, lattice: Lattice, cones, max_cones, faces_of, walls=()):
         self.lattice = lattice
@@ -665,7 +662,6 @@ class Fan:
         self._index = {c: i for i, c in enumerate(cones)}
         self._by_rays = {frozenset(c.rays): c for c in cones}
         self._faces_of = faces_of
-        self._full_max_cones = None
 
     @classmethod
     def from_max_cones(cls, lattice: Lattice, max_cones: Iterable[Cone]) -> "Fan":
@@ -836,20 +832,17 @@ class Subfan:
         return self
 
     def max_cones(self) -> tuple[Cone, ...]:
-        """The members that are not proper faces of other members,
-        found on the first call and kept (the members never change).
-        Those of the whole fan are found once per fan and kept on it, as
-        a tuple of cones: a kept ``Subfan`` would point back at the fan."""
+        """The members that are not proper faces of other members: for
+        the whole fan ``parent.max_cones`` itself, in the fan's order;
+        for any other open set found on the first call, in (dim, rays)
+        order, and kept (the members never change)."""
         if self._max_cones is None:
             parent = self.parent
-            full = len(self.members) == len(parent.cones)  # members are cones of the fan
-            if full and parent._full_max_cones is not None:
-                self._max_cones = parent._full_max_cones
+            if self.is_full():
+                self._max_cones = parent.max_cones
             else:
                 proper = {f for c in self.members for f in parent.faces_of(c) if f != c}
                 self._max_cones = tuple(sorted(self.members - proper, key=_order))
-                if full:
-                    parent._full_max_cones = self._max_cones
         return self._max_cones
 
     def __contains__(self, cone: Cone) -> bool:

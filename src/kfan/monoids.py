@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Sequence
 
-from .cones import Cone, UnsupportedRank, dual_ray_generators
+from .cones import Cone, dual_ray_generators
 from .intlinalg import (
     CertificateError,
     IntMatrix,
@@ -89,31 +89,42 @@ def _parallelepiped_points(rays: Sequence[Vec], n: int) -> list[Vec]:
     return points
 
 
-def _star_triangulation(cone: Cone) -> list[tuple[Vec, ...]]:
-    """Split a pointed 3-dim cone into simplicial subcones through its
-    first extreme ray."""
-    r0 = cone.rays[0]
+def _pulling_triangulation(cone: Cone) -> list[tuple[Vec, ...]]:
+    """Simplicial cones on rays of the pointed ``cone`` that cover it:
+    the cone when simplicial, else its first ray r0 joined to the
+    pulling triangulation of each facet u with u.r0 > 0 (De Loera,
+    Rambau, Santos, *Triangulations*, 2010, 4.3).  Cover: for x in the
+    cone take the largest s >= 0 with y = x - s r0 in it, finite as the
+    cone is pointed; y lies on a facet u with u.r0 > 0 (else y - e r0
+    stays in the cone for small e > 0), by induction in a simplex of
+    it, so x lies in r0 joined to that simplex.  A facet must be the
+    (d-1)-dimensional cone on the rays tight on it, and a pointed cone
+    of dimension <= 2 simplicial, else ``CertificateError``."""
+    d, rays = cone.dim, cone.rays
+    if len(rays) == d:
+        return [rays]
+    if d <= 2:
+        raise CertificateError(f"pointed cone of dimension {d} <= 2 has {len(rays)} rays")
+    r0 = rays[0]
     simplices = []
     for u in cone._proper_facets():
-        if dot(u, r0) == 0:
-            continue
-        tight = [r for r in cone.rays if dot(u, r) == 0]
-        if len(tight) != 2:
-            raise CertificateError(
-                f"facet {u} of a 3-dimensional cone is tight on {len(tight)} rays"
-            )
-        simplices.append((r0,) + tuple(tight))
+        if dot(u, r0) > 0:
+            tight = tuple(r for r in rays if dot(u, r) == 0)
+            facet = Cone.from_rays(cone.lattice, tight)
+            if facet.rays != tight or facet.dim != d - 1:
+                raise CertificateError(
+                    f"facet {u} of the cone on {list(rays)} is not the "
+                    f"{d - 1}-dimensional cone on its tight rays {list(tight)}"
+                )
+            simplices.extend((r0,) + s for s in _pulling_triangulation(facet))
     return simplices
 
 
 def hilbert_basis(cone: Cone) -> list[Vec]:
     """The unique minimal generating set of the pointed part of the
     cone's lattice-point monoid, plus +- generators of the lineality
-    lattice.
-
-    Pointed parts of dimension <= 3 are supported: simplicial cones by
-    fundamental-parallelepiped enumeration, non-simplicial ones by a
-    star triangulation whose bases are merged and re-minimalized.
+    lattice.  Any rank the cones accept, by ``_pointed_hilbert_basis``
+    on the image of the cone modulo its lineality.
     """
     n = cone.lattice.rank
     lin = kernel(IntMatrix(cone.facets, ncols=n))
@@ -136,21 +147,16 @@ def hilbert_basis(cone: Cone) -> list[Vec]:
 
 
 def _pointed_hilbert_basis(cone: Cone) -> list[Vec]:
-    d = cone.dim
-    if d == 0:
+    """The sorted Hilbert basis of a pointed cone.  The rays and the
+    parallelepiped points of the simplices of its pulling triangulation
+    generate its lattice points, and a candidate g is reducible exactly
+    when g - h is a nonzero point of the cone for another candidate h:
+    if g = a + b, a candidate h sums into a and g - h = (a - h) + b."""
+    if cone.dim == 0:
         return []
-    if d > 3:
-        raise UnsupportedRank(f"Hilbert basis for pointed dimension {d} > 3")
     n = cone.lattice.rank
-    rays = cone.rays
-    if len(rays) == d:
-        simplices = [rays]
-    elif d == 3:
-        simplices = _star_triangulation(cone)
-    else:
-        raise CertificateError(f"pointed cone of dimension {d} <= 2 has {len(rays)} rays")
-    candidates = set(rays)
-    for simplex in simplices:
+    candidates = set(cone.rays)
+    for simplex in _pulling_triangulation(cone):
         candidates.update(_parallelepiped_points(simplex, n))
     basis = []
     for g in sorted(candidates):
@@ -187,24 +193,16 @@ class AffineMonoid:
 
     @classmethod
     def from_cone(cls, cone: Cone) -> "AffineMonoid":
-        """The monoid of lattice points of the dual cone.
+        """The monoid of lattice points of the dual cone, generated by
+        its Hilbert basis (``hilbert_basis``) at every rank, smooth or
+        not.
 
         Its units are exactly the functionals vanishing on the cone
         (they and their negatives are both nonnegative on it)."""
-        dual = cone.dual()
         units = cone.perp_lattice()
-        try:
-            gens = hilbert_basis(dual)
-        except UnsupportedRank:
-            # generating but not minimal; fine for smooth cones, where
-            # the dual's extreme rays generate its lattice points
-            gens = list(dual.rays)
-            for u in units.rows:
-                gens.append(u)
-                gens.append(vec_neg(u))
         return cls(
             cone.lattice.dual(),
-            tuple(dict.fromkeys(as_vec(g) for g in gens)),
+            hilbert_basis(cone.dual()),
             units,
             quotient(cone.lattice.dual(), units),
         )

@@ -41,7 +41,8 @@ identity and functoriality on every chain follow from those.
 Whether values on maximal cones agree on their meets is asked in one
 place, ``first_disagreement``: by ``Section.check`` here and by H0
 membership in ``kfan.cech``, whose ring elements are the sections on
-the whole fan, scanned there in the fan's order of maximal cones.  On
+the whole fan.  Both scan the maximal cones of the domain
+(``Subfan.max_cones``), on the whole fan in the fan's order.  On
 every fan and open subfan it walks each cone's faces once, largest
 first, and compares values only at the maximal faces a cone shares with
 earlier cones, where it meets the last earlier cone containing them
@@ -520,6 +521,8 @@ def random_section(
                 comps = _assembled(sheaf, parts, cones)
                 break
     else:
+        # slots in (dim, rays) order on every domain: the sampler's draws follow it
+        cones = sorted(cones, key=fan.index_of)
         slots = {i: sheaf.stalk(c) for i, c in enumerate(cones)}
         found = sample_nonzero_solution(slots, _compatibility_constraints(sheaf, cones), rng, 2)
         comps = found and {c: found[i] for i, c in enumerate(cones)}

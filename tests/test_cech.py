@@ -19,6 +19,7 @@ from kfan.catalog import (
     projective_line,
     projective_plane,
     smooth_corpus,
+    weighted_p2_fan,
 )
 from kfan.cech import (
     CechComplex,
@@ -421,6 +422,38 @@ def test_h0_character_tuples_are_members_and_multiply():
     prod = ring.multiply(a, b)
     assert ring.contains(prod)
     assert prod == ring.character((1, 1))
+
+
+@pytest.mark.parametrize(
+    "fan", [projective_plane(), hirzebruch(2), weighted_p2_fan()], ids=["p2", "f2", "weighted-p2"]
+)
+def test_h0_multiply_is_the_ring_of_characters_with_its_unit(fan):
+    rng = random.Random(61)
+    ring = H0Ring(fan)
+    for _ in range(4):
+        a, b = ([rng.randint(-3, 3) for _ in range(2)] for _ in range(2))
+        product_ab = ring.multiply(ring.character(a), ring.character(b))
+        assert product_ab == ring.character([x + y for x, y in zip(a, b)])
+    members = [random_member(ring, rng) for _ in range(3)]
+    for z in members:
+        assert ring.multiply(ring.unit(), z) == z == ring.multiply(z, ring.unit())
+    for z in members:
+        for y in members:
+            assert ring.contains(ring.multiply(z, y))
+
+
+def test_readme_quick_tour_runs():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    tour = text.split("## Library quick tour", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["desc"].laurent_rank == 2
+    ring, c = namespace["ring"], namespace["c"]
+    assert ring.contains(ring.multiply(c, c))
+    assert namespace["report"].all_solved
 
 
 def test_h0_matches_section_check():

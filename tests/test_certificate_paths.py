@@ -88,9 +88,11 @@ def parallelepiped_point_outside():
 
 
 def star_triangulation_bad_facet():
+    # the pulling triangulation stars the first ray (0, 0, 1) over its
+    # one facet, whose tight rays (1, 1, 0) among them are not extreme
     rays = [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
     cone = Cone(Lattice(3), rays, facets=[(0, 0, 1)], dim=3, pointed=True)
-    monoids._star_triangulation(cone)
+    monoids._pulling_triangulation(cone)
 
 
 def pointed_hilbert_basis_low_dimension():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kfan import cli
+from kfan import cli, cones, intlinalg, monoids
 from kfan.cli import main, run
 from kfan.cones import Cone
 from kfan.fanfile import build_fan, parse_fan_file
@@ -786,7 +786,8 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
 
 def test_info_compares_cones_linearly_on_a_256_cone_ladder(fanfile, monkeypatch):
     # each cone's "maximal" flag is one set lookup, not a scan of the
-    # maximal cones with Cone.__eq__
+    # maximal cones with Cone.__eq__, and its character rank is read
+    # off the perp lattice: no quotient is built
     path = fanfile(load_gen_fans().ladder(256))
     calls = []
     eq = Cone.__eq__
@@ -795,8 +796,16 @@ def test_info_compares_cones_linearly_on_a_256_cone_ladder(fanfile, monkeypatch)
         calls.append(other)
         return eq(self, other)
 
+    quotients = []
+    for module in (cones, intlinalg, monoids):
+        build = module.quotient
+        monkeypatch.setattr(
+            module, "quotient", lambda *a, build=build: quotients.append(a) or build(*a)
+        )
     monkeypatch.setattr(Cone, "__eq__", counting)
     rep = run(["info", path])
     assert rep.results["num_cones"] == 513
     assert sum(c["maximal"] for c in rep.results["cones"]) == 256
+    assert all(c["character_rank"] == c["dim"] for c in rep.results["cones"])
     assert len(calls) <= rep.results["num_cones"]
+    assert quotients == []

@@ -560,7 +560,10 @@ def test_subfan_max_cones_match_brute_force(path):
         maximal = [
             c for c in sub.members if not any(c != d and c.is_face(d) for d in sub.members)
         ]
-        assert sub.max_cones() == tuple(sorted(maximal, key=lambda c: (c.dim, c.rays)))
+        if sub.is_full():  # the whole fan's, in the fan's order
+            assert sub.max_cones() is fan.max_cones and set(maximal) == set(fan.max_cones)
+        else:
+            assert sub.max_cones() == tuple(sorted(maximal, key=lambda c: (c.dim, c.rays)))
 
 
 ALL_FAN_FILES = FAN_FILES + sorted(
@@ -574,7 +577,7 @@ def test_full_subfan_is_the_checked_subfan_of_every_cone(path):
     full = fan.full_subfan()
     assert full == Subfan(fan, fan.cones) and full.is_full()
     assert all(fan.canonical(c) is c for c in full.members)
-    assert full.max_cones() == Subfan(fan, fan.cones).max_cones()
+    assert full.max_cones() is Subfan(fan, fan.cones).max_cones() is fan.max_cones
     # a member set without one of its faces is still refused, and a
     # proper open set is not full
     top = fan.max_cones[0]
@@ -586,16 +589,21 @@ def test_full_subfan_is_the_checked_subfan_of_every_cone(path):
 
 def test_subfan_max_cones_are_found_once(monkeypatch):
     f = p2_fan()
-    sub = f.full_subfan()
+    a, b, _ = f.max_cones
+    sub = f.subfan(f.faces_of(a) + f.faces_of(b))
+    full = f.full_subfan()
     calls = []
     faces_of = Fan.faces_of
     monkeypatch.setattr(Fan, "faces_of", lambda self, c: calls.append(c) or faces_of(self, c))
     first = sub.max_cones()
     found = len(calls)
-    assert found == len(sub.members)
+    assert found == len(sub.members) == 6
     assert sub.max_cones() is first
     assert len(calls) == found
-    assert set(first) == set(f.max_cones)
+    assert set(first) == {a, b}
+    # the whole fan's are the fan's own tuple: no face is read
+    assert full.max_cones() is f.max_cones
+    assert len(calls) == found
 
 
 def test_fan_lookups_reject_cones_outside_the_fan():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kfan.cones import Cone, UnsupportedRank, zero_cone
+from kfan.cones import Cone, NotStronglyConvex, zero_cone
 from kfan.intlinalg import (
     IntMatrix,
     Lattice,
@@ -106,13 +106,94 @@ def test_hilbert_basis_minimality_on_corpus():
             assert full.contains(basis[leave_out])
 
 
-def test_hilbert_rank_cap():
-    z4 = Lattice(4)
-    c = Cone.from_rays(
-        z4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2)]
-    )
-    with pytest.raises(UnsupportedRank):
-        hilbert_basis(c)
+# rank 4: the pulling triangulation, no cap and no fallback
+
+Z4 = Lattice(4)
+SIGMA = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2)]
+PYRAMID_TIMES_RAY = [(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0), (0, 0, 0, 1)]
+P4_CONE = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -1, -1, -1)]
+
+
+def sums_of(basis, w, bound):
+    """Every nonnegative integer combination of ``basis`` of w-degree at
+    most ``bound``, for a grading w that is positive on the basis."""
+    reached = {(0,) * len(w)}
+    frontier = list(reached)
+    while frontier:
+        v = frontier.pop()
+        for g in basis:
+            s = tuple(a + b for a, b in zip(v, g))
+            if dot(w, s) <= bound and s not in reached:
+                reached.add(s)
+                frontier.append(s)
+    return reached
+
+
+def test_from_cone_generates_the_dual_of_a_non_smooth_rank_4_cone():
+    # the dual's extreme rays miss (0, 0, 1, 0), a lattice point of the dual
+    monoid = AffineMonoid.from_cone(Cone.from_rays(Z4, SIGMA))
+    assert monoid.contains((0, 0, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "rays", [SIGMA, PYRAMID_TIMES_RAY, P4_CONE], ids=["sigma", "pyramid-times-ray", "p4"]
+)
+def test_rank_4_dual_basis_is_irreducible_and_generates_a_box(rays):
+    cone = Cone.from_rays(Z4, rays)
+    dual = cone.dual()
+    basis = hilbert_basis(dual)
+    assert len(set(basis)) == len(basis) and all(dual.contains(g) for g in basis)
+    for g in basis:
+        assert not any(dual.contains(vec_sub(g, h)) for h in basis if h != g)
+    # w pairs positively with every nonzero point of the pointed dual
+    w = tuple(map(sum, zip(*cone.rays)))
+    box = [v for v in product(range(-2, 3), repeat=4) if dual.contains(v)]
+    reached = sums_of(basis, w, max(dot(w, v) for v in box))
+    assert all(v in reached for v in box)
+
+
+def old_star_triangulation(cone):
+    """The triangulation before the pulling one: a pointed 3-dimensional
+    cone split through its first ray."""
+    r0 = cone.rays[0]
+    simplices = []
+    for u in cone._proper_facets():
+        if dot(u, r0) == 0:
+            continue
+        tight = [r for r in cone.rays if dot(u, r) == 0]
+        assert len(tight) == 2
+        simplices.append((r0,) + tuple(tight))
+    return simplices
+
+
+def old_pointed_hilbert_basis(cone):
+    """The pointed Hilbert basis before the pulling triangulation, for
+    pointed dimension <= 3: candidates reduced pairwise."""
+    if cone.dim == 0:
+        return []
+    n = cone.lattice.rank
+    simplices = [cone.rays] if len(cone.rays) == cone.dim else old_star_triangulation(cone)
+    candidates = set(cone.rays)
+    for simplex in simplices:
+        candidates.update(_parallelepiped_points(simplex, n))
+    return [
+        g
+        for g in sorted(candidates)
+        if not any(
+            h != g and any(vec_sub(g, h)) and cone.contains(vec_sub(g, h)) for h in candidates
+        )
+    ]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=5))
+def test_rank_3_basis_matches_the_star_triangulation(rays):
+    try:
+        cone = Cone.from_rays(Z3, rays)
+    except NotStronglyConvex:
+        return
+    for c in [cone] + ([cone.dual()] if cone.dim == 3 else []):
+        assert hilbert_basis(c) == old_pointed_hilbert_basis(c)
 
 
 # ---------------------------------------------------------------------------

@@ -503,13 +503,14 @@ def test_a_member_costs_at_most_two_pushforwards_per_incidence(monkeypatch):
 def test_membership_costs_at_most_two_pushforwards_per_wall(monkeypatch, make):
     # in the fan's order each maximal cone is compared only at the
     # maximal faces it shares with earlier cones: here walls, each read
-    # by its two cones
+    # by its two cones; Section.check walks the whole fan in that order
     fan = make()
     ring = H0Ring(fan)
     section = random_section(ring.sheaf, fan.full_subfan(), random.Random(5))
-    calls = count_pushforwards(monkeypatch)
-    assert ring.membership(section) == (True, None)
-    assert 0 < len(calls) <= 2 * len(fan.walls)
+    for decide in (ring.membership, Section.check):
+        calls = count_pushforwards(monkeypatch)
+        assert decide(section) in ((True, None), True)
+        assert 0 < len(calls) <= 2 * len(fan.walls)
 
 
 def test_the_verdict_does_not_read_the_walls():
