@@ -50,6 +50,7 @@ def _load(path: str) -> tuple[FanFile, "Fan"]:
         raise InputError(f"{path}: {e}") from e
     return ff, fan
 
+
 def _fan_inputs(ff: FanFile, path: str) -> dict:
     out = {"fan_file": path, "fan": ff.to_jsonable()}
     if ff.warnings:
@@ -115,17 +116,13 @@ def _get_cone(fan, cone_id: int):
 
 def cmd_info(args) -> JobReport:
     ff, fan = _load(args.fanfile)
-    try:
-        complete = fan.is_complete()
-    except UnsupportedRank:
-        complete = None
     maximal = set(fan.max_cones)
     results = {
         "num_cones": len(fan.cones),
         "cones": [_cone_entry(i, c, maximal) for i, c in enumerate(fan.cones)],
         "max_cone_ids": [fan.index_of(c) for c in fan.max_cones],
         "smooth": fan.is_smooth(),
-        "complete": complete,
+        "complete": fan.is_complete(),
     }
     return JobReport(
         command="info", inputs=_fan_inputs(ff, args.fanfile), results=results
@@ -361,11 +358,12 @@ def cmd_check_flasque(args) -> JobReport:
 def cmd_hilbert(args) -> JobReport:
     ff, fan = _load(args.fanfile)
     cone = _get_cone(fan, args.cone)
-    basis = hilbert_basis(cone.dual())
+    dual = cone.dual()
+    basis = hilbert_basis(dual)
     results = {
         "cone_id": args.cone,
         "cone_rays": [list(r) for r in cone.rays],
-        "dual_cone_rays": [list(r) for r in cone.dual().rays],
+        "dual_cone_rays": [list(r) for r in dual.rays],
         "hilbert_basis": sorted([list(v) for v in basis]),
         "basis_size": len(basis),
     }

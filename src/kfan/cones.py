@@ -48,18 +48,19 @@ use (``Cone._face``), so a command pays only for the faces it reads.
 A fan is validated in one of two ways.  A complete simplicial fan of
 rank >= 2 is certified by its ridges, each shared by two maximal cones
 on opposite sides, and by one probe point covered once
-(``_certified_walls``): no pair of maximal cones is looked at, and the
-pairs that share a ridge are kept as the fan's ``walls``.  Any other
-input, and any input that fails that certificate, takes the pairwise
-check (``_check_pairs``): two maximal cones meet in a common face when
-a functional built from one cone's facets separates them
+(``_certified_walls``): no pair of maximal cones is looked at.  Any
+other input, and any input that fails that certificate, takes the
+pairwise check (``_check_pairs``): two maximal cones meet in a common
+face when a functional built from one cone's facets separates them
 (``_separates``, the separation lemma); a pair it does not settle takes
-one double description of both cones' facets.
+one double description of both cones' facets.  Completeness is one
+ridge count at every rank (``Fan.is_complete``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations
 from operator import mul
 from typing import Iterable, Sequence
@@ -593,7 +594,7 @@ def _certified_walls(rank: int, maximal: list[Cone]) -> list | None:
     the rays a and b share, which is a face of both.
 
     Conversely every complete simplicial fan of rank >= 2 passes, so
-    the walls are those of exactly these fans.
+    the certificate applies to exactly these fans.
     """
     if rank < 2:
         return None
@@ -646,19 +647,16 @@ class Fan:
     ``max_cones`` keeps the order the maximal cones were given in; the
     alternating signs of the cover complex depend on it, so it is fixed
     for the fan's lifetime.  ``cones`` is canonically sorted and the
-    zero cone is always present.  ``walls`` holds, for a fan certified
-    complete and simplicial by its ridges, each pair of maximal cones
-    that share a ridge as (a, b, ridge), a before b in ``max_cones``;
-    it is empty for every other fan.
+    zero cone is always present.  Whether the fan is complete is one
+    ridge count, at every rank (``is_complete``).
     """
 
-    __slots__ = ("lattice", "cones", "max_cones", "walls", "_index", "_by_rays", "_faces_of")
+    __slots__ = ("lattice", "cones", "max_cones", "_index", "_by_rays", "_faces_of")
 
-    def __init__(self, lattice: Lattice, cones, max_cones, faces_of, walls=()):
+    def __init__(self, lattice: Lattice, cones, max_cones, faces_of):
         self.lattice = lattice
         self.cones = cones
         self.max_cones = max_cones
-        self.walls = walls
         self._index = {c: i for i, c in enumerate(cones)}
         self._by_rays = {frozenset(c.rays): c for c in cones}
         self._faces_of = faces_of
@@ -673,7 +671,8 @@ class Fan:
         ``NotAFan``).  A complete simplicial fan of rank >= 2 is
         certified by its ridges and one probe point
         (``_certified_walls``), in time linear in the number of maximal
-        cones, and keeps the pairs that share a ridge as its ``walls``.
+        cones.  Completeness is decided apart, by one ridge count at
+        every rank (``is_complete``).
         Anything else, and anything that fails that certificate, is
         checked pair by pair (``_check_pairs``), so a ``NotAFan`` always
         names the pair that check finds.
@@ -696,8 +695,7 @@ class Fan:
         face_rays = {rays: _face_rays(c) for rays, c in distinct.items()}
         proper = {t for rays, fs in face_rays.items() for t in fs if t != rays}
         maximal = [c for rays, c in distinct.items() if rays not in proper]
-        walls = _certified_walls(lattice.rank, maximal)
-        if walls is None:
+        if _certified_walls(lattice.rank, maximal) is None:
             _check_pairs(lattice.rank, maximal, face_rays)
         built = {c.rays: c for c in maximal}
         for c in maximal:
@@ -711,13 +709,7 @@ class Fan:
         faces_of = tuple(
             tuple(sorted(map(built.__getitem__, _face_rays(c)), key=_order)) for c in cones
         )
-        return cls(
-            lattice,
-            cones,
-            tuple(maximal) or (built[()],),
-            faces_of,
-            tuple((maximal[i], maximal[j], built[t]) for i, j, t in walls or ()),
-        )
+        return cls(lattice, cones, tuple(maximal) or (built[()],), faces_of)
 
     @classmethod
     def from_rays_and_indices(
@@ -784,22 +776,21 @@ class Fan:
         return all(c.is_smooth() for c in self.max_cones)
 
     def is_complete(self) -> bool:
-        """Does the fan cover the whole space?  Rank <= 3 only.  A fan
-        with walls was certified complete at construction; any other
-        fan is decided by the ridge criterion, each ridge counted in one
-        pass over the faces of the maximal cones."""
+        """Does the fan cover R^n?  Exactly when every maximal cone has
+        dimension n and every (n-1)-dimensional cone, a ridge, lies in
+        exactly two maximal cones: one count, at every rank.  For n <= 1
+        this is direct (the one ridge of rank 1 is the zero cone).  For
+        n >= 2, two maximal cones that share a ridge meet in it, so they
+        lie on opposite sides of it, and the number of maximal cones
+        holding a point does not change across a ridge; off the cones of
+        dimension <= n - 2, whose complement is connected, it is
+        constant and positive (the argument of ``_certified_walls``).
+        Conversely, a complete fan has one maximal cone on each side of
+        a ridge, each holding it, as their interiors are disjoint."""
         n = self.lattice.rank
-        if n > 3:
-            raise UnsupportedRank("completeness test implemented for rank <= 3")
-        if self.walls:
-            return True
         if any(c.dim != n for c in self.max_cones):
             return False
-        count = {ridge: 0 for ridge in self.cones if ridge.dim == n - 1}
-        for c in self.max_cones:
-            for ridge in self.faces_of(c):
-                if ridge.dim == n - 1:
-                    count[ridge] += 1
+        count = Counter(r for c in self.max_cones for r in self.faces_of(c) if r.dim == n - 1)
         return all(k == 2 for k in count.values())
 
     def __repr__(self) -> str:

@@ -13,7 +13,7 @@ convolution over the group law.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, takewhile
 from typing import Iterable, Sequence
 
 from .cones import Cone, dual_ray_generators
@@ -150,27 +150,28 @@ def _pointed_hilbert_basis(cone: Cone) -> list[Vec]:
     """The sorted Hilbert basis of a pointed cone.  The rays and the
     parallelepiped points of the simplices of its pulling triangulation
     generate its lattice points, and a candidate g is reducible exactly
-    when g - h is a nonzero point of the cone for another candidate h:
-    if g = a + b, a candidate h sums into a and g - h = (a - h) + b."""
+    when g - h is a nonzero point of the cone for a basis element h with
+    2 w(h) <= w(g), w the sum of the proper facets: w is positive on
+    every nonzero point of the pointed cone, and if g = a + b with
+    w(a) <= w(b), any basis element h summing into a has w(h) <= w(g) / 2
+    and g - h = (a - h) + b.  So the candidates are taken in order of
+    degree w, each tested against the basis found so far."""
     if cone.dim == 0:
         return []
     n = cone.lattice.rank
     candidates = set(cone.rays)
     for simplex in _pulling_triangulation(cone):
         candidates.update(_parallelepiped_points(simplex, n))
-    basis = []
-    for g in sorted(candidates):
-        reducible = False
-        for h in candidates:
-            if h == g:
-                continue
-            diff = vec_sub(g, h)
-            if any(diff) and cone.contains(diff):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(g)
-    return basis
+    w = [sum(col) for col in zip(*cone._proper_facets())]
+    graded = sorted((dot(w, g), g) for g in candidates)
+    if graded[0][0] <= 0:
+        raise CertificateError(f"degree {w} is not positive on {graded[0][1]} of the cone")
+    basis = []  # (degree, element), in degree order
+    for deg, g in graded:
+        below = takewhile(lambda b: 2 * b[0] <= deg, basis)
+        if not any(cone.contains(vec_sub(g, h)) for _, h in below):
+            basis.append((deg, g))
+    return sorted(g for _, g in basis)
 
 
 class AffineMonoid:

@@ -101,6 +101,13 @@ def pointed_hilbert_basis_low_dimension():
     monoids._pointed_hilbert_basis(cone)
 
 
+def pointed_hilbert_basis_degree_not_positive():
+    # the facets sum to (1, 0), which is zero on the ray (0, 1)
+    rays = [(1, 0), (0, 1)]
+    cone = Cone(Lattice(2), rays, facets=[(1, -1), (0, 1)], dim=2, pointed=True)
+    monoids._pointed_hilbert_basis(cone)
+
+
 def contains_torsion_image():
     twice = IntMatrix([[2]])
     monoid = AffineMonoid(Lattice(1), [(1,)], twice, quotient(Lattice(1), twice))
@@ -166,6 +173,7 @@ CASES = {
         parallelepiped_point_outside,
         star_triangulation_bad_facet,
         pointed_hilbert_basis_low_dimension,
+        pointed_hilbert_basis_degree_not_positive,
         contains_torsion_image,
         contains_not_pointed,
         simplicial_facet_not_tight,
@@ -197,6 +205,7 @@ EXPECTED = {
     "parallelepiped_point_outside": "CertificateError",
     "star_triangulation_bad_facet": "CertificateError",
     "pointed_hilbert_basis_low_dimension": "CertificateError",
+    "pointed_hilbert_basis_degree_not_positive": "CertificateError",
     "contains_torsion_image": "CertificateError",
     "contains_not_pointed": "CertificateError",
     "simplicial_facet_not_tight": "CertificateError",

@@ -2,9 +2,11 @@ import glob
 import os
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kfan import cones
 from kfan.cones import (
@@ -15,13 +17,14 @@ from kfan.cones import (
     NotAFan,
     NotStronglyConvex,
     Subfan,
-    UnsupportedRank,
     primitive,
     zero_cone,
 )
 from kfan.fanfile import build_fan, load_fan_file
 from kfan.intlinalg import CertificateError, IntMatrix, Lattice, dot, in_row_span
 from kfan.sheaves import random_open_subfan
+from test_fan_construction import ladder
+from test_invariance import moved, random_unimodular
 
 Z1, Z2, Z3 = Lattice(1), Lattice(2), Lattice(3)
 
@@ -377,30 +380,71 @@ def test_subfans_closed_under_union_and_intersection():
             assert all(set(f.faces_of(c)) <= i.members for c in i.members)
 
 
+def cube_face_fan():
+    vertices = list(product((1, -1), repeat=3))
+    return Fan.from_max_cones(
+        Z3,
+        [Cone.from_rays(Z3, [v for v in vertices if v[k] == side]) for k in range(3) for side in (1, -1)],
+    )
+
+
 def test_is_complete():
     assert p1_fan().is_complete()
     assert p2_fan().is_complete()
     affine = Fan.from_max_cones(Z2, [Cone.from_rays(Z2, [(1, 0), (0, 1)])])
     assert not affine.is_complete()
-    # the cones over the square faces of [-1, 1]^3 have no walls, so
-    # their ridges are counted
-    vertices = list(product((1, -1), repeat=3))
-    squares = [
-        Cone.from_rays(Lattice(3), [v for v in vertices if v[k] == side])
-        for k in range(3)
-        for side in (1, -1)
-    ]
-    cube = Fan.from_max_cones(Lattice(3), squares)
-    assert not cube.walls and cube.is_complete()
-    assert not Fan.from_max_cones(Lattice(3), squares[1:]).is_complete()
+    # the cones over the square faces of [-1, 1]^3 are not simplicial,
+    # so the ridge certificate does not apply; their ridges are counted
+    cube = cube_face_fan()
+    assert cones._certified_walls(3, list(cube.max_cones)) is None and cube.is_complete()
+    assert not Fan.from_max_cones(Z3, cube.max_cones[1:]).is_complete()
 
 
-def test_is_complete_rank_cap():
-    f = Fan.from_max_cones(
-        Lattice(4), [Cone.from_rays(Lattice(4), [(1, 0, 0, 0)])]
-    )
-    with pytest.raises(UnsupportedRank):
-        f.is_complete()
+def test_is_complete_at_rank_4():
+    # the ridge count holds at every rank: P^4 is complete, and P^4
+    # without one maximal cone is not
+    path = os.path.join(os.path.dirname(__file__), "golden", "p4.json")
+    p4 = build_fan(load_fan_file(path))
+    assert p4.lattice.rank == 4 and p4.is_complete()
+    assert not Fan.from_max_cones(p4.lattice, p4.max_cones[1:]).is_complete()
+    ray = Fan.from_max_cones(Lattice(4), [Cone.from_rays(Lattice(4), [(1, 0, 0, 0)])])
+    assert not ray.is_complete()
+
+
+def projective_space(n):
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return Fan.from_rays_and_indices(Lattice(n), rays, list(combinations(range(n + 1), n)))
+
+
+def p1_power(n):
+    rays = [tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    indices = [[2 * i + side for i, side in enumerate(sides)] for sides in product((0, 1), repeat=n)]
+    return Fan.from_rays_and_indices(Lattice(n), rays, indices)
+
+
+COMPLETE = (
+    [(f"p{n}", lambda n=n: projective_space(n)) for n in range(1, 5)]
+    + [(f"p1^{n}", lambda n=n: p1_power(n)) for n in range(1, 5)]
+    + [(f"ladder-{n}", lambda n=n: Fan.from_rays_and_indices(*ladder(n))) for n in (4, 6, 12)]
+    + [("cube", cube_face_fan)]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in COMPLETE], ids=[name for name, _ in COMPLETE])
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.randoms(use_true_random=False))
+def test_completeness_is_invariant_and_needs_every_maximal_cone(make, rng):
+    # complete, also after a GL_n(Z) move and a reordering of the maximal
+    # cones; with any one maximal cone removed, not complete
+    fan = make()
+    n = fan.lattice.rank
+    g = random_unimodular(n, rng) if n > 1 else [[rng.choice((1, -1))]]
+    other, _ = moved(fan, g, rng)
+    for f in (fan, other):
+        assert f.is_complete()
+    for k in range(len(other.max_cones)):
+        rest = other.max_cones[:k] + other.max_cones[k + 1 :]
+        assert not Fan.from_max_cones(other.lattice, rest).is_complete()
 
 
 def test_fan_face_relation_transitive():

@@ -33,7 +33,9 @@ through the kernel sampler and the support solver, and
 seven ``*-p1xp1xp1*`` reports of ``info``, ``hilbert``, ``k0-affine``
 and ``kclass`` (cone 7 is a 2-dimensional face, cone 1 a ray) were
 captured before the faces of simplicial cones came to be certified on
-first use.  A change meant to alter these
+first use.  ``info-p4`` was regenerated when completeness came to be
+decided by one ridge count at every rank: its ``complete`` changed from
+null to true, and nothing else did.  A change meant to alter these
 reports must say so and regenerate them from the repository root with
 
     PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json

@@ -21,6 +21,8 @@ from kfan.monoids import (
     GroupRingElement,
     hilbert_basis,
     _parallelepiped_points,
+    _pointed_hilbert_basis,
+    _pulling_triangulation,
 )
 
 Z1, Z2, Z3 = Lattice(1), Lattice(2), Lattice(3)
@@ -194,6 +196,52 @@ def test_rank_3_basis_matches_the_star_triangulation(rays):
         return
     for c in [cone] + ([cone.dual()] if cone.dim == 3 else []):
         assert hilbert_basis(c) == old_pointed_hilbert_basis(c)
+
+
+def pairwise_hilbert_basis(cone):
+    """The pointed Hilbert basis by the pairwise reduction: a candidate
+    is dropped when it minus any other candidate is a nonzero point of
+    the cone."""
+    if cone.dim == 0:
+        return []
+    candidates = set(cone.rays)
+    for simplex in _pulling_triangulation(cone):
+        candidates.update(_parallelepiped_points(simplex, cone.lattice.rank))
+    return [
+        g
+        for g in sorted(candidates)
+        if not any(h != g and cone.contains(vec_sub(g, h)) for h in candidates)
+    ]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.one_of(
+        st.lists(st.tuples(*[st.integers(-7, 7)] * 2), min_size=1, max_size=4),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=5),
+    )
+)
+def test_the_reduction_by_degree_matches_the_pairwise_reduction(rays):
+    # a basis element below a candidate has at most half its degree, so
+    # testing each candidate only against those agrees with testing it
+    # against every other candidate
+    try:
+        cone = Cone.from_rays(Lattice(len(rays[0])), rays)
+    except NotStronglyConvex:
+        return
+    for c in [cone] + ([cone.dual()] if cone.dim == cone.lattice.rank else []):
+        assert _pointed_hilbert_basis(c) == pairwise_hilbert_basis(c)
+
+
+def test_a_cone_of_multiplicity_1000_is_reduced_by_degree(monkeypatch):
+    # the dual of the cone on (1, 0) and (-1, 1000): its 1001 basis
+    # elements (k, 1) all have degree 1000, so no pair is ever compared
+    dual = Cone.from_rays(Z2, [(1, 0), (-1, 1000)]).dual()
+    calls = []
+    contains = Cone.contains
+    monkeypatch.setattr(Cone, "contains", lambda self, v: calls.append(v) or contains(self, v))
+    assert hilbert_basis(dual) == [(k, 1) for k in range(1001)]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
