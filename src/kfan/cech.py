@@ -33,13 +33,14 @@ smaller cone's faces.  So the complex is the sum over the cones tau of
 the complexes of full simplices on S_tau, the maximal cones containing
 tau, with coefficients A_tau; each is exact in positive levels,
 contracted onto a_tau = min S_tau, and ``solve_coboundary`` returns the
-contraction.  There ``random_cocycle`` draws sparse cocycles z = d(b0),
-with b0 one random monomial on each of ``SPARSE_TUPLES`` random tuples
-one level down: d and the contraction are linear, so a dense z would
-test them no better, and no trial lists a level.  On non-smooth fans
-cocycles are random kernel elements of the whole system d(z) = 0,
-preimages are searched for by the expanding-support solver, and a
-``SolverGaveUp`` there is a search failure, never a counterexample.
+contraction b once d(b) = z, which proves z a cocycle.  There
+``random_cocycle`` draws sparse cocycles z = d(b0), with b0 one random
+monomial on each of ``SPARSE_TUPLES`` random tuples one level down: d
+and the contraction are linear, so a dense z would test them no better,
+and no trial lists a level.  On non-smooth fans cocycles are random
+kernel elements of the whole system d(z) = 0, preimages are searched
+for by the expanding-support solver, and a ``SolverGaveUp`` there is a
+search failure, never a counterexample.
 """
 
 from __future__ import annotations
@@ -194,43 +195,38 @@ class CechComplex:
         return Cochain._trusted(self, c.level + 1, comps)
 
     def is_cocycle(self, c: "Cochain") -> bool:
-        """Is d(c) zero?  Decided once per cochain of this complex: a
-        cochain never changes, so the answer is kept on it."""
-        if c.level >= self.top_level:
-            return True
-        if c.complex is not self:
-            return self.d(c).is_zero()
-        if c._cocycle is None:
-            c._cocycle = self.d(c).is_zero()
-        return c._cocycle
+        """Is d(c) zero?  Every top-level cochain is."""
+        return c.level >= self.top_level or self.d(c).is_zero()
 
     def solve_coboundary(self, z: "Cochain", depth: int = 3) -> "Cochain | SolverGaveUp":
-        """A cochain b with d(b) = z, re-verified exactly.  On a smooth fan
-        b is the contraction (``_contract``) and ``depth`` is ignored.  On
-        a non-smooth fan the expanding-support solver searches to the
-        given depth, and a ``SolverGaveUp`` is a search failure, never a
-        counterexample to exactness."""
+        """A cochain b with d(b) = z, checked exactly: the certificate,
+        which also proves z a cocycle, as d . d = 0.  On a smooth fan b is
+        the contraction (``_contract``) and ``depth`` is ignored; on a
+        non-smooth fan the expanding-support solver searches to the given
+        depth.  Only without such a b is d(z) walked, to name the failure:
+        ``NotACocycle``, else the search's ``SolverGaveUp`` (a search
+        failure, never a counterexample), else ``CertificateError``."""
         if z.level < 1:
             raise ValueError("coboundaries live above level zero")
-        if not self.is_cocycle(z):
-            raise NotACocycle("the right-hand side has nonzero differential")
         if self.fan.is_smooth():
             b = self._contract(z)
         else:
             slot_groups = {s: self.stalk(s) for s in self.level_tuples(z.level - 1)}
             constraints = self._d_constraints(z.level - 1, z.components)
-            outcome = solve_pushforward_system(slot_groups, constraints, depth)
-            if isinstance(outcome, SolverGaveUp):
-                return outcome
-            b = Cochain(self, z.level - 1, outcome[0])
-        if self.d(b) != z:
-            raise CertificateError(f"witness fails d(b) = z at level {z.level}")
+            b = solve_pushforward_system(slot_groups, constraints, depth)
+            if not isinstance(b, SolverGaveUp):
+                b = Cochain(self, z.level - 1, b[0])
+        if isinstance(b, SolverGaveUp) or self.d(b) != z:
+            if not self.is_cocycle(z):
+                raise NotACocycle("the right-hand side has nonzero differential")
+            if isinstance(b, Cochain):
+                raise CertificateError(f"witness fails d(b) = z at level {z.level}")
         return b
 
     def _contract(self, z: "Cochain") -> "Cochain":
         """A preimage of the cocycle z on a smooth fan: b_K is the sum of
         iota(z^tau_{(a_tau) K}) over the cones tau with a_tau < K in S_tau.
-        The caller re-checks d(b) = z."""
+        The caller checks d(b) = z, which holds exactly for cocycles."""
         b: dict = {}
         anchored: dict = {}  # (meet, a) -> the faces tau of the meet with a_tau = a
         for t, value in z.components.items():
@@ -265,12 +261,13 @@ class CechComplex:
         return constraints
 
     def random_cocycle(self, level: int, rng: random.Random) -> "Cochain":
-        """A random nonzero cocycle, re-checked.  On a smooth fan z = d(b0)
-        for a level-(level - 1) cochain b0 with one random monomial, in the
-        ray coordinates of the meet, on each of ``SPARSE_TUPLES`` random
-        tuples, redrawn while z is zero; level-0 cocycles are global
-        sections, which ``random_section`` draws.  Otherwise a random
-        nonzero kernel element of d (``sample_nonzero_solution``)."""
+        """A random nonzero cocycle.  On a smooth fan z = d(b0) for a
+        level-(level - 1) cochain b0 with one random monomial, in the ray
+        coordinates of the meet, on each of ``SPARSE_TUPLES`` random
+        tuples, redrawn while z is zero: a coboundary by construction;
+        level-0 cocycles are global sections, which ``random_section``
+        draws.  Otherwise a random nonzero kernel element of d
+        (``sample_nonzero_solution``), re-checked."""
         if level > self.top_level:
             raise LevelOverflow(f"no level {level} in this complex")
         if self.fan.is_smooth():
@@ -289,10 +286,10 @@ class CechComplex:
             slots = {t: self.stalk(t) for t in self.level_tuples(level)}
             found = sample_nonzero_solution(slots, self._d_constraints(level, {}), rng, 3)
             z = Cochain(self, level, found or {})
+            if not self.is_cocycle(z):
+                raise CertificateError(f"sampled level-{level} cochain is not a cocycle")
         if z.is_zero():
             raise RuntimeError("could not sample a nonzero cocycle")
-        if not self.is_cocycle(z):
-            raise CertificateError(f"sampled level-{level} cochain is not a cocycle")
         return z
 
 
@@ -301,7 +298,7 @@ class Cochain:
     checked by its shape (``CechComplex.is_level_tuple``); no level is
     listed."""
 
-    __slots__ = ("complex", "level", "components", "_cocycle")
+    __slots__ = ("complex", "level", "components")
 
     def __init__(self, complex: CechComplex, level: int, components: dict):
         if level < 0 or level > complex.top_level:
@@ -318,7 +315,6 @@ class Cochain:
         self.complex = complex
         self.level = level
         self.components = comps
-        self._cocycle = None  # is d(self) zero?  Set by CechComplex.is_cocycle
 
     @classmethod
     def _trusted(cls, complex: CechComplex, level: int, components: dict) -> "Cochain":
@@ -327,7 +323,6 @@ class Cochain:
         self.complex = complex
         self.level = level
         self.components = {t: v for t, v in components.items() if v.terms}
-        self._cocycle = None
         return self
 
     def is_zero(self) -> bool:
@@ -435,10 +430,10 @@ def verify_exactness(
     proved only for smooth fans; on a non-smooth one the trials search,
     and a trial that gives up is a search failure, never a counterexample.
 
-    Also re-checks d(d(.)) = 0 on the way: each sampled cocycle is
-    verified to be killed by the differential before solving, and on a
-    smooth fan it is drawn as z = d(b0) for a sparse b0, and a trial
-    walks the cofaces of the supports of b0, z and the witness only.
+    The witness check d(b) = z is each trial's certificate.  On a smooth
+    fan z is drawn as z = d(b0) for a sparse b0, and a trial walks the
+    cofaces of the supports of b0 and the witness only: d(z) is walked
+    only when no witness is found (see ``solve_coboundary``).
     """
     if level < 1:
         raise ValueError("exactness questions start at level 1")

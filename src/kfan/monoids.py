@@ -30,7 +30,8 @@ from .intlinalg import (
     dot,
     kernel,
     quotient,
-    solve,
+    smith_with_inverses,
+    solve_factored,
     vec_neg,
     vec_sub,
 )
@@ -59,9 +60,11 @@ def _parallelepiped_points(rays: Sequence[Vec], n: int) -> list[Vec]:
     sat = kernel(kernel(mat))  # basis of Z^n intersected with the ray span
     if sat.nrows != d:
         raise ValueError(f"the rays {list(rays)} are not linearly independent")
+    sat_t = sat.transpose()
+    u, sat_d, v, _ = smith_with_inverses(sat_t, keep=("u", "v"))  # one reduction for every solve
     coords = []
     for r in rays:
-        c = solve(sat.transpose(), r)
+        c = solve_factored(u, sat_d, v, r)
         if c is None:
             raise CertificateError(f"ray {r} is not in the saturation of its own span")
         coords.append(c)
@@ -74,12 +77,12 @@ def _parallelepiped_points(rays: Sequence[Vec], n: int) -> list[Vec]:
     points = []
     for torsion in product(*(range(f) for f in grp.invariant_factors)):
         y = grp.lift(torsion)
-        x = sat.transpose().apply(y)
+        x = sat_t.apply(y)
         shift = [ti // e for ti in adj.apply(y)]
         p = tuple(
             xi - sum(s * r[k] for s, r in zip(shift, rays)) for k, xi in enumerate(x)
         )
-        py = solve(sat.transpose(), p)
+        py = solve_factored(u, sat_d, v, p)
         if py is None:
             raise CertificateError(f"shifted point {p} left the span of the rays")
         if any(ti // e for ti in adj.apply(py)):

@@ -30,7 +30,8 @@ from kfan.cech import (
     verify_exactness,
 )
 from kfan.cones import Fan
-from kfan.intlinalg import Lattice
+from kfan.fanfile import build_fan, load_fan_file
+from kfan.intlinalg import CertificateError, Lattice
 from kfan.monoids import GroupRingElement
 from kfan.report import cochain_from_jsonable, cochain_to_jsonable
 from kfan.sheaves import Section, random_section
@@ -139,23 +140,27 @@ def load_gen_fans():
 
 def test_exactness_cost_follows_the_support_on_a_64_cone_ladder(monkeypatch, tmp_path):
     # a count, not a timing: level 3 has C(64, 4) tuples and level 4,
-    # which the cocycle check reaches, C(64, 5) (about 7.6 million); a
-    # trial walks the cofaces of its supports and keeps none of them
+    # which a cocycle check of z would reach, C(64, 5) (about 7.6
+    # million); a trial walks the cofaces of its supports and keeps none
     path = tmp_path / "ladder-64.json"
     path.write_text(json.dumps(load_gen_fans().ladder(64)))
     built, supports = [], set()
     init, d, from_rays = CechComplex.__init__, CechComplex.d, CechComplex._from_rays
+    contract = CechComplex._contract
     monkeypatch.setattr(CechComplex, "__init__", lambda cx, f: built.append(cx) or init(cx, f))
     monkeypatch.setattr(CechComplex, "d", lambda cx, c: supports.update(c.components) or d(cx, c))
     monkeypatch.setattr(
         CechComplex, "_from_rays", lambda cx, p, v: supports.update(v) or from_rays(cx, p, v)
     )
+    monkeypatch.setattr(
+        CechComplex, "_contract", lambda cx, z: supports.update(z.components) or contract(cx, z)
+    )
     rep = cli.run(["check-exactness", str(path), "--level", "3", "--trials", "5", "--json"])
     assert rep.exit_status == 0 and rep.results["all_solved"]
     [cx] = built
     n = cx.top_level + 1
-    # b0 and the witness b are built from ray terms, and d ran on b0, on
-    # z (its check) and on b (its re-check); the meet memo holds the
+    # b0 and the witness b are built from ray terms, d ran on b0 and on
+    # b (its check), and _contract read z; the meet memo holds the
     # maximal cones, those supports and their prefixes, and no coface
     prefixes = {t[:k] for t in supports for k in range(2, len(t) + 1)}
     assert {(i,) for i in range(n)} < set(cx._meets) <= {(i,) for i in range(n)} | prefixes
@@ -279,13 +284,72 @@ def test_solve_coboundary_roundtrip():
         assert cx.d(got) == z
 
 
+def p1_cubed() -> Fan:
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "fans", "p1xp1xp1.json")
+    return build_fan(load_fan_file(path))
+
+
+def monomial_cochain(cx, t):
+    """One monomial on the tuple t: below the top level a non-cocycle,
+    as nothing cancels its pushforward to any coface."""
+    q = cx.stalk(t)
+    e = tuple(int(k == 0) for k in range(q.coords_len))
+    return cx.cochain(len(t) - 1, {t: GroupRingElement(q, {e: 1})})
+
+
 def test_solve_coboundary_rejects_noncocycles():
+    # the contraction's check d(b) = z fails (the search, on weighted
+    # P2), and the walk of d(z) names the input, not the contraction: at
+    # level 1 of P2 (its level 2 is the top, where every cochain is a
+    # cocycle) and levels 1 and 2 of P1xP1xP1
+    p1_3 = p1_cubed()
+    for fan, t in [
+        (projective_plane(), (0, 1)),
+        (p1_3, (0, 1)),
+        (p1_3, (0, 1, 2)),
+        (weighted_p2_fan(), (0, 1)),
+    ]:
+        cx = CechComplex(fan)
+        z = monomial_cochain(cx, t)
+        assert not cx.is_cocycle(z)
+        with pytest.raises(NotACocycle):
+            cx.solve_coboundary(z)
+
+
+def test_solve_coboundary_on_a_smooth_cocycle_walks_only_the_witness(monkeypatch):
+    cx = CechComplex(p1_cubed())
+    z = cx.d(monomial_cochain(cx, (0, 1)))
+    calls = []
+    d = CechComplex.d
+    monkeypatch.setattr(CechComplex, "d", lambda self, c: calls.append(c) or d(self, c))
+    b = cx.solve_coboundary(z)
+    assert calls == [b] and b.level == 1
+
+
+def test_wrong_contraction_is_a_certificate_error_not_a_noncocycle(monkeypatch):
     cx = CechComplex(projective_plane())
-    q = cx.stalk((0, 1))
-    z = cx.cochain(1, {(0, 1): GroupRingElement(q, {(1,): 1})})
-    assert not cx.is_cocycle(z)
-    with pytest.raises(NotACocycle):
+    z = cx.random_cocycle(1, random.Random(1))
+    contract = CechComplex._contract
+
+    def doubled(self, z):
+        b = contract(self, z)
+        return self.cochain(b.level, {t: v.scale(2) for t, v in b.components.items()})
+
+    monkeypatch.setattr(CechComplex, "_contract", doubled)
+    with pytest.raises(CertificateError, match="d\\(b\\) = z"):
         cx.solve_coboundary(z)
+
+
+def test_search_that_gives_up_on_a_cocycle_is_returned_after_the_walk(monkeypatch):
+    cx = CechComplex(weighted_p2_fan())
+    z = cx.random_cocycle(1, random.Random(0))
+    gave_up = SolverGaveUp(rounds=1, support_sizes=(1,))
+    monkeypatch.setattr(cech, "solve_pushforward_system", lambda *args: gave_up)
+    calls = []
+    d = CechComplex.d
+    monkeypatch.setattr(CechComplex, "d", lambda self, c: calls.append(c) or d(self, c))
+    assert cx.solve_coboundary(z) is gave_up
+    assert calls == [z]  # the walk that found z a cocycle
 
 
 def test_verify_exactness_p1_surjectivity():
@@ -303,10 +367,9 @@ def test_verify_exactness_small_runs():
             assert rep.all_solved
 
 
-def test_one_exactness_trial_computes_three_differentials(monkeypatch):
-    # d(b0) once (the sample z = d(b0)), d(z) once (the sample's check,
-    # remembered for solve_coboundary's input check) and d(b) once (the
-    # witness re-check)
+def test_one_exactness_trial_computes_two_differentials(monkeypatch):
+    # d(b0) once (the sample z = d(b0)) and d(b) once (the witness
+    # check, which proves z a cocycle too): d(z) is never walked
     calls = []
     d = CechComplex.d
 
@@ -317,7 +380,7 @@ def test_one_exactness_trial_computes_three_differentials(monkeypatch):
     monkeypatch.setattr(CechComplex, "d", counting)
     rep = verify_exactness(projective_plane(), level=1, trials=1, depth=3, seed=4)
     assert rep.solved == 1
-    assert calls == [0, 1, 0]
+    assert calls == [0, 0]
 
 
 def test_smooth_random_cocycle_starts_at_level_1():
@@ -325,22 +388,6 @@ def test_smooth_random_cocycle_starts_at_level_1():
     cx = CechComplex(projective_plane())
     with pytest.raises(ValueError, match="random_section"):
         cx.random_cocycle(0, random.Random(0))
-
-
-def test_is_cocycle_is_remembered_per_cochain(monkeypatch):
-    cx = CechComplex(projective_plane())
-    t = cx.level_tuples(1)[0]
-    not_closed = cx.cochain(1, {t: GroupRingElement(cx.stalk(t), {(1,): 1})})
-    z = cx.random_cocycle(1, random.Random(2))
-    calls = []
-    d = CechComplex.d
-    monkeypatch.setattr(CechComplex, "d", lambda self, c: calls.append(c) or d(self, c))
-    for _ in range(2):
-        assert cx.is_cocycle(z)
-        assert not cx.is_cocycle(not_closed)
-    with pytest.raises(NotACocycle):
-        cx.solve_coboundary(not_closed)
-    assert calls == [not_closed]  # z was decided when it was sampled
 
 
 # ---------------------------------------------------------------------------

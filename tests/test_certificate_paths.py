@@ -51,7 +51,7 @@ def parallelepiped_dependent_rays():
 
 
 def parallelepiped_ray_outside_span():
-    with patched(monoids, "solve", lambda a, b: None):
+    with patched(monoids, "solve_factored", lambda u, d, v, b: None):
         monoids._parallelepiped_points(SKEW, 2)
 
 
@@ -62,27 +62,27 @@ def parallelepiped_infinite_index():
 
 
 def shifted_point_solved_as(wrong):
-    """``solve`` with the coordinates of each shifted point, every call
-    after those of the rays, replaced by ``wrong(a, b)``."""
-    solve = monoids.solve
+    """``solve_factored`` with the coordinates of each shifted point,
+    every call after those of the rays, replaced by ``wrong(u, d, v, b)``."""
+    solve = monoids.solve_factored
     calls = []
 
-    def third_replaced(a, b):
+    def third_replaced(u, d, v, b):
         calls.append(b)
-        return wrong(a, b) if len(calls) > len(SKEW) else solve(a, b)
+        return wrong(u, d, v, b) if len(calls) > len(SKEW) else solve(u, d, v, b)
 
-    return patched(monoids, "solve", third_replaced)
+    return patched(monoids, "solve_factored", third_replaced)
 
 
 def parallelepiped_shift_leaves_span():
-    with shifted_point_solved_as(lambda a, b: None):
+    with shifted_point_solved_as(lambda u, d, v, b: None):
         monoids._parallelepiped_points(SKEW, 2)
 
 
 def parallelepiped_point_outside():
     # coordinates 5 times those of the point: for SKEW's nonzero point
     # t = adj(C) y / det(C) is then (5/2, 5/2), whose floor is not zero
-    far = lambda a, b: tuple(5 * x for x in intlinalg.solve(a, b))
+    far = lambda u, d, v, b: tuple(5 * x for x in intlinalg.solve_factored(u, d, v, b))
     with shifted_point_solved_as(far):
         monoids._parallelepiped_points(SKEW, 2)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kfan import intlinalg, monoids
 from kfan.cones import Cone, NotStronglyConvex, zero_cone
 from kfan.intlinalg import (
     IntMatrix,
@@ -71,6 +72,26 @@ def test_parallelepiped_points_of_skew_simplex():
     pts = _parallelepiped_points([(0, 1), (2, -1)], 2)
     assert pts == [(1, 0)]
     assert _parallelepiped_points([(1, 0), (0, 1)], 2) == []
+
+
+def test_parallelepiped_points_reduce_a_fixed_number_of_times(monkeypatch):
+    # one reduction serves every ray and every shifted point, so the
+    # count is the same for 1 point as for 49
+    reduce = intlinalg.smith_with_inverses
+    calls = []
+
+    def counting(a, **kwargs):
+        calls.append(a)
+        return reduce(a, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "smith_with_inverses", counting)
+    monkeypatch.setattr(monoids, "smith_with_inverses", counting)
+    counts = []
+    for top in (2, 50):
+        calls.clear()
+        assert len(_parallelepiped_points([(1, 0), (1, top)], 2)) == top - 1
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_hilbert_basis_of_halfplane_splits_lineality():
