@@ -65,7 +65,7 @@ def weighted_p2_fan() -> Fan:
 
 
 def smooth_corpus() -> dict[str, Fan]:
-    """The smooth fans used throughout the verification suites."""
+    """The smooth fans of the verification suites.  Tested API, no library caller."""
     return {
         "P1": projective_line(),
         "P2": projective_plane(),

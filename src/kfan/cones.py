@@ -40,10 +40,12 @@ Faces need no double description of their own to be found: a face is
 spanned by the rays of the cone that are tight on a set of its facets,
 every subset of the rays when they are independent, so ``_face_rays``
 lists every face as a sorted ray tuple, for both ``Cone.faces`` and
-``Fan``.  A fan builds each distinct face once, from that tuple, and
-every maximal cone containing the face shares the instance.  A face of
-a simplicial cone is built from its rays alone and certified on first
-use (``Cone._face``), so a command pays only for the faces it reads.
+``Fan``: a simplicial cone's subsets once, already in canonical order,
+any other cone's faces as a set, sorted where an order is needed.  A
+fan builds each distinct face once, from that tuple, and every maximal
+cone containing the face shares the instance.  A face of a simplicial
+cone is built from its rays alone and certified on first use
+(``Cone._face``), so a command pays only for the faces it reads.
 
 A fan is validated in one of two ways.  A complete simplicial fan of
 rank >= 2 is certified by its ridges, each shared by two maximal cones
@@ -111,13 +113,12 @@ class DomainNotOpen(Exception):
 
 
 def primitive(v: Sequence[int]) -> Vec | None:
-    """v divided by the gcd of its entries; None for the zero vector."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
+    """The integer vector v divided by the gcd of its entries; None for
+    the zero vector."""
+    g = math.gcd(*v)
     if g == 0:
         return None
-    return tuple(x // g for x in v)
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
 def _unique_primitives(vectors: Iterable[Sequence[int]]) -> list[Vec]:
@@ -245,8 +246,8 @@ class Cone:
         the rays independent (``_ray_reduction``) also gave their
         lineality ``perp`` and decided ``smooth``, and the cone keeps
         both: the lineality is its ``perp_lattice()``."""
-        n = lattice.rank
-        cone = cls(lattice, prim, _simplicial_facets(prim, perp.rows, n), len(prim), pointed=True)
+        cone = cls._face(lattice, tuple(prim))
+        cone._facets = _simplicial_facets(prim, perp.rows, lattice.rank)
         cone._smooth = smooth
         cone._perp = perp
         return cone
@@ -259,7 +260,11 @@ class Cone:
         The one Smith reduction runs on the first call of
         ``perp_lattice()`` or ``is_smooth()``, and the facets are found
         and certified on the first read of ``facets``."""
-        return cls(lattice, rays, None, len(rays), pointed=True)
+        cone = object.__new__(cls)
+        cone.lattice, cone.rays, cone.dim, cone.pointed = lattice, rays, len(rays), True
+        cone._facets = cone._faces = cone._perp = cone._charq = None
+        cone._smooth = cone._chart = cone._ray_index = cone._hash = None
+        return cone
 
     @property
     def facets(self) -> tuple[Vec, ...]:
@@ -298,8 +303,9 @@ class Cone:
         a simplicial cone are built by ``_face``."""
         if self._faces is None:
             make = Cone._face if self.is_simplicial() else Cone.from_rays
-            faces = (self if t == self.rays else make(self.lattice, t) for t in _face_rays(self))
-            self._faces = tuple(sorted(faces, key=_order))
+            self._faces = _faces_in_order(
+                self, lambda t: self if t == self.rays else make(self.lattice, t)
+            )
         return self._faces
 
     def is_face(self, other: "Cone") -> bool:
@@ -421,6 +427,13 @@ def _order(cone: Cone) -> tuple:
     return (cone.dim, cone.rays)
 
 
+def _faces_in_order(cone: Cone, get) -> tuple[Cone, ...]:
+    """The faces of ``cone`` in canonical order, each ``get`` of its ray
+    tuple: a simplicial cone lists them in that order (``_face_rays``)."""
+    faces = map(get, _face_rays(cone))
+    return tuple(faces) if cone.is_simplicial() else tuple(sorted(faces, key=_order))
+
+
 def _ray_reduction(rays: tuple[Vec, ...], n: int) -> tuple[IntMatrix, bool] | None:
     """The kernel of the matrix of ``rays`` in Z^n and whether the rays
     extend to a basis of Z^n, or None when they are linearly dependent.
@@ -455,47 +468,50 @@ def _simplicial_facets(prim: Sequence[Vec], lin: tuple[Vec, ...], n: int) -> tup
     with L span Q^n, so the cone contains no line.  A failure raises
     ``CertificateError``.
     """
-    on = list(prim)
-    if len(lin) != n - len(prim):
-        raise CertificateError(f"rank {len(prim)} and kernel rank {len(lin)} disagree in Z^{n}")
+    on = tuple(prim)
+    d = len(on)
+    if len(lin) != n - d:
+        raise CertificateError(f"rank {d} and kernel rank {len(lin)} disagree in Z^{n}")
     facets = []
-    for i in range(len(prim)):
-        u = normal_vector(IntMatrix._trusted(tuple(on[:i] + on[i + 1:]) + lin, n))
+    for i in range(d):
+        u = normal_vector(IntMatrix._trusted(on[:i] + on[i + 1:] + lin, n))
         if u is None:
-            raise CertificateError(f"the rays {on} and their lineality are dependent")
-        pairing = [sum(map(mul, u, r)) for r in prim]
+            raise CertificateError(f"the rays {list(on)} and their lineality are dependent")
+        pairing = [sum(map(mul, u, r)) for r in on]
         if pairing[i] < 0:
-            u, pairing = vec_neg(u), [-x for x in pairing]
+            u = vec_neg(u)
         if (
             not pairing[i]
-            or any(pairing[:i])
-            or any(pairing[i + 1:])
-            or any(sum(map(mul, u, l)) for l in lin)
+            or pairing.count(0) != d - 1
+            or (lin and any(sum(map(mul, u, l)) for l in lin))
         ):
-            raise CertificateError(f"facet {u} of the cone on {on} fails the pairing check")
+            raise CertificateError(f"facet {u} of the cone on {list(on)} fails the pairing check")
         facets.append(u)
-    if any(sum(map(mul, l, r)) for l in lin for r in prim):
-        raise CertificateError(f"the lineality of the cone on {on} meets its rays")
+    if lin and any(sum(map(mul, l, r)) for l in lin for r in on):
+        raise CertificateError(f"the lineality of the cone on {list(on)} meets its rays")
     for l in lin:
         facets.append(l)
         facets.append(vec_neg(l))
     return tuple(sorted(facets))
 
 
-def _face_rays(cone: Cone) -> set[tuple[Vec, ...]]:
+def _face_rays(cone: Cone) -> list[tuple[Vec, ...]] | set[tuple[Vec, ...]]:
     """The faces of a strongly convex cone, each as its sorted ray tuple.
 
     A face is the set of points tight on some set of proper facets, and
     it is spanned by the cone's rays tight on them; closing the full ray
     tuple under "keep the rays tight on one more facet" reaches the
     tight rays of every set of facets, the empty tuple (the zero cone)
-    included.  On independent rays every subset spans a face, so a
-    simplicial cone lists its subsets and reads no facet.
+    included, as a set.  On independent rays every subset spans a face,
+    so a simplicial cone lists its subsets and reads no facet: by size,
+    then lexicographically, which is the canonical order (``_order``),
+    as the rays are sorted and a face's dimension is its number of rays.
     """
     if not cone.pointed:
         raise ValueError("face enumeration needs a strongly convex cone")
     if cone.is_simplicial():
-        return {t for k in range(cone.dim + 1) for t in combinations(cone.rays, k)}
+        rays = cone.rays
+        return [t for k in range(len(rays) + 1) for t in combinations(rays, k)]
     faces = {cone.rays}
     for u in cone._proper_facets():
         faces |= {tuple(r for r in f if dot(u, r) == 0) for f in faces}
@@ -616,7 +632,8 @@ def _ridge_walls(rank: int, maximal: list[Cone]) -> list | None:
             off = [r for r in rays if sum(map(mul, u, r))]
             if len(off) != 1:
                 return None
-            sides.setdefault(tuple(r for r in rays if r != off[0]), []).append((i, off[0], u))
+            k = rays.index(off[0])
+            sides.setdefault(rays[:k] + rays[k + 1:], []).append((i, off[0], u))
     walls = []
     for ridge, found in sides.items():
         if len(found) != 2:
@@ -682,8 +699,10 @@ class Fan:
         built once from its sorted ray tuple, and is shared by every
         maximal cone that has it: by ``Cone._face``, certified on first
         use, when the first maximal cone that has it is simplicial,
-        else by ``Cone.from_rays``.  The faces of each cone are looked
-        up by their ray tuples (``_face_rays``).
+        else by ``Cone.from_rays``.  Each maximal cone lists its faces
+        once (``_face_rays``), and each cone's ``faces_of`` entry is
+        looked up by its face tuples: a simplicial cone's come in
+        canonical order, with no set and no sort.
         """
         if lattice.rank > MAX_RANK:
             raise UnsupportedRank(f"ambient rank {lattice.rank} > {MAX_RANK}")
@@ -696,7 +715,7 @@ class Fan:
         proper = {t for rays, fs in face_rays.items() for t in fs if t != rays}
         maximal = [c for rays, c in distinct.items() if rays not in proper]
         if _certified_walls(lattice.rank, maximal) is None:
-            _check_pairs(lattice.rank, maximal, face_rays)
+            _check_pairs(lattice.rank, maximal, {c.rays: set(face_rays[c.rays]) for c in maximal})
         built = {c.rays: c for c in maximal}
         for c in maximal:
             make = Cone._face if c.is_simplicial() else Cone.from_rays
@@ -706,9 +725,7 @@ class Fan:
         if not maximal:
             built[()] = zero_cone(lattice)
         cones = tuple(sorted(built.values(), key=_order))
-        faces_of = tuple(
-            tuple(sorted(map(built.__getitem__, _face_rays(c)), key=_order)) for c in cones
-        )
+        faces_of = tuple(_faces_in_order(c, built.__getitem__) for c in cones)
         return cls(lattice, cones, tuple(maximal) or (built[()],), faces_of)
 
     @classmethod
@@ -760,7 +777,8 @@ class Fan:
         return self._by_rays[frozenset(a.rays) & frozenset(b.rays)]
 
     def star_open(self, sigma: Cone) -> "Subfan":
-        """The smallest open set containing sigma: sigma and its faces."""
+        """The smallest open set containing sigma: sigma and its faces.
+        Tested API, no library caller."""
         return Subfan(self, self.faces_of(sigma))
 
     def full_subfan(self) -> "Subfan":

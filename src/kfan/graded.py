@@ -49,11 +49,6 @@ class GradedFreeData:
         object.__setattr__(self, "monoid", monoid)
         object.__setattr__(self, "shifts", shifts)
 
-    def direct_sum(self, other: "GradedFreeData") -> "GradedFreeData":
-        if other.monoid is not self.monoid and other.monoid.coset_quotient != self.monoid.coset_quotient:
-            raise ValueError("summands live over different monoids")
-        return GradedFreeData(self.monoid, self.shifts + other.shifts)
-
 
 @dataclass(frozen=True)
 class KClass:

@@ -498,7 +498,7 @@ def normal_vector(a: IntMatrix) -> Vec | None:
     g = gcd(*minors)
     if g == 0:
         return None
-    return tuple(x // g for x in minors)
+    return tuple(minors) if g == 1 else tuple(x // g for x in minors)
 
 
 def kernel(a: IntMatrix) -> IntMatrix:
@@ -548,7 +548,7 @@ def solve_factored(
 
 
 def in_row_span(a: IntMatrix, v: Sequence[int]) -> bool:
-    """Is v an integer combination of the rows of a?"""
+    """Is v an integer combination of the rows of a?  Tested API, no library caller."""
     return solve(a.transpose(), v) is not None
 
 
@@ -747,6 +747,7 @@ class QuotientSurjection:
         return self.source.reduce(self.splitting.apply(coords))
 
     def maps_equal(self, other: "QuotientSurjection") -> bool:
+        """Do the maps agree on every element?  Tested API, no library caller."""
         if self.source != other.source or self.target != other.target:
             return False
         if self.target.is_free:
@@ -787,6 +788,7 @@ def _selection(matrix: IntMatrix) -> tuple[int, ...] | None:
 
 
 def identity_surjection(q: QuotientLattice) -> QuotientSurjection:
+    """The identity map of ``q``.  Tested API, no library caller."""
     n = q.coords_len
     eye = IntMatrix.identity(n)
     return QuotientSurjection(q, q, eye, eye if q.is_free else None)

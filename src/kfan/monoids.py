@@ -179,19 +179,22 @@ def _pointed_hilbert_basis(cone: Cone) -> list[Vec]:
 
 class AffineMonoid:
     """A finitely generated submonoid of a lattice, with its unit group
-    and the quotient that indexes unit-group cosets."""
+    and the quotient that indexes unit-group cosets; one built
+    ``from_cone`` finds its ``generators`` on their first read."""
 
-    __slots__ = ("ambient", "generators", "unit_generators", "coset_quotient")
+    __slots__ = ("ambient", "_generators", "_cone", "unit_generators", "coset_quotient")
 
     def __init__(
         self,
         ambient: Lattice,
-        generators: Sequence[Vec],
+        generators: Sequence[Vec] | None,
         unit_generators: IntMatrix,
         coset_quotient: QuotientLattice,
+        cone: Cone | None = None,
     ):
         self.ambient = ambient
-        self.generators = tuple(generators)
+        self._generators = None if generators is None else tuple(generators)
+        self._cone = cone
         self.unit_generators = unit_generators
         self.coset_quotient = coset_quotient
 
@@ -199,17 +202,18 @@ class AffineMonoid:
     def from_cone(cls, cone: Cone) -> "AffineMonoid":
         """The monoid of lattice points of the dual cone, generated by
         its Hilbert basis (``hilbert_basis``) at every rank, smooth or
-        not.
+        not, found on the first read of ``generators``.
 
         Its units are exactly the functionals vanishing on the cone
         (they and their negatives are both nonnegative on it)."""
         units = cone.perp_lattice()
-        return cls(
-            cone.lattice.dual(),
-            hilbert_basis(cone.dual()),
-            units,
-            quotient(cone.lattice.dual(), units),
-        )
+        return cls(cone.lattice.dual(), None, units, quotient(cone.lattice.dual(), units), cone)
+
+    @property
+    def generators(self) -> tuple[Vec, ...]:
+        if self._generators is None:
+            self._generators = tuple(hilbert_basis(self._cone.dual()))
+        return self._generators
 
     @classmethod
     def from_generators(
@@ -228,9 +232,6 @@ class AffineMonoid:
 
     def unit_group_contains(self, v: Sequence[int]) -> bool:
         return self.coset_quotient.is_relation(v)
-
-    def is_group(self) -> bool:
-        return all(self.unit_group_contains(g) for g in self.generators)
 
     def nonunit_images(self) -> list[Vec]:
         """Distinct nonzero images of the generators in the coset quotient."""

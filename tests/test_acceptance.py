@@ -110,7 +110,7 @@ def test_criterion_2_graded_k_classes():
                     tuple(rng.randint(-6, 6) for _ in range(n))
                     for _ in range(rng.randint(0, 3))
                 ]
-                total = GradedFreeData(m, shifts).direct_sum(GradedFreeData(m, extra))
+                total = GradedFreeData(m, list(shifts) + extra)  # the direct sum
                 assert (
                     k0_class(total, K).value
                     == (cls + k0_class(GradedFreeData(m, extra), K)).value
@@ -180,7 +180,7 @@ def test_criterion_3_hom_formulas():
             checked += 1
         # group case degenerates to coset equality of the shifts
         group = AffineMonoid.from_generators(Z2, [(0, 1), (0, -1)])
-        assert group.is_group()
+        assert all(group.unit_group_contains(g) for g in group.generators)
         for _ in range(100):
             s = (rng.randint(-4, 4), rng.randint(-4, 4))
             s2 = (rng.randint(-4, 4), rng.randint(-4, 4))

@@ -509,6 +509,19 @@ def test_kclass_from_cone(fanfile):
     assert len(values) == 1 and values[0][1] == 2
 
 
+def test_kclass_from_a_cone_finds_no_hilbert_basis(fanfile, monkeypatch):
+    # the report reads the units and the coset quotient, which come from
+    # the cone's perp lattice: on the cone with rays (1, 0) and
+    # (1, 100000) a Hilbert basis would enumerate 99999 points
+    calls = []
+    monkeypatch.setattr(monoids, "hilbert_basis", calls.append)
+    deep = {"lattice_rank": 2, "rays": [[1, 0], [1, 100000]], "max_cones": [[0, 1]]}
+    rep = run(["kclass", "--fan", fanfile(deep), "--cone", "3", "--shifts", "[[0,1],[1,0],[0,0]]"])
+    assert calls == []
+    assert rep.results["coset_group"] == {"invariant_factors": [], "free_rank": 2}
+    assert rep.results["k0_class"] == [[[0, 0], 1], [[0, 1], 1], [[1, 0], 1]]
+
+
 def test_kclass_needs_a_monoid():
     assert run(["kclass", "--shifts", "[[0]]"]) == 2
 

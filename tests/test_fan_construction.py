@@ -23,10 +23,11 @@ check must accept too.
 
 import glob
 import json
+import math
 import os
 import random
 import sys
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -121,7 +122,9 @@ def reference_fan(lattice, given):
 
 
 def tables(cones, max_cones, faces_of):
-    """Everything a fan reports, as plain data."""
+    """Everything a fan reports, as plain data, in the fan's order: the
+    maximal cones in input order, and each cone's faces in canonical
+    (dim, rays) order, as ``reference_faces`` sorts them."""
     return (
         [(c.rays, c.facets, c.dim, c.pointed) for c in cones],
         [c.rays for c in max_cones],
@@ -250,6 +253,13 @@ HAND_MADE = [
     (Lattice(4), [(1, -1, -2, 2), (-2, -2, 2, -1), (0, 0, 0, 1)], [[0, 1], [2]]),
     (Z2, [], []),
     (Z2, [], [[]]),
+    # the face fan of the cube [-1, 1]^3: six square cones, not simplicial
+    (
+        Z3,
+        list(product((1, -1), repeat=3)),
+        [[i for i, v in enumerate(product((1, -1), repeat=3)) if v[k] == side]
+         for k in range(3) for side in (1, -1)],
+    ),
 ]
 
 
@@ -276,6 +286,63 @@ def blown_up_p1xp1(draw, max_blowups=6):
 def test_random_smooth_2d_fans_match_the_reference(fan_data):
     fan = assert_matches_reference(Z2, *fan_data)
     assert fan.is_smooth() and fan.is_complete()
+
+
+@st.composite
+def blown_up_3d(draw, max_blowups=3):
+    """Rays and maximal cones, in random order, of P3 or P1 x P1 x P1
+    after star subdivisions: each adds the sum of two or three rays of a
+    maximal cone, and replaces every maximal cone containing them by
+    the cones on the new ray and all of that cone's rays but one of
+    them.  The fans stay smooth and complete."""
+    if draw(st.booleans()):
+        rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+        cones = [list(c) for c in combinations(range(4), 3)]
+    else:
+        rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+        cones = [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+    for _ in range(draw(st.integers(0, max_blowups))):
+        sigma = draw(st.sampled_from(cones))
+        face = set(draw(st.sampled_from([t for k in (2, 3) for t in combinations(sigma, k)])))
+        rays.append(tuple(map(sum, zip(*(rays[i] for i in face)))))
+        new = len(rays) - 1
+        cones = [c for c in cones if not face <= set(c)] + [
+            [new if i == r else i for i in c] for c in cones if face <= set(c) for r in face
+        ]
+    return rays, draw(st.permutations(cones))
+
+
+@SETTINGS
+@given(blown_up_3d())
+def test_random_smooth_3d_fans_match_the_reference(fan_data):
+    fan = assert_matches_reference(Z3, *fan_data)
+    assert fan.is_smooth() and fan.is_complete()
+
+
+def primitive_by_a_gcd_loop(v):
+    g = 0
+    for x in v:
+        g = math.gcd(g, x)
+    return None if g == 0 else tuple(x // g for x in v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-10**6, 10**6), max_size=MAX_RANK),
+    st.sampled_from([1, 2, 3, 12, 10**6]),
+)
+@example([], 1)
+@example([0, 0, 0], 5)
+@example([-4, 6, 0], 1)
+@example([10**6, -10**6], 1)
+@example([0, -7], 1)
+def test_primitive_matches_a_gcd_loop(v, scale):
+    v = [scale * x for x in v]
+    p = primitive(v)
+    assert p == primitive_by_a_gcd_loop(v)
+    if p is not None:
+        assert type(p) is tuple and all(type(x) is int for x in p)
+        assert math.gcd(*p) == 1
 
 
 def test_overlapping_2d_cones_are_not_a_fan():

@@ -98,7 +98,7 @@ def test_k0_class_invariance_and_additivity_randomized():
                 tuple(rng.randint(-5, 5) for _ in range(n))
                 for _ in range(rng.randint(0, 3))
             ]
-            s = data.direct_sum(GradedFreeData(m, other))
+            s = GradedFreeData(m, data.shifts + tuple(other))  # the direct sum
             assert (
                 k0_class(s, K).value
                 == (cls + k0_class(GradedFreeData(m, other), K)).value

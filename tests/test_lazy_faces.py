@@ -18,14 +18,15 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, assume, given, settings
 
 from kfan import cli, cones
-from kfan.cones import Cone
+from kfan.cones import Cone, NotStronglyConvex
 from kfan.fanfile import build_fan, load_fan_file
 from kfan.intlinalg import CertificateError
 from kfan.report import EXIT_VERIFICATION_FAILURE
 from test_constructive import RANDOM_FANS, random_smooth_fans
+from test_fan_construction import ray_lists
 
 HERE = os.path.dirname(__file__)
 ROOT = os.path.join(HERE, os.pardir)
@@ -72,6 +73,27 @@ def test_every_face_reads_as_the_cone_certified_on_its_rays(path):
 @given(fan=random_smooth_fans())
 def test_faces_of_random_smooth_fans_read_as_certified(fan):
     assert_faces_read_as_certified(fan)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ray_lists())
+def test_a_face_built_from_its_rays_is_the_cone_from_rays(data):
+    # every face of a simplicial cone, as ``_face`` builds it from the
+    # sorted ray tuple and as ``from_rays`` certifies it; the hash is
+    # read first, before anything is found and kept
+    lattice, rays = data
+    try:
+        cone = Cone.from_rays(lattice, rays)
+    except NotStronglyConvex:
+        cone = None
+    assume(cone is not None and cone.is_simplicial())
+    for t in cones._face_rays(cone):
+        face, ref = Cone._face(lattice, t), Cone.from_rays(lattice, t)
+        assert hash(face) == hash(ref) and face == ref
+        assert face.rays == ref.rays and face.dim == ref.dim
+        assert face.facets == ref.facets
+        assert face.perp_lattice().rows == ref.perp_lattice().rows
+        assert face.is_smooth() == ref.is_smooth()
 
 
 @pytest.mark.parametrize("name, rank", [("p1xp1xp1", 3), ("p3", 3), ("ladder-12", 2)])

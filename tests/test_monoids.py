@@ -336,6 +336,21 @@ def test_generator_lengths_are_checked_before_zero_generators_are_dropped(ragged
         AffineMonoid.from_generators(Z2, ragged)
 
 
+def test_generators_of_a_cone_monoid_are_its_hilbert_basis_on_first_read(monkeypatch):
+    cone = Cone.from_rays(Z2, [(1, 0), (1, 2)])
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return hilbert_basis(c)
+
+    monkeypatch.setattr(monoids, "hilbert_basis", counting)
+    m = AffineMonoid.from_cone(cone)
+    assert calls == [] and m.coset_quotient.free_rank == 2
+    assert m.generators == ((0, 1), (1, 0), (2, -1)) == m.generators
+    assert calls == [cone.dual()]
+
+
 def test_membership_in_quadrant_monoid():
     m = AffineMonoid.from_cone(Cone.from_rays(Z2, [(1, 0), (0, 1)]))
     assert m.contains((0, 0))
@@ -345,7 +360,7 @@ def test_membership_in_quadrant_monoid():
 
 def test_membership_with_torsion_units():
     m = AffineMonoid.from_generators(Z2, [(2, 0), (-2, 0)])
-    assert m.is_group()
+    assert all(m.unit_group_contains(g) for g in m.generators)  # a group
     assert m.coset_quotient.invariant_factors == (2,)
     assert m.contains((4, 0))
     assert not m.contains((3, 0))
