@@ -51,7 +51,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .cones import Cone, Fan
-from .intlinalg import QuotientLattice
+from .intlinalg import CertificateError, QuotientLattice
 from .monoids import GroupRingElement
 from .sheaves import (
     Section,
@@ -67,7 +67,6 @@ from .support_solver import (
     COEFF_BOUND,
     COORD_BOUND,
     MAX_ATTEMPTS,
-    CertificateError,
     Constraint,
     SolverGaveUp,
     sample_nonzero_solution,

@@ -18,7 +18,7 @@ from .cech import H0Ring, LevelOverflow, verify_exactness
 from .cones import MAX_RANK, ConeNotInFan, NotAFan, NotStronglyConvex, UnsupportedRank
 from .fanfile import FanFile, FanFileError, build_fan, is_int_list, load_fan_file, strict_json
 from .graded import CoefficientSpec, GradedFreeData, k0_affine_toric, k0_class
-from .intlinalg import Lattice
+from .intlinalg import CertificateError, Lattice
 from .monoids import AffineMonoid, GroupRingElement, hilbert_basis
 from .report import (
     EXIT_INPUT_ERROR,
@@ -31,7 +31,7 @@ from .report import (
     element_to_jsonable,
 )
 from .sheaves import Section, extend_section, random_open_subfan, random_section, sheaf_a0
-from .support_solver import CertificateError, SolverGaveUp
+from .support_solver import SolverGaveUp
 
 
 # k0-global samples distinct characters from [-CHARACTER_BOX, CHARACTER_BOX]^rank

@@ -39,13 +39,13 @@ The ray chart of a smooth cone is inverted by cofactors
 Faces need no double description of their own to be found: a face is
 spanned by the rays of the cone that are tight on a set of its facets,
 every subset of the rays when they are independent, so ``_face_rays``
-lists every face as a sorted ray tuple, for both ``Cone.faces`` and
-``Fan``: a simplicial cone's subsets once, already in canonical order,
-any other cone's faces as a set, sorted where an order is needed.  A
-fan builds each distinct face once, from that tuple, and every maximal
-cone containing the face shares the instance.  A face of a simplicial
-cone is built from its rays alone and certified on first use
-(``Cone._face``), so a command pays only for the faces it reads.
+lists every face as a sorted ray tuple for ``Fan``, whose ``faces_of``
+is the one face API: a simplicial cone's subsets once, already in
+canonical order, any other cone's faces as a set, sorted where an order
+is needed.  A fan builds each distinct face once, from that tuple, and
+every maximal cone containing the face shares the instance.  A face of
+a simplicial cone is built from its rays alone and certified on first
+use (``Cone._face``), so a command pays only for the faces it reads.
 
 A fan is validated in one of two ways.  A complete simplicial fan of
 rank >= 2 is certified by its ridges, each shared by two maximal cones
@@ -180,7 +180,7 @@ class Cone:
 
     __slots__ = (
         "lattice", "rays", "_facets", "dim", "pointed",
-        "_faces", "_perp", "_charq", "_smooth", "_chart", "_ray_index", "_hash",
+        "_perp", "_charq", "_smooth", "_chart", "_ray_index", "_hash",
     )
 
     def __init__(self, lattice: Lattice, rays, facets, dim: int, pointed: bool):
@@ -189,7 +189,6 @@ class Cone:
         self._facets = None if facets is None else tuple(sorted(map(as_vec, facets)))
         self.dim = dim
         self.pointed = pointed
-        self._faces = None
         self._perp = None
         self._charq = None
         self._smooth = None
@@ -262,7 +261,7 @@ class Cone:
         and certified on the first read of ``facets``."""
         cone = object.__new__(cls)
         cone.lattice, cone.rays, cone.dim, cone.pointed = lattice, rays, len(rays), True
-        cone._facets = cone._faces = cone._perp = cone._charq = None
+        cone._facets = cone._perp = cone._charq = None
         cone._smooth = cone._chart = cone._ray_index = cone._hash = None
         return cone
 
@@ -297,20 +296,6 @@ class Cone:
             dim=dim,
             pointed=(self.dim == n),
         )
-
-    def faces(self) -> tuple["Cone", ...]:
-        """All faces, from the zero cone up to the cone itself; those of
-        a simplicial cone are built by ``_face``."""
-        if self._faces is None:
-            make = Cone._face if self.is_simplicial() else Cone.from_rays
-            self._faces = _faces_in_order(
-                self, lambda t: self if t == self.rays else make(self.lattice, t)
-            )
-        return self._faces
-
-    def is_face(self, other: "Cone") -> bool:
-        """Is this cone a face of ``other``?"""
-        return self.lattice == other.lattice and self.rays in _face_rays(other)
 
     def intersection(self, other: "Cone") -> "Cone":
         if self.lattice != other.lattice:
@@ -759,9 +744,6 @@ class Fan:
 
     def faces_of(self, cone: Cone) -> tuple[Cone, ...]:
         return self._faces_of[self.index_of(cone)]
-
-    def is_face(self, tau: Cone, sigma: Cone) -> bool:
-        return tau in self.faces_of(sigma)
 
     def intersection(self, a: Cone, b: Cone) -> Cone:
         """The meet of two cones of the fan, looked up by shared rays.

@@ -10,6 +10,7 @@ higher K-groups are never computed, only labelled.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,10 +86,7 @@ def k0_class(data: GradedFreeData, coeff: CoefficientSpec) -> KClass:
     if not coeff.k0_rank_one:
         raise CoefficientNotRankOne(coeff.name)
     q = data.monoid.coset_quotient
-    value = GroupRingElement.zero(q)
-    for s in data.shifts:
-        value = value + GroupRingElement.character(q, s)
-    return KClass(coeff, value)
+    return KClass(coeff, GroupRingElement(q, Counter(map(q.project, data.shifts))))
 
 
 def hom_rank(

@@ -24,14 +24,11 @@ from .intlinalg import (
     QuotientLattice,
     QuotientSurjection,
     Vec,
-    adjugate,
     as_vec,
-    det,
     dot,
     kernel,
     quotient,
     smith_with_inverses,
-    solve_factored,
     vec_neg,
     vec_sub,
 )
@@ -46,47 +43,37 @@ class NotASubmonoid(Exception):
 
 
 def _parallelepiped_points(rays: Sequence[Vec], n: int) -> list[Vec]:
-    """Nonzero lattice points of {sum t_i r_i : 0 <= t_i < 1} for
+    """Nonzero lattice points of {sum t_j r_j : 0 <= t_j < 1} for
     linearly independent rays: one representative per class of the
-    saturated span modulo the sublattice the rays generate.
+    saturated span modulo the sublattice the rays generate, by one
+    Smith reduction U R^T V = D of the ray matrix R (Bruns, Ichim,
+    *Normaliz: algorithms for affine monoids and rational cones*, 2010).
 
-    In coordinates y of the saturated span the rays are the columns of
-    a square C, so t = C^-1 y = adj(C) y / det(C), and floor(t) is the
-    integer (floor) division of adj(C) y by det(C), whatever its sign.
-    A point is in the half-open parallelepiped exactly when that floor
-    is zero."""
+    The first d columns c_i of U^-1 are a basis of the saturated span,
+    and R^T V = U^-1 D says the rays generate the sublattice on the
+    d_i c_i.  So the classes are x_a = sum a_i c_i, 0 <= a_i < d_i, with
+    ray coordinates t = V (a_i / d_i), integers once scaled by e = d_d.
+    The point is x_a minus the floor of t on the rays, checked by the
+    identity e p = sum f_j r_j, f = e t mod e."""
     d = len(rays)
-    mat = IntMatrix(rays, ncols=n)
-    sat = kernel(kernel(mat))  # basis of Z^n intersected with the ray span
-    if sat.nrows != d:
+    _, diagonal, v, uinv = smith_with_inverses(
+        IntMatrix(rays, ncols=n).transpose(), keep=("v", "uinv")
+    )
+    divisors = [diagonal.rows[i][i] for i in range(min(d, n))]
+    if len(divisors) < d or not all(divisors):
         raise ValueError(f"the rays {list(rays)} are not linearly independent")
-    sat_t = sat.transpose()
-    u, sat_d, v, _ = smith_with_inverses(sat_t, keep=("u", "v"))  # one reduction for every solve
-    coords = []
-    for r in rays:
-        c = solve_factored(u, sat_d, v, r)
-        if c is None:
-            raise CertificateError(f"ray {r} is not in the saturation of its own span")
-        coords.append(c)
-    c_mat = IntMatrix(coords, ncols=d)
-    grp = quotient(Lattice(d), c_mat)
-    if grp.free_rank != 0:
-        raise CertificateError("independent rays generate a sublattice of infinite index")
-    columns = c_mat.transpose()
-    e, adj = det(columns), adjugate(columns)
+    e = divisors[-1] if divisors else 1
+    torsion = [i for i, di in enumerate(divisors) if di > 1]
+    columns = uinv.transpose().rows
+    basis = [columns[i] for i in torsion]
+    scaled = [tuple(row[i] * (e // divisors[i]) for row in v.rows) for i in torsion]
     points = []
-    for torsion in product(*(range(f) for f in grp.invariant_factors)):
-        y = grp.lift(torsion)
-        x = sat_t.apply(y)
-        shift = [ti // e for ti in adj.apply(y)]
-        p = tuple(
-            xi - sum(s * r[k] for s, r in zip(shift, rays)) for k, xi in enumerate(x)
-        )
-        py = solve_factored(u, sat_d, v, p)
-        if py is None:
-            raise CertificateError(f"shifted point {p} left the span of the rays")
-        if any(ti // e for ti in adj.apply(py)):
-            raise CertificateError(f"point {p} is outside the fundamental parallelepiped")
+    for a in product(*(range(divisors[i]) for i in torsion)):
+        x = [sum(ai * c[k] for ai, c in zip(a, basis)) for k in range(n)]
+        et = [sum(ai * w[j] for ai, w in zip(a, scaled)) for j in range(d)]
+        p = tuple(xk - sum(t // e * r[k] for t, r in zip(et, rays)) for k, xk in enumerate(x))
+        if any(e * pk != sum(t % e * r[k] for t, r in zip(et, rays)) for k, pk in enumerate(p)):
+            raise CertificateError(f"point {p} is not at {[t % e for t in et]} / {e} on the rays")
         if any(p):
             points.append(p)
     return points
@@ -127,12 +114,12 @@ def hilbert_basis(cone: Cone) -> list[Vec]:
     """The unique minimal generating set of the pointed part of the
     cone's lattice-point monoid, plus +- generators of the lineality
     lattice.  Any rank the cones accept, by ``_pointed_hilbert_basis``
-    on the image of the cone modulo its lineality.
+    on a ``pointed`` cone, else on the image of the cone modulo its
+    lineality.
     """
-    n = cone.lattice.rank
-    lin = kernel(IntMatrix(cone.facets, ncols=n))
-    if lin.nrows == 0:
+    if cone.pointed:
         return _pointed_hilbert_basis(cone)
+    lin = kernel(IntMatrix(cone.facets, ncols=cone.lattice.rank))
     q = quotient(cone.lattice, lin)
     images = []
     seen = set()
@@ -205,9 +192,10 @@ class AffineMonoid:
         not, found on the first read of ``generators``.
 
         Its units are exactly the functionals vanishing on the cone
-        (they and their negatives are both nonnegative on it)."""
+        (they and their negatives are both nonnegative on it), so its
+        coset group is the cone's ``character_quotient()``."""
         units = cone.perp_lattice()
-        return cls(cone.lattice.dual(), None, units, quotient(cone.lattice.dual(), units), cone)
+        return cls(cone.lattice.dual(), None, units, cone.character_quotient(), cone)
 
     @property
     def generators(self) -> tuple[Vec, ...]:

@@ -31,8 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .intlinalg import (  # CertificateError is re-exported from here
-    CertificateError,
+from .intlinalg import (
     IntMatrix,
     QuotientLattice,
     QuotientSurjection,

@@ -50,40 +50,44 @@ def parallelepiped_dependent_rays():
     monoids._parallelepiped_points([(1, 0), (2, 0)], 2)
 
 
-def parallelepiped_ray_outside_span():
-    with patched(monoids, "solve_factored", lambda u, d, v, b: None):
+def reduced_as(change):
+    """``smith_with_inverses`` in ``monoids`` with its (U, D, V, U^-1)
+    passed through ``change``."""
+    reduce = monoids.smith_with_inverses
+    return patched(monoids, "smith_with_inverses", lambda a, **kw: change(*reduce(a, **kw)))
+
+
+def parallelepiped_corrupted_row_inverse():
+    # column 1 of U^-1 plus column 0: still unimodular, and in the same
+    # class, but no longer the point at the ray coordinates V (a / d)
+    def change(u, d, v, uinv):
+        return u, d, v, IntMatrix([[p, p + q] for p, q in uinv.rows])
+
+    with reduced_as(change):
         monoids._parallelepiped_points(SKEW, 2)
 
 
-def parallelepiped_infinite_index():
-    free = lambda ambient, relations: quotient(ambient, IntMatrix([], ncols=ambient.rank))
-    with patched(monoids, "quotient", free):
+def parallelepiped_corrupted_column_transform():
+    def change(u, d, v, uinv):
+        return u, d, IntMatrix([[p, p + q] for p, q in v.rows]), uinv
+
+    with reduced_as(change):
         monoids._parallelepiped_points(SKEW, 2)
 
 
-def shifted_point_solved_as(wrong):
-    """``solve_factored`` with the coordinates of each shifted point,
-    every call after those of the rays, replaced by ``wrong(u, d, v, b)``."""
-    solve = monoids.solve_factored
-    calls = []
+def parallelepiped_corrupted_diagonal():
+    # diag(1, 4) for diag(1, 2): four classes, of which only one exists
+    def change(u, d, v, uinv):
+        return u, IntMatrix([[1, 0], [0, 4]]), v, uinv
 
-    def third_replaced(u, d, v, b):
-        calls.append(b)
-        return wrong(u, d, v, b) if len(calls) > len(SKEW) else solve(u, d, v, b)
-
-    return patched(monoids, "solve_factored", third_replaced)
-
-
-def parallelepiped_shift_leaves_span():
-    with shifted_point_solved_as(lambda u, d, v, b: None):
+    with reduced_as(change):
         monoids._parallelepiped_points(SKEW, 2)
 
 
-def parallelepiped_point_outside():
-    # coordinates 5 times those of the point: for SKEW's nonzero point
-    # t = adj(C) y / det(C) is then (5/2, 5/2), whose floor is not zero
-    far = lambda u, d, v, b: tuple(5 * x for x in intlinalg.solve_factored(u, d, v, b))
-    with shifted_point_solved_as(far):
+def parallelepiped_reduction_of_other_rays():
+    # a consistent reduction, of diag(1, 2) instead of SKEW's ray matrix
+    other = intlinalg.smith_with_inverses(IntMatrix([[1, 0], [0, 2]]))
+    with reduced_as(lambda u, d, v, uinv: other):
         monoids._parallelepiped_points(SKEW, 2)
 
 
@@ -167,10 +171,10 @@ CASES = {
         row_block_not_unimodular,
         col_block_not_unimodular,
         parallelepiped_dependent_rays,
-        parallelepiped_ray_outside_span,
-        parallelepiped_infinite_index,
-        parallelepiped_shift_leaves_span,
-        parallelepiped_point_outside,
+        parallelepiped_corrupted_row_inverse,
+        parallelepiped_corrupted_column_transform,
+        parallelepiped_corrupted_diagonal,
+        parallelepiped_reduction_of_other_rays,
         star_triangulation_bad_facet,
         pointed_hilbert_basis_low_dimension,
         pointed_hilbert_basis_degree_not_positive,
@@ -199,10 +203,10 @@ EXPECTED = {
     "row_block_not_unimodular": "CertificateError",
     "col_block_not_unimodular": "CertificateError",
     "parallelepiped_dependent_rays": "ValueError",
-    "parallelepiped_ray_outside_span": "CertificateError",
-    "parallelepiped_infinite_index": "CertificateError",
-    "parallelepiped_shift_leaves_span": "CertificateError",
-    "parallelepiped_point_outside": "CertificateError",
+    "parallelepiped_corrupted_row_inverse": "CertificateError",
+    "parallelepiped_corrupted_column_transform": "CertificateError",
+    "parallelepiped_corrupted_diagonal": "CertificateError",
+    "parallelepiped_reduction_of_other_rays": "CertificateError",
     "star_triangulation_bad_facet": "CertificateError",
     "pointed_hilbert_basis_low_dimension": "CertificateError",
     "pointed_hilbert_basis_degree_not_positive": "CertificateError",

@@ -362,9 +362,9 @@ def test_cones_sharing_a_diagonal_of_a_square_are_not_a_fan():
     # (0,0,1), (1,1,1): a diagonal of the square, not a face of it
     rays = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1), (1, -1, 0)]
     square, other = [0, 1, 2, 3], [0, 2, 4]
-    assert Cone.from_rays(Z3, [(0, 0, 1), (1, 1, 1)]) not in Cone.from_rays(
-        Z3, [rays[i] for i in square]
-    ).faces()
+    sq = Cone.from_rays(Z3, [rays[i] for i in square])
+    diagonal = Cone.from_rays(Z3, [(0, 0, 1), (1, 1, 1)])
+    assert diagonal not in Fan.from_max_cones(Z3, [sq]).faces_of(sq)
     for indices in ([square, other], [other, square]):
         with pytest.raises(NotAFan) as ref:
             reference_fan(Z3, reference_given(Z3, rays, indices))

@@ -35,7 +35,13 @@ and ``kclass`` (cone 7 is a 2-dimensional face, cone 1 a ray) were
 captured before the faces of simplicial cones came to be certified on
 first use.  ``info-p4`` was regenerated when completeness came to be
 decided by one ridge count at every rank: its ``complete`` changed from
-null to true, and nothing else did.  A change meant to alter these
+null to true, and nothing else did.  The three ``*-simplex-113``
+reports (``simplex-113.json`` is the one cone on (1,0,0), (0,1,0),
+(1,1,3); cone 7 is that non-smooth simplex, with a Hilbert basis of
+seven elements, and cone 6 a face whose dual has lineality) were
+captured before parallelepiped points came from one Smith reduction of
+the ray matrix and a cone monoid's coset group from its cone's
+character group.  A change meant to alter these
 reports must say so and regenerate them from the repository root with
 
     PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json
@@ -55,6 +61,8 @@ NON_MEMBER = '{"0":[[[1,0],1]],"1":[[[1,0],1]],"2":[[[1,0],1]],"3":[[[0,0],1]]}'
 NON_MEMBER_3D = '{"0":[[[1,0,0],1]],"5":[[[0,0,1],2]]}'
 # shifts of a graded module over the monoid of a face of P1xP1xP1
 SHIFTS_3D = "[[0,0,0],[1,0,2],[-1,1,0],[2,2,5]]"
+# shifts over the monoid of a face of the cone on (1,0,0), (0,1,0), (1,1,3)
+SHIFTS_113 = "[[0,0,0],[1,0,0],[0,0,1]]"
 
 GOLDEN = {
     "exactness-p2-level1": "check-exactness fans/p2.json --level 1 --trials 4 --seed 7",
@@ -91,6 +99,9 @@ GOLDEN = {
     "k0-affine-p1xp1xp1-ray": "k0-affine bench/fans/p1xp1xp1.json --cone 1",
     "kclass-p1xp1xp1-face": f"kclass --fan bench/fans/p1xp1xp1.json --cone 7 --shifts {SHIFTS_3D}",
     "kclass-p1xp1xp1-ray": f"kclass --fan bench/fans/p1xp1xp1.json --cone 1 --shifts {SHIFTS_3D}",
+    "hilbert-simplex-113": "hilbert tests/golden/simplex-113.json --cone 7",
+    "hilbert-simplex-113-face": "hilbert tests/golden/simplex-113.json --cone 6",
+    "kclass-simplex-113-face": f"kclass --fan tests/golden/simplex-113.json --cone 6 --shifts {SHIFTS_113}",
 }
 # the reports of these commands end in exit 1 (a non-member, with witness)
 # or in exit 3 (the support solver gave up on a non-smooth fan)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kfan.cones import Cone, zero_cone
+from kfan.cones import Cone, Fan, zero_cone
 from kfan.graded import (
     CoefficientNotRankOne,
     CoefficientSpec,
@@ -163,7 +163,7 @@ def test_naturality_square_on_face_pairs():
     # restriction to a face includes dual monoids the other way around
     rng = random.Random(31)
     sigma = Cone.from_rays(Z2, [(1, 0), (0, 1)])
-    for tau in sigma.faces():
+    for tau in Fan.from_max_cones(Z2, [sigma]).faces_of(sigma):
         a = AffineMonoid.from_cone(sigma)
         a2 = AffineMonoid.from_cone(tau)
         assert a.is_submonoid_of(a2)

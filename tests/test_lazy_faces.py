@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from kfan import cli, cones
-from kfan.cones import Cone, NotStronglyConvex
+from kfan.cones import Cone, Fan, NotStronglyConvex
 from kfan.fanfile import build_fan, load_fan_file
 from kfan.intlinalg import CertificateError
 from kfan.report import EXIT_VERIFICATION_FAILURE
@@ -60,7 +60,7 @@ def assert_faces_read_as_certified(fan) -> None:
     for cone in fan.cones:
         assert_reads_as_certified(cone)
     for sigma in fan.max_cones:
-        for tau in sigma.faces():
+        for tau in Fan.from_max_cones(fan.lattice, [sigma]).faces_of(sigma):
             assert_reads_as_certified(tau)
 
 

@@ -1,12 +1,15 @@
+import os
 import random
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from kfan import intlinalg, monoids
 from kfan.cones import Cone, NotStronglyConvex, zero_cone
+from kfan.fanfile import build_fan, load_fan_file
 from kfan.intlinalg import (
     IntMatrix,
     Lattice,
@@ -14,6 +17,7 @@ from kfan.intlinalg import (
     dot,
     in_row_span,
     quotient,
+    rank,
     vec_sub,
 )
 from kfan.monoids import (
@@ -27,6 +31,7 @@ from kfan.monoids import (
 )
 
 Z1, Z2, Z3 = Lattice(1), Lattice(2), Lattice(3)
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +80,8 @@ def test_parallelepiped_points_of_skew_simplex():
 
 
 def test_parallelepiped_points_reduce_a_fixed_number_of_times(monkeypatch):
-    # one reduction serves every ray and every shifted point, so the
-    # count is the same for 1 point as for 49
+    # one reduction of the ray matrix gives every point, so the count is
+    # the same for 1 point as for 49
     reduce = intlinalg.smith_with_inverses
     calls = []
 
@@ -86,12 +91,77 @@ def test_parallelepiped_points_reduce_a_fixed_number_of_times(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "smith_with_inverses", counting)
     monkeypatch.setattr(monoids, "smith_with_inverses", counting)
-    counts = []
     for top in (2, 50):
         calls.clear()
         assert len(_parallelepiped_points([(1, 0), (1, top)], 2)) == top - 1
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        assert len(calls) == 1
+
+
+def fraction_inverse(square):
+    """The inverse of a square integer matrix over the rationals, by
+    Gauss-Jordan elimination on Fractions, or None when it is singular."""
+    d = len(square)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+            for i, row in enumerate(square)]
+    for col in range(d):
+        pivot = next((i for i in range(col, d) if rows[i][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(d):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return [row[d:] for row in rows]
+
+
+def parallelepiped_oracle(rays, n):
+    """The nonzero lattice points of the half-open parallelepiped of
+    linearly independent rays: every point of the box the rays span
+    whose exact Fraction coordinates on the rays lie in [0, 1)."""
+    d = len(rays)
+    # d coordinates on which the rays are independent give the coordinates
+    for coords in combinations(range(n), d):
+        inverse = fraction_inverse([[rays[j][k] for j in range(d)] for k in coords])
+        if inverse is not None:
+            break
+    lo = [sum(min(0, r[k]) for r in rays) for k in range(n)]
+    hi = [sum(max(0, r[k]) for r in rays) for k in range(n)]
+    points = []
+    for x in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        t = [sum(row[i] * x[k] for i, k in enumerate(coords)) for row in inverse]
+        if (
+            any(x)
+            and all(0 <= tj < 1 for tj in t)
+            and all(sum(tj * r[k] for tj, r in zip(t, rays)) == x[k] for k in range(n))
+        ):
+            points.append(x)
+    return points
+
+
+# entry bounds that keep the box small at each rank while the
+# multiplicity still reaches about 60
+ENTRY_BOUND = {1: 60, 2: 8, 3: 4, 4: 2}
+
+
+@st.composite
+def independent_rays(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, n))
+    b = ENTRY_BOUND[n]
+    rays = draw(
+        st.lists(st.tuples(*[st.integers(-b, b)] * n), min_size=d, max_size=d, unique=True)
+    )
+    assume(rank(IntMatrix(rays, ncols=n)) == d)
+    return rays, n
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(independent_rays())
+def test_parallelepiped_points_match_the_box_oracle(case):
+    rays, n = case
+    assert sorted(_parallelepiped_points(rays, n)) == parallelepiped_oracle(rays, n)
 
 
 def test_hilbert_basis_of_halfplane_splits_lineality():
@@ -289,6 +359,27 @@ def test_monoid_of_zero_cone_is_the_whole_lattice():
     assert m.coset_quotient.is_zero
     for v in product(range(-2, 3), repeat=2):
         assert m.contains(v)
+
+
+NON_SMOOTH_FANS = [
+    os.path.join(ROOT, *parts)
+    for parts in (
+        ("fans", "quadric-cone.json"),
+        ("tests", "golden", "weighted-p2.json"),
+        ("tests", "golden", "simplex-113.json"),
+    )
+]
+
+
+@pytest.mark.parametrize("path", NON_SMOOTH_FANS, ids=os.path.basename)
+def test_coset_group_of_a_cone_monoid_is_the_character_group(path):
+    fan = build_fan(load_fan_file(path))
+    assert not fan.is_smooth()
+    for c in fan.cones:
+        q = AffineMonoid.from_cone(c).coset_quotient
+        assert q == c.character_quotient()
+        # the same group as the quotient of M by the functionals vanishing on c
+        assert q == quotient(c.lattice.dual(), c.perp_lattice())
 
 
 def test_unit_generators_are_units_and_nonunits_are_not():

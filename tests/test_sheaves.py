@@ -159,7 +159,7 @@ def pushed_value(section, cone):
     """The component at a cone of the domain pushed forward from the
     first maximal cone of the domain containing it."""
     fan = section.sheaf.fan
-    top = next(t for t in section.domain.max_cones() if fan.is_face(cone, t))
+    top = next(t for t in section.domain.max_cones() if cone in fan.faces_of(t))
     return section.components[top].pushforward(section.sheaf.restriction(top, cone))
 
 
@@ -204,7 +204,7 @@ def test_home_table_matches_the_scan(path):
             assert s.value_at(cone) == pushed_value(s, cone)
         if len(tops) < len(domain.members):
             tables += 1
-            assert s._home == {c: next(t for t in tops if fan.is_face(c, t)) for c in domain.members}
+            assert s._home == {c: next(t for t in tops if c in fan.faces_of(t)) for c in domain.members}
     assert tables
 
 
