@@ -141,20 +141,6 @@ class CechComplex:
     def stalk(self, t: tuple) -> QuotientLattice:
         return self.sheaf.stalk(self.cone_of(t))
 
-    def _faces(self, t: tuple) -> tuple:
-        """(t's meet, its signed faces (s, (-1)^j, restriction)), kept
-        nowhere: s is t without index j, and the restriction of s's meet
-        onto t's is None where the meets are equal (``FanSheaf``
-        certifies a cone's restriction to itself as the identity)."""
-        meet = self._coface_meet(t[1:], t[0])
-        faces = []
-        for j in range(len(t)):
-            s = t[:j] + t[j + 1 :]
-            face = self.cone_of(s)
-            restriction = None if face == meet else self.sheaf.restriction(face, meet)
-            faces.append((s, -1 if j % 2 else 1, restriction))
-        return meet, tuple(faces)
-
     def zero_cochain(self, level: int) -> "Cochain":
         return Cochain(self, level, {})
 
@@ -244,19 +230,22 @@ class CechComplex:
 
     def _d_constraints(self, level: int, rhs: dict) -> list[Constraint]:
         """The equations d(x) = rhs for an unknown level-``level``
-        cochain x: one per tuple of the next level, in the order of
-        ``level_tuples``, over its ``_faces``; ``rhs`` maps tuples to
-        components."""
+        cochain x: one per tuple t of the next level, in the order of
+        ``level_tuples``, over its signed faces (s, (-1)^j, restriction
+        of s's meet onto t's), s being t without index j; ``rhs`` maps
+        tuples to components."""
         if level >= self.top_level:
             return []
         constraints = []
         for t in self.level_tuples(level + 1):
-            meet, faces = self._faces(t)
+            meet = self._coface_meet(t[1:], t[0])
             target = self.sheaf.stalk(meet)
-            identity = self.sheaf.restriction(meet, meet)
-            terms = tuple((s, sign, identity if r is None else r) for s, sign, r in faces)
+            terms = []
+            for j in range(len(t)):
+                s = t[:j] + t[j + 1 :]
+                terms.append((s, -1 if j % 2 else 1, self.sheaf.restriction(self.cone_of(s), meet)))
             value = rhs.get(t, GroupRingElement.zero(target))
-            constraints.append(Constraint(key=t, target=target, terms=terms, rhs=value))
+            constraints.append(Constraint(key=t, target=target, terms=tuple(terms), rhs=value))
         return constraints
 
     def random_cocycle(self, level: int, rng: random.Random) -> "Cochain":

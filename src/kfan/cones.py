@@ -233,6 +233,10 @@ class Cone:
                 raise CertificateError(
                     f"facet {u} of the cone on {prim} is not tight on rank {dim - 1}"
                 )
+        # rays of the facets among the input rays: the facets cut out the cone on prim
+        stray = set(cone.rays).difference(prim)
+        if stray:
+            raise CertificateError(f"ray {min(stray)} of the cone on {prim} is not one of its rays")
         if cone.rays != tuple(prim):
             return cls.from_rays(lattice, cone.rays)
         return cone
@@ -321,7 +325,8 @@ class Cone:
     def character_quotient(self, interned: dict | None = None) -> QuotientLattice:
         """M modulo the functionals vanishing on the cone: the character
         group of the minimal orbit of the affine toric variety.  Always
-        free, of rank dim; built once per cone.
+        free, of rank dim; built once per cone, and its projection
+        checked onto (P S = I for its section S) where it is built.
 
         ``interned`` maps perp rows to the group of the first cone that
         had them.  The quotient is a function of its relations, so a
@@ -332,6 +337,10 @@ class Cone:
             q = None if interned is None else interned.get(perp.rows)
             if q is None:
                 q = quotient(Lattice(self.lattice.rank), perp)
+                if q.projection @ q.section != IntMatrix.identity(q.coords_len):
+                    raise CertificateError(
+                        f"the projection onto the character group of {self!r} is not onto"
+                    )
             if not (q.is_free and q.free_rank == self.dim):
                 raise CertificateError(
                     f"character group of {self!r} is not free of rank {self.dim}"

@@ -703,8 +703,7 @@ def quotient(ambient: Lattice, relations: IntMatrix) -> QuotientLattice:
 
 class QuotientSurjection:
     """A surjection between quotients of the same ambient lattice,
-    expressed in normal-form coordinates, with a splitting when the
-    target is free.
+    expressed in normal-form coordinates.
 
     Onto a free target, a matrix whose rows are all unit vectors picks
     coordinates: ``selection`` holds the picked column of each row, and
@@ -714,21 +713,28 @@ class QuotientSurjection:
     Otherwise, and onto a torsion target, both are None: the matrix is
     applied and the image reduced."""
 
-    __slots__ = ("source", "target", "matrix", "splitting", "selection", "picker")
+    __slots__ = ("source", "target", "matrix", "selection", "picker", "_splitting")
 
-    def __init__(
-        self,
-        source: QuotientLattice,
-        target: QuotientLattice,
-        matrix: IntMatrix,
-        splitting: IntMatrix | None,
-    ):
+    def __init__(self, source: QuotientLattice, target: QuotientLattice, matrix: IntMatrix):
         self.source = source
         self.target = target
         self.matrix = matrix
-        self.splitting = splitting
         self.selection = _selection(matrix) if target.is_free else None
         self.picker = None if self.selection is None else picker(self.selection)
+        self._splitting = None
+
+    @property
+    def splitting(self) -> IntMatrix | None:
+        """A right inverse of the map onto a free target (None onto a
+        torsion one): the source's projection after the target's section,
+        built on the first read, so that only a caller that lifts pays
+        for it, and ``CertificateError`` unless matrix * splitting = I."""
+        if self._splitting is None and self.target.is_free:
+            splitting = self.source.projection @ self.target.section
+            if self.matrix @ splitting != IntMatrix.identity(self.target.coords_len):
+                raise CertificateError("splitting is not a right inverse of the surjection")
+            self._splitting = splitting
+        return self._splitting
 
     def apply(self, coords: Sequence[int]) -> Vec:
         if self.picker is not None:
@@ -742,9 +748,10 @@ class QuotientSurjection:
         return self.target.reduce(image) if self.target.invariant_factors else image
 
     def lift(self, coords: Sequence[int]) -> Vec:
-        if self.splitting is None:
-            raise ValueError("no splitting stored (target is not free)")
-        return self.source.reduce(self.splitting.apply(coords))
+        splitting = self.splitting
+        if splitting is None:
+            raise ValueError("no splitting (target is not free)")
+        return self.source.reduce(splitting.apply(coords))
 
     def maps_equal(self, other: "QuotientSurjection") -> bool:
         """Do the maps agree on every element?  Tested API, no library caller."""
@@ -789,9 +796,7 @@ def _selection(matrix: IntMatrix) -> tuple[int, ...] | None:
 
 def identity_surjection(q: QuotientLattice) -> QuotientSurjection:
     """The identity map of ``q``.  Tested API, no library caller."""
-    n = q.coords_len
-    eye = IntMatrix.identity(n)
-    return QuotientSurjection(q, q, eye, eye if q.is_free else None)
+    return QuotientSurjection(q, q, IntMatrix.identity(q.coords_len))
 
 
 def canonical_surjection(
@@ -800,7 +805,10 @@ def canonical_surjection(
     """The map M/S -> M/S' induced by the identity of M, for S <= S'.
 
     Raises NotASubquotient when the source relations do not lie in the
-    subgroup generated by the target relations.
+    subgroup generated by the target relations, and ``CertificateError``
+    unless phi . source.project == target.project on the basis of M.
+    No splitting is built here: ``QuotientSurjection.splitting`` builds
+    and checks one on its first read.
     """
     if source.ambient != target.ambient:
         raise NotASubquotient("different ambient lattices")
@@ -809,15 +817,7 @@ def canonical_surjection(
     for row in source.relations.rows:
         if not target.is_relation(row):
             raise NotASubquotient(f"relation {row} not in target relations")
-    matrix = target.projection @ source.section
-    splitting = None
-    if target.is_free:
-        splitting = source.projection @ target.section
-    phi = QuotientSurjection(source, target, matrix, splitting)
-    if phi.splitting is not None and (
-        phi.matrix @ phi.splitting != IntMatrix.identity(target.coords_len)
-    ):
-        raise CertificateError("splitting is not a right inverse of the surjection")
+    phi = QuotientSurjection(source, target, target.projection @ source.section)
     # cross-check: phi . source.project == target.project on the ambient
     # basis, whose raw images under the projections are their columns
     columns = zip(source.projection.transpose().rows, target.projection.transpose().rows)
@@ -831,8 +831,4 @@ def compose(outer: QuotientSurjection, inner: QuotientSurjection) -> QuotientSur
     """outer . inner (inner applied first)."""
     if inner.target != outer.source:
         raise ValueError("surjections do not compose")
-    matrix = outer.matrix @ inner.matrix
-    splitting = None
-    if inner.splitting is not None and outer.splitting is not None:
-        splitting = inner.splitting @ outer.splitting
-    return QuotientSurjection(inner.source, outer.target, matrix, splitting)
+    return QuotientSurjection(inner.source, outer.target, outer.matrix @ inner.matrix)

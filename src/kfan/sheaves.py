@@ -35,8 +35,9 @@ one certified map per distinct pair of stalks, shared by every face
 pair between them.  A command reads few of them: a member of H0 on
 P1 x P1 x P1 reads the maps of its walls only.  The certificate
 is per object (``FanSheaf``): each distinct stalk's projection is
-checked onto and each distinct map commutes with the projections, and
-identity and functoriality on every chain follow from those.
+checked onto where it is built and each distinct map commutes with the
+projections, and identity and functoriality on every chain follow from
+those; a map's splitting is no part of it.
 
 Whether values on maximal cones agree on their meets is asked in one
 place, ``first_disagreement``: by ``Section.check`` here and by H0
@@ -60,7 +61,6 @@ from itertools import product
 from .cones import MAX_RANK, Cone, Fan, Subfan
 from .intlinalg import (
     CertificateError,
-    IntMatrix,
     Vec,
     QuotientLattice,
     QuotientSurjection,
@@ -85,7 +85,7 @@ class FanSheaf:
     the restriction from sigma to a face tau is the pushforward along
     the canonical surjection M_sigma -> M_tau.
 
-    ``stalk(sigma)`` builds sigma's character group on its first read,
+    ``stalk(sigma)`` keeps sigma's character group from its first read,
     interned by perp rows (``Cone.character_quotient``): one quotient
     per distinct perp lattice, shared by the cones that have it.
     ``restriction(sigma, tau)`` builds one ``canonical_surjection`` per
@@ -97,10 +97,12 @@ class FanSheaf:
     The certificate is per object, not per chain.  Write pi_sigma for
     the projection M -> M_sigma of the stalk's quotient; each distinct
     stalk is checked once for P S = I (its projection times its
-    section), so pi_sigma is onto.  Each distinct map phi_sigma,tau is
-    checked by ``canonical_surjection``: the source relations lie in
-    the target's, the splitting is a right inverse, and phi pi_sigma =
-    pi_tau on the basis of M.  Identity and functoriality follow:
+    section) where ``Cone.character_quotient`` builds it, so pi_sigma
+    is onto.  Each distinct map phi_sigma,tau is checked by
+    ``canonical_surjection``: the source relations lie in the target's,
+    and phi pi_sigma = pi_tau on the basis of M.  The splitting leaves
+    the map's certificate: it is checked on its first read, where the
+    non-smooth search lifts.  Identity and functoriality follow:
 
     - phi_sigma,sigma pi_sigma = pi_sigma and pi_sigma is onto, so
       phi_sigma,sigma is the identity;
@@ -124,12 +126,7 @@ class FanSheaf:
         """The character group M_sigma of a cone of the fan."""
         q = self._stalks.get(sigma)
         if q is None:
-            distinct = len(self._interned)
-            q = self.fan.canonical(sigma).character_quotient(self._interned)
-            new = len(self._interned) > distinct  # one entry per distinct stalk
-            if new and q.projection @ q.section != IntMatrix.identity(q.coords_len):
-                raise CertificateError(f"the projection onto the stalk at {sigma!r} is not onto")
-            self._stalks[sigma] = q
+            q = self._stalks[sigma] = self.fan.canonical(sigma).character_quotient(self._interned)
         return q
 
     def restriction(self, sigma: Cone, tau: Cone) -> QuotientSurjection:

@@ -8,13 +8,15 @@ right-hand side:
 
 Such systems have infinitely many coordinates, so the solver restricts
 the unknowns to finite candidate supports: right-hand-side support
-points are lifted into the slots through the stored splittings of the
-surjections, then the candidate sets are closed under the constraint
-maps (push a candidate to a target, lift the image into every other
-participating slot) for a bounded number of rounds.  On each round one
-integer linear system over the chosen support is solved exactly; it is
-block-diagonal in the connected components of the variable/equation
-incidence graph, and the blocks are solved independently.
+points are lifted into the slots through the splittings of the
+surjections, each built and checked as a right inverse on its first
+read here (``QuotientSurjection.splitting``); then the candidate sets
+are closed under the constraint maps (push a candidate to a target,
+lift the image into every other participating slot) for a bounded
+number of rounds.  On each round one integer linear system over the
+chosen support is solved exactly; it is block-diagonal in the connected
+components of the variable/equation incidence graph, and the blocks are
+solved independently.
 
 A failure to solve within the configured depth is reported as
 ``SolverGaveUp`` and is never a claim that no solution exists.

@@ -22,6 +22,8 @@ from kfan.report import (
 from kfan.sheaves import Section, sheaf_a0
 from test_fan_construction import load_gen_fans
 
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
 P1 = {
     "name": "P1",
     "lattice_rank": 1,
@@ -719,13 +721,32 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
         comps[first] = GroupRingElement.character(ring.sheaf.stalk(first), m)
         return sheaves.Section(ring.sheaf, ring.domain, comps)
 
-    surjection_init = intlinalg.QuotientSurjection.__init__
+    splitting = intlinalg.QuotientSurjection.splitting
 
-    def zero_splitting_init(self, source, target, matrix, splitting):
-        if splitting is not None:
-            splitting = intlinalg.IntMatrix.zero(splitting.nrows, splitting.ncols)
-        surjection_init(self, source, target, matrix, splitting)
+    def from_a_zero_section(self):
+        # the splitting is built from the target's section: make it zero
+        target, section = self.target, self.target.section
+        target.section = intlinalg.IntMatrix.zero(section.nrows, section.ncols)
+        try:
+            return splitting.fget(self)
+        finally:
+            target.section = section
 
+    quotient = cones.quotient
+
+    def doubled_projection(ambient, relations):
+        # free of the same rank, but P S = 2 I: the projection is not onto
+        q = quotient(ambient, relations)
+        doubled = [[2 * x for x in row] for row in q.projection.rows]
+        projection = intlinalg.IntMatrix(doubled, ncols=ambient.rank)
+        return intlinalg.QuotientLattice(ambient, relations, (), q.free_rank, projection, q.section)
+
+    path, nonsmooth, square, simplex = sys.argv[1:]
+    # the non-smooth search lifts through splittings, built from a zero
+    # section: the first onto a nonzero group is no right inverse
+    intlinalg.QuotientSurjection.splitting = property(from_a_zero_section)
+    print(main(["check-flasque", nonsmooth, "--trials", "2", "--experimental-nonsmooth"]))
+    intlinalg.QuotientSurjection.splitting = splitting
     # smooth fans: the contraction and the extension by tau-parts now
     # return zero
     cech.CechComplex._contract = zero_witness
@@ -734,13 +755,15 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     cech.solve_pushforward_system = wrong_solver
     sheaves.solve_pushforward_system = wrong_solver
     cech.H0Ring.character = wrong_character
-    path, nonsmooth, square = sys.argv[1:]
     print(main(["check-exactness", path, "--level", "1", "--trials", "2"]))
     print(main(["check-flasque", path, "--trials", "2"]))
     print(main(["check-flasque", nonsmooth, "--trials", "2", "--experimental-nonsmooth"]))
     print(main(["k0-global", path]))
-    intlinalg.QuotientSurjection.__init__ = zero_splitting_init
-    print(main(["check-flasque", path, "--trials", "2"]))
+    # character groups are certified where they are built
+    cones.quotient = doubled_projection
+    print(main(["k0-affine", simplex, "--cone", "7"]))
+    print(main(["kclass", "--fan", simplex, "--cone", "7", "--shifts", "[[0,0,0],[1,0,0]]"]))
+    cones.quotient = quotient
 
     dual_ray_generators = cones.dual_ray_generators
 
@@ -748,8 +771,15 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
         lin, rays = dual_ray_generators(vectors, rank)
         return lin + [(1,) + (0,) * (rank - 1)], rays
 
+    def dropped_facet(vectors, rank):
+        # the facets of the square's four rays, one of them dropped
+        lin, rays = dual_ray_generators(vectors, rank)
+        return (lin, rays[1:]) if len(vectors) == len(rays) == 4 else (lin, rays)
+
     # the double descriptions run on the square's four dependent rays
     cones.dual_ray_generators = spurious_lineality
+    print(main(["info", square]))
+    cones.dual_ray_generators = dropped_facet
     print(main(["info", square]))
     cones.dual_ray_generators = dual_ray_generators
     # independent rays take the pairing check instead
@@ -778,6 +808,7 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
             fanfile(P2),
             fanfile(WEIGHTED_P2, name="weighted.json"),
             fanfile(SQUARE_CONE, name="square.json"),
+            os.path.join(ROOT, "tests", "golden", "simplex-113.json"),
         ],
         capture_output=True,
         text=True,
@@ -785,16 +816,78 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1"] * 7
-    assert proc.stderr.count("certificate failed its re-check") == 7
+    assert proc.stdout.split() == ["1"] * 10
+    assert proc.stderr.count("certificate failed its re-check") == 10
     assert "witness fails d(b) = z" in proc.stderr
     assert "character tuple for" in proc.stderr
     assert proc.stderr.count("extension does not restrict") + proc.stderr.count(
         "extension is not a global section"
     ) == 2
     assert "splitting is not a right inverse" in proc.stderr
+    assert proc.stderr.count("is not onto") == 2
     assert "cut out a line" in proc.stderr
+    assert "is not one of its rays" in proc.stderr
     assert "fails the pairing check" in proc.stderr
+
+
+def doubled_projection(ambient, relations):
+    """``intlinalg.quotient`` with its projection doubled: free of the
+    same rank, but P S = 2 I, so the projection is not onto."""
+    q = intlinalg.quotient(ambient, relations)
+    doubled = [[2 * x for x in row] for row in q.projection.rows]
+    projection = intlinalg.IntMatrix(doubled, ncols=ambient.rank)
+    return intlinalg.QuotientLattice(ambient, relations, (), q.free_rank, projection, q.section)
+
+
+@pytest.mark.parametrize("cone", ["6", "7"])
+@pytest.mark.parametrize("command", ["k0-affine", "kclass"])
+def test_a_character_group_is_certified_where_it_is_built(monkeypatch, capsys, command, cone):
+    # k0-affine and kclass read character groups outside any sheaf: the
+    # check P S = I runs where Cone.character_quotient builds them
+    monkeypatch.setattr(cones, "quotient", doubled_projection)
+    path = os.path.join(ROOT, "tests", "golden", "simplex-113.json")
+    argv = ["k0-affine", path] if command == "k0-affine" else ["kclass", "--fan", path]
+    argv += ["--cone", cone] + (["--shifts", "[[0,0,0],[1,0,0]]"] if command == "kclass" else [])
+    assert main(argv) == 1
+    assert "is not onto" in capsys.readouterr().err
+
+
+def test_smooth_commands_read_no_splitting(monkeypatch):
+    def refuse(self):
+        raise RuntimeError(f"the splitting of {self!r} was read")
+
+    monkeypatch.setattr(intlinalg.QuotientSurjection, "splitting", property(refuse))
+    path = os.path.join(ROOT, "bench", "fans", "p1xp1xp1.json")
+    for argv in (
+        ["check-exactness", path, "--level", "1", "--trials", "2"],
+        ["check-exactness", path, "--level", "2", "--trials", "2"],
+        ["check-flasque", path, "--trials", "2"],
+        ["k0-global", path, "--sample", "3"],
+    ):
+        assert main(argv) == 0
+
+
+def test_a_wrong_splitting_is_caught_at_its_first_lift(monkeypatch, capsys):
+    splitting = intlinalg.QuotientSurjection.splitting
+    reads = []
+
+    def from_a_zero_section(self):
+        # the splitting is built from the target's section: make it zero
+        reads.append(self)
+        target, section = self.target, self.target.section
+        target.section = intlinalg.IntMatrix.zero(section.nrows, section.ncols)
+        try:
+            return splitting.fget(self)
+        finally:
+            target.section = section
+
+    monkeypatch.setattr(intlinalg.QuotientSurjection, "splitting", property(from_a_zero_section))
+    path = os.path.join(ROOT, "tests", "golden", "weighted-p2.json")
+    assert main(["check-flasque", path, "--experimental-nonsmooth"]) == 1
+    assert "splitting is not a right inverse" in capsys.readouterr().err
+    # onto the zero group any splitting is a right inverse: the check
+    # fails at the first read onto a nonzero group, and nothing follows
+    assert [phi.target.is_zero for phi in reads] == [True] * (len(reads) - 1) + [False]
 
 
 def test_info_compares_cones_linearly_on_a_256_cone_ladder(fanfile, monkeypatch):

@@ -258,8 +258,8 @@ def surjection_pairs(draw, free: bool):
             other.append([x + target.invariant_factors[i] * y for x, y in zip(row, extra)])
         else:
             other.append([x + y for x, y in zip(row, extra)])
-    phi = QuotientSurjection(source, target, matrix, None)
-    psi = QuotientSurjection(source, target, IntMatrix(other, ncols=shape[1]), None)
+    phi = QuotientSurjection(source, target, matrix)
+    psi = QuotientSurjection(source, target, IntMatrix(other, ncols=shape[1]))
     return phi, psi
 
 
@@ -274,7 +274,7 @@ def test_maps_equal_matches_the_basis_comparison(pair):
 def test_maps_equal_on_torsion_targets_reduces_first():
     target = quotient(Lattice(1), IntMatrix([[3]]))
     source = quotient(Lattice(1), IntMatrix([], ncols=1))
-    phi = QuotientSurjection(source, target, IntMatrix([[1]]), None)
-    psi = QuotientSurjection(source, target, IntMatrix([[4]]), None)
+    phi = QuotientSurjection(source, target, IntMatrix([[1]]))
+    psi = QuotientSurjection(source, target, IntMatrix([[4]]))
     assert phi.maps_equal(psi)
-    assert not phi.maps_equal(QuotientSurjection(source, target, IntMatrix([[2]]), None))
+    assert not phi.maps_equal(QuotientSurjection(source, target, IntMatrix([[2]])))

@@ -254,8 +254,10 @@ SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
         (1, lambda lin, rays: (lin + [(1, 0, 0)], rays), "cut out a line"),
         (0, lambda lin, rays: (lin, rays + [(1, 1, -2)]), "violates a facet"),
         (1, lambda lin, rays: (lin, rays[:3]), "is not tight on rank 2"),
+        # one facet fewer cuts out the cone on (0,0,1), (0,1,1), (1,0,0)
+        (0, lambda lin, rays: (lin, rays[1:]), "is not one of its rays"),
     ],
-    ids=["line", "violated", "not-tight"],
+    ids=["line", "violated", "not-tight", "dropped"],
 )
 def test_from_rays_cross_checks_raise_on_the_square(monkeypatch, call, corrupt, message):
     patch_dual_ray_generators(monkeypatch, call, corrupt)

@@ -41,7 +41,12 @@ reports (``simplex-113.json`` is the one cone on (1,0,0), (0,1,0),
 seven elements, and cone 6 a face whose dual has lineality) were
 captured before parallelepiped points came from one Smith reduction of
 the ray matrix and a cone monoid's coset group from its cone's
-character group.  A change meant to alter these
+character group.  ``k0-affine-simplex-113`` and
+``k0-affine-simplex-113-face`` (non-smooth character groups), and
+``info-cube`` and ``hilbert-cube`` (``cube.json`` is the face fan of
+the cube [-1, 1]^3: six square maximal cones, ids 21 to 26) were
+captured before character groups came to be certified where they are
+built and splittings on their first read.  A change meant to alter these
 reports must say so and regenerate them from the repository root with
 
     PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json
@@ -102,6 +107,10 @@ GOLDEN = {
     "hilbert-simplex-113": "hilbert tests/golden/simplex-113.json --cone 7",
     "hilbert-simplex-113-face": "hilbert tests/golden/simplex-113.json --cone 6",
     "kclass-simplex-113-face": f"kclass --fan tests/golden/simplex-113.json --cone 6 --shifts {SHIFTS_113}",
+    "k0-affine-simplex-113": "k0-affine tests/golden/simplex-113.json --cone 7",
+    "k0-affine-simplex-113-face": "k0-affine tests/golden/simplex-113.json --cone 6",
+    "info-cube": "info tests/golden/cube.json",
+    "hilbert-cube": "hilbert tests/golden/cube.json --cone 26",
 }
 # the reports of these commands end in exit 1 (a non-member, with witness)
 # or in exit 3 (the support solver gave up on a non-smooth fan)

@@ -153,23 +153,24 @@ def test_walk_signs_and_meets_match_the_reference(fan, seed):
 
 @pytest.mark.parametrize("name,make", FANS, ids=[name for name, _ in FANS])
 def test_plan_faces_are_the_incidences(name, make):
-    # each tuple's signed faces come with the sheaf's restrictions;
-    # identity faces are exactly those with its own meet
+    # each equation's signed faces come with the sheaf's restrictions;
+    # a face with the tuple's own meet reads the identity, the same map
+    # as the meet's restriction to itself
     cx = CechComplex(make())
-    for level in range(1, min(cx.top_level, 3) + 1):
-        for t in cx.level_tuples(level):
-            meet, faces = cx._faces(t)
-            assert meet == cx.cone_of(t)
-            assert [(s, sign) for s, sign, _ in faces] == [
+    for level in range(0, min(cx.top_level, 3)):
+        constraints = cx._d_constraints(level, {})
+        assert [c.key for c in constraints] == list(cx.level_tuples(level + 1))
+        for c in constraints:
+            t, meet = c.key, cx.cone_of(c.key)
+            assert c.target is cx.stalk(t)
+            assert [(s, sign) for s, sign, _ in c.terms] == [
                 (t[:j] + t[j + 1 :], -1 if j % 2 else 1) for j in range(len(t))
             ]
-            for s, _, restriction in faces:
-                incidence = cx.sheaf.restriction(cx.cone_of(s), meet)
-                if restriction is None:
-                    assert cx.cone_of(s) == meet
-                    assert incidence.maps_equal(identity_surjection(cx.stalk(t)))
-                else:
-                    assert cx.cone_of(s) != meet and restriction is incidence
+            for s, _, restriction in c.terms:
+                assert restriction is cx.sheaf.restriction(cx.cone_of(s), meet)
+                if cx.cone_of(s) == meet:
+                    assert restriction is cx.sheaf.restriction(meet, meet)
+                    assert restriction.maps_equal(identity_surjection(cx.stalk(t)))
 
 
 def test_membership_witness_matches_the_reference():

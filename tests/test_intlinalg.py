@@ -297,16 +297,15 @@ def _z2_onto_z():
     return source, target
 
 
-def test_canonical_surjection_rejects_a_wrong_splitting(monkeypatch):
+def test_canonical_surjection_rejects_a_wrong_splitting():
+    # the map builds no splitting: one built from a zero section of the
+    # target is rejected on its first read, and lifting reads it
     source, target = _z2_onto_z()
-    init = QuotientSurjection.__init__
-
-    def zero_splitting(self, source, target, matrix, splitting):
-        init(self, source, target, matrix, IntMatrix.zero(splitting.nrows, splitting.ncols))
-
-    monkeypatch.setattr(QuotientSurjection, "__init__", zero_splitting)
-    with pytest.raises(CertificateError, match="right inverse"):
-        canonical_surjection(source, target)
+    phi = canonical_surjection(source, target)
+    target.section = IntMatrix.zero(target.section.nrows, target.section.ncols)
+    for read in (lambda: phi.splitting, lambda: phi.lift((1,))):
+        with pytest.raises(CertificateError, match="right inverse"):
+            read()
 
 
 def test_canonical_surjection_rejects_a_map_off_the_projections(monkeypatch):
@@ -340,10 +339,15 @@ def test_canonical_surjection_rejects_a_hand_built_relation_outside_the_target()
 
 def test_canonical_surjection_rejects_a_hand_built_splitting_that_is_no_right_inverse():
     # the source's section swaps the coordinates: the map picks the
-    # second one, and the splitting puts the first back
-    source = _free([], [(1, 0), (0, 1)], [(0, 1), (1, 0)])
+    # second one, and the splitting puts the first back.  The map is
+    # rejected by its own certificate; built by hand, its splitting is
+    # rejected on the first read
+    source, target = _free([], [(1, 0), (0, 1)], [(0, 1), (1, 0)]), _free(*_ONTO_FIRST)
+    with pytest.raises(CertificateError, match="projections"):
+        canonical_surjection(source, target)
+    phi = QuotientSurjection(source, target, target.projection @ source.section)
     with pytest.raises(CertificateError, match="right inverse"):
-        canonical_surjection(source, _free(*_ONTO_FIRST))
+        phi.splitting
 
 
 def test_canonical_surjection_rejects_a_hand_built_map_off_the_projections():

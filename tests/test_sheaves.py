@@ -480,7 +480,9 @@ def assert_the_scan_matches_the_pairwise_scan(fan, rng):
 
 @pytest.mark.parametrize("fan", [pytest.param(fan, id=name) for name, fan in complete_fans()])
 def test_the_wall_scan_matches_the_pairwise_scan_on_complete_fans(fan):
-    if fan.lattice.rank >= 2:
+    # only simplicial fans have their walls certified (the cube's face
+    # fan among the goldens has square maximal cones)
+    if fan.lattice.rank >= 2 and all(c.is_simplicial() for c in fan.max_cones):
         assert walls(fan)
     assert_the_scan_matches_the_pairwise_scan(fan, random.Random(len(fan.cones)))
 
