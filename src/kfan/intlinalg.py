@@ -828,7 +828,9 @@ def canonical_surjection(
 
 
 def compose(outer: QuotientSurjection, inner: QuotientSurjection) -> QuotientSurjection:
-    """outer . inner (inner applied first)."""
+    """outer . inner (inner applied first), whose splitting, as any
+    map's, is built from its own source and target on the first read.
+    Tested API, no library caller."""
     if inner.target != outer.source:
         raise ValueError("surjections do not compose")
     return QuotientSurjection(inner.source, outer.target, outer.matrix @ inner.matrix)

@@ -278,16 +278,20 @@ def test_surjection_composition_square():
 
 
 def test_compose_splitting_is_right_inverse():
+    # Z^3 -> Z^2 + Z/2 -> Z: the middle group has torsion, so the first
+    # factor has no splitting to compose, but the composite is split
     m = quotient(Lattice(3), IntMatrix([], ncols=3))
     q1 = quotient(Lattice(3), IntMatrix([[0, 0, 2]]))
-    q2 = quotient(Lattice(3), IntMatrix([[0, 0, 2], [0, 1, 0]]))
+    q2 = quotient(Lattice(3), IntMatrix([[0, 0, 1], [0, 1, 0]]))
     a = canonical_surjection(m, q1)
     b = canonical_surjection(q1, q2)
     c = compose(b, a)
-    if c.splitting is not None:
-        for j in range(c.target.coords_len):
-            e = tuple(1 if i == j else 0 for i in range(c.target.coords_len))
-            assert c.apply(c.lift(e)) == c.target.reduce(e)
+    assert a.splitting is None and c.matrix == b.matrix @ a.matrix
+    assert c.maps_equal(canonical_surjection(m, q2))
+    assert c.matrix @ c.splitting == IntMatrix.identity(c.target.coords_len)
+    for j in range(c.target.coords_len):
+        e = tuple(1 if i == j else 0 for i in range(c.target.coords_len))
+        assert c.apply(c.lift(e)) == b.apply(a.apply(c.lift(e))) == e
 
 
 def _z2_onto_z():

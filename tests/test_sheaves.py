@@ -478,12 +478,20 @@ def assert_the_scan_matches_the_pairwise_scan(fan, rng):
     assert set(verdicts) == ({True, False} if len(fan.max_cones) > 1 else {True})
 
 
-@pytest.mark.parametrize("fan", [pytest.param(fan, id=name) for name, fan in complete_fans()])
-def test_the_wall_scan_matches_the_pairwise_scan_on_complete_fans(fan):
-    # only simplicial fans have their walls certified (the cube's face
-    # fan among the goldens has square maximal cones)
-    if fan.lattice.rank >= 2 and all(c.is_simplicial() for c in fan.max_cones):
-        assert walls(fan)
+# the complete fans with a maximal cone that is not simplicial, which
+# the wall certificate does not cover: the cube's face fan has squares
+NOT_SIMPLICIAL = {"tests/golden/cube.json"}
+
+
+@pytest.mark.parametrize("name,fan", [pytest.param(name, fan, id=name) for name, fan in complete_fans()])
+def test_the_wall_scan_matches_the_pairwise_scan_on_complete_fans(name, fan):
+    simplicial = all(c.is_simplicial() for c in fan.max_cones)
+    assert simplicial == (name not in NOT_SIMPLICIAL)
+    if fan.lattice.rank >= 2:
+        if simplicial:
+            assert walls(fan)
+        else:
+            assert _certified_walls(fan.lattice.rank, list(fan.max_cones)) is None
     assert_the_scan_matches_the_pairwise_scan(fan, random.Random(len(fan.cones)))
 
 
