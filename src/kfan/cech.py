@@ -141,12 +141,6 @@ class CechComplex:
     def stalk(self, t: tuple) -> QuotientLattice:
         return self.sheaf.stalk(self.cone_of(t))
 
-    def zero_cochain(self, level: int) -> "Cochain":
-        return Cochain(self, level, {})
-
-    def cochain(self, level: int, components: dict) -> "Cochain":
-        return Cochain(self, level, components)
-
     def d(self, c: "Cochain") -> "Cochain":
         """The alternating-sign differential, walked over the pairs (s, i)
         of c's support and the indices outside s (see the module)."""

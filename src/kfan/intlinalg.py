@@ -197,22 +197,41 @@ def _det(rows: Sequence[Vec]) -> int:
             return p * s - q * r
         (p, q, r), (s, t, u), (v, w, x) = rows
         return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
+    r, pivot = _bareiss(rows, n)
+    return pivot if r == n else 0
+
+
+def _bareiss(rows: Sequence[Vec], ncols: int) -> tuple[int, int]:
+    """Fraction-free (Bareiss) row elimination: the rank, and the last
+    pivot signed by the row swaps, which is the determinant of a square
+    matrix of full rank.
+
+    Every entry below the pivot rows is a minor of the input, so each
+    division by the previous pivot is exact and the entries stay as
+    small as those minors.
+    """
+    m = [list(r) for r in rows if any(r)]
+    n = len(m)
+    r = 0
+    prev = sign = 1
+    for c in range(ncols):
+        pivot = next((i for i in range(r, n) if m[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, n):
+            row = m[i]
+            x = row[c]
+            m[i] = [(p * row[j] - x * top[j]) // prev for j in range(ncols)]
+        prev = p
+        r += 1
+        if r == n:
+            break
+    return r, sign * prev
 
 
 def _cross(rows: Sequence[Vec]) -> list[int]:
@@ -455,32 +474,8 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def rank(a: IntMatrix) -> int:
-    """The rank, by fraction-free (Bareiss) row elimination.
-
-    Every entry below the pivot rows is a minor of the input, so each
-    division by the previous pivot is exact and the entries stay as
-    small as those minors.
-    """
-    rows = [list(r) for r in a.rows if any(r)]
-    m = len(rows)
-    r = 0
-    prev = 1
-    for c in range(a.ncols):
-        pivot = next((i for i in range(r, m) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r]
-        p = top[c]
-        for i in range(r + 1, m):
-            row = rows[i]
-            x = row[c]
-            rows[i] = [(p * row[j] - x * top[j]) // prev for j in range(a.ncols)]
-        prev = p
-        r += 1
-        if r == m:
-            break
-    return r
+    """The rank, by fraction-free elimination (``_bareiss``)."""
+    return _bareiss(a.rows, a.ncols)[0]
 
 
 def normal_vector(a: IntMatrix) -> Vec | None:
@@ -725,10 +720,12 @@ class QuotientSurjection:
 
     @property
     def splitting(self) -> IntMatrix | None:
-        """A right inverse of the map onto a free target (None onto a
-        torsion one): the source's projection after the target's section,
-        built on the first read, so that only a caller that lifts pays
-        for it, and ``CertificateError`` unless matrix * splitting = I."""
+        """A right inverse of the map onto a free target: the source's
+        projection after the target's section, built from the map's own
+        source and target on the first read, so that only a caller that
+        lifts pays for it, and ``CertificateError`` unless matrix *
+        splitting = I.  None onto a torsion target, where ``lift``
+        raises; no sheaf restriction is one, as every stalk is free."""
         if self._splitting is None and self.target.is_free:
             splitting = self.source.projection @ self.target.section
             if self.matrix @ splitting != IntMatrix.identity(self.target.coords_len):
@@ -752,20 +749,6 @@ class QuotientSurjection:
         if splitting is None:
             raise ValueError("no splitting (target is not free)")
         return self.source.reduce(splitting.apply(coords))
-
-    def maps_equal(self, other: "QuotientSurjection") -> bool:
-        """Do the maps agree on every element?  Tested API, no library caller."""
-        if self.source != other.source or self.target != other.target:
-            return False
-        if self.target.is_free:
-            # reduce is the identity: apply(e_j) is column j of the matrix
-            return self.matrix == other.matrix
-        m = self.source.coords_len
-        for j in range(m):
-            e = tuple(1 if i == j else 0 for i in range(m))
-            if self.apply(e) != other.apply(e):
-                return False
-        return True
 
     def __repr__(self) -> str:
         return f"QuotientSurjection({self.source!r} -> {self.target!r})"
@@ -792,11 +775,6 @@ def _selection(matrix: IntMatrix) -> tuple[int, ...] | None:
             return None
         picks.append(row.index(1))
     return tuple(picks)
-
-
-def identity_surjection(q: QuotientLattice) -> QuotientSurjection:
-    """The identity map of ``q``.  Tested API, no library caller."""
-    return QuotientSurjection(q, q, IntMatrix.identity(q.coords_len))
 
 
 def canonical_surjection(
@@ -826,11 +804,3 @@ def canonical_surjection(
             raise CertificateError("surjection does not commute with the projections")
     return phi
 
-
-def compose(outer: QuotientSurjection, inner: QuotientSurjection) -> QuotientSurjection:
-    """outer . inner (inner applied first), whose splitting, as any
-    map's, is built from its own source and target on the first read.
-    Tested API, no library caller."""
-    if inner.target != outer.source:
-        raise ValueError("surjections do not compose")
-    return QuotientSurjection(inner.source, outer.target, outer.matrix @ inner.matrix)

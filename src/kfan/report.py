@@ -79,7 +79,7 @@ def cochain_from_jsonable(complex, data) -> Cochain:
         if not complex.is_level_tuple(key, level):
             raise ValueError(f"tuple {t!r} is not a level-{level} tuple")
         comps[key] = element_from_jsonable(complex.stalk(key), val)
-    return complex.cochain(level, comps)
+    return Cochain(complex, level, comps)
 
 
 @dataclass

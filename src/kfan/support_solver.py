@@ -10,7 +10,11 @@ Such systems have infinitely many coordinates, so the solver restricts
 the unknowns to finite candidate supports: right-hand-side support
 points are lifted into the slots through the splittings of the
 surjections, each built and checked as a right inverse on its first
-read here (``QuotientSurjection.splitting``); then the candidate sets
+read here (``QuotientSurjection.splitting``).  Every surjection the
+callers hand in maps onto a stalk of the structure sheaf, free of rank
+the cone's dimension (``Cone.character_quotient`` certifies it), so
+every one has a splitting; a map onto a torsion group would raise in
+``lift`` rather than be skipped.  Then the candidate sets
 are closed under the constraint maps (push a candidate to a target,
 lift the image into every other participating slot) for a bounded
 number of rounds.  On each round one integer linear system over the
@@ -93,9 +97,7 @@ def _initial_candidates(constraints: Sequence[Constraint]) -> dict:
     cand: dict = {}
     for c in constraints:
         for slot, _sign, phi in c.terms:
-            pts = cand.setdefault(slot, set())
-            if phi.splitting is not None:
-                pts.update(phi.lift(t) for t in c.rhs.support())
+            cand.setdefault(slot, set()).update(phi.lift(t) for t in c.rhs.support())
     return cand
 
 
@@ -115,8 +117,7 @@ def _expand(cand: dict, constraints: Sequence[Constraint]) -> None:
     for c in constraints:
         for t in sorted(new_targets[c.key]):
             for slot, _sign, phi in c.terms:
-                if phi.splitting is not None:
-                    cand[slot].add(phi.lift(t))
+                cand[slot].add(phi.lift(t))
     by_slot: dict = {}
     for c in constraints:
         for slot, _sign, phi in c.terms:

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from itertools import product
 
 from kfan.catalog import smooth_corpus
-from kfan.cech import CechComplex, H0Ring, verify_exactness
+from kfan.cech import CechComplex, Cochain, H0Ring, verify_exactness
 from kfan.cli import run as cli_run
 from kfan.cones import Cone, zero_cone
 from kfan.graded import (
@@ -211,7 +211,7 @@ def test_criterion_4_differential_squares_to_zero():
                         for _ in range(rng.randint(0, 3))
                     }
                     comps[t] = GroupRingElement(q, terms)
-                c = cx.cochain(level, comps)
+                c = Cochain(cx, level, comps)
                 dc = cx.d(c)
                 if dc.level < cx.top_level:
                     assert cx.d(dc).is_zero(), (name, level)

@@ -8,6 +8,7 @@ attribute for the duration of one call.  Each case runs in-process and,
 all together, in one ``python -O`` subprocess.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -259,3 +260,16 @@ def test_check_raises(name):
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_check_raises_under_python_O(optimized_outcomes, name):
     assert optimized_outcomes[name] == EXPECTED[name]
+
+
+def test_the_library_has_no_assert_statement():
+    # python -O strips assert statements, so every check must raise; a
+    # grep for "assert " would miss assert(x)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "kfan")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as f:
+                tree = ast.parse(f.read(), name)
+            found += [f"{name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []

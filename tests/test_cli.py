@@ -553,6 +553,44 @@ def test_kclass_follows_the_integer_rule(generators, shifts):
     assert run(["kclass", "--generators", generators, "--shifts", shifts]) == 2
 
 
+INT_ROWS = st.lists(st.integers(-3, 3), max_size=3)
+# near misses of each option's shape, besides arbitrary JSON: elements
+# keyed by maximal-cone indices, and lists of integer rows
+ELEMENTS = JSON_VALUES | st.dictionaries(
+    st.sampled_from(["0", "1", "2", "3", "-1", "01"]),
+    JSON_VALUES
+    | st.lists(
+        st.tuples(INT_ROWS | JSON_VALUES, st.integers(-3, 3) | JSON_VALUES).map(list),
+        max_size=3,
+    ),
+    max_size=3,
+)
+ROWS = JSON_VALUES | st.lists(INT_ROWS | JSON_VALUES, max_size=4)
+
+
+@st.composite
+def json_options(draw):
+    """``k0-global --element``, ``kclass --generators`` or ``kclass
+    --shifts`` set to a drawn JSON value, the other option well formed.
+    The ``--option=value`` form keeps a value such as -Infinity the
+    option's argument."""
+    option = draw(st.sampled_from(["element", "generators", "shifts"]))
+    if option == "element":
+        p2 = os.path.join(ROOT, "fans", "p2.json")
+        return ["k0-global", p2, "--element=" + json.dumps(draw(ELEMENTS))]
+    if option == "generators":
+        rank = draw(st.integers(1, 2))
+        shifts = [[0] * rank, [1] + [0] * (rank - 1)]
+        return ["kclass", "--generators=" + json.dumps(draw(ROWS)), "--shifts=" + json.dumps(shifts)]
+    return ["kclass", "--generators=[[1,0],[0,1]]", "--shifts=" + json.dumps(draw(ROWS))]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(json_options())
+def test_json_options_never_escape_main(argv):
+    assert main(argv) in (0, 1, 2)
+
+
 def test_kclass_generators_above_the_rank_cap_are_an_input_error(capsys):
     argv = ["kclass", "--generators", "[[1,0,0,0,0]]", "--shifts", "[[0,0,0,0,0]]"]
     assert run(argv) == 2
@@ -707,7 +745,7 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
         return {s: GroupRingElement.zero(g) for s, g in slot_groups.items()}, 0
 
     def zero_witness(cx, z):
-        return cx.zero_cochain(z.level - 1)
+        return cech.Cochain(cx, z.level - 1, {})
 
     def zero_extension(section):
         fan = section.sheaf.fan

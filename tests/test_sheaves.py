@@ -22,9 +22,8 @@ from kfan.intlinalg import (
     IntMatrix,
     Lattice,
     QuotientLattice,
+    QuotientSurjection,
     canonical_surjection,
-    compose,
-    identity_surjection,
     quotient,
 )
 from kfan.monoids import GroupRingElement
@@ -331,16 +330,17 @@ def first_failure_checking_every_chain(sheaf):
     """The reference for the per-object certificate of ``FanSheaf``:
     read every stalk and face pair, then check the identity on every
     cone and functoriality on every chain.  The first failure, or
-    None."""
+    None.  Every stalk is free, so a restriction is its matrix."""
     fan = sheaf.fan
     for sigma in fan.cones:
-        if not sheaf.restriction(sigma, sigma).maps_equal(identity_surjection(sheaf.stalk(sigma))):
+        k = sheaf.stalk(sigma).coords_len
+        if sheaf.restriction(sigma, sigma).matrix != IntMatrix.identity(k):
             return f"restriction of {sigma!r} to itself is not the identity"
     for sigma in fan.cones:
         for tau in fan.faces_of(sigma)[:-1]:
             for rho in fan.faces_of(tau)[:-1]:
-                via = compose(sheaf.restriction(tau, rho), sheaf.restriction(sigma, tau))
-                if not sheaf.restriction(sigma, rho).maps_equal(via):
+                via = sheaf.restriction(tau, rho).matrix @ sheaf.restriction(sigma, tau).matrix
+                if sheaf.restriction(sigma, rho).matrix != via:
                     return f"restrictions {sigma!r} -> {tau!r} -> {rho!r} are not functorial"
     return None
 
@@ -376,6 +376,51 @@ def test_a_stalk_whose_projection_is_not_onto_is_rejected_on_first_read(monkeypa
 def p1_cubed():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "fans", "p1xp1xp1.json")
     return build_fan(load_fan_file(path))
+
+
+def fully_read(fan):
+    sheaf = sheaf_a0(fan)
+    for sigma in fan.cones:
+        for tau in fan.faces_of(sigma):
+            sheaf.restriction(sigma, tau)
+    return sheaf
+
+
+def negate_memoized(sheaf, sigma, tau):
+    phi = sheaf._restrictions[sigma, tau]
+    negated = IntMatrix([[-x for x in row] for row in phi.matrix.rows], ncols=phi.matrix.ncols)
+    sheaf._restrictions[sigma, tau] = QuotientSurjection(phi.source, phi.target, negated)
+
+
+def test_the_reference_loop_names_a_broken_chain():
+    # P1xP1xP1 has chains sigma > tau > rho with rho a ray, so each map
+    # of the chain has a nonzero matrix; negating the memoized map
+    # sigma -> rho breaks exactly the chains through it
+    fan = p1_cubed()
+    sheaf = fully_read(fan)
+    sigma = fan.max_cones[0]
+    tau, rho = next(
+        (tau, rho)
+        for tau in fan.faces_of(sigma)[:-1]
+        for rho in fan.faces_of(tau)[:-1]
+        if rho.dim == 1
+    )
+    negate_memoized(sheaf, sigma, rho)
+    assert first_failure_checking_every_chain(sheaf) == (
+        f"restrictions {sigma!r} -> {tau!r} -> {rho!r} are not functorial"
+    )
+
+
+@pytest.mark.parametrize(
+    "fan", [pytest.param(projective_plane(), id="p2"), pytest.param(p1_cubed(), id="p1xp1xp1")]
+)
+def test_the_reference_loop_names_a_broken_identity(fan):
+    sheaf = fully_read(fan)
+    sigma = next(c for c in fan.cones if c.dim == 1)
+    negate_memoized(sheaf, sigma, sigma)
+    assert first_failure_checking_every_chain(sheaf) == (
+        f"restriction of {sigma!r} to itself is not the identity"
+    )
 
 
 def test_p1_cubed_membership_builds_only_the_maps_it_reads(monkeypatch):

@@ -1,12 +1,16 @@
 """The expanding-support solver reduces each stacked pair of maps once,
-and the Smith reductions behind ``kernel`` and ``solve`` track only the
-transforms those functions read."""
+the Smith reductions behind ``kernel`` and ``solve`` track only the
+transforms those functions read, and a traced run reads the solver's
+result as it is returned."""
 
+import importlib.util
+import os
 import random
 
 from kfan import intlinalg, support_solver
 from kfan.catalog import hirzebruch, p1_times_p1, projective_plane
 from kfan.cech import CechComplex, Cochain
+from kfan.cli import main
 from kfan.intlinalg import IntMatrix, kernel, solve
 
 
@@ -93,3 +97,34 @@ def test_kernel_and_solve_track_neither_inverse(monkeypatch):
     assert kernel(a).nrows == 1
     assert solve(a, a.apply((1, 2, 3, 4))) is not None
     assert requests == [{"v"}, {"u", "v"}]
+
+
+def load_tracing():
+    """``bench/tracing.py``, which wraps kfan's functions in a traced run."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_traced_non_smooth_solve_counts_no_give_up(capsys):
+    # the smooth benchmark workloads never reach the solver, so only a
+    # non-smooth fan shows how the trace reads the solver's result
+    tracing = load_tracing()
+    fan = os.path.join(os.path.dirname(__file__), "golden", "weighted-p2.json")
+    t = tracing.Tracer()
+    uninstall = tracing.install(t)
+    t.on = True
+    try:
+        for command in ("check-exactness", "check-flasque"):
+            argv = [command, fan, "--trials", "2", "--seed", "0", "--experimental-nonsmooth"]
+            assert main(argv + (["--level", "1"] if command == "check-exactness" else [])) == 0
+    finally:
+        t.on = False
+        uninstall()
+    capsys.readouterr()
+    metrics = tracing.per_layer_metrics(t)
+    assert metrics["support_solver.calls"] > 0
+    assert metrics["support_solver.gave_up"] == 0
+    assert metrics["support_solver.rounds_max"] <= metrics["support_solver.rounds_total"]
