@@ -29,6 +29,8 @@ from .report import (
     cochain_to_jsonable,
     element_from_jsonable,
     element_to_jsonable,
+    h0_to_jsonable,
+    section_to_jsonable,
 )
 from .sheaves import Section, extend_section, random_open_subfan, random_section, sheaf_a0
 from .support_solver import SolverGaveUp
@@ -156,14 +158,6 @@ def cmd_k0_affine(args) -> JobReport:
     )
 
 
-def _h0_to_jsonable(fan, section) -> dict:
-    """A global section in the level-0 cochain layout of ``k0-global``
-    reports: its nonzero values, keyed [i] by maximal-cone index."""
-    values = enumerate(section.components[c] for c in fan.max_cones)
-    comps = [[[i], element_to_jsonable(v)] for i, v in values if not v.is_zero()]
-    return {"level": 0, "components": comps}
-
-
 def cmd_k0_global(args) -> JobReport:
     ff, fan = _load(args.fanfile)
     _check_counts(args, "sample")
@@ -204,7 +198,7 @@ def cmd_k0_global(args) -> JobReport:
             for cone in fan.max_cones:
                 comps.setdefault(cone, GroupRingElement.zero(ring.sheaf.stalk(cone)))
             c = Section(ring.sheaf, ring.domain, comps)
-        except (ValueError, TypeError, AttributeError) as e:
+        except ValueError as e:
             raise InputError(f"malformed element: {e}") from e
         ok, witness = ring.membership(c)
         results["member"] = ok
@@ -230,9 +224,9 @@ def cmd_k0_global(args) -> JobReport:
         c = ring.character(m)
         if not ring.contains(c):
             raise CertificateError(f"character tuple for {list(m)} is not a cocycle")
-        sampled.append({"character": list(m), "tuple": _h0_to_jsonable(fan, c)})
+        sampled.append({"character": list(m), "tuple": h0_to_jsonable(fan, c)})
     results["character_members"] = sampled
-    results["unit"] = _h0_to_jsonable(fan, ring.unit())
+    results["unit"] = h0_to_jsonable(fan, ring.unit())
     return JobReport(command="k0-global", inputs=inputs, results=results)
 
 
@@ -296,18 +290,6 @@ def cmd_check_exactness(args) -> JobReport:
     )
 
 
-def _section_to_jsonable(fan, section) -> dict:
-    return {
-        "domain_cone_ids": sorted(fan.index_of(c) for c in section.domain.members),
-        "components": [
-            [fan.index_of(c), element_to_jsonable(v)]
-            for c, v in sorted(
-                section.components.items(), key=lambda kv: fan.index_of(kv[0])
-            )
-        ],
-    }
-
-
 def cmd_check_flasque(args) -> JobReport:
     ff, fan = _load(args.fanfile)
     _check_counts(args, "trials", "depth")
@@ -336,8 +318,8 @@ def cmd_check_flasque(args) -> JobReport:
             entry["extended"] = True
             witnesses.append(
                 {
-                    "problem": _section_to_jsonable(fan, section),
-                    "extension": _section_to_jsonable(fan, outcome),
+                    "problem": section_to_jsonable(fan, section),
+                    "extension": section_to_jsonable(fan, outcome),
                 }
             )
         trials.append(entry)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, islice
 from math import gcd
-from operator import itemgetter, mul
+from operator import index, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -47,7 +47,9 @@ class CertificateError(Exception):
 
 
 def as_vec(v: Iterable[int]) -> Vec:
-    return tuple(map(int, v))
+    """v as a tuple of ints; a float or other non-integer raises
+    ``TypeError``, never truncated."""
+    return tuple(map(index, v))
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:

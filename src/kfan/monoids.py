@@ -14,6 +14,7 @@ convolution over the group law.
 from __future__ import annotations
 
 from itertools import product, takewhile
+from operator import index
 from typing import Iterable, Sequence
 
 from .cones import Cone, dual_ray_generators
@@ -314,7 +315,7 @@ class GroupRingElement:
             if coeff == 0:
                 continue
             key = group.reduce(as_vec(coords))
-            clean[key] = clean.get(key, 0) + int(coeff)
+            clean[key] = clean.get(key, 0) + index(coeff)
         self.group = group
         self.terms = {k: v for k, v in clean.items() if v != 0}
 

@@ -5,12 +5,13 @@ JSON, so iteration is always over sorted structures.  Every success
 carries enough certificate data (witness cochains, extended sections)
 to re-verify the claim through the library independently.
 
-``JobReport.to_json`` writes a report with ``_encode``, a small writer
-whose output is byte-identical to ``json.dumps(obj, sort_keys=True,
-indent=2)``.  The stdlib drops from its C encoder to a pure-Python one
-whenever ``indent`` is set, yielding one string per scalar; ``_encode``
-builds each list or dict with one ``str.join`` and uses the C string
-escaper, which is about twice as fast and holds about half the memory.
+``JobReport.to_json`` writes a report with ``_encode``, whose output is
+byte-identical to ``json.dumps(obj, sort_keys=True, indent=2)``.  Under
+``indent`` the stdlib drops from its C encoder to a pure-Python one,
+yielding one string per scalar; ``_encode`` builds each list or dict of
+a report with one ``str.join`` and the C string escaper, about twice as
+fast in half the memory, and hands the stdlib any value no report holds.
+The ``*_to_jsonable`` functions here write every value a report carries.
 """
 
 from __future__ import annotations
@@ -82,6 +83,27 @@ def cochain_from_jsonable(complex, data) -> Cochain:
     return Cochain(complex, level, comps)
 
 
+def section_to_jsonable(fan, section) -> dict:
+    """A section as its domain's cone ids and its values, by cone id."""
+    return {
+        "domain_cone_ids": sorted(fan.index_of(c) for c in section.domain.members),
+        "components": [
+            [fan.index_of(c), element_to_jsonable(v)]
+            for c, v in sorted(
+                section.components.items(), key=lambda kv: fan.index_of(kv[0])
+            )
+        ],
+    }
+
+
+def h0_to_jsonable(fan, section) -> dict:
+    """A global section in the level-0 cochain layout of ``k0-global``
+    reports: its nonzero values, keyed [i] by maximal-cone index."""
+    values = enumerate(section.components[c] for c in fan.max_cones)
+    comps = [[[i], element_to_jsonable(v)] for i, v in values if not v.is_zero()]
+    return {"level": 0, "components": comps}
+
+
 @dataclass
 class JobReport:
     command: str
@@ -128,16 +150,18 @@ def _render(value) -> str:
 
 
 _encode_str = json.encoder.encode_basestring_ascii  # the C one when built
-_INF = float("inf")
 
 
 def _encode(value, newline: str) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for a value that
     sits after ``newline`` (a line break and its indent).
 
-    Exact ints, strs, lists and dicts take the fast paths; everything
-    else follows the stdlib's rules.  A circular value ends in
-    ``RecursionError`` where the stdlib raises ``ValueError``.
+    Exact ints, strs, lists, dicts with str keys, None, True and False
+    take the fast paths; every other value is the stdlib's own text, its
+    errors included.  JSON escapes line breaks inside strings, so every
+    line break in that text is structure and takes ``newline``'s indent.
+    A circular list or dict ends in ``RecursionError``; a circular value
+    reached through any other container gets the stdlib's ``ValueError``.
     """
     cls = type(value)
     if cls is int:
@@ -147,24 +171,17 @@ def _encode(value, newline: str) -> str:
     if cls is list:
         return _encode_list(value, newline)
     if cls is dict:
-        return _encode_dict(value, newline)
-    if isinstance(value, str):
-        return _encode_str(value)
+        try:
+            return _encode_dict(value, newline)
+        except TypeError:  # a key that is not a str, here or below: the stdlib decides
+            pass
     if value is None:
         return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _encode_float(value)
-    if isinstance(value, (list, tuple)):
-        return _encode_list(value, newline)
-    if isinstance(value, dict):
-        return _encode_dict(value, newline)
-    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
 
 
 def _encode_list(value, newline: str) -> str:
@@ -183,31 +200,6 @@ def _encode_dict(value, newline: str) -> str:
         return "{}"
     inner = newline + "  "
     body = ("," + inner).join(
-        [
-            f"{_encode_str(k) if type(k) is str else _encode_key(k)}: {_encode(v, inner)}"
-            for k, v in sorted(value.items())
-        ]
+        [f"{_encode_str(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
     )
     return f"{{{inner}{body}{newline}}}"
-
-
-def _encode_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _encode_key(key) -> str:
-    """A dict key as the stdlib coerces it: bool, None, int and float keys
-    become the text of their JSON value, as a string."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    if key is None or isinstance(key, (int, float)):
-        return _encode_str(_encode(key, ""))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )

@@ -84,6 +84,12 @@ def test_rays_are_primitivized():
     assert c.rays == ((0, 1), (1, 0))
 
 
+def test_non_integer_rays_are_rejected():
+    # (1.7, 0) used to be truncated to (1, 0), giving the quadrant
+    with pytest.raises(TypeError):
+        Cone.from_rays(Z2, [(1.7, 0), (0, 1)])
+
+
 def test_dual_of_quadrant():
     c = Cone.from_rays(Z2, [(1, 0), (0, 1)])
     assert c.dual().rays == c.rays

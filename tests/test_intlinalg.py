@@ -102,6 +102,12 @@ def test_snf_random_matrices():
         check_snf(a)
 
 
+def test_int_matrix_rejects_non_integer_entries():
+    # [[2.9, 1]] used to be held as [[2, 1]]
+    with pytest.raises(TypeError):
+        IntMatrix([[2.9, 1]])
+
+
 def test_rank():
     assert rank(IntMatrix([[1, 1], [2, 2]])) == 1
     assert rank(IntMatrix.identity(3)) == 3

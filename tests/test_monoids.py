@@ -228,6 +228,13 @@ def test_from_cone_generates_the_dual_of_a_non_smooth_rank_4_cone():
     assert monoid.contains((0, 0, 1, 0))
 
 
+def test_contains_rejects_non_integer_vectors():
+    # (-0.9, 0) used to be truncated to (0, 0), a member of every monoid
+    quadrant = AffineMonoid.from_cone(Cone.from_rays(Z2, [(1, 0), (0, 1)]))
+    with pytest.raises(TypeError):
+        quadrant.contains((-0.9, 0))
+
+
 @pytest.mark.parametrize(
     "rays", [SIGMA, PYRAMID_TIMES_RAY, P4_CONE], ids=["sigma", "pyramid-times-ray", "p4"]
 )
@@ -471,6 +478,12 @@ def test_submonoid_check():
 
 def free_group(n):
     return quotient(Lattice(n), IntMatrix([], ncols=n))
+
+
+def test_group_ring_coefficients_must_be_integers():
+    # a coefficient 2.7 used to be truncated to 2
+    with pytest.raises(TypeError):
+        GroupRingElement(free_group(2), {(1, 2): 2.7})
 
 
 def test_multiplying_by_one_is_identity():
