@@ -58,14 +58,11 @@ from .sheaves import (
     accumulate,
     assemble_rays,
     first_disagreement,
-    from_ray_terms,
-    ray_terms,
+    random_monomial,
     sheaf_a0,
     split_rays,
 )
 from .support_solver import (
-    COEFF_BOUND,
-    COORD_BOUND,
     MAX_ATTEMPTS,
     Constraint,
     SolverGaveUp,
@@ -214,12 +211,12 @@ class CechComplex:
             if faces is None:
                 faces = [tau for tau in self.fan.faces_of(cone) if self.anchors[tau] == t[0]]
                 anchored[cone, t[0]] = faces
-            parts = split_rays(ray_terms(cone, value), cone, faces)
+            parts = split_rays(self.sheaf.to_rays(cone, value), cone, faces)
             accumulate(b.setdefault(t[1:], {}), assemble_rays(parts, self.cone_of(t[1:]), faces), 1)
         return self._from_rays(z.level - 1, b)
 
     def _from_rays(self, level: int, terms: dict) -> "Cochain":
-        comps = {t: from_ray_terms(self.stalk(t), self.cone_of(t), v) for t, v in terms.items()}
+        comps = {t: self.sheaf.from_rays(self.cone_of(t), v) for t, v in terms.items()}
         return Cochain._trusted(self, level, comps)
 
     def _d_constraints(self, level: int, rhs: dict) -> list[Constraint]:
@@ -259,8 +256,7 @@ class CechComplex:
                 b0: dict = {}
                 for _ in range(SPARSE_TUPLES):
                     s = tuple(sorted(rng.sample(range(self.top_level + 1), level)))
-                    e = tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in self.cone_of(s).rays)
-                    accumulate(b0.setdefault(s, {}), {e: rng.randint(-COEFF_BOUND, COEFF_BOUND)}, 1)
+                    accumulate(b0.setdefault(s, {}), random_monomial(self.cone_of(s), rng), 1)
                 z = self.d(self._from_rays(level - 1, b0))
                 if not z.is_zero():
                     break

@@ -33,8 +33,10 @@ are tracked, decides whether they are independent and whether the cone
 is smooth, and the kernel is the lineality the facets are built on and
 the cone's ``perp_lattice()``.  At full rank det != 0 decides
 independence and |det| = 1 smoothness, and no reduction runs.
-The ray chart of a smooth cone is inverted by cofactors
-(``intlinalg.adjugate``), so that no Smith reduction runs for it.
+A cone's character group (``character_quotient``) is built and
+checked on each call and kept by no cone: the structure sheaf keeps
+the groups it reads, and owns the ray charts of smooth cones
+(``kfan.sheaves.FanSheaf``).
 
 Faces need no double description of their own to be found: a face is
 spanned by the rays of the cone that are tight on a set of its facets,
@@ -73,7 +75,6 @@ from .intlinalg import (
     Lattice,
     QuotientLattice,
     Vec,
-    adjugate,
     as_vec,
     det,
     dot,
@@ -178,10 +179,7 @@ class Cone:
     on their first read.
     """
 
-    __slots__ = (
-        "lattice", "rays", "_facets", "dim", "pointed",
-        "_perp", "_charq", "_smooth", "_chart", "_ray_index", "_hash",
-    )
+    __slots__ = ("lattice", "rays", "_facets", "dim", "pointed", "_perp", "_smooth", "_hash")
 
     def __init__(self, lattice: Lattice, rays, facets, dim: int, pointed: bool):
         self.lattice = lattice
@@ -190,10 +188,7 @@ class Cone:
         self.dim = dim
         self.pointed = pointed
         self._perp = None
-        self._charq = None
         self._smooth = None
-        self._chart = None
-        self._ray_index = None
         self._hash = None
 
     @classmethod
@@ -265,8 +260,7 @@ class Cone:
         and certified on the first read of ``facets``."""
         cone = object.__new__(cls)
         cone.lattice, cone.rays, cone.dim, cone.pointed = lattice, rays, len(rays), True
-        cone._facets = cone._perp = cone._charq = None
-        cone._smooth = cone._chart = cone._ray_index = cone._hash = None
+        cone._facets = cone._perp = cone._smooth = cone._hash = None
         return cone
 
     @property
@@ -322,33 +316,22 @@ class Cone:
                 self._perp = kernel(IntMatrix(self.rays, ncols=self.lattice.rank))
         return self._perp
 
-    def character_quotient(self, interned: dict | None = None) -> QuotientLattice:
+    def character_quotient(self) -> QuotientLattice:
         """M modulo the functionals vanishing on the cone: the character
         group of the minimal orbit of the affine toric variety.  Always
-        free, of rank dim; built once per cone, and its projection
-        checked onto (P S = I for its section S) where it is built.
-
-        ``interned`` maps perp rows to the group of the first cone that
-        had them.  The quotient is a function of its relations, so a
-        cone whose perp rows are there takes that group instead of
-        reducing again, and the interned group is returned."""
-        if self._charq is None:
-            perp = self.perp_lattice()
-            q = None if interned is None else interned.get(perp.rows)
-            if q is None:
-                q = quotient(Lattice(self.lattice.rank), perp)
-                if q.projection @ q.section != IntMatrix.identity(q.coords_len):
-                    raise CertificateError(
-                        f"the projection onto the character group of {self!r} is not onto"
-                    )
-            if not (q.is_free and q.free_rank == self.dim):
-                raise CertificateError(
-                    f"character group of {self!r} is not free of rank {self.dim}"
-                )
-            self._charq = q
-        if interned is None:
-            return self._charq
-        return interned.setdefault(self.perp_lattice().rows, self._charq)
+        free, of rank dim, and its projection checked onto (P S = I for
+        its section S) here, where it is built.  Nothing is kept: the
+        structure sheaf keeps the groups it reads (``FanSheaf.stalk``)."""
+        q = quotient(Lattice(self.lattice.rank), self.perp_lattice())
+        if q.projection @ q.section != IntMatrix.identity(q.coords_len):
+            raise CertificateError(
+                f"the projection onto the character group of {self!r} is not onto"
+            )
+        if not (q.is_free and q.free_rank == self.dim):
+            raise CertificateError(
+                f"character group of {self!r} is not free of rank {self.dim}"
+            )
+        return q
 
     def is_simplicial(self) -> bool:
         return len(self.rays) == self.dim
@@ -363,41 +346,6 @@ class Cone:
             else:
                 self._smooth = False
         return self._smooth
-
-    def ray_chart(self) -> tuple[IntMatrix, IntMatrix]:
-        """The ray coordinates of a smooth cone's character group.
-
-        With rays v_1..v_k (in ``rays`` order), m -> (<m,v_1>, ..,
-        <m,v_k>) maps M_sigma = ``character_quotient()`` isomorphically
-        onto Z^k, and restriction to a face keeps the coordinates of the
-        face's rays.  Returns (T, T^-1): the unimodular k x k matrix
-        taking normal-form coordinates to ray coordinates, R * section
-        for the ray matrix R, and its inverse, det(T) * adj(T) by
-        cofactors (k <= ``MAX_RANK``).  Built once per cone and
-        cross-checked: det T = +-1, T * projection = R and T * T^-1 = I.
-        """
-        if self._chart is None:
-            if not self.is_smooth():
-                raise ValueError(f"{self!r} is not smooth: its rays give no chart")
-            q = self.character_quotient()
-            k = len(self.rays)
-            ray_matrix = IntMatrix._trusted(self.rays, self.lattice.rank)
-            t = ray_matrix @ q.section
-            e = det(t)
-            if e not in (1, -1):
-                raise CertificateError(f"ray map of {self!r} is not unimodular")
-            t_inv = IntMatrix._trusted(tuple(tuple(e * x for x in r) for r in adjugate(t).rows), k)
-            if t @ q.projection != ray_matrix or t @ t_inv != IntMatrix.identity(k):
-                raise CertificateError(f"ray chart of {self!r} fails its cross-check")
-            self._chart = (t, t_inv)
-        return self._chart
-
-    def ray_index(self) -> dict[Vec, int]:
-        """The position of each ray in ``rays``, the order of the ray
-        coordinates; built once per cone."""
-        if self._ray_index is None:
-            self._ray_index = {r: i for i, r in enumerate(self.rays)}
-        return self._ray_index
 
     def __eq__(self, other) -> bool:
         return (

@@ -312,8 +312,6 @@ class GroupRingElement:
     def __init__(self, group: QuotientLattice, terms: dict):
         clean: dict[Vec, int] = {}
         for coords, coeff in terms.items():
-            if coeff == 0:
-                continue
             key = group.reduce(as_vec(coords))
             clean[key] = clean.get(key, 0) + index(coeff)
         self.group = group

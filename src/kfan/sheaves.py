@@ -8,7 +8,7 @@ and compatibility over pairwise meets pins the whole limit.
 The sheaf of interest, ``sheaf_a0``, assigns to each cone sigma the
 group ring Z[M_sigma] of its minimal-orbit character group.  A smooth
 cone with rays v_1..v_k has ray coordinates m -> (<m,v_1>, .., <m,v_k>)
-on M_sigma (``Cone.ray_chart``), in which restriction to a face keeps
+on M_sigma (``FanSheaf.chart``), in which restriction to a face keeps
 the coordinates of the face's rays, and Z[M_sigma] is the sum over the
 faces tau of sigma of A_tau, the tensor product over the rays of tau of
 (1 - x_i) Z[x_i^+-1]: the tau-part of an element is its restriction to
@@ -16,28 +16,30 @@ tau under the projector prod (1 - eps_i), eps_i setting x_i = 1
 (``split_rays``), and the parts sum back by zero-padding
 (``assemble_rays``).  These coordinate maps run as compiled pickers
 (``intlinalg.picker``): restriction and padding read their positions
-from the cones' ray indices (``Cone.ray_index``), and the projector
-reads one table of sign patterns per width, built once up to
-``MAX_RANK``.  So on a smooth fan ``sheaf_a0`` is the sum over
-the cones tau of the constant sheaf A_tau on star(tau), and it is
-flasque: a section extends by zero tau-parts on the cones outside its
-domain.  Elements are converted into ray coordinates and back at the
-boundary.  On non-smooth fans the extension is searched for by the
-expanding-support solver, and a ``SolverGaveUp`` there is a search
-failure, never a proof that no extension exists.
+from the cones' sorted rays, and the projector reads one table of sign
+patterns per width, built once up to ``MAX_RANK``.  So on a smooth fan
+``sheaf_a0`` is the sum over the cones tau of the constant sheaf A_tau
+on star(tau), and it is flasque: a section extends by zero tau-parts on
+the cones outside its domain.  Elements are converted into ray
+coordinates and back at the boundary, by the sheaf that owns the charts
+(``FanSheaf.to_rays``, ``FanSheaf.from_rays``).  On non-smooth fans the
+extension is searched for by the expanding-support solver, and a
+``SolverGaveUp`` there is a search failure, never a proof that no
+extension exists.
 
 ``sheaf_a0`` builds nothing up front: a stalk is built on its first
 read, interned by the cone's perp rows (a character group is the
 quotient by the perp lattice, a function of those rows), so each
 distinct perp lattice takes one quotient, shared by the cones that have
-it and by their ray charts; a restriction is built on its first read,
-one certified map per distinct pair of stalks, shared by every face
-pair between them.  A command reads few of them: a member of H0 on
-P1 x P1 x P1 reads the maps of its walls only.  The certificate
-is per object (``FanSheaf``): each distinct stalk's projection is
-checked onto where it is built and each distinct map commutes with the
-projections, and identity and functoriality on every chain follow from
-those; a map's splitting is no part of it.
+it, whether a cone's stalk or its ray chart (built from the stalk) is
+read first; a restriction is built on its first read, one certified
+map per distinct pair of stalks, shared by every face pair between
+them.  A command reads few of them: a member of H0 on P1 x P1 x P1
+reads the maps of its walls only.  The certificate is per object
+(``FanSheaf``): each distinct stalk's projection is checked onto where
+it is built and each distinct map commutes with the projections, and
+identity and functoriality on every chain follow from those; a map's
+splitting is no part of it.
 
 Whether values on maximal cones agree on their meets is asked in one
 place, ``first_disagreement``: by ``Section.check`` here and by H0
@@ -61,10 +63,13 @@ from itertools import product
 from .cones import MAX_RANK, Cone, Fan, Subfan
 from .intlinalg import (
     CertificateError,
+    IntMatrix,
     Vec,
     QuotientLattice,
     QuotientSurjection,
+    adjugate,
     canonical_surjection,
+    det,
     picker,
 )
 from .monoids import GroupRingElement
@@ -86,8 +91,11 @@ class FanSheaf:
     the canonical surjection M_sigma -> M_tau.
 
     ``stalk(sigma)`` keeps sigma's character group from its first read,
-    interned by perp rows (``Cone.character_quotient``): one quotient
-    per distinct perp lattice, shared by the cones that have it.
+    interned by perp rows in the sheaf's own table: one quotient per
+    distinct perp lattice, shared by the cones that have it, each
+    checked free of rank dim.  ``chart(sigma)`` builds a smooth cone's
+    ray coordinates from its stalk, and ``to_rays`` and ``from_rays``
+    convert through them.
     ``restriction(sigma, tau)`` builds one ``canonical_surjection`` per
     distinct pair of stalks on its first read, shared by every face
     pair between them: at most 27 maps for the 125 face pairs of
@@ -113,21 +121,69 @@ class FanSheaf:
     So every cone and chain that a command reads is as certified as if
     all of them had been checked up front."""
 
-    __slots__ = ("fan", "_interned", "_stalks", "_maps", "_restrictions")
+    __slots__ = ("fan", "_interned", "_stalks", "_charts", "_maps", "_restrictions")
 
     def __init__(self, fan: Fan):
         self.fan = fan
         self._interned: dict = {}  # perp rows -> the stalk of the first cone read with them
         self._stalks: dict = {}  # cone -> its stalk
+        self._charts: dict = {}  # smooth cone -> its ray chart
         self._maps: dict = {}  # (id of source stalk, id of target stalk) -> the shared map
         self._restrictions: dict = {}  # (cone, face) -> its map
 
     def stalk(self, sigma: Cone) -> QuotientLattice:
-        """The character group M_sigma of a cone of the fan."""
+        """The character group M_sigma of a cone of the fan: the group
+        interned for its perp rows, checked free of rank dim, or else
+        built and checked by ``Cone.character_quotient``."""
         q = self._stalks.get(sigma)
         if q is None:
-            q = self._stalks[sigma] = self.fan.canonical(sigma).character_quotient(self._interned)
+            cone = self.fan.canonical(sigma)
+            rows = cone.perp_lattice().rows
+            q = self._interned.get(rows)
+            if q is None:
+                q = self._interned[rows] = cone.character_quotient()
+            elif q.free_rank != cone.dim:
+                raise CertificateError(f"the stalk of {cone!r} is not free of rank {cone.dim}")
+            self._stalks[sigma] = q
         return q
+
+    def chart(self, sigma: Cone) -> tuple[IntMatrix, IntMatrix]:
+        """The ray chart of a smooth cone of the fan: with rays v_1..v_k
+        (in ``rays`` order), m -> (<m,v_1>, .., <m,v_k>) maps M_sigma
+        onto Z^k, and restriction to a face keeps the coordinates of the
+        face's rays.  Returns (T, T^-1): T = R * section takes the
+        stalk's coordinates to ray coordinates (R the ray matrix), and
+        T^-1 = det(T) * adj(T) by cofactors.  Built once per cone, from
+        its stalk, and checked: det T = +-1, T * projection = R and
+        T * T^-1 = I."""
+        chart = self._charts.get(sigma)
+        if chart is None:
+            q = self.stalk(sigma)
+            if not sigma.is_smooth():
+                raise ValueError(f"{sigma!r} is not smooth: its rays give no chart")
+            k = len(sigma.rays)
+            ray_matrix = IntMatrix._trusted(sigma.rays, sigma.lattice.rank)
+            t = ray_matrix @ q.section
+            e = det(t)
+            if e not in (1, -1):
+                raise CertificateError(f"ray map of {sigma!r} is not unimodular")
+            t_inv = IntMatrix._trusted(tuple(tuple(e * x for x in r) for r in adjugate(t).rows), k)
+            if t @ q.projection != ray_matrix or t @ t_inv != IntMatrix.identity(k):
+                raise CertificateError(f"ray chart of {sigma!r} fails its cross-check")
+            chart = self._charts[sigma] = (t, t_inv)
+        return chart
+
+    def to_rays(self, sigma: Cone, x: GroupRingElement) -> dict[Vec, int]:
+        """An element of the stalk at a smooth cone, in ray coordinates."""
+        chart = self.chart(sigma)[0]
+        return {chart.apply(c): k for c, k in x.terms.items()}
+
+    def from_rays(self, sigma: Cone, terms: dict) -> GroupRingElement:
+        """The element of the stalk at a smooth cone with these terms in
+        ray coordinates (distinct keys: the chart is unimodular)."""
+        inverse = self.chart(sigma)[1]
+        keys = {inverse.apply(e): k for e, k in terms.items()}
+        return GroupRingElement._normal(self.stalk(sigma), keys)
 
     def restriction(self, sigma: Cone, tau: Cone) -> QuotientSurjection:
         """The map from the stalk at sigma to the stalk at a face tau."""
@@ -285,23 +341,9 @@ class Section:
         return f"Section(on {len(self.components)} maximal cones)"
 
 
-def ray_terms(cone: Cone, element: GroupRingElement) -> dict[Vec, int]:
-    """The terms of an element of Z[M_cone] in the cone's ray
-    coordinates (the cone must be smooth)."""
-    chart, _ = cone.ray_chart()
-    return {chart.apply(c): k for c, k in element.terms.items()}
-
-
-def from_ray_terms(group: QuotientLattice, cone: Cone, terms: dict) -> GroupRingElement:
-    """The element of the stalk ``group`` at ``cone`` with these terms in ray
-    coordinates; the unimodular chart gives distinct normal-form keys."""
-    _, inverse = cone.ray_chart()
-    return GroupRingElement._normal(group, {inverse.apply(e): k for e, k in terms.items()})
-
-
 def _positions(face: Cone, cone: Cone) -> tuple[int, ...]:
     """Where each ray of a face sits among the rays of the cone."""
-    return tuple(map(cone.ray_index().__getitem__, face.rays))
+    return tuple(map(cone.rays.index, face.rays))
 
 
 def restrict_rays(terms: dict, cone: Cone, face: Cone) -> dict:
@@ -391,11 +433,17 @@ def assemble_rays(parts: dict, cone: Cone, faces) -> dict:
     return out
 
 
+def random_monomial(cone: Cone, rng: random.Random) -> dict:
+    """A random monomial in the cone's ray coordinates: coordinates in
+    [-COORD_BOUND, COORD_BOUND], then a coefficient in
+    [-COEFF_BOUND, COEFF_BOUND]."""
+    e = tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in cone.rays)
+    return {e: rng.randint(-COEFF_BOUND, COEFF_BOUND)}
+
+
 def random_part(tau: Cone, rng: random.Random) -> dict:
-    """The A_tau-part of a random monomial: coordinates in
-    [-COORD_BOUND, COORD_BOUND], coefficient in [-COEFF_BOUND, COEFF_BOUND]."""
-    e = tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in tau.rays)
-    return _top_part({e: rng.randint(-COEFF_BOUND, COEFF_BOUND)})
+    """The A_tau-part of a random monomial (``random_monomial``)."""
+    return _top_part(random_monomial(tau, rng))
 
 
 def extend_section(section: Section, depth: int = 3) -> Section | SolverGaveUp:
@@ -427,7 +475,7 @@ def _split_extension(section: Section) -> Section:
     parts: dict = {}
     for top, value in section.components.items():
         faces = [tau for tau in sheaf.fan.faces_of(top) if tau not in parts]
-        parts.update(split_rays(ray_terms(top, value), top, faces))
+        parts.update(split_rays(sheaf.to_rays(top, value), top, faces))
     outside = [c for c in sheaf.fan.max_cones if c not in section.components]
     comps = {**section.components, **_assembled(sheaf, parts, outside)}
     return Section(sheaf, sheaf.fan.full_subfan(), comps)
@@ -435,7 +483,7 @@ def _split_extension(section: Section) -> Section:
 
 def _assembled(sheaf: FanSheaf, parts: dict, cones) -> dict:
     faces = sheaf.fan.faces_of
-    return {c: from_ray_terms(sheaf.stalk(c), c, assemble_rays(parts, c, faces(c))) for c in cones}
+    return {c: sheaf.from_rays(c, assemble_rays(parts, c, faces(c))) for c in cones}
 
 
 def _search_extension(section: Section, depth: int) -> Section | SolverGaveUp:

@@ -18,8 +18,8 @@ import pytest
 CASES_SCRIPT = r'''
 from contextlib import contextmanager
 
-from kfan import cones, intlinalg, monoids
-from kfan.cones import Cone
+from kfan import cones, intlinalg, monoids, sheaves
+from kfan.cones import Cone, Fan
 from kfan.intlinalg import IntMatrix, Lattice, quotient
 from kfan.monoids import AffineMonoid
 
@@ -148,22 +148,27 @@ def simplicial_lineality_meets_rays():
         Cone.from_rays(Lattice(2), [(1, 0)])
 
 
-def ray_chart_not_unimodular():
+def smooth_cone_sheaf():
     cone = Cone.from_rays(Lattice(2), [(1, 0), (1, 1)])
-    with patched(cones, "det", lambda a: 2):
-        cone.ray_chart()
+    return cone, sheaves.sheaf_a0(Fan.from_max_cones(Lattice(2), [cone]))
+
+
+def ray_chart_not_unimodular():
+    cone, sheaf = smooth_cone_sheaf()
+    with patched(sheaves, "det", lambda a: 2):
+        sheaf.chart(cone)
 
 
 def ray_chart_corrupted_inverse():
-    cone = Cone.from_rays(Lattice(2), [(1, 0), (1, 1)])
-    adjugate = cones.adjugate
+    cone, sheaf = smooth_cone_sheaf()
+    adjugate = sheaves.adjugate
 
     def corrupted(a):
         (p, q), (r, s) = adjugate(a).rows
         return IntMatrix([[p, q + 1], [r, s]])
 
-    with patched(cones, "adjugate", corrupted):
-        cone.ray_chart()
+    with patched(sheaves, "adjugate", corrupted):
+        sheaf.chart(cone)
 
 
 CASES = {

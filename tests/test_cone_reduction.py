@@ -4,13 +4,14 @@ A cone on independent rays reduces its ray matrix once, at construction
 or, for a face of a simplicial cone, on first use
 (``cones._ray_reduction``): the kernel is its ``perp_lattice()`` and the
 Smith diagonal decides ``is_smooth()``; a full-dimensional one needs no
-reduction, only |det| = 1.  ``ray_chart()`` inverts its unimodular
-matrix by cofactors.  Here every cone of every fan file, of GL_n(Z)
-images of them and of P4 is compared with the kernel, the Smith diagonal
-and the Smith-based inverse computed afresh; and the stalks of
-``sheaf_a0`` with every chart on P1 x P1 x P1 are counted against one
-reduction per cone below full dimension plus one per distinct perp
-lattice.
+reduction, only |det| = 1.  The sheaf's ray chart of a smooth cone
+(``FanSheaf.chart``) inverts its unimodular matrix by cofactors.  Here
+every cone of every fan file, of GL_n(Z) images of them and of P4 is
+compared with the kernel, the Smith diagonal and the Smith-based inverse
+computed afresh; and the stalks of ``sheaf_a0`` with every chart on
+P1 x P1 x P1 are counted against one reduction per cone below full
+dimension plus one quotient per distinct perp lattice, whichever of
+them is read first.
 """
 
 import glob
@@ -20,7 +21,7 @@ import random
 
 import pytest
 
-from kfan import intlinalg
+from kfan import cones, intlinalg
 from kfan.cones import Cone, Fan, NotStronglyConvex
 from kfan.fanfile import build_fan, load_fan_file
 from kfan.intlinalg import IntMatrix, Lattice, kernel, smith_with_inverses
@@ -50,6 +51,7 @@ def load(path) -> Fan:
 
 def assert_matches_independent_computation(fan):
     n = fan.lattice.rank
+    sheaf = sheaf_a0(fan)
     for cone in fan.cones:
         rays = IntMatrix(cone.rays, ncols=n)
         assert cone.perp_lattice() == kernel(rays)
@@ -58,7 +60,7 @@ def assert_matches_independent_computation(fan):
         assert cone.is_smooth() == smooth
         if not smooth:
             continue
-        chart, inverse = cone.ray_chart()
+        chart, inverse = sheaf.chart(cone)
         assert chart == rays @ cone.character_quotient().section
         u, d, v, _ = smith_with_inverses(chart, keep=("u", "v"))
         assert d == IntMatrix.identity(len(cone.rays))
@@ -113,7 +115,7 @@ def test_standalone_cones_in_any_ray_order():
         smooth = cone.is_simplicial() and all(d.rows[i][i] == 1 for i in range(len(cone.rays)))
         assert cone.is_smooth() == smooth
         if smooth:
-            chart, inverse = cone.ray_chart()
+            chart, inverse = sheaf_a0(Fan.from_max_cones(cone.lattice, [cone])).chart(cone)
             assert chart @ inverse == IntMatrix.identity(len(cone.rays))
 
 
@@ -121,7 +123,8 @@ def test_p4_is_smooth_and_charted():
     fan = load(os.path.join(ROOT, "tests", "golden", "p4.json"))
     assert fan.lattice.rank == 4 and len(fan.max_cones) == 5 and len(fan.cones) == 31
     assert fan.is_smooth()
-    assert all(c.ray_chart()[0].nrows == c.dim for c in fan.cones)
+    sheaf = sheaf_a0(fan)
+    assert all(sheaf.chart(c)[0].nrows == c.dim for c in fan.cones)
 
 
 def test_sheaf_and_charts_take_one_reduction_per_cone_and_perp_lattice(monkeypatch):
@@ -135,14 +138,36 @@ def test_sheaf_and_charts_take_one_reduction_per_cone_and_perp_lattice(monkeypat
     monkeypatch.setattr(intlinalg, "smith_with_inverses", counting)
     fan = load(os.path.join(ROOT, "bench", "fans", "p1xp1xp1.json"))
     sheaf = sheaf_a0(fan)
-    # every command reads a cone's stalk before its chart, so the chart
-    # finds the interned quotient and reduces nothing
+    # a chart is built from its cone's stalk, so the charts read after
+    # the stalks reduce nothing more
     for cone in fan.cones:
         sheaf.stalk(cone)
     for cone in fan.cones:
-        cone.ray_chart()
+        sheaf.chart(cone)
     n = fan.lattice.rank
     below = sum(1 for c in fan.cones if c.dim < n)
     perps = len({c.perp_lattice().rows for c in fan.cones})
     assert below == 19
     assert len(calls) <= below + perps
+
+
+def test_charts_read_before_any_stalk_take_one_quotient_per_perp_lattice(monkeypatch):
+    # a chart is built from its cone's interned stalk, so reading every
+    # chart first takes no more quotients than reading every stalk first
+    quotients = []
+    build = cones.quotient
+
+    def counting(*args):
+        quotients.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cones, "quotient", counting)
+    fan = load(os.path.join(ROOT, "bench", "fans", "p1xp1xp1.json"))
+    sheaf = sheaf_a0(fan)
+    for cone in fan.cones:
+        sheaf.chart(cone)
+    for cone in fan.cones:
+        sheaf.stalk(cone)
+    perps = len({c.perp_lattice().rows for c in fan.cones})
+    assert perps == 8
+    assert len(quotients) == perps

@@ -31,11 +31,9 @@ from kfan.sheaves import (
     Section,
     assemble_rays,
     extend_section,
-    from_ray_terms,
     pad_rays,
     random_open_subfan,
     random_section,
-    ray_terms,
     restrict_rays,
     sheaf_a0,
     split_rays,
@@ -94,9 +92,9 @@ def assembled_from_faces(sheaf, sigma, known: dict) -> GroupRingElement:
     other faces."""
     parts = {}
     for tau, value in known.items():
-        parts.update(split_rays(ray_terms(tau, value), tau, [tau]))
+        parts.update(split_rays(sheaf.to_rays(tau, value), tau, [tau]))
     faces = sheaf.fan.faces_of(sigma)
-    return from_ray_terms(sheaf.stalk(sigma), sigma, assemble_rays(parts, sigma, faces))
+    return sheaf.from_rays(sigma, assemble_rays(parts, sigma, faces))
 
 
 @pytest.mark.parametrize("path", SMOOTH_FILES, ids=os.path.basename)
@@ -168,14 +166,14 @@ def test_lift_with_zero_data_off_a_face_is_the_padding(name):
                 # x = y * (1 - chi^(e_r)) vanishes on the faces of A without r
                 y = random_element(sheaf.stalk(a), rng)
                 unit = {tuple(int(v == r) for v in a.rays): 1}
-                x = y - y * from_ray_terms(sheaf.stalk(a), a, unit)
+                x = y - y * sheaf.from_rays(a, unit)
                 facet = fan.canonical(Cone.from_rays(fan.lattice, [v for v in sigma.rays if v != r]))
                 known = {tau: GroupRingElement.zero(sheaf.stalk(tau)) for tau in fan.faces_of(facet)}
                 for tau in fan.faces_of(a):
                     pushed = x.pushforward(sheaf.restriction(a, tau))
                     assert tau not in known or pushed == known[tau]
                     known[tau] = pushed
-                padded = from_ray_terms(sheaf.stalk(sigma), sigma, pad_rays(ray_terms(a, x), a, sigma))
+                padded = sheaf.from_rays(sigma, pad_rays(sheaf.to_rays(a, x), a, sigma))
                 assert assembled_from_faces(sheaf, sigma, known) == padded
                 checked += 1
     assert checked > 20
@@ -183,36 +181,42 @@ def test_lift_with_zero_data_off_a_face_is_the_padding(name):
 
 def test_ray_chart_maps_characters_to_pairings():
     fan = bench_fan("p1xp1xp1")
+    sheaf = sheaf_a0(fan)
     rng = random.Random(1)
     for sigma in fan.cones:
-        chart, inverse = sigma.ray_chart()
+        chart, inverse = sheaf.chart(sigma)
         k = len(sigma.rays)
         assert chart @ inverse == IntMatrix.identity(k)
         for _ in range(5):
             m = tuple(rng.randint(-4, 4) for _ in range(fan.lattice.rank))
-            element = GroupRingElement.character(sigma.character_quotient(), m)
+            element = GroupRingElement.character(sheaf.stalk(sigma), m)
             pairing = tuple(sum(a * b for a, b in zip(m, v)) for v in sigma.rays)
-            assert ray_terms(sigma, element) == {pairing: 1}
-            assert from_ray_terms(sigma.character_quotient(), sigma, {pairing: 1}) == element
+            assert sheaf.to_rays(sigma, element) == {pairing: 1}
+            assert sheaf.from_rays(sigma, {pairing: 1}) == element
+
+
+def one_cone_sheaf(rays):
+    cone = Cone.from_rays(Lattice(2), rays)
+    return cone, sheaf_a0(Fan.from_max_cones(Lattice(2), [cone]))
 
 
 def test_ray_chart_needs_a_smooth_cone():
-    cone = Cone.from_rays(Lattice(2), [(1, 0), (1, 2)])
+    cone, sheaf = one_cone_sheaf([(1, 0), (1, 2)])
     with pytest.raises(ValueError, match="not smooth"):
-        cone.ray_chart()
+        sheaf.chart(cone)
 
 
 def test_ray_chart_cross_check_raises_certificate_error(monkeypatch):
-    adjugate = cones.adjugate
+    adjugate = sheaves.adjugate
 
     def wrong_inverse(a):
         return IntMatrix([[-x for x in row] for row in adjugate(a).rows], ncols=a.ncols)
 
-    cone = Cone.from_rays(Lattice(2), [(1, 0), (1, 1)])
+    cone, sheaf = one_cone_sheaf([(1, 0), (1, 1)])
     assert cone.is_smooth()
-    monkeypatch.setattr(cones, "adjugate", wrong_inverse)
+    monkeypatch.setattr(sheaves, "adjugate", wrong_inverse)
     with pytest.raises(CertificateError, match="ray chart"):
-        cone.ray_chart()
+        sheaf.chart(cone)
 
 
 def test_smoothness_is_decided_once_per_cone(monkeypatch):
@@ -260,12 +264,12 @@ def test_assembling_the_split_gives_back_cocycles_and_sections(fan, seed):
         z = cx.random_cocycle(level, rng)
         for t, value in z.components.items():
             cone = cx.cone_of(t)
-            terms = ray_terms(cone, value)
+            terms = cx.sheaf.to_rays(cone, value)
             assert assemble_rays(all_parts(terms, cone, fan), cone, fan.faces_of(cone)) == terms
     sheaf = sheaf_a0(fan)
     section = random_section(sheaf, random_open_subfan(fan, rng), rng)
     for cone, value in section.components.items():
-        terms = ray_terms(cone, value)
+        terms = sheaf.to_rays(cone, value)
         assert assemble_rays(all_parts(terms, cone, fan), cone, fan.faces_of(cone)) == terms
 
 
@@ -322,7 +326,7 @@ def test_a_part_restricts_to_zero_on_the_proper_faces(fan, seed):
     rng = random.Random(seed)
     sheaf = sheaf_a0(fan)
     for sigma in fan.max_cones:
-        terms = ray_terms(sigma, random_element(sheaf.stalk(sigma), rng))
+        terms = sheaf.to_rays(sigma, random_element(sheaf.stalk(sigma), rng))
         for tau, part in all_parts(terms, sigma, fan).items():
             assert part
             for rho in fan.faces_of(tau):

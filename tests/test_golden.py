@@ -46,7 +46,10 @@ character group.  ``k0-affine-simplex-113`` and
 ``info-cube`` and ``hilbert-cube`` (``cube.json`` is the face fan of
 the cube [-1, 1]^3: six square maximal cones, ids 21 to 26) were
 captured before character groups came to be certified where they are
-built and splittings on their first read.  A change meant to alter these
+built and splittings on their first read.  The three ``*-ladder-12``
+reports (rank 2, 12 maximal cones, whose stalks are shared by many
+cones) were captured before the ray charts moved from the cones to the
+sheaf.  A change meant to alter these
 reports must say so and regenerate them from the repository root with
 
     PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json
@@ -112,6 +115,9 @@ GOLDEN = {
     "k0-affine-simplex-113-face": "k0-affine tests/golden/simplex-113.json --cone 6",
     "info-cube": "info tests/golden/cube.json",
     "hilbert-cube": "hilbert tests/golden/cube.json --cone 26",
+    "exactness-ladder-12-level1": "check-exactness bench/fans/ladder-12.json --level 1 --trials 3 --seed 17",
+    "exactness-ladder-12-level2": "check-exactness bench/fans/ladder-12.json --level 2 --trials 2 --seed 18",
+    "flasque-ladder-12": "check-flasque bench/fans/ladder-12.json --trials 3 --seed 19",
 }
 # the reports of these commands end in exit 1 (a non-member, with witness)
 # or in exit 3 (the support solver gave up on a non-smooth fan)

@@ -486,6 +486,17 @@ def test_group_ring_coefficients_must_be_integers():
         GroupRingElement(free_group(2), {(1, 2): 2.7})
 
 
+@pytest.mark.parametrize(
+    "key, coeff, error",
+    [((1.5, 2), 0, TypeError), ((1, 2, 3), 0, ValueError), ((1, 2), 0.0, TypeError)],
+    ids=["fractional-key", "key-of-wrong-length", "float-zero"],
+)
+def test_a_zero_term_is_checked(key, coeff, error):
+    # a zero coefficient used to skip its term unchecked, giving 0
+    with pytest.raises(error):
+        GroupRingElement(free_group(2), {key: coeff})
+
+
 def test_multiplying_by_one_is_identity():
     g = free_group(1)
     x = GroupRingElement(g, {(2,): 3, (-1,): 5})

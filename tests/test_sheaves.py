@@ -326,6 +326,20 @@ def test_shared_stalks_and_restrictions_are_those_of_each_cone(fan):
             assert phi.matrix == fresh.matrix and phi.splitting == fresh.splitting
 
 
+def test_an_interned_stalk_is_checked_against_the_cone_that_takes_it(monkeypatch):
+    # the maximal cones of P1 x P1 share one perp lattice (zero), so the
+    # second takes the first one's stalk: its rank must still be checked
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fans", "p1xp1.json")
+    fan = build_fan(load_fan_file(path))
+    sheaf = sheaf_a0(fan)
+    first, second = fan.max_cones[:2]
+    assert first.perp_lattice().rows == second.perp_lattice().rows
+    sheaf.stalk(first)
+    monkeypatch.setattr(second, "dim", 1)
+    with pytest.raises(CertificateError, match="is not free of rank 1"):
+        sheaf.stalk(second)
+
+
 def first_failure_checking_every_chain(sheaf):
     """The reference for the per-object certificate of ``FanSheaf``:
     read every stalk and face pair, then check the identity on every
@@ -603,7 +617,7 @@ def test_a_family_that_differs_at_one_wall_only_is_caught(name):
     for a, b, ridge in walls(fan):
         for cone in (a, b):
             part = sheaves.pad_rays(sheaves._top_part({(1,) * len(ridge.rays): 1}), ridge, cone)
-            bump = sheaves.from_ray_terms(sheaf.stalk(cone), cone, part)
+            bump = sheaf.from_rays(cone, part)
             comps = {**member, cone: member[cone] + bump}
             for cones in (fan.max_cones, fan.full_subfan().max_cones()):
                 values = [comps[c] for c in cones]
