@@ -5,42 +5,32 @@ ring, and randomized exactness verification.
 Degree-zero cohomology is the ring of global sections of ``sheaf_a0``
 (``H0Ring``, whose elements are ``kfan.sheaves.Section``s on the whole
 fan): a level-0 cochain is a cocycle exactly when its components agree
-on every pairwise meet, which ``kfan.sheaves.first_disagreement`` asks
-as a section's check does (comparisons only at the maximal faces each
-maximal cone shares with earlier ones, the pairs scanned only to name a
-disagreement).
-So H0 builds no ``CechComplex`` and lists no level.
+on every pairwise meet, which ``kfan.sheaves.first_disagreement`` asks.
 
-Level p holds one group-ring slot per strictly increasing (p+1)-tuple
-of maximal-cone indices, valued in the character group of the tuple's
-intersection cone.  The differential takes the standard alternating
-signed sum of pushforwards; only the level-zero formula is forced by
-the geometry (difference of the two restrictions), the higher signs are
-the usual simplicial convention over the fixed ordering of the maximal
-cones, and d . d = 0 holds by telescoping.
+Level p holds one slot per strictly increasing (p+1)-tuple of
+maximal-cone indices, valued in the stalk at the tuple's meet.  The
+differential is the alternating signed sum of restrictions over the
+fixed order of the maximal cones (only level zero is forced by the
+geometry), and d . d = 0 by telescoping.  It walks the pairs (s, i) of
+a cochain's support and the indices outside s: t = s + {i} takes the
+sign of i's position, its meet is the fan's cone on the rays of s's meet
+in maximal cone i, and each component is pushed once per distinct meet.
 
-The differential walks the pairs (s, i) of a cochain's support and the
-indices outside s: t = s + {i} takes the sign of i's position, its meet
-is the fan's cone on the rays of s's meet in maximal cone i, and each
-component is pushed once per distinct meet and summed in place.  The
-complex keeps the meets of supports and their prefixes, nothing per
-coface; the solver's equations find signed faces by the same rule.
-
-For smooth fans the complex splits per cone.  In ray coordinates
-Z[M_sigma] is the sum of summands A_tau over the faces tau of sigma
-(``kfan.sheaves.split_rays``), and restriction keeps those of the
-smaller cone's faces.  So the complex is the sum over the cones tau of
-the complexes of full simplices on S_tau, the maximal cones containing
-tau, with coefficients A_tau; each is exact in positive levels,
-contracted onto a_tau = min S_tau, and ``solve_coboundary`` returns the
-contraction b once d(b) = z, which proves z a cocycle.  There
+On a smooth fan values are in ray coordinates, restricted by the
+sheaf's pickers, and the complex splits per cone: Z[M_sigma] is the sum
+of summands A_tau over the faces tau of sigma
+(``kfan.sheaves.split_rays``), so the complex is the sum over the cones
+tau of the complexes of full simplices on S_tau, the maximal cones
+containing tau, with coefficients A_tau.  Each is exact in positive
+levels, contracted onto a_tau = min S_tau, and ``solve_coboundary``
+returns the contraction b once d(b) = z, which proves z a cocycle.
 ``random_cocycle`` draws sparse cocycles z = d(b0), with b0 one random
 monomial on each of ``SPARSE_TUPLES`` random tuples one level down: d
-and the contraction are linear, so a dense z would test them no better,
-and no trial lists a level.  On non-smooth fans cocycles are random
-kernel elements of the whole system d(z) = 0, preimages are searched
-for by the expanding-support solver, and a ``SolverGaveUp`` there is a
-search failure, never a counterexample.
+and the contraction are linear, so a dense z would test them no better.
+Only ``kfan.report`` reads the character groups' coordinates.  On
+non-smooth fans cocycles are random kernel elements of d, preimages are
+searched for by the expanding-support solver, and a ``SolverGaveUp``
+there is a search failure, never a counterexample.
 """
 
 from __future__ import annotations
@@ -54,6 +44,7 @@ from .cones import Cone, Fan
 from .intlinalg import CertificateError, QuotientLattice
 from .monoids import GroupRingElement
 from .sheaves import (
+    RayStalk,
     Section,
     accumulate,
     assemble_rays,
@@ -135,7 +126,7 @@ class CechComplex:
             and all(a < b for a, b in zip(t, t[1:]))
         )
 
-    def stalk(self, t: tuple) -> QuotientLattice:
+    def stalk(self, t: tuple) -> "RayStalk | QuotientLattice":
         return self.sheaf.stalk(self.cone_of(t))
 
     def d(self, c: "Cochain") -> "Cochain":
@@ -211,12 +202,14 @@ class CechComplex:
             if faces is None:
                 faces = [tau for tau in self.fan.faces_of(cone) if self.anchors[tau] == t[0]]
                 anchored[cone, t[0]] = faces
-            parts = split_rays(self.sheaf.to_rays(cone, value), cone, faces)
-            accumulate(b.setdefault(t[1:], {}), assemble_rays(parts, self.cone_of(t[1:]), faces), 1)
+            parts = split_rays(self.sheaf, value, cone, faces)
+            above = assemble_rays(self.sheaf, parts, self.cone_of(t[1:]), faces)
+            accumulate(b.setdefault(t[1:], {}), above, 1)
         return self._from_rays(z.level - 1, b)
 
     def _from_rays(self, level: int, terms: dict) -> "Cochain":
-        comps = {t: self.sheaf.from_rays(self.cone_of(t), v) for t, v in terms.items()}
+        """The cochain with these fresh ray-coordinate term dicts."""
+        comps = {t: GroupRingElement._normal(self.stalk(t), v) for t, v in terms.items()}
         return Cochain._trusted(self, level, comps)
 
     def _d_constraints(self, level: int, rhs: dict) -> list[Constraint]:
@@ -240,13 +233,11 @@ class CechComplex:
         return constraints
 
     def random_cocycle(self, level: int, rng: random.Random) -> "Cochain":
-        """A random nonzero cocycle.  On a smooth fan z = d(b0) for a
-        level-(level - 1) cochain b0 with one random monomial, in the ray
-        coordinates of the meet, on each of ``SPARSE_TUPLES`` random
-        tuples, redrawn while z is zero: a coboundary by construction;
-        level-0 cocycles are global sections, which ``random_section``
-        draws.  Otherwise a random nonzero kernel element of d
-        (``sample_nonzero_solution``), re-checked."""
+        """A random nonzero cocycle.  On a smooth fan z = d(b0), b0 one
+        random monomial on each of ``SPARSE_TUPLES`` random tuples one
+        level down, redrawn while z is zero (level-0 cocycles are global
+        sections: ``random_section``).  Otherwise a random nonzero kernel
+        element of d (``sample_nonzero_solution``), re-checked."""
         if level > self.top_level:
             raise LevelOverflow(f"no level {level} in this complex")
         if self.fan.is_smooth():
@@ -404,15 +395,10 @@ def verify_exactness(
     seed: int,
 ) -> ExactnessReport:
     """Sample random cocycles at the given level and solve each one back
-    to a coboundary, re-verifying every witness exactly.  Exactness is
-    proved only for smooth fans; on a non-smooth one the trials search,
-    and a trial that gives up is a search failure, never a counterexample.
-
-    The witness check d(b) = z is each trial's certificate.  On a smooth
-    fan z is drawn as z = d(b0) for a sparse b0, and a trial walks the
-    cofaces of the supports of b0 and the witness only: d(z) is walked
-    only when no witness is found (see ``solve_coboundary``).
-    """
+    to a coboundary: the check d(b) = z is each trial's certificate, and
+    d(z) is walked only when no witness is found (``solve_coboundary``).
+    Exactness is proved only for smooth fans; on a non-smooth one a trial
+    that gives up is a search failure, never a counterexample."""
     if level < 1:
         raise ValueError("exactness questions start at level 1")
     complex = CechComplex(fan)

@@ -321,7 +321,7 @@ class Cone:
         group of the minimal orbit of the affine toric variety.  Always
         free, of rank dim, and its projection checked onto (P S = I for
         its section S) here, where it is built.  Nothing is kept: the
-        structure sheaf keeps the groups it reads (``FanSheaf.stalk``)."""
+        sheaf keeps what it reads (``FanSheaf.character_group``)."""
         q = quotient(Lattice(self.lattice.rank), self.perp_lattice())
         if q.projection @ q.section != IntMatrix.identity(q.coords_len):
             raise CertificateError(

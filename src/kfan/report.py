@@ -12,6 +12,9 @@ yielding one string per scalar; ``_encode`` builds each list or dict of
 a report with one ``str.join`` and the C string escaper, about twice as
 fast in half the memory, and hands the stdlib any value no report holds.
 The ``*_to_jsonable`` functions here write every value a report carries.
+A smooth fan's stalk elements, kept in ray coordinates, are written and
+read in the coordinates of the character groups, through the ray charts
+(``kfan.sheaves.FanSheaf.chart``): on a smooth fan, only here.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 from .cech import Cochain
 from .fanfile import is_int, is_int_list
 from .monoids import GroupRingElement
+from .sheaves import RayStalk
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -30,15 +34,23 @@ EXIT_SOLVER_GAVE_UP = 3
 
 
 def element_to_jsonable(el: GroupRingElement) -> list:
-    """A group-ring element as a sorted list of [coords, coeff] pairs."""
-    return [[list(coords), coeff] for coords, coeff in el.items()]
+    """A group-ring element as a sorted list of [coords, coeff] pairs.
+    An element of a smooth fan's stalk (``RayStalk``) is written in the
+    coordinates of the cone's character group, through T^-1 of the
+    sheaf's ray chart."""
+    items = el.terms.items()
+    if isinstance(el.group, RayStalk):
+        inverse = el.group.sheaf.chart(el.group.cone)[1].apply
+        items = [(inverse(e), k) for e, k in items]
+    return [[list(coords), coeff] for coords, coeff in sorted(items)]
 
 
 def element_from_jsonable(group, data) -> GroupRingElement:
     """Inverse of ``element_to_jsonable``; coordinates and coefficients
     must be JSON integers (see ``fanfile.is_int``), never coerced.  The
     shape is checked before a term is unpacked: a list of two-entry
-    lists."""
+    lists.  Coordinates are those ``element_to_jsonable`` writes, read
+    into a ``RayStalk`` through T of the sheaf's ray chart."""
     if not isinstance(data, list):
         raise ValueError(f"element {data!r} is not a list of [integer list, integer] terms")
     terms = {}
@@ -50,6 +62,9 @@ def element_from_jsonable(group, data) -> GroupRingElement:
             raise ValueError(f"term {term!r} is not [integer list, integer]")
         key = tuple(coords)
         terms[key] = terms.get(key, 0) + coeff
+    if isinstance(group, RayStalk):
+        chart = group.sheaf.chart(group.cone)[0].apply
+        terms = {chart(group.reduce(e)): k for e, k in terms.items()}
     return GroupRingElement(group, terms)
 
 

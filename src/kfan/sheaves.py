@@ -1,55 +1,37 @@
 """Sheaves on the poset topology of a fan.
 
-A sheaf here is the contravariant-functor data: a stalk group for every
-cone and a quotient surjection for every face pair, functorial along
-chains.  Sections over an open subfan are stored on its maximal cones,
-and compatibility over pairwise meets pins the whole limit.
+A sheaf here is a stalk group for every cone and a surjection for every
+face pair, functorial along chains.  Sections over an open subfan are
+stored on its maximal cones; compatibility over pairwise meets pins the
+whole limit.
 
 The sheaf of interest, ``sheaf_a0``, assigns to each cone sigma the
-group ring Z[M_sigma] of its minimal-orbit character group.  A smooth
-cone with rays v_1..v_k has ray coordinates m -> (<m,v_1>, .., <m,v_k>)
-on M_sigma (``FanSheaf.chart``), in which restriction to a face keeps
-the coordinates of the face's rays, and Z[M_sigma] is the sum over the
-faces tau of sigma of A_tau, the tensor product over the rays of tau of
-(1 - x_i) Z[x_i^+-1]: the tau-part of an element is its restriction to
-tau under the projector prod (1 - eps_i), eps_i setting x_i = 1
-(``split_rays``), and the parts sum back by zero-padding
-(``assemble_rays``).  These coordinate maps run as compiled pickers
-(``intlinalg.picker``): restriction and padding read their positions
-from the cones' sorted rays, and the projector reads one table of sign
-patterns per width, built once up to ``MAX_RANK``.  So on a smooth fan
-``sheaf_a0`` is the sum over the cones tau of the constant sheaf A_tau
-on star(tau), and it is flasque: a section extends by zero tau-parts on
-the cones outside its domain.  Elements are converted into ray
-coordinates and back at the boundary, by the sheaf that owns the charts
-(``FanSheaf.to_rays``, ``FanSheaf.from_rays``).  On non-smooth fans the
-extension is searched for by the expanding-support solver, and a
-``SolverGaveUp`` there is a search failure, never a proof that no
-extension exists.
-
-``sheaf_a0`` builds nothing up front: a stalk is built on its first
-read, interned by the cone's perp rows (a character group is the
-quotient by the perp lattice, a function of those rows), so each
-distinct perp lattice takes one quotient, shared by the cones that have
-it, whether a cone's stalk or its ray chart (built from the stalk) is
-read first; a restriction is built on its first read, one certified
-map per distinct pair of stalks, shared by every face pair between
-them.  A command reads few of them: a member of H0 on P1 x P1 x P1
-reads the maps of its walls only.  The certificate is per object
-(``FanSheaf``): each distinct stalk's projection is checked onto where
-it is built and each distinct map commutes with the projections, and
-identity and functoriality on every chain follow from those; a map's
-splitting is no part of it.
+group ring Z[M_sigma] of its minimal-orbit character group.  On a
+smooth fan elements live in ray coordinates throughout: with rays
+v_1..v_k, m -> (<m,v_1>, .., <m,v_k>) maps M_sigma onto Z^k
+(``RayStalk``), and restriction to a face keeps the face's coordinates,
+by a picker built once per face pair (``RayRestriction``).  Z[M_sigma]
+is then the sum over the faces tau of sigma of A_tau, the tensor product
+over the rays of tau of (1 - x_i) Z[x_i^+-1]: the tau-part of an element
+is its restriction to tau under the projector prod (1 - eps_i), eps_i
+setting x_i = 1 (``split_rays``), and the parts sum back by
+zero-padding (``assemble_rays``).  So ``sheaf_a0`` is the sum over the
+cones tau of the constant sheaf A_tau on star(tau), and flasque: a
+section extends by zero tau-parts off its domain.  The character
+groups' own coordinates are read only where ``kfan.report`` writes or
+reads an element, through the ray chart (``FanSheaf.chart``).  On
+non-smooth fans the stalks are the character groups, the restrictions
+their canonical surjections, and extensions are searched for by the
+expanding-support solver: a ``SolverGaveUp`` there is a search failure,
+never a proof that no extension exists.  Each stalk, chart and
+restriction is built and certified on its first read (``FanSheaf``).
 
 Whether values on maximal cones agree on their meets is asked in one
-place, ``first_disagreement``: by ``Section.check`` here and by H0
-membership in ``kfan.cech``, whose ring elements are the sections on
-the whole fan.  Both scan the maximal cones of the domain
-(``Subfan.max_cones``), on the whole fan in the fan's order.  On
-every fan and open subfan it walks each cone's faces once, largest
-first, and compares values only at the maximal faces a cone shares with
-earlier cones, where it meets the last earlier cone containing them
-exactly, so a member costs time linear in the incidences (the families
+place, ``first_disagreement``, by ``Section.check`` here and by H0
+membership in ``kfan.cech``, over the maximal cones of the domain
+(``Subfan.max_cones``), on the whole fan in the fan's order.  It
+compares values only at the maximal faces a cone shares with earlier
+cones, so a member costs time linear in the incidences (the families
 agreeing on every meet, Vezzosi-Vistoli, Invent. Math. 2003;
 Anderson-Payne, "Operational K-theory", Doc. Math. 2015); only a
 disagreement takes the scan over all pairs, to name the first pair.
@@ -71,6 +53,7 @@ from .intlinalg import (
     canonical_surjection,
     det,
     picker,
+    vec_add,
 )
 from .monoids import GroupRingElement
 from .support_solver import (
@@ -84,58 +67,111 @@ from .support_solver import (
 )
 
 
+class RayStalk:
+    """The stalk group at a cone of a smooth fan, in ray coordinates: with
+    rays v_1..v_k (in ``rays`` order), m -> (<m,v_1>, .., <m,v_k>) maps
+    M_sigma onto Z^k, as the rays extend to a basis of N.  Equal for
+    equal cones."""
+
+    __slots__ = ("sheaf", "cone", "coords_len", "free_rank")
+    invariant_factors = ()
+    is_free = True
+
+    def __init__(self, sheaf: "FanSheaf", cone: Cone):
+        self.sheaf = sheaf
+        self.cone = cone
+        self.coords_len = self.free_rank = len(cone.rays)
+
+    def zero(self) -> Vec:
+        return (0,) * self.coords_len
+
+    def reduce(self, coords) -> Vec:
+        if len(coords) != self.coords_len:
+            raise ValueError("bad coordinate length")
+        return tuple(coords)
+
+    def project(self, v) -> Vec:
+        """The ray coordinates of chi^[m]: the pairings of m with the rays."""
+        return IntMatrix._trusted(self.cone.rays, self.cone.lattice.rank).apply(v)
+
+    add = staticmethod(vec_add)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, RayStalk) and self.cone == other.cone)
+
+    def __hash__(self) -> int:
+        return hash(self.cone)
+
+
+class RayRestriction:
+    """Restriction to a face on a smooth fan: keep the coordinates of the
+    face's rays, by a ``picker`` that ``GroupRingElement.pushforward``
+    runs, certified by construction, as the face's rays are among the
+    cone's.  ``pad`` is its right inverse iota, reading a key with one
+    trailing 0, which the rays the face lacks pick."""
+
+    __slots__ = ("source", "target", "picker", "pad")
+
+    def __init__(self, source: RayStalk, target: RayStalk):
+        self.source = source
+        self.target = target
+        rays = target.cone.rays
+        self.picker = picker([source.cone.rays.index(r) for r in rays])
+        self.pad = picker([rays.index(r) if r in rays else len(rays) for r in source.cone.rays])
+
+
 class FanSheaf:
     """The structure sheaf ``sheaf_a0`` of a fan, built on demand: the
     stalk at a cone sigma is Z[M_sigma], M_sigma = M / (sigma^perp), and
-    the restriction from sigma to a face tau is the pushforward along
-    the canonical surjection M_sigma -> M_tau.
+    the restriction to a face tau is the pushforward along M_sigma ->
+    M_tau.  A cone outside the fan, or a pair that is not a face pair,
+    raises ``KeyError``.  Nothing is kept beyond this sheaf.
 
-    ``stalk(sigma)`` keeps sigma's character group from its first read,
-    interned by perp rows in the sheaf's own table: one quotient per
-    distinct perp lattice, shared by the cones that have it, each
-    checked free of rank dim.  ``chart(sigma)`` builds a smooth cone's
-    ray coordinates from its stalk, and ``to_rays`` and ``from_rays``
-    convert through them.
-    ``restriction(sigma, tau)`` builds one ``canonical_surjection`` per
-    distinct pair of stalks on its first read, shared by every face
-    pair between them: at most 27 maps for the 125 face pairs of
-    P1 x P1 x P1.  A cone outside the fan, or a pair that is not a face
-    pair, raises ``KeyError``.  Nothing is kept beyond this sheaf.
+    ``character_group(sigma)`` keeps sigma's character group from its
+    first read, interned by perp rows: one quotient per distinct perp
+    lattice, checked P S = I (its projection times its section) where
+    ``Cone.character_quotient`` builds it, so its projection pi_sigma is
+    onto, and checked free of rank dim for each cone that takes it.  On
+    a smooth fan ``stalk`` is a ``RayStalk`` and ``restriction`` a
+    ``RayRestriction``, certified by construction; ``chart`` carries
+    ray coordinates onto the character group's.  Otherwise ``stalk`` is
+    the character group and ``restriction`` its ``canonical_surjection``,
+    checked: phi pi_sigma = pi_tau on the basis of M.  Identity and
+    functoriality follow, as pi_sigma is onto:
 
-    The certificate is per object, not per chain.  Write pi_sigma for
-    the projection M -> M_sigma of the stalk's quotient; each distinct
-    stalk is checked once for P S = I (its projection times its
-    section) where ``Cone.character_quotient`` builds it, so pi_sigma
-    is onto.  Each distinct map phi_sigma,tau is checked by
-    ``canonical_surjection``: the source relations lie in the target's,
-    and phi pi_sigma = pi_tau on the basis of M.  The splitting leaves
-    the map's certificate: it is checked on its first read, where the
-    non-smooth search lifts.  Identity and functoriality follow:
-
-    - phi_sigma,sigma pi_sigma = pi_sigma and pi_sigma is onto, so
-      phi_sigma,sigma is the identity;
+    - phi_sigma,sigma pi_sigma = pi_sigma, so phi_sigma,sigma = 1;
     - for faces rho <= tau <= sigma, phi_tau,rho phi_sigma,tau pi_sigma =
-      phi_tau,rho pi_tau = pi_rho = phi_sigma,rho pi_sigma, and pi_sigma
-      is onto, so phi_tau,rho phi_sigma,tau = phi_sigma,rho.
+      phi_tau,rho pi_tau = pi_rho = phi_sigma,rho pi_sigma.
 
-    So every cone and chain that a command reads is as certified as if
-    all of them had been checked up front."""
+    A map's splitting is no part of the certificate: it is checked on
+    its first read, where the non-smooth search lifts."""
 
-    __slots__ = ("fan", "_interned", "_stalks", "_charts", "_maps", "_restrictions")
+    __slots__ = ("fan", "smooth", "_interned", "_groups", "_stalks", "_charts", "_restrictions")
 
     def __init__(self, fan: Fan):
         self.fan = fan
-        self._interned: dict = {}  # perp rows -> the stalk of the first cone read with them
-        self._stalks: dict = {}  # cone -> its stalk
+        self.smooth = fan.is_smooth()
+        self._interned: dict = {}  # perp rows -> the group of the first cone read with them
+        self._groups: dict = {}  # cone -> its character group
+        self._stalks: dict = {}  # cone of a smooth fan -> its ray stalk
         self._charts: dict = {}  # smooth cone -> its ray chart
-        self._maps: dict = {}  # (id of source stalk, id of target stalk) -> the shared map
         self._restrictions: dict = {}  # (cone, face) -> its map
 
-    def stalk(self, sigma: Cone) -> QuotientLattice:
-        """The character group M_sigma of a cone of the fan: the group
-        interned for its perp rows, checked free of rank dim, or else
-        built and checked by ``Cone.character_quotient``."""
+    def stalk(self, sigma: Cone) -> RayStalk | QuotientLattice:
+        """The stalk group at a cone of the fan: its ``RayStalk`` on a
+        smooth fan, else its ``character_group``."""
+        if not self.smooth:
+            return self.character_group(sigma)
         q = self._stalks.get(sigma)
+        if q is None:
+            q = self._stalks[sigma] = RayStalk(self, self.fan.canonical(sigma))
+        return q
+
+    def character_group(self, sigma: Cone) -> QuotientLattice:
+        """The character group M_sigma of a cone of the fan, in Smith
+        coordinates: the group interned for its perp rows, checked free
+        of rank dim, or else built by ``Cone.character_quotient``."""
+        q = self._groups.get(sigma)
         if q is None:
             cone = self.fan.canonical(sigma)
             rows = cone.perp_lattice().rows
@@ -144,21 +180,19 @@ class FanSheaf:
                 q = self._interned[rows] = cone.character_quotient()
             elif q.free_rank != cone.dim:
                 raise CertificateError(f"the stalk of {cone!r} is not free of rank {cone.dim}")
-            self._stalks[sigma] = q
+            self._groups[sigma] = q
         return q
 
     def chart(self, sigma: Cone) -> tuple[IntMatrix, IntMatrix]:
-        """The ray chart of a smooth cone of the fan: with rays v_1..v_k
-        (in ``rays`` order), m -> (<m,v_1>, .., <m,v_k>) maps M_sigma
-        onto Z^k, and restriction to a face keeps the coordinates of the
-        face's rays.  Returns (T, T^-1): T = R * section takes the
-        stalk's coordinates to ray coordinates (R the ray matrix), and
-        T^-1 = det(T) * adj(T) by cofactors.  Built once per cone, from
-        its stalk, and checked: det T = +-1, T * projection = R and
+        """The ray chart of a smooth cone of the fan: returns (T, T^-1),
+        where T = R * section takes the coordinates of its
+        ``character_group`` to ray coordinates (R the ray matrix, in
+        ``rays`` order), and T^-1 = det(T) * adj(T) by cofactors.  Built
+        once per cone and checked: det T = +-1, T * projection = R and
         T * T^-1 = I."""
         chart = self._charts.get(sigma)
         if chart is None:
-            q = self.stalk(sigma)
+            q = self.character_group(sigma)
             if not sigma.is_smooth():
                 raise ValueError(f"{sigma!r} is not smooth: its rays give no chart")
             k = len(sigma.rays)
@@ -173,29 +207,14 @@ class FanSheaf:
             chart = self._charts[sigma] = (t, t_inv)
         return chart
 
-    def to_rays(self, sigma: Cone, x: GroupRingElement) -> dict[Vec, int]:
-        """An element of the stalk at a smooth cone, in ray coordinates."""
-        chart = self.chart(sigma)[0]
-        return {chart.apply(c): k for c, k in x.terms.items()}
-
-    def from_rays(self, sigma: Cone, terms: dict) -> GroupRingElement:
-        """The element of the stalk at a smooth cone with these terms in
-        ray coordinates (distinct keys: the chart is unimodular)."""
-        inverse = self.chart(sigma)[1]
-        keys = {inverse.apply(e): k for e, k in terms.items()}
-        return GroupRingElement._normal(self.stalk(sigma), keys)
-
-    def restriction(self, sigma: Cone, tau: Cone) -> QuotientSurjection:
+    def restriction(self, sigma: Cone, tau: Cone) -> RayRestriction | QuotientSurjection:
         """The map from the stalk at sigma to the stalk at a face tau."""
         phi = self._restrictions.get((sigma, tau))
         if phi is None:
             if tau not in self.fan._faces_of[self.fan._index[sigma]]:
                 raise KeyError((sigma, tau))
-            source, target = self.stalk(sigma), self.stalk(tau)
-            phi = self._maps.get((id(source), id(target)))
-            if phi is None:
-                phi = self._maps[id(source), id(target)] = canonical_surjection(source, target)
-            self._restrictions[sigma, tau] = phi
+            make = RayRestriction if self.smooth else canonical_surjection
+            phi = self._restrictions[sigma, tau] = make(self.stalk(sigma), self.stalk(tau))
         return phi
 
 
@@ -278,15 +297,17 @@ class Section:
             raise ValueError("domain belongs to a different fan")
         self.sheaf = sheaf
         self.domain = domain
-        max_cones = domain.max_cones()
         comps = {}
-        for c in max_cones:
+        for c in domain.max_cones():
             if c not in components:
                 raise ValueError(f"missing component at {c!r}")
             val = components[c]
             if val.group != sheaf.stalk(c):
                 raise ValueError(f"component at {c!r} lives over the wrong group")
             comps[c] = val
+        if len(comps) != len(components):
+            stray = next(c for c in components if c not in comps)
+            raise ValueError(f"component at {stray!r}, not a maximal cone of the domain")
         self.components = comps
         self._home = None  # cone of the domain -> the first maximal cone containing it
 
@@ -304,10 +325,8 @@ class Section:
 
     def value_at(self, cone: Cone) -> GroupRingElement:
         """The component at any cone of the domain: its own at a maximal
-        cone of the domain (whose restriction to itself ``FanSheaf``
-        certifies as the identity), else pushed forward from the first
-        maximal cone of the domain containing it, looked up in a table
-        built on the first call and kept (the domain never changes)."""
+        cone of the domain, else pushed forward from the first maximal
+        cone of the domain containing it (a table built on first call)."""
         fan = self.sheaf.fan
         cone = fan.canonical(cone)
         if cone not in self.domain:
@@ -341,32 +360,11 @@ class Section:
         return f"Section(on {len(self.components)} maximal cones)"
 
 
-def _positions(face: Cone, cone: Cone) -> tuple[int, ...]:
-    """Where each ray of a face sits among the rays of the cone."""
-    return tuple(map(cone.rays.index, face.rays))
-
-
-def restrict_rays(terms: dict, cone: Cone, face: Cone) -> dict:
-    """Restriction to a face, in ray coordinates: keep the coordinates
-    of the face's rays."""
-    pick = picker(_positions(face, cone))
-    out: dict = {}
-    for e, k in terms.items():
-        key = pick(e)
-        out[key] = out.get(key, 0) + k
-    return {e: k for e, k in out.items() if k}
-
-
-def pad_rays(terms: dict, face: Cone, cone: Cone) -> dict:
-    """iota: from a face's ray coordinates to the cone's, with zeros at
-    the rays the face lacks.  A right inverse of ``restrict_rays``.
-    Each key gets one trailing 0, which the cone's other rays pick."""
-    width = len(face.rays)
-    sources = [width] * len(cone.rays)
-    for j, i in enumerate(_positions(face, cone)):
-        sources[i] = j
-    pick = picker(sources)
-    return {pick(e + (0,)): k for e, k in terms.items()}
+def pad_rays(terms: dict, phi: RayRestriction) -> dict:
+    """iota: from the ray coordinates of phi's face to its cone's, with
+    zeros at the rays the face lacks.  A right inverse of phi."""
+    pad = phi.pad
+    return {pad(e + (0,)): k for e, k in terms.items()}
 
 
 def accumulate(acc: dict, terms: dict, sign: int) -> None:
@@ -413,14 +411,16 @@ def _top_part(terms: dict) -> dict:
     return {e: k for e, k in out.items() if k}
 
 
-def split_rays(terms: dict, cone: Cone, faces) -> dict:
-    """The nonzero tau-parts, in tau's ray coordinates, of an element in
-    the cone's: restrict to each face tau, then project onto A_tau."""
-    parts = {tau: _top_part(restrict_rays(terms, cone, tau)) for tau in faces}
+def split_rays(sheaf: FanSheaf, x: GroupRingElement, cone: Cone, faces) -> dict:
+    """The nonzero tau-parts, in tau's ray coordinates, of an element of
+    the stalk at a cone of a smooth fan: restrict to each face tau, then
+    project onto A_tau."""
+    restriction = sheaf.restriction
+    parts = {tau: _top_part(x.pushforward(restriction(cone, tau)).terms) for tau in faces}
     return {tau: part for tau, part in parts.items() if part}
 
 
-def assemble_rays(parts: dict, cone: Cone, faces) -> dict:
+def assemble_rays(sheaf: FanSheaf, parts: dict, cone: Cone, faces) -> dict:
     """The sum of the zero-padded tau-parts over the ``faces`` tau of the
     cone that have one: the inverse of ``split_rays`` over all faces.
     Only the parts of those faces are read, so the cost follows the
@@ -429,7 +429,7 @@ def assemble_rays(parts: dict, cone: Cone, faces) -> dict:
     for tau in faces:
         part = parts.get(tau)
         if part:
-            accumulate(out, pad_rays(part, tau, cone), 1)
+            accumulate(out, pad_rays(part, sheaf.restriction(cone, tau)), 1)
     return out
 
 
@@ -448,11 +448,9 @@ def random_part(tau: Cone, rng: random.Random) -> dict:
 
 def extend_section(section: Section, depth: int = 3) -> Section | SolverGaveUp:
     """A global section restricting to the given one, re-checked as
-    both.  On a smooth fan it is built (``_split_extension``) and
-    ``depth`` is ignored.  On a non-smooth fan nothing guarantees an
-    extension: the expanding-support solver searches to the given
-    depth, and a ``SolverGaveUp`` is a search failure, never a proof of
-    nonexistence."""
+    both: built on a smooth fan (``_split_extension``, ``depth`` unread),
+    else searched for to the given depth, where a ``SolverGaveUp`` is a
+    search failure, never a proof of nonexistence."""
     if section.domain.is_full():
         return section
     if section.sheaf.fan.is_smooth():
@@ -471,19 +469,24 @@ def extend_section(section: Section, depth: int = 3) -> Section | SolverGaveUp:
 def _split_extension(section: Section) -> Section:
     """The section on its domain; elsewhere its tau-parts, assembled with
     zero parts for the cones outside the domain."""
-    sheaf = section.sheaf
+    sheaf, given = section.sheaf, section.components
     parts: dict = {}
-    for top, value in section.components.items():
+    for top, value in given.items():
         faces = [tau for tau in sheaf.fan.faces_of(top) if tau not in parts]
-        parts.update(split_rays(sheaf.to_rays(top, value), top, faces))
-    outside = [c for c in sheaf.fan.max_cones if c not in section.components]
-    comps = {**section.components, **_assembled(sheaf, parts, outside)}
+        parts.update(split_rays(sheaf, value, top, faces))
+    # a maximal cone of the fan in the domain is one of the domain's
+    comps = {c: given[c] for c in sheaf.fan.max_cones if c in given}
+    comps.update(_assembled(sheaf, parts, [c for c in sheaf.fan.max_cones if c not in given]))
     return Section(sheaf, sheaf.fan.full_subfan(), comps)
 
 
 def _assembled(sheaf: FanSheaf, parts: dict, cones) -> dict:
+    """The elements on these cones whose tau-parts are ``parts``."""
     faces = sheaf.fan.faces_of
-    return {c: sheaf.from_rays(c, assemble_rays(parts, c, faces(c))) for c in cones}
+    return {
+        c: GroupRingElement._normal(sheaf.stalk(c), assemble_rays(sheaf, parts, c, faces(c)))
+        for c in cones
+    }
 
 
 def _search_extension(section: Section, depth: int) -> Section | SolverGaveUp:
@@ -546,11 +549,7 @@ def random_open_subfan(fan: Fan, rng: random.Random) -> Subfan:
     return Subfan(fan, members)
 
 
-def random_section(
-    sheaf: FanSheaf,
-    domain: Subfan,
-    rng: random.Random,
-) -> Section:
+def random_section(sheaf: FanSheaf, domain: Subfan, rng: random.Random) -> Section:
     """A random nonzero section, re-checked.  On a smooth fan, a random
     tau-part (``random_part``) for each cone tau of the domain, redrawn
     while all zero; otherwise a random nonzero solution of the pairwise

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -8,18 +9,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kfan import cli, cones, intlinalg, monoids
+from kfan import cli, cones, intlinalg, monoids, sheaves
 from kfan.cli import main, run
 from kfan.cones import Cone
-from kfan.fanfile import build_fan, parse_fan_file
-from kfan.cech import CechComplex, H0Ring
+from kfan.fanfile import build_fan, load_fan_file, parse_fan_file
+from kfan.cech import CechComplex, H0Ring, verify_exactness
 from kfan.monoids import GroupRingElement
 from kfan.report import (
     JobReport,
     cochain_from_jsonable,
     element_from_jsonable,
 )
-from kfan.sheaves import Section, sheaf_a0
+from kfan.sheaves import (
+    Section,
+    extend_section,
+    random_open_subfan,
+    random_section,
+    sheaf_a0,
+)
 from test_fan_construction import load_gen_fans
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -785,6 +792,18 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     intlinalg.QuotientSurjection.splitting = property(from_a_zero_section)
     print(main(["check-flasque", nonsmooth, "--trials", "2", "--experimental-nonsmooth"]))
     intlinalg.QuotientSurjection.splitting = splitting
+    # a smooth fan's ray chart is checked where the report reads it: a
+    # zeroed T^-1 fails T T^-1 = I
+    adjugate = sheaves.adjugate
+    sheaves.adjugate = lambda a: intlinalg.IntMatrix.zero(a.nrows, a.ncols)
+    print(main(["k0-global", path, "--sample", "3"]))
+    sheaves.adjugate = adjugate
+    # face pickers built permuted: sections and witnesses fail their checks
+    picker = sheaves.picker
+    sheaves.picker = lambda positions: intlinalg.picker(tuple(reversed(positions)))
+    print(main(["check-flasque", path, "--trials", "2"]))
+    print(main(["check-exactness", path, "--level", "1", "--trials", "2"]))
+    sheaves.picker = picker
     # smooth fans: the contraction and the extension by tau-parts now
     # return zero
     cech.CechComplex._contract = zero_witness
@@ -854,13 +873,14 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1"] * 10
-    assert proc.stderr.count("certificate failed its re-check") == 10
-    assert "witness fails d(b) = z" in proc.stderr
+    assert proc.stdout.split() == ["1"] * 13
+    assert proc.stderr.count("certificate failed its re-check") == 13
+    assert "fails its cross-check" in proc.stderr
+    assert proc.stderr.count("witness fails d(b) = z") == 2
     assert "character tuple for" in proc.stderr
     assert proc.stderr.count("extension does not restrict") + proc.stderr.count(
         "extension is not a global section"
-    ) == 2
+    ) == 3
     assert "splitting is not a right inverse" in proc.stderr
     assert proc.stderr.count("is not onto") == 2
     assert "cut out a line" in proc.stderr
@@ -903,6 +923,52 @@ def test_smooth_commands_read_no_splitting(monkeypatch):
         ["k0-global", path, "--sample", "3"],
     ):
         assert main(argv) == 0
+
+
+@pytest.mark.parametrize("name", ["p1xp1xp1", "ladder-12"])
+def test_smooth_commands_build_no_canonical_surjection(monkeypatch, name):
+    # a smooth fan restricts by pickers: no canonical surjection is built,
+    # and every command exits as before
+    def refuse(source, target):
+        raise RuntimeError("a canonical surjection was built")
+
+    monkeypatch.setattr(intlinalg, "canonical_surjection", refuse)
+    monkeypatch.setattr(sheaves, "canonical_surjection", refuse)
+    path = os.path.join(ROOT, "bench", "fans", f"{name}.json")
+    rank = build_fan(load_fan_file(path)).lattice.rank
+    non_member = json.dumps({"0": [[[1] + [0] * (rank - 1), 1]]})  # chi^e1 on one piece only
+    for argv, code in (
+        (["check-exactness", path, "--level", "1", "--trials", "3"], 0),
+        (["check-exactness", path, "--level", "2", "--trials", "3"], 0),
+        (["check-flasque", path, "--trials", "3"], 0),
+        (["k0-global", path, "--sample", "3"], 0),
+        (["k0-global", path, "--element", non_member], 1),
+    ):
+        assert main(argv + ["--json"]) == code
+
+
+@pytest.mark.parametrize("name", ["p1xp1xp1", "ladder-12"])
+def test_smooth_computations_read_no_character_group(monkeypatch, name):
+    # the character groups are the report's coordinates: the sampling,
+    # the witnesses and their checks run in ray coordinates without them
+    fan = build_fan(load_fan_file(os.path.join(ROOT, "bench", "fans", f"{name}.json")))
+
+    def refuse(cone):
+        raise RuntimeError(f"the character group of {cone!r} was read")
+
+    monkeypatch.setattr(Cone, "character_quotient", refuse)
+    for level in (1, 2):
+        assert verify_exactness(fan, level, trials=3, depth=3, seed=level).all_solved
+    sheaf = sheaf_a0(fan)
+    rng = random.Random(0)
+    for _ in range(3):
+        assert extend_section(random_section(sheaf, random_open_subfan(fan, rng), rng)).check()
+    ring = H0Ring(fan)
+    member = ring.character((1,) * fan.lattice.rank)
+    assert ring.membership(member) == (True, None)
+    first = fan.max_cones[0]
+    comps = {**member.components, first: GroupRingElement.zero(ring.sheaf.stalk(first))}
+    assert not ring.contains(Section(ring.sheaf, ring.domain, comps))
 
 
 def test_a_wrong_splitting_is_caught_at_its_first_lift(monkeypatch, capsys):

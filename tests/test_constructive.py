@@ -27,6 +27,7 @@ from kfan.cones import Cone, Fan
 from kfan.fanfile import build_fan, load_fan_file
 from kfan.intlinalg import CertificateError, IntMatrix, Lattice
 from kfan.monoids import GroupRingElement
+from kfan.report import cochain_from_jsonable, cochain_to_jsonable
 from kfan.sheaves import (
     Section,
     assemble_rays,
@@ -34,13 +35,12 @@ from kfan.sheaves import (
     pad_rays,
     random_open_subfan,
     random_section,
-    restrict_rays,
     sheaf_a0,
     split_rays,
 )
 from test_cech import load_gen_fans
 from test_fan_construction import blown_up_p1xp1
-from test_support_solver import kernel_cocycle
+from test_support_solver import kernel_cocycle, smith_complex
 
 HERE = os.path.dirname(__file__)
 FAN_FILES = sorted(
@@ -92,9 +92,9 @@ def assembled_from_faces(sheaf, sigma, known: dict) -> GroupRingElement:
     other faces."""
     parts = {}
     for tau, value in known.items():
-        parts.update(split_rays(sheaf.to_rays(tau, value), tau, [tau]))
+        parts.update(split_rays(sheaf, value, tau, [tau]))
     faces = sheaf.fan.faces_of(sigma)
-    return sheaf.from_rays(sigma, assemble_rays(parts, sigma, faces))
+    return GroupRingElement(sheaf.stalk(sigma), assemble_rays(sheaf, parts, sigma, faces))
 
 
 @pytest.mark.parametrize("path", SMOOTH_FILES, ids=os.path.basename)
@@ -166,20 +166,23 @@ def test_lift_with_zero_data_off_a_face_is_the_padding(name):
                 # x = y * (1 - chi^(e_r)) vanishes on the faces of A without r
                 y = random_element(sheaf.stalk(a), rng)
                 unit = {tuple(int(v == r) for v in a.rays): 1}
-                x = y - y * sheaf.from_rays(a, unit)
+                x = y - y * GroupRingElement(sheaf.stalk(a), unit)
                 facet = fan.canonical(Cone.from_rays(fan.lattice, [v for v in sigma.rays if v != r]))
                 known = {tau: GroupRingElement.zero(sheaf.stalk(tau)) for tau in fan.faces_of(facet)}
                 for tau in fan.faces_of(a):
                     pushed = x.pushforward(sheaf.restriction(a, tau))
                     assert tau not in known or pushed == known[tau]
                     known[tau] = pushed
-                padded = sheaf.from_rays(sigma, pad_rays(sheaf.to_rays(a, x), a, sigma))
+                padded = pad_rays(x.terms, sheaf.restriction(sigma, a))
+                padded = GroupRingElement(sheaf.stalk(sigma), padded)
                 assert assembled_from_faces(sheaf, sigma, known) == padded
                 checked += 1
     assert checked > 20
 
 
 def test_ray_chart_maps_characters_to_pairings():
+    # a character is its pairings in the stalk, and the chart takes its
+    # class in the character group there
     fan = bench_fan("p1xp1xp1")
     sheaf = sheaf_a0(fan)
     rng = random.Random(1)
@@ -189,10 +192,10 @@ def test_ray_chart_maps_characters_to_pairings():
         assert chart @ inverse == IntMatrix.identity(k)
         for _ in range(5):
             m = tuple(rng.randint(-4, 4) for _ in range(fan.lattice.rank))
-            element = GroupRingElement.character(sheaf.stalk(sigma), m)
             pairing = tuple(sum(a * b for a, b in zip(m, v)) for v in sigma.rays)
-            assert sheaf.to_rays(sigma, element) == {pairing: 1}
-            assert sheaf.from_rays(sigma, {pairing: 1}) == element
+            assert GroupRingElement.character(sheaf.stalk(sigma), m).terms == {pairing: 1}
+            coords = sheaf.character_group(sigma).project(m)
+            assert chart.apply(coords) == pairing and inverse.apply(pairing) == coords
 
 
 def one_cone_sheaf(rays):
@@ -241,18 +244,25 @@ def test_smoothness_is_decided_once_per_cone(monkeypatch):
 def test_the_contraction_solves_kernel_sampled_cocycles(no_solver, path):
     # an independent check: these cocycles come from the whole system
     # d(z) = 0, not from the per-cone split the contraction is built on
-    cx = CechComplex(load(os.path.join(HERE, os.pardir, path)))
+    # drawn over the character groups, read into ray coordinates through
+    # the report boundary
+    fan = load(os.path.join(HERE, os.pardir, path))
+    cx, smith = CechComplex(fan), smith_complex(fan)
     for level in (1, 2):
         rng = random.Random(level)
         for _ in range(2):
-            z = kernel_cocycle(cx, level, rng)
+            z = cochain_from_jsonable(cx, cochain_to_jsonable(kernel_cocycle(smith, level, rng)))
             assert not z.is_zero() and cx.is_cocycle(z)
             b = cx.solve_coboundary(z)
             assert cx.d(b) == z
 
 
-def all_parts(terms: dict, cone, fan) -> dict:
-    return split_rays(terms, cone, fan.faces_of(cone))
+def all_parts(sheaf, value, cone) -> dict:
+    return split_rays(sheaf, value, cone, sheaf.fan.faces_of(cone))
+
+
+def assembled(sheaf, parts, cone):
+    return assemble_rays(sheaf, parts, cone, sheaf.fan.faces_of(cone))
 
 
 @RANDOM_FANS
@@ -264,13 +274,11 @@ def test_assembling_the_split_gives_back_cocycles_and_sections(fan, seed):
         z = cx.random_cocycle(level, rng)
         for t, value in z.components.items():
             cone = cx.cone_of(t)
-            terms = cx.sheaf.to_rays(cone, value)
-            assert assemble_rays(all_parts(terms, cone, fan), cone, fan.faces_of(cone)) == terms
+            assert assembled(cx.sheaf, all_parts(cx.sheaf, value, cone), cone) == value.terms
     sheaf = sheaf_a0(fan)
     section = random_section(sheaf, random_open_subfan(fan, rng), rng)
     for cone, value in section.components.items():
-        terms = sheaf.to_rays(cone, value)
-        assert assemble_rays(all_parts(terms, cone, fan), cone, fan.faces_of(cone)) == terms
+        assert assembled(sheaf, all_parts(sheaf, value, cone), cone) == value.terms
 
 
 class CountingParts(dict):
@@ -300,9 +308,9 @@ def test_assembling_reads_the_parts_of_the_cone_only(monkeypatch, tmp_path):
     reads, calls = [], []
     original = sheaves.assemble_rays
 
-    def counting(parts, cone, faces):
+    def counting(sheaf, parts, cone, faces):
         parts = CountingParts(parts)
-        out = original(parts, cone, faces)
+        out = original(sheaf, parts, cone, faces)
         reads.append(parts.reads)
         calls.append(len(faces))
         return out
@@ -326,12 +334,13 @@ def test_a_part_restricts_to_zero_on_the_proper_faces(fan, seed):
     rng = random.Random(seed)
     sheaf = sheaf_a0(fan)
     for sigma in fan.max_cones:
-        terms = sheaf.to_rays(sigma, random_element(sheaf.stalk(sigma), rng))
-        for tau, part in all_parts(terms, sigma, fan).items():
+        value = random_element(sheaf.stalk(sigma), rng)
+        for tau, part in all_parts(sheaf, value, sigma).items():
             assert part
             for rho in fan.faces_of(tau):
                 if rho != tau:
-                    assert restrict_rays(part, tau, rho) == {}
+                    part_of_tau = GroupRingElement(sheaf.stalk(tau), part)
+                    assert part_of_tau.pushforward(sheaf.restriction(tau, rho)).is_zero()
 
 
 @pytest.mark.parametrize("name", ["f1", "p3", "p1xp1xp1"])

@@ -9,7 +9,8 @@ of every fan file (restrictions to the zero cone and to a ray select
 int), on the two restrictions of a weighted P2 that are not selections,
 and onto a torsion target.  The ray helpers of ``sheaves`` read pickers
 too: ``_top_part`` must be the explicit expansion of prod (x_i^e_i - 1),
-and ``restrict_rays`` must undo ``pad_rays`` on every face pair.
+and restriction, a picker on smooth fans, must undo ``pad_rays`` on
+every face pair.
 """
 
 import glob
@@ -25,7 +26,7 @@ from kfan.cones import MAX_RANK
 from kfan.fanfile import build_fan, load_fan_file
 from kfan.intlinalg import IntMatrix, Lattice, canonical_surjection, picker, quotient
 from kfan.monoids import GroupRingElement
-from kfan.sheaves import _top_part, pad_rays, restrict_rays, sheaf_a0
+from kfan.sheaves import RayRestriction, _top_part, pad_rays, sheaf_a0
 
 HERE = os.path.dirname(__file__)
 FAN_FILES = sorted(
@@ -51,10 +52,17 @@ def random_element(group, rng):
 
 
 def reference_pushforward(x, phi):
-    """The sum over the terms c chi^q of c chi^{reduce(matrix q)}."""
+    """The sum over the terms c chi^q of c chi^{reduce(matrix q)}.  A
+    picker restriction of a smooth fan takes the matrix of the canonical
+    surjection of the character groups, carried by the ray charts."""
+    matrix = getattr(phi, "matrix", None)
+    if isinstance(phi, RayRestriction):
+        sheaf, sigma, tau = phi.source.sheaf, phi.source.cone, phi.target.cone
+        fresh = canonical_surjection(sheaf.character_group(sigma), sheaf.character_group(tau))
+        matrix = sheaf.chart(tau)[0] @ fresh.matrix @ sheaf.chart(sigma)[1]
     out = GroupRingElement.zero(phi.target)
     for q, c in x.terms.items():
-        out = out + GroupRingElement(phi.target, {phi.target.reduce(phi.matrix.apply(q)): c})
+        out = out + GroupRingElement(phi.target, {phi.target.reduce(matrix.apply(q)): c})
     return out
 
 
@@ -82,7 +90,7 @@ def test_pushforward_through_the_picker_is_the_termwise_pushforward(fan):
             if phi.picker is None:
                 matrix_maps += 1
             else:
-                widths.add(len(phi.selection))
+                widths.add(phi.target.coords_len)
             for _ in range(3):
                 x = random_element(phi.source, rng)
                 assert x.pushforward(phi) == reference_pushforward(x, phi)
@@ -149,10 +157,12 @@ def random_ray_terms(width, rng):
 @given(seed=st.integers(0, 2**32))
 def test_restrict_rays_undoes_pad_rays_on_every_face_pair(fan, seed):
     rng = random.Random(seed)
+    sheaf = sheaf_a0(fan)
     for sigma in fan.cones:
         for tau in fan.faces_of(sigma):  # tau = sigma included
             terms = random_ray_terms(len(tau.rays), rng)
-            padded = pad_rays(terms, tau, sigma)
-            assert restrict_rays(padded, sigma, tau) == terms
+            phi = sheaf.restriction(sigma, tau)
+            padded = pad_rays(terms, phi)
+            assert GroupRingElement(phi.source, padded).pushforward(phi).terms == terms
             outside = [i for i, r in enumerate(sigma.rays) if r not in tau.rays]
             assert all(e[i] == 0 for e in padded for i in outside)

@@ -37,7 +37,7 @@ from kfan.sheaves import (
 )
 from kfan.support_solver import SolverGaveUp
 from test_fan_construction import ladder
-from test_incidence_plan import count_pushforwards
+from test_incidence_plan import count_pushforwards, matrix_of
 from test_invariance import moved, random_unimodular
 
 Z2 = Lattice(2)
@@ -160,6 +160,21 @@ def pushed_value(section, cone):
     fan = section.sheaf.fan
     top = next(t for t in section.domain.max_cones() if cone in fan.faces_of(t))
     return section.components[top].pushforward(section.sheaf.restriction(top, cone))
+
+
+def test_a_component_off_the_domains_maximal_cones_is_refused():
+    # over the faces of one cone of P2, a component at another maximal
+    # cone, or at a face of the domain that is not maximal in it, is
+    # refused, not dropped
+    fan = projective_plane()
+    sheaf = sheaf_a0(fan)
+    first, second = fan.max_cones[:2]
+    domain = fan.star_open(first)
+    one = {c: GroupRingElement.one(sheaf.stalk(c)) for c in fan.cones}
+    for stray in (second, fan.faces_of(first)[1]):
+        with pytest.raises(ValueError, match="not a maximal cone of the domain"):
+            Section(sheaf, domain, {first: one[first], stray: one[stray]})
+    assert Section(sheaf, domain, {first: one[first]}).check()
 
 
 def test_restrict_matches_the_pushforward_from_a_maximal_cone():
@@ -316,14 +331,22 @@ def every_fan():
 
 @pytest.mark.parametrize("fan", [pytest.param(fan, id=name) for name, fan in every_fan()])
 def test_shared_stalks_and_restrictions_are_those_of_each_cone(fan):
+    # off smooth fans a restriction is the canonical surjection; on them
+    # it is the picker, which the ray charts carry onto it
     sheaf = sheaf_a0(fan)
     for sigma in fan.cones:
-        assert sheaf.stalk(sigma) == sigma.character_quotient()
+        assert sheaf.character_group(sigma) == sigma.character_quotient()
         for tau in fan.faces_of(sigma):
             phi = sheaf.restriction(sigma, tau)
             fresh = canonical_surjection(sigma.character_quotient(), tau.character_quotient())
-            assert phi.source == fresh.source and phi.target == fresh.target
-            assert phi.matrix == fresh.matrix and phi.splitting == fresh.splitting
+            if sheaf.smooth:
+                assert isinstance(phi, sheaves.RayRestriction)
+                assert phi.source == sheaf.stalk(sigma) and phi.target == sheaf.stalk(tau)
+                chart_sigma, chart_tau = sheaf.chart(sigma)[0], sheaf.chart(tau)[0]
+                assert chart_tau @ fresh.matrix == matrix_of(phi) @ chart_sigma
+            else:
+                assert phi.source == fresh.source and phi.target == fresh.target
+                assert phi.matrix == fresh.matrix and phi.splitting == fresh.splitting
 
 
 def test_an_interned_stalk_is_checked_against_the_cone_that_takes_it(monkeypatch):
@@ -334,10 +357,10 @@ def test_an_interned_stalk_is_checked_against_the_cone_that_takes_it(monkeypatch
     sheaf = sheaf_a0(fan)
     first, second = fan.max_cones[:2]
     assert first.perp_lattice().rows == second.perp_lattice().rows
-    sheaf.stalk(first)
+    sheaf.character_group(first)
     monkeypatch.setattr(second, "dim", 1)
     with pytest.raises(CertificateError, match="is not free of rank 1"):
-        sheaf.stalk(second)
+        sheaf.character_group(second)
 
 
 def first_failure_checking_every_chain(sheaf):
@@ -348,13 +371,13 @@ def first_failure_checking_every_chain(sheaf):
     fan = sheaf.fan
     for sigma in fan.cones:
         k = sheaf.stalk(sigma).coords_len
-        if sheaf.restriction(sigma, sigma).matrix != IntMatrix.identity(k):
+        if matrix_of(sheaf.restriction(sigma, sigma)) != IntMatrix.identity(k):
             return f"restriction of {sigma!r} to itself is not the identity"
     for sigma in fan.cones:
         for tau in fan.faces_of(sigma)[:-1]:
             for rho in fan.faces_of(tau)[:-1]:
-                via = sheaf.restriction(tau, rho).matrix @ sheaf.restriction(sigma, tau).matrix
-                if sheaf.restriction(sigma, rho).matrix != via:
+                via = matrix_of(sheaf.restriction(tau, rho)) @ matrix_of(sheaf.restriction(sigma, tau))
+                if matrix_of(sheaf.restriction(sigma, rho)) != via:
                     return f"restrictions {sigma!r} -> {tau!r} -> {rho!r} are not functorial"
     return None
 
@@ -384,7 +407,7 @@ def test_a_stalk_whose_projection_is_not_onto_is_rejected_on_first_read(monkeypa
     monkeypatch.setattr("kfan.cones.quotient", doubled)
     ray = next(c for c in fan.cones if c.dim == 1)
     with pytest.raises(CertificateError, match="not onto"):
-        sheaf.stalk(ray)
+        sheaf.character_group(ray)
 
 
 def p1_cubed():
@@ -402,7 +425,8 @@ def fully_read(fan):
 
 def negate_memoized(sheaf, sigma, tau):
     phi = sheaf._restrictions[sigma, tau]
-    negated = IntMatrix([[-x for x in row] for row in phi.matrix.rows], ncols=phi.matrix.ncols)
+    matrix = matrix_of(phi)
+    negated = IntMatrix([[-x for x in row] for row in matrix.rows], ncols=matrix.ncols)
     sheaf._restrictions[sigma, tau] = QuotientSurjection(phi.source, phi.target, negated)
 
 
@@ -438,29 +462,33 @@ def test_the_reference_loop_names_a_broken_identity(fan):
 
 
 def test_p1_cubed_membership_builds_only_the_maps_it_reads(monkeypatch):
+    # on a smooth fan each restriction read is one picker, built once
+    # per face pair, and no canonical surjection is built
     fan = p1_cubed()
     ring = H0Ring(fan)
-    sheaf = ring.sheaf
     member = ring.character((1, -2, 3))
     built, read = [], set()
-    restriction = FanSheaf.restriction
+    restriction, picker_restriction = FanSheaf.restriction, sheaves.RayRestriction
 
-    def counted_surjection(source, target):
-        built.append((id(source), id(target)))
-        return canonical_surjection(source, target)
+    def refuse(source, target):
+        raise AssertionError("a canonical surjection was built on a smooth fan")
+
+    def counted_picker(source, target):
+        built.append((source.cone, target.cone))
+        return picker_restriction(source, target)
 
     def recorded(self, sigma, tau):
         read.add((sigma, tau))
         return restriction(self, sigma, tau)
 
-    monkeypatch.setattr(sheaves, "canonical_surjection", counted_surjection)
+    monkeypatch.setattr(sheaves, "canonical_surjection", refuse)
+    monkeypatch.setattr(sheaves, "RayRestriction", counted_picker)
     monkeypatch.setattr(FanSheaf, "restriction", recorded)
     assert ring.membership(member) == (True, None)
     assert len(fan.cones) == 27 and len(walls(fan)) == 12
-    # two maximal cones at each wall, one map per distinct pair of stalks
+    # two maximal cones at each wall, one picker per face pair read
     assert len(read) == 24 and {tau for _, tau in read} == {tau for _, _, tau in walls(fan)}
-    pairs = {(id(sheaf.stalk(sigma)), id(sheaf.stalk(tau))) for sigma, tau in read}
-    assert len(built) == len(set(built)) == len(pairs)
+    assert len(built) == len(set(built)) == len(read) and set(built) == read
     assert len(built) < 27
 
 
@@ -573,10 +601,12 @@ def test_a_member_costs_at_most_two_pushforwards_per_incidence(monkeypatch):
     calls = count_pushforwards(monkeypatch)
     assert section.check()
     assert 0 < len(calls) <= 2 * incidences == 512
+    assert all(isinstance(phi, sheaves.RayRestriction) for phi in calls)
     calls.clear()
     values = [section.components[c] for c in fan.max_cones]
     assert sheaves.first_disagreement(sheaf, fan.max_cones, values) is None
-    assert len(calls) <= 2 * incidences
+    assert 0 < len(calls) <= 2 * incidences
+    assert all(isinstance(phi, sheaves.RayRestriction) for phi in calls)
 
 
 @pytest.mark.parametrize("make", [p1_cubed, lambda: ladder_fan(64)], ids=["p1xp1xp1", "ladder-64"])
@@ -591,6 +621,7 @@ def test_membership_costs_at_most_two_pushforwards_per_wall(monkeypatch, make):
         calls = count_pushforwards(monkeypatch)
         assert decide(section) in ((True, None), True)
         assert 0 < len(calls) <= 2 * len(walls(fan))
+        assert all(isinstance(phi, sheaves.RayRestriction) for phi in calls)
 
 
 def test_the_verdict_does_not_read_the_walls():
@@ -616,8 +647,8 @@ def test_a_family_that_differs_at_one_wall_only_is_caught(name):
     member = random_section(sheaf, fan.full_subfan(), random.Random(name)).components
     for a, b, ridge in walls(fan):
         for cone in (a, b):
-            part = sheaves.pad_rays(sheaves._top_part({(1,) * len(ridge.rays): 1}), ridge, cone)
-            bump = sheaf.from_rays(cone, part)
+            part = sheaves._top_part({(1,) * len(ridge.rays): 1})
+            bump = GroupRingElement(sheaf.stalk(cone), sheaves.pad_rays(part, sheaf.restriction(cone, ridge)))
             comps = {**member, cone: member[cone] + bump}
             for cones in (fan.max_cones, fan.full_subfan().max_cones()):
                 values = [comps[c] for c in cones]
