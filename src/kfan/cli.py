@@ -14,7 +14,7 @@ import os
 import random
 import sys
 
-from .cech import H0Ring, LevelOverflow, verify_exactness
+from .cech import H0Ring, LevelOverflow, NotACocycle, verify_exactness
 from .cones import MAX_RANK, ConeNotInFan, NotAFan, NotStronglyConvex, UnsupportedRank
 from .fanfile import FanFile, FanFileError, build_fan, is_int_list, load_fan_file, strict_json
 from .graded import CoefficientSpec, GradedFreeData, k0_affine_toric, k0_class
@@ -481,7 +481,7 @@ def _dispatch(args) -> JobReport | int:
     except ConeNotInFan as e:
         print(f"error: cone not in fan: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except CertificateError as e:
+    except (CertificateError, NotACocycle) as e:
         print(f"error: certificate failed its re-check: {e}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILURE
 

@@ -348,10 +348,10 @@ class Cone:
         return self._smooth
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Cone)
-            and self.lattice == other.lattice
             and self.rays == other.rays
+            and self.lattice == other.lattice
         )
 
     def __hash__(self) -> int:
@@ -789,7 +789,8 @@ class Subfan:
             if self.is_full():
                 self._max_cones = parent.max_cones
             else:
-                proper = {f for c in self.members for f in parent.faces_of(c) if f != c}
+                # faces_of lists the fan's own instances, c among them
+                proper = {f for c in self.members for f in parent.faces_of(c) if f is not c}
                 self._max_cones = tuple(sorted(self.members - proper, key=_order))
         return self._max_cones
 

@@ -13,8 +13,8 @@ convolution over the group law.
 
 from __future__ import annotations
 
-from itertools import product, takewhile
-from operator import index
+from itertools import accumulate, repeat, takewhile
+from operator import floordiv, index, mod, sub
 from typing import Iterable, Sequence
 
 from .cones import Cone, dual_ray_generators
@@ -26,6 +26,7 @@ from .intlinalg import (
     QuotientSurjection,
     Vec,
     as_vec,
+    combination,
     dot,
     kernel,
     quotient,
@@ -55,7 +56,9 @@ def _parallelepiped_points(rays: Sequence[Vec], n: int) -> list[Vec]:
     d_i c_i.  So the classes are x_a = sum a_i c_i, 0 <= a_i < d_i, with
     ray coordinates t = V (a_i / d_i), integers once scaled by e = d_d.
     The point is x_a minus the floor of t on the rays, checked by the
-    identity e p = sum f_j r_j, f = e t mod e."""
+    identity e p = sum f_j r_j, f = e t mod e, at every point.  The a run
+    as an odometer, by additions only: a step of a_i adds c_i to x_a and
+    column i of V, scaled, to e t."""
     d = len(rays)
     _, diagonal, v, uinv = smith_with_inverses(
         IntMatrix(rays, ncols=n).transpose(), keep=("v", "uinv")
@@ -65,19 +68,25 @@ def _parallelepiped_points(rays: Sequence[Vec], n: int) -> list[Vec]:
         raise ValueError(f"the rays {list(rays)} are not linearly independent")
     e = divisors[-1] if divisors else 1
     torsion = [i for i, di in enumerate(divisors) if di > 1]
-    columns = uinv.transpose().rows
-    basis = [columns[i] for i in torsion]
-    scaled = [tuple(row[i] * (e // divisors[i]) for row in v.rows) for i in torsion]
-    points = []
-    for a in product(*(range(divisors[i]) for i in torsion)):
-        x = [sum(ai * c[k] for ai, c in zip(a, basis)) for k in range(n)]
-        et = [sum(ai * w[j] for ai, w in zip(a, scaled)) for j in range(d)]
-        p = tuple(xk - sum(t // e * r[k] for t, r in zip(et, rays)) for k, xk in enumerate(x))
-        if any(e * pk != sum(t % e * r[k] for t, r in zip(et, rays)) for k, pk in enumerate(p)):
-            raise CertificateError(f"point {p} is not at {[t % e for t in et]} / {e} on the rays")
-        if any(p):
-            points.append(p)
-    return points
+    c = uinv.transpose().rows
+    # the n coordinates of x_a, then the d of e t, each a list over a: each
+    # index steps every entry so far d_i - 1 times, so the last runs fastest
+    values = [[0]] * (n + d)
+    for i in torsion:
+        steps = c[i] + tuple(row[i] * (e // divisors[i]) for row in v.rows)
+        values = [_stepped(vs, s, divisors[i]) for vs, s in zip(values, steps)]
+    floors = [list(map(floordiv, ts, repeat(e))) for ts in values[n:]]
+    fs = [list(map(mod, ts, repeat(e))) for ts in values[n:]]
+    columns = list(zip(*rays))
+    ps = [list(map(sub, xk, combination(col, floors))) for xk, col in zip(values, columns)]
+    if [[e * x for x in p] for p in ps] != [list(combination(col, fs)) for col in columns]:
+        raise CertificateError(f"a point of the parallelepiped of {list(rays)} is off its rays")
+    return [p for p in zip(*ps) if any(p)]
+
+
+def _stepped(values: list[int], step: int, count: int) -> list[int]:
+    """Each value, then count - 1 steps of ``step`` from it."""
+    return [t for x in values for t in accumulate(repeat(step, count - 1), initial=x)]
 
 
 def _pulling_triangulation(cone: Cone) -> list[tuple[Vec, ...]]:
@@ -395,7 +404,7 @@ class GroupRingElement:
         """Linear extension of chi^q -> chi^{phi(q)}; a ring map.  A
         selection map runs as its compiled picker, on keys whose length
         the group already fixes; any other map multiplies and reduces."""
-        if phi.source != self.group:
+        if phi.source is not self.group and phi.source != self.group:
             raise GroupMismatch("surjection source does not match the element group")
         image = phi.picker or phi.apply
         terms: dict[Vec, int] = {}

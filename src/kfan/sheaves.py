@@ -302,7 +302,7 @@ class Section:
             if c not in components:
                 raise ValueError(f"missing component at {c!r}")
             val = components[c]
-            if val.group != sheaf.stalk(c):
+            if val.group is not (group := sheaf.stalk(c)) and val.group != group:
                 raise ValueError(f"component at {c!r} lives over the wrong group")
             comps[c] = val
         if len(comps) != len(components):
@@ -546,7 +546,8 @@ def random_open_subfan(fan: Fan, rng: random.Random) -> Subfan:
     members = set()
     for c in picks:
         members.update(fan.faces_of(c))
-    return Subfan(fan, members)
+    # the fan's own instances, and a union of face sets is face-closed
+    return Subfan._trusted(fan, frozenset(members))
 
 
 def random_section(sheaf: FanSheaf, domain: Subfan, rng: random.Random) -> Section:

@@ -76,6 +76,18 @@ def parallelepiped_corrupted_column_transform():
         monoids._parallelepiped_points(SKEW, 2)
 
 
+def parallelepiped_corrupted_outer_step():
+    # on 2 e_1, 2 e_2, 2 e_3 the first index steps only after the other
+    # two wrap, and its column of V is off in one entry
+    def change(u, d, v, uinv):
+        rows = [list(r) for r in v.rows]
+        rows[1][0] += 1
+        return u, d, IntMatrix(rows, ncols=3), uinv
+
+    with reduced_as(change):
+        monoids._parallelepiped_points([(2, 0, 0), (0, 2, 0), (0, 0, 2)], 3)
+
+
 def parallelepiped_corrupted_diagonal():
     # diag(1, 4) for diag(1, 2): four classes, of which only one exists
     def change(u, d, v, uinv):
@@ -179,6 +191,7 @@ CASES = {
         parallelepiped_dependent_rays,
         parallelepiped_corrupted_row_inverse,
         parallelepiped_corrupted_column_transform,
+        parallelepiped_corrupted_outer_step,
         parallelepiped_corrupted_diagonal,
         parallelepiped_reduction_of_other_rays,
         star_triangulation_bad_facet,
@@ -211,6 +224,7 @@ EXPECTED = {
     "parallelepiped_dependent_rays": "ValueError",
     "parallelepiped_corrupted_row_inverse": "CertificateError",
     "parallelepiped_corrupted_column_transform": "CertificateError",
+    "parallelepiped_corrupted_outer_step": "CertificateError",
     "parallelepiped_corrupted_diagonal": "CertificateError",
     "parallelepiped_reduction_of_other_rays": "CertificateError",
     "star_triangulation_bad_facet": "CertificateError",

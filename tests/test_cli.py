@@ -786,7 +786,7 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
         projection = intlinalg.IntMatrix(doubled, ncols=ambient.rank)
         return intlinalg.QuotientLattice(ambient, relations, (), q.free_rank, projection, q.section)
 
-    path, nonsmooth, square, simplex = sys.argv[1:]
+    path, nonsmooth, square, simplex, p1xp1xp1 = sys.argv[1:]
     # the non-smooth search lifts through splittings, built from a zero
     # section: the first onto a nonzero group is no right inverse
     intlinalg.QuotientSurjection.splitting = property(from_a_zero_section)
@@ -803,6 +803,8 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     sheaves.picker = lambda positions: intlinalg.picker(tuple(reversed(positions)))
     print(main(["check-flasque", path, "--trials", "2"]))
     print(main(["check-exactness", path, "--level", "1", "--trials", "2"]))
+    # on P1xP1xP1 the drawn cocycle itself fails d d = 0
+    print(main(["check-exactness", p1xp1xp1, "--level", "1", "--trials", "2"]))
     sheaves.picker = picker
     # smooth fans: the contraction and the extension by tau-parts now
     # return zero
@@ -866,6 +868,7 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
             fanfile(WEIGHTED_P2, name="weighted.json"),
             fanfile(SQUARE_CONE, name="square.json"),
             os.path.join(ROOT, "tests", "golden", "simplex-113.json"),
+            os.path.join(ROOT, "tests", "golden", "p1xp1xp1.json"),
         ],
         capture_output=True,
         text=True,
@@ -873,8 +876,9 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1"] * 13
-    assert proc.stderr.count("certificate failed its re-check") == 13
+    assert proc.stdout.split() == ["1"] * 14
+    assert proc.stderr.count("certificate failed its re-check") == 14
+    assert "the right-hand side has nonzero differential" in proc.stderr
     assert "fails its cross-check" in proc.stderr
     assert proc.stderr.count("witness fails d(b) = z") == 2
     assert "character tuple for" in proc.stderr

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from kfan import intlinalg, monoids
@@ -159,6 +159,10 @@ def independent_rays(draw):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(independent_rays())
+# every index torsion: the odometer wraps the last and steps the others
+@example(([(2, 0), (0, 2)], 2))
+@example(([(2, 0, 0), (0, 2, 0), (0, 0, 2)], 3))
+@example(([(2, 0, 0), (0, 6, 0), (1, 1, 3)], 3))
 def test_parallelepiped_points_match_the_box_oracle(case):
     rays, n = case
     assert sorted(_parallelepiped_points(rays, n)) == parallelepiped_oracle(rays, n)

@@ -8,6 +8,7 @@ on every value, and raise ``TypeError`` wherever the stdlib does.
 import json
 import math
 import os
+import random
 import re
 import tracemalloc
 
@@ -18,12 +19,16 @@ from hypothesis import strategies as st
 from kfan.cech import CechComplex
 from kfan.cli import run
 from kfan.fanfile import build_fan, load_fan_file
+from kfan.monoids import GroupRingElement
 from kfan.report import (
     JobReport,
     _encode,
     cochain_from_jsonable,
     cochain_to_jsonable,
+    element_from_jsonable,
+    element_to_jsonable,
 )
+from kfan.sheaves import sheaf_a0
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 P2 = os.path.join(ROOT, "fans", "p2.json")
@@ -139,6 +144,46 @@ def test_writer_subclasses_follow_stdlib():
     assert _encode({True: 1, False: 2}, "\n") == stdlib({True: 1, False: 2})
 
 
+# group-ring terms [[c_1, .., c_n], k] take the writer's term templates;
+# near misses must fall back to the generic path with the same outcome
+exact_ints = st.integers() | st.integers(min_value=-(10**60), max_value=10**60)
+misses = (
+    st.booleans()
+    | st.integers().map(Int)
+    | st.floats(allow_nan=False)
+    # beyond the default limit of int-to-str conversion: ValueError
+    | st.sampled_from([10**4300, -(10**4400)])
+)
+terms = st.tuples(st.lists(exact_ints, max_size=4), exact_ints).map(list)
+near_terms = st.one_of(
+    terms,
+    st.tuples(st.lists(exact_ints | misses, max_size=4), exact_ints | misses).map(list),
+    st.tuples(st.lists(exact_ints, max_size=4)).map(list),
+    st.tuples(st.lists(exact_ints, max_size=4), exact_ints, exact_ints).map(list),
+    st.tuples(st.lists(exact_ints, max_size=4), exact_ints),
+    st.tuples(st.lists(exact_ints, max_size=4).map(tuple), exact_ints).map(list),
+    exact_ints | misses,
+)
+
+
+@st.composite
+def one_miss(draw):
+    """Terms with one coordinate or coefficient replaced by a near miss."""
+    value = draw(st.lists(terms, min_size=1, max_size=6))
+    term = draw(st.sampled_from(value))
+    slots = [(term[0], i) for i in range(len(term[0]))] + [(term, 1)]
+    where, i = draw(st.sampled_from(slots))
+    where[i] = draw(misses)
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(terms, max_size=6) | st.lists(near_terms, max_size=6) | one_miss())
+def test_writer_term_lists_equal_stdlib(value):
+    for nested in (value, {"components": [[[0, 1], value]]}):
+        assert outcome(lambda v: _encode(v, "\n"), nested) == outcome(stdlib, nested)
+
+
 # the top cone: a maximal cone of P2, the quadric cone itself
 CONES = {"fans/p2.json": "6", "fans/quadric-cone.json": "3"}
 
@@ -224,3 +269,21 @@ def test_cochain_tuple_shape_is_checked_before_its_stalk(p2_complex, cocycle, ba
     comps = [[bad, cocycle["components"][0][1]]] + cocycle["components"][1:]
     with pytest.raises(ValueError, match=re.escape(f"tuple {bad!r} is not a level-1 tuple")):
         cochain_from_jsonable(p2_complex, dict(cocycle, components=comps))
+
+
+@pytest.mark.parametrize(
+    "path", ["fans/p2.json", "bench/fans/ladder-12.json", "tests/golden/p4.json"]
+)
+def test_element_writes_match_the_chart_term_by_term(path):
+    # few terms go row by row, more by columns: both against T^-1 per term
+    sheaf = sheaf_a0(build_fan(load_fan_file(os.path.join(ROOT, path))))
+    rng = random.Random(path)
+    for cone in sheaf.fan.cones:
+        group = sheaf.stalk(cone)
+        inverse = sheaf.chart(cone)[1]
+        for size in (0, 1, 3, 4, 12):
+            keys = {tuple(rng.randint(-4, 4) for _ in cone.rays) for _ in range(size)}
+            el = GroupRingElement(group, {key: rng.choice([-3, -1, 1, 2]) for key in keys})
+            expected = sorted([list(inverse.apply(e)), k] for e, k in el.terms.items())
+            assert element_to_jsonable(el) == expected
+            assert element_from_jsonable(group, expected) == el
