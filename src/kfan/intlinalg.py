@@ -29,9 +29,9 @@ All values are immutable after construction and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 from math import gcd
-from operator import add, index, itemgetter, mul, neg, sub
+from operator import index, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -59,27 +59,16 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def vec_add(u: Sequence[int], v: Sequence[int]) -> Vec:
-    return tuple(map(add, u, v))
+    return tuple(a + b for a, b in zip(u, v))
 
 def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vec:
-    return tuple(map(sub, u, v))
+    return tuple(a - b for a, b in zip(u, v))
 
 def vec_neg(u: Sequence[int]) -> Vec:
-    return tuple(map(neg, u))
+    return tuple(-a for a in u)
 
 def vec_scale(k: int, u: Sequence[int]) -> Vec:
     return tuple(k * a for a in u)
-
-
-def combination(coefficients: Sequence[int], vectors: Sequence[Sequence[int]]) -> Iterable[int]:
-    """sum_j coefficients[j] vectors[j] over vectors of one length, to be
-    read once: a zero coefficient is skipped, a 1 takes its vector as is."""
-    out = None
-    for x, vector in zip(coefficients, vectors):
-        if x:
-            part = vector if x == 1 else map(mul, repeat(x), vector)
-            out = part if out is None else map(add, out, part)
-    return repeat(0, len(vectors[0]) if vectors else 0) if out is None else out
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

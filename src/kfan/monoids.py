@@ -13,8 +13,8 @@ convolution over the group law.
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat, takewhile
-from operator import floordiv, index, mod, sub
+from itertools import accumulate, compress, count, repeat, takewhile
+from operator import add, floordiv, index, mod, mul, sub
 from typing import Iterable, Sequence
 
 from .cones import Cone, dual_ray_generators
@@ -26,7 +26,6 @@ from .intlinalg import (
     QuotientSurjection,
     Vec,
     as_vec,
-    combination,
     dot,
     kernel,
     quotient,
@@ -56,9 +55,8 @@ def _parallelepiped_points(rays: Sequence[Vec], n: int) -> list[Vec]:
     d_i c_i.  So the classes are x_a = sum a_i c_i, 0 <= a_i < d_i, with
     ray coordinates t = V (a_i / d_i), integers once scaled by e = d_d.
     The point is x_a minus the floor of t on the rays, checked by the
-    identity e p = sum f_j r_j, f = e t mod e, at every point.  The a run
-    as an odometer, by additions only: a step of a_i adds c_i to x_a and
-    column i of V, scaled, to e t."""
+    identity e p = sum f_j r_j, f = e t mod e, at every point.  The a_i
+    step as an odometer: a_i + 1 adds c_i to x_a and e/d_i V_i to e t."""
     d = len(rays)
     _, diagonal, v, uinv = smith_with_inverses(
         IntMatrix(rays, ncols=n).transpose(), keep=("v", "uinv")
@@ -68,25 +66,33 @@ def _parallelepiped_points(rays: Sequence[Vec], n: int) -> list[Vec]:
         raise ValueError(f"the rays {list(rays)} are not linearly independent")
     e = divisors[-1] if divisors else 1
     torsion = [i for i, di in enumerate(divisors) if di > 1]
-    c = uinv.transpose().rows
     # the n coordinates of x_a, then the d of e t, each a list over a: each
     # index steps every entry so far d_i - 1 times, so the last runs fastest
     values = [[0]] * (n + d)
     for i in torsion:
-        steps = c[i] + tuple(row[i] * (e // divisors[i]) for row in v.rows)
-        values = [_stepped(vs, s, divisors[i]) for vs, s in zip(values, steps)]
-    floors = [list(map(floordiv, ts, repeat(e))) for ts in values[n:]]
-    fs = [list(map(mod, ts, repeat(e))) for ts in values[n:]]
-    columns = list(zip(*rays))
-    ps = [list(map(sub, xk, combination(col, floors))) for xk, col in zip(values, columns)]
-    if [[e * x for x in p] for p in ps] != [list(combination(col, fs)) for col in columns]:
-        raise CertificateError(f"a point of the parallelepiped of {list(rays)} is off its rays")
-    return [p for p in zip(*ps) if any(p)]
+        steps = [row[i] for row in uinv.rows] + [row[i] * (e // divisors[i]) for row in v.rows]
+        values = [[t for x in vs for t in accumulate(repeat(s, divisors[i] - 1), initial=x)]
+                  for vs, s in zip(values, steps)]
+    ets = values[n:]
+    for k in range(n):  # x_a's coordinate k becomes the point's, in place
+        values[k] = list(map(sub, values[k], _on_rays(rays, k, ets, floordiv, e)))
+    del values[n:]
+    for k, pk in enumerate(values):
+        offsets = map(sub, map(mul, repeat(e), pk), _on_rays(rays, k, ets, mod, e))
+        if (i := next(compress(count(), offsets), None)) is not None:
+            p = tuple(q[i] for q in values)
+            raise CertificateError(f"point {p} is not at {[t[i] % e for t in ets]} / {e} on the rays")
+    ets = offsets = None  # the last check's maps hold the e t lists too
+    return [p for p in zip(*values) if any(p)]
 
 
-def _stepped(values: list[int], step: int, count: int) -> list[int]:
-    """Each value, then count - 1 steps of ``step`` from it."""
-    return [t for x in values for t in accumulate(repeat(step, count - 1), initial=x)]
+def _on_rays(rays: Sequence[Vec], k: int, ets: list[list[int]], op, e: int) -> Iterable[int]:
+    """sum_j op(e t_j, e) r_j[k] over all points, to be read once."""
+    total = repeat(0)
+    for r, ts in zip(rays, ets):
+        if r[k]:
+            total = map(add, total, map(mul, repeat(r[k]), map(op, ts, repeat(e))))
+    return total
 
 
 def _pulling_triangulation(cone: Cone) -> list[tuple[Vec, ...]]:

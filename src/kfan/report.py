@@ -11,13 +11,11 @@ byte-identical to ``json.dumps(obj, sort_keys=True, indent=2)``.  Under
 yielding one string per scalar; ``_encode`` builds each list or dict of
 a report with one ``str.join`` and the C string escaper, about twice as
 fast in half the memory, and hands the stdlib any value no report holds.
-A group-ring term [[c_1, .., c_n], k] of exact ints is one %-template,
-the generic text of a term of zeros, kept per (indent, n).
+A group-ring term [[c_1, .., c_n], k] of exact ints is one cached %-template.
 The ``*_to_jsonable`` functions here write every value a report carries.
 A smooth fan's stalk elements, kept in ray coordinates, are written and
 read in the coordinates of the character groups, through the ray charts
-(``kfan.sheaves.FanSheaf.chart``): on a smooth fan, only here; an
-element's keys go through T^-1 row by row when few, else by columns.
+(``kfan.sheaves.FanSheaf.chart``): on a smooth fan, only here.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from operator import mul
 
 from .cech import Cochain
 from .fanfile import is_int, is_int_list
-from .intlinalg import combination
 from .monoids import GroupRingElement
 from .sheaves import RayStalk
 
@@ -46,12 +43,7 @@ def element_to_jsonable(el: GroupRingElement) -> list:
     if not isinstance(el.group, RayStalk):
         return [[list(coords), coeff] for coords, coeff in sorted(el.terms.items())]
     rows = el.group.sheaf.chart(el.group.cone)[1].rows
-    if len(el.terms) < 4:  # a few keys: row by row (the zero cone's key is ())
-        return sorted([[[sum(map(mul, r, e)) for r in rows], k] for e, k in el.terms.items()])
-    # more: by columns, coordinate i of every key at once
-    columns = list(zip(*el.terms, strict=True))
-    coords = zip(*[combination(row, columns) for row in rows])
-    return sorted(map(list, zip(map(list, coords), el.terms.values())))
+    return sorted([[[sum(map(mul, r, e)) for r in rows], k] for e, k in el.terms.items()])
 
 
 def element_from_jsonable(group, data) -> GroupRingElement:
@@ -212,12 +204,8 @@ def _encode_list(value, newline: str) -> str:
     if not value:
         return "[]"
     inner = newline + "  "
-    # the item list is a temporary, gone before the brackets are added; a
-    # list whose first item is no [list, _] pair (ray, cone and basis lists
-    # of ints) skips the term check
-    head = value[0]
-    terms = type(head) is list and len(head) == 2 and type(head[0]) is list
-    items = terms and _encode_terms(value, inner) or [
+    # the item list is a temporary, gone before the brackets are added
+    items = type(value[0]) is list and _encode_terms(value, inner) or [
         int.__repr__(v) if type(v) is int else _encode(v, inner) for v in value
     ]
     body = ("," + inner).join(items)
@@ -239,11 +227,9 @@ def _encode_terms(value, inner: str) -> list[str] | None:
         coords, k = term
         if type(coords) is not list or type(k) is not int or not _INT.issuperset(map(type, coords)):
             return None
-        template = templates.get(len(coords))
-        if template is None:  # the generic text of a term of zeros, a slot at each 0
-            template = _encode([[0] * len(coords), 0], inner).replace("0", "%d")
-            templates[len(coords)] = template
-        items.append(template % (*coords, k))
+        if len(coords) not in templates:  # the generic text of a term of zeros, a slot at each 0
+            templates[len(coords)] = _encode([[0] * len(coords), 0], inner).replace("0", "%d")
+        items.append(templates[len(coords)] % (*coords, k))
     return items
 
 

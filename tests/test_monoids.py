@@ -11,6 +11,7 @@ from kfan import intlinalg, monoids
 from kfan.cones import Cone, NotStronglyConvex, zero_cone
 from kfan.fanfile import build_fan, load_fan_file
 from kfan.intlinalg import (
+    CertificateError,
     IntMatrix,
     Lattice,
     canonical_surjection,
@@ -167,6 +168,20 @@ def test_parallelepiped_points_match_the_box_oracle(case):
     rays, n = case
     assert sorted(_parallelepiped_points(rays, n)) == parallelepiped_oracle(rays, n)
 
+
+
+def test_a_point_off_its_rays_is_named_with_its_remainders(monkeypatch):
+    # the second column of V plus the first: the odometer steps e t off
+    # x_a, and the first point that fails e p = sum f_j r_j is named
+    reduce = monoids.smith_with_inverses
+
+    def corrupted(a, **kw):
+        u, d, v, uinv = reduce(a, **kw)
+        return u, d, IntMatrix([[p, p + q] for p, q in v.rows]), uinv
+
+    monkeypatch.setattr(monoids, "smith_with_inverses", corrupted)
+    with pytest.raises(CertificateError, match=r"^point \(0, 1\) is not at \[2, 1\] / 7 on the rays$"):
+        _parallelepiped_points([(1, 0), (-1, 7)], 2)
 
 def test_hilbert_basis_of_halfplane_splits_lineality():
     half = Cone.from_rays(Z2, [(1, 0)]).dual()

@@ -275,7 +275,7 @@ def test_cochain_tuple_shape_is_checked_before_its_stalk(p2_complex, cocycle, ba
     "path", ["fans/p2.json", "bench/fans/ladder-12.json", "tests/golden/p4.json"]
 )
 def test_element_writes_match_the_chart_term_by_term(path):
-    # few terms go row by row, more by columns: both against T^-1 per term
+    # every size of element, one pass over the rows of T^-1, against T^-1 per term
     sheaf = sheaf_a0(build_fan(load_fan_file(os.path.join(ROOT, path))))
     rng = random.Random(path)
     for cone in sheaf.fan.cones:
