@@ -15,6 +15,7 @@ geometry), and d . d = 0 by telescoping.  It walks the pairs (s, i) of
 a cochain's support and the indices outside s: t = s + {i} takes the
 sign of i's position, its meet is the fan's cone on the rays of s's meet
 in maximal cone i, and each component is pushed once per distinct meet.
+Meets and anchors are kept by cone number, so no lookup hashes a ``Cone``.
 
 On a smooth fan values are in ray coordinates, restricted by the
 sheaf's pickers, and the complex splits per cone: Z[M_sigma] is the sum
@@ -84,11 +85,11 @@ class CechComplex:
         self.sheaf = sheaf_a0(fan)
         self.top_level = len(fan.max_cones) - 1
         self.tuples = {}  # level -> its tuples, listed on first read
-        self._meets = {(i,): cone for i, cone in enumerate(fan.max_cones)}
-        self._max_rays = [frozenset(cone.rays) for cone in fan.max_cones]
-        self.anchors = {}  # cone tau -> a_tau, the first maximal cone containing it
-        for i, sigma in enumerate(fan.max_cones):
-            for tau in fan.faces_of(sigma):
+        self._meets = {(i,): cone for i, cone in enumerate(fan.max_ids)}  # tuple -> cone number
+        self._max_rays = [fan.ray_sets[cone] for cone in fan.max_ids]
+        self.anchors = {}  # cone number tau -> a_tau, the first maximal cone containing it
+        for i, sigma in enumerate(fan.max_ids):
+            for tau in fan.face_ids[sigma]:
                 self.anchors.setdefault(tau, i)
 
     def level_tuples(self, p: int) -> tuple:
@@ -101,8 +102,10 @@ class CechComplex:
         return self.tuples[p]
 
     def cone_of(self, t: tuple) -> Cone:
-        """The meet of the tuple's maximal cones, found on first ask from
-        the meet of the tuple without its last index, and kept."""
+        return self.fan.cones[self.meet_id(t)]
+
+    def meet_id(self, t: tuple) -> int:
+        """The number of the meet of the tuple's cones, found from t[:-1]'s and kept."""
         cone = self._meets.get(t)
         if cone is None:
             if len(t) < 2 or not t[-2] < t[-1] <= self.top_level:
@@ -110,9 +113,9 @@ class CechComplex:
             cone = self._meets[t] = self._coface_meet(t[:-1], t[-1])
         return cone
 
-    def _coface_meet(self, s: tuple, i: int) -> Cone:
-        """The meet of s + {i}, one lookup as in ``Fan.intersection``."""
-        return self.fan._by_rays[frozenset(self.cone_of(s).rays) & self._max_rays[i]]
+    def _coface_meet(self, s: tuple, i: int) -> int:
+        """The meet of s + {i}: ``Fan.meet_id`` of s's meet and cone i."""
+        return self.fan.meet_id(self.meet_id(s), self.fan.max_ids[i])
 
     def is_level_tuple(self, t: tuple, level: int) -> bool:
         """Is t a level-``level`` tuple by its shape: level + 1 int
@@ -127,26 +130,26 @@ class CechComplex:
         )
 
     def stalk(self, t: tuple) -> "RayStalk | QuotientLattice":
-        return self.sheaf.stalk(self.cone_of(t))
+        return self.sheaf.stalk_at(self.meet_id(t))
 
     def d(self, c: "Cochain") -> "Cochain":
         """The alternating-sign differential, walked over the pairs (s, i)
         of c's support and the indices outside s (see the module)."""
         if c.level >= self.top_level:
             raise LevelOverflow(f"level {c.level} is the top of the complex")
-        by_rays, max_rays, restriction = self.fan._by_rays, self._max_rays, self.sheaf.restriction
+        fan, max_rays, restriction = self.fan, self._max_rays, self.sheaf.restriction_at
         sums: dict = {}  # coface t -> (its stalk, its summed terms), while they do not cancel
         for s, comp in c.components.items():
-            meet = self.cone_of(s)
-            rays = frozenset(meet.rays)
-            pushed = {rays: (self.sheaf.stalk(meet), comp.terms)}  # shared rays -> c_s pushed there
+            meet = self.meet_id(s)
+            rays = fan.ray_sets[meet]
+            pushed = {rays: (self.sheaf.stalk_at(meet), comp.terms)}  # shared rays -> c_s there
             for j, (lo, hi) in enumerate(zip((-1,) + s, s + (len(max_rays),))):
                 head, tail, sign = s[:j], s[j:], -1 if j % 2 else 1
                 for i in range(lo + 1, hi):  # i takes position j in t
                     shared = rays & max_rays[i]
                     found = pushed.get(shared)
                     if found is None:
-                        image = comp.pushforward(restriction(meet, by_rays[shared]))
+                        image = comp.pushforward(restriction(meet, fan._by_rays[shared]))
                         found = pushed[shared] = image.group, image.terms
                     t = head + (i,) + tail
                     acc = sums.get(t)
@@ -175,7 +178,7 @@ class CechComplex:
         failure, never a counterexample), else ``CertificateError``."""
         if z.level < 1:
             raise ValueError("coboundaries live above level zero")
-        if self.fan.is_smooth():
+        if self.sheaf.smooth:
             b = self._contract(z)
         else:
             slot_groups = {s: self.stalk(s) for s in self.level_tuples(z.level - 1)}
@@ -197,13 +200,13 @@ class CechComplex:
         b: dict = {}
         anchored: dict = {}  # (meet, a) -> the faces tau of the meet with a_tau = a
         for t, value in z.components.items():
-            cone = self.cone_of(t)
+            cone = self.meet_id(t)
             faces = anchored.get((cone, t[0]))
             if faces is None:
-                faces = [tau for tau in self.fan.faces_of(cone) if self.anchors[tau] == t[0]]
+                faces = [tau for tau in self.fan.face_ids[cone] if self.anchors[tau] == t[0]]
                 anchored[cone, t[0]] = faces
             parts = split_rays(self.sheaf, value, cone, faces)
-            above = assemble_rays(self.sheaf, parts, self.cone_of(t[1:]), faces)
+            above = assemble_rays(self.sheaf, parts, self.meet_id(t[1:]), faces)
             accumulate(b.setdefault(t[1:], {}), above, 1)
         return self._from_rays(z.level - 1, b)
 
@@ -223,11 +226,11 @@ class CechComplex:
         constraints = []
         for t in self.level_tuples(level + 1):
             meet = self._coface_meet(t[1:], t[0])
-            target = self.sheaf.stalk(meet)
+            target = self.sheaf.stalk_at(meet)
             terms = []
             for j in range(len(t)):
                 s = t[:j] + t[j + 1 :]
-                terms.append((s, -1 if j % 2 else 1, self.sheaf.restriction(self.cone_of(s), meet)))
+                terms.append((s, (-1) ** j, self.sheaf.restriction_at(self.meet_id(s), meet)))
             value = rhs.get(t, GroupRingElement.zero(target))
             constraints.append(Constraint(key=t, target=target, terms=tuple(terms), rhs=value))
         return constraints
@@ -240,7 +243,7 @@ class CechComplex:
         element of d (``sample_nonzero_solution``), re-checked."""
         if level > self.top_level:
             raise LevelOverflow(f"no level {level} in this complex")
-        if self.fan.is_smooth():
+        if self.sheaf.smooth:
             if level < 1:
                 raise ValueError("level-0 cocycles are global sections: use random_section")
             for _ in range(MAX_ATTEMPTS):
@@ -332,12 +335,11 @@ class H0Ring:
         components differ on their meet, the difference being
         value_j - value_i there: the first nonzero component of the
         cover differential.  Decided by ``first_disagreement`` over
-        ``fan.max_cones`` in the fan's order, so the pair is the
+        ``fan.max_ids`` in the fan's order, so the pair is the
         complex's."""
         self._check(section)
-        cones = self.fan.max_cones
-        values = [section.components[c] for c in cones]
-        found = first_disagreement(self.sheaf, cones, values)
+        cones = self.fan.max_ids
+        found = first_disagreement(self.sheaf, cones, [section.values[c] for c in cones])
         if found is None:
             return True, None
         i, j, _, difference = found
@@ -347,8 +349,8 @@ class H0Ring:
         return self.membership(section)[0]
 
     def _on_every_piece(self, make) -> Section:
-        comps = {c: make(self.sheaf.stalk(c)) for c in self.fan.max_cones}
-        return Section(self.sheaf, self.domain, comps)
+        values = {c: make(self.sheaf.stalk_at(c)) for c in self.fan.max_ids}
+        return Section.by_id(self.sheaf, self.domain, values)
 
     def unit(self) -> Section:
         return self._on_every_piece(GroupRingElement.one)
@@ -361,8 +363,8 @@ class H0Ring:
     def multiply(self, a: Section, b: Section) -> Section:
         self._check(a)
         self._check(b)
-        comps = {c: a.components[c] * b.components[c] for c in self.fan.max_cones}
-        return Section(self.sheaf, self.domain, comps)
+        values = {c: a.values[c] * b.values[c] for c in self.fan.max_ids}
+        return Section.by_id(self.sheaf, self.domain, values)
 
 
 @dataclass

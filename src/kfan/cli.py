@@ -74,7 +74,7 @@ def _cone_entry(i, cone, maximal: set) -> dict:
         "smooth": cone.is_smooth(),
         "simplicial": cone.is_simplicial(),
         "character_rank": rank,
-        "maximal": cone in maximal,
+        "maximal": i in maximal,
     }
 
 
@@ -118,11 +118,11 @@ def _get_cone(fan, cone_id: int):
 
 def cmd_info(args) -> JobReport:
     ff, fan = _load(args.fanfile)
-    maximal = set(fan.max_cones)
+    maximal = set(fan.max_ids)
     results = {
         "num_cones": len(fan.cones),
         "cones": [_cone_entry(i, c, maximal) for i, c in enumerate(fan.cones)],
-        "max_cone_ids": [fan.index_of(c) for c in fan.max_cones],
+        "max_cone_ids": list(fan.max_ids),
         "smooth": fan.is_smooth(),
         "complete": fan.is_complete(),
     }
@@ -193,11 +193,11 @@ def cmd_k0_global(args) -> JobReport:
                     raise InputError(f"max-cone index {key!r} is not written canonically")
                 if not 0 <= i < len(fan.max_cones):
                     raise InputError(f"max-cone index {i} out of range")
-                cone = fan.max_cones[i]
-                comps[cone] = element_from_jsonable(ring.sheaf.stalk(cone), val)
-            for cone in fan.max_cones:
-                comps.setdefault(cone, GroupRingElement.zero(ring.sheaf.stalk(cone)))
-            c = Section(ring.sheaf, ring.domain, comps)
+                cone = fan.max_ids[i]
+                comps[cone] = element_from_jsonable(ring.sheaf.stalk_at(cone), val)
+            for cone in fan.max_ids:
+                comps.setdefault(cone, GroupRingElement.zero(ring.sheaf.stalk_at(cone)))
+            c = Section.by_id(ring.sheaf, ring.domain, comps)
         except ValueError as e:
             raise InputError(f"malformed element: {e}") from e
         ok, witness = ring.membership(c)
@@ -307,8 +307,8 @@ def cmd_check_flasque(args) -> JobReport:
         outcome = extend_section(section, depth=args.depth)
         entry = {
             "index": i,
-            "domain_cone_ids": sorted(fan.index_of(c) for c in domain.members),
-            "section_support": sum(len(v.terms) for v in section.components.values()),
+            "domain_cone_ids": sorted(domain.ids),
+            "section_support": sum(len(v.terms) for v in section.values.values()),
         }
         if isinstance(outcome, SolverGaveUp):
             entry["extended"] = False
@@ -318,8 +318,8 @@ def cmd_check_flasque(args) -> JobReport:
             entry["extended"] = True
             witnesses.append(
                 {
-                    "problem": section_to_jsonable(fan, section),
-                    "extension": section_to_jsonable(fan, outcome),
+                    "problem": section_to_jsonable(section),
+                    "extension": section_to_jsonable(outcome),
                 }
             )
         trials.append(entry)

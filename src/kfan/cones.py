@@ -6,7 +6,8 @@ face of a simplicial cone, since faces want the inequality side and
 duals want the generator side.  A check that fails raises
 ``CertificateError``, so it holds under ``python -O``.  Fans are
 finite face-closed collections of cones; their subfans are the open
-sets of the poset topology used by the sheaf layer.
+sets of the poset topology used by the sheaf layer.  A fan's tables
+and its subfans hold cone numbers, so no lookup hashes a ``Cone``.
 
 The double-description step enumerates candidate facet normals from
 subsets of rays, which is exact and entirely adequate at the ambient
@@ -41,11 +42,10 @@ the groups it reads, and owns the ray charts of smooth cones
 Faces need no double description of their own to be found: a face is
 spanned by the rays of the cone that are tight on a set of its facets,
 every subset of the rays when they are independent, so ``_face_rays``
-lists every face as a sorted ray tuple for ``Fan``, whose ``faces_of``
-is the one face API: a simplicial cone's subsets once, already in
-canonical order, any other cone's faces as a set, sorted where an order
-is needed.  A fan builds each distinct face once, from that tuple, and
-every maximal cone containing the face shares the instance.  A face of
+lists every face as a sorted ray tuple for ``Fan``, whose ``face_ids``
+is the one face table, in canonical order.  A fan builds each distinct
+face once, from that tuple, and every maximal cone containing the face
+shares the instance.  A face of
 a simplicial cone is built from its rays alone and certified on first
 use (``Cone._face``), so a command pays only for the faces it reads.
 
@@ -369,13 +369,6 @@ def _order(cone: Cone) -> tuple:
     return (cone.dim, cone.rays)
 
 
-def _faces_in_order(cone: Cone, get) -> tuple[Cone, ...]:
-    """The faces of ``cone`` in canonical order, each ``get`` of its ray
-    tuple: a simplicial cone lists them in that order (``_face_rays``)."""
-    faces = map(get, _face_rays(cone))
-    return tuple(faces) if cone.is_simplicial() else tuple(sorted(faces, key=_order))
-
-
 def _ray_reduction(rays: tuple[Vec, ...], n: int) -> tuple[IntMatrix, bool] | None:
     """The kernel of the matrix of ``rays`` in Z^n and whether the rays
     extend to a basis of Z^n, or None when they are linearly dependent.
@@ -605,21 +598,27 @@ class Fan:
 
     ``max_cones`` keeps the order the maximal cones were given in; the
     alternating signs of the cover complex depend on it, so it is fixed
-    for the fan's lifetime.  ``cones`` is canonically sorted and the
-    zero cone is always present.  Whether the fan is complete is one
+    for the fan's lifetime.  ``cones`` is canonically sorted, the zero
+    cone always present, and a cone's number is its place there:
+    ``max_ids``, ``face_ids`` (each cone's faces), ``ray_sets`` and
+    ``_by_rays`` (a ray set's cone) hold numbers, and the methods that
+    take a ``Cone`` translate it.  Whether the fan is complete is one
     ridge count, at every rank (``is_complete``).
     """
 
-    __slots__ = ("lattice", "cones", "max_cones", "_index", "_by_rays", "_faces_of")
+    __slots__ = ("lattice", "cones", "max_cones", "max_ids", "face_ids", "ray_sets", "_index",
+                 "_by_rays", "_full")
 
-    def __init__(self, lattice: Lattice, cones, max_cones, faces_of):
+    def __init__(self, lattice: Lattice, cones, max_cones, face_ids):
         self.lattice = lattice
         self.cones = cones
         self.max_cones = max_cones
+        self.face_ids = face_ids
+        self.ray_sets = tuple(frozenset(c.rays) for c in cones)
         self._index = {c: i for i, c in enumerate(cones)}
-        self._by_rays = {frozenset(c.rays): c for c in cones}
-        self._faces_of = faces_of
-
+        self._by_rays = {rays: i for i, rays in enumerate(self.ray_sets)}
+        self.max_ids = tuple(map(self._index.__getitem__, max_cones))
+        self._full = Subfan._trusted(self, frozenset(range(len(cones))))
     @classmethod
     def from_max_cones(cls, lattice: Lattice, max_cones: Iterable[Cone]) -> "Fan":
         """The fan of the given cones and all their faces.
@@ -630,9 +629,7 @@ class Fan:
         ``NotAFan``).  A complete simplicial fan of rank >= 2 is
         certified by its ridges and one probe point
         (``_certified_walls``), in time linear in the number of maximal
-        cones.  Completeness is decided apart, by one ridge count at
-        every rank (``is_complete``).
-        Anything else, and anything that fails that certificate, is
+        cones.  Anything else, and anything that fails that certificate, is
         checked pair by pair (``_check_pairs``), so a ``NotAFan`` always
         names the pair that check finds.
 
@@ -642,9 +639,8 @@ class Fan:
         maximal cone that has it: by ``Cone._face``, certified on first
         use, when the first maximal cone that has it is simplicial,
         else by ``Cone.from_rays``.  Each maximal cone lists its faces
-        once (``_face_rays``), and each cone's ``faces_of`` entry is
-        looked up by its face tuples: a simplicial cone's come in
-        canonical order, with no set and no sort.
+        once (``_face_rays``), and each cone's ``face_ids`` entry is
+        its faces' numbers, sorted: the canonical order.
         """
         if lattice.rank > MAX_RANK:
             raise UnsupportedRank(f"ambient rank {lattice.rank} > {MAX_RANK}")
@@ -667,8 +663,9 @@ class Fan:
         if not maximal:
             built[()] = zero_cone(lattice)
         cones = tuple(sorted(built.values(), key=_order))
-        faces_of = tuple(_faces_in_order(c, built.__getitem__) for c in cones)
-        return cls(lattice, cones, tuple(maximal) or (built[()],), faces_of)
+        number = {c.rays: i for i, c in enumerate(cones)}.__getitem__
+        face_ids = tuple(tuple(sorted(map(number, _face_rays(c)))) for c in cones)
+        return cls(lattice, cones, tuple(maximal) or (built[()],), face_ids)
 
     @classmethod
     def from_rays_and_indices(
@@ -686,13 +683,6 @@ class Fan:
             cones.append(Cone.from_rays(lattice, [rays[i] for i in idxs]))
         return cls.from_max_cones(lattice, cones)
 
-    def canonical(self, cone: Cone) -> Cone:
-        """The fan's own instance of an equal cone (KeyError if absent)."""
-        return self.cones[self._index[cone]]
-
-    def __contains__(self, cone: Cone) -> bool:
-        return cone in self._index
-
     def index_of(self, cone: Cone) -> int:
         try:
             return self._index[cone]
@@ -700,31 +690,29 @@ class Fan:
             raise ConeNotInFan(repr(cone)) from None
 
     def faces_of(self, cone: Cone) -> tuple[Cone, ...]:
-        return self._faces_of[self.index_of(cone)]
+        return tuple(map(self.cones.__getitem__, self.face_ids[self.index_of(cone)]))
 
-    def intersection(self, a: Cone, b: Cone) -> Cone:
-        """The meet of two cones of the fan, looked up by shared rays.
+    def meet_id(self, i: int, j: int) -> int:
+        """The number of the meet of cones i and j, looked up by shared rays.
 
         The fan was validated at construction, so the meet is a common
         face of both cones; a face of a strongly convex cone is spanned
         by the rays of the cone that it contains, so the meet is the
-        fan's cone on the rays ``a`` and ``b`` share.
+        fan's cone on the rays the two share.
         """
-        for c in (a, b):
-            if c not in self._index:
-                raise ConeNotInFan(repr(c))
-        return self._by_rays[frozenset(a.rays) & frozenset(b.rays)]
+        return self._by_rays[self.ray_sets[i] & self.ray_sets[j]]
+
+    def intersection(self, a: Cone, b: Cone) -> Cone:
+        return self.cones[self.meet_id(self.index_of(a), self.index_of(b))]
 
     def star_open(self, sigma: Cone) -> "Subfan":
         """The smallest open set containing sigma: sigma and its faces.
         Tested API, no library caller."""
-        return Subfan(self, self.faces_of(sigma))
+        return Subfan._trusted(self, frozenset(self.face_ids[self.index_of(sigma)]))
 
     def full_subfan(self) -> "Subfan":
-        """The whole fan as an open set.  Its cones are the fan's own
-        instances and face-closed by construction, so nothing is
-        re-canonicalised or re-checked."""
-        return Subfan._trusted(self, frozenset(self.cones))
+        """The whole fan as an open set, built once with the fan."""
+        return self._full
 
     def subfan(self, members: Iterable[Cone]) -> "Subfan":
         return Subfan(self, members)
@@ -744,10 +732,10 @@ class Fan:
         constant and positive (the argument of ``_certified_walls``).
         Conversely, a complete fan has one maximal cone on each side of
         a ridge, each holding it, as their interiors are disjoint."""
-        n = self.lattice.rank
+        n, cones = self.lattice.rank, self.cones
         if any(c.dim != n for c in self.max_cones):
             return False
-        count = Counter(r for c in self.max_cones for r in self.faces_of(c) if r.dim == n - 1)
+        count = Counter(r for c in self.max_ids for r in self.face_ids[c] if cones[r].dim == n - 1)
         return all(k == 2 for k in count.values())
 
     def __repr__(self) -> str:
@@ -756,49 +744,58 @@ class Fan:
 
 class Subfan:
     """A downward-closed set of cones of a fan: an open set of the
-    poset topology."""
+    poset topology, kept as the cone numbers ``ids``."""
 
-    __slots__ = ("parent", "members", "_max_cones")
+    __slots__ = ("parent", "ids", "_max_ids", "_max_cones")
 
     def __init__(self, parent: Fan, members: Iterable[Cone]):
         self.parent = parent
-        self.members = frozenset(parent.cones[parent.index_of(c)] for c in members)
-        for c in self.members:
-            for f in parent.faces_of(c):
-                if f not in self.members:
-                    raise DomainNotOpen(f"missing face {f!r} of {c!r}")
-        self._max_cones = None
+        self.ids = frozenset(map(parent.index_of, members))
+        for c in self.ids:
+            for f in parent.face_ids[c]:
+                if f not in self.ids:
+                    raise DomainNotOpen(f"missing face {parent.cones[f]!r} of {parent.cones[c]!r}")
+        self._max_ids = self._max_cones = None
 
     @classmethod
-    def _trusted(cls, parent: Fan, members: frozenset) -> "Subfan":
-        """Wrap members that are already the fan's own instances and
-        closed under faces, without checking them."""
+    def _trusted(cls, parent: Fan, ids: frozenset) -> "Subfan":
+        """Wrap cone numbers of the fan closed under faces, unchecked."""
         self = object.__new__(cls)
         self.parent = parent
-        self.members = members
-        self._max_cones = None
+        self.ids = ids
+        self._max_ids = self._max_cones = None
         return self
 
-    def max_cones(self) -> tuple[Cone, ...]:
-        """The members that are not proper faces of other members: for
-        the whole fan ``parent.max_cones`` itself, in the fan's order;
-        for any other open set found on the first call, in (dim, rays)
-        order, and kept (the members never change)."""
-        if self._max_cones is None:
+    @property
+    def members(self) -> frozenset:
+        return frozenset(map(self.parent.cones.__getitem__, self.ids))
+
+    def max_ids(self) -> tuple[int, ...]:
+        """The numbers of the members that are not proper faces of other
+        members: for the whole fan ``parent.max_ids`` itself, in the
+        fan's order; for any other open set found on the first call, in
+        increasing order, which is (dim, rays) order, and kept with their
+        cones (the members never change)."""
+        if self._max_ids is None:
             parent = self.parent
             if self.is_full():
-                self._max_cones = parent.max_cones
+                self._max_ids, self._max_cones = parent.max_ids, parent.max_cones
             else:
-                # faces_of lists the fan's own instances, c among them
-                proper = {f for c in self.members for f in parent.faces_of(c) if f is not c}
-                self._max_cones = tuple(sorted(self.members - proper, key=_order))
+                proper = {f for c in self.ids for f in parent.face_ids[c] if f != c}
+                self._max_ids = tuple(sorted(self.ids - proper))
+                self._max_cones = tuple(map(parent.cones.__getitem__, self._max_ids))
+        return self._max_ids
+
+    def max_cones(self) -> tuple[Cone, ...]:
+        """The cones of ``max_ids``: ``parent.max_cones`` for the whole fan."""
+        self.max_ids()
         return self._max_cones
 
     def __contains__(self, cone: Cone) -> bool:
-        return cone in self.members
+        return self.parent._index.get(cone) in self.ids
 
     def __le__(self, other: "Subfan") -> bool:
-        return self.members <= other.members
+        return self.ids <= other.ids
 
     def union(self, other: "Subfan") -> "Subfan":
         return Subfan(self.parent, self.members | other.members)
@@ -808,17 +805,13 @@ class Subfan:
 
     def is_full(self) -> bool:
         # the members are distinct cones of the fan
-        return len(self.members) == len(self.parent.cones)
+        return len(self.ids) == len(self.parent.cones)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subfan)
-            and self.parent is other.parent
-            and self.members == other.members
-        )
+        return isinstance(other, Subfan) and self.parent is other.parent and self.ids == other.ids
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.members))
+        return hash((id(self.parent), self.ids))
 
     def __repr__(self) -> str:
-        return f"Subfan({len(self.members)} cones)"
+        return f"Subfan({len(self.ids)} cones)"

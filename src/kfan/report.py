@@ -11,7 +11,8 @@ byte-identical to ``json.dumps(obj, sort_keys=True, indent=2)``.  Under
 yielding one string per scalar; ``_encode`` builds each list or dict of
 a report with one ``str.join`` and the C string escaper, about twice as
 fast in half the memory, and hands the stdlib any value no report holds.
-A group-ring term [[c_1, .., c_n], k] of exact ints is one cached %-template.
+A group-ring term [[c_1, .., c_n], k] of exact ints, or a list of exact ints
+such as a Hilbert basis element or a ray, is one cached %-template.
 The ``*_to_jsonable`` functions here write every value a report carries.
 A smooth fan's stalk elements, kept in ray coordinates, are written and
 read in the coordinates of the character groups, through the ray charts
@@ -42,7 +43,7 @@ def element_to_jsonable(el: GroupRingElement) -> list:
     sheaf's ray chart."""
     if not isinstance(el.group, RayStalk):
         return [[list(coords), coeff] for coords, coeff in sorted(el.terms.items())]
-    rows = el.group.sheaf.chart(el.group.cone)[1].rows
+    rows = el.group.sheaf.chart_at(el.group.cone_id)[1].rows
     return sorted([[[sum(map(mul, r, e)) for r in rows], k] for e, k in el.terms.items()])
 
 
@@ -64,7 +65,7 @@ def element_from_jsonable(group, data) -> GroupRingElement:
         key = tuple(coords)
         terms[key] = terms.get(key, 0) + coeff
     if isinstance(group, RayStalk):
-        chart = group.sheaf.chart(group.cone)[0].apply
+        chart = group.sheaf.chart_at(group.cone_id)[0].apply
         terms = {chart(group.reduce(e)): k for e, k in terms.items()}
     return GroupRingElement(group, terms)
 
@@ -99,23 +100,18 @@ def cochain_from_jsonable(complex, data) -> Cochain:
     return Cochain(complex, level, comps)
 
 
-def section_to_jsonable(fan, section) -> dict:
+def section_to_jsonable(section) -> dict:
     """A section as its domain's cone ids and its values, by cone id."""
     return {
-        "domain_cone_ids": sorted(fan.index_of(c) for c in section.domain.members),
-        "components": [
-            [fan.index_of(c), element_to_jsonable(v)]
-            for c, v in sorted(
-                section.components.items(), key=lambda kv: fan.index_of(kv[0])
-            )
-        ],
+        "domain_cone_ids": sorted(section.domain.ids),
+        "components": [[c, element_to_jsonable(v)] for c, v in sorted(section.values.items())],
     }
 
 
 def h0_to_jsonable(fan, section) -> dict:
     """A global section in the level-0 cochain layout of ``k0-global``
     reports: its nonzero values, keyed [i] by maximal-cone index."""
-    values = enumerate(section.components[c] for c in fan.max_cones)
+    values = enumerate(section.values[c] for c in fan.max_ids)
     comps = [[[i], element_to_jsonable(v)] for i, v in values if not v.is_zero()]
     return {"level": 0, "components": comps}
 
@@ -213,23 +209,28 @@ def _encode_list(value, newline: str) -> str:
 
 
 _INT = frozenset([int])
-_TERM_TEMPLATES: dict[str, dict[int, str]] = {}  # indent -> coordinate count -> template
+_TERM_TEMPLATES: dict[str, dict] = {}  # indent -> shape (n, or (n,) for a term) -> template
 
 
 def _encode_terms(value, inner: str) -> list[str] | None:
-    """The items of a list of group-ring terms [[c_1, .., c_n], k] of exact
-    ints, one %-template each, or None if any item has another shape."""
+    """The items of a list of group-ring terms [[c_1, .., c_n], k] or of
+    lists [c_1, .., c_n] of exact ints, one %-template each, or None if
+    any item has another shape."""
     templates = _TERM_TEMPLATES.setdefault(inner, {})
     items = []
     for term in value:
-        if type(term) is not list or len(term) != 2:
+        if type(term) is not list:
             return None
-        coords, k = term
-        if type(coords) is not list or type(k) is not int or not _INT.issuperset(map(type, coords)):
+        if len(term) == 2 and type(term[0]) is list and type(term[1]) is int:
+            shape, ints = (len(term[0]),), (*term[0], term[1])  # a term: its shape is a tuple
+        else:
+            shape, ints = len(term), tuple(term)
+        if not _INT.issuperset(map(type, ints)):
             return None
-        if len(coords) not in templates:  # the generic text of a term of zeros, a slot at each 0
-            templates[len(coords)] = _encode([[0] * len(coords), 0], inner).replace("0", "%d")
-        items.append(templates[len(coords)] % (*coords, k))
+        if shape not in templates:  # the generic text of zeros of this shape, a slot at each 0
+            zeros = [[0] * shape[0], 0] if type(shape) is tuple else [0] * shape
+            templates[shape] = _encode(zeros, inner).replace("0", "%d")
+        items.append(templates[shape] % ints)
     return items
 
 

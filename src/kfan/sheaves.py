@@ -19,17 +19,19 @@ zero-padding (``assemble_rays``).  So ``sheaf_a0`` is the sum over the
 cones tau of the constant sheaf A_tau on star(tau), and flasque: a
 section extends by zero tau-parts off its domain.  The character
 groups' own coordinates are read only where ``kfan.report`` writes or
-reads an element, through the ray chart (``FanSheaf.chart``).  On
+reads an element, through the ray chart (``FanSheaf.chart_at``).  On
 non-smooth fans the stalks are the character groups, the restrictions
 their canonical surjections, and extensions are searched for by the
 expanding-support solver: a ``SolverGaveUp`` there is a search failure,
 never a proof that no extension exists.  Each stalk, chart and
-restriction is built and certified on its first read (``FanSheaf``).
+restriction is built and certified on its first read (``FanSheaf``) and
+kept by cone number, as every table here is: only ``FanSheaf.stalk``,
+``restriction``, ``chart`` and ``Section``'s cone keys take a ``Cone``.
 
 Whether values on maximal cones agree on their meets is asked in one
 place, ``first_disagreement``, by ``Section.check`` here and by H0
 membership in ``kfan.cech``, over the maximal cones of the domain
-(``Subfan.max_cones``), on the whole fan in the fan's order.  It
+(``Subfan.max_ids``), on the whole fan in the fan's order.  It
 compares values only at the maximal faces a cone shares with earlier
 cones, so a member costs time linear in the incidences (the families
 agreeing on every meet, Vezzosi-Vistoli, Invent. Math. 2003;
@@ -71,16 +73,16 @@ class RayStalk:
     """The stalk group at a cone of a smooth fan, in ray coordinates: with
     rays v_1..v_k (in ``rays`` order), m -> (<m,v_1>, .., <m,v_k>) maps
     M_sigma onto Z^k, as the rays extend to a basis of N.  Equal for
-    equal cones."""
+    equal cones.  ``cone_id`` is the cone's number in the sheaf's fan."""
 
-    __slots__ = ("sheaf", "cone", "coords_len", "free_rank")
+    __slots__ = ("sheaf", "cone", "cone_id", "coords_len", "free_rank")
     invariant_factors = ()
     is_free = True
 
-    def __init__(self, sheaf: "FanSheaf", cone: Cone):
+    def __init__(self, sheaf: "FanSheaf", cone_id: int):
         self.sheaf = sheaf
-        self.cone = cone
-        self.coords_len = self.free_rank = len(cone.rays)
+        self.cone_id, self.cone = cone_id, sheaf.fan.cones[cone_id]
+        self.coords_len = self.free_rank = len(self.cone.rays)
 
     def zero(self) -> Vec:
         return (0,) * self.coords_len
@@ -127,7 +129,7 @@ class FanSheaf:
     M_tau.  A cone outside the fan, or a pair that is not a face pair,
     raises ``KeyError``.  Nothing is kept beyond this sheaf.
 
-    ``character_group(sigma)`` keeps sigma's character group from its
+    ``character_group(i)`` keeps cone i's character group from its
     first read, interned by perp rows: one quotient per distinct perp
     lattice, checked P S = I (its projection times its section) where
     ``Cone.character_quotient`` builds it, so its projection pi_sigma is
@@ -151,48 +153,59 @@ class FanSheaf:
     def __init__(self, fan: Fan):
         self.fan = fan
         self.smooth = fan.is_smooth()
+        n = len(fan.cones)
         self._interned: dict = {}  # perp rows -> the group of the first cone read with them
-        self._groups: dict = {}  # cone -> its character group
-        self._stalks: dict = {}  # cone of a smooth fan -> its ray stalk
-        self._charts: dict = {}  # smooth cone -> its ray chart
-        self._restrictions: dict = {}  # (cone, face) -> its map
+        self._groups: list = [None] * n  # cone number -> its character group
+        self._stalks: list = [None] * n  # cone number on a smooth fan -> its ray stalk
+        self._charts: list = [None] * n  # number of a smooth cone -> its ray chart
+        self._restrictions = [{} for _ in range(n)]  # cone number -> face number -> its map
 
     def stalk(self, sigma: Cone) -> RayStalk | QuotientLattice:
-        """The stalk group at a cone of the fan: its ``RayStalk`` on a
+        return self.stalk_at(self.fan._index[sigma])
+
+    def chart(self, sigma: Cone) -> tuple[IntMatrix, IntMatrix]:
+        return self.chart_at(self.fan._index[sigma])
+
+    def restriction(self, sigma: Cone, tau: Cone) -> RayRestriction | QuotientSurjection:
+        return self.restriction_at(self.fan._index[sigma], self.fan._index[tau])
+
+    def stalk_at(self, i: int) -> RayStalk | QuotientLattice:
+        """The stalk group at cone i of the fan: its ``RayStalk`` on a
         smooth fan, else its ``character_group``."""
         if not self.smooth:
-            return self.character_group(sigma)
-        q = self._stalks.get(sigma)
+            return self.character_group(i)
+        q = self._stalks[i]
         if q is None:
-            q = self._stalks[sigma] = RayStalk(self, self.fan.canonical(sigma))
+            q = self._stalks[i] = RayStalk(self, i)
         return q
 
-    def character_group(self, sigma: Cone) -> QuotientLattice:
-        """The character group M_sigma of a cone of the fan, in Smith
+    def character_group(self, i: int) -> QuotientLattice:
+        """The character group M_sigma of cone i of the fan, in Smith
         coordinates: the group interned for its perp rows, checked free
         of rank dim, or else built by ``Cone.character_quotient``."""
-        q = self._groups.get(sigma)
+        q = self._groups[i]
         if q is None:
-            cone = self.fan.canonical(sigma)
+            cone = self.fan.cones[i]
             rows = cone.perp_lattice().rows
             q = self._interned.get(rows)
             if q is None:
                 q = self._interned[rows] = cone.character_quotient()
             elif q.free_rank != cone.dim:
                 raise CertificateError(f"the stalk of {cone!r} is not free of rank {cone.dim}")
-            self._groups[sigma] = q
+            self._groups[i] = q
         return q
 
-    def chart(self, sigma: Cone) -> tuple[IntMatrix, IntMatrix]:
-        """The ray chart of a smooth cone of the fan: returns (T, T^-1),
+    def chart_at(self, i: int) -> tuple[IntMatrix, IntMatrix]:
+        """The ray chart of smooth cone i of the fan: returns (T, T^-1),
         where T = R * section takes the coordinates of its
         ``character_group`` to ray coordinates (R the ray matrix, in
         ``rays`` order), and T^-1 = det(T) * adj(T) by cofactors.  Built
         once per cone and checked: det T = +-1, T * projection = R and
         T * T^-1 = I."""
-        chart = self._charts.get(sigma)
+        chart = self._charts[i]
         if chart is None:
-            q = self.character_group(sigma)
+            q = self.character_group(i)
+            sigma = self.fan.cones[i]
             if not sigma.is_smooth():
                 raise ValueError(f"{sigma!r} is not smooth: its rays give no chart")
             k = len(sigma.rays)
@@ -204,17 +217,18 @@ class FanSheaf:
             t_inv = IntMatrix._trusted(tuple(tuple(e * x for x in r) for r in adjugate(t).rows), k)
             if t @ q.projection != ray_matrix or t @ t_inv != IntMatrix.identity(k):
                 raise CertificateError(f"ray chart of {sigma!r} fails its cross-check")
-            chart = self._charts[sigma] = (t, t_inv)
+            chart = self._charts[i] = (t, t_inv)
         return chart
 
-    def restriction(self, sigma: Cone, tau: Cone) -> RayRestriction | QuotientSurjection:
-        """The map from the stalk at sigma to the stalk at a face tau."""
-        phi = self._restrictions.get((sigma, tau))
+    def restriction_at(self, i: int, j: int) -> RayRestriction | QuotientSurjection:
+        """The map from the stalk at cone i to the stalk at its face j."""
+        maps = self._restrictions[i]
+        phi = maps.get(j)
         if phi is None:
-            if tau not in self.fan._faces_of[self.fan._index[sigma]]:
-                raise KeyError((sigma, tau))
+            if j not in self.fan.face_ids[i]:
+                raise KeyError((i, j))
             make = RayRestriction if self.smooth else canonical_surjection
-            phi = self._restrictions[sigma, tau] = make(self.stalk(sigma), self.stalk(tau))
+            phi = maps[j] = make(self.stalk_at(i), self.stalk_at(j))
         return phi
 
 
@@ -227,10 +241,10 @@ def sheaf_a0(fan: Fan) -> FanSheaf:
 
 
 def first_disagreement(sheaf: FanSheaf, cones, values):
-    """The first pair i < j, in the order of ``cones`` (distinct cones
-    of the fan), whose values differ on the meet of cones i and j:
-    (i, j, meet, value_j - value_i) there, or None if every pair agrees.
-    Each value is pushed at most once to each meet.
+    """The first pair i < j, in the order of ``cones`` (distinct cone
+    numbers of the fan), whose values differ on the meet of cones i and
+    j: (i, j, meet number, value_j - value_i) there, or None if every
+    pair agrees.  Each value is pushed at most once to each meet.
 
     The verdict walks the cones in list order and the faces of each,
     largest first.  Cone i is compared only at its faces tau that an
@@ -252,22 +266,22 @@ def first_disagreement(sheaf: FanSheaf, cones, values):
     fan = sheaf.fan
     pushed: dict = {}
 
-    def at(i: int, meet: Cone) -> GroupRingElement:
+    def at(i: int, meet: int) -> GroupRingElement:
         value = pushed.get((i, meet))
         if value is None:
-            value = pushed[i, meet] = values[i].pushforward(sheaf.restriction(cones[i], meet))
+            value = pushed[i, meet] = values[i].pushforward(sheaf.restriction_at(cones[i], meet))
         return value
 
     def agrees() -> bool:
         last: dict = {}  # face -> the last index so far whose cone contains it
         for i, sigma in enumerate(cones):
             compared: list = []  # ray sets of the faces of cone i compared so far
-            for tau in reversed(fan.faces_of(sigma)):
+            for tau in reversed(fan.face_ids[sigma]):
                 h = last.get(tau)
                 last[tau] = i
                 if h is None:
                     continue
-                rays = frozenset(tau.rays)
+                rays = fan.ray_sets[tau]
                 if any(rays <= nu for nu in compared):
                     continue
                 compared.append(rays)
@@ -279,7 +293,7 @@ def first_disagreement(sheaf: FanSheaf, cones, values):
         return None
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
-            meet = fan.intersection(cones[i], cones[j])
+            meet = fan.meet_id(cones[i], cones[j])
             a, b = at(i, meet), at(j, meet)
             if a != b:
                 return i, j, meet, b - a
@@ -288,76 +302,90 @@ def first_disagreement(sheaf: FanSheaf, cones, values):
 
 class Section:
     """A compatible-in-waiting family over the maximal cones of an open
-    subfan; ``check`` decides whether it actually is a section."""
+    subfan; ``check`` decides whether it actually is a section.  Its
+    ``values`` are keyed by cone number, its ``components`` by cone."""
 
-    __slots__ = ("sheaf", "domain", "components", "_home")
+    __slots__ = ("sheaf", "domain", "values", "_home")
 
-    def __init__(self, sheaf: FanSheaf, domain: Subfan, components: dict):
+    def __new__(cls, sheaf: FanSheaf, domain: Subfan, components: dict) -> "Section":
+        index = sheaf.fan._index
+        return cls.by_id(sheaf, domain, {index.get(c, c): v for c, v in components.items()})
+
+    @classmethod
+    def by_id(cls, sheaf: FanSheaf, domain: Subfan, values: dict) -> "Section":
+        """The family with these values, keyed by cone number: one on
+        each maximal cone of the domain, in the stalk there."""
         if domain.parent is not sheaf.fan:
             raise ValueError("domain belongs to a different fan")
+        self = object.__new__(cls)
         self.sheaf = sheaf
         self.domain = domain
         comps = {}
-        for c in domain.max_cones():
-            if c not in components:
-                raise ValueError(f"missing component at {c!r}")
-            val = components[c]
-            if val.group is not (group := sheaf.stalk(c)) and val.group != group:
-                raise ValueError(f"component at {c!r} lives over the wrong group")
+        for c in domain.max_ids():
+            if c not in values:
+                raise ValueError(f"missing component at {sheaf.fan.cones[c]!r}")
+            val = values[c]
+            if val.group is not (group := sheaf.stalk_at(c)) and val.group != group:
+                raise ValueError(f"component at {sheaf.fan.cones[c]!r} lives over the wrong group")
             comps[c] = val
-        if len(comps) != len(components):
-            stray = next(c for c in components if c not in comps)
+        if len(comps) != len(values):
+            stray = next(c for c in values if c not in comps)
+            stray = sheaf.fan.cones[stray] if type(stray) is int else stray
             raise ValueError(f"component at {stray!r}, not a maximal cone of the domain")
-        self.components = comps
-        self._home = None  # cone of the domain -> the first maximal cone containing it
+        self.values = comps
+        self._home = None  # cone number of the domain -> the first maximal cone containing it
+        return self
+
+    @property
+    def components(self) -> dict:
+        cones = self.sheaf.fan.cones
+        return {cones[c]: v for c, v in self.values.items()}
 
     def incompatible_pair(self):
         """The first pair of maximal cones whose components disagree on
         the meet, with the meet, or None; checking the meet suffices
         because smaller common faces factor through it."""
-        cones = self.domain.max_cones()
-        values = [self.components[c] for c in cones]
-        found = first_disagreement(self.sheaf, cones, values)
-        return found and (cones[found[0]], cones[found[1]], found[2])
+        ids = self.domain.max_ids()
+        found = first_disagreement(self.sheaf, ids, [self.values[c] for c in ids])
+        cones = self.sheaf.fan.cones
+        return found and (cones[ids[found[0]]], cones[ids[found[1]]], cones[found[2]])
 
     def check(self) -> bool:
         return self.incompatible_pair() is None
 
-    def value_at(self, cone: Cone) -> GroupRingElement:
-        """The component at any cone of the domain: its own at a maximal
+    def value_at(self, i: int) -> GroupRingElement:
+        """The component at cone i of the domain: its own at a maximal
         cone of the domain, else pushed forward from the first maximal
         cone of the domain containing it (a table built on first call)."""
-        fan = self.sheaf.fan
-        cone = fan.canonical(cone)
-        if cone not in self.domain:
+        if i not in self.domain.ids:
             raise ValueError("cone outside the section's domain")
-        own = self.components.get(cone)
+        own = self.values.get(i)
         if own is not None:
             return own
         if self._home is None:
             self._home = {}
-            for top in self.domain.max_cones():
-                for tau in fan.faces_of(top):
+            for top in self.domain.max_ids():
+                for tau in self.sheaf.fan.face_ids[top]:
                     self._home.setdefault(tau, top)
-        top = self._home[cone]  # an open set has a maximal cone above each member
-        return self.components[top].pushforward(self.sheaf.restriction(top, cone))
+        top = self._home[i]  # an open set has a maximal cone above each member
+        return self.values[top].pushforward(self.sheaf.restriction_at(top, i))
 
     def restrict(self, smaller: Subfan) -> "Section":
         if not smaller <= self.domain:
             raise ValueError("not a subset of the section's domain")
-        comps = {c: self.value_at(c) for c in smaller.max_cones()}
-        return Section(self.sheaf, smaller, comps)
+        values = {c: self.value_at(c) for c in smaller.max_ids()}
+        return Section.by_id(self.sheaf, smaller, values)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Section)
             and self.sheaf is other.sheaf
             and self.domain == other.domain
-            and self.components == other.components
+            and self.values == other.values
         )
 
     def __repr__(self) -> str:
-        return f"Section(on {len(self.components)} maximal cones)"
+        return f"Section(on {len(self.values)} maximal cones)"
 
 
 def pad_rays(terms: dict, phi: RayRestriction) -> dict:
@@ -411,25 +439,25 @@ def _top_part(terms: dict) -> dict:
     return {e: k for e, k in out.items() if k}
 
 
-def split_rays(sheaf: FanSheaf, x: GroupRingElement, cone: Cone, faces) -> dict:
+def split_rays(sheaf: FanSheaf, x: GroupRingElement, cone: int, faces) -> dict:
     """The nonzero tau-parts, in tau's ray coordinates, of an element of
-    the stalk at a cone of a smooth fan: restrict to each face tau, then
-    project onto A_tau."""
-    restriction = sheaf.restriction
+    the stalk at a cone of a smooth fan, by face number: restrict to
+    each face tau, then project onto A_tau.  Cones are numbers."""
+    restriction = sheaf.restriction_at
     parts = {tau: _top_part(x.pushforward(restriction(cone, tau)).terms) for tau in faces}
     return {tau: part for tau, part in parts.items() if part}
 
 
-def assemble_rays(sheaf: FanSheaf, parts: dict, cone: Cone, faces) -> dict:
+def assemble_rays(sheaf: FanSheaf, parts: dict, cone: int, faces) -> dict:
     """The sum of the zero-padded tau-parts over the ``faces`` tau of the
     cone that have one: the inverse of ``split_rays`` over all faces.
     Only the parts of those faces are read, so the cost follows the
-    cone, not the number of parts."""
+    cone, not the number of parts.  Cones are numbers."""
     out: dict = {}
     for tau in faces:
         part = parts.get(tau)
         if part:
-            accumulate(out, pad_rays(part, sheaf.restriction(cone, tau)), 1)
+            accumulate(out, pad_rays(part, sheaf.restriction_at(cone, tau)), 1)
     return out
 
 
@@ -441,11 +469,6 @@ def random_monomial(cone: Cone, rng: random.Random) -> dict:
     return {e: rng.randint(-COEFF_BOUND, COEFF_BOUND)}
 
 
-def random_part(tau: Cone, rng: random.Random) -> dict:
-    """The A_tau-part of a random monomial (``random_monomial``)."""
-    return _top_part(random_monomial(tau, rng))
-
-
 def extend_section(section: Section, depth: int = 3) -> Section | SolverGaveUp:
     """A global section restricting to the given one, re-checked as
     both: built on a smooth fan (``_split_extension``, ``depth`` unread),
@@ -453,7 +476,7 @@ def extend_section(section: Section, depth: int = 3) -> Section | SolverGaveUp:
     search failure, never a proof of nonexistence."""
     if section.domain.is_full():
         return section
-    if section.sheaf.fan.is_smooth():
+    if section.sheaf.smooth:
         extended = _split_extension(section)
     else:
         extended = _search_extension(section, depth)
@@ -469,22 +492,22 @@ def extend_section(section: Section, depth: int = 3) -> Section | SolverGaveUp:
 def _split_extension(section: Section) -> Section:
     """The section on its domain; elsewhere its tau-parts, assembled with
     zero parts for the cones outside the domain."""
-    sheaf, given = section.sheaf, section.components
+    sheaf, given, fan = section.sheaf, section.values, section.sheaf.fan
     parts: dict = {}
     for top, value in given.items():
-        faces = [tau for tau in sheaf.fan.faces_of(top) if tau not in parts]
+        faces = [tau for tau in fan.face_ids[top] if tau not in parts]
         parts.update(split_rays(sheaf, value, top, faces))
     # a maximal cone of the fan in the domain is one of the domain's
-    comps = {c: given[c] for c in sheaf.fan.max_cones if c in given}
-    comps.update(_assembled(sheaf, parts, [c for c in sheaf.fan.max_cones if c not in given]))
-    return Section(sheaf, sheaf.fan.full_subfan(), comps)
+    values = {c: given[c] for c in fan.max_ids if c in given}
+    values.update(_assembled(sheaf, parts, [c for c in fan.max_ids if c not in given]))
+    return Section.by_id(sheaf, fan.full_subfan(), values)
 
 
 def _assembled(sheaf: FanSheaf, parts: dict, cones) -> dict:
-    """The elements on these cones whose tau-parts are ``parts``."""
-    faces = sheaf.fan.faces_of
+    """The elements on these cone numbers whose tau-parts are ``parts``."""
+    faces = sheaf.fan.face_ids
     return {
-        c: GroupRingElement._normal(sheaf.stalk(c), assemble_rays(sheaf, parts, c, faces(c)))
+        c: GroupRingElement._normal(sheaf.stalk_at(c), assemble_rays(sheaf, parts, c, faces[c]))
         for c in cones
     }
 
@@ -493,18 +516,18 @@ def _search_extension(section: Section, depth: int) -> Section | SolverGaveUp:
     """The expanding-support search, for fans without the closed form."""
     sheaf = section.sheaf
     fan = sheaf.fan
-    maxes = fan.max_cones
-    slot_groups = {i: sheaf.stalk(c) for i, c in enumerate(maxes)}
+    maxes = fan.max_ids
+    slot_groups = {i: sheaf.stalk_at(c) for i, c in enumerate(maxes)}
     constraints = _compatibility_constraints(sheaf, maxes)
-    given = section.components  # the maximal cones of the domain
+    given = section.values  # the maximal cones of the domain
     for i, top in enumerate(maxes):
-        for lam in fan.faces_of(top):
+        for lam in fan.face_ids[top]:
             if lam in given:
                 constraints.append(
                     Constraint(
-                        key=("restrict", fan.index_of(lam), i),
-                        target=sheaf.stalk(lam),
-                        terms=((i, 1, sheaf.restriction(top, lam)),),
+                        key=("restrict", lam, i),
+                        target=sheaf.stalk_at(lam),
+                        terms=((i, 1, sheaf.restriction_at(top, lam)),),
                         rhs=given[lam],
                     )
                 )
@@ -512,26 +535,26 @@ def _search_extension(section: Section, depth: int) -> Section | SolverGaveUp:
     if isinstance(outcome, SolverGaveUp):
         return outcome
     solution, _rounds = outcome
-    return Section(sheaf, fan.full_subfan(), {c: solution[i] for i, c in enumerate(maxes)})
+    return Section.by_id(sheaf, fan.full_subfan(), {c: solution[i] for i, c in enumerate(maxes)})
 
 
-def _compatibility_constraints(sheaf: FanSheaf, cones: list) -> list[Constraint]:
+def _compatibility_constraints(sheaf: FanSheaf, cones) -> list[Constraint]:
     """x_i and x_j agree on the meet of cones[i] and cones[j], for every
-    pair; slot i stands for cones[i]."""
+    pair of these cone numbers; slot i stands for cones[i]."""
     fan = sheaf.fan
     constraints = []
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
-            meet = fan.intersection(cones[i], cones[j])
+            meet = fan.meet_id(cones[i], cones[j])
             constraints.append(
                 Constraint(
                     key=("compat", i, j),
-                    target=sheaf.stalk(meet),
+                    target=sheaf.stalk_at(meet),
                     terms=(
-                        (i, 1, sheaf.restriction(cones[i], meet)),
-                        (j, -1, sheaf.restriction(cones[j], meet)),
+                        (i, 1, sheaf.restriction_at(cones[i], meet)),
+                        (j, -1, sheaf.restriction_at(cones[j], meet)),
                     ),
-                    rhs=GroupRingElement.zero(sheaf.stalk(meet)),
+                    rhs=GroupRingElement.zero(sheaf.stalk_at(meet)),
                 )
             )
     return constraints
@@ -540,41 +563,41 @@ def _compatibility_constraints(sheaf: FanSheaf, cones: list) -> list[Constraint]
 def random_open_subfan(fan: Fan, rng: random.Random) -> Subfan:
     """A random nonempty open subfan: the union of the stars of a
     random subset of cones."""
-    picks = [c for c in fan.cones if rng.random() < 0.5]
+    picks = [c for c in range(len(fan.cones)) if rng.random() < 0.5]
     if not picks:
-        picks = [fan.cones[rng.randrange(len(fan.cones))]]
+        picks = [rng.randrange(len(fan.cones))]
     members = set()
     for c in picks:
-        members.update(fan.faces_of(c))
-    # the fan's own instances, and a union of face sets is face-closed
+        members.update(fan.face_ids[c])
+    # a union of face sets is face-closed
     return Subfan._trusted(fan, frozenset(members))
 
 
 def random_section(sheaf: FanSheaf, domain: Subfan, rng: random.Random) -> Section:
-    """A random nonzero section, re-checked.  On a smooth fan, a random
-    tau-part (``random_part``) for each cone tau of the domain, redrawn
+    """A random nonzero section, re-checked.  On a smooth fan, the tau-part
+    of a ``random_monomial`` for each cone tau of the domain, redrawn
     while all zero; otherwise a random nonzero solution of the pairwise
     compatibility equations (``sample_nonzero_solution``).  Failing that,
     chi^m on every cone for a random m."""
     fan = sheaf.fan
-    cones = domain.max_cones()
-    comps = None
-    if fan.is_smooth():
+    cones = domain.max_ids()
+    values = None
+    if sheaf.smooth:
         for _ in range(MAX_ATTEMPTS):
-            parts = {tau: random_part(tau, rng) for tau in fan.cones if tau in domain}
+            parts = {c: _top_part(random_monomial(fan.cones[c], rng)) for c in sorted(domain.ids)}
             if any(parts.values()):
-                comps = _assembled(sheaf, parts, cones)
+                values = _assembled(sheaf, parts, cones)
                 break
     else:
         # slots in (dim, rays) order on every domain: the sampler's draws follow it
-        cones = sorted(cones, key=fan.index_of)
-        slots = {i: sheaf.stalk(c) for i, c in enumerate(cones)}
+        cones = sorted(cones)
+        slots = {i: sheaf.stalk_at(c) for i, c in enumerate(cones)}
         found = sample_nonzero_solution(slots, _compatibility_constraints(sheaf, cones), rng, 2)
-        comps = found and {c: found[i] for i, c in enumerate(cones)}
-    if not comps:
+        values = found and {c: found[i] for i, c in enumerate(cones)}
+    if not values:
         m = [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(fan.lattice.rank)]
-        comps = {c: GroupRingElement.character(sheaf.stalk(c), m) for c in cones}
-    section = Section(sheaf, domain, comps)
+        values = {c: GroupRingElement.character(sheaf.stalk_at(c), m) for c in cones}
+    section = Section.by_id(sheaf, domain, values)
     if not section.check():
         raise CertificateError("sampled family is not a section")
     return section

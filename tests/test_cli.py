@@ -473,7 +473,7 @@ def assert_flasque_witnesses_recheck(fan, rep):
         restricted = section.restrict(dom)
         for cone_id, data in w["problem"]["components"]:
             cone = fan.cones[cone_id]
-            assert restricted.value_at(cone) == element_from_jsonable(
+            assert restricted.value_at(cone_id) == element_from_jsonable(
                 sheaf.stalk(cone), data
             )
 

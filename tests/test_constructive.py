@@ -89,12 +89,13 @@ SMOOTH_FILES = [p for p in FAN_FILES if load(p).is_smooth()]
 def assembled_from_faces(sheaf, sigma, known: dict) -> GroupRingElement:
     """The element of Z[M_sigma] whose tau-part, for each face tau of
     sigma in ``known``, is the tau-part of known[tau], and zero for the
-    other faces."""
+    other faces.  The ray helpers take and key cones by number."""
+    index = sheaf.fan.index_of
     parts = {}
     for tau, value in known.items():
-        parts.update(split_rays(sheaf, value, tau, [tau]))
-    faces = sheaf.fan.faces_of(sigma)
-    return GroupRingElement(sheaf.stalk(sigma), assemble_rays(sheaf, parts, sigma, faces))
+        parts.update(split_rays(sheaf, value, index(tau), [index(tau)]))
+    faces = sheaf.fan.face_ids[index(sigma)]
+    return GroupRingElement(sheaf.stalk(sigma), assemble_rays(sheaf, parts, index(sigma), faces))
 
 
 @pytest.mark.parametrize("path", SMOOTH_FILES, ids=os.path.basename)
@@ -167,7 +168,8 @@ def test_lift_with_zero_data_off_a_face_is_the_padding(name):
                 y = random_element(sheaf.stalk(a), rng)
                 unit = {tuple(int(v == r) for v in a.rays): 1}
                 x = y - y * GroupRingElement(sheaf.stalk(a), unit)
-                facet = fan.canonical(Cone.from_rays(fan.lattice, [v for v in sigma.rays if v != r]))
+                facet = Cone.from_rays(fan.lattice, [v for v in sigma.rays if v != r])
+                facet = fan.cones[fan.index_of(facet)]
                 known = {tau: GroupRingElement.zero(sheaf.stalk(tau)) for tau in fan.faces_of(facet)}
                 for tau in fan.faces_of(a):
                     pushed = x.pushforward(sheaf.restriction(a, tau))
@@ -194,7 +196,7 @@ def test_ray_chart_maps_characters_to_pairings():
             m = tuple(rng.randint(-4, 4) for _ in range(fan.lattice.rank))
             pairing = tuple(sum(a * b for a, b in zip(m, v)) for v in sigma.rays)
             assert GroupRingElement.character(sheaf.stalk(sigma), m).terms == {pairing: 1}
-            coords = sheaf.character_group(sigma).project(m)
+            coords = sheaf.character_group(fan.index_of(sigma)).project(m)
             assert chart.apply(coords) == pairing and inverse.apply(pairing) == coords
 
 
@@ -258,11 +260,17 @@ def test_the_contraction_solves_kernel_sampled_cocycles(no_solver, path):
 
 
 def all_parts(sheaf, value, cone) -> dict:
-    return split_rays(sheaf, value, cone, sheaf.fan.faces_of(cone))
+    """The tau-parts of value, keyed by face; ``split_rays`` keys them by
+    face number."""
+    fan = sheaf.fan
+    i = fan.index_of(cone)
+    return {fan.cones[t]: part for t, part in split_rays(sheaf, value, i, fan.face_ids[i]).items()}
 
 
 def assembled(sheaf, parts, cone):
-    return assemble_rays(sheaf, parts, cone, sheaf.fan.faces_of(cone))
+    fan = sheaf.fan
+    i = fan.index_of(cone)
+    return assemble_rays(sheaf, {fan.index_of(t): p for t, p in parts.items()}, i, fan.face_ids[i])
 
 
 @RANDOM_FANS

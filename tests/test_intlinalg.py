@@ -374,9 +374,11 @@ def restrictions_of_every_fan_file():
     for path in sorted(paths):
         fan = build_fan(load_fan_file(path))
         sheaf = sheaf_a0(fan)
-        for sigma in fan.cones:
+        for i, sigma in enumerate(fan.cones):
             for tau in fan.faces_of(sigma):
-                yield canonical_surjection(sheaf.character_group(sigma), sheaf.character_group(tau))
+                yield canonical_surjection(
+                    sheaf.character_group(i), sheaf.character_group(fan.index_of(tau))
+                )
 
 
 def test_selection_maps_apply_as_their_matrix():

@@ -58,7 +58,8 @@ def reference_pushforward(x, phi):
     matrix = getattr(phi, "matrix", None)
     if isinstance(phi, RayRestriction):
         sheaf, sigma, tau = phi.source.sheaf, phi.source.cone, phi.target.cone
-        fresh = canonical_surjection(sheaf.character_group(sigma), sheaf.character_group(tau))
+        groups = sheaf.character_group(phi.source.cone_id), sheaf.character_group(phi.target.cone_id)
+        fresh = canonical_surjection(*groups)
         matrix = sheaf.chart(tau)[0] @ fresh.matrix @ sheaf.chart(sigma)[1]
     out = GroupRingElement.zero(phi.target)
     for q, c in x.terms.items():

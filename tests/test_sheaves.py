@@ -186,7 +186,7 @@ def test_restrict_matches_the_pushforward_from_a_maximal_cone():
             s = random_section(sheaf, domain, rng)
             for cone in fan.cones:
                 if cone in domain:
-                    assert s.value_at(cone) == pushed_value(s, cone)
+                    assert s.value_at(fan.index_of(cone)) == pushed_value(s, cone)
             picks = [c for c in domain.max_cones() if rng.random() < 0.5]
             faces = [f for c in picks for f in fan.faces_of(c)]
             smaller = Subfan(fan, [zero_cone(fan.lattice)] + faces)
@@ -215,10 +215,12 @@ def test_home_table_matches_the_scan(path):
         s = random_section(sheaf, domain, rng)
         tops = domain.max_cones()
         for cone in sorted(domain.members, key=lambda c: (c.dim, c.rays)):
-            assert s.value_at(cone) == pushed_value(s, cone)
+            assert s.value_at(fan.index_of(cone)) == pushed_value(s, cone)
         if len(tops) < len(domain.members):
             tables += 1
-            assert s._home == {c: next(t for t in tops if c in fan.faces_of(t)) for c in domain.members}
+            # the table is keyed by cone number
+            home = {c: next(t for t in tops if c in fan.faces_of(t)) for c in domain.members}
+            assert s._home == {fan.index_of(c): fan.index_of(t) for c, t in home.items()}
     assert tables
 
 
@@ -335,7 +337,7 @@ def test_shared_stalks_and_restrictions_are_those_of_each_cone(fan):
     # it is the picker, which the ray charts carry onto it
     sheaf = sheaf_a0(fan)
     for sigma in fan.cones:
-        assert sheaf.character_group(sigma) == sigma.character_quotient()
+        assert sheaf.character_group(fan.index_of(sigma)) == sigma.character_quotient()
         for tau in fan.faces_of(sigma):
             phi = sheaf.restriction(sigma, tau)
             fresh = canonical_surjection(sigma.character_quotient(), tau.character_quotient())
@@ -357,10 +359,10 @@ def test_an_interned_stalk_is_checked_against_the_cone_that_takes_it(monkeypatch
     sheaf = sheaf_a0(fan)
     first, second = fan.max_cones[:2]
     assert first.perp_lattice().rows == second.perp_lattice().rows
-    sheaf.character_group(first)
+    sheaf.character_group(fan.index_of(first))
     monkeypatch.setattr(second, "dim", 1)
     with pytest.raises(CertificateError, match="is not free of rank 1"):
-        sheaf.character_group(second)
+        sheaf.character_group(fan.index_of(second))
 
 
 def first_failure_checking_every_chain(sheaf):
@@ -407,7 +409,7 @@ def test_a_stalk_whose_projection_is_not_onto_is_rejected_on_first_read(monkeypa
     monkeypatch.setattr("kfan.cones.quotient", doubled)
     ray = next(c for c in fan.cones if c.dim == 1)
     with pytest.raises(CertificateError, match="not onto"):
-        sheaf.character_group(ray)
+        sheaf.character_group(fan.index_of(ray))
 
 
 def p1_cubed():
@@ -424,10 +426,12 @@ def fully_read(fan):
 
 
 def negate_memoized(sheaf, sigma, tau):
-    phi = sheaf._restrictions[sigma, tau]
+    # the sheaf keeps its maps by source cone number, then face number
+    maps = sheaf._restrictions[sheaf.fan.index_of(sigma)]
+    phi = maps[sheaf.fan.index_of(tau)]
     matrix = matrix_of(phi)
     negated = IntMatrix([[-x for x in row] for row in matrix.rows], ncols=matrix.ncols)
-    sheaf._restrictions[sigma, tau] = QuotientSurjection(phi.source, phi.target, negated)
+    maps[sheaf.fan.index_of(tau)] = QuotientSurjection(phi.source, phi.target, negated)
 
 
 def test_the_reference_loop_names_a_broken_chain():
@@ -468,7 +472,7 @@ def test_p1_cubed_membership_builds_only_the_maps_it_reads(monkeypatch):
     ring = H0Ring(fan)
     member = ring.character((1, -2, 3))
     built, read = [], set()
-    restriction, picker_restriction = FanSheaf.restriction, sheaves.RayRestriction
+    restriction, picker_restriction = FanSheaf.restriction_at, sheaves.RayRestriction
 
     def refuse(source, target):
         raise AssertionError("a canonical surjection was built on a smooth fan")
@@ -477,13 +481,13 @@ def test_p1_cubed_membership_builds_only_the_maps_it_reads(monkeypatch):
         built.append((source.cone, target.cone))
         return picker_restriction(source, target)
 
-    def recorded(self, sigma, tau):
-        read.add((sigma, tau))
-        return restriction(self, sigma, tau)
+    def recorded(self, i, j):
+        read.add((fan.cones[i], fan.cones[j]))
+        return restriction(self, i, j)
 
     monkeypatch.setattr(sheaves, "canonical_surjection", refuse)
     monkeypatch.setattr(sheaves, "RayRestriction", counted_picker)
-    monkeypatch.setattr(FanSheaf, "restriction", recorded)
+    monkeypatch.setattr(FanSheaf, "restriction_at", recorded)
     assert ring.membership(member) == (True, None)
     assert len(fan.cones) == 27 and len(walls(fan)) == 12
     # two maximal cones at each wall, one picker per face pair read
@@ -508,6 +512,14 @@ def pairwise_disagreement(sheaf, cones, values):
             if a != b:
                 return i, j, meet, b - a
     return None
+
+
+def first_disagreement(sheaf, cones, values):
+    """``sheaves.first_disagreement`` over these cones, called with their
+    numbers, with the meet it names read back as a cone."""
+    fan = sheaf.fan
+    found = sheaves.first_disagreement(sheaf, [fan.index_of(c) for c in cones], values)
+    return found and (*found[:2], fan.cones[found[2]], found[3])
 
 
 def ridge_criterion(fan):
@@ -559,7 +571,7 @@ def assert_the_scan_matches_the_pairwise_scan(fan, rng):
         for comps in (member, with_one_monomial_added(sheaf, member, rng)):
             for cones in orders:
                 values = [comps[c] for c in cones]
-                found = sheaves.first_disagreement(sheaf, cones, values)
+                found = first_disagreement(sheaf, cones, values)
                 assert found == pairwise_disagreement(sheaf, cones, values)
                 verdicts.append(found is None)
     assert set(verdicts) == ({True, False} if len(fan.max_cones) > 1 else {True})
@@ -604,7 +616,7 @@ def test_a_member_costs_at_most_two_pushforwards_per_incidence(monkeypatch):
     assert all(isinstance(phi, sheaves.RayRestriction) for phi in calls)
     calls.clear()
     values = [section.components[c] for c in fan.max_cones]
-    assert sheaves.first_disagreement(sheaf, fan.max_cones, values) is None
+    assert first_disagreement(sheaf, fan.max_cones, values) is None
     assert 0 < len(calls) <= 2 * incidences
     assert all(isinstance(phi, sheaves.RayRestriction) for phi in calls)
 
@@ -632,7 +644,7 @@ def test_the_verdict_does_not_read_the_walls():
     cones = fan.max_cones
     for comps in (member, with_one_monomial_added(sheaf, member, rng)):
         values = [comps[c] for c in cones]
-        found = sheaves.first_disagreement(sheaf, cones, values)
+        found = first_disagreement(sheaf, cones, values)
         assert found == pairwise_disagreement(sheaf, cones, values)
 
 
@@ -652,6 +664,6 @@ def test_a_family_that_differs_at_one_wall_only_is_caught(name):
             comps = {**member, cone: member[cone] + bump}
             for cones in (fan.max_cones, fan.full_subfan().max_cones()):
                 values = [comps[c] for c in cones]
-                found = sheaves.first_disagreement(sheaf, cones, values)
+                found = first_disagreement(sheaf, cones, values)
                 assert found is not None
                 assert found == pairwise_disagreement(sheaf, cones, values)
