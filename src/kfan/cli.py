@@ -16,7 +16,9 @@ import sys
 
 from .cech import H0Ring, LevelOverflow, NotACocycle, verify_exactness
 from .cones import MAX_RANK, ConeNotInFan, NotAFan, NotStronglyConvex, UnsupportedRank
-from .fanfile import FanFile, FanFileError, build_fan, is_int_list, load_fan_file, strict_json
+from .fanfile import (
+    FanFile, FanFileError, build_fan, is_int_list, load_fan_file, read_fan_text, strict_json
+)
 from .graded import CoefficientSpec, GradedFreeData, k0_affine_toric, k0_class
 from .intlinalg import CertificateError, Lattice
 from .monoids import AffineMonoid, GroupRingElement, hilbert_basis
@@ -45,7 +47,17 @@ class InputError(Exception):
 
 
 def _load(path: str) -> tuple[FanFile, "Fan"]:
-    ff = load_fan_file(path)
+    """The fan file at ``path`` and its fan.  The file is read on every
+    call, and each distinct (path, text) is built once per process."""
+    return _built(path, read_fan_text(path))
+
+
+@functools.lru_cache(maxsize=16)
+def _built(path: str, text: str) -> tuple[FanFile, "Fan"]:
+    """The parse and the certified fan of one file content, kept for the
+    later jobs of the process, which share the fan's sheaf too.  A file
+    that fails to load raises, so it is never kept."""
+    ff = load_fan_file(path, text)
     try:
         fan = build_fan(ff)
     except (NotStronglyConvex, NotAFan, UnsupportedRank, ValueError) as e:

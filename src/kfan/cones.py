@@ -603,11 +603,12 @@ class Fan:
     ``max_ids``, ``face_ids`` (each cone's faces), ``ray_sets`` and
     ``_by_rays`` (a ray set's cone) hold numbers, and the methods that
     take a ``Cone`` translate it.  Whether the fan is complete is one
-    ridge count, at every rank (``is_complete``).
+    ridge count, at every rank (``is_complete``).  ``sheaf`` is the
+    fan's one structure sheaf, set by ``sheaves.sheaf_a0`` on first use.
     """
 
     __slots__ = ("lattice", "cones", "max_cones", "max_ids", "face_ids", "ray_sets", "_index",
-                 "_by_rays", "_full")
+                 "_by_rays", "_full", "sheaf")
 
     def __init__(self, lattice: Lattice, cones, max_cones, face_ids):
         self.lattice = lattice
@@ -619,6 +620,8 @@ class Fan:
         self._by_rays = {rays: i for i, rays in enumerate(self.ray_sets)}
         self.max_ids = tuple(map(self._index.__getitem__, max_cones))
         self._full = Subfan._trusted(self, frozenset(range(len(cones))))
+        self.sheaf = None
+
     @classmethod
     def from_max_cones(cls, lattice: Lattice, max_cones: Iterable[Cone]) -> "Fan":
         """The fan of the given cones and all their faces.

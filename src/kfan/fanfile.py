@@ -16,7 +16,7 @@ rejected too, rather than read as its last value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .cones import Fan, primitive
@@ -28,13 +28,16 @@ class FanFileError(Exception):
     JSON itself is broken."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FanFile:
+    """A parsed fan file, frozen: the CLI shares one per file content
+    between the jobs of a process."""
+
     lattice_rank: int
     rays: tuple
     max_cones: tuple
     name: str | None = None
-    warnings: list = field(default_factory=list)
+    warnings: tuple = ()
 
     def to_jsonable(self) -> dict:
         out = {
@@ -120,17 +123,22 @@ def parse_fan_file(text: str, origin: str = "<string>") -> FanFile:
         rays=tuple(rays),
         max_cones=tuple(cones),
         name=name,
-        warnings=warnings,
+        warnings=tuple(warnings),
     )
 
 
-def load_fan_file(path: str | Path) -> FanFile:
+def read_fan_text(path: str | Path) -> str:
     path = Path(path)
     try:
-        text = path.read_text()
+        return path.read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise FanFileError(f"cannot read {path}: {e}") from e
-    return parse_fan_file(text, origin=str(path))
+
+
+def load_fan_file(path: str | Path, text: str | None = None) -> FanFile:
+    """The fan file at ``path``, parsed from ``text`` when given, else read."""
+    path = Path(path)
+    return parse_fan_file(read_fan_text(path) if text is None else text, origin=str(path))
 
 
 def build_fan(ff: FanFile) -> Fan:

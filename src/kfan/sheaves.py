@@ -127,7 +127,8 @@ class FanSheaf:
     stalk at a cone sigma is Z[M_sigma], M_sigma = M / (sigma^perp), and
     the restriction to a face tau is the pushforward along M_sigma ->
     M_tau.  A cone outside the fan, or a pair that is not a face pair,
-    raises ``KeyError``.  Nothing is kept beyond this sheaf.
+    raises ``KeyError``.  ``sheaf_a0`` keeps one per fan, so whatever
+    it builds serves every later reader of that fan.
 
     ``character_group(i)`` keeps cone i's character group from its
     first read, interned by perp rows: one quotient per distinct perp
@@ -236,8 +237,11 @@ def sheaf_a0(fan: Fan) -> FanSheaf:
     """The structure sheaf of this package: cone -> Z[M_sigma], face
     inclusion -> pushforward along the canonical character surjection,
     each stalk and map built and certified on its first read
-    (``FanSheaf``)."""
-    return FanSheaf(fan)
+    (``FanSheaf``).  One per fan, kept as ``fan.sheaf``: every caller
+    shares its stalks, charts and restrictions."""
+    if fan.sheaf is None:
+        fan.sheaf = FanSheaf(fan)
+    return fan.sheaf
 
 
 def first_disagreement(sheaf: FanSheaf, cones, values):

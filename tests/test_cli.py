@@ -742,11 +742,16 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     """
     import sys
     from kfan import cech, cones, intlinalg, sheaves
-    from kfan.cli import main
+    from kfan import cli
     from kfan.monoids import GroupRingElement
 
     if __debug__:
         sys.exit("run this under python -O")
+
+    def cold(argv):
+        # each command builds its fan and sheaf afresh, under its patch
+        cli._built.cache_clear()
+        return cli.main(argv)
 
     def wrong_solver(slot_groups, constraints, depth):
         return {s: GroupRingElement.zero(g) for s, g in slot_groups.items()}, 0
@@ -790,21 +795,21 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     # the non-smooth search lifts through splittings, built from a zero
     # section: the first onto a nonzero group is no right inverse
     intlinalg.QuotientSurjection.splitting = property(from_a_zero_section)
-    print(main(["check-flasque", nonsmooth, "--trials", "2", "--experimental-nonsmooth"]))
+    print(cold(["check-flasque", nonsmooth, "--trials", "2", "--experimental-nonsmooth"]))
     intlinalg.QuotientSurjection.splitting = splitting
     # a smooth fan's ray chart is checked where the report reads it: a
     # zeroed T^-1 fails T T^-1 = I
     adjugate = sheaves.adjugate
     sheaves.adjugate = lambda a: intlinalg.IntMatrix.zero(a.nrows, a.ncols)
-    print(main(["k0-global", path, "--sample", "3"]))
+    print(cold(["k0-global", path, "--sample", "3"]))
     sheaves.adjugate = adjugate
     # face pickers built permuted: sections and witnesses fail their checks
     picker = sheaves.picker
     sheaves.picker = lambda positions: intlinalg.picker(tuple(reversed(positions)))
-    print(main(["check-flasque", path, "--trials", "2"]))
-    print(main(["check-exactness", path, "--level", "1", "--trials", "2"]))
+    print(cold(["check-flasque", path, "--trials", "2"]))
+    print(cold(["check-exactness", path, "--level", "1", "--trials", "2"]))
     # on P1xP1xP1 the drawn cocycle itself fails d d = 0
-    print(main(["check-exactness", p1xp1xp1, "--level", "1", "--trials", "2"]))
+    print(cold(["check-exactness", p1xp1xp1, "--level", "1", "--trials", "2"]))
     sheaves.picker = picker
     # smooth fans: the contraction and the extension by tau-parts now
     # return zero
@@ -814,14 +819,14 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     cech.solve_pushforward_system = wrong_solver
     sheaves.solve_pushforward_system = wrong_solver
     cech.H0Ring.character = wrong_character
-    print(main(["check-exactness", path, "--level", "1", "--trials", "2"]))
-    print(main(["check-flasque", path, "--trials", "2"]))
-    print(main(["check-flasque", nonsmooth, "--trials", "2", "--experimental-nonsmooth"]))
-    print(main(["k0-global", path]))
+    print(cold(["check-exactness", path, "--level", "1", "--trials", "2"]))
+    print(cold(["check-flasque", path, "--trials", "2"]))
+    print(cold(["check-flasque", nonsmooth, "--trials", "2", "--experimental-nonsmooth"]))
+    print(cold(["k0-global", path]))
     # character groups are certified where they are built
     cones.quotient = doubled_projection
-    print(main(["k0-affine", simplex, "--cone", "7"]))
-    print(main(["kclass", "--fan", simplex, "--cone", "7", "--shifts", "[[0,0,0],[1,0,0]]"]))
+    print(cold(["k0-affine", simplex, "--cone", "7"]))
+    print(cold(["kclass", "--fan", simplex, "--cone", "7", "--shifts", "[[0,0,0],[1,0,0]]"]))
     cones.quotient = quotient
 
     dual_ray_generators = cones.dual_ray_generators
@@ -837,13 +842,13 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
 
     # the double descriptions run on the square's four dependent rays
     cones.dual_ray_generators = spurious_lineality
-    print(main(["info", square]))
+    print(cold(["info", square]))
     cones.dual_ray_generators = dropped_facet
-    print(main(["info", square]))
+    print(cold(["info", square]))
     cones.dual_ray_generators = dual_ray_generators
     # independent rays take the pairing check instead
     cones.normal_vector = lambda a: (1,) * a.ncols
-    print(main(["info", path]))
+    print(cold(["info", path]))
     """
 )
 

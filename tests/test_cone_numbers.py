@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from kfan import cli
 from kfan.cech import CechComplex
 from kfan.cli import main
 from kfan.cones import Cone, ConeNotInFan
@@ -43,6 +44,7 @@ def cone_hashes(monkeypatch, capsys, args) -> int:
         calls.append(cone)
         return original(cone)
 
+    cli._built.cache_clear()  # count a cold command: the fan is built afresh
     with monkeypatch.context() as m:
         m.setattr(Cone, "__hash__", counting)
         assert main(args + ["--json"]) == 0

@@ -1,0 +1,157 @@
+"""Each fan is built once per process.
+
+``kfan.cli`` reads the fan file on every command and keeps the parse and
+the certified fan of each distinct (path, text), at most 16 of them, for
+the later commands of the process.  ``sheaf_a0`` keeps one sheaf per
+fan, so a warm command reuses the stalks, charts and restrictions an
+earlier one built and certified.  A file that fails to load is never
+kept.
+"""
+
+import dataclasses
+import json
+import os
+
+import pytest
+
+from kfan import cli, cones, sheaves
+from kfan.cech import CechComplex, H0Ring
+from kfan.cli import main, run
+from kfan.fanfile import FanFile, build_fan, load_fan_file
+from kfan.sheaves import sheaf_a0
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+P1XP1XP1 = os.path.join(ROOT, "bench", "fans", "p1xp1xp1.json")
+P2 = {"lattice_rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]}
+P1XP1 = {
+    "lattice_rank": 2,
+    "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+    "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]],
+}
+# two overlapping quadrants: NotAFan, exit 2
+OVERLAP = {"lattice_rank": 2, "rays": [[1, 0], [0, 1], [1, 1], [1, -1]], "max_cones": [[0, 1], [2, 3]]}
+
+WARM_COMMANDS = [
+    ["check-flasque", P1XP1XP1, "--trials", "4", "--seed", "3"],
+    ["check-exactness", P1XP1XP1, "--level", "1", "--trials", "3", "--seed", "13"],
+    ["check-exactness", P1XP1XP1, "--level", "2", "--trials", "2", "--seed", "10"],
+    ["k0-global", P1XP1XP1, "--sample", "3", "--seed", "4"],
+]
+
+
+def write(tmp_path, data, name="fan.json") -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_a_fan_has_one_sheaf():
+    fan = build_fan(load_fan_file(P1XP1XP1))
+    assert sheaf_a0(fan) is sheaf_a0(fan)
+    assert CechComplex(fan).sheaf is H0Ring(fan).sheaf is sheaf_a0(fan) is fan.sheaf
+    # another build of the same file is another fan, with its own sheaf
+    assert sheaf_a0(build_fan(load_fan_file(P1XP1XP1))) is not sheaf_a0(fan)
+
+
+def builds(monkeypatch) -> dict:
+    """Count, from now on, the fans built and the character groups,
+    ray charts (each inverted by one adjugate) and face pickers that
+    a sheaf builds."""
+    counts = dict.fromkeys(["fan", "character_quotient", "chart", "RayRestriction"], 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cones.Fan, "from_rays_and_indices",
+                        classmethod(counting("fan", cones.Fan.from_rays_and_indices.__func__)))
+    monkeypatch.setattr(cones.Cone, "character_quotient",
+                        counting("character_quotient", cones.Cone.character_quotient))
+    monkeypatch.setattr(sheaves, "adjugate", counting("chart", sheaves.adjugate))
+    monkeypatch.setattr(sheaves, "RayRestriction", counting("RayRestriction", sheaves.RayRestriction))
+    return counts
+
+
+@pytest.mark.parametrize("argv", WARM_COMMANDS, ids=lambda argv: " ".join(argv[:1] + argv[2:]))
+def test_a_warm_command_builds_nothing_and_writes_the_same_bytes(monkeypatch, argv):
+    counts = builds(monkeypatch)
+    cold = run(argv).to_json()
+    assert all(counts.values()), counts
+    for name in counts:
+        counts[name] = 0
+    warm = run(argv).to_json()
+    assert counts == dict.fromkeys(counts, 0)
+    assert warm == cold
+
+
+def test_one_command_warms_the_others(monkeypatch):
+    # the sheaf is the fan's: stalks, charts and pickers built by one
+    # command serve every later command on the same file
+    for argv in WARM_COMMANDS:
+        run(argv)
+    counts = builds(monkeypatch)
+    for argv in reversed(WARM_COMMANDS):
+        run(argv)
+    assert counts == dict.fromkeys(counts, 0)
+
+
+def test_a_rewritten_file_gives_the_new_fan(tmp_path):
+    path = write(tmp_path, P2)
+    assert run(["info", path]).results["num_cones"] == 7
+    write(tmp_path, P1XP1)
+    assert run(["info", path]).results["num_cones"] == 9
+    write(tmp_path, P2)
+    assert run(["info", path]).results["num_cones"] == 7
+    # the memo is keyed by the text: the first content is still kept
+    assert cli._built.cache_info().hits == 1
+
+
+def test_a_file_that_fails_to_load_is_never_kept(tmp_path, capsys):
+    path = write(tmp_path, OVERLAP)
+    messages = []
+    for _ in range(3):
+        assert main(["info", path]) == 2
+        messages.append(capsys.readouterr().err)
+    assert messages[0].startswith(f"error: {path}: ") and len(set(messages)) == 1
+    assert cli._built.cache_info().currsize == 0
+    # a file that does not parse fails each time too, and the same file,
+    # once mended, loads
+    (tmp_path / "fan.json").write_text("{")
+    for _ in range(2):
+        assert main(["info", path]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+    write(tmp_path, P2)
+    assert main(["info", path]) == 0
+    assert cli._built.cache_info().currsize == 1
+
+
+def test_the_memo_stays_within_its_bound(tmp_path):
+    bound = cli._built.cache_info().maxsize
+    assert bound == 16
+    paths = [write(tmp_path, dict(P2, name=f"P2 copy {i}"), f"fan{i}.json") for i in range(bound + 5)]
+    for path in paths:
+        assert run(["info", path]).results["num_cones"] == 7
+    assert cli._built.cache_info().currsize == bound
+    # the first files were dropped, and load again as before
+    assert run(["info", paths[0]]).inputs["fan"]["name"] == "P2 copy 0"
+
+
+def test_the_shared_parse_is_frozen():
+    ff = load_fan_file(os.path.join(ROOT, "fans", "p2.json"))
+    assert isinstance(ff, FanFile) and isinstance(ff.warnings, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ff.warnings = ["added"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ff.rays = ()
+
+
+def test_warnings_are_written_the_same_on_every_load(tmp_path):
+    path = write(tmp_path, {"lattice_rank": 2, "rays": [[2, 0], [0, 1]], "max_cones": [[0, 1]]})
+    first, second = run(["info", path]), run(["info", path])
+    assert first.inputs["warnings"] == second.inputs["warnings"] == [
+        "ray 0 [2, 0] normalized to primitive [1, 0]"
+    ]
+    assert first.to_json() == second.to_json()

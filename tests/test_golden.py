@@ -60,6 +60,7 @@ import os
 
 import pytest
 
+from kfan import cli
 from kfan.cli import main, run
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -135,6 +136,18 @@ def test_report_matches_golden_file(name, monkeypatch, capsys):
     assert main(GOLDEN[name].split() + ["--json"]) == EXIT_STATUS.get(name, 0)
     with open(os.path.join("tests", "golden", f"{name}.json"), encoding="utf-8") as f:
         assert capsys.readouterr().out == f.read()
+
+
+def test_every_golden_command_twice_in_one_process(monkeypatch, capsys):
+    # the first round builds each fan once and its later commands reuse
+    # it; the second round runs every command warm
+    monkeypatch.chdir(ROOT)
+    cli._built.cache_clear()
+    for _ in range(2):
+        for name in sorted(GOLDEN):
+            assert main(GOLDEN[name].split() + ["--json"]) == EXIT_STATUS.get(name, 0), name
+            with open(os.path.join("tests", "golden", f"{name}.json"), encoding="utf-8") as f:
+                assert capsys.readouterr().out == f.read(), name
 
 
 def _refuse(*args, **kwargs):

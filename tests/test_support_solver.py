@@ -12,6 +12,7 @@ from kfan.catalog import hirzebruch, p1_times_p1, projective_plane
 from kfan.cech import CechComplex, Cochain
 from kfan.cli import main
 from kfan.intlinalg import IntMatrix, kernel, solve
+from kfan.sheaves import FanSheaf
 
 
 def _slot_pairs(constraints) -> int:
@@ -28,8 +29,10 @@ def _slot_pairs(constraints) -> int:
 def smith_complex(fan) -> CechComplex:
     """The cover complex of a fan over the stalks of non-smooth fans,
     the character groups and their canonical surjections, where the
-    solver runs: on a smooth fan too."""
+    solver runs: on a smooth fan too.  It takes a sheaf of its own, so
+    the fan's shared one stays smooth."""
     cx = CechComplex(fan)
+    cx.sheaf = FanSheaf(fan)
     cx.sheaf.smooth = False
     return cx
 
