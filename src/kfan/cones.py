@@ -36,8 +36,8 @@ the cone's ``perp_lattice()``.  At full rank det != 0 decides
 independence and |det| = 1 smoothness, and no reduction runs.
 A cone's character group (``character_quotient``) is built and
 checked on each call and kept by no cone: the structure sheaf keeps
-the groups it reads, and owns the ray charts of smooth cones
-(``kfan.sheaves.FanSheaf``).
+the groups it reads (``kfan.sheaves.FanSheaf``), and each ray stalk
+of a smooth cone its own chart (``kfan.sheaves.RayStalk``).
 
 Faces need no double description of their own to be found: a face is
 spanned by the rays of the cone that are tight on a set of its facets,
@@ -179,7 +179,7 @@ class Cone:
     on their first read.
     """
 
-    __slots__ = ("lattice", "rays", "_facets", "dim", "pointed", "_perp", "_smooth", "_hash")
+    __slots__ = ("lattice", "rays", "_facets", "dim", "pointed", "_perp", "_smooth")
 
     def __init__(self, lattice: Lattice, rays, facets, dim: int, pointed: bool):
         self.lattice = lattice
@@ -189,7 +189,6 @@ class Cone:
         self.pointed = pointed
         self._perp = None
         self._smooth = None
-        self._hash = None
 
     @classmethod
     def from_rays(cls, lattice: Lattice, rays: Iterable[Sequence[int]]) -> "Cone":
@@ -260,7 +259,7 @@ class Cone:
         and certified on the first read of ``facets``."""
         cone = object.__new__(cls)
         cone.lattice, cone.rays, cone.dim, cone.pointed = lattice, rays, len(rays), True
-        cone._facets = cone._perp = cone._smooth = cone._hash = None
+        cone._facets = cone._perp = cone._smooth = None
         return cone
 
     @property
@@ -355,10 +354,7 @@ class Cone:
         )
 
     def __hash__(self) -> int:
-        # found on first use and kept: cones key the fan's lookup tables
-        if self._hash is None:
-            self._hash = hash((self.lattice, self.rays))
-        return self._hash
+        return hash((self.lattice, self.rays))
 
     def __repr__(self) -> str:
         return f"Cone(rays={[list(r) for r in self.rays]})"
@@ -749,7 +745,7 @@ class Subfan:
     """A downward-closed set of cones of a fan: an open set of the
     poset topology, kept as the cone numbers ``ids``."""
 
-    __slots__ = ("parent", "ids", "_max_ids", "_max_cones")
+    __slots__ = ("parent", "ids", "_max_ids")
 
     def __init__(self, parent: Fan, members: Iterable[Cone]):
         self.parent = parent
@@ -758,7 +754,7 @@ class Subfan:
             for f in parent.face_ids[c]:
                 if f not in self.ids:
                     raise DomainNotOpen(f"missing face {parent.cones[f]!r} of {parent.cones[c]!r}")
-        self._max_ids = self._max_cones = None
+        self._max_ids = None
 
     @classmethod
     def _trusted(cls, parent: Fan, ids: frozenset) -> "Subfan":
@@ -766,7 +762,7 @@ class Subfan:
         self = object.__new__(cls)
         self.parent = parent
         self.ids = ids
-        self._max_ids = self._max_cones = None
+        self._max_ids = None
         return self
 
     @property
@@ -777,22 +773,22 @@ class Subfan:
         """The numbers of the members that are not proper faces of other
         members: for the whole fan ``parent.max_ids`` itself, in the
         fan's order; for any other open set found on the first call, in
-        increasing order, which is (dim, rays) order, and kept with their
-        cones (the members never change)."""
+        increasing order, which is (dim, rays) order, and kept (the
+        members never change)."""
         if self._max_ids is None:
             parent = self.parent
             if self.is_full():
-                self._max_ids, self._max_cones = parent.max_ids, parent.max_cones
+                self._max_ids = parent.max_ids
             else:
                 proper = {f for c in self.ids for f in parent.face_ids[c] if f != c}
                 self._max_ids = tuple(sorted(self.ids - proper))
-                self._max_cones = tuple(map(parent.cones.__getitem__, self._max_ids))
         return self._max_ids
 
     def max_cones(self) -> tuple[Cone, ...]:
         """The cones of ``max_ids``: ``parent.max_cones`` for the whole fan."""
-        self.max_ids()
-        return self._max_cones
+        if self.is_full():
+            return self.parent.max_cones
+        return tuple(map(self.parent.cones.__getitem__, self.max_ids()))
 
     def __contains__(self, cone: Cone) -> bool:
         return self.parent._index.get(cone) in self.ids

@@ -700,24 +700,15 @@ def quotient(ambient: Lattice, relations: IntMatrix) -> QuotientLattice:
 
 class QuotientSurjection:
     """A surjection between quotients of the same ambient lattice,
-    expressed in normal-form coordinates.
+    expressed in normal-form coordinates: ``apply`` multiplies by the
+    matrix and reduces the image onto a torsion target."""
 
-    Onto a free target, a matrix whose rows are all unit vectors picks
-    coordinates: ``selection`` holds the picked column of each row, and
-    ``picker`` is that selection compiled once into an ``itemgetter``
-    (``picker`` below), which ``apply`` and
-    ``GroupRingElement.pushforward`` call instead of multiplying.
-    Otherwise, and onto a torsion target, both are None: the matrix is
-    applied and the image reduced."""
-
-    __slots__ = ("source", "target", "matrix", "selection", "picker", "_splitting")
+    __slots__ = ("source", "target", "matrix", "_splitting")
 
     def __init__(self, source: QuotientLattice, target: QuotientLattice, matrix: IntMatrix):
         self.source = source
         self.target = target
         self.matrix = matrix
-        self.selection = _selection(matrix) if target.is_free else None
-        self.picker = None if self.selection is None else picker(self.selection)
         self._splitting = None
 
     @property
@@ -736,12 +727,6 @@ class QuotientSurjection:
         return self._splitting
 
     def apply(self, coords: Sequence[int]) -> Vec:
-        if self.picker is not None:
-            if len(coords) != self.matrix.ncols:
-                raise ValueError(
-                    f"vector length {len(coords)}, matrix has {self.matrix.ncols} cols"
-                )
-            return self.picker(tuple(coords))
         image = self.matrix.apply(coords)
         # on a free target the raw image is already in normal form
         return self.target.reduce(image) if self.target.invariant_factors else image
@@ -766,17 +751,6 @@ def picker(positions: Sequence[int]):
     if positions:
         return itemgetter(slice(positions[0], positions[0] + 1))
     return itemgetter(slice(0, 0))
-
-
-def _selection(matrix: IntMatrix) -> tuple[int, ...] | None:
-    """The column of the one 1 in each row, when every row is a unit
-    vector; else None."""
-    picks = []
-    for row in matrix.rows:
-        if row.count(1) != 1 or row.count(0) != len(row) - 1:
-            return None
-        picks.append(row.index(1))
-    return tuple(picks)
 
 
 def canonical_surjection(

@@ -407,15 +407,14 @@ class GroupRingElement:
         return sum(self.terms.values())
 
     def pushforward(self, phi: QuotientSurjection) -> "GroupRingElement":
-        """Linear extension of chi^q -> chi^{phi(q)}; a ring map.  A
-        selection map runs as its compiled picker, on keys whose length
-        the group already fixes; any other map multiplies and reduces."""
+        """Linear extension of chi^q -> chi^{phi(q)}; a ring map, through
+        ``phi.apply`` on each term's key."""
         if phi.source is not self.group and phi.source != self.group:
             raise GroupMismatch("surjection source does not match the element group")
-        image = phi.picker or phi.apply
+        apply = phi.apply
         terms: dict[Vec, int] = {}
         for coords, coeff in self.terms.items():
-            k = image(coords)
+            k = apply(coords)
             terms[k] = terms.get(k, 0) + coeff
         return GroupRingElement._normal(phi.target, terms)
 

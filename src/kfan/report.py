@@ -15,8 +15,8 @@ A group-ring term [[c_1, .., c_n], k] of exact ints, or a list of exact ints
 such as a Hilbert basis element or a ray, is one cached %-template.
 The ``*_to_jsonable`` functions here write every value a report carries.
 A smooth fan's stalk elements, kept in ray coordinates, are written and
-read in the coordinates of the character groups, through the ray charts
-(``kfan.sheaves.FanSheaf.chart``): on a smooth fan, only here.
+read in the coordinates of the character groups, through each stalk's
+ray chart (``kfan.sheaves.RayStalk.chart``): on a smooth fan, only here.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ def element_to_jsonable(el: GroupRingElement) -> list:
     """A group-ring element as a sorted list of [coords, coeff] pairs.
     An element of a smooth fan's stalk (``RayStalk``) is written in the
     coordinates of the cone's character group, through T^-1 of the
-    sheaf's ray chart."""
+    stalk's ray chart."""
     if not isinstance(el.group, RayStalk):
         return [[list(coords), coeff] for coords, coeff in sorted(el.terms.items())]
-    rows = el.group.sheaf.chart_at(el.group.cone_id)[1].rows
+    rows = el.group.chart()[1].rows
     return sorted([[[sum(map(mul, r, e)) for r in rows], k] for e, k in el.terms.items()])
 
 
@@ -52,7 +52,7 @@ def element_from_jsonable(group, data) -> GroupRingElement:
     must be JSON integers (see ``fanfile.is_int``), never coerced.  The
     shape is checked before a term is unpacked: a list of two-entry
     lists.  Coordinates are those ``element_to_jsonable`` writes, read
-    into a ``RayStalk`` through T of the sheaf's ray chart."""
+    into a ``RayStalk`` through T of the stalk's ray chart."""
     if not isinstance(data, list):
         raise ValueError(f"element {data!r} is not a list of [integer list, integer] terms")
     terms = {}
@@ -65,7 +65,7 @@ def element_from_jsonable(group, data) -> GroupRingElement:
         key = tuple(coords)
         terms[key] = terms.get(key, 0) + coeff
     if isinstance(group, RayStalk):
-        chart = group.sheaf.chart_at(group.cone_id)[0].apply
+        chart = group.chart()[0].apply
         terms = {chart(group.reduce(e)): k for e, k in terms.items()}
     return GroupRingElement(group, terms)
 

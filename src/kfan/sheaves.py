@@ -19,14 +19,15 @@ zero-padding (``assemble_rays``).  So ``sheaf_a0`` is the sum over the
 cones tau of the constant sheaf A_tau on star(tau), and flasque: a
 section extends by zero tau-parts off its domain.  The character
 groups' own coordinates are read only where ``kfan.report`` writes or
-reads an element, through the ray chart (``FanSheaf.chart_at``).  On
-non-smooth fans the stalks are the character groups, the restrictions
+reads an element, through the stalk's ray chart (``RayStalk.chart``).
+On non-smooth fans the stalks are the character groups, the restrictions
 their canonical surjections, and extensions are searched for by the
 expanding-support solver: a ``SolverGaveUp`` there is a search failure,
 never a proof that no extension exists.  Each stalk, chart and
-restriction is built and certified on its first read (``FanSheaf``) and
-kept by cone number, as every table here is: only ``FanSheaf.stalk``,
-``restriction``, ``chart`` and ``Section``'s cone keys take a ``Cone``.
+restriction is built and certified on its first read (``FanSheaf``,
+``RayStalk.chart``) and kept by cone number, as every table here is:
+only ``FanSheaf.stalk``, ``restriction`` and ``Section``'s cone keys
+take a ``Cone``.
 
 Whether values on maximal cones agree on their meets is asked in one
 place, ``first_disagreement``, by ``Section.check`` here and by H0
@@ -73,9 +74,11 @@ class RayStalk:
     """The stalk group at a cone of a smooth fan, in ray coordinates: with
     rays v_1..v_k (in ``rays`` order), m -> (<m,v_1>, .., <m,v_k>) maps
     M_sigma onto Z^k, as the rays extend to a basis of N.  Equal for
-    equal cones.  ``cone_id`` is the cone's number in the sheaf's fan."""
+    equal cones.  ``cone_id`` is the cone's number in the sheaf's fan,
+    and ``chart`` carries ray coordinates onto those of its character
+    group."""
 
-    __slots__ = ("sheaf", "cone", "cone_id", "coords_len", "free_rank")
+    __slots__ = ("sheaf", "cone", "cone_id", "coords_len", "free_rank", "_chart")
     invariant_factors = ()
     is_free = True
 
@@ -83,6 +86,7 @@ class RayStalk:
         self.sheaf = sheaf
         self.cone_id, self.cone = cone_id, sheaf.fan.cones[cone_id]
         self.coords_len = self.free_rank = len(self.cone.rays)
+        self._chart = None
 
     def zero(self) -> Vec:
         return (0,) * self.coords_len
@@ -98,6 +102,27 @@ class RayStalk:
 
     add = staticmethod(vec_add)
 
+    def chart(self) -> tuple[IntMatrix, IntMatrix]:
+        """The ray chart: returns (T, T^-1), where T = R * section takes
+        the coordinates of the cone's character group (the sheaf's
+        ``character_group``) to ray coordinates (R the ray matrix, in
+        ``rays`` order), and T^-1 = det(T) * adj(T) by cofactors.  Built
+        once per stalk and checked: det T = +-1, T * projection = R and
+        T * T^-1 = I."""
+        if self._chart is None:
+            q = self.sheaf.character_group(self.cone_id)
+            sigma, k = self.cone, self.coords_len
+            ray_matrix = IntMatrix._trusted(sigma.rays, sigma.lattice.rank)
+            t = ray_matrix @ q.section
+            e = det(t)
+            if e not in (1, -1):
+                raise CertificateError(f"ray map of {sigma!r} is not unimodular")
+            t_inv = IntMatrix._trusted(tuple(tuple(e * x for x in r) for r in adjugate(t).rows), k)
+            if t @ q.projection != ray_matrix or t @ t_inv != IntMatrix.identity(k):
+                raise CertificateError(f"ray chart of {sigma!r} fails its cross-check")
+            self._chart = (t, t_inv)
+        return self._chart
+
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, RayStalk) and self.cone == other.cone)
 
@@ -106,19 +131,20 @@ class RayStalk:
 
 
 class RayRestriction:
-    """Restriction to a face on a smooth fan: keep the coordinates of the
-    face's rays, by a ``picker`` that ``GroupRingElement.pushforward``
-    runs, certified by construction, as the face's rays are among the
-    cone's.  ``pad`` is its right inverse iota, reading a key with one
-    trailing 0, which the rays the face lacks pick."""
+    """Restriction to a face on a smooth fan: ``apply`` keeps the
+    coordinates of the face's rays, a compiled ``picker`` that
+    ``GroupRingElement.pushforward`` runs on each key, certified by
+    construction, as the face's rays are among the cone's.  ``pad`` is
+    its right inverse iota, reading a key with one trailing 0, which the
+    rays the face lacks pick."""
 
-    __slots__ = ("source", "target", "picker", "pad")
+    __slots__ = ("source", "target", "apply", "pad")
 
     def __init__(self, source: RayStalk, target: RayStalk):
         self.source = source
         self.target = target
         rays = target.cone.rays
-        self.picker = picker([source.cone.rays.index(r) for r in rays])
+        self.apply = picker([source.cone.rays.index(r) for r in rays])
         self.pad = picker([rays.index(r) if r in rays else len(rays) for r in source.cone.rays])
 
 
@@ -136,8 +162,7 @@ class FanSheaf:
     ``Cone.character_quotient`` builds it, so its projection pi_sigma is
     onto, and checked free of rank dim for each cone that takes it.  On
     a smooth fan ``stalk`` is a ``RayStalk`` and ``restriction`` a
-    ``RayRestriction``, certified by construction; ``chart`` carries
-    ray coordinates onto the character group's.  Otherwise ``stalk`` is
+    ``RayRestriction``, certified by construction.  Otherwise ``stalk`` is
     the character group and ``restriction`` its ``canonical_surjection``,
     checked: phi pi_sigma = pi_tau on the basis of M.  Identity and
     functoriality follow, as pi_sigma is onto:
@@ -149,7 +174,7 @@ class FanSheaf:
     A map's splitting is no part of the certificate: it is checked on
     its first read, where the non-smooth search lifts."""
 
-    __slots__ = ("fan", "smooth", "_interned", "_groups", "_stalks", "_charts", "_restrictions")
+    __slots__ = ("fan", "smooth", "_interned", "_groups", "_stalks", "_restrictions")
 
     def __init__(self, fan: Fan):
         self.fan = fan
@@ -158,14 +183,10 @@ class FanSheaf:
         self._interned: dict = {}  # perp rows -> the group of the first cone read with them
         self._groups: list = [None] * n  # cone number -> its character group
         self._stalks: list = [None] * n  # cone number on a smooth fan -> its ray stalk
-        self._charts: list = [None] * n  # number of a smooth cone -> its ray chart
         self._restrictions = [{} for _ in range(n)]  # cone number -> face number -> its map
 
     def stalk(self, sigma: Cone) -> RayStalk | QuotientLattice:
         return self.stalk_at(self.fan._index[sigma])
-
-    def chart(self, sigma: Cone) -> tuple[IntMatrix, IntMatrix]:
-        return self.chart_at(self.fan._index[sigma])
 
     def restriction(self, sigma: Cone, tau: Cone) -> RayRestriction | QuotientSurjection:
         return self.restriction_at(self.fan._index[sigma], self.fan._index[tau])
@@ -196,31 +217,6 @@ class FanSheaf:
             self._groups[i] = q
         return q
 
-    def chart_at(self, i: int) -> tuple[IntMatrix, IntMatrix]:
-        """The ray chart of smooth cone i of the fan: returns (T, T^-1),
-        where T = R * section takes the coordinates of its
-        ``character_group`` to ray coordinates (R the ray matrix, in
-        ``rays`` order), and T^-1 = det(T) * adj(T) by cofactors.  Built
-        once per cone and checked: det T = +-1, T * projection = R and
-        T * T^-1 = I."""
-        chart = self._charts[i]
-        if chart is None:
-            q = self.character_group(i)
-            sigma = self.fan.cones[i]
-            if not sigma.is_smooth():
-                raise ValueError(f"{sigma!r} is not smooth: its rays give no chart")
-            k = len(sigma.rays)
-            ray_matrix = IntMatrix._trusted(sigma.rays, sigma.lattice.rank)
-            t = ray_matrix @ q.section
-            e = det(t)
-            if e not in (1, -1):
-                raise CertificateError(f"ray map of {sigma!r} is not unimodular")
-            t_inv = IntMatrix._trusted(tuple(tuple(e * x for x in r) for r in adjugate(t).rows), k)
-            if t @ q.projection != ray_matrix or t @ t_inv != IntMatrix.identity(k):
-                raise CertificateError(f"ray chart of {sigma!r} fails its cross-check")
-            chart = self._charts[i] = (t, t_inv)
-        return chart
-
     def restriction_at(self, i: int, j: int) -> RayRestriction | QuotientSurjection:
         """The map from the stalk at cone i to the stalk at its face j."""
         maps = self._restrictions[i]
@@ -238,7 +234,7 @@ def sheaf_a0(fan: Fan) -> FanSheaf:
     inclusion -> pushforward along the canonical character surjection,
     each stalk and map built and certified on its first read
     (``FanSheaf``).  One per fan, kept as ``fan.sheaf``: every caller
-    shares its stalks, charts and restrictions."""
+    shares its stalks, their charts and its restrictions."""
     if fan.sheaf is None:
         fan.sheaf = FanSheaf(fan)
     return fan.sheaf

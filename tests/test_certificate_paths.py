@@ -168,7 +168,7 @@ def smooth_cone_sheaf():
 def ray_chart_not_unimodular():
     cone, sheaf = smooth_cone_sheaf()
     with patched(sheaves, "det", lambda a: 2):
-        sheaf.chart(cone)
+        sheaf.stalk(cone).chart()
 
 
 def ray_chart_corrupted_inverse():
@@ -180,7 +180,7 @@ def ray_chart_corrupted_inverse():
         return IntMatrix([[p, q + 1], [r, s]])
 
     with patched(sheaves, "adjugate", corrupted):
-        sheaf.chart(cone)
+        sheaf.stalk(cone).chart()
 
 
 CASES = {

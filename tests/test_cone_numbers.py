@@ -4,7 +4,7 @@ A fan numbers its cones (``Fan.cones``), and every table that the sheaf,
 its sections and the cover complex keep or walk holds those numbers, so
 a trial hashes no ``Cone``: the only cones hashed are those the fan's
 own index is built from and those a caller hands in at the boundary.
-The boundary (``FanSheaf.stalk``, ``restriction`` and ``chart``,
+The boundary (``FanSheaf.stalk`` and ``restriction``,
 ``Section`` built from cones, and the report readers) accepts any cone
 equal to one of the fan's, and refuses a cone outside the fan as it
 always did.
@@ -82,7 +82,7 @@ def test_the_sheaf_reads_equal_but_distinct_cones_as_its_own():
     twin = dict(zip(fan.cones, other.cones))
     for sigma in fan.cones:
         assert sheaf.stalk(twin[sigma]) is sheaf.stalk(sigma)
-        assert sheaf.chart(twin[sigma]) is sheaf.chart(sigma)
+        assert sheaf.stalk(twin[sigma]).chart() is sheaf.stalk(sigma).chart()
         for tau in fan.faces_of(sigma):
             assert sheaf.restriction(twin[sigma], twin[tau]) is sheaf.restriction(sigma, tau)
         data = [[[1] * len(sigma.rays), 2], [[0] * len(sigma.rays), -1]]
@@ -128,7 +128,6 @@ def test_a_cone_outside_the_fan_is_refused_as_before():
     inside = fan.max_cones[0]
     for call in (
         lambda: sheaf.stalk(outside),
-        lambda: sheaf.chart(outside),
         lambda: sheaf.restriction(outside, fan.cones[0]),
         lambda: sheaf.restriction(inside, outside),
     ):

@@ -4,8 +4,8 @@ A cone on independent rays reduces its ray matrix once, at construction
 or, for a face of a simplicial cone, on first use
 (``cones._ray_reduction``): the kernel is its ``perp_lattice()`` and the
 Smith diagonal decides ``is_smooth()``; a full-dimensional one needs no
-reduction, only |det| = 1.  The sheaf's ray chart of a smooth cone
-(``FanSheaf.chart``) inverts its unimodular matrix by cofactors.  Here
+reduction, only |det| = 1.  The ray chart of a smooth cone's stalk
+(``RayStalk.chart``) inverts its unimodular matrix by cofactors.  Here
 every cone of every fan file, of GL_n(Z) images of them and of P4 is
 compared with the kernel, the Smith diagonal and the Smith-based inverse
 computed afresh; and the stalks of ``sheaf_a0`` with every chart on
@@ -49,6 +49,14 @@ def load(path) -> Fan:
     return build_fan(load_fan_file(path))
 
 
+def ray_chart(sheaf, cone):
+    """The ray chart of a smooth cone: its stalk's on a smooth fan, else
+    that of the cone's own one-cone fan, whose stalks are ray stalks."""
+    if not sheaf.smooth:
+        sheaf = sheaf_a0(Fan.from_max_cones(cone.lattice, [cone]))
+    return sheaf.stalk(cone).chart()
+
+
 def assert_matches_independent_computation(fan):
     n = fan.lattice.rank
     sheaf = sheaf_a0(fan)
@@ -60,7 +68,7 @@ def assert_matches_independent_computation(fan):
         assert cone.is_smooth() == smooth
         if not smooth:
             continue
-        chart, inverse = sheaf.chart(cone)
+        chart, inverse = ray_chart(sheaf, cone)
         assert chart == rays @ cone.character_quotient().section
         u, d, v, _ = smith_with_inverses(chart, keep=("u", "v"))
         assert d == IntMatrix.identity(len(cone.rays))
@@ -115,7 +123,7 @@ def test_standalone_cones_in_any_ray_order():
         smooth = cone.is_simplicial() and all(d.rows[i][i] == 1 for i in range(len(cone.rays)))
         assert cone.is_smooth() == smooth
         if smooth:
-            chart, inverse = sheaf_a0(Fan.from_max_cones(cone.lattice, [cone])).chart(cone)
+            chart, inverse = sheaf_a0(Fan.from_max_cones(cone.lattice, [cone])).stalk(cone).chart()
             assert chart @ inverse == IntMatrix.identity(len(cone.rays))
 
 
@@ -124,7 +132,7 @@ def test_p4_is_smooth_and_charted():
     assert fan.lattice.rank == 4 and len(fan.max_cones) == 5 and len(fan.cones) == 31
     assert fan.is_smooth()
     sheaf = sheaf_a0(fan)
-    assert all(sheaf.chart(c)[0].nrows == c.dim for c in fan.cones)
+    assert all(sheaf.stalk(c).chart()[0].nrows == c.dim for c in fan.cones)
 
 
 def test_sheaf_and_charts_take_one_reduction_per_cone_and_perp_lattice(monkeypatch):
@@ -143,7 +151,7 @@ def test_sheaf_and_charts_take_one_reduction_per_cone_and_perp_lattice(monkeypat
     for cone in fan.cones:
         sheaf.stalk(cone)
     for cone in fan.cones:
-        sheaf.chart(cone)
+        sheaf.stalk(cone).chart()
     n = fan.lattice.rank
     below = sum(1 for c in fan.cones if c.dim < n)
     perps = len({c.perp_lattice().rows for c in fan.cones})
@@ -165,7 +173,7 @@ def test_charts_read_before_any_stalk_take_one_quotient_per_perp_lattice(monkeyp
     fan = load(os.path.join(ROOT, "bench", "fans", "p1xp1xp1.json"))
     sheaf = sheaf_a0(fan)
     for cone in fan.cones:
-        sheaf.chart(cone)
+        sheaf.stalk(cone).chart()
     for cone in fan.cones:
         sheaf.stalk(cone)
     perps = len({c.perp_lattice().rows for c in fan.cones})

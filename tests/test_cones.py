@@ -664,7 +664,7 @@ def test_subfan_max_cones_are_found_once():
     first = sub.max_cones()
     found = len(calls)
     assert found == len(sub.members) == 6
-    assert sub.max_cones() is first
+    assert sub.max_cones() == first
     assert len(calls) == found
     assert set(first) == {a, b}
     # the whole fan's are the fan's own tuple: no face is read

@@ -29,6 +29,7 @@ from kfan.intlinalg import CertificateError, IntMatrix, Lattice
 from kfan.monoids import GroupRingElement
 from kfan.report import cochain_from_jsonable, cochain_to_jsonable
 from kfan.sheaves import (
+    RayStalk,
     Section,
     assemble_rays,
     extend_section,
@@ -189,7 +190,7 @@ def test_ray_chart_maps_characters_to_pairings():
     sheaf = sheaf_a0(fan)
     rng = random.Random(1)
     for sigma in fan.cones:
-        chart, inverse = sheaf.chart(sigma)
+        chart, inverse = sheaf.stalk(sigma).chart()
         k = len(sigma.rays)
         assert chart @ inverse == IntMatrix.identity(k)
         for _ in range(5):
@@ -206,9 +207,11 @@ def one_cone_sheaf(rays):
 
 
 def test_ray_chart_needs_a_smooth_cone():
+    # only a ray stalk carries a chart, and a non-smooth cone's stalk is none
     cone, sheaf = one_cone_sheaf([(1, 0), (1, 2)])
-    with pytest.raises(ValueError, match="not smooth"):
-        sheaf.chart(cone)
+    assert not cone.is_smooth() and not sheaf.smooth
+    stalk = sheaf.stalk(cone)
+    assert not isinstance(stalk, RayStalk) and not hasattr(stalk, "chart")
 
 
 def test_ray_chart_cross_check_raises_certificate_error(monkeypatch):
@@ -221,7 +224,7 @@ def test_ray_chart_cross_check_raises_certificate_error(monkeypatch):
     assert cone.is_smooth()
     monkeypatch.setattr(sheaves, "adjugate", wrong_inverse)
     with pytest.raises(CertificateError, match="ray chart"):
-        sheaf.chart(cone)
+        sheaf.stalk(cone).chart()
 
 
 def test_smoothness_is_decided_once_per_cone(monkeypatch):

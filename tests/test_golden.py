@@ -140,11 +140,12 @@ def test_report_matches_golden_file(name, monkeypatch, capsys):
 
 def test_every_golden_command_twice_in_one_process(monkeypatch, capsys):
     # the first round builds each fan once and its later commands reuse
-    # it; the second round runs every command warm
+    # it; the second round runs every command warm, in reverse order, so
+    # each one also runs after other fans were built and read
     monkeypatch.chdir(ROOT)
     cli._built.cache_clear()
-    for _ in range(2):
-        for name in sorted(GOLDEN):
+    for names in (sorted(GOLDEN), sorted(GOLDEN, reverse=True)):
+        for name in names:
             assert main(GOLDEN[name].split() + ["--json"]) == EXIT_STATUS.get(name, 0), name
             with open(os.path.join("tests", "golden", f"{name}.json"), encoding="utf-8") as f:
                 assert capsys.readouterr().out == f.read(), name

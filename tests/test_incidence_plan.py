@@ -109,7 +109,7 @@ def matrix_of(phi) -> IntMatrix:
     if isinstance(phi, QuotientSurjection):
         return phi.matrix
     k = phi.source.coords_len
-    columns = [phi.picker(tuple(int(i == j) for i in range(k))) for j in range(k)]
+    columns = [phi.apply(tuple(int(i == j) for i in range(k))) for j in range(k)]
     return IntMatrix(zip(*columns), ncols=k) if columns else IntMatrix.zero(phi.target.coords_len, 0)
 
 

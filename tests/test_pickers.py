@@ -1,16 +1,16 @@
 """Coordinate maps compiled into pickers, against their plain forms.
 
-A ``QuotientSurjection`` that selects coordinates applies a compiled
-``intlinalg.picker``, and ``GroupRingElement.pushforward`` calls it per
+A smooth fan's restriction (``RayRestriction``) applies a compiled
+``intlinalg.picker``, any other map (``QuotientSurjection``) multiplies
+by its matrix, and ``GroupRingElement.pushforward`` calls ``apply`` per
 term: the result must be the term-by-term pushforward through the
 matrix, ``target.reduce(matrix.apply(q))`` summed, on every restriction
-of every fan file (restrictions to the zero cone and to a ray select
-0 and 1 coordinates, where a bare ``itemgetter`` fails or returns an
-int), on the two restrictions of a weighted P2 that are not selections,
-and onto a torsion target.  The ray helpers of ``sheaves`` read pickers
-too: ``_top_part`` must be the explicit expansion of prod (x_i^e_i - 1),
-and restriction, a picker on smooth fans, must undo ``pad_rays`` on
-every face pair.
+of every fan file (restrictions to the zero cone and to a ray keep 0
+and 1 coordinates, where a bare ``itemgetter`` fails or returns an
+int), on the restrictions of a weighted P2, and onto a torsion target.
+The ray helpers of ``sheaves`` read pickers too: ``_top_part`` must be
+the explicit expansion of prod (x_i^e_i - 1), and restriction, a picker
+on smooth fans, must undo ``pad_rays`` on every face pair.
 """
 
 import glob
@@ -24,7 +24,14 @@ from hypothesis import strategies as st
 from kfan.catalog import weighted_p2_fan
 from kfan.cones import MAX_RANK
 from kfan.fanfile import build_fan, load_fan_file
-from kfan.intlinalg import IntMatrix, Lattice, canonical_surjection, picker, quotient
+from kfan.intlinalg import (
+    IntMatrix,
+    Lattice,
+    QuotientSurjection,
+    canonical_surjection,
+    picker,
+    quotient,
+)
 from kfan.monoids import GroupRingElement
 from kfan.sheaves import RayRestriction, _top_part, pad_rays, sheaf_a0
 
@@ -54,13 +61,13 @@ def random_element(group, rng):
 def reference_pushforward(x, phi):
     """The sum over the terms c chi^q of c chi^{reduce(matrix q)}.  A
     picker restriction of a smooth fan takes the matrix of the canonical
-    surjection of the character groups, carried by the ray charts."""
+    surjection of the character groups, carried by the stalks' ray charts."""
     matrix = getattr(phi, "matrix", None)
     if isinstance(phi, RayRestriction):
-        sheaf, sigma, tau = phi.source.sheaf, phi.source.cone, phi.target.cone
+        sheaf = phi.source.sheaf
         groups = sheaf.character_group(phi.source.cone_id), sheaf.character_group(phi.target.cone_id)
         fresh = canonical_surjection(*groups)
-        matrix = sheaf.chart(tau)[0] @ fresh.matrix @ sheaf.chart(sigma)[1]
+        matrix = phi.target.chart()[0] @ fresh.matrix @ phi.source.chart()[1]
     out = GroupRingElement.zero(phi.target)
     for q, c in x.terms.items():
         out = out + GroupRingElement(phi.target, {phi.target.reduce(matrix.apply(q)): c})
@@ -88,17 +95,15 @@ def test_pushforward_through_the_picker_is_the_termwise_pushforward(fan):
     for sigma in fan.cones:
         for tau in fan.faces_of(sigma):
             phi = sheaf.restriction(sigma, tau)
-            if phi.picker is None:
-                matrix_maps += 1
-            else:
-                widths.add(phi.target.coords_len)
+            matrix_maps += isinstance(phi, QuotientSurjection)
+            widths.add(phi.target.coords_len)
             for _ in range(3):
                 x = random_element(phi.source, rng)
                 assert x.pushforward(phi) == reference_pushforward(x, phi)
     # restrictions to the zero cone and to the rays
     assert {0, 1} <= widths
-    if not fan.is_smooth():
-        assert matrix_maps
+    # a smooth fan's maps all pick coordinates, any other fan's multiply
+    assert (matrix_maps == 0) == fan.is_smooth()
 
 
 def test_pushforward_onto_a_torsion_target_keeps_the_matrix_path():
@@ -107,7 +112,7 @@ def test_pushforward_onto_a_torsion_target_keeps_the_matrix_path():
     source = quotient(ambient, IntMatrix.zero(0, 2))
     target = quotient(ambient, IntMatrix([(2, 0)]))
     phi = canonical_surjection(source, target)
-    assert phi.picker is None and target.invariant_factors == (2,)
+    assert target.invariant_factors == (2,)
     rng = random.Random(5)
     for _ in range(20):
         x = random_element(source, rng)

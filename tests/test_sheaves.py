@@ -344,7 +344,7 @@ def test_shared_stalks_and_restrictions_are_those_of_each_cone(fan):
             if sheaf.smooth:
                 assert isinstance(phi, sheaves.RayRestriction)
                 assert phi.source == sheaf.stalk(sigma) and phi.target == sheaf.stalk(tau)
-                chart_sigma, chart_tau = sheaf.chart(sigma)[0], sheaf.chart(tau)[0]
+                chart_sigma, chart_tau = sheaf.stalk(sigma).chart()[0], sheaf.stalk(tau).chart()[0]
                 assert chart_tau @ fresh.matrix == matrix_of(phi) @ chart_sigma
             else:
                 assert phi.source == fresh.source and phi.target == fresh.target
