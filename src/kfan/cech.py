@@ -15,7 +15,8 @@ geometry), and d . d = 0 by telescoping.  It walks the pairs (s, i) of
 a cochain's support and the indices outside s: t = s + {i} takes the
 sign of i's position, its meet is the fan's cone on the rays of s's meet
 in maximal cone i, and each component is pushed once per distinct meet.
-Meets and anchors are kept by cone number, so no lookup hashes a ``Cone``.
+Meets are kept by cone number, and the anchors a_tau below are read off
+the fan's one ``Subfan.home`` table, so no lookup hashes a ``Cone``.
 
 On a smooth fan values are in ray coordinates, restricted by the
 sheaf's pickers, and the complex splits per cone: Z[M_sigma] is the sum
@@ -78,7 +79,7 @@ class CechComplex:
     """Tuples, stalks and incidence surjections for the maximal-cone
     cover of a fan, each found when first asked for."""
 
-    __slots__ = ("fan", "sheaf", "top_level", "tuples", "_meets", "_max_rays", "anchors")
+    __slots__ = ("fan", "sheaf", "top_level", "tuples", "_meets", "_max_rays")
 
     def __init__(self, fan: Fan):
         self.fan = fan
@@ -87,10 +88,6 @@ class CechComplex:
         self.tuples = {}  # level -> its tuples, listed on first read
         self._meets = {(i,): cone for i, cone in enumerate(fan.max_ids)}  # tuple -> cone number
         self._max_rays = [fan.ray_sets[cone] for cone in fan.max_ids]
-        self.anchors = {}  # cone number tau -> a_tau, the first maximal cone containing it
-        for i, sigma in enumerate(fan.max_ids):
-            for tau in fan.face_ids[sigma]:
-                self.anchors.setdefault(tau, i)
 
     def level_tuples(self, p: int) -> tuple:
         """The strictly increasing (p+1)-tuples of maximal-cone indices,
@@ -197,13 +194,16 @@ class CechComplex:
         """A preimage of the cocycle z on a smooth fan: b_K is the sum of
         iota(z^tau_{(a_tau) K}) over the cones tau with a_tau < K in S_tau.
         The caller checks d(b) = z, which holds exactly for cocycles."""
+        fan = self.fan
+        home = fan.full_subfan().home()  # tau -> the cone number of a_tau
         b: dict = {}
         anchored: dict = {}  # (meet, a) -> the faces tau of the meet with a_tau = a
         for t, value in z.components.items():
             cone = self.meet_id(t)
             faces = anchored.get((cone, t[0]))
             if faces is None:
-                faces = [tau for tau in self.fan.face_ids[cone] if self.anchors[tau] == t[0]]
+                a = fan.max_ids[t[0]]
+                faces = [tau for tau in fan.face_ids[cone] if home[tau] == a]
                 anchored[cone, t[0]] = faces
             parts = split_rays(self.sheaf, value, cone, faces)
             above = assemble_rays(self.sheaf, parts, self.meet_id(t[1:]), faces)

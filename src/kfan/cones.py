@@ -34,10 +34,11 @@ are tracked, decides whether they are independent and whether the cone
 is smooth, and the kernel is the lineality the facets are built on and
 the cone's ``perp_lattice()``.  At full rank det != 0 decides
 independence and |det| = 1 smoothness, and no reduction runs.
-A cone's character group (``character_quotient``) is built and
-checked on each call and kept by no cone: the structure sheaf keeps
-the groups it reads (``kfan.sheaves.FanSheaf``), and each ray stalk
-of a smooth cone its own chart (``kfan.sheaves.RayStalk``).
+A cone's character group (``character_quotient``) is checked on
+each call and kept by no cone: ``intlinalg.quotient`` keeps one group
+per perp lattice, so the sheaf, K_0 of the affine piece and the cone's
+monoid all read the same object, and each ray stalk of a smooth cone
+keeps its own chart (``kfan.sheaves.RayStalk``).
 
 Faces need no double description of their own to be found: a face is
 spanned by the rays of the cone that are tight on a set of its facets,
@@ -317,10 +318,10 @@ class Cone:
 
     def character_quotient(self) -> QuotientLattice:
         """M modulo the functionals vanishing on the cone: the character
-        group of the minimal orbit of the affine toric variety.  Always
-        free, of rank dim, and its projection checked onto (P S = I for
-        its section S) here, where it is built.  Nothing is kept: the
-        sheaf keeps what it reads (``FanSheaf.character_group``)."""
+        group of the minimal orbit of the affine toric variety, the one
+        group ``quotient`` keeps for the cone's perp lattice.  Checked on
+        every call: free of rank dim, and its projection onto (P S = I
+        for its section S)."""
         q = quotient(Lattice(self.lattice.rank), self.perp_lattice())
         if q.projection @ q.section != IntMatrix.identity(q.coords_len):
             raise CertificateError(
@@ -745,7 +746,7 @@ class Subfan:
     """A downward-closed set of cones of a fan: an open set of the
     poset topology, kept as the cone numbers ``ids``."""
 
-    __slots__ = ("parent", "ids", "_max_ids")
+    __slots__ = ("parent", "ids", "_max_ids", "_home")
 
     def __init__(self, parent: Fan, members: Iterable[Cone]):
         self.parent = parent
@@ -754,7 +755,7 @@ class Subfan:
             for f in parent.face_ids[c]:
                 if f not in self.ids:
                     raise DomainNotOpen(f"missing face {parent.cones[f]!r} of {parent.cones[c]!r}")
-        self._max_ids = None
+        self._max_ids = self._home = None
 
     @classmethod
     def _trusted(cls, parent: Fan, ids: frozenset) -> "Subfan":
@@ -762,7 +763,7 @@ class Subfan:
         self = object.__new__(cls)
         self.parent = parent
         self.ids = ids
-        self._max_ids = None
+        self._max_ids = self._home = None
         return self
 
     @property
@@ -783,6 +784,19 @@ class Subfan:
                 proper = {f for c in self.ids for f in parent.face_ids[c] if f != c}
                 self._max_ids = tuple(sorted(self.ids - proper))
         return self._max_ids
+
+    def home(self) -> dict:
+        """Cone number -> the number of the first maximal cone of the set,
+        in ``max_ids`` order, that contains it: built on the first call
+        and kept, so on the fan's kept whole open set one table serves
+        every reader."""
+        if self._home is None:
+            face_ids, home = self.parent.face_ids, {}
+            for top in self.max_ids():
+                for tau in face_ids[top]:
+                    home.setdefault(tau, top)
+            self._home = home
+        return self._home
 
     def max_cones(self) -> tuple[Cone, ...]:
         """The cones of ``max_ids``: ``parent.max_cones`` for the whole fan."""

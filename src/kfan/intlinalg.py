@@ -29,6 +29,7 @@ All values are immutable after construction and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, islice
 from math import gcd
 from operator import index, itemgetter, mul
@@ -671,8 +672,12 @@ class QuotientLattice:
         return "QuotientLattice(" + (" + ".join(parts) if parts else "0") + ")"
 
 
+@lru_cache(maxsize=None)
 def quotient(ambient: Lattice, relations: IntMatrix) -> QuotientLattice:
-    """The quotient of Z^n by the subgroup generated by the relation rows."""
+    """The quotient of Z^n by the subgroup generated by the relation rows:
+    one kept instance per (ambient, relations), since both and the
+    result are immutable, so every reader of a perp lattice shares its
+    group and its one Smith reduction."""
     if relations.ncols != ambient.rank:
         raise ValueError(
             f"relations have {relations.ncols} columns, ambient rank is {ambient.rank}"

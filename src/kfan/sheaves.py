@@ -74,17 +74,16 @@ class RayStalk:
     """The stalk group at a cone of a smooth fan, in ray coordinates: with
     rays v_1..v_k (in ``rays`` order), m -> (<m,v_1>, .., <m,v_k>) maps
     M_sigma onto Z^k, as the rays extend to a basis of N.  Equal for
-    equal cones.  ``cone_id`` is the cone's number in the sheaf's fan,
-    and ``chart`` carries ray coordinates onto those of its character
+    equal cones.  ``cone_id`` is the cone's number in its fan, and
+    ``chart`` carries ray coordinates onto those of its character
     group."""
 
-    __slots__ = ("sheaf", "cone", "cone_id", "coords_len", "free_rank", "_chart")
+    __slots__ = ("cone", "cone_id", "coords_len", "free_rank", "_chart")
     invariant_factors = ()
     is_free = True
 
-    def __init__(self, sheaf: "FanSheaf", cone_id: int):
-        self.sheaf = sheaf
-        self.cone_id, self.cone = cone_id, sheaf.fan.cones[cone_id]
+    def __init__(self, fan: Fan, cone_id: int):
+        self.cone_id, self.cone = cone_id, fan.cones[cone_id]
         self.coords_len = self.free_rank = len(self.cone.rays)
         self._chart = None
 
@@ -104,13 +103,13 @@ class RayStalk:
 
     def chart(self) -> tuple[IntMatrix, IntMatrix]:
         """The ray chart: returns (T, T^-1), where T = R * section takes
-        the coordinates of the cone's character group (the sheaf's
-        ``character_group``) to ray coordinates (R the ray matrix, in
-        ``rays`` order), and T^-1 = det(T) * adj(T) by cofactors.  Built
-        once per stalk and checked: det T = +-1, T * projection = R and
-        T * T^-1 = I."""
+        the coordinates of the cone's character group
+        (``Cone.character_quotient``) to ray coordinates (R the ray
+        matrix, in ``rays`` order), and T^-1 = det(T) * adj(T) by
+        cofactors.  Built once per stalk and checked: det T = +-1,
+        T * projection = R and T * T^-1 = I."""
         if self._chart is None:
-            q = self.sheaf.character_group(self.cone_id)
+            q = self.cone.character_quotient()
             sigma, k = self.cone, self.coords_len
             ray_matrix = IntMatrix._trusted(sigma.rays, sigma.lattice.rank)
             t = ray_matrix @ q.section
@@ -156,15 +155,14 @@ class FanSheaf:
     raises ``KeyError``.  ``sheaf_a0`` keeps one per fan, so whatever
     it builds serves every later reader of that fan.
 
-    ``character_group(i)`` keeps cone i's character group from its
-    first read, interned by perp rows: one quotient per distinct perp
-    lattice, checked P S = I (its projection times its section) where
-    ``Cone.character_quotient`` builds it, so its projection pi_sigma is
-    onto, and checked free of rank dim for each cone that takes it.  On
-    a smooth fan ``stalk`` is a ``RayStalk`` and ``restriction`` a
+    On a smooth fan ``stalk`` is a ``RayStalk`` and ``restriction`` a
     ``RayRestriction``, certified by construction.  Otherwise ``stalk`` is
-    the character group and ``restriction`` its ``canonical_surjection``,
-    checked: phi pi_sigma = pi_tau on the basis of M.  Identity and
+    the cone's character group, ``Cone.character_quotient``: one group
+    per distinct perp lattice, which ``intlinalg.quotient`` keeps, checked
+    P S = I (its projection times its section), so its projection
+    pi_sigma is onto, and free of rank dim, for each cone that reads it.
+    ``restriction`` is then its ``canonical_surjection``, checked:
+    phi pi_sigma = pi_tau on the basis of M.  Identity and
     functoriality follow, as pi_sigma is onto:
 
     - phi_sigma,sigma pi_sigma = pi_sigma, so phi_sigma,sigma = 1;
@@ -174,15 +172,13 @@ class FanSheaf:
     A map's splitting is no part of the certificate: it is checked on
     its first read, where the non-smooth search lifts."""
 
-    __slots__ = ("fan", "smooth", "_interned", "_groups", "_stalks", "_restrictions")
+    __slots__ = ("fan", "smooth", "_stalks", "_restrictions")
 
     def __init__(self, fan: Fan):
         self.fan = fan
         self.smooth = fan.is_smooth()
         n = len(fan.cones)
-        self._interned: dict = {}  # perp rows -> the group of the first cone read with them
-        self._groups: list = [None] * n  # cone number -> its character group
-        self._stalks: list = [None] * n  # cone number on a smooth fan -> its ray stalk
+        self._stalks: list = [None] * n  # cone number -> its stalk
         self._restrictions = [{} for _ in range(n)]  # cone number -> face number -> its map
 
     def stalk(self, sigma: Cone) -> RayStalk | QuotientLattice:
@@ -192,29 +188,14 @@ class FanSheaf:
         return self.restriction_at(self.fan._index[sigma], self.fan._index[tau])
 
     def stalk_at(self, i: int) -> RayStalk | QuotientLattice:
-        """The stalk group at cone i of the fan: its ``RayStalk`` on a
-        smooth fan, else its ``character_group``."""
-        if not self.smooth:
-            return self.character_group(i)
+        """The stalk group at cone i of the fan, kept from its first
+        read: its ``RayStalk`` on a smooth fan, else its character group
+        (``Cone.character_quotient``)."""
         q = self._stalks[i]
         if q is None:
-            q = self._stalks[i] = RayStalk(self, i)
-        return q
-
-    def character_group(self, i: int) -> QuotientLattice:
-        """The character group M_sigma of cone i of the fan, in Smith
-        coordinates: the group interned for its perp rows, checked free
-        of rank dim, or else built by ``Cone.character_quotient``."""
-        q = self._groups[i]
-        if q is None:
-            cone = self.fan.cones[i]
-            rows = cone.perp_lattice().rows
-            q = self._interned.get(rows)
-            if q is None:
-                q = self._interned[rows] = cone.character_quotient()
-            elif q.free_rank != cone.dim:
-                raise CertificateError(f"the stalk of {cone!r} is not free of rank {cone.dim}")
-            self._groups[i] = q
+            fan = self.fan
+            q = RayStalk(fan, i) if self.smooth else fan.cones[i].character_quotient()
+            self._stalks[i] = q
         return q
 
     def restriction_at(self, i: int, j: int) -> RayRestriction | QuotientSurjection:
@@ -305,7 +286,7 @@ class Section:
     subfan; ``check`` decides whether it actually is a section.  Its
     ``values`` are keyed by cone number, its ``components`` by cone."""
 
-    __slots__ = ("sheaf", "domain", "values", "_home")
+    __slots__ = ("sheaf", "domain", "values")
 
     def __new__(cls, sheaf: FanSheaf, domain: Subfan, components: dict) -> "Section":
         index = sheaf.fan._index
@@ -333,7 +314,6 @@ class Section:
             stray = sheaf.fan.cones[stray] if type(stray) is int else stray
             raise ValueError(f"component at {stray!r}, not a maximal cone of the domain")
         self.values = comps
-        self._home = None  # cone number of the domain -> the first maximal cone containing it
         return self
 
     @property
@@ -356,18 +336,13 @@ class Section:
     def value_at(self, i: int) -> GroupRingElement:
         """The component at cone i of the domain: its own at a maximal
         cone of the domain, else pushed forward from the first maximal
-        cone of the domain containing it (a table built on first call)."""
+        cone of the domain containing it (the domain's ``home`` table)."""
         if i not in self.domain.ids:
             raise ValueError("cone outside the section's domain")
         own = self.values.get(i)
         if own is not None:
             return own
-        if self._home is None:
-            self._home = {}
-            for top in self.domain.max_ids():
-                for tau in self.sheaf.fan.face_ids[top]:
-                    self._home.setdefault(tau, top)
-        top = self._home[i]  # an open set has a maximal cone above each member
+        top = self.domain.home()[i]  # an open set has a maximal cone above each member
         return self.values[top].pushforward(self.sheaf.restriction_at(top, i))
 
     def restrict(self, smaller: Subfan) -> "Section":

@@ -101,19 +101,14 @@ def _initial_candidates(constraints: Sequence[Constraint]) -> dict:
     return cand
 
 
-def _expand(cand: dict, constraints: Sequence[Constraint]) -> None:
-    """One closure round: push candidates to targets, lift every target
-    point back into each participating slot, and add joint lifts --
-    points hitting prescribed targets of two constraints at once, which
-    single splittings miss.  Each stacked pair of maps is reduced once
-    and its factors serve every pair of target points."""
-    new_targets: dict[tuple, set] = {}
-    for c in constraints:
-        pts = set(c.rhs.support())
-        for slot, _sign, phi in c.terms:
-            for m in cand[slot]:
-                pts.add(phi.apply(m))
-        new_targets[c.key] = pts
+def _expand(cand: dict, constraints: Sequence[Constraint], new_targets: dict) -> None:
+    """One closure round: lift every target point (``new_targets``, the
+    pushed candidates and right-hand-side points per constraint key, as
+    ``_equations`` found them) back into each participating slot, and
+    add joint lifts -- points hitting prescribed targets of two
+    constraints at once, which single splittings miss.  Each stacked
+    pair of maps is reduced once and its factors serve every pair of
+    target points."""
     for c in constraints:
         for t in sorted(new_targets[c.key]):
             for slot, _sign, phi in c.terms:
@@ -146,15 +141,17 @@ def _expand(cand: dict, constraints: Sequence[Constraint]) -> None:
                             cand[slot].add(source.reduce(m))
 
 
-def _equations(cand: dict, constraints: Sequence[Constraint]) -> list | None:
+def _equations(cand: dict, constraints: Sequence[Constraint]) -> tuple[list | None, dict]:
     """The linear system over the candidate supports: one equation
     ``(eq id, {(slot, m): coeff}, rhs)`` per (constraint, reachable
     target point), constraints in the given order and target points
-    sorted.  None when a right-hand-side point is reached by no
-    candidate."""
-    equations = []
+    sorted, or None when a right-hand-side point is reached by no
+    candidate; and every constraint's target points by key, its
+    right-hand side's support and its candidates' images, each
+    candidate pushed once."""
+    equations, targets = [], {}
     for c in constraints:
-        pts = set(c.rhs.support())
+        pts = targets[c.key] = set(c.rhs.support())
         rows: dict[tuple, dict] = {}
         for slot, sign, phi in c.terms:
             for m in sorted(cand[slot]):
@@ -166,17 +163,15 @@ def _equations(cand: dict, constraints: Sequence[Constraint]) -> list | None:
         for t in sorted(pts):
             coeffs = rows.get(t, {})
             rhs = c.rhs.terms.get(t, 0)
-            if not coeffs and rhs != 0:
-                return None
             if coeffs or rhs != 0:
                 equations.append(((c.key, t), coeffs, rhs))
-    return equations
+    # an equation without variables has a point that no candidate reaches
+    if not all(coeffs for _eq_id, coeffs, _rhs in equations):
+        equations = None
+    return equations, targets
 
 
-def _try_solve(cand: dict, constraints: Sequence[Constraint]) -> dict | None:
-    equations = _equations(cand, constraints)
-    if equations is None:
-        return None
+def _try_solve(cand: dict, equations: list) -> dict | None:
     # the system is block-diagonal in the connected components of the
     # equation/variable incidence graph; every equation has a variable
     uf = _UnionFind()
@@ -216,11 +211,13 @@ def solve_pushforward_system(
     constraints = sorted(constraints, key=lambda c: c.key)
     cand = _initial_candidates(constraints)
     sizes = []
+    targets: dict = {}
     for round_no in range(depth + 1):
         if round_no > 0:
-            _expand(cand, constraints)
+            _expand(cand, constraints, targets)
         sizes.append(sum(len(s) for s in cand.values()))
-        raw = _try_solve(cand, constraints)
+        equations, targets = _equations(cand, constraints)
+        raw = None if equations is None else _try_solve(cand, equations)
         if raw is not None:
             solution = {
                 slot: GroupRingElement(slot_groups[slot], terms)
@@ -275,7 +272,7 @@ def sample_nonzero_solution(
         variables = sorted((slot, m) for slot, ms in support.items() for m in ms)
         column = {v: j for j, v in enumerate(variables)}
         rows = []
-        for _eq_id, coeffs, _rhs in _equations(support, constraints):
+        for _eq_id, coeffs, _rhs in _equations(support, constraints)[0]:
             row = [0] * len(variables)
             for v, coeff in coeffs.items():
                 row[column[v]] = coeff

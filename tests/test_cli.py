@@ -749,8 +749,9 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
         sys.exit("run this under python -O")
 
     def cold(argv):
-        # each command builds its fan and sheaf afresh, under its patch
+        # each command builds its fan, sheaf and groups afresh, under its patch
         cli._built.cache_clear()
+        intlinalg.quotient.cache_clear()
         return cli.main(argv)
 
     def wrong_solver(slot_groups, constraints, depth):
@@ -823,7 +824,7 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     print(cold(["check-flasque", path, "--trials", "2"]))
     print(cold(["check-flasque", nonsmooth, "--trials", "2", "--experimental-nonsmooth"]))
     print(cold(["k0-global", path]))
-    # character groups are certified where they are built
+    # character groups are certified on every read
     cones.quotient = doubled_projection
     print(cold(["k0-affine", simplex, "--cone", "7"]))
     print(cold(["kclass", "--fan", simplex, "--cone", "7", "--shifts", "[[0,0,0],[1,0,0]]"]))
@@ -910,7 +911,7 @@ def doubled_projection(ambient, relations):
 @pytest.mark.parametrize("command", ["k0-affine", "kclass"])
 def test_a_character_group_is_certified_where_it_is_built(monkeypatch, capsys, command, cone):
     # k0-affine and kclass read character groups outside any sheaf: the
-    # check P S = I runs where Cone.character_quotient builds them
+    # check P S = I runs on every Cone.character_quotient call
     monkeypatch.setattr(cones, "quotient", doubled_projection)
     path = os.path.join(ROOT, "tests", "golden", "simplex-113.json")
     argv = ["k0-affine", path] if command == "k0-affine" else ["kclass", "--fan", path]

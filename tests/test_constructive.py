@@ -197,7 +197,7 @@ def test_ray_chart_maps_characters_to_pairings():
             m = tuple(rng.randint(-4, 4) for _ in range(fan.lattice.rank))
             pairing = tuple(sum(a * b for a, b in zip(m, v)) for v in sigma.rays)
             assert GroupRingElement.character(sheaf.stalk(sigma), m).terms == {pairing: 1}
-            coords = sheaf.character_group(fan.index_of(sigma)).project(m)
+            coords = sigma.character_quotient().project(m)
             assert chart.apply(coords) == pairing and inverse.apply(pairing) == coords
 
 

@@ -4,17 +4,21 @@
 the certified fan of each distinct (path, text), at most 16 of them, for
 the later commands of the process.  ``sheaf_a0`` keeps one sheaf per
 fan, so a warm command reuses the stalks, charts and restrictions an
-earlier one built and certified.  A file that fails to load is never
-kept.
+earlier one built and certified, and ``intlinalg.quotient`` one
+character group per perp lattice, which K_0 of an affine piece and a
+cone's monoid read too.  A file that fails to load is never kept.
 """
 
 import dataclasses
+import importlib.util
 import json
 import os
+import sys
+from collections import Counter
 
 import pytest
 
-from kfan import cli, cones, sheaves
+from kfan import cli, cones, intlinalg, monoids, sheaves, support_solver
 from kfan.cech import CechComplex, H0Ring
 from kfan.cli import main, run
 from kfan.fanfile import FanFile, build_fan, load_fan_file
@@ -155,3 +159,37 @@ def test_warnings_are_written_the_same_on_every_load(tmp_path):
         "ray 0 [2, 0] normalized to primitive [1, 0]"
     ]
     assert first.to_json() == second.to_json()
+
+
+def bench_jobs(monkeypatch):
+    """The benchmark's job lists (``bench/jobs.py``), whose fan paths are
+    relative to the root of the repository."""
+    spec = importlib.util.spec_from_file_location("bench_jobs", os.path.join(ROOT, "bench", "jobs.py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_warm_k0_ladder_pass_reduces_only_parallelepipeds(monkeypatch):
+    # run a second time in the process, the pass reads every fan, sheaf
+    # and character group from the first: the only Smith reductions left
+    # are the parallelepiped points of ``hilbert``, one per affine job
+    monkeypatch.chdir(ROOT)
+    jobs = bench_jobs(monkeypatch)
+    fans = jobs.setup_fans(jobs.WORKLOADS["k0-ladder"][0])
+    job_list = jobs.make_pass("k0-ladder", 1, 0, fans)
+    reductions = Counter()
+    reduce = intlinalg.smith_with_inverses
+
+    def counting(*args, **kwargs):
+        reductions[sys._getframe(1).f_code.co_name] += 1
+        return reduce(*args, **kwargs)
+
+    for module in (intlinalg, monoids, support_solver):
+        monkeypatch.setattr(module, "smith_with_inverses", counting)
+    cold = [run(job.argv).to_json() for job in job_list]
+    reductions.clear()
+    warm = [run(job.argv).to_json() for job in job_list]
+    assert warm == cold
+    assert reductions == {"_parallelepiped_points": len(jobs.AFFINE_FANS)} == {"_parallelepiped_points": 5}

@@ -408,6 +408,22 @@ def test_coset_group_of_a_cone_monoid_is_the_character_group(path):
         assert q == quotient(c.lattice.dual(), c.perp_lattice())
 
 
+def test_a_lower_dimensional_dual_reuses_the_cones_character_group():
+    # the dual of a ray has the ray's perp lattice as its lineality, so
+    # its Hilbert basis reads the group ``character_quotient`` reduced
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "fans", "p1xp1xp1.json")
+    fan = build_fan(load_fan_file(path))
+    ray = next(c for c in fan.cones if c.dim == 1)
+    group = ray.character_quotient()
+    built = intlinalg.quotient.cache_info()
+    basis = hilbert_basis(ray.dual())
+    after = intlinalg.quotient.cache_info()
+    assert (after.misses, after.hits) == (built.misses, built.hits + 1)
+    assert AffineMonoid.from_cone(ray).coset_quotient is group
+    # the basis is the ray's primitive functional and +- the perp lattice
+    assert len(basis) == 1 + 2 * len(ray.perp_lattice().rows)
+
+
 def test_unit_generators_are_units_and_nonunits_are_not():
     rng = random.Random(5150)
     cones = [

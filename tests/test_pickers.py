@@ -64,8 +64,7 @@ def reference_pushforward(x, phi):
     surjection of the character groups, carried by the stalks' ray charts."""
     matrix = getattr(phi, "matrix", None)
     if isinstance(phi, RayRestriction):
-        sheaf = phi.source.sheaf
-        groups = sheaf.character_group(phi.source.cone_id), sheaf.character_group(phi.target.cone_id)
+        groups = phi.source.cone.character_quotient(), phi.target.cone.character_quotient()
         fresh = canonical_surjection(*groups)
         matrix = phi.target.chart()[0] @ fresh.matrix @ phi.source.chart()[1]
     out = GroupRingElement.zero(phi.target)

@@ -35,7 +35,7 @@ from kfan.sheaves import (
     random_section,
     sheaf_a0,
 )
-from kfan.support_solver import SolverGaveUp
+from kfan.support_solver import COORD_BOUND, MAX_ATTEMPTS, SolverGaveUp
 from test_fan_construction import ladder
 from test_incidence_plan import count_pushforwards, matrix_of
 from test_invariance import moved, random_unimodular
@@ -204,24 +204,28 @@ BENCH_FANS = sorted(
 
 @pytest.mark.parametrize("path", BENCH_FANS, ids=os.path.basename)
 def test_home_table_matches_the_scan(path):
-    # value_at looks a cone's maximal cone up in a table: it must be the
-    # first maximal cone of the domain that the scan finds above it
+    # value_at looks a cone's maximal cone up in its domain's table, and
+    # the contraction of the cover complex in the whole fan's: it must be
+    # the first maximal cone of the domain that the scan finds above it
     fan = build_fan(load_fan_file(path))
     sheaf = sheaf_a0(fan)
     rng = random.Random(os.path.basename(path))
     tables = 0
-    for _ in range(6):
-        domain = random_open_subfan(fan, rng)
+    domains = [random_open_subfan(fan, rng) for _ in range(6)] + [fan.full_subfan()]
+    for domain in domains:
         s = random_section(sheaf, domain, rng)
         tops = domain.max_cones()
         for cone in sorted(domain.members, key=lambda c: (c.dim, c.rays)):
             assert s.value_at(fan.index_of(cone)) == pushed_value(s, cone)
         if len(tops) < len(domain.members):
             tables += 1
-            # the table is keyed by cone number
+            # the table is keyed by cone number, and kept by the domain
             home = {c: next(t for t in tops if c in fan.faces_of(t)) for c in domain.members}
-            assert s._home == {fan.index_of(c): fan.index_of(t) for c, t in home.items()}
+            assert domain.home() == {fan.index_of(c): fan.index_of(t) for c, t in home.items()}
+            assert domain.home() is domain.home()
     assert tables
+    # the whole fan's open set is kept with the fan, and so is its table
+    assert fan.full_subfan().home() is fan.full_subfan().home()
 
 
 def test_restrict_p1_section_to_zero_cone_star():
@@ -322,6 +326,48 @@ def test_random_section_on_full_p3_never_fails():
         assert any(not v.is_zero() for v in s.components.values())
 
 
+def fallback_sections(sheaf, seed):
+    """``random_section`` on the whole fan and on an open subfan, each
+    with its expected chi^m: while the draws give no section, the
+    fallback's m is the first draw of the section's generator."""
+    fan = sheaf.fan
+    rank = fan.lattice.rank
+    for domain in (fan.full_subfan(), random_open_subfan(fan, random.Random(seed))):
+        first = random.Random(seed)
+        m = [first.randint(-COORD_BOUND, COORD_BOUND) for _ in range(rank)]
+        yield domain, m, random_section(sheaf, domain, random.Random(seed))
+
+
+def assert_character_section(sheaf, domain, m, section):
+    assert section.check()
+    assert section.values == {
+        c: GroupRingElement.character(sheaf.stalk_at(c), m) for c in domain.max_ids()
+    }
+
+
+def test_random_section_falls_back_to_a_character_off_smooth_fans(monkeypatch):
+    # no nonzero solution is drawn: chi^m on every maximal cone
+    monkeypatch.setattr(sheaves, "sample_nonzero_solution", lambda *args: None)
+    sheaf = sheaf_a0(weighted_p2_fan())
+    assert not sheaf.smooth
+    for seed in (2, 9):
+        for domain, m, section in fallback_sections(sheaf, seed):
+            assert_character_section(sheaf, domain, m, section)
+
+
+def test_random_section_falls_back_to_a_character_on_smooth_fans(monkeypatch):
+    # every draw's tau-parts are zero, as every monomial drawn is: after
+    # MAX_ATTEMPTS draws, chi^m on every maximal cone
+    draws = []
+    monkeypatch.setattr(sheaves, "random_monomial", lambda cone, rng: draws.append(cone) or {})
+    sheaf = sheaf_a0(projective_plane())
+    for seed in (2, 9):
+        for domain, m, section in fallback_sections(sheaf, seed):
+            assert_character_section(sheaf, domain, m, section)
+            assert len(draws) == MAX_ATTEMPTS * len(domain.ids)
+            draws.clear()
+
+
 def every_fan():
     """Every fan file in fans/ and bench/fans/, and a weighted P2."""
     here = os.path.dirname(__file__)
@@ -337,7 +383,8 @@ def test_shared_stalks_and_restrictions_are_those_of_each_cone(fan):
     # it is the picker, which the ray charts carry onto it
     sheaf = sheaf_a0(fan)
     for sigma in fan.cones:
-        assert sheaf.character_group(fan.index_of(sigma)) == sigma.character_quotient()
+        if not sheaf.smooth:
+            assert sheaf.stalk(sigma) is sigma.character_quotient()
         for tau in fan.faces_of(sigma):
             phi = sheaf.restriction(sigma, tau)
             fresh = canonical_surjection(sigma.character_quotient(), tau.character_quotient())
@@ -353,16 +400,17 @@ def test_shared_stalks_and_restrictions_are_those_of_each_cone(fan):
 
 def test_an_interned_stalk_is_checked_against_the_cone_that_takes_it(monkeypatch):
     # the maximal cones of P1 x P1 share one perp lattice (zero), so the
-    # second takes the first one's stalk: its rank must still be checked
+    # second reads the group reduced for the first: its rank must still
+    # be checked
     path = os.path.join(os.path.dirname(__file__), os.pardir, "fans", "p1xp1.json")
     fan = build_fan(load_fan_file(path))
-    sheaf = sheaf_a0(fan)
     first, second = fan.max_cones[:2]
     assert first.perp_lattice().rows == second.perp_lattice().rows
-    sheaf.character_group(fan.index_of(first))
+    group = first.character_quotient()
+    assert second.character_quotient() is group
     monkeypatch.setattr(second, "dim", 1)
     with pytest.raises(CertificateError, match="is not free of rank 1"):
-        sheaf.character_group(fan.index_of(second))
+        second.character_quotient()
 
 
 def first_failure_checking_every_chain(sheaf):
@@ -409,7 +457,7 @@ def test_a_stalk_whose_projection_is_not_onto_is_rejected_on_first_read(monkeypa
     monkeypatch.setattr("kfan.cones.quotient", doubled)
     ray = next(c for c in fan.cones if c.dim == 1)
     with pytest.raises(CertificateError, match="not onto"):
-        sheaf.character_group(fan.index_of(ray))
+        sheaf.stalk(ray).chart()
 
 
 def p1_cubed():

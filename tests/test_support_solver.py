@@ -1,11 +1,13 @@
-"""The expanding-support solver reduces each stacked pair of maps once,
-the Smith reductions behind ``kernel`` and ``solve`` track only the
-transforms those functions read, and a traced run reads the solver's
-result as it is returned."""
+"""The expanding-support solver reduces each stacked pair of maps once
+and pushes each candidate once per round, the Smith reductions behind
+``kernel`` and ``solve`` track only the transforms those functions
+read, and a traced run reads the solver's result as it is returned."""
 
 import importlib.util
 import os
 import random
+import sys
+from collections import Counter
 
 from kfan import intlinalg, support_solver
 from kfan.catalog import hirzebruch, p1_times_p1, projective_plane
@@ -64,9 +66,9 @@ def test_expand_reduces_each_stacked_pair_once(monkeypatch):
         solves.append(args[-1])
         return solve_with(*args)
 
-    def watched_expand(cand, constraints):
+    def watched_expand(cand, constraints, targets):
         before = len(reductions), len(solves)
-        expand(cand, constraints)
+        expand(cand, constraints, targets)
         made, solved = len(reductions) - before[0], len(solves) - before[1]
         assert made <= _slot_pairs(constraints)
         rounds.append((made, solved))
@@ -94,6 +96,29 @@ def test_expand_reduces_each_stacked_pair_once(monkeypatch):
     # many target pairs share one reduction
     assert sum(solved for _made, solved in rounds) > sum(made for made, _solved in rounds)
     assert all(keep == ("u", "v") for keep in reductions)
+
+
+def test_each_candidate_is_pushed_once_per_round(monkeypatch, capsys):
+    # ``_equations`` pushes every candidate of every slot and hands its
+    # target points to the next round's ``_expand``, which pushes none
+    pushes, rounds = Counter(), []
+    apply, expand = intlinalg.QuotientSurjection.apply, support_solver._expand
+
+    def counting(self, coords):
+        pushes[sys._getframe(1).f_code.co_name] += 1
+        return apply(self, coords)
+
+    def watched_expand(*args):
+        rounds.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(intlinalg.QuotientSurjection, "apply", counting)
+    monkeypatch.setattr(support_solver, "_expand", watched_expand)
+    fan = os.path.join(os.path.dirname(__file__), "golden", "weighted-p2.json")
+    main(["check-flasque", fan, "--trials", "25", "--seed", "3", "--experimental-nonsmooth"])
+    capsys.readouterr()
+    assert rounds and pushes["_equations"]
+    assert "_expand" not in pushes
 
 
 def test_kernel_and_solve_track_neither_inverse(monkeypatch):
