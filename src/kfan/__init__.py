@@ -4,10 +4,13 @@ Everything is integer arithmetic: cones and fans with exact polyhedral
 duals, monoids of lattice points with Hilbert bases, K-classes of
 graded modules as group-ring elements, and the cover complex whose
 degree-zero cohomology is the global equivariant K_0 of a smooth toric
-variety, with randomized exactness and flasqueness verifiers.
+variety.  Random cocycles solve back to checked preimages and random
+sections extend to checked global ones; the ``check-exactness`` and
+``check-flasque`` commands of ``kfan.cli`` run these as randomized
+trials.
 """
 
-from .cech import CechComplex, Cochain, H0Ring, verify_exactness
+from .cech import CechComplex, Cochain, H0Ring
 from .cones import Cone, Fan, Subfan, zero_cone
 from .graded import (
     CoefficientSpec,

@@ -1,6 +1,7 @@
 """The cover complex of a fan: alternating-sign differentials on tuples
 of maximal cones, degree-zero cohomology as the global equivariant K_0
-ring, and randomized exactness verification.
+ring, and random cocycles with checked preimages, from which the
+``check-exactness`` command runs its trials.
 
 Degree-zero cohomology is the ring of global sections of ``sheaf_a0``
 (``H0Ring``, whose elements are ``kfan.sheaves.Section``s on the whole
@@ -38,7 +39,6 @@ there is a search failure, never a counterexample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
@@ -365,65 +365,3 @@ class H0Ring:
         self._check(b)
         values = {c: a.values[c] * b.values[c] for c in self.fan.max_ids}
         return Section.by_id(self.sheaf, self.domain, values)
-
-
-@dataclass
-class ExactnessTrial:
-    index: int
-    cocycle_support: int
-    solved: bool
-    witness_support: int | None
-    gave_up: SolverGaveUp | None
-
-
-@dataclass
-class ExactnessReport:
-    level: int
-    trials: int
-    solved: int
-    resolutions: list[ExactnessTrial] = field(default_factory=list)
-    witnesses: list[tuple] = field(default_factory=list)
-
-    @property
-    def all_solved(self) -> bool:
-        return self.solved == self.trials
-
-
-def verify_exactness(
-    fan: Fan,
-    level: int,
-    trials: int,
-    depth: int,
-    seed: int,
-) -> ExactnessReport:
-    """Sample random cocycles at the given level and solve each one back
-    to a coboundary: the check d(b) = z is each trial's certificate, and
-    d(z) is walked only when no witness is found (``solve_coboundary``).
-    Exactness is proved only for smooth fans; on a non-smooth one a trial
-    that gives up is a search failure, never a counterexample."""
-    if level < 1:
-        raise ValueError("exactness questions start at level 1")
-    complex = CechComplex(fan)
-    if level > complex.top_level:
-        raise LevelOverflow(f"fan cover has no level {level}")
-    rng = random.Random(seed)
-    report = ExactnessReport(level=level, trials=trials, solved=0)
-    for i in range(trials):
-        z = complex.random_cocycle(level, rng)
-        outcome = complex.solve_coboundary(z, depth=depth)
-        solved = not isinstance(outcome, SolverGaveUp)
-        report.resolutions.append(
-            ExactnessTrial(
-                index=i,
-                cocycle_support=sum(len(v.terms) for v in z.components.values()),
-                solved=solved,
-                witness_support=(
-                    sum(len(v.terms) for v in outcome.components.values()) if solved else None
-                ),
-                gave_up=None if solved else outcome,
-            )
-        )
-        if solved:
-            report.solved += 1
-            report.witnesses.append((z, outcome))
-    return report

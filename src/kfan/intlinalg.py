@@ -68,9 +68,6 @@ def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vec:
 def vec_neg(u: Sequence[int]) -> Vec:
     return tuple(-a for a in u)
 
-def vec_scale(k: int, u: Sequence[int]) -> Vec:
-    return tuple(k * a for a in u)
-
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
@@ -118,15 +115,11 @@ class IntMatrix:
         return self
 
     @classmethod
+    @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "IntMatrix":
         """The n x n identity: one kept instance per size, since the
         matrices are immutable."""
-        eye = _IDENTITIES.get(n)
-        if eye is None:
-            eye = _IDENTITIES[n] = cls(
-                [[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n
-            )
-        return eye
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
@@ -174,9 +167,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]}, ncols={self.ncols})"
-
-
-_IDENTITIES: dict[int, IntMatrix] = {}
 
 
 def det(a: IntMatrix) -> int:
@@ -637,12 +627,6 @@ class QuotientLattice:
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> Vec:
         return self.reduce(vec_add(a, b))
-
-    def sub(self, a: Sequence[int], b: Sequence[int]) -> Vec:
-        return self.reduce(vec_sub(a, b))
-
-    def scale(self, k: int, a: Sequence[int]) -> Vec:
-        return self.reduce(vec_scale(k, a))
 
     def is_relation(self, v: Sequence[int]) -> bool:
         return self.project(v) == self.zero()

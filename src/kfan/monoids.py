@@ -293,7 +293,7 @@ class AffineMonoid:
             g = images[i]
             step = weights[i]
             for k in range(wn // step, -1, -1):
-                rem = q.sub(remaining, q.scale(k, g))
+                rem = q.reduce([a - k * b for a, b in zip(remaining, g)])
                 if search(pos + 1, rem):
                     return True
             return False
