@@ -5,14 +5,13 @@ JSON, so iteration is always over sorted structures.  Every success
 carries enough certificate data (witness cochains, extended sections)
 to re-verify the claim through the library independently.
 
-``JobReport.to_json`` writes a report with ``_encode``, whose output is
-byte-identical to ``json.dumps(obj, sort_keys=True, indent=2)``.  Under
-``indent`` the stdlib drops from its C encoder to a pure-Python one,
-yielding one string per scalar; ``_encode`` builds each list or dict of
-a report with one ``str.join`` and the C string escaper, about twice as
-fast in half the memory, and hands the stdlib any value no report holds.
-A group-ring term [[c_1, .., c_n], k] of exact ints, or a list of exact ints
-such as a Hilbert basis element or a ray, is one cached %-template.
+``JobReport.to_json`` writes a report as compact canonical JSON:
+``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, one line
+with sorted keys and no whitespace, written by the stdlib's C encoder
+(any ``indent`` would drop it to the pure-Python one).  A report holds
+only dicts with str keys, lists, strs, exact ints, bools and None, so
+its bytes follow from its parsed content.  To read one, pipe it through
+``python -m json.tool``.
 The ``*_to_jsonable`` functions here write every value a report carries.
 A smooth fan's stalk elements, kept in ray coordinates, are written and
 read in the coordinates of the character groups, through each stalk's
@@ -136,7 +135,7 @@ class JobReport:
         }
 
     def to_json(self) -> str:
-        return _encode(self.to_jsonable(), "\n")
+        return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -159,86 +158,3 @@ def _render(value) -> str:
     if isinstance(value, (dict, list, tuple)):
         return json.dumps(value, sort_keys=True)
     return str(value)
-
-
-_encode_str = json.encoder.encode_basestring_ascii  # the C one when built
-
-
-def _encode(value, newline: str) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` for a value that
-    sits after ``newline`` (a line break and its indent).
-
-    Exact ints, strs, lists, dicts with str keys, None, True and False
-    take the fast paths; every other value is the stdlib's own text, its
-    errors included.  JSON escapes line breaks inside strings, so every
-    line break in that text is structure and takes ``newline``'s indent.
-    A circular list or dict ends in ``RecursionError``; a circular value
-    reached through any other container gets the stdlib's ``ValueError``.
-    """
-    cls = type(value)
-    if cls is int:
-        return int.__repr__(value)
-    if cls is str:
-        return _encode_str(value)
-    if cls is list:
-        return _encode_list(value, newline)
-    if cls is dict:
-        try:
-            return _encode_dict(value, newline)
-        except TypeError:  # a key that is not a str, here or below: the stdlib decides
-            pass
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
-
-
-def _encode_list(value, newline: str) -> str:
-    if not value:
-        return "[]"
-    inner = newline + "  "
-    # the item list is a temporary, gone before the brackets are added
-    items = type(value[0]) is list and _encode_terms(value, inner) or [
-        int.__repr__(v) if type(v) is int else _encode(v, inner) for v in value
-    ]
-    body = ("," + inner).join(items)
-    return f"[{inner}{body}{newline}]"
-
-
-_INT = frozenset([int])
-_TERM_TEMPLATES: dict[str, dict] = {}  # indent -> shape (n, or (n,) for a term) -> template
-
-
-def _encode_terms(value, inner: str) -> list[str] | None:
-    """The items of a list of group-ring terms [[c_1, .., c_n], k] or of
-    lists [c_1, .., c_n] of exact ints, one %-template each, or None if
-    any item has another shape."""
-    templates = _TERM_TEMPLATES.setdefault(inner, {})
-    items = []
-    for term in value:
-        if type(term) is not list:
-            return None
-        if len(term) == 2 and type(term[0]) is list and type(term[1]) is int:
-            shape, ints = (len(term[0]),), (*term[0], term[1])  # a term: its shape is a tuple
-        else:
-            shape, ints = len(term), tuple(term)
-        if not _INT.issuperset(map(type, ints)):
-            return None
-        if shape not in templates:  # the generic text of zeros of this shape, a slot at each 0
-            zeros = [[0] * shape[0], 0] if type(shape) is tuple else [0] * shape
-            templates[shape] = _encode(zeros, inner).replace("0", "%d")
-        items.append(templates[shape] % ints)
-    return items
-
-
-def _encode_dict(value, newline: str) -> str:
-    if not value:
-        return "{}"
-    inner = newline + "  "
-    body = ("," + inner).join(
-        [f"{_encode_str(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
-    )
-    return f"{{{inner}{body}{newline}}}"

@@ -381,7 +381,7 @@ def test_closed_stdout_ends_quietly_with_the_report_status():
     # buffer, so the write fails once the reader has gone
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     argv = ["check-flasque", os.path.join(root, "bench", "fans", "p1xp1xp1.json"),
-            "--trials", "10", "--seed", "3", "--json"]
+            "--trials", "80", "--seed", "3", "--json"]
     rep = run(argv)
     assert len(rep.to_json()) > 1 << 17
     env = dict(os.environ)
@@ -919,6 +919,23 @@ def test_a_character_group_is_certified_where_it_is_built(monkeypatch, capsys, c
     argv += ["--cone", cone] + (["--shifts", "[[0,0,0],[1,0,0]]"] if command == "kclass" else [])
     assert main(argv) == 1
     assert "is not onto" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path", ["fans/p2.json", "bench/fans/p1xp1xp1.json", "fans/quadric-cone.json"]
+)
+def test_a_cone_entry_rechecks_its_character_rank(monkeypatch, capsys, path):
+    # each perp lattice loses a generator: M / perp would be of rank one
+    # more than the cone's dimension, first on the zero cone
+    perp_lattice = Cone.perp_lattice
+
+    def dropped_generator(cone):
+        perp = perp_lattice(cone)
+        return intlinalg.IntMatrix(perp.rows[1:], ncols=perp.ncols)
+
+    monkeypatch.setattr(Cone, "perp_lattice", dropped_generator)
+    assert main(["info", os.path.join(ROOT, path)]) == 1
+    assert "character group of Cone(rays=[]) has rank 1, not 0" in capsys.readouterr().err
 
 
 def test_smooth_commands_read_no_splitting(monkeypatch):

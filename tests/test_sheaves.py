@@ -368,6 +368,28 @@ def test_random_section_falls_back_to_a_character_on_smooth_fans(monkeypatch):
             draws.clear()
 
 
+@pytest.mark.parametrize(
+    "make, producer",
+    [(projective_plane, "_assembled"), (weighted_p2_fan, "sample_nonzero_solution")],
+    ids=["smooth", "non-smooth"],
+)
+def test_a_sampled_family_that_is_no_section_is_refused(monkeypatch, make, producer):
+    # the producer's family plus 1 on its first cone: at the origin, that
+    # cone's augmentation is off by one from every other cone's
+    draw = getattr(sheaves, producer)
+
+    def off_by_one(*args):
+        values = draw(*args)
+        first = min(values)
+        values[first] = values[first] + GroupRingElement.one(values[first].group)
+        return values
+
+    monkeypatch.setattr(sheaves, producer, off_by_one)
+    sheaf = sheaf_a0(make())
+    with pytest.raises(CertificateError, match="sampled family is not a section"):
+        random_section(sheaf, sheaf.fan.full_subfan(), random.Random(0))
+
+
 def every_fan():
     """Every fan file in fans/ and bench/fans/, and a weighted P2."""
     here = os.path.dirname(__file__)
