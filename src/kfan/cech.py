@@ -33,7 +33,9 @@ and the contraction are linear, so a dense z would test them no better.
 Only ``kfan.report`` reads the character groups' coordinates.  On
 non-smooth fans cocycles are random kernel elements of d, preimages are
 searched for by the expanding-support solver, and a ``SolverGaveUp``
-there is a search failure, never a counterexample.
+there is a search failure, never a counterexample.  Both take their
+equations d(x) = rhs on the maximal cones from ``kfan.sheaves.cover_system``,
+which states a section's compatibility too, and list no level.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .sheaves import (
     Section,
     accumulate,
     assemble_rays,
+    cover_system,
     first_disagreement,
     random_monomial,
     sheaf_a0,
@@ -57,7 +60,6 @@ from .sheaves import (
 )
 from .support_solver import (
     MAX_ATTEMPTS,
-    Constraint,
     SolverGaveUp,
     sample_nonzero_solution,
     solve_pushforward_system,
@@ -102,17 +104,15 @@ class CechComplex:
         return self.fan.cones[self.meet_id(t)]
 
     def meet_id(self, t: tuple) -> int:
-        """The number of the meet of the tuple's cones, found from t[:-1]'s and kept."""
+        """The number of the meet of the tuple's cones, kept: ``Fan.meet_id``
+        of t[:-1]'s meet and cone t[-1]."""
         cone = self._meets.get(t)
         if cone is None:
             if len(t) < 2 or not t[-2] < t[-1] <= self.top_level:
                 raise KeyError(t)
-            cone = self._meets[t] = self._coface_meet(t[:-1], t[-1])
+            fan = self.fan
+            cone = self._meets[t] = fan.meet_id(self.meet_id(t[:-1]), fan.max_ids[t[-1]])
         return cone
-
-    def _coface_meet(self, s: tuple, i: int) -> int:
-        """The meet of s + {i}: ``Fan.meet_id`` of s's meet and cone i."""
-        return self.fan.meet_id(self.meet_id(s), self.fan.max_ids[i])
 
     def is_level_tuple(self, t: tuple, level: int) -> bool:
         """Is t a level-``level`` tuple by its shape: level + 1 int
@@ -178,9 +178,8 @@ class CechComplex:
         if self.sheaf.smooth:
             b = self._contract(z)
         else:
-            slot_groups = {s: self.stalk(s) for s in self.level_tuples(z.level - 1)}
-            constraints = self._d_constraints(z.level - 1, z.components)
-            b = solve_pushforward_system(slot_groups, constraints, depth)
+            system = cover_system(self.sheaf, self.fan.max_ids, z.level - 1, z.components)
+            b = solve_pushforward_system(*system, depth)
             if not isinstance(b, SolverGaveUp):
                 b = Cochain(self, z.level - 1, b[0])
         if isinstance(b, SolverGaveUp) or self.d(b) != z:
@@ -215,26 +214,6 @@ class CechComplex:
         comps = {t: GroupRingElement._normal(self.stalk(t), v) for t, v in terms.items()}
         return Cochain._trusted(self, level, comps)
 
-    def _d_constraints(self, level: int, rhs: dict) -> list[Constraint]:
-        """The equations d(x) = rhs for an unknown level-``level``
-        cochain x: one per tuple t of the next level, in the order of
-        ``level_tuples``, over its signed faces (s, (-1)^j, restriction
-        of s's meet onto t's), s being t without index j; ``rhs`` maps
-        tuples to components."""
-        if level >= self.top_level:
-            return []
-        constraints = []
-        for t in self.level_tuples(level + 1):
-            meet = self._coface_meet(t[1:], t[0])
-            target = self.sheaf.stalk_at(meet)
-            terms = []
-            for j in range(len(t)):
-                s = t[:j] + t[j + 1 :]
-                terms.append((s, (-1) ** j, self.sheaf.restriction_at(self.meet_id(s), meet)))
-            value = rhs.get(t, GroupRingElement.zero(target))
-            constraints.append(Constraint(key=t, target=target, terms=tuple(terms), rhs=value))
-        return constraints
-
     def random_cocycle(self, level: int, rng: random.Random) -> "Cochain":
         """A random nonzero cocycle.  On a smooth fan z = d(b0), b0 one
         random monomial on each of ``SPARSE_TUPLES`` random tuples one
@@ -255,8 +234,8 @@ class CechComplex:
                 if not z.is_zero():
                     break
         else:
-            slots = {t: self.stalk(t) for t in self.level_tuples(level)}
-            found = sample_nonzero_solution(slots, self._d_constraints(level, {}), rng, 3)
+            system = cover_system(self.sheaf, self.fan.max_ids, level, {})
+            found = sample_nonzero_solution(*system, rng, 3)
             z = Cochain(self, level, found or {})
             if not self.is_cocycle(z):
                 raise CertificateError(f"sampled level-{level} cochain is not a cocycle")

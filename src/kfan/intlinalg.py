@@ -4,9 +4,10 @@ Everything runs over arbitrary-precision Python ints; there is not a
 single float in this module.  Smith normal form is the engine behind
 quotient lattices (with torsion), integer kernels, and solvability of
 ``A x = b`` over the integers.  Geometry matrices are small (ambient
-rank is capped at 4), but sampling random cocycles and sections hands
-it sparse systems of a few hundred rows and columns with mostly 0/+-1
-entries.  So the reduction
+rank is capped at 4).  Since smooth fans split per cone, only the
+non-smooth search and sampler (``kfan.support_solver``) hand it sparse
+systems, of a few hundred rows and columns with mostly 0/+-1 entries.
+So the reduction
   - tracks only the transforms its caller reads;
   - in its pivot search, skips zero entries (and so zero rows) at C
     speed, so that in a sparse row only the nonzero entries up to the

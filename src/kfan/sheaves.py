@@ -38,12 +38,18 @@ cones, so a member costs time linear in the incidences (the families
 agreeing on every meet, Vezzosi-Vistoli, Invent. Math. 2003;
 Anderson-Payne, "Operational K-theory", Doc. Math. 2015); only a
 disagreement takes the scan over all pairs, to name the first pair.
+
+A cover's equations d(x) = rhs, with ``kfan.cech``'s signs, are stated
+in one place, ``cover_system``: a section's compatibility is d^0 = 0 on
+its domain's cover, so the non-smooth sampler and extension search take
+it, as the cover complex's non-smooth cocycles and coboundaries do.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
+from functools import reduce
+from itertools import combinations, product
 
 from .cones import MAX_RANK, Cone, Fan, Subfan
 from .intlinalg import (
@@ -488,21 +494,22 @@ def _assembled(sheaf: FanSheaf, parts: dict, cones) -> dict:
 
 
 def _search_extension(section: Section, depth: int) -> Section | SolverGaveUp:
-    """The expanding-support search, for fans without the closed form."""
+    """The expanding-support search, for fans without the closed form: a
+    level-0 cocycle of the fan's cover restricting to the section on
+    each maximal cone lam of its domain, equations in (lam, i) order."""
     sheaf = section.sheaf
     fan = sheaf.fan
     maxes = fan.max_ids
-    slot_groups = {i: sheaf.stalk_at(c) for i, c in enumerate(maxes)}
-    constraints = _compatibility_constraints(sheaf, maxes)
+    slot_groups, constraints = cover_system(sheaf, maxes, 0, {})
     given = section.values  # the maximal cones of the domain
-    for i, top in enumerate(maxes):
-        for lam in fan.face_ids[top]:
-            if lam in given:
+    for lam in sorted(given):
+        for i, top in enumerate(maxes):
+            if lam in fan.face_ids[top]:
                 constraints.append(
                     Constraint(
                         key=("restrict", lam, i),
                         target=sheaf.stalk_at(lam),
-                        terms=((i, 1, sheaf.restriction_at(top, lam)),),
+                        terms=(((i,), 1, sheaf.restriction_at(top, lam)),),
                         rhs=given[lam],
                     )
                 )
@@ -510,29 +517,34 @@ def _search_extension(section: Section, depth: int) -> Section | SolverGaveUp:
     if isinstance(outcome, SolverGaveUp):
         return outcome
     solution, _rounds = outcome
-    return Section.by_id(sheaf, fan.full_subfan(), {c: solution[i] for i, c in enumerate(maxes)})
+    values = {c: solution[(i,)] for i, c in enumerate(maxes)}
+    return Section.by_id(sheaf, fan.full_subfan(), values)
 
 
-def _compatibility_constraints(sheaf: FanSheaf, cones) -> list[Constraint]:
-    """x_i and x_j agree on the meet of cones[i] and cones[j], for every
-    pair of these cone numbers; slot i stands for cones[i]."""
+def cover_system(sheaf: FanSheaf, cover, level: int, rhs: dict) -> tuple[dict, list[Constraint]]:
+    """The equations d(x) = rhs on the cover by the cones ``cover`` (cone
+    numbers), for an unknown level-``level`` cochain x: one slot per
+    strictly increasing (level + 1)-tuple of positions in ``cover``, in
+    the stalk at its meet, and one equation per (level + 2)-tuple t over
+    its signed faces (s, (-1)^j, restriction of s's meet onto t's), s
+    being t without index j.  ``rhs`` maps tuples to components.  Slots
+    and equations come in lexicographic order, each meet folded by
+    ``Fan.meet_id``.  At level 0 x is a section over the union of the
+    cover exactly when d(x) = 0: its values agree on every pairwise meet."""
     fan = sheaf.fan
+    positions = range(len(cover))
+    tuples = combinations(positions, level + 1)
+    meets = {s: reduce(fan.meet_id, [cover[i] for i in s]) for s in tuples}
+    slots = {s: sheaf.stalk_at(meet) for s, meet in meets.items()}
     constraints = []
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            meet = fan.meet_id(cones[i], cones[j])
-            constraints.append(
-                Constraint(
-                    key=("compat", i, j),
-                    target=sheaf.stalk_at(meet),
-                    terms=(
-                        (i, 1, sheaf.restriction_at(cones[i], meet)),
-                        (j, -1, sheaf.restriction_at(cones[j], meet)),
-                    ),
-                    rhs=GroupRingElement.zero(sheaf.stalk_at(meet)),
-                )
-            )
-    return constraints
+    for t in combinations(positions, level + 2):
+        meet = fan.meet_id(meets[t[:-1]], cover[t[-1]])
+        target = sheaf.stalk_at(meet)
+        faces = enumerate(t[:j] + t[j + 1 :] for j in range(len(t)))
+        terms = tuple((s, (-1) ** j, sheaf.restriction_at(meets[s], meet)) for j, s in faces)
+        value = rhs.get(t, GroupRingElement.zero(target))
+        constraints.append(Constraint(key=t, target=target, terms=terms, rhs=value))
+    return slots, constraints
 
 
 def random_open_subfan(fan: Fan, rng: random.Random) -> Subfan:
@@ -566,9 +578,8 @@ def random_section(sheaf: FanSheaf, domain: Subfan, rng: random.Random) -> Secti
     else:
         # slots in (dim, rays) order on every domain: the sampler's draws follow it
         cones = sorted(cones)
-        slots = {i: sheaf.stalk_at(c) for i, c in enumerate(cones)}
-        found = sample_nonzero_solution(slots, _compatibility_constraints(sheaf, cones), rng, 2)
-        values = found and {c: found[i] for i, c in enumerate(cones)}
+        found = sample_nonzero_solution(*cover_system(sheaf, cones, 0, {}), rng, 2)
+        values = found and {c: found[(i,)] for i, c in enumerate(cones)}
     if not values:
         m = [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(fan.lattice.rank)]
         values = {c: GroupRingElement.character(sheaf.stalk_at(c), m) for c in cones}

@@ -29,6 +29,9 @@ The same equation builder serves sampling: ``sample_nonzero_solution``
 draws a random nonzero solution of the homogeneous system over random
 supports: the random cocycles and sections of non-smooth fans.  Smooth
 fans need neither the solver nor the sampler: they split per cone.
+The order of the constraints, which fixes every draw and solution, is
+the caller's (``kfan.sheaves.cover_system``'s); keys need only be
+distinct and hashable.
 """
 
 from __future__ import annotations
@@ -208,7 +211,6 @@ def solve_pushforward_system(
     slot to a GroupRingElement over its group.  The caller should
     re-verify the solution exactly through its own arithmetic.
     """
-    constraints = sorted(constraints, key=lambda c: c.key)
     cand = _initial_candidates(constraints)
     sizes = []
     targets: dict = {}
@@ -252,8 +254,6 @@ def sample_nonzero_solution(
     coefficients in [-COEFF_BOUND, COEFF_BOUND].  Returns None after
     ``MAX_ATTEMPTS`` draws that gave only zero.
     """
-    constraints = sorted(constraints, key=lambda c: c.key)
-
     def random_coords(q):
         return q.reduce(
             tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(q.coords_len))

@@ -366,6 +366,65 @@ def test_search_that_gives_up_on_a_cocycle_is_returned_after_the_walk(monkeypatc
     assert calls == [z]  # the walk that found z a cocycle
 
 
+NON_SMOOTH_LEVEL_1 = [
+    os.path.join(os.path.dirname(__file__), "golden", name)
+    for name in ("weighted-p2.json", "p1xp1-mod-z2.json")
+]
+
+
+def one_monomial(slot_groups, constraints, rng, extra_points):
+    """The kernel sampler corrupted: 1 on the first slot alone.  On a
+    level-1 tuple of three or more maximal cones, its differential is 1
+    on each triple containing the tuple."""
+    slot, group = next(iter(slot_groups.items()))
+    return {slot: GroupRingElement.one(group)}
+
+
+@pytest.mark.parametrize("path", NON_SMOOTH_LEVEL_1, ids=os.path.basename)
+def test_a_sampled_cochain_that_is_no_cocycle_is_refused(monkeypatch, path):
+    monkeypatch.setattr(cech, "sample_nonzero_solution", one_monomial)
+    cx = CechComplex(build_fan(load_fan_file(path)))
+    with pytest.raises(CertificateError, match="sampled level-1 cochain is not a cocycle"):
+        cx.random_cocycle(1, random.Random(0))
+
+
+CORRUPT_SAMPLER_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from kfan import cech, cli
+    from kfan.monoids import GroupRingElement
+
+    if __debug__:
+        sys.exit("run this under python -O")
+
+    def one_monomial(slot_groups, constraints, rng, extra_points):
+        slot, group = next(iter(slot_groups.items()))
+        return {slot: GroupRingElement.one(group)}
+
+    cech.sample_nonzero_solution = one_monomial
+    for path in sys.argv[1:]:
+        argv = ["check-exactness", path, "--level", "1", "--trials", "2"]
+        print(cli.main(argv + ["--experimental-nonsmooth"]))
+    """
+)
+
+
+def test_a_sampled_cochain_that_is_no_cocycle_exits_1_under_python_O():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPT_SAMPLER_SCRIPT, *NON_SMOOTH_LEVEL_1],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
+    assert proc.stderr.count("sampled level-1 cochain is not a cocycle") == 2
+
+
 def test_verify_exactness_p1_surjectivity():
     for z, b in exactness_trials(projective_line(), 1, trials=10, seed=1):
         assert isinstance(b, Cochain)

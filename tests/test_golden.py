@@ -55,7 +55,15 @@ report whose every trial gives up, with exit 3; it was captured before
 the trial loop moved from ``kfan.cech`` into the command.  Its level-1
 cohomology is Z^2, so a random cocycle there need not be a coboundary;
 deciding exactness on simplicial fans (ROADMAP item 4) will change this
-report on purpose.
+report on purpose.  The three ``*-p1xp1-mod-z2`` reports
+(``p1xp1-mod-z2.json`` is (P1 x P1) / Z2: rays (1,1), (-1,1), (-1,-1),
+(1,-1), every maximal cone of determinant 2) were captured before the
+cover complex and the non-smooth extension search came to take their
+equations from one builder, ``kfan.sheaves.cover_system``.  They are the
+first to solve a level-1 right-hand side and the first with restriction
+equations on four maximal cones.  Its level-1 cohomology is Z, so
+``exactness-p1xp1-mod-z2-level1`` ends in exit 3 as every trial gives
+up; item 4 will change that exit on purpose too.
 
 Every report golden was re-encoded at once when reports came to be
 written as compact canonical JSON by the stdlib's C encoder
@@ -68,7 +76,10 @@ reports must say so and regenerate them from the repository root with
     PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json
 """
 
+import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -132,6 +143,9 @@ GOLDEN = {
     "exactness-ladder-12-level2": "check-exactness bench/fans/ladder-12.json --level 2 --trials 2 --seed 18",
     "flasque-ladder-12": "check-flasque bench/fans/ladder-12.json --trials 3 --seed 19",
     "exactness-p2-mod-z3-level1": "check-exactness tests/golden/p2-mod-z3.json --level 1 --trials 2 --seed 0 --experimental-nonsmooth",
+    "exactness-p1xp1-mod-z2-level1": "check-exactness tests/golden/p1xp1-mod-z2.json --level 1 --trials 3 --seed 0 --experimental-nonsmooth",
+    "exactness-p1xp1-mod-z2-level2": "check-exactness tests/golden/p1xp1-mod-z2.json --level 2 --trials 3 --seed 0 --experimental-nonsmooth",
+    "flasque-p1xp1-mod-z2": "check-flasque tests/golden/p1xp1-mod-z2.json --trials 4 --seed 5 --experimental-nonsmooth",
 }
 # the reports of these commands end in exit 1 (a non-member, with witness)
 # or in exit 3 (the support solver gave up on a non-smooth fan)
@@ -141,6 +155,7 @@ EXIT_STATUS = {
     "k0-global-p1xp1xp1-element": 1,
     "flasque-weighted-p2": 3,
     "exactness-p2-mod-z3-level1": 3,
+    "exactness-p1xp1-mod-z2-level1": 3,
 }
 
 
@@ -205,3 +220,25 @@ class Int(int):
 def test_plain_walk_refuses_what_the_encoder_would_write_anyway(value):
     with pytest.raises(AssertionError):
         assert_plain({"results": value})
+
+
+def test_the_same_seed_sweep_hashes_each_run_of_p1(monkeypatch, capsys):
+    # tests/same_seed_sweep.py compares two checkouts: on P1 it runs level
+    # 1 and check-flasque at three seeds, each line the sha256 of what the
+    # run printed
+    monkeypatch.chdir(ROOT)
+    script = os.path.join("tests", "same_seed_sweep.py")
+    proc = subprocess.run(
+        [sys.executable, script, "fans/p1.json"], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    commands = ["check-exactness fans/p1.json --level 1", "check-flasque fans/p1.json"]
+    argvs = [f"{cmd} --trials 3 --seed {seed} --json" for cmd in commands for seed in range(3)]
+    lines = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert [argv for argv, *_ in lines] == argvs
+    empty = hashlib.sha256(b"").hexdigest()
+    for argv, status, out, err in lines:
+        assert (status, err) == ("exit=0", f"stderr={empty}")
+        assert main(argv.split()) == 0
+        report = capsys.readouterr().out.encode()
+        assert out == f"stdout={hashlib.sha256(report).hexdigest()}"

@@ -28,7 +28,13 @@ from kfan.cones import Fan
 from kfan.fanfile import build_fan, load_fan_file
 from kfan.intlinalg import IntMatrix, Lattice, QuotientSurjection
 from kfan.monoids import GroupRingElement
-from kfan.sheaves import Section, first_disagreement, random_open_subfan, random_section
+from kfan.sheaves import (
+    Section,
+    cover_system,
+    first_disagreement,
+    random_open_subfan,
+    random_section,
+)
 from test_constructive import random_smooth_fans
 from test_fan_construction import ladder
 
@@ -168,7 +174,9 @@ def test_plan_faces_are_the_incidences(name, make):
     # as the meet's restriction to itself
     cx = CechComplex(make())
     for level in range(0, min(cx.top_level, 3)):
-        constraints = cx._d_constraints(level, {})
+        slots, constraints = cover_system(cx.sheaf, cx.fan.max_ids, level, {})
+        assert list(slots) == list(cx.level_tuples(level))
+        assert all(slots[s] is cx.stalk(s) for s in slots)
         assert [c.key for c in constraints] == list(cx.level_tuples(level + 1))
         for c in constraints:
             t, meet = c.key, cx.cone_of(c.key)

@@ -390,6 +390,60 @@ def test_a_sampled_family_that_is_no_section_is_refused(monkeypatch, make, produ
         random_section(sheaf, sheaf.fan.full_subfan(), random.Random(0))
 
 
+# the non-smooth fan files with two or more maximal cones
+NON_SMOOTH_COVERS = [
+    os.path.join(os.path.dirname(__file__), "golden", name)
+    for name in ("weighted-p2.json", "p2-mod-z3.json", "p1xp1-mod-z2.json", "cube.json")
+]
+
+
+def cover_equations_hold(section, cones) -> bool:
+    """Does the family satisfy the level-0 equations d(x) = 0 that
+    ``cover_system`` states on the cover of its domain by ``cones``, the
+    domain's maximal cones in any order?  Each equation is summed term
+    by term."""
+    _slots, constraints = sheaves.cover_system(section.sheaf, cones, 0, {})
+    x = {(i,): section.values[c] for i, c in enumerate(cones)}
+    for c in constraints:
+        total = GroupRingElement.zero(c.target)
+        for s, sign, phi in c.terms:
+            pushed = x[s].pushforward(phi)
+            total = total + pushed if sign > 0 else total - pushed
+        if total != c.rhs:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("path", NON_SMOOTH_COVERS, ids=os.path.basename)
+def test_a_family_is_a_section_exactly_when_its_cover_equations_hold(path):
+    # sampled sections, the same with 1 added on one cone, and random
+    # characters cone by cone, on random open subfans, the cover taken
+    # in a random order
+    fan = build_fan(load_fan_file(path))
+    sheaf = sheaf_a0(fan)
+    assert not sheaf.smooth
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(6):
+        domain = random_open_subfan(fan, rng)
+        ids = domain.max_ids()
+        member = random_section(sheaf, domain, rng).values
+        first = ids[0]
+        shifted = {**member, first: member[first] + GroupRingElement.one(member[first].group)}
+        characters = {
+            c: GroupRingElement.character(
+                sheaf.stalk_at(c), [rng.randint(-1, 1) for _ in range(fan.lattice.rank)]
+            )
+            for c in ids
+        }
+        for values in (member, shifted, characters):
+            section = Section.by_id(sheaf, domain, values)
+            verdict = section.check()
+            assert cover_equations_hold(section, rng.sample(ids, len(ids))) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def every_fan():
     """Every fan file in fans/ and bench/fans/, and a weighted P2."""
     here = os.path.dirname(__file__)

@@ -14,7 +14,7 @@ from kfan.catalog import hirzebruch, p1_times_p1, projective_plane
 from kfan.cech import CechComplex, Cochain
 from kfan.cli import main
 from kfan.intlinalg import IntMatrix, kernel, solve
-from kfan.sheaves import FanSheaf
+from kfan.sheaves import FanSheaf, cover_system
 
 
 def _slot_pairs(constraints) -> int:
@@ -44,10 +44,7 @@ def kernel_cocycle(cx, level, rng) -> Cochain:
     the arguments ``random_cocycle`` passes it on non-smooth fans, also
     on a smooth fan."""
     found = support_solver.sample_nonzero_solution(
-        {t: cx.stalk(t) for t in cx.level_tuples(level)},
-        cx._d_constraints(level, {}),
-        rng,
-        extra_points=3,
+        *cover_system(cx.sheaf, cx.fan.max_ids, level, {}), rng, extra_points=3
     )
     assert found is not None
     return Cochain(cx, level, found)
@@ -85,9 +82,7 @@ def test_expand_reduces_each_stacked_pair_once(monkeypatch):
             for _ in range(3):
                 z = kernel_cocycle(cx, level, rng)
                 outcome = support_solver.solve_pushforward_system(
-                    {s: cx.stalk(s) for s in cx.level_tuples(level - 1)},
-                    cx._d_constraints(level - 1, z.components),
-                    3,
+                    *cover_system(cx.sheaf, cx.fan.max_ids, level - 1, z.components), 3
                 )
                 assert not isinstance(outcome, support_solver.SolverGaveUp)
                 assert cx.d(Cochain(cx, level - 1, outcome[0])) == z
