@@ -318,12 +318,12 @@ def cmd_check_flasque(args) -> JobReport:
         else:
             extended += 1
             entry["extended"] = True
-            witnesses.append(
-                {
-                    "problem": section_to_jsonable(section),
-                    "extension": section_to_jsonable(outcome),
-                }
-            )
+            problem = section_to_jsonable(section)
+            # extend_section checked that outcome restricts to section, so
+            # the two agree on the cones they share: those are written once
+            shared = dict(problem["components"])
+            extension = section_to_jsonable(outcome, shared)
+            witnesses.append({"problem": problem, "extension": extension})
         trials.append(entry)
     all_ok = extended == args.trials
     results = {"all_extended": all_ok, "extended": extended, "trials": args.trials}

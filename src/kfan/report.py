@@ -16,13 +16,15 @@ The ``*_to_jsonable`` functions here write every value a report carries.
 A smooth fan's stalk elements, kept in ray coordinates, are written and
 read in the coordinates of the character groups, through each stalk's
 ray chart (``kfan.sheaves.RayStalk.chart``): on a smooth fan, only here.
+Keys go through its unrolled maps (``RayStalk.chart_maps``), a read key
+checked for length first.  A ``check-flasque`` witness writes the
+components its extension shares with its problem once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import mul
 
 from .cech import Cochain
 from .fanfile import is_int, is_int_list
@@ -42,8 +44,8 @@ def element_to_jsonable(el: GroupRingElement) -> list:
     stalk's ray chart."""
     if not isinstance(el.group, RayStalk):
         return [[list(coords), coeff] for coords, coeff in sorted(el.terms.items())]
-    rows = el.group.chart()[1].rows
-    return sorted([[[sum(map(mul, r, e)) for r in rows], k] for e, k in el.terms.items()])
+    to_smith = el.group.chart_maps()[1]
+    return sorted([[to_smith(e), k] for e, k in el.terms.items()])
 
 
 def element_from_jsonable(group, data) -> GroupRingElement:
@@ -51,7 +53,9 @@ def element_from_jsonable(group, data) -> GroupRingElement:
     must be JSON integers (see ``fanfile.is_int``), never coerced.  The
     shape is checked before a term is unpacked: a list of two-entry
     lists.  Coordinates are those ``element_to_jsonable`` writes, read
-    into a ``RayStalk`` through T of the stalk's ray chart."""
+    into a ``RayStalk`` through T of the stalk's ray chart, each key
+    checked for length (``RayStalk.reduce``) before the unrolled map
+    reads it."""
     if not isinstance(data, list):
         raise ValueError(f"element {data!r} is not a list of [integer list, integer] terms")
     terms = {}
@@ -64,8 +68,8 @@ def element_from_jsonable(group, data) -> GroupRingElement:
         key = tuple(coords)
         terms[key] = terms.get(key, 0) + coeff
     if isinstance(group, RayStalk):
-        chart = group.chart()[0].apply
-        terms = {chart(group.reduce(e)): k for e, k in terms.items()}
+        to_rays = group.chart_maps()[0]
+        terms = {tuple(to_rays(group.reduce(e))): k for e, k in terms.items()}
     return GroupRingElement(group, terms)
 
 
@@ -99,12 +103,16 @@ def cochain_from_jsonable(complex, data) -> Cochain:
     return Cochain(complex, level, comps)
 
 
-def section_to_jsonable(section) -> dict:
-    """A section as its domain's cone ids and its values, by cone id."""
-    return {
-        "domain_cone_ids": sorted(section.domain.ids),
-        "components": [[c, element_to_jsonable(v)] for c, v in sorted(section.values.items())],
-    }
+def section_to_jsonable(section, written: dict | None = None) -> dict:
+    """A section as its domain's cone ids and its values, by cone id.
+    ``written`` maps cone ids to values already written, taken as they
+    are: the caller vouches that the section has those values there."""
+    written = written or {}
+    comps = [
+        [c, written[c] if c in written else element_to_jsonable(v)]
+        for c, v in sorted(section.values.items())
+    ]
+    return {"domain_cone_ids": sorted(section.domain.ids), "components": comps}
 
 
 def h0_to_jsonable(fan, section) -> dict:

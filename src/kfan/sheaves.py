@@ -59,6 +59,7 @@ from .intlinalg import (
     QuotientLattice,
     QuotientSurjection,
     adjugate,
+    applier,
     canonical_surjection,
     det,
     picker,
@@ -82,9 +83,9 @@ class RayStalk:
     M_sigma onto Z^k, as the rays extend to a basis of N.  Equal for
     equal cones.  ``cone_id`` is the cone's number in its fan, and
     ``chart`` carries ray coordinates onto those of its character
-    group."""
+    group; ``chart_maps`` applies it to a key."""
 
-    __slots__ = ("cone", "cone_id", "coords_len", "free_rank", "_chart")
+    __slots__ = ("cone", "cone_id", "coords_len", "free_rank", "_chart", "_maps")
     invariant_factors = ()
     is_free = True
 
@@ -113,7 +114,8 @@ class RayStalk:
         (``Cone.character_quotient``) to ray coordinates (R the ray
         matrix, in ``rays`` order), and T^-1 = det(T) * adj(T) by
         cofactors.  Built once per stalk and checked: det T = +-1,
-        T * projection = R and T * T^-1 = I."""
+        T * projection = R and T * T^-1 = I; ``chart_maps`` is built
+        with it."""
         if self._chart is None:
             q = self.cone.character_quotient()
             sigma, k = self.cone, self.coords_len
@@ -126,7 +128,16 @@ class RayStalk:
             if t @ q.projection != ray_matrix or t @ t_inv != IntMatrix.identity(k):
                 raise CertificateError(f"ray chart of {sigma!r} fails its cross-check")
             self._chart = (t, t_inv)
+            self._maps = (applier(t), applier(t_inv))
         return self._chart
+
+    def chart_maps(self):
+        """The maps v -> T v and v -> T^-1 v of ``chart``, unrolled
+        (``intlinalg.applier``): each takes a key of the right length
+        to a list."""
+        if self._chart is None:
+            self.chart()
+        return self._maps
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, RayStalk) and self.cone == other.cone)

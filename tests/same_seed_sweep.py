@@ -8,11 +8,12 @@ On the fan files in ``fans/``, ``bench/fans/`` and ``tests/golden/``
 ``check-exactness`` at levels 1 to min(top, 3), top being the number of
 maximal cones less one, and ``check-flasque``, each with ``--trials 3``
 at seeds 0 to 2 and ``--json``, adding ``--experimental-nonsmooth`` on
-non-smooth fans.  Each run is its own process, started in the
-repository root on this checkout's ``src`` and stopped by SIGALRM after
-``ALARM_S`` seconds (the cube's face fan runs past it), so its exit code
-is then -14.  Each line holds the argv, the exit code and the sha256 of
-the run's stdout and of its stderr.  A change that keeps same-seed
+non-smooth fans, and ``k0-global --sample 3`` (the global-section
+writer) at seeds 0 to 2 with ``--json``.  Each run is its own process,
+started in the repository root on this checkout's ``src`` and stopped by
+SIGALRM after ``ALARM_S`` seconds (the cube's face fan runs past it), so
+its exit code is then -14.  Each line holds the argv, the exit code and
+the sha256 of the run's stdout and of its stderr.  A change that keeps same-seed
 reports prints the same lines as its parent: run the script in both
 checkouts and diff the outputs.  pytest does not collect this file.
 """
@@ -63,11 +64,13 @@ def runs(fan_file: str) -> list[list[str]]:
     levels = range(1, min(len(fan.max_cones) - 1, MAX_LEVEL) + 1)
     commands = [["check-exactness", fan_file, "--level", str(p)] for p in levels]
     commands.append(["check-flasque", fan_file])
-    return [
+    checks = [
         cmd + ["--trials", "3", "--seed", str(seed), "--json"] + extra
         for cmd in commands
         for seed in SEEDS
     ]
+    sample = ["k0-global", fan_file, "--sample", "3"]
+    return checks + [sample + ["--seed", str(seed), "--json"] for seed in SEEDS]
 
 
 def sweep_line(argv: list[str]) -> str:

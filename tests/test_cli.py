@@ -335,6 +335,15 @@ def test_k0_global_element_follows_the_integer_rule(fanfile, element):
     assert run(["k0-global", fanfile(P1), "--element", text]) == 2
 
 
+@pytest.mark.parametrize("key", [[0, 0, 7], [0]], ids=["too-long", "too-short"])
+def test_k0_global_element_key_of_the_wrong_length_is_an_input_error(fanfile, capsys, key):
+    # a smooth stalk reads a key through an unrolled map, which would take
+    # the too-long key for its prefix (0, 0), and the element for a member
+    text = json.dumps({"0": [[key, 1]], "1": [[[0, 0], 1]], "2": [[[0, 0], 1]]})
+    assert run(["k0-global", fanfile(P2), "--element", text]) == 2
+    assert "bad coordinate length" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fan, level", [(P1, "2"), (P2, "0")])
 def test_check_exactness_level_out_of_range_is_an_input_error(fanfile, fan, level):
     assert run(["check-exactness", fanfile(fan), "--level", level]) == 2

@@ -224,8 +224,8 @@ def test_plain_walk_refuses_what_the_encoder_would_write_anyway(value):
 
 def test_the_same_seed_sweep_hashes_each_run_of_p1(monkeypatch, capsys):
     # tests/same_seed_sweep.py compares two checkouts: on P1 it runs level
-    # 1 and check-flasque at three seeds, each line the sha256 of what the
-    # run printed
+    # 1, check-flasque and k0-global at three seeds, each line the sha256
+    # of what the run printed
     monkeypatch.chdir(ROOT)
     script = os.path.join("tests", "same_seed_sweep.py")
     proc = subprocess.run(
@@ -234,6 +234,7 @@ def test_the_same_seed_sweep_hashes_each_run_of_p1(monkeypatch, capsys):
     assert proc.returncode == 0, proc.stderr
     commands = ["check-exactness fans/p1.json --level 1", "check-flasque fans/p1.json"]
     argvs = [f"{cmd} --trials 3 --seed {seed} --json" for cmd in commands for seed in range(3)]
+    argvs += [f"k0-global fans/p1.json --sample 3 --seed {seed} --json" for seed in range(3)]
     lines = [line.split("\t") for line in proc.stdout.splitlines()]
     assert [argv for argv, *_ in lines] == argvs
     empty = hashlib.sha256(b"").hexdigest()

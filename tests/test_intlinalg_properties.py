@@ -24,6 +24,7 @@ from kfan.intlinalg import (
     TRANSFORMS,
     IntMatrix,
     Lattice,
+    applier,
     canonical_surjection,
     det,
     kernel,
@@ -317,3 +318,16 @@ def test_surjection_onto_free_target_is_split_by_its_lift(source, data):
     with pytest.raises(ValueError):
         phi.apply(tuple(m) + (0,))
 
+
+# like the ray charts of smooth cones, whose entries are mostly 0/+-1
+SIGNED_UNITS = st.sampled_from([0, 0, 0, 1, -1])
+
+
+@SETTINGS
+@given(st.integers(0, 6), st.sampled_from([DENSE, SIGNED_UNITS]), st.data())
+def test_applier_is_apply_unrolled(n, entry, data):
+    # unrolled up to 4 x 4, the generic row products above
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    a = IntMatrix(data.draw(square), ncols=n)
+    v = tuple(data.draw(st.lists(st.integers(), min_size=n, max_size=n)))
+    assert applier(a)(v) == list(a.apply(v))

@@ -12,6 +12,7 @@ import tracemalloc
 
 import pytest
 
+from kfan import cli
 from kfan.cech import CechComplex
 from kfan.cli import run
 from kfan.fanfile import build_fan, load_fan_file
@@ -22,6 +23,7 @@ from kfan.report import (
     cochain_to_jsonable,
     element_from_jsonable,
     element_to_jsonable,
+    section_to_jsonable,
 )
 from kfan.sheaves import sheaf_a0
 from test_golden import assert_plain
@@ -147,10 +149,16 @@ def test_cochain_tuple_shape_is_checked_before_its_stalk(p2_complex, cocycle, ba
 
 
 @pytest.mark.parametrize(
-    "path", ["fans/p2.json", "bench/fans/ladder-12.json", "tests/golden/p4.json"]
+    "path",
+    [
+        "fans/p2.json",
+        "bench/fans/ladder-12.json",
+        "bench/fans/p1xp1xp1.json",  # charts that are signed permutations
+        "tests/golden/p4.json",
+    ],
 )
 def test_element_writes_match_the_chart_term_by_term(path):
-    # every size of element, one pass over the rows of T^-1, against T^-1 per term
+    # every size of element, through the unrolled map of T^-1, against T^-1 per term
     sheaf = sheaf_a0(build_fan(load_fan_file(os.path.join(ROOT, path))))
     rng = random.Random(path)
     for cone in sheaf.fan.cones:
@@ -162,3 +170,26 @@ def test_element_writes_match_the_chart_term_by_term(path):
             expected = sorted([list(inverse.apply(e)), k] for e, k in el.terms.items())
             assert element_to_jsonable(el) == expected
             assert element_from_jsonable(group, expected) == el
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_flasque_witness_writes_what_its_extension_shares_once(monkeypatch, seed):
+    # the extension's components on the problem's cones are the problem's
+    # written lists, and the bytes are those of writing each section alone
+    argv = ["check-flasque", os.path.join(ROOT, "bench", "fans", "p1xp1xp1.json")]
+    argv += ["--trials", "10", "--seed", str(seed)]
+    rep = run(argv)
+    shared = 0
+    for witness in rep.certificates["witnesses"]:
+        problem = dict(witness["problem"]["components"])
+        for c, value in witness["extension"]["components"]:
+            if c in problem:
+                assert value is problem[c]
+                shared += 1
+    assert shared
+
+    def alone(section, *_):
+        return section_to_jsonable(section)
+
+    monkeypatch.setattr(cli, "section_to_jsonable", alone)
+    assert run(argv).to_json() == rep.to_json()

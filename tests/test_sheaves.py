@@ -2,6 +2,9 @@ import glob
 import json
 import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -388,6 +391,62 @@ def test_a_sampled_family_that_is_no_section_is_refused(monkeypatch, make, produ
     sheaf = sheaf_a0(make())
     with pytest.raises(CertificateError, match="sampled family is not a section"):
         random_section(sheaf, sheaf.fan.full_subfan(), random.Random(0))
+
+
+def every_meet_is_the_zero_cone(fan, i, j):
+    """``Fan.meet_id`` gone wrong: the pair scan of ``first_disagreement``
+    then compares augmentations only, where the incidence walk, which
+    reads the faces, still sees each true meet."""
+    return fan.index_of(zero_cone(fan.lattice))
+
+
+def test_a_disagreement_that_no_pair_has_is_refused(monkeypatch):
+    # x^(1,0) on cone 0 and 1 elsewhere differ on a ray of cone 0, and
+    # have the same augmentation
+    fan = projective_plane()
+    ring = H0Ring(fan)
+    values = {c: GroupRingElement.one(ring.sheaf.stalk_at(c)) for c in fan.max_ids}
+    first = fan.max_ids[0]
+    values[first] = GroupRingElement(ring.sheaf.stalk_at(first), {(1, 0): 1})
+    section = Section.by_id(ring.sheaf, ring.domain, values)
+    monkeypatch.setattr(Fan, "meet_id", every_meet_is_the_zero_cone)
+    with pytest.raises(CertificateError, match="found a disagreement that no pair has"):
+        ring.membership(section)
+
+
+DISAGREEMENT_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from kfan import cli, cones
+
+    if __debug__:
+        sys.exit("run this under python -O")
+
+    def every_meet_is_the_zero_cone(fan, i, j):
+        return fan.index_of(cones.zero_cone(fan.lattice))
+
+    cones.Fan.meet_id = every_meet_is_the_zero_cone
+    print(cli.main(["k0-global", sys.argv[1], "--element", sys.argv[2]]))
+    """
+)
+
+
+def test_a_disagreement_that_no_pair_has_exits_1_under_python_O():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    p2 = os.path.join(os.path.dirname(__file__), os.pardir, "fans", "p2.json")
+    element = json.dumps({"0": [[[1, 0], 1]], "1": [[[0, 0], 1]], "2": [[[0, 0], 1]]})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", DISAGREEMENT_SCRIPT, p2, element],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
+    assert "found a disagreement that no pair has" in proc.stderr
 
 
 # the non-smooth fan files with two or more maximal cones
