@@ -326,7 +326,7 @@ SIGNED_UNITS = st.sampled_from([0, 0, 0, 1, -1])
 @SETTINGS
 @given(st.integers(0, 6), st.sampled_from([DENSE, SIGNED_UNITS]), st.data())
 def test_applier_is_apply_unrolled(n, entry, data):
-    # unrolled up to 4 x 4, the generic row products above
+    # unrolled for sizes 1 to 3, the generic row products for 0 and above 3
     square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
     a = IntMatrix(data.draw(square), ncols=n)
     v = tuple(data.draw(st.lists(st.integers(), min_size=n, max_size=n)))
