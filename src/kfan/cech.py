@@ -9,7 +9,10 @@ fan): a level-0 cochain is a cocycle exactly when its components agree
 on every pairwise meet, which ``kfan.sheaves.first_disagreement`` asks.
 
 Level p holds one slot per strictly increasing (p+1)-tuple of
-maximal-cone indices, valued in the stalk at the tuple's meet.  The
+maximal-cone indices, valued in the stalk at the tuple's meet, the one
+group object the sheaf keeps for that cone: a component must live over
+that object, not over an equal copy.  No level is listed: a tuple is
+checked by its shape, and a cochain keeps only its support.  The
 differential is the alternating signed sum of restrictions over the
 fixed order of the maximal cones (only level zero is forced by the
 geometry), and d . d = 0 by telescoping.  It walks the pairs (s, i) of
@@ -41,7 +44,6 @@ which states a section's compatibility too, and list no level.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from typing import Sequence
 
 from .cones import Cone, Fan
@@ -78,8 +80,9 @@ class NotACocycle(Exception):
 
 
 class CechComplex:
-    """Tuples, stalks and incidence surjections for the maximal-cone
-    cover of a fan, each found when first asked for."""
+    """The maximal-cone cover of a fan: a tuple's meet and stalk are
+    found when first asked for, and a tuple is checked by its shape, so
+    no level is listed."""
 
     __slots__ = ("fan", "sheaf", "top_level", "tuples", "_meets", "_max_rays")
 
@@ -87,18 +90,11 @@ class CechComplex:
         self.fan = fan
         self.sheaf = sheaf_a0(fan)
         self.top_level = len(fan.max_cones) - 1
-        self.tuples = {}  # level -> its tuples, listed on first read
+        # no level is listed: always empty, kept for the benchmark's
+        # ``cech.tuples`` counter, which reads it (ROADMAP item 1 retires it)
+        self.tuples = {}
         self._meets = {(i,): cone for i, cone in enumerate(fan.max_ids)}  # tuple -> cone number
         self._max_rays = [fan.ray_sets[cone] for cone in fan.max_ids]
-
-    def level_tuples(self, p: int) -> tuple:
-        """The strictly increasing (p+1)-tuples of maximal-cone indices,
-        in lexicographic order, listed on first read and kept."""
-        if p not in self.tuples:
-            if not 0 <= p <= self.top_level:
-                raise LevelOverflow(f"no level {p} in this complex")
-            self.tuples[p] = tuple(combinations(range(self.top_level + 1), p + 1))
-        return self.tuples[p]
 
     def cone_of(self, t: tuple) -> Cone:
         return self.fan.cones[self.meet_id(t)]
@@ -259,7 +255,7 @@ class Cochain:
             t = tuple(t)
             if not complex.is_level_tuple(t, level):
                 raise ValueError(f"{t} is not a level-{level} tuple")
-            if val.group != complex.stalk(t):
+            if val.group is not complex.stalk(t):
                 raise ValueError(f"component at {t} lives over the wrong group")
             if not val.is_zero():
                 comps[t] = val

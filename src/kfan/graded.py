@@ -114,7 +114,7 @@ def extend_scalars_class(
     M/U(A) -> M/U(A')."""
     if not source.is_submonoid_of(target):
         raise NotASubmonoid("source monoid is not contained in the target")
-    if x.value.group != source.coset_quotient:
+    if x.value.group is not source.coset_quotient:
         raise ValueError("class does not live over the source monoid")
     phi = canonical_surjection(source.coset_quotient, target.coset_quotient)
     return KClass(x.coeff, x.value.pushforward(phi))

@@ -566,7 +566,9 @@ class QuotientLattice:
     equality of quotient elements is plain tuple comparison.  ``projection``
     maps ambient vectors onto raw coordinates (reduce afterwards);
     ``section`` is a right inverse used to lift coordinates back to the
-    ambient lattice.
+    ambient lattice.  Build it through ``quotient``, which keeps one per
+    (ambient, relations): a group is its object, so one built by hand
+    with the same fields is a different group.
     """
 
     __slots__ = (
@@ -632,24 +634,6 @@ class QuotientLattice:
     def is_relation(self, v: Sequence[int]) -> bool:
         return self.project(v) == self.zero()
 
-    def _key(self):
-        return (
-            self.ambient,
-            self.relations,
-            self.invariant_factors,
-            self.free_rank,
-            self.projection,
-            self.section,
-        )
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, QuotientLattice) and self._key() == other._key()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         parts = [f"Z/{d}" for d in self.invariant_factors]
         if self.free_rank:
@@ -662,7 +646,9 @@ def quotient(ambient: Lattice, relations: IntMatrix) -> QuotientLattice:
     """The quotient of Z^n by the subgroup generated by the relation rows:
     one kept instance per (ambient, relations), since both and the
     result are immutable, so every reader of a perp lattice shares its
-    group and its one Smith reduction."""
+    group and its one Smith reduction.  Group-ring elements compare
+    their groups by identity, so equal relations must give this one
+    instance."""
     if relations.ncols != ambient.rank:
         raise ValueError(
             f"relations have {relations.ncols} columns, ambient rank is {ambient.rank}"

@@ -364,7 +364,7 @@ class GroupRingElement:
         return cls(group, {group.project(ambient_vector): 1})
 
     def _check(self, other: "GroupRingElement") -> None:
-        if self.group != other.group:
+        if self.group is not other.group:
             raise GroupMismatch("elements live over different groups")
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
@@ -409,7 +409,7 @@ class GroupRingElement:
     def pushforward(self, phi: QuotientSurjection) -> "GroupRingElement":
         """Linear extension of chi^q -> chi^{phi(q)}; a ring map, through
         ``phi.apply`` on each term's key."""
-        if phi.source is not self.group and phi.source != self.group:
+        if phi.source is not self.group:
             raise GroupMismatch("surjection source does not match the element group")
         apply = phi.apply
         terms: dict[Vec, int] = {}
@@ -427,7 +427,7 @@ class GroupRingElement:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupRingElement)
-            and self.group == other.group
+            and self.group is other.group
             and self.terms == other.terms
         )
 

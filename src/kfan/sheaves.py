@@ -80,10 +80,12 @@ from .support_solver import (
 class RayStalk:
     """The stalk group at a cone of a smooth fan, in ray coordinates: with
     rays v_1..v_k (in ``rays`` order), m -> (<m,v_1>, .., <m,v_k>) maps
-    M_sigma onto Z^k, as the rays extend to a basis of N.  Equal for
-    equal cones.  ``cone_id`` is the cone's number in its fan, and
-    ``chart`` carries ray coordinates onto those of its character
-    group; ``chart_maps`` applies it to a key."""
+    M_sigma onto Z^k, as the rays extend to a basis of N.  The fan's
+    one sheaf keeps one per cone, and a group is its object: a stalk of
+    a second fan built from the same data is a different group.
+    ``cone_id`` is the cone's number in its fan, and ``chart`` carries
+    ray coordinates onto those of its character group; ``chart_maps``
+    applies it to a key."""
 
     __slots__ = ("cone", "cone_id", "coords_len", "free_rank", "_chart", "_maps")
     invariant_factors = ()
@@ -138,12 +140,6 @@ class RayStalk:
         if self._chart is None:
             self.chart()
         return self._maps
-
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, RayStalk) and self.cone == other.cone)
-
-    def __hash__(self) -> int:
-        return hash(self.cone)
 
 
 class RayRestriction:
@@ -323,7 +319,7 @@ class Section:
             if c not in values:
                 raise ValueError(f"missing component at {sheaf.fan.cones[c]!r}")
             val = values[c]
-            if val.group is not (group := sheaf.stalk_at(c)) and val.group != group:
+            if val.group is not sheaf.stalk_at(c):
                 raise ValueError(f"component at {sheaf.fan.cones[c]!r} lives over the wrong group")
             comps[c] = val
         if len(comps) != len(values):

@@ -9,13 +9,17 @@ On the fan files in ``fans/``, ``bench/fans/`` and ``tests/golden/``
 maximal cones less one, and ``check-flasque``, each with ``--trials 3``
 at seeds 0 to 2 and ``--json``, adding ``--experimental-nonsmooth`` on
 non-smooth fans, and ``k0-global --sample 3`` (the global-section
-writer) at seeds 0 to 2 with ``--json``.  Each run is its own process,
-started in the repository root on this checkout's ``src`` and stopped by
-SIGALRM after ``ALARM_S`` seconds (the cube's face fan runs past it), so
-its exit code is then -14.  Each line holds the argv, the exit code and
-the sha256 of the run's stdout and of its stderr.  A change that keeps same-seed
-reports prints the same lines as its parent: run the script in both
-checkouts and diff the outputs.  pytest does not collect this file.
+writer) at seeds 0 to 2 with ``--json``.  The readers of the quotient
+layer follow, each with ``--json``: ``info``, then for every cone id i
+``k0-affine --cone i``, ``hilbert --cone i`` and ``kclass --fan FAN
+--cone i`` with the shifts 0 and the first unit vector.  Each run is
+its own process, started in the repository root on this checkout's
+``src`` and stopped by SIGALRM after ``ALARM_S`` seconds (the cube's
+face fan runs past it), so its exit code is then -14.  Each line holds
+the argv, the exit code and the sha256 of the run's stdout and of its
+stderr.  A change that keeps same-seed reports prints the same lines as
+its parent: run the script in both checkouts and diff the outputs.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -70,7 +74,17 @@ def runs(fan_file: str) -> list[list[str]]:
         for seed in SEEDS
     ]
     sample = ["k0-global", fan_file, "--sample", "3"]
-    return checks + [sample + ["--seed", str(seed), "--json"] for seed in SEEDS]
+    samples = [sample + ["--seed", str(seed), "--json"] for seed in SEEDS]
+    n = fan.lattice.rank
+    shifts = json.dumps([[0] * n, [1] + [0] * (n - 1)], separators=(",", ":"))
+    readers = [["info", fan_file, "--json"]]
+    for i in map(str, range(len(fan.cones))):
+        readers += [
+            ["k0-affine", fan_file, "--cone", i, "--json"],
+            ["hilbert", fan_file, "--cone", i, "--json"],
+            ["kclass", "--fan", fan_file, "--cone", i, "--shifts", shifts, "--json"],
+        ]
+    return checks + samples + readers
 
 
 def sweep_line(argv: list[str]) -> str:

@@ -29,7 +29,7 @@ from kfan.sheaves import (
     random_section,
     sheaf_a0,
 )
-from test_cech import exactness_trials
+from test_cech import exactness_trials, level_tuples
 
 Z1, Z2, Z3 = Lattice(1), Lattice(2), Lattice(3)
 K = CoefficientSpec("k")
@@ -203,7 +203,7 @@ def test_criterion_4_differential_squares_to_zero():
                     continue
                 level = rng.choice(levels)
                 comps = {}
-                for t in cx.level_tuples(level):
+                for t in level_tuples(cx, level):
                     q = cx.stalk(t)
                     terms = {
                         tuple(

@@ -183,6 +183,32 @@ def ray_chart_corrupted_inverse():
         sheaf.stalk(cone).chart()
 
 
+def dual_rank_and_kernel_rank_disagree():
+    # the kernel loses its one row: the plane's rays have rank 2 in Z^3,
+    # but its dual would have no lineality
+    kernel = cones.kernel
+
+    def dropped_row(a):
+        k = kernel(a)
+        return IntMatrix(k.rows[:-1], ncols=k.ncols)
+
+    with patched(cones, "kernel", dropped_row):
+        Cone.from_rays(Lattice(3), [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+
+
+def meet_contains_a_line():
+    # the dual of the meet's facets is handed a lineality row
+    a = Cone.from_rays(Lattice(3), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    b = Cone.from_rays(Lattice(3), [(1, 0, 0), (0, 1, 0), (1, 1, 1)])
+    generators = cones.dual_ray_generators
+
+    def with_a_line(vectors, rank):
+        return [(0, 0, 1)], generators(vectors, rank)[1]
+
+    with patched(cones, "dual_ray_generators", with_a_line):
+        a.intersection(b)
+
+
 CASES = {
     fn.__name__: fn
     for fn in (
@@ -205,6 +231,8 @@ CASES = {
         simplicial_lineality_meets_rays,
         ray_chart_not_unimodular,
         ray_chart_corrupted_inverse,
+        dual_rank_and_kernel_rank_disagree,
+        meet_contains_a_line,
     )
 }
 
@@ -238,6 +266,8 @@ EXPECTED = {
     "simplicial_lineality_meets_rays": "CertificateError",
     "ray_chart_not_unimodular": "CertificateError",
     "ray_chart_corrupted_inverse": "CertificateError",
+    "dual_rank_and_kernel_rank_disagree": "CertificateError",
+    "meet_contains_a_line": "CertificateError",
 }
 
 

@@ -857,6 +857,11 @@ WRONG_SOLVER_SCRIPT = textwrap.dedent(
     cones.dual_ray_generators = dropped_facet
     print(cold(["info", square]))
     cones.dual_ray_generators = dual_ray_generators
+    # the generators span a plane in Z^3, whose kernel loses its one row
+    kernel = cones.kernel
+    cones.kernel = lambda a: intlinalg.IntMatrix(kernel(a).rows[:-1], ncols=a.ncols)
+    print(cold(["kclass", "--generators", "[[1,0,0],[0,1,0]]", "--shifts", "[[0,0,0]]"]))
+    cones.kernel = kernel
     # independent rays take the pairing check instead
     cones.normal_vector = lambda a: (1,) * a.ncols
     print(cold(["info", path]))
@@ -892,8 +897,8 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1"] * 14
-    assert proc.stderr.count("certificate failed its re-check") == 14
+    assert proc.stdout.split() == ["1"] * 15
+    assert proc.stderr.count("certificate failed its re-check") == 15
     assert "the right-hand side has nonzero differential" in proc.stderr
     assert "fails its cross-check" in proc.stderr
     assert proc.stderr.count("witness fails d(b) = z") == 2
@@ -906,6 +911,7 @@ def test_wrong_witness_is_caught_under_python_O(fanfile):
     assert "cut out a line" in proc.stderr
     assert "is not one of its rays" in proc.stderr
     assert "fails the pairing check" in proc.stderr
+    assert "rank 2 and kernel rank 0 disagree in Z^3" in proc.stderr
 
 
 def doubled_projection(ambient, relations):

@@ -224,8 +224,9 @@ def test_plain_walk_refuses_what_the_encoder_would_write_anyway(value):
 
 def test_the_same_seed_sweep_hashes_each_run_of_p1(monkeypatch, capsys):
     # tests/same_seed_sweep.py compares two checkouts: on P1 it runs level
-    # 1, check-flasque and k0-global at three seeds, each line the sha256
-    # of what the run printed
+    # 1, check-flasque and k0-global at three seeds, then info and, on
+    # each of the three cones, k0-affine, hilbert and kclass, each line
+    # the sha256 of what the run printed
     monkeypatch.chdir(ROOT)
     script = os.path.join("tests", "same_seed_sweep.py")
     proc = subprocess.run(
@@ -235,6 +236,13 @@ def test_the_same_seed_sweep_hashes_each_run_of_p1(monkeypatch, capsys):
     commands = ["check-exactness fans/p1.json --level 1", "check-flasque fans/p1.json"]
     argvs = [f"{cmd} --trials 3 --seed {seed} --json" for cmd in commands for seed in range(3)]
     argvs += [f"k0-global fans/p1.json --sample 3 --seed {seed} --json" for seed in range(3)]
+    argvs.append("info fans/p1.json --json")
+    for i in range(3):
+        argvs += [
+            f"k0-affine fans/p1.json --cone {i} --json",
+            f"hilbert fans/p1.json --cone {i} --json",
+            f"kclass --fan fans/p1.json --cone {i} --shifts [[0],[1]] --json",
+        ]
     lines = [line.split("\t") for line in proc.stdout.splitlines()]
     assert [argv for argv, *_ in lines] == argvs
     empty = hashlib.sha256(b"").hexdigest()

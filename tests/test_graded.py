@@ -7,6 +7,7 @@ from kfan.graded import (
     CoefficientNotRankOne,
     CoefficientSpec,
     GradedFreeData,
+    KClass,
     coset_decomposition,
     extend_scalars_class,
     hom_rank,
@@ -15,6 +16,7 @@ from kfan.graded import (
 )
 from kfan.intlinalg import Lattice
 from kfan.monoids import AffineMonoid, GroupRingElement, NotASubmonoid
+from test_intlinalg import field_copy
 
 Z1, Z2 = Lattice(1), Lattice(2)
 K = CoefficientSpec("k")
@@ -151,6 +153,16 @@ def test_extend_scalars_to_everything_is_augmentation():
     cls = k0_class(GradedFreeData(QUADRANT, [(1, 2), (3, 4)]), K)
     moved = extend_scalars_class(cls, QUADRANT, whole)
     assert moved.value.terms == {(): 2}
+
+
+def test_extend_scalars_refuses_a_copy_of_the_source_group():
+    # a group is its object: a class over a field-for-field copy of the
+    # source's coset group does not live over the source monoid
+    cls = k0_class(GradedFreeData(QUADRANT, [(3, 5)]), K)
+    copy = field_copy(QUADRANT.coset_quotient)
+    moved = KClass(cls.coeff, GroupRingElement(copy, cls.value.terms))
+    with pytest.raises(ValueError, match="does not live over the source monoid"):
+        extend_scalars_class(moved, QUADRANT, HALFPLANE)
 
 
 def test_extend_scalars_requires_submonoid():

@@ -35,6 +35,7 @@ from kfan.sheaves import (
     random_open_subfan,
     random_section,
 )
+from test_cech import level_tuples
 from test_constructive import random_smooth_fans
 from test_fan_construction import ladder
 
@@ -94,7 +95,7 @@ def random_element(group, rng):
 def random_cochain(cx, level, rng, density):
     """Random components on about ``density`` of the tuples, and on one
     at least."""
-    tuples = cx.level_tuples(level)
+    tuples = level_tuples(cx, level)
     picked = {rng.choice(tuples)} | {t for t in tuples if rng.random() < density}
     return Cochain(cx, level, {t: random_element(cx.stalk(t), rng) for t in picked})
 
@@ -121,7 +122,7 @@ def matrix_of(phi) -> IntMatrix:
 
 def reference_d(cx, c):
     out = {}
-    for t in cx.level_tuples(c.level + 1):
+    for t in level_tuples(cx, c.level + 1):
         acc = GroupRingElement.zero(cx.stalk(t))
         for j in range(len(t)):
             s = t[:j] + t[j + 1 :]
@@ -175,9 +176,9 @@ def test_plan_faces_are_the_incidences(name, make):
     cx = CechComplex(make())
     for level in range(0, min(cx.top_level, 3)):
         slots, constraints = cover_system(cx.sheaf, cx.fan.max_ids, level, {})
-        assert list(slots) == list(cx.level_tuples(level))
+        assert list(slots) == list(level_tuples(cx, level))
         assert all(slots[s] is cx.stalk(s) for s in slots)
-        assert [c.key for c in constraints] == list(cx.level_tuples(level + 1))
+        assert [c.key for c in constraints] == list(level_tuples(cx, level + 1))
         for c in constraints:
             t, meet = c.key, cx.cone_of(c.key)
             assert c.target is cx.stalk(t)
@@ -226,7 +227,7 @@ def test_one_d_pushes_each_component_once_per_meet(monkeypatch, name):
         cx = CechComplex(fan)
         for c in (cx.random_cocycle(level, rng), random_cochain(cx, level, rng, 1.0)):
             distinct, naive = set(), 0
-            for t in cx.level_tuples(level + 1):
+            for t in level_tuples(cx, level + 1):
                 for j in range(len(t)):
                     s = t[:j] + t[j + 1 :]
                     if s in c.components:

@@ -26,6 +26,7 @@ from kfan.intlinalg import (
     solve,
 )
 from kfan.fanfile import build_fan, load_fan_file
+from kfan.monoids import GroupRingElement
 
 
 def gcd_of_minors(a: IntMatrix, k: int) -> int:
@@ -226,6 +227,23 @@ def test_quotient_lift_roundtrip():
     q = quotient(Lattice(3), IntMatrix([[2, 4, 0], [0, 6, 3]]))
     for coords in [(0,) * q.coords_len, q.project((1, 2, 3)), q.project((-5, 0, 7))]:
         assert q.project(q.lift(coords)) == q.reduce(coords)
+
+
+def field_copy(q):
+    """A ``QuotientLattice`` built by hand with the fields of q."""
+    return QuotientLattice(
+        q.ambient, q.relations, q.invariant_factors, q.free_rank, q.projection, q.section
+    )
+
+
+def test_a_quotient_is_its_object():
+    # equal relations give the one kept group; a copy with its fields is
+    # another group, and so are the elements over it
+    q = quotient(Lattice(3), IntMatrix([[2, 4, 0], [0, 6, 3]]))
+    assert quotient(Lattice(3), IntMatrix([(2, 4, 0), [0, 6, 3]])) is q
+    copy = field_copy(q)
+    assert copy != q
+    assert GroupRingElement.one(copy) != GroupRingElement.one(q)
 
 
 def test_quotient_dimension_mismatch():

@@ -29,7 +29,7 @@ from kfan.intlinalg import (
     canonical_surjection,
     quotient,
 )
-from kfan.monoids import GroupRingElement
+from kfan.monoids import GroupMismatch, GroupRingElement
 from kfan.sheaves import (
     FanSheaf,
     Section,
@@ -41,6 +41,7 @@ from kfan.sheaves import (
 from kfan.support_solver import COORD_BOUND, MAX_ATTEMPTS, SolverGaveUp
 from test_fan_construction import ladder
 from test_incidence_plan import count_pushforwards, matrix_of
+from test_intlinalg import field_copy
 from test_invariance import moved, random_unimodular
 
 Z2 = Lattice(2)
@@ -55,6 +56,39 @@ def walls(fan):
         (maximal[i], maximal[j], fan.intersection(maximal[i], maximal[j]))
         for i, j, _ in _certified_walls(fan.lattice.rank, list(maximal))
     ]
+
+
+def equal_but_distinct_stalks():
+    """(sheaf, cone number, a group equal to the stalk there but not it):
+    on a non-smooth fan a field-for-field copy of the interned stalk, on
+    a smooth fan the stalk of a twin fan built from the same file."""
+    fan = weighted_p2_fan()
+    sheaf, c = sheaf_a0(fan), fan.max_ids[0]
+    cases = [(sheaf, c, field_copy(sheaf.stalk_at(c)))]
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fans", "p2.json")
+    fan, twin = (build_fan(load_fan_file(path)) for _ in range(2))
+    sheaf, c = sheaf_a0(fan), fan.max_ids[0]
+    cases.append((sheaf, c, sheaf_a0(twin).stalk_at(c)))
+    return cases
+
+
+def test_a_section_refuses_a_component_over_an_equal_but_distinct_group():
+    for sheaf, c, other in equal_but_distinct_stalks():
+        fan = sheaf.fan
+        values = {i: GroupRingElement.one(sheaf.stalk_at(i)) for i in fan.max_ids}
+        assert Section.by_id(sheaf, fan.full_subfan(), values).values == values
+        values[c] = GroupRingElement.one(other)
+        with pytest.raises(ValueError, match="lives over the wrong group"):
+            Section.by_id(sheaf, fan.full_subfan(), values)
+
+
+def test_a_restriction_refuses_an_element_over_an_equal_but_distinct_group():
+    for sheaf, c, other in equal_but_distinct_stalks():
+        ray = min(f for f in sheaf.fan.face_ids[c] if sheaf.fan.cones[f].dim == 1)
+        phi = sheaf.restriction(sheaf.fan.cones[c], sheaf.fan.cones[ray])
+        assert GroupRingElement.one(sheaf.stalk_at(c)).pushforward(phi).terms == {(0,): 1}
+        with pytest.raises(GroupMismatch):
+            GroupRingElement.one(other).pushforward(phi)
 
 
 def test_a0_stalks_on_p1():
