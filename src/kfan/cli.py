@@ -408,6 +408,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="equivariant K-theory of toric varieties from fan data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser, for ``_parse``
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -468,10 +469,27 @@ def _parser() -> argparse.ArgumentParser:
     return make_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The namespace the full parser gives for ``argv`` (None reads
+    ``sys.argv[1:]``), with one scan of it.  An argv whose first word is
+    a command goes to that command's parser alone.  Any other argv, and
+    one that parser leaves arguments over from, takes the full parser,
+    which writes the help, the usage error and exit 2 itself."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv=None) -> JobReport | int:
-    """Parse and dispatch, returning the JobReport (or an error exit
-    code); the in-process entry point used by tests."""
-    return _dispatch(_parser().parse_args(argv))
+    """Parse (``_parse``) and dispatch, returning the JobReport (or an
+    error exit code); the in-process entry point used by tests."""
+    return _dispatch(_parse(argv))
 
 
 def _dispatch(args) -> JobReport | int:
@@ -489,7 +507,9 @@ def _dispatch(args) -> JobReport | int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Parse (``_parse``), dispatch, print the report and return its
+    exit status: the ``kfan`` console script."""
+    args = _parse(argv)
     outcome = _dispatch(args)
     if isinstance(outcome, int):
         return outcome

@@ -38,7 +38,9 @@ A cone's character group (``character_quotient``) is checked on
 each call and kept by no cone: ``intlinalg.quotient`` keeps one group
 per perp lattice, so the sheaf, K_0 of the affine piece and the cone's
 monoid all read the same object, and each ray stalk of a smooth cone
-keeps its own chart (``kfan.sheaves.RayStalk``).
+keeps its own chart (``kfan.sheaves.RayStalk``).  A cone keeps its dual
+from the first call of ``dual()``, and the dual keeps the Hilbert basis
+``monoids.hilbert_basis`` found for it.
 
 Faces need no double description of their own to be found: a face is
 spanned by the rays of the cone that are tight on a set of its facets,
@@ -180,7 +182,8 @@ class Cone:
     on their first read.
     """
 
-    __slots__ = ("lattice", "rays", "_facets", "dim", "pointed", "_perp", "_smooth")
+    __slots__ = ("lattice", "rays", "_facets", "dim", "pointed", "_perp", "_smooth", "_dual",
+                 "_hilbert")
 
     def __init__(self, lattice: Lattice, rays, facets, dim: int, pointed: bool):
         self.lattice = lattice
@@ -188,8 +191,7 @@ class Cone:
         self._facets = None if facets is None else tuple(sorted(map(as_vec, facets)))
         self.dim = dim
         self.pointed = pointed
-        self._perp = None
-        self._smooth = None
+        self._perp = self._smooth = self._dual = self._hilbert = None
 
     @classmethod
     def from_rays(cls, lattice: Lattice, rays: Iterable[Sequence[int]]) -> "Cone":
@@ -260,7 +262,7 @@ class Cone:
         and certified on the first read of ``facets``."""
         cone = object.__new__(cls)
         cone.lattice, cone.rays, cone.dim, cone.pointed = lattice, rays, len(rays), True
-        cone._facets = cone._perp = cone._smooth = None
+        cone._facets = cone._perp = cone._smooth = cone._dual = cone._hilbert = None
         return cone
 
     @property
@@ -280,20 +282,24 @@ class Cone:
         return all(dot(u, v) >= 0 for u in self.facets)
 
     def dual(self) -> "Cone":
-        """The dual cone, in the dual lattice.
+        """The dual cone, in the dual lattice, built on the first call
+        and kept, so every reader shares it and the Hilbert basis that
+        ``monoids.hilbert_basis`` keeps on it.
 
         Not strongly convex unless this cone is full-dimensional; the
         lineality shows up as opposite ray pairs.
         """
-        n = self.lattice.rank
-        dim = matrix_rank(IntMatrix(self.facets, ncols=n))
-        return Cone(
-            self.lattice.dual(),
-            rays=self.facets,
-            facets=self.rays,
-            dim=dim,
-            pointed=(self.dim == n),
-        )
+        if self._dual is None:
+            n = self.lattice.rank
+            dim = matrix_rank(IntMatrix(self.facets, ncols=n))
+            self._dual = Cone(
+                self.lattice.dual(),
+                rays=self.facets,
+                facets=self.rays,
+                dim=dim,
+                pointed=(self.dim == n),
+            )
+        return self._dual
 
     def intersection(self, other: "Cone") -> "Cone":
         if self.lattice != other.lattice:
@@ -744,9 +750,11 @@ class Fan:
 
 class Subfan:
     """A downward-closed set of cones of a fan: an open set of the
-    poset topology, kept as the cone numbers ``ids``."""
+    poset topology, kept as the cone numbers ``ids``.  On the fan's
+    kept whole open set, ``_walk`` holds the comparisons that
+    ``sheaves.first_disagreement`` lists for ``max_ids``, once read."""
 
-    __slots__ = ("parent", "ids", "_max_ids", "_home")
+    __slots__ = ("parent", "ids", "_max_ids", "_home", "_walk")
 
     def __init__(self, parent: Fan, members: Iterable[Cone]):
         self.parent = parent
@@ -755,7 +763,7 @@ class Subfan:
             for f in parent.face_ids[c]:
                 if f not in self.ids:
                     raise DomainNotOpen(f"missing face {parent.cones[f]!r} of {parent.cones[c]!r}")
-        self._max_ids = self._home = None
+        self._max_ids = self._home = self._walk = None
 
     @classmethod
     def _trusted(cls, parent: Fan, ids: frozenset) -> "Subfan":
@@ -763,7 +771,7 @@ class Subfan:
         self = object.__new__(cls)
         self.parent = parent
         self.ids = ids
-        self._max_ids = self._home = None
+        self._max_ids = self._home = self._walk = None
         return self
 
     @property

@@ -131,8 +131,15 @@ def hilbert_basis(cone: Cone) -> list[Vec]:
     cone's lattice-point monoid, plus +- generators of the lineality
     lattice.  Any rank the cones accept, by ``_pointed_hilbert_basis``
     on a ``pointed`` cone, else on the image of the cone modulo its
-    lineality.
+    lineality.  Found and checked on the first call, kept on the cone
+    (a call that raises keeps nothing), and returned as a fresh list.
     """
+    if cone._hilbert is None:
+        cone._hilbert = tuple(_hilbert_basis(cone))
+    return list(cone._hilbert)
+
+
+def _hilbert_basis(cone: Cone) -> list[Vec]:
     if cone.pointed:
         return _pointed_hilbert_basis(cone)
     lin = kernel(IntMatrix(cone.facets, ncols=cone.lattice.rank))

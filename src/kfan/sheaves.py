@@ -240,7 +240,46 @@ def first_disagreement(sheaf: FanSheaf, cones, values):
     j: (i, j, meet number, value_j - value_i) there, or None if every
     pair agrees.  Each value is pushed at most once to each meet.
 
-    The verdict walks the cones in list order and the faces of each,
+    The verdict runs the comparisons of ``_comparisons`` in order and
+    stops at the first that differs.  They depend only on the fan and
+    on ``cones``, so for the fan's own ``max_ids`` tuple, which H0
+    membership and every global section pass, they are listed on the
+    first call and kept on the fan's whole open set; any other list is
+    walked afresh.  A disagreement runs the scan over all pairs,
+    reusing the pushes made so far, to name the first pair."""
+    fan = sheaf.fan
+    pushed: dict = {}
+
+    def at(i: int, meet: int) -> GroupRingElement:
+        value = pushed.get((i, meet))
+        if value is None:
+            value = pushed[i, meet] = values[i].pushforward(sheaf.restriction_at(cones[i], meet))
+        return value
+
+    if cones is fan.max_ids:
+        whole = fan.full_subfan()
+        if whole._walk is None:
+            whole._walk = tuple(_comparisons(fan, cones))
+        walk = whole._walk
+    else:
+        walk = _comparisons(fan, cones)
+    if all(at(h, tau) == at(i, tau) for h, i, tau in walk):
+        return None
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            meet = fan.meet_id(cones[i], cones[j])
+            a, b = at(i, meet), at(j, meet)
+            if a != b:
+                return i, j, meet, b - a
+    raise CertificateError("the incidence walk found a disagreement that no pair has")
+
+
+def _comparisons(fan: Fan, cones):
+    """The comparisons (h, i, tau) that decide whether values on
+    ``cones`` agree on every pairwise meet: indices h < i into
+    ``cones`` and a face tau of both, in walk order.
+
+    The walk takes the cones in list order and the faces of each,
     largest first.  Cone i is compared only at its faces tau that an
     earlier cone contains and that lie in no larger face so compared:
     walked largest first, these are the maximal faces of cone i shared
@@ -255,43 +294,20 @@ def first_disagreement(sheaf: FanSheaf, cones, values):
     was compared at nu with an earlier cone containing nu, hence mu;
     restriction to mu factors through nu (``FanSheaf`` certifies
     functoriality), so each agrees on mu with an earlier one, and all of
-    them with the first.  A disagreement runs the scan over all pairs,
-    reusing the pushes made so far, to name the first pair."""
-    fan = sheaf.fan
-    pushed: dict = {}
-
-    def at(i: int, meet: int) -> GroupRingElement:
-        value = pushed.get((i, meet))
-        if value is None:
-            value = pushed[i, meet] = values[i].pushforward(sheaf.restriction_at(cones[i], meet))
-        return value
-
-    def agrees() -> bool:
-        last: dict = {}  # face -> the last index so far whose cone contains it
-        for i, sigma in enumerate(cones):
-            compared: list = []  # ray sets of the faces of cone i compared so far
-            for tau in reversed(fan.face_ids[sigma]):
-                h = last.get(tau)
-                last[tau] = i
-                if h is None:
-                    continue
-                rays = fan.ray_sets[tau]
-                if any(rays <= nu for nu in compared):
-                    continue
-                compared.append(rays)
-                if at(h, tau) != at(i, tau):
-                    return False
-        return True
-
-    if agrees():
-        return None
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            meet = fan.meet_id(cones[i], cones[j])
-            a, b = at(i, meet), at(j, meet)
-            if a != b:
-                return i, j, meet, b - a
-    raise CertificateError("the incidence walk found a disagreement that no pair has")
+    them with the first."""
+    last: dict = {}  # face -> the last index so far whose cone contains it
+    for i, sigma in enumerate(cones):
+        compared: list = []  # ray sets of the faces of cone i compared so far
+        for tau in reversed(fan.face_ids[sigma]):
+            h = last.get(tau)
+            last[tau] = i
+            if h is None:
+                continue
+            rays = fan.ray_sets[tau]
+            if any(rays <= nu for nu in compared):
+                continue
+            compared.append(rays)
+            yield h, i, tau
 
 
 class Section:

@@ -29,6 +29,8 @@ from kfan.sheaves import (
 )
 from test_cech import exactness_trials
 from test_fan_construction import load_gen_fans
+from test_fan_memo import bench_jobs
+from test_golden import GOLDEN
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -746,6 +748,74 @@ def test_main_reads_the_parsed_json_flag(fanfile, capsys):
     assert json.loads(capsys.readouterr().out)["command"] == "info"
     assert main(["info", fanfile(P1)]) == 0
     assert capsys.readouterr().out.startswith("command: info")
+
+
+def parse_inputs(monkeypatch) -> list:
+    """Every golden command, with and without ``--json``, and every job
+    of pass 0 of each benchmark workload."""
+    argvs = [command.split() + extra for command in GOLDEN.values() for extra in ([], ["--json"])]
+    jobs = bench_jobs(monkeypatch)
+    for workload, (keys, _) in sorted(jobs.WORKLOADS.items()):
+        argvs += [job.argv for job in jobs.make_pass(workload, 1, 0, jobs.setup_fans(keys))]
+    return argvs
+
+
+def test_a_command_is_parsed_by_its_own_parser_to_the_full_parsers_namespace(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argvs = parse_inputs(monkeypatch)
+    assert len(argvs) > 2 * len(GOLDEN)
+    for argv in argvs:
+        assert vars(cli._parse(argv)) == vars(cli._parser().parse_args(argv)), argv
+
+
+P2_FILE = "fans/p2.json"
+USAGE_INPUTS = [
+    ["info", P2_FILE, "--bogus"],
+    ["info"],
+    [],
+    ["nosuch", P2_FILE],
+    ["check-exactness", P2_FILE],
+    ["--level", "x"],
+    ["-h"],
+    ["info", "-h"],
+    ["--js"],
+    ["--tri", "1"],
+    ["--json", "info", P2_FILE],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_INPUTS, ids=lambda argv: " ".join(argv) or "empty")
+def test_help_and_usage_errors_are_the_full_parsers(monkeypatch, capsys, argv):
+    # a leftover argument, a missing one, no command or an unknown one:
+    # main writes the same bytes and exits with the same code as the
+    # full parser, whichever parser saw the input first
+    monkeypatch.chdir(ROOT)
+    outcomes = []
+    for parse in (main, cli._parser().parse_args):
+        with pytest.raises(SystemExit) as done:
+            parse(list(argv))
+        outcomes.append((done.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    assert code == (0 if "-h" in argv else 2) and bool(out) == (code == 0)
+    if argv[-1:] == ["--bogus"]:
+        assert "kfan: error: unrecognized arguments: --bogus" in err
+    if argv[:1] == ["check-exactness"]:
+        assert "kfan check-exactness: error: the following arguments are required: --level" in err
+
+
+def test_run_and_main_read_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "argv", ["kfan", "info", P2_FILE, "--json"])
+    assert run().results["num_cones"] == 7
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["results"]["num_cones"] == 7
+    monkeypatch.setattr(sys, "argv", ["kfan", "info", P2_FILE, "--bogus"])
+    for entry in (run, main):
+        with pytest.raises(SystemExit) as done:
+            entry()
+        assert done.value.code == 2
+        assert "kfan: error: unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 WRONG_SOLVER_SCRIPT = textwrap.dedent(

@@ -6,10 +6,14 @@ the later commands of the process.  ``sheaf_a0`` keeps one sheaf per
 fan, so a warm command reuses the stalks, charts and restrictions an
 earlier one built and certified, and ``intlinalg.quotient`` one
 character group per perp lattice, which K_0 of an affine piece and a
-cone's monoid read too.  A file that fails to load is never kept.
+cone's monoid read too.  Each cone of the kept fan keeps its dual, the
+dual its Hilbert basis, and the fan's whole open set the agreement walk
+of its maximal cones, so a warm ``hilbert`` or membership finds none of
+them again.  A file that fails to load is never kept.
 """
 
 import dataclasses
+import glob
 import importlib.util
 import json
 import os
@@ -171,10 +175,10 @@ def bench_jobs(monkeypatch):
     return module
 
 
-def test_a_warm_k0_ladder_pass_reduces_only_parallelepipeds(monkeypatch):
+def test_a_warm_k0_ladder_pass_makes_no_smith_reduction(monkeypatch):
     # run a second time in the process, the pass reads every fan, sheaf
-    # and character group from the first: the only Smith reductions left
-    # are the parallelepiped points of ``hilbert``, one per affine job
+    # and character group from the first, and each cone's dual and the
+    # Hilbert basis ``hilbert`` found on it: no Smith reduction is left
     monkeypatch.chdir(ROOT)
     jobs = bench_jobs(monkeypatch)
     fans = jobs.setup_fans(jobs.WORKLOADS["k0-ladder"][0])
@@ -189,7 +193,121 @@ def test_a_warm_k0_ladder_pass_reduces_only_parallelepipeds(monkeypatch):
     for module in (intlinalg, monoids, support_solver):
         monkeypatch.setattr(module, "smith_with_inverses", counting)
     cold = [run(job.argv).to_json() for job in job_list]
+    assert reductions["_parallelepiped_points"] >= len(jobs.AFFINE_FANS) == 5
     reductions.clear()
     warm = [run(job.argv).to_json() for job in job_list]
     assert warm == cold
-    assert reductions == {"_parallelepiped_points": len(jobs.AFFINE_FANS)} == {"_parallelepiped_points": 5}
+    assert reductions == Counter()
+
+
+def counting_calls(monkeypatch, module, name) -> list:
+    """Patch ``module.name`` to record the arguments of each call."""
+    calls, real = [], getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_hilbert_and_the_cone_monoid_share_one_hilbert_basis(monkeypatch):
+    # the cone on (1, 0), (1, 2): its dual's basis has a third element
+    path = os.path.join(ROOT, "fans", "quadric-cone.json")
+    calls = counting_calls(monkeypatch, monoids, "_pointed_hilbert_basis")
+    first = run(["hilbert", path, "--cone", "3"]).results["hilbert_basis"]
+    cone = cli._load(path)[1].cones[3]
+    assert cone.dual() is cone.dual()
+    generators = monoids.AffineMonoid.from_cone(cone).generators
+    assert sorted(map(list, generators)) == first == [[0, 1], [1, 0], [2, -1]]
+    assert run(["hilbert", path, "--cone", "3"]).results["hilbert_basis"] == first
+    assert len(calls) == 1
+    # every read is a fresh list: mutating one leaves the kept basis be
+    basis = monoids.hilbert_basis(cone.dual())
+    basis.append((7, 7))
+    basis.reverse()
+    assert monoids.hilbert_basis(cone.dual()) == sorted(generators)
+    assert len(calls) == 1
+
+
+def test_a_hilbert_basis_that_fails_its_first_read_is_not_kept(monkeypatch, capsys):
+    path = os.path.join(ROOT, "fans", "quadric-cone.json")
+    real, failed = monoids._parallelepiped_points, []
+
+    def fails_once(rays, n):
+        if not failed:
+            failed.append(rays)
+            raise intlinalg.CertificateError("a point is not on the rays")
+        return real(rays, n)
+
+    monkeypatch.setattr(monoids, "_parallelepiped_points", fails_once)
+    calls = counting_calls(monkeypatch, monoids, "_pointed_hilbert_basis")
+    assert main(["hilbert", path, "--cone", "3"]) == 1
+    assert "a point is not on the rays" in capsys.readouterr().err
+    assert cli._load(path)[1].cones[3].dual()._hilbert is None
+    # the next read finds and checks the basis again, and keeps it
+    assert run(["hilbert", path, "--cone", "3"]).results["basis_size"] == 3
+    assert run(["hilbert", path, "--cone", "3"]).results["basis_size"] == 3
+    assert len(failed) == 1 and len(calls) == 2
+
+
+def test_the_whole_fans_walk_is_listed_once_per_fan(monkeypatch):
+    calls = counting_calls(monkeypatch, sheaves, "_comparisons")
+    fan = build_fan(load_fan_file(P1XP1XP1))
+    ring = H0Ring(fan)
+    assert ring.contains(ring.unit()) and ring.contains(ring.character((1, -2, 3)))
+    section = ring.character((0, 1, 0))
+    assert section.check()
+    bad = dict(section.values)
+    bad[fan.max_ids[3]] = bad[fan.max_ids[3]] + bad[fan.max_ids[3]]
+    assert not ring.contains(sheaves.Section.by_id(ring.sheaf, ring.domain, bad))
+    assert sheaves.Section(ring.sheaf, fan.subfan(fan.cones), section.components).check()
+    assert len(calls) == 1 and calls[0][1] is fan.max_ids
+    walk = fan.full_subfan()._walk
+    assert walk == tuple(sheaves._comparisons(fan, list(fan.max_ids)))
+    # another list of cones is walked on each call
+    tops = list(reversed(fan.max_ids))
+    for _ in range(2):
+        assert sheaves.first_disagreement(ring.sheaf, tops, [section.values[c] for c in tops]) is None
+    assert len(calls) == 4
+    # another build of the same file is another fan, with its own walk
+    other = build_fan(load_fan_file(P1XP1XP1))
+    ring = H0Ring(other)
+    assert ring.contains(ring.unit()) and ring.contains(ring.unit())
+    assert len(calls) == 5 and calls[4][1] is other.max_ids
+    assert other.full_subfan()._walk == walk and other.full_subfan()._walk is not walk
+
+
+def test_k0_global_lists_the_walk_once_per_fan(monkeypatch):
+    calls = counting_calls(monkeypatch, sheaves, "_comparisons")
+    for seed in ("1", "2"):
+        assert run(["k0-global", P1XP1XP1, "--sample", "4", "--seed", seed]).exit_status == 0
+    assert len(calls) == 1
+
+
+def cone_jobs():
+    """``hilbert`` and ``kclass`` with one zero shift on every cone of
+    every fan file of the repository."""
+    argvs = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "fans", "*.json"))
+                       + glob.glob(os.path.join(ROOT, "bench", "fans", "*.json"))):
+        fan = build_fan(load_fan_file(path))
+        zero = json.dumps([[0] * fan.lattice.rank])
+        for i in range(len(fan.cones)):
+            argvs.append(["hilbert", path, "--cone", str(i), "--json"])
+            argvs.append(["kclass", "--fan", path, "--cone", str(i), "--shifts", zero, "--json"])
+    return argvs
+
+
+def test_warm_hilbert_and_kclass_reports_equal_the_cold_ones_on_every_cone(capsys):
+    argvs = cone_jobs()
+    assert len(argvs) == 2 * 172
+    rounds = []
+    for _ in range(2):  # cold, then warm
+        outcomes = [main(argv) for argv in argvs]
+        rounds.append((outcomes, capsys.readouterr()))
+    (cold, cold_io), (warm, warm_io) = rounds
+    assert cold == warm == [0] * len(argvs)
+    assert cold_io.err == warm_io.err == ""
+    assert warm_io.out == cold_io.out

@@ -30,6 +30,7 @@ from kfan.intlinalg import IntMatrix, Lattice, QuotientSurjection
 from kfan.monoids import GroupRingElement
 from kfan.sheaves import (
     Section,
+    _comparisons,
     cover_system,
     first_disagreement,
     random_open_subfan,
@@ -321,6 +322,33 @@ def test_first_disagreement_matches_the_reference(monkeypatch, name, make):
     k = rng.randrange(len(cones))
     values[k] = values[k] + random_element(sheaf.stalk(cones[k]), rng)
     checked_scan(monkeypatch, sheaf, cones, values)
+
+
+@pytest.mark.parametrize("name,make", FANS, ids=[name for name, _ in FANS])
+def test_the_kept_walk_of_the_whole_fan_matches_the_reference(name, make):
+    # called with the fan's own ``max_ids`` tuple, as H0 membership and
+    # every global section call it, the walk is listed on the first call
+    # and kept on the fan's whole open set; read fresh or kept, it gives
+    # the reference's verdict and names the reference's first pair
+    ring = H0Ring(make())
+    fan, sheaf = ring.fan, ring.sheaf
+    rng = random.Random(name)
+    tops, whole = fan.max_cones, fan.full_subfan()
+    m = tuple(rng.randint(-3, 3) for _ in range(fan.lattice.rank))
+    families = [ring.character(m).components, random_section(sheaf, whole, rng).components]
+    families += [corrupted(sheaf, comps, rng) for comps in families for _ in range(2)]
+    verdicts = set()
+    for comps in families:
+        values = [comps[c] for c in tops]
+        expected = reference_disagreement(
+            sheaf, tops, values, lambda i, j: fan.intersection(tops[i], tops[j])
+        )
+        for _ in range(2):
+            got = first_disagreement(sheaf, fan.max_ids, values)
+            assert got == (expected and (*expected[:2], fan.index_of(expected[2]), expected[3]))
+        verdicts.add(expected is None)
+    assert verdicts == ({True, False} if len(tops) > 1 else {True})
+    assert whole._walk == tuple(_comparisons(fan, list(fan.max_ids)))
 
 
 def test_a_member_on_an_open_subfan_looks_up_no_meet(monkeypatch):
