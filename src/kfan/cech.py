@@ -89,7 +89,7 @@ class CechComplex:
     def __init__(self, fan: Fan):
         self.fan = fan
         self.sheaf = sheaf_a0(fan)
-        self.top_level = len(fan.max_cones) - 1
+        self.top_level = len(fan.max_ids) - 1
         # no level is listed: always empty, kept for the benchmark's
         # ``cech.tuples`` counter, which reads it (ROADMAP item 1 retires it)
         self.tuples = {}

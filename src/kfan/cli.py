@@ -9,6 +9,7 @@ failure (with witness), 2 input error, 3 solver gave up.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import random
@@ -17,10 +18,11 @@ import sys
 from .cech import CechComplex, H0Ring, NotACocycle
 from .cones import MAX_RANK, ConeNotInFan, NotAFan, NotStronglyConvex, UnsupportedRank
 from .fanfile import (
-    FanFile, FanFileError, build_fan, is_int_list, load_fan_file, read_fan_text, strict_json
+    FanFile, FanFileError, build_fan, dropped_entries, is_int_list, load_fan_file, read_fan_text,
+    strict_json,
 )
 from .graded import CoefficientSpec, GradedFreeData, k0_affine_toric, k0_class
-from .intlinalg import CertificateError, Lattice
+from .intlinalg import CertificateError, IntMatrix, Lattice
 from .monoids import AffineMonoid, GroupRingElement, hilbert_basis
 from .report import (
     EXIT_INPUT_ERROR,
@@ -62,6 +64,9 @@ def _built(path: str, text: str) -> tuple[FanFile, "Fan"]:
         fan = build_fan(ff)
     except (NotStronglyConvex, NotAFan, UnsupportedRank, ValueError) as e:
         raise InputError(f"{path}: {e}") from e
+    dropped = dropped_entries(ff, fan)
+    if dropped:
+        ff = dataclasses.replace(ff, warnings=ff.warnings + tuple(dropped))
     return ff, fan
 
 
@@ -147,13 +152,8 @@ def cmd_k0_affine(args) -> JobReport:
     ff, fan = _load(args.fanfile)
     cone = _get_cone(fan, args.cone)
     desc = k0_affine_toric(cone, CoefficientSpec(args.coeff))
-    basis_chars = []
-    n = fan.lattice.rank
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        basis_chars.append(
-            [list(e), element_to_jsonable(desc.element(e))]
-        )
+    basis = IntMatrix.identity(fan.lattice.rank).rows
+    basis_chars = [[list(e), element_to_jsonable(desc.element(e))] for e in basis]
     results = {
         "cone_id": args.cone,
         "cone_rays": [list(r) for r in cone.rays],
@@ -203,7 +203,7 @@ def cmd_k0_global(args) -> JobReport:
                 i = int(key)
                 if str(i) != key:  # "00" and "+0" would overwrite "0"
                     raise InputError(f"max-cone index {key!r} is not written canonically")
-                if not 0 <= i < len(fan.max_cones):
+                if not 0 <= i < len(fan.max_ids):
                     raise InputError(f"max-cone index {i} out of range")
                 cone = fan.max_ids[i]
                 comps[cone] = element_from_jsonable(ring.sheaf.stalk_at(cone), val)

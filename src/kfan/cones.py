@@ -1,72 +1,34 @@
 """Strongly convex rational polyhedral cones and fans.
 
 A cone carries both descriptions -- primitive extreme rays and integer
-facet inequalities -- certified at construction, or on first use for a
-face of a simplicial cone, since faces want the inequality side and
-duals want the generator side.  A check that fails raises
-``CertificateError``, so it holds under ``python -O``.  Fans are
-finite face-closed collections of cones; their subfans are the open
-sets of the poset topology used by the sheaf layer.  A fan's tables
-and its subfans hold cone numbers, so no lookup hashes a ``Cone``.
+facet inequalities -- since faces want the inequality side and duals
+want the generator side.  It is built from its sorted extreme rays, so
+two cones equal under ``==`` have the same facets and
+``perp_lattice()``.  Both descriptions are certified by checks that
+raise ``CertificateError``, so they hold under ``python -O``: on
+independent rays by a pairing matrix (``_simplicial_facets``), after
+``_ray_reduction`` (a determinant at full rank, else one Smith
+reduction) has also decided smoothness; on dependent rays by a second
+double description (``Cone.from_rays``), whose candidate normals are
+closed-form minors (``intlinalg.normal_vector``) at the ranks supported
+here (<= 4).  A
+face of a simplicial cone is certified on first use (``Cone._face``).
+A cone keeps its dual, and the dual the Hilbert basis
+``monoids.hilbert_basis`` found for it; its character group is the one
+``intlinalg.quotient`` keeps per perp lattice.
 
-The double-description step enumerates candidate facet normals from
-subsets of rays, which is exact and entirely adequate at the ambient
-ranks this package supports (<= 4).  Each candidate is the generalised
-cross product of a subset stacked on the lineality basis
-(``intlinalg.normal_vector``: closed-form minors of at most 3 x 3), and
-every rank test is a fraction-free elimination (``intlinalg.rank``), so
-a Smith reduction runs only to find the lineality of an input that does
-not span the space.
-
-A cone is built from its sorted primitive rays, so everything it
-keeps is a function of its ray set: two cones equal under ``==`` have
-the same facets and ``perp_lattice()``.  An input with rays that are
-not extreme is certified as given, and the cone is then built again
-from its sorted extreme rays.
-
-Most cones need less.  On linearly independent rays the facets are the
-normals of the other rays, and a diagonal pairing matrix with a
-positive diagonal certifies them (``_simplicial_facets``); only dependent
-rays take a second double description back to rays and its
-cross-checks.  Fewer rays than the rank are reduced once
-(``_ray_reduction``): the Smith diagonal, the same whichever transforms
-are tracked, decides whether they are independent and whether the cone
-is smooth, and the kernel is the lineality the facets are built on and
-the cone's ``perp_lattice()``.  At full rank det != 0 decides
-independence and |det| = 1 smoothness, and no reduction runs.
-A cone's character group (``character_quotient``) is checked on
-each call and kept by no cone: ``intlinalg.quotient`` keeps one group
-per perp lattice, so the sheaf, K_0 of the affine piece and the cone's
-monoid all read the same object, and each ray stalk of a smooth cone
-keeps its own chart (``kfan.sheaves.RayStalk``).  A cone keeps its dual
-from the first call of ``dual()``, and the dual keeps the Hilbert basis
-``monoids.hilbert_basis`` found for it.
-
-Faces need no double description of their own to be found: a face is
-spanned by the rays of the cone that are tight on a set of its facets,
-every subset of the rays when they are independent, so ``_face_rays``
-lists every face as a sorted ray tuple for ``Fan``, whose ``face_ids``
-is the one face table, in canonical order.  A fan builds each distinct
-face once, from that tuple, and every maximal cone containing the face
-shares the instance.  A face of
-a simplicial cone is built from its rays alone and certified on first
-use (``Cone._face``), so a command pays only for the faces it reads.
-
-A fan is validated in one of two ways.  A complete simplicial fan of
-rank >= 2 is certified by its ridges, each shared by two maximal cones
-on opposite sides, and by one probe point covered once
-(``_certified_walls``): no pair of maximal cones is looked at.  Any
-other input, and any input that fails that certificate, takes the
-pairwise check (``_check_pairs``): two maximal cones meet in a common
-face when a functional built from one cone's facets separates them
-(``_separates``, the separation lemma); a pair it does not settle takes
-one double description of both cones' facets.  Completeness is one
-ridge count at every rank (``Fan.is_complete``).
+A fan is a finite face-closed collection of cones meeting in common
+faces, certified by its ridges and one probe point when it is complete
+and simplicial (``_certified_walls``), else pair by pair
+(``_check_pairs``).  It lists each cone's faces once (``_face_rays``),
+builds each distinct face once, and numbers its cones in canonical
+order.  Its tables and its subfans, the open sets of the poset topology
+used by the sheaf layer, hold cone numbers, and a ``Cone`` handed in is
+found by its ray set (``Fan.find``), so no ``Cone`` is hashed.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from itertools import combinations
 from operator import mul
@@ -83,6 +45,8 @@ from .intlinalg import (
     dot,
     kernel,
     normal_vector,
+    plus_minus,
+    primitive,
     quotient,
     rank as matrix_rank,
     smith_kernel,
@@ -116,24 +80,10 @@ class DomainNotOpen(Exception):
     """A subfan member set is not downward closed under the face order."""
 
 
-def primitive(v: Sequence[int]) -> Vec | None:
-    """The integer vector v divided by the gcd of its entries; None for
-    the zero vector."""
-    g = math.gcd(*v)
-    if g == 0:
-        return None
-    return tuple(v) if g == 1 else tuple(x // g for x in v)
-
-
 def _unique_primitives(vectors: Iterable[Sequence[int]]) -> list[Vec]:
-    out: list[Vec] = []
-    seen: set[Vec] = set()
-    for v in vectors:
-        p = primitive(as_vec(v))
-        if p is not None and p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    """The distinct primitive vectors of the nonzero ``vectors``, in the
+    order they are first reached."""
+    return [p for p in dict.fromkeys(primitive(as_vec(v)) for v in vectors) if p is not None]
 
 
 def dual_ray_generators(
@@ -209,10 +159,7 @@ class Cone:
         if reduction is not None:
             return cls._simplicial(lattice, prim, *reduction)
         lin, pnt = dual_ray_generators(prim, n)
-        facets = list(pnt)
-        for l in lin:
-            facets.append(l)
-            facets.append(vec_neg(l))
+        facets = pnt + plus_minus(lin)
         if matrix_rank(IntMatrix(facets, ncols=n)) < n:
             raise NotStronglyConvex(f"cone on {prim} contains a line")
         dual_lin, extreme = dual_ray_generators(facets, n)
@@ -427,10 +374,7 @@ def _simplicial_facets(prim: Sequence[Vec], lin: tuple[Vec, ...], n: int) -> tup
         facets.append(u)
     if lin and any(sum(map(mul, l, r)) for l in lin for r in on):
         raise CertificateError(f"the lineality of the cone on {list(on)} meets its rays")
-    for l in lin:
-        facets.append(l)
-        facets.append(vec_neg(l))
-    return tuple(sorted(facets))
+    return tuple(sorted(facets + plus_minus(lin)))
 
 
 def _face_rays(cone: Cone) -> list[tuple[Vec, ...]] | set[tuple[Vec, ...]]:
@@ -599,29 +543,28 @@ class Fan:
     """A finite face-closed collection of strongly convex cones whose
     pairwise intersections are common faces.
 
-    ``max_cones`` keeps the order the maximal cones were given in; the
+    ``max_ids`` keeps the order the maximal cones were given in; the
     alternating signs of the cover complex depend on it, so it is fixed
     for the fan's lifetime.  ``cones`` is canonically sorted, the zero
     cone always present, and a cone's number is its place there:
     ``max_ids``, ``face_ids`` (each cone's faces), ``ray_sets`` and
-    ``_by_rays`` (a ray set's cone) hold numbers, and the methods that
-    take a ``Cone`` translate it.  Whether the fan is complete is one
-    ridge count, at every rank (``is_complete``).  ``sheaf`` is the
-    fan's one structure sheaf, set by ``sheaves.sheaf_a0`` on first use.
+    ``_by_rays`` (a ray set's cone) hold numbers, ``max_cones`` is a
+    view of ``max_ids``, and the methods that take a ``Cone`` find it by
+    its rays (``find``).  Whether the fan is complete is one ridge count
+    (``is_complete``).  ``sheaf`` is the fan's one structure sheaf, set
+    by ``sheaves.sheaf_a0`` on first use.
     """
 
-    __slots__ = ("lattice", "cones", "max_cones", "max_ids", "face_ids", "ray_sets", "_index",
-                 "_by_rays", "_full", "sheaf")
+    __slots__ = ("lattice", "cones", "max_ids", "face_ids", "ray_sets", "_by_rays", "_full",
+                 "sheaf")
 
     def __init__(self, lattice: Lattice, cones, max_cones, face_ids):
         self.lattice = lattice
         self.cones = cones
-        self.max_cones = max_cones
         self.face_ids = face_ids
         self.ray_sets = tuple(frozenset(c.rays) for c in cones)
-        self._index = {c: i for i, c in enumerate(cones)}
         self._by_rays = {rays: i for i, rays in enumerate(self.ray_sets)}
-        self.max_ids = tuple(map(self._index.__getitem__, max_cones))
+        self.max_ids = tuple(map(self.find, max_cones))
         self._full = Subfan._trusted(self, frozenset(range(len(cones))))
         self.sheaf = None
 
@@ -689,11 +632,23 @@ class Fan:
             cones.append(Cone.from_rays(lattice, [rays[i] for i in idxs]))
         return cls.from_max_cones(lattice, cones)
 
+    @property
+    def max_cones(self) -> tuple[Cone, ...]:
+        """The maximal cones, in ``max_ids`` order."""
+        return tuple(map(self.cones.__getitem__, self.max_ids))
+
+    def find(self, cone: Cone) -> int | None:
+        """The number of ``cone`` in the fan, or None: the one lookup of a
+        ``Cone``, by its ray set in ``_by_rays`` and then by equality,
+        lattice included."""
+        i = self._by_rays.get(frozenset(cone.rays))
+        return i if i is not None and self.cones[i] == cone else None
+
     def index_of(self, cone: Cone) -> int:
-        try:
-            return self._index[cone]
-        except KeyError:
-            raise ConeNotInFan(repr(cone)) from None
+        i = self.find(cone)
+        if i is None:
+            raise ConeNotInFan(repr(cone))
+        return i
 
     def faces_of(self, cone: Cone) -> tuple[Cone, ...]:
         return tuple(map(self.cones.__getitem__, self.face_ids[self.index_of(cone)]))
@@ -745,12 +700,13 @@ class Fan:
         return all(k == 2 for k in count.values())
 
     def __repr__(self) -> str:
-        return f"Fan({len(self.cones)} cones, {len(self.max_cones)} maximal)"
+        return f"Fan({len(self.cones)} cones, {len(self.max_ids)} maximal)"
 
 
 class Subfan:
     """A downward-closed set of cones of a fan: an open set of the
-    poset topology, kept as the cone numbers ``ids``.  On the fan's
+    poset topology, kept as the cone numbers ``ids``.  Open sets of one
+    fan compare, unite and intersect by their numbers.  On the fan's
     kept whole open set, ``_walk`` holds the comparisons that
     ``sheaves.first_disagreement`` lists for ``max_ids``, once read."""
 
@@ -807,22 +763,20 @@ class Subfan:
         return self._home
 
     def max_cones(self) -> tuple[Cone, ...]:
-        """The cones of ``max_ids``: ``parent.max_cones`` for the whole fan."""
-        if self.is_full():
-            return self.parent.max_cones
+        """The cones of ``max_ids``."""
         return tuple(map(self.parent.cones.__getitem__, self.max_ids()))
 
     def __contains__(self, cone: Cone) -> bool:
-        return self.parent._index.get(cone) in self.ids
+        return self.parent.find(cone) in self.ids
 
     def __le__(self, other: "Subfan") -> bool:
         return self.ids <= other.ids
 
     def union(self, other: "Subfan") -> "Subfan":
-        return Subfan(self.parent, self.members | other.members)
+        return Subfan._trusted(self.parent, self.ids | other.ids)
 
     def intersection(self, other: "Subfan") -> "Subfan":
-        return Subfan(self.parent, self.members & other.members)
+        return Subfan._trusted(self.parent, self.ids & other.ids)
 
     def is_full(self) -> bool:
         # the members are distinct cones of the fan

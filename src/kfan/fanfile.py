@@ -7,7 +7,11 @@
       "max_cones": [[0, 1], [1, 2], [2, 0]]
     }
 
-Rays are primitivized on load (with a warning) and indices are checked.
+Rays are primitivized on load (with a warning) and indices are checked:
+an unknown ray index is an error, and a ``max_cones`` entry that
+repeats a ray index is named in a warning, as is each entry the fan
+drops (``dropped_entries``) because it spans the same cone as an
+earlier entry or a face of another.
 Every number must be a JSON integer: floats, strings and booleans are
 rejected, never rounded or coerced.  An object with a repeated key is
 rejected too, rather than read as its last value.
@@ -16,11 +20,12 @@ rejected too, rather than read as its last value.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cones import Fan, primitive
-from .intlinalg import Lattice
+from .cones import Cone, Fan
+from .intlinalg import Lattice, primitive
 
 
 class FanFileError(Exception):
@@ -117,6 +122,9 @@ def parse_fan_file(text: str, origin: str = "<string>") -> FanFile:
         for x in c:
             if not 0 <= x < len(rays):
                 raise FanFileError(f"{origin}: max cone {i} uses unknown ray index {x}")
+        for x, k in sorted(Counter(c).items()):
+            if k > 1:
+                warnings.append(f"max cone {i} {c} repeats ray index {x}")
         cones.append(tuple(c))
     return FanFile(
         lattice_rank=rank,
@@ -145,3 +153,28 @@ def build_fan(ff: FanFile) -> Fan:
     return Fan.from_rays_and_indices(
         Lattice(ff.lattice_rank), ff.rays, ff.max_cones
     )
+
+
+def dropped_entries(ff: FanFile, fan: Fan) -> list[str]:
+    """A warning for each entry of ``ff.max_cones`` that ``fan``, built
+    from ``ff``, dropped: one that spans the same cone as an earlier
+    entry, or a proper face of another entry's cone.  The fan keeps the
+    other entries, in order, as ``max_ids``, so the two lists are walked
+    side by side: an entry is the next maximal cone when that cone's rays
+    are among the entry's and the cone contains the entry's other rays."""
+    warnings = []
+    kept: list[int] = []  # the entry of each maximal cone found so far
+    max_ids = fan.max_ids
+    for i, entry in enumerate(ff.max_cones):
+        rays = {ff.rays[x] for x in entry}
+        if len(kept) < len(max_ids):
+            top = max_ids[len(kept)]
+            cone = fan.cones[top]
+            if fan.ray_sets[top] <= rays and all(map(cone.contains, rays - fan.ray_sets[top])):
+                kept.append(i)
+                continue
+        c = fan.index_of(Cone.from_rays(fan.lattice, rays))
+        why = (f"the same cone as max cone {kept[max_ids.index(c)]}" if c in max_ids
+               else "a face of another max cone")
+        warnings.append(f"max cone {i} {list(entry)} spans {why}; the fan drops it")
+    return warnings

@@ -70,6 +70,20 @@ def vec_neg(u: Sequence[int]) -> Vec:
     return tuple(-a for a in u)
 
 
+def plus_minus(rows: Iterable[Vec]) -> list[Vec]:
+    """Each row followed by its negative: l_1, -l_1, l_2, -l_2, ..."""
+    return [v for l in rows for v in (l, vec_neg(l))]
+
+
+def primitive(v: Sequence[int]) -> Vec | None:
+    """The integer vector v divided by the gcd of its entries; None for
+    the zero vector."""
+    g = gcd(*v)
+    if g == 0:
+        return None
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
+
+
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
     x, next_x = 1, 0
@@ -120,7 +134,7 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         """The n x n identity: one kept instance per size, since the
         matrices are immutable."""
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        return cls(_eye(n), ncols=n)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
@@ -478,16 +492,13 @@ def normal_vector(a: IntMatrix) -> Vec | None:
 
     Up to sign and the gcd of its entries, the kernel is spanned by the
     generalised cross product of the rows (``_cross``), which is nonzero
-    exactly when the rows are independent.  Dividing by the gcd
-    saturates it, so the result is +- the one row of ``kernel(a)``.
+    exactly when the rows are independent.  ``primitive`` divides it by
+    the gcd of its entries, which saturates it, so the result is +- the
+    one row of ``kernel(a)``.
     """
     if a.nrows != a.ncols - 1:
         raise ValueError(f"normal vector of a {a.nrows} x {a.ncols} matrix")
-    minors = _cross(a.rows)
-    g = gcd(*minors)
-    if g == 0:
-        return None
-    return tuple(minors) if g == 1 else tuple(x // g for x in minors)
+    return primitive(_cross(a.rows))
 
 
 def kernel(a: IntMatrix) -> IntMatrix:

@@ -28,9 +28,9 @@ from .intlinalg import (
     as_vec,
     dot,
     kernel,
+    plus_minus,
     quotient,
     smith_with_inverses,
-    vec_neg,
     vec_sub,
 )
 
@@ -144,19 +144,15 @@ def _hilbert_basis(cone: Cone) -> list[Vec]:
         return _pointed_hilbert_basis(cone)
     lin = kernel(IntMatrix(cone.facets, ncols=cone.lattice.rank))
     q = quotient(cone.lattice, lin)
-    images = []
-    seen = set()
-    for r in cone.rays:
-        c = q.project(r)
-        if any(c) and c not in seen:
-            seen.add(c)
-            images.append(c)
-    pointed_image = Cone.from_rays(Lattice(q.free_rank), images)
+    pointed_image = Cone.from_rays(Lattice(q.free_rank), _nonzero_images(q, cone.rays))
     basis = [q.lift(h) for h in _pointed_hilbert_basis(pointed_image)]
-    for l in lin.rows:
-        basis.append(l)
-        basis.append(vec_neg(l))
-    return basis
+    return basis + plus_minus(lin.rows)
+
+
+def _nonzero_images(q: QuotientLattice, vectors: Iterable[Vec]) -> list[Vec]:
+    """The distinct nonzero images of ``vectors`` in ``q``, in the order
+    they are first reached."""
+    return [c for c in dict.fromkeys(map(q.project, vectors)) if any(c)]
 
 
 def _pointed_hilbert_basis(cone: Cone) -> list[Vec]:
@@ -246,15 +242,7 @@ class AffineMonoid:
 
     def nonunit_images(self) -> list[Vec]:
         """Distinct nonzero images of the generators in the coset quotient."""
-        q = self.coset_quotient
-        out = []
-        seen = set()
-        for g in self.generators:
-            c = q.project(g)
-            if c != q.zero() and c not in seen:
-                seen.add(c)
-                out.append(c)
-        return out
+        return _nonzero_images(self.coset_quotient, self.generators)
 
     def contains(self, v: Sequence[int]) -> bool:
         """Exact membership: is v a nonnegative combination of the

@@ -147,17 +147,11 @@ class JobReport:
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
-        for section in ("inputs", "results", "statistics"):
+        for section in ("inputs", "results", "statistics", "certificates"):
             data = getattr(self, section)
-            if not data:
-                continue
-            lines.append(f"{section}:")
-            for key in sorted(data):
-                lines.append(f"  {key}: {_render(data[key])}")
-        if self.certificates:
-            lines.append("certificates:")
-            for key in sorted(self.certificates):
-                lines.append(f"  {key}: {_render(self.certificates[key])}")
+            if data:
+                lines.append(f"{section}:")
+                lines += (f"  {key}: {_render(data[key])}" for key in sorted(data))
         lines.append(f"exit status: {self.exit_status}")
         return "\n".join(lines)
 

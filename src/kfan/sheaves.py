@@ -195,10 +195,16 @@ class FanSheaf:
         self._restrictions = [{} for _ in range(n)]  # cone number -> face number -> its map
 
     def stalk(self, sigma: Cone) -> RayStalk | QuotientLattice:
-        return self.stalk_at(self.fan._index[sigma])
+        return self.stalk_at(self._number(sigma))
 
     def restriction(self, sigma: Cone, tau: Cone) -> RayRestriction | QuotientSurjection:
-        return self.restriction_at(self.fan._index[sigma], self.fan._index[tau])
+        return self.restriction_at(self._number(sigma), self._number(tau))
+
+    def _number(self, cone: Cone) -> int:
+        i = self.fan.find(cone)
+        if i is None:
+            raise KeyError(cone)
+        return i
 
     def stalk_at(self, i: int) -> RayStalk | QuotientLattice:
         """The stalk group at cone i of the fan, kept from its first
@@ -318,8 +324,11 @@ class Section:
     __slots__ = ("sheaf", "domain", "values")
 
     def __new__(cls, sheaf: FanSheaf, domain: Subfan, components: dict) -> "Section":
-        index = sheaf.fan._index
-        return cls.by_id(sheaf, domain, {index.get(c, c): v for c, v in components.items()})
+        values = {}
+        for c, v in components.items():
+            i = sheaf.fan.find(c)
+            values[c if i is None else i] = v
+        return cls.by_id(sheaf, domain, values)
 
     @classmethod
     def by_id(cls, sheaf: FanSheaf, domain: Subfan, values: dict) -> "Section":

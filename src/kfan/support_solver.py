@@ -104,22 +104,28 @@ def _initial_candidates(constraints: Sequence[Constraint]) -> dict:
     return cand
 
 
-def _expand(cand: dict, constraints: Sequence[Constraint], new_targets: dict) -> None:
+def _by_slot(constraints: Sequence[Constraint]) -> dict:
+    """Slot -> the (constraint key, map) of each term on it, in order."""
+    by_slot: dict = {}
+    for c in constraints:
+        for slot, _sign, phi in c.terms:
+            by_slot.setdefault(slot, []).append((c.key, phi))
+    return by_slot
+
+
+def _expand(cand: dict, constraints: Sequence, by_slot: dict, new_targets: dict) -> None:
     """One closure round: lift every target point (``new_targets``, the
     pushed candidates and right-hand-side points per constraint key, as
     ``_equations`` found them) back into each participating slot, and
     add joint lifts -- points hitting prescribed targets of two
     constraints at once, which single splittings miss.  Each stacked
-    pair of maps is reduced once and its factors serve every pair of
-    target points."""
+    pair of maps (``by_slot``, from ``_by_slot``) is reduced once and
+    its factors serve every pair of target points."""
+    ordered = {key: sorted(pts) for key, pts in new_targets.items()}
     for c in constraints:
-        for t in sorted(new_targets[c.key]):
+        for t in ordered[c.key]:
             for slot, _sign, phi in c.terms:
                 cand[slot].add(phi.lift(t))
-    by_slot: dict = {}
-    for c in constraints:
-        for slot, _sign, phi in c.terms:
-            by_slot.setdefault(slot, []).append((c.key, phi))
     for slot, involved in by_slot.items():
         source = involved[0][1].source
         if source.coords_len == 0:
@@ -128,8 +134,8 @@ def _expand(cand: dict, constraints: Sequence[Constraint], new_targets: dict) ->
             for b in range(a + 1, len(involved)):
                 key1, phi1 = involved[a]
                 key2, phi2 = involved[b]
-                targets1 = sorted(new_targets[key1])
-                targets2 = sorted(new_targets[key2])
+                targets1 = ordered[key1]
+                targets2 = ordered[key2]
                 if not targets1 or not targets2:
                     continue
                 stacked = IntMatrix(
@@ -188,11 +194,7 @@ def _try_solve(cand: dict, equations: list) -> dict | None:
     values: dict = {}
     for eqs in blocks.values():
         vs = sorted({v for _eq_id, coeffs, _rhs in eqs for v in coeffs})
-        a = IntMatrix(
-            [[coeffs.get(v, 0) for v in vs] for _eq_id, coeffs, _rhs in eqs],
-            ncols=len(vs),
-        )
-        x = solve(a, [rhs for _eq_id, _coeffs, rhs in eqs])
+        x = solve(_matrix(eqs, vs), [rhs for _eq_id, _coeffs, rhs in eqs])
         if x is None:
             return None
         values.update(zip(vs, x))
@@ -200,6 +202,19 @@ def _try_solve(cand: dict, equations: list) -> dict | None:
         slot: {m: values.get((slot, m), 0) for m in sorted(ms)}
         for slot, ms in cand.items()
     }
+
+
+def _matrix(equations: list, variables: list) -> IntMatrix:
+    """The dense matrix of ``equations`` (as ``_equations`` gives them),
+    one column per variable of ``variables``, in that order."""
+    column = {v: j for j, v in enumerate(variables)}
+    rows = []
+    for _eq_id, coeffs, _rhs in equations:
+        row = [0] * len(variables)
+        for v, coeff in coeffs.items():
+            row[column[v]] = coeff
+        rows.append(tuple(row))
+    return IntMatrix._trusted(tuple(rows), len(variables))
 
 
 def solve_pushforward_system(
@@ -212,11 +227,12 @@ def solve_pushforward_system(
     re-verify the solution exactly through its own arithmetic.
     """
     cand = _initial_candidates(constraints)
+    by_slot = _by_slot(constraints)
     sizes = []
     targets: dict = {}
     for round_no in range(depth + 1):
         if round_no > 0:
-            _expand(cand, constraints, targets)
+            _expand(cand, constraints, by_slot, targets)
         sizes.append(sum(len(s) for s in cand.values()))
         equations, targets = _equations(cand, constraints)
         raw = None if equations is None else _try_solve(cand, equations)
@@ -270,14 +286,7 @@ def sample_nonzero_solution(
             for _ in range(rng.randint(1 if not pts else 0, extra_points)):
                 pts.add(random_coords(slot_groups[slot]))
         variables = sorted((slot, m) for slot, ms in support.items() for m in ms)
-        column = {v: j for j, v in enumerate(variables)}
-        rows = []
-        for _eq_id, coeffs, _rhs in _equations(support, constraints)[0]:
-            row = [0] * len(variables)
-            for v, coeff in coeffs.items():
-                row[column[v]] = coeff
-            rows.append(tuple(row))
-        basis = kernel(IntMatrix._trusted(tuple(rows), len(variables)))
+        basis = kernel(_matrix(_equations(support, constraints)[0], variables))
         combo = [0] * len(variables)
         for row in basis.rows:
             k = rng.randint(-COEFF_BOUND, COEFF_BOUND)

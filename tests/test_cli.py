@@ -104,6 +104,54 @@ def test_bad_ray_index_exit_code(fanfile):
     assert run(["info", fanfile(data)]) == 2
 
 
+def test_a_repeated_ray_index_is_named_in_a_warning(fanfile):
+    rep = run(["info", fanfile(dict(P2, max_cones=[[0, 1, 0], [1, 2], [2, 0]]))])
+    assert rep.inputs["warnings"] == ["max cone 0 [0, 1, 0] repeats ray index 0"]
+    assert rep.results == run(["info", fanfile(P2)]).results
+
+
+QUADRANT = {"lattice_rank": 2, "rays": [[1, 0], [0, 1], [1, 1]], "max_cones": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "cones, warnings",
+    [
+        (
+            [[0, 1], [0], [1]],
+            [
+                "max cone 1 [0] spans a face of another max cone; the fan drops it",
+                "max cone 2 [1] spans a face of another max cone; the fan drops it",
+            ],
+        ),
+        ([[1], [0, 1]], ["max cone 0 [1] spans a face of another max cone; the fan drops it"]),
+        (
+            [[0, 1], [1, 0], [0, 2, 1]],
+            [
+                "max cone 1 [1, 0] spans the same cone as max cone 0; the fan drops it",
+                "max cone 2 [0, 2, 1] spans the same cone as max cone 0; the fan drops it",
+            ],
+        ),
+        # ray 2 is not extreme: the entry is the quadrant, kept
+        ([[0, 2, 1]], []),
+        ([[2, 0, 1], [0]], ["max cone 1 [0] spans a face of another max cone; the fan drops it"]),
+    ],
+)
+def test_max_cone_entries_the_fan_drops_are_named_in_warnings(fanfile, cones, warnings):
+    # report indices count the kept entries: a dropped one must be named
+    rep = run(["info", fanfile(dict(QUADRANT, max_cones=cones))])
+    assert rep.inputs.get("warnings", []) == warnings
+    assert rep.results["max_cone_ids"] == [3] and rep.results["num_cones"] == 4
+
+
+def test_an_element_key_past_the_kept_entries_is_out_of_range_with_a_warning(fanfile, capsys):
+    path = fanfile(dict(QUADRANT, max_cones=[[0, 1], [0], [1]]))
+    assert main(["k0-global", path, "--element", '{"1": []}']) == 2
+    assert "max-cone index 1 out of range" in capsys.readouterr().err
+    assert main(["k0-global", path, "--element", '{"0": []}', "--json"]) == 0
+    warnings = json.loads(capsys.readouterr().out)["inputs"]["warnings"]
+    assert [w.split(" spans")[0] for w in warnings] == ["max cone 1 [0]", "max cone 2 [1]"]
+
+
 @pytest.mark.parametrize(
     "change",
     [

@@ -621,7 +621,7 @@ def test_subfan_max_cones_match_brute_force(path):
             if not any(c != d and c in fan.faces_of(d) for d in sub.members)
         ]
         if sub.is_full():  # the whole fan's, in the fan's order
-            assert sub.max_cones() is fan.max_cones and set(maximal) == set(fan.max_cones)
+            assert sub.max_cones() == fan.max_cones and set(maximal) == set(fan.max_cones)
         else:
             assert sub.max_cones() == tuple(sorted(maximal, key=lambda c: (c.dim, c.rays)))
 
@@ -637,7 +637,8 @@ def test_full_subfan_is_the_checked_subfan_of_every_cone(path):
     full = fan.full_subfan()
     assert full == Subfan(fan, fan.cones) and full.is_full()
     assert all(fan.cones[fan.index_of(c)] is c for c in full.members)
-    assert full.max_cones() is Subfan(fan, fan.cones).max_cones() is fan.max_cones
+    assert full.max_cones() == Subfan(fan, fan.cones).max_cones() == fan.max_cones
+    assert all(c is fan.cones[i] for c, i in zip(fan.max_cones, fan.max_ids))
     # a member set without one of its faces is still refused, and a
     # proper open set is not full
     top = fan.max_cones[0]
@@ -667,8 +668,8 @@ def test_subfan_max_cones_are_found_once():
     assert sub.max_cones() == first
     assert len(calls) == found
     assert set(first) == {a, b}
-    # the whole fan's are the fan's own tuple: no face is read
-    assert full.max_cones() is f.max_cones
+    # the whole fan's are the fan's own max_ids: no face is read
+    assert full.max_cones() == f.max_cones
     assert len(calls) == found
 
 

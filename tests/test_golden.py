@@ -74,6 +74,12 @@ still holds for what each report says.  A change meant to alter these
 reports must say so and regenerate them from the repository root with
 
     PYTHONPATH=src python -m kfan.cli <arguments> --json > tests/golden/<name>.json
+
+The three ``*.txt`` files are the default text output of the commands
+of ``TEXT_GOLDEN`` (``JobReport.to_text``), captured before the fan
+came to find a ``Cone`` by its ray set rather than by its hash; they
+are regenerated the same way, without ``--json`` and into
+``tests/golden/<name>.txt``.
 """
 
 import hashlib
@@ -85,6 +91,7 @@ import pytest
 
 from kfan import cli
 from kfan.cli import main, run
+from kfan.cones import Cone
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -157,6 +164,16 @@ EXIT_STATUS = {
     "exactness-p2-mod-z3-level1": 3,
     "exactness-p1xp1-mod-z2-level1": 3,
 }
+# the default text output: a smooth info report, a smooth check-flasque
+# report and a non-smooth check-exactness report whose trials give up
+TEXT_GOLDEN = {
+    "info-p2": "info fans/p2.json",
+    "flasque-p2": "check-flasque fans/p2.json --trials 2 --seed 1",
+    "exactness-p2-mod-z3-level1": (
+        "check-exactness tests/golden/p2-mod-z3.json --level 1 --trials 2 --experimental-nonsmooth"
+    ),
+}
+TEXT_EXIT_STATUS = {"exactness-p2-mod-z3-level1": 3}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -165,6 +182,32 @@ def test_report_matches_golden_file(name, monkeypatch, capsys):
     assert main(GOLDEN[name].split() + ["--json"]) == EXIT_STATUS.get(name, 0)
     with open(os.path.join("tests", "golden", f"{name}.json"), encoding="utf-8") as f:
         assert capsys.readouterr().out == f.read()
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_GOLDEN))
+def test_text_report_matches_golden_file(name, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert main(TEXT_GOLDEN[name].split()) == TEXT_EXIT_STATUS.get(name, 0)
+    with open(os.path.join("tests", "golden", f"{name}.txt"), encoding="utf-8") as f:
+        assert capsys.readouterr().out == f.read()
+
+
+def test_no_golden_command_hashes_a_cone(monkeypatch, capsys):
+    # the fan, its sheaf and the cover complex keep cone numbers, and the
+    # fan finds a Cone by its ray set: every command, each on a fan built
+    # afresh, writes its golden bytes with Cone.__hash__ refusing to run
+    def refuse(cone):
+        raise AssertionError(f"{cone!r} was hashed")
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(Cone, "__hash__", refuse)
+    runs = [(name, GOLDEN[name].split() + ["--json"], EXIT_STATUS, "json") for name in sorted(GOLDEN)]
+    runs += [(name, TEXT_GOLDEN[name].split(), TEXT_EXIT_STATUS, "txt") for name in sorted(TEXT_GOLDEN)]
+    for name, argv, status, suffix in runs:
+        cli._built.cache_clear()
+        assert main(argv) == status.get(name, 0), name
+        with open(os.path.join("tests", "golden", f"{name}.{suffix}"), encoding="utf-8") as f:
+            assert capsys.readouterr().out == f.read(), name
 
 
 def test_every_golden_command_twice_in_one_process(monkeypatch, capsys):

@@ -63,9 +63,9 @@ def test_expand_reduces_each_stacked_pair_once(monkeypatch):
         solves.append(args[-1])
         return solve_with(*args)
 
-    def watched_expand(cand, constraints, targets):
+    def watched_expand(cand, constraints, *rest):
         before = len(reductions), len(solves)
-        expand(cand, constraints, targets)
+        expand(cand, constraints, *rest)
         made, solved = len(reductions) - before[0], len(solves) - before[1]
         assert made <= _slot_pairs(constraints)
         rounds.append((made, solved))
@@ -114,6 +114,30 @@ def test_each_candidate_is_pushed_once_per_round(monkeypatch, capsys):
     capsys.readouterr()
     assert rounds and pushes["_equations"]
     assert "_expand" not in pushes
+
+
+def test_each_solve_builds_its_slot_table_once(monkeypatch, capsys):
+    # the (constraint, map) pairs on each slot depend on the constraints
+    # alone: every expansion round of a solve reads the one table
+    tables, used = [], []
+    by_slot, expand = support_solver._by_slot, support_solver._expand
+
+    def counting(constraints):
+        tables.append(by_slot(constraints))
+        return tables[-1]
+
+    def watched_expand(cand, constraints, table, targets):
+        used.append(table)
+        return expand(cand, constraints, table, targets)
+
+    monkeypatch.setattr(support_solver, "_by_slot", counting)
+    monkeypatch.setattr(support_solver, "_expand", watched_expand)
+    fan = os.path.join(os.path.dirname(__file__), "golden", "weighted-p2.json")
+    # its searches give up after every round of depth 3
+    assert main(["check-flasque", fan, "--trials", "3", "--seed", "2", "--experimental-nonsmooth"]) == 3
+    capsys.readouterr()
+    assert len(used) > len(tables) > 0
+    assert [id(t) for t in tables] == list(dict.fromkeys(id(t) for t in used))
 
 
 def test_kernel_and_solve_track_neither_inverse(monkeypatch):
