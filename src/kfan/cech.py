@@ -18,7 +18,8 @@ fixed order of the maximal cones (only level zero is forced by the
 geometry), and d . d = 0 by telescoping.  It walks the pairs (s, i) of
 a cochain's support and the indices outside s: t = s + {i} takes the
 sign of i's position, its meet is the fan's cone on the rays of s's meet
-in maximal cone i, and each component is pushed once per distinct meet.
+in maximal cone i, and each component's terms are pushed once per
+distinct meet (``monoids.push_terms``).
 Meets are kept by cone number, and the anchors a_tau below are read off
 the fan's one ``Subfan.home`` table, so no lookup hashes a ``Cone``.
 
@@ -28,8 +29,10 @@ of summands A_tau over the faces tau of sigma
 (``kfan.sheaves.split_rays``), so the complex is the sum over the cones
 tau of the complexes of full simplices on S_tau, the maximal cones
 containing tau, with coefficients A_tau.  Each is exact in positive
-levels, contracted onto a_tau = min S_tau, and ``solve_coboundary``
-returns the contraction b once d(b) = z, which proves z a cocycle.
+levels, contracted onto a_tau = min S_tau: the contraction projects each
+anchored tau-part of z_t straight into its target's ray coordinates
+(``kfan.sheaves._top_part_into``), and ``solve_coboundary`` returns it
+once d(b) = z, which proves z a cocycle.
 ``random_cocycle`` draws sparse cocycles z = d(b0), with b0 one random
 monomial on each of ``SPARSE_TUPLES`` random tuples one level down: d
 and the contraction are linear, so a dense z would test them no better.
@@ -48,17 +51,16 @@ from typing import Sequence
 
 from .cones import Cone, Fan
 from .intlinalg import CertificateError, QuotientLattice
-from .monoids import GroupRingElement
+from .monoids import GroupRingElement, push_terms
 from .sheaves import (
     RayStalk,
     Section,
+    _top_part_into,
     accumulate,
-    assemble_rays,
     cover_system,
     first_disagreement,
     random_monomial,
     sheaf_a0,
-    split_rays,
 )
 from .support_solver import (
     MAX_ATTEMPTS,
@@ -84,7 +86,7 @@ class CechComplex:
     found when first asked for, and a tuple is checked by its shape, so
     no level is listed."""
 
-    __slots__ = ("fan", "sheaf", "top_level", "tuples", "_meets", "_max_rays")
+    __slots__ = ("fan", "sheaf", "top_level", "tuples", "_meets", "_max_rays", "_anchored")
 
     def __init__(self, fan: Fan):
         self.fan = fan
@@ -95,6 +97,9 @@ class CechComplex:
         self.tuples = {}
         self._meets = {(i,): cone for i, cone in enumerate(fan.max_ids)}  # tuple -> cone number
         self._max_rays = [fan.ray_sets[cone] for cone in fan.max_ids]
+        # (meet of t, t[0], meet of t[1:]) -> (restriction's picker, pad) per
+        # face tau of t's meet with a_tau = max_ids[t[0]]: see ``_contract``
+        self._anchored: dict = {}
 
     def cone_of(self, t: tuple) -> Cone:
         return self.fan.cones[self.meet_id(t)]
@@ -142,8 +147,8 @@ class CechComplex:
                     shared = rays & max_rays[i]
                     found = pushed.get(shared)
                     if found is None:
-                        image = comp.pushforward(restriction(meet, fan._by_rays[shared]))
-                        found = pushed[shared] = image.group, image.terms
+                        phi = restriction(meet, fan._by_rays[shared])
+                        found = pushed[shared] = phi.target, push_terms(comp.terms, phi)
                     t = head + (i,) + tail
                     acc = sums.get(t)
                     if acc is None:
@@ -189,20 +194,18 @@ class CechComplex:
         """A preimage of the cocycle z on a smooth fan: b_K is the sum of
         iota(z^tau_{(a_tau) K}) over the cones tau with a_tau < K in S_tau.
         The caller checks d(b) = z, which holds exactly for cocycles."""
-        fan = self.fan
-        home = fan.full_subfan().home()  # tau -> the cone number of a_tau
-        b: dict = {}
-        anchored: dict = {}  # (meet, a) -> the faces tau of the meet with a_tau = a
+        fan, anchored, b = self.fan, self._anchored, {}
         for t, value in z.components.items():
-            cone = self.meet_id(t)
-            faces = anchored.get((cone, t[0]))
-            if faces is None:
-                a = fan.max_ids[t[0]]
-                faces = [tau for tau in fan.face_ids[cone] if home[tau] == a]
-                anchored[cone, t[0]] = faces
-            parts = split_rays(self.sheaf, value, cone, faces)
-            above = assemble_rays(self.sheaf, parts, self.meet_id(t[1:]), faces)
-            accumulate(b.setdefault(t[1:], {}), above, 1)
+            cone, above = self.meet_id(t), self.meet_id(t[1:])
+            maps = anchored.get((cone, t[0], above))
+            if maps is None:
+                home, a, phi = fan.full_subfan().home(), fan.max_ids[t[0]], self.sheaf.restriction_at
+                faces = [tau for tau in fan.face_ids[cone] if home[tau] == a]  # home: tau -> a_tau
+                maps = [(phi(cone, tau).apply, phi(above, tau).pad) for tau in faces]
+                anchored[cone, t[0], above] = maps
+            out = b.setdefault(t[1:], {})
+            for pick, pad in maps:  # each tau-part projected straight into above's coordinates
+                _top_part_into(out, value.terms, pick, pad)
         return self._from_rays(z.level - 1, b)
 
     def _from_rays(self, level: int, terms: dict) -> "Cochain":

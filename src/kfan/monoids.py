@@ -305,6 +305,19 @@ class AffineMonoid:
         )
 
 
+def push_terms(terms: dict, phi: QuotientSurjection) -> dict:
+    """The pushforward of a term dict along phi: ``phi.apply`` on each
+    key, coefficients of equal images summed, zeros dropped, in a fresh
+    dict.  The one push of the package: the smooth kernels call it on
+    bare term dicts, and ``GroupRingElement.pushforward`` wraps it."""
+    apply = phi.apply
+    out: dict = {}
+    for e, k in terms.items():
+        key = apply(e)
+        out[key] = out.get(key, 0) + k
+    return {e: k for e, k in out.items() if k} if 0 in out.values() else out
+
+
 class GroupRingElement:
     """A finitely supported integer combination of characters chi^q,
     q in a quotient lattice.  Immutable; zero coefficients are never
@@ -403,15 +416,10 @@ class GroupRingElement:
 
     def pushforward(self, phi: QuotientSurjection) -> "GroupRingElement":
         """Linear extension of chi^q -> chi^{phi(q)}; a ring map, through
-        ``phi.apply`` on each term's key."""
+        ``push_terms``."""
         if phi.source is not self.group:
             raise GroupMismatch("surjection source does not match the element group")
-        apply = phi.apply
-        terms: dict[Vec, int] = {}
-        for coords, coeff in self.terms.items():
-            k = apply(coords)
-            terms[k] = terms.get(k, 0) + coeff
-        return GroupRingElement._normal(phi.target, terms)
+        return GroupRingElement._normal(phi.target, push_terms(self.terms, phi))
 
     def support(self) -> list[Vec]:
         return sorted(self.terms)

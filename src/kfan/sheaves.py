@@ -17,9 +17,11 @@ is its restriction to tau under the projector prod (1 - eps_i), eps_i
 setting x_i = 1 (``split_rays``), and the parts sum back by
 zero-padding (``assemble_rays``).  So ``sheaf_a0`` is the sum over the
 cones tau of the constant sheaf A_tau on star(tau), and flasque: a
-section extends by zero tau-parts off its domain.  The character
-groups' own coordinates are read only where ``kfan.report`` writes or
-reads an element, through the stalk's ray chart (``RayStalk.chart``).
+section extends by zero tau-parts off its domain, so the extension
+splits only the faces that the maximal cones outside the domain read.
+The character groups' own coordinates are read only where
+``kfan.report`` writes or reads an element, through the stalk's ray
+chart (``RayStalk.chart``).
 On non-smooth fans the stalks are the character groups, the restrictions
 their canonical surjections, and extensions are searched for by the
 expanding-support solver: a ``SolverGaveUp`` there is a search failure,
@@ -50,6 +52,7 @@ from __future__ import annotations
 import random
 from functools import reduce
 from itertools import combinations, product
+from operator import itemgetter
 
 from .cones import MAX_RANK, Cone, Fan, Subfan
 from .intlinalg import (
@@ -65,7 +68,7 @@ from .intlinalg import (
     picker,
     vec_add,
 )
-from .monoids import GroupRingElement
+from .monoids import GroupRingElement, push_terms
 from .support_solver import (
     COEFF_BOUND,
     COORD_BOUND,
@@ -145,7 +148,7 @@ class RayStalk:
 class RayRestriction:
     """Restriction to a face on a smooth fan: ``apply`` keeps the
     coordinates of the face's rays, a compiled ``picker`` that
-    ``GroupRingElement.pushforward`` runs on each key, certified by
+    ``monoids.push_terms`` runs on each key, certified by
     construction, as the face's rays are among the cone's.  ``pad`` is
     its right inverse iota, reading a key with one trailing 0, which the
     rays the face lacks pick."""
@@ -256,11 +259,11 @@ def first_disagreement(sheaf: FanSheaf, cones, values):
     fan = sheaf.fan
     pushed: dict = {}
 
-    def at(i: int, meet: int) -> GroupRingElement:
-        value = pushed.get((i, meet))
-        if value is None:
-            value = pushed[i, meet] = values[i].pushforward(sheaf.restriction_at(cones[i], meet))
-        return value
+    def at(i: int, meet: int) -> dict:  # value i's terms on the meet
+        terms = pushed.get((i, meet))
+        if terms is None:
+            terms = pushed[i, meet] = push_terms(values[i].terms, sheaf.restriction_at(cones[i], meet))
+        return terms
 
     if cones is fan.max_ids:
         whole = fan.full_subfan()
@@ -276,7 +279,9 @@ def first_disagreement(sheaf: FanSheaf, cones, values):
             meet = fan.meet_id(cones[i], cones[j])
             a, b = at(i, meet), at(j, meet)
             if a != b:
-                return i, j, meet, b - a
+                difference = dict(b)
+                accumulate(difference, a, -1)
+                return i, j, meet, GroupRingElement._normal(sheaf.stalk_at(meet), difference)
     raise CertificateError("the incidence walk found a disagreement that no pair has")
 
 
@@ -401,13 +406,6 @@ class Section:
         return f"Section(on {len(self.values)} maximal cones)"
 
 
-def pad_rays(terms: dict, phi: RayRestriction) -> dict:
-    """iota: from the ray coordinates of phi's face to its cone's, with
-    zeros at the rays the face lacks.  A right inverse of phi."""
-    pad = phi.pad
-    return {pad(e + (0,)): k for e, k in terms.items()}
-
-
 def accumulate(acc: dict, terms: dict, sign: int) -> None:
     """acc += sign * terms, for term dicts; zero coefficients dropped."""
     for e, k in terms.items():
@@ -422,11 +420,12 @@ def _sign_patterns(width: int) -> tuple:
     """(picker, sign) for each choice of the kept factors x_i^e_i in the
     expansion of prod (x_i^e_i - 1) over ``width`` coordinates, in the
     order of ``product((1, 0), repeat=width)``: the picker reads a key
-    with one trailing 0, which the dropped coordinates pick, and the
-    sign is that of the dropped factors' -1s."""
+    with one trailing 0, which the dropped coordinates pick, and writes
+    one too, as ``RayRestriction.pad`` reads; the sign is that of the
+    dropped factors' -1s."""
     return tuple(
         (
-            picker([i if kept else width for i, kept in enumerate(keep)]),
+            picker([i if kept else width for i, kept in enumerate(keep)] + [width]),
             -1 if (width - sum(keep)) % 2 else 1,
         )
         for keep in product((1, 0), repeat=width)
@@ -435,30 +434,43 @@ def _sign_patterns(width: int) -> tuple:
 
 # a smooth cone has at most as many rays as the lattice rank
 _SIGN_PATTERNS = tuple(_sign_patterns(w) for w in range(MAX_RANK + 1))
+_UNPAD = itemgetter(slice(-1))  # a key less its trailing 0
 
 
-def _top_part(terms: dict) -> dict:
-    """The projector prod (1 - eps_i) on ray-coordinate terms: x^e goes
-    to prod (x_i^e_i - 1), which is 0 when some e_i is; its terms are
-    read off the sign patterns of the width of e."""
-    out: dict = {}
+def _top_part_into(out: dict, terms: dict, pick, pad) -> dict:
+    """out += the projector prod (1 - eps_i) on the terms picked into a
+    face's ray coordinates by ``pick``, each result read by ``pad`` with
+    one trailing 0: x^e goes to prod (x_i^e_i - 1), which is 0 when some
+    e_i is; its terms are read off the sign patterns of the width of e.
+    Zero coefficients may stay."""
     for e, k in terms.items():
+        e = pick(e)
         if 0 in e:
             continue
         padded = e + (0,)
-        for pick, sign in _SIGN_PATTERNS[len(e)]:
-            key = pick(padded)
+        for p, sign in _SIGN_PATTERNS[len(e)]:
+            key = pad(p(padded))
             out[key] = out.get(key, 0) + sign * k
+    return out
+
+
+def _top_part(terms: dict) -> dict:
+    """The projector prod (1 - eps_i) on ray-coordinate terms."""
+    out = _top_part_into({}, terms, tuple, _UNPAD)
     return {e: k for e, k in out.items() if k}
 
 
 def split_rays(sheaf: FanSheaf, x: GroupRingElement, cone: int, faces) -> dict:
     """The nonzero tau-parts, in tau's ray coordinates, of an element of
     the stalk at a cone of a smooth fan, by face number: restrict to
-    each face tau, then project onto A_tau.  Cones are numbers."""
-    restriction = sheaf.restriction_at
-    parts = {tau: _top_part(x.pushforward(restriction(cone, tau)).terms) for tau in faces}
-    return {tau: part for tau, part in parts.items() if part}
+    each face tau (``push_terms``, none onto the cone itself), then
+    project onto A_tau.  Cones are numbers."""
+    restriction, parts = sheaf.restriction_at, {}
+    for tau in faces:
+        part = _top_part(x.terms if tau == cone else push_terms(x.terms, restriction(cone, tau)))
+        if part:
+            parts[tau] = part
+    return parts
 
 
 def assemble_rays(sheaf: FanSheaf, parts: dict, cone: int, faces) -> dict:
@@ -470,8 +482,11 @@ def assemble_rays(sheaf: FanSheaf, parts: dict, cone: int, faces) -> dict:
     for tau in faces:
         part = parts.get(tau)
         if part:
-            accumulate(out, pad_rays(part, sheaf.restriction_at(cone, tau)), 1)
-    return out
+            pad = sheaf.restriction_at(cone, tau).pad
+            for e, k in part.items():
+                key = pad(e + (0,))
+                out[key] = out.get(key, 0) + k
+    return {e: k for e, k in out.items() if k} if 0 in out.values() else out
 
 
 def random_monomial(cone: Cone, rng: random.Random) -> dict:
@@ -504,15 +519,19 @@ def extend_section(section: Section, depth: int = 3) -> Section | SolverGaveUp:
 
 def _split_extension(section: Section) -> Section:
     """The section on its domain; elsewhere its tau-parts, assembled with
-    zero parts for the cones outside the domain."""
+    zero parts for the cones outside the domain.  Only the faces those
+    cones read are split, each once."""
     sheaf, given, fan = section.sheaf, section.values, section.sheaf.fan
+    outside = [c for c in fan.max_ids if c not in given]
+    wanted = {tau for c in outside for tau in fan.face_ids[c]}
     parts: dict = {}
     for top, value in given.items():
-        faces = [tau for tau in fan.face_ids[top] if tau not in parts]
+        faces = [tau for tau in fan.face_ids[top] if tau in wanted]
+        wanted.difference_update(faces)
         parts.update(split_rays(sheaf, value, top, faces))
     # a maximal cone of the fan in the domain is one of the domain's
     values = {c: given[c] for c in fan.max_ids if c in given}
-    values.update(_assembled(sheaf, parts, [c for c in fan.max_ids if c not in given]))
+    values.update(_assembled(sheaf, parts, outside))
     return Section.by_id(sheaf, fan.full_subfan(), values)
 
 

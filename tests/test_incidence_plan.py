@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kfan import cech, cli, monoids, sheaves
 from kfan.cech import CechComplex, Cochain, H0Ring, LevelOverflow
 from kfan.cones import Fan
 from kfan.fanfile import build_fan, load_fan_file
@@ -209,15 +210,57 @@ def test_membership_witness_matches_the_reference():
 
 
 def count_pushforwards(monkeypatch):
+    """The maps of every push from now on: ``monoids.push_terms``, the
+    one push primitive, counted in each module that calls it (the smooth
+    kernels call it on bare term dicts, ``GroupRingElement.pushforward``
+    wraps it)."""
     calls = []
-    push = GroupRingElement.pushforward
+    push = monoids.push_terms
 
-    def counting(self, phi):
+    def counting(terms, phi):
         calls.append(phi)
-        return push(self, phi)
+        return push(terms, phi)
 
-    monkeypatch.setattr(GroupRingElement, "pushforward", counting)
+    for module in (monoids, sheaves, cech):
+        monkeypatch.setattr(module, "push_terms", counting)
     return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check-exactness", "--level", "1"], ["check-exactness", "--level", "2"], ["check-flasque"]],
+    ids=["exactness-level-1", "exactness-level-2", "flasque"],
+)
+def test_no_trial_pushes_along_a_map_onto_its_own_cone(monkeypatch, capsys, argv):
+    # a count, not a timing: a value is read as it is on its own cone,
+    # in the differential, the split, the contraction and the checks
+    path = os.path.join(HERE, os.pardir, "bench", "fans", "p1xp1xp1.json")
+    calls = count_pushforwards(monkeypatch)
+    assert cli.main([argv[0], path, *argv[1:], "--trials", "5", "--json"]) == 0
+    capsys.readouterr()
+    assert calls and all(phi.source is not phi.target for phi in calls)
+
+
+def test_the_extension_splits_only_the_faces_that_cones_outside_read(monkeypatch):
+    # the tau-parts of the domain's faces that no maximal cone outside
+    # the domain contains are never assembled, so they are never split
+    fan = bench_fan("p1xp1xp1")
+    sheaf = sheaves.sheaf_a0(fan)
+    rng = random.Random(7)
+    pushes = 0
+    for _ in range(20):
+        domain = random_open_subfan(fan, rng)
+        section = random_section(sheaf, domain, rng)
+        outside = [c for c in fan.max_ids if c not in domain.ids]
+        read = {tau for c in outside for tau in fan.face_ids[c]} & domain.ids
+        calls = count_pushforwards(monkeypatch)
+        extended = sheaves._split_extension(section)
+        monkeypatch.undo()
+        targets = [phi.target.cone_id for phi in calls]
+        assert set(targets) <= read and len(set(targets)) == len(targets)
+        assert extended.check() and extended.restrict(domain) == section
+        pushes += len(calls)
+    assert pushes > 0
 
 
 @pytest.mark.parametrize("name", ["p1xp1xp1", "ladder-12"])

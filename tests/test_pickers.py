@@ -10,7 +10,8 @@ and 1 coordinates, where a bare ``itemgetter`` fails or returns an
 int), on the restrictions of a weighted P2, and onto a torsion target.
 The ray helpers of ``sheaves`` read pickers too: ``_top_part`` must be
 the explicit expansion of prod (x_i^e_i - 1), and restriction, a picker
-on smooth fans, must undo ``pad_rays`` on every face pair.
+on smooth fans, must undo the zero-padding of ``assemble_rays`` on every
+face pair.
 """
 
 import glob
@@ -33,7 +34,7 @@ from kfan.intlinalg import (
     quotient,
 )
 from kfan.monoids import GroupRingElement
-from kfan.sheaves import RayRestriction, _top_part, pad_rays, sheaf_a0
+from kfan.sheaves import RayRestriction, _top_part, assemble_rays, sheaf_a0
 
 HERE = os.path.dirname(__file__)
 FAN_FILES = sorted(
@@ -167,7 +168,8 @@ def test_restrict_rays_undoes_pad_rays_on_every_face_pair(fan, seed):
         for tau in fan.faces_of(sigma):  # tau = sigma included
             terms = random_ray_terms(len(tau.rays), rng)
             phi = sheaf.restriction(sigma, tau)
-            padded = pad_rays(terms, phi)
+            face = phi.target.cone_id
+            padded = assemble_rays(sheaf, {face: terms}, phi.source.cone_id, [face])
             assert GroupRingElement(phi.source, padded).pushforward(phi).terms == terms
             outside = [i for i, r in enumerate(sigma.rays) if r not in tau.rays]
             assert all(e[i] == 0 for e in padded for i in outside)

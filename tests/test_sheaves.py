@@ -877,7 +877,8 @@ def test_a_family_that_differs_at_one_wall_only_is_caught(name):
     for a, b, ridge in walls(fan):
         for cone in (a, b):
             part = sheaves._top_part({(1,) * len(ridge.rays): 1})
-            bump = GroupRingElement(sheaf.stalk(cone), sheaves.pad_rays(part, sheaf.restriction(cone, ridge)))
+            i, j = fan.index_of(cone), fan.index_of(ridge)
+            bump = GroupRingElement(sheaf.stalk(cone), sheaves.assemble_rays(sheaf, {j: part}, i, [j]))
             comps = {**member, cone: member[cone] + bump}
             for cones in (fan.max_cones, fan.full_subfan().max_cones()):
                 values = [comps[c] for c in cones]
