@@ -34,7 +34,7 @@ anchored tau-part of z_t straight into its target's ray coordinates
 (``kfan.sheaves._top_part_into``), and ``solve_coboundary`` returns it
 once d(b) = z, which proves z a cocycle.
 ``random_cocycle`` draws sparse cocycles z = d(b0), with b0 one random
-monomial on each of ``SPARSE_TUPLES`` random tuples one level down: d
+monomial on each of ``SPARSE_DRAWS`` random tuples one level down: d
 and the contraction are linear, so a dense z would test them no better.
 Only ``kfan.report`` reads the character groups' coordinates.  On
 non-smooth fans cocycles are random kernel elements of d, preimages are
@@ -53,6 +53,7 @@ from .cones import Cone, Fan
 from .intlinalg import CertificateError, QuotientLattice
 from .monoids import GroupRingElement, push_terms
 from .sheaves import (
+    SPARSE_DRAWS,
     RayStalk,
     Section,
     _top_part_into,
@@ -68,9 +69,6 @@ from .support_solver import (
     sample_nonzero_solution,
     solve_pushforward_system,
 )
-
-# tuples of b0 in a smooth fan's random cocycle z = d(b0)
-SPARSE_TUPLES = 3
 
 
 class LevelOverflow(Exception):
@@ -215,7 +213,7 @@ class CechComplex:
 
     def random_cocycle(self, level: int, rng: random.Random) -> "Cochain":
         """A random nonzero cocycle.  On a smooth fan z = d(b0), b0 one
-        random monomial on each of ``SPARSE_TUPLES`` random tuples one
+        random monomial on each of ``SPARSE_DRAWS`` random tuples one
         level down, redrawn while z is zero (level-0 cocycles are global
         sections: ``random_section``).  Otherwise a random nonzero kernel
         element of d (``sample_nonzero_solution``), re-checked."""
@@ -226,7 +224,7 @@ class CechComplex:
                 raise ValueError("level-0 cocycles are global sections: use random_section")
             for _ in range(MAX_ATTEMPTS):
                 b0: dict = {}
-                for _ in range(SPARSE_TUPLES):
+                for _ in range(SPARSE_DRAWS):
                     s = tuple(sorted(rng.sample(range(self.top_level + 1), level)))
                     accumulate(b0.setdefault(s, {}), random_monomial(self.cone_of(s), rng), 1)
                 z = self.d(self._from_rays(level - 1, b0))

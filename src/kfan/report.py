@@ -42,7 +42,7 @@ def element_to_jsonable(el: GroupRingElement) -> list:
     An element of a smooth fan's stalk (``RayStalk``) is written in the
     coordinates of the cone's character group, through T^-1 of the
     stalk's ray chart."""
-    if not isinstance(el.group, RayStalk):
+    if not el.terms or not isinstance(el.group, RayStalk):
         return [[list(coords), coeff] for coords, coeff in sorted(el.terms.items())]
     to_smith = el.group.chart_maps()[1]
     return sorted([[to_smith(e), k] for e, k in el.terms.items()])
@@ -67,7 +67,7 @@ def element_from_jsonable(group, data) -> GroupRingElement:
             raise ValueError(f"term {term!r} is not [integer list, integer]")
         key = tuple(coords)
         terms[key] = terms.get(key, 0) + coeff
-    if isinstance(group, RayStalk):
+    if terms and isinstance(group, RayStalk):
         to_rays = group.chart_maps()[0]
         terms = {tuple(to_rays(group.reduce(e))): k for e, k in terms.items()}
     return GroupRingElement(group, terms)

@@ -19,6 +19,11 @@ zero-padding (``assemble_rays``).  So ``sheaf_a0`` is the sum over the
 cones tau of the constant sheaf A_tau on star(tau), and flasque: a
 section extends by zero tau-parts off its domain, so the extension
 splits only the faces that the maximal cones outside the domain read.
+The extension is linear in the section, so ``random_section`` draws
+the tau-parts of ``SPARSE_DRAWS`` random cones of the domain, the
+others zero, as the cover complex draws its cocycles: a zero value is
+pushed, split and charted nowhere, so a trial costs the stars of the
+drawn cones.
 The character groups' own coordinates are read only where
 ``kfan.report`` writes or reads an element, through the stalk's ray
 chart (``RayStalk.chart``).
@@ -78,6 +83,10 @@ from .support_solver import (
     sample_nonzero_solution,
     solve_pushforward_system,
 )
+
+# cones of the domain given a tau-part in a smooth fan's random section,
+# and tuples of b0 in its random cocycle z = d(b0) (``kfan.cech``)
+SPARSE_DRAWS = 3
 
 
 class RayStalk:
@@ -260,10 +269,13 @@ def first_disagreement(sheaf: FanSheaf, cones, values):
     pushed: dict = {}
 
     def at(i: int, meet: int) -> dict:  # value i's terms on the meet
-        terms = pushed.get((i, meet))
-        if terms is None:
-            terms = pushed[i, meet] = push_terms(values[i].terms, sheaf.restriction_at(cones[i], meet))
-        return terms
+        terms = values[i].terms
+        if not terms:  # a zero value is zero on every meet
+            return terms
+        out = pushed.get((i, meet))
+        if out is None:
+            out = pushed[i, meet] = push_terms(terms, sheaf.restriction_at(cones[i], meet))
+        return out
 
     if cones is fan.max_ids:
         whole = fan.full_subfan()
@@ -386,6 +398,8 @@ class Section:
         if own is not None:
             return own
         top = self.domain.home()[i]  # an open set has a maximal cone above each member
+        if not self.values[top].terms:  # zero on every face
+            return GroupRingElement.zero(self.sheaf.stalk_at(i))
         return self.values[top].pushforward(self.sheaf.restriction_at(top, i))
 
     def restrict(self, smaller: Subfan) -> "Section":
@@ -520,12 +534,16 @@ def extend_section(section: Section, depth: int = 3) -> Section | SolverGaveUp:
 def _split_extension(section: Section) -> Section:
     """The section on its domain; elsewhere its tau-parts, assembled with
     zero parts for the cones outside the domain.  Only the faces those
-    cones read are split, each once."""
+    cones read are split, each once, and only from nonzero values: the
+    section is checked, so every maximal cone of the domain containing a
+    face restricts to the same value there."""
     sheaf, given, fan = section.sheaf, section.values, section.sheaf.fan
     outside = [c for c in fan.max_ids if c not in given]
     wanted = {tau for c in outside for tau in fan.face_ids[c]}
     parts: dict = {}
     for top, value in given.items():
+        if not value.terms:  # its parts are zero, and any other home splits the same
+            continue
         faces = [tau for tau in fan.face_ids[top] if tau in wanted]
         wanted.difference_update(faces)
         parts.update(split_rays(sheaf, value, top, faces))
@@ -613,16 +631,19 @@ def random_open_subfan(fan: Fan, rng: random.Random) -> Subfan:
 
 def random_section(sheaf: FanSheaf, domain: Subfan, rng: random.Random) -> Section:
     """A random nonzero section, re-checked.  On a smooth fan, the tau-part
-    of a ``random_monomial`` for each cone tau of the domain, redrawn
-    while all zero; otherwise a random nonzero solution of the pairwise
-    compatibility equations (``sample_nonzero_solution``).  Failing that,
-    chi^m on every cone for a random m."""
+    of a ``random_monomial`` on each of ``SPARSE_DRAWS`` random cones tau
+    of the domain (all of them, on a smaller domain), the other parts
+    zero, redrawn while all zero; otherwise a random nonzero solution of
+    the pairwise compatibility equations (``sample_nonzero_solution``).
+    Failing that, chi^m on every cone for a random m."""
     fan = sheaf.fan
     cones = domain.max_ids()
     values = None
     if sheaf.smooth:
+        ids = sorted(domain.ids)
         for _ in range(MAX_ATTEMPTS):
-            parts = {c: _top_part(random_monomial(fan.cones[c], rng)) for c in sorted(domain.ids)}
+            drawn = rng.sample(ids, min(SPARSE_DRAWS, len(ids)))
+            parts = {c: _top_part(random_monomial(fan.cones[c], rng)) for c in drawn}
             if any(parts.values()):
                 values = _assembled(sheaf, parts, cones)
                 break

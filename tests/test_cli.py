@@ -440,7 +440,7 @@ def test_closed_stdout_ends_quietly_with_the_report_status():
     # buffer, so the write fails once the reader has gone
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     argv = ["check-flasque", os.path.join(root, "bench", "fans", "p1xp1xp1.json"),
-            "--trials", "80", "--seed", "3", "--json"]
+            "--trials", "200", "--seed", "3", "--json"]
     rep = run(argv)
     assert len(rep.to_json()) > 1 << 17
     env = dict(os.environ)

@@ -153,6 +153,27 @@ def test_extension_restricts_to_the_section(no_solver, fan, seed):
         assert extended.restrict(domain) == section
 
 
+@RANDOM_FANS
+@given(fan=random_smooth_fans(), seed=st.integers(0, 2**32))
+def test_a_dense_section_splits_extends_and_restricts_back(no_solver, fan, seed):
+    # random_section draws the parts of a few cones; here every cone of
+    # the domain has one, so many parts meet in one key as they assemble
+    sheaf = sheaf_a0(fan)
+    rng = random.Random(seed)
+    for _ in range(3):
+        domain = random_open_subfan(fan, rng)
+        parts = {c: sheaves._top_part(sheaves.random_monomial(fan.cones[c], rng)) for c in sorted(domain.ids)}
+        section = Section.by_id(sheaf, domain, sheaves._assembled(sheaf, parts, domain.max_ids()))
+        assert section.check()
+        for c, value in section.values.items():
+            faces = fan.face_ids[c]
+            assert split_rays(sheaf, value, c, faces) == {tau: parts[tau] for tau in faces if parts[tau]}
+        extended = extend_section(section, depth=0)
+        assert isinstance(extended, Section)
+        assert extended.check()
+        assert extended.restrict(domain) == section
+
+
 @pytest.mark.parametrize("name", ["p3", "p1xp1xp1"])
 def test_lift_with_zero_data_off_a_face_is_the_padding(name):
     # data x on the faces of A and zero on the faces of a facet B of

@@ -9,15 +9,24 @@ the contraction and the extension by zero parts, and the results gain a
 all changed then.  The eight ``exactness-*`` reports were regenerated
 again when smooth-fan cocycles came to be drawn sparse, as z = d(b0)
 for one random monomial on each of a few random tuples one level down
-(``cech.SPARSE_TUPLES``): the cocycles, their witnesses and their
-supports changed, and the reports shrank.  The ``check-flasque``
-reports did not change then.  The ``k0-global`` reports did not change
-when cocycles were first split per cone, nor when degree-zero
-cohomology came to be kept as global sections rather than level-0
-cochains; the rank-3 and non-smooth ``k0-global`` reports were captured
-before that change.  ``flasque-p1xp1xp1``, the benchmark's largest
-flasque job, was captured before coordinate selections and the ray
-helpers came to run as compiled pickers, and did not change with them.
+(the count now named ``sheaves.SPARSE_DRAWS``): the cocycles, their
+witnesses and their supports changed, and the reports shrank.  The
+``check-flasque`` reports did not change then.  The seven smooth
+``flasque-*`` reports (``p2``, ``p1xp1``, ``f1``, ``p3``, ``p1xp1xp1``,
+``p4`` and ``ladder-12``) and ``flasque-p2.txt`` were regenerated when
+smooth-fan sections came to be drawn sparse too, as the tau-parts of
+``SPARSE_DRAWS`` random cones of the domain, the others zero: the
+sections, their extensions and the supports changed, a zero component
+is written ``[]``, and the reports shrank.  Where this history says one
+of those seven was captured before some change, it was regenerated
+since.  The three non-smooth ``flasque-*`` reports did not change
+then.  The ``k0-global`` reports did not change when cocycles were first split
+per cone, nor when degree-zero cohomology came to be kept as global
+sections rather than level-0 cochains; the rank-3 and non-smooth
+``k0-global`` reports were captured before that change.
+``flasque-p1xp1xp1``, the benchmark's largest flasque job, was
+captured before coordinate selections and the ray helpers came to run
+as compiled pickers, and did not change with them.
 The four rank-4 and ``info`` reports (``p4.json`` is P4: rays e1..e4
 and -(e1 + .. + e4), five maximal cones) were captured before cones came
 to keep the kernel and the smoothness found by the one Smith reduction

@@ -172,6 +172,19 @@ def test_element_writes_match_the_chart_term_by_term(path):
             assert element_from_jsonable(group, expected) == el
 
 
+@pytest.mark.parametrize("path", ["fans/p2.json", "bench/fans/p1xp1xp1.json"])
+def test_a_zero_element_is_written_and_read_without_a_chart(path):
+    # a sparse section's zero components are [] in a report, and neither
+    # writing nor reading one builds its stalk's ray chart
+    sheaf = sheaf_a0(build_fan(load_fan_file(os.path.join(ROOT, path))))
+    for cone in sheaf.fan.cones:
+        group = sheaf.stalk(cone)
+        zero = GroupRingElement.zero(group)
+        assert element_to_jsonable(zero) == []
+        assert element_from_jsonable(group, []) == zero
+        assert group._chart is None
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_a_flasque_witness_writes_what_its_extension_shares_once(monkeypatch, seed):
     # the extension's components on the problem's cones are the problem's

@@ -31,6 +31,7 @@ from kfan.intlinalg import (
 )
 from kfan.monoids import GroupMismatch, GroupRingElement
 from kfan.sheaves import (
+    SPARSE_DRAWS,
     FanSheaf,
     Section,
     extend_section,
@@ -363,14 +364,16 @@ def test_random_section_on_full_p3_never_fails():
         assert any(not v.is_zero() for v in s.components.values())
 
 
-def fallback_sections(sheaf, seed):
+def fallback_sections(sheaf, seed, drawn=lambda rng, domain: None):
     """``random_section`` on the whole fan and on an open subfan, each
     with its expected chi^m: while the draws give no section, the
-    fallback's m is the first draw of the section's generator."""
+    fallback's m is the first draw of the section's generator after what
+    ``drawn`` takes from it."""
     fan = sheaf.fan
     rank = fan.lattice.rank
     for domain in (fan.full_subfan(), random_open_subfan(fan, random.Random(seed))):
         first = random.Random(seed)
+        drawn(first, domain)
         m = [first.randint(-COORD_BOUND, COORD_BOUND) for _ in range(rank)]
         yield domain, m, random_section(sheaf, domain, random.Random(seed))
 
@@ -394,14 +397,21 @@ def test_random_section_falls_back_to_a_character_off_smooth_fans(monkeypatch):
 
 def test_random_section_falls_back_to_a_character_on_smooth_fans(monkeypatch):
     # every draw's tau-parts are zero, as every monomial drawn is: after
-    # MAX_ATTEMPTS draws, chi^m on every maximal cone
+    # MAX_ATTEMPTS draws of SPARSE_DRAWS cones each (or all, on a smaller
+    # domain), chi^m on every maximal cone
     draws = []
     monkeypatch.setattr(sheaves, "random_monomial", lambda cone, rng: draws.append(cone) or {})
     sheaf = sheaf_a0(projective_plane())
+
+    def cones_drawn(rng, domain):
+        ids = sorted(domain.ids)
+        for _ in range(MAX_ATTEMPTS):
+            rng.sample(ids, min(SPARSE_DRAWS, len(ids)))
+
     for seed in (2, 9):
-        for domain, m, section in fallback_sections(sheaf, seed):
+        for domain, m, section in fallback_sections(sheaf, seed, cones_drawn):
             assert_character_section(sheaf, domain, m, section)
-            assert len(draws) == MAX_ATTEMPTS * len(domain.ids)
+            assert len(draws) == MAX_ATTEMPTS * min(SPARSE_DRAWS, len(domain.ids))
             draws.clear()
 
 
