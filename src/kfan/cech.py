@@ -25,10 +25,10 @@ the fan's one ``Subfan.home`` table, so no lookup hashes a ``Cone``.
 
 On a smooth fan values are in ray coordinates, restricted by the
 sheaf's pickers, and the complex splits per cone: Z[M_sigma] is the sum
-of summands A_tau over the faces tau of sigma
-(``kfan.sheaves.split_rays``), so the complex is the sum over the cones
-tau of the complexes of full simplices on S_tau, the maximal cones
-containing tau, with coefficients A_tau.  Each is exact in positive
+of summands A_tau over the faces tau of sigma, each the image of the
+projector ``kfan.sheaves._top_part_into``, so the complex is the sum
+over the cones tau of the complexes of full simplices on S_tau, the
+maximal cones containing tau, with coefficients A_tau.  Each is exact in positive
 levels, contracted onto a_tau = min S_tau: the contraction projects each
 anchored tau-part of z_t straight into its target's ray coordinates
 (``kfan.sheaves._top_part_into``), and ``solve_coboundary`` returns it
@@ -91,7 +91,7 @@ class CechComplex:
         self.sheaf = sheaf_a0(fan)
         self.top_level = len(fan.max_ids) - 1
         # no level is listed: always empty, kept for the benchmark's
-        # ``cech.tuples`` counter, which reads it (ROADMAP item 1 retires it)
+        # tuples counter, which reads it (ROADMAP item 1 retires it)
         self.tuples = {}
         self._meets = {(i,): cone for i, cone in enumerate(fan.max_ids)}  # tuple -> cone number
         self._max_rays = [fan.ray_sets[cone] for cone in fan.max_ids]

@@ -33,8 +33,8 @@ from .report import (
     cochain_to_jsonable,
     element_from_jsonable,
     element_to_jsonable,
+    flasque_witness_to_jsonable,
     h0_to_jsonable,
-    section_to_jsonable,
 )
 from .sheaves import Section, extend_section, random_open_subfan, random_section, sheaf_a0
 from .support_solver import SolverGaveUp
@@ -318,12 +318,7 @@ def cmd_check_flasque(args) -> JobReport:
         else:
             extended += 1
             entry["extended"] = True
-            problem = section_to_jsonable(section)
-            # extend_section checked that outcome restricts to section, so
-            # the two agree on the cones they share: those are written once
-            shared = dict(problem["components"])
-            extension = section_to_jsonable(outcome, shared)
-            witnesses.append({"problem": problem, "extension": extension})
+            witnesses.append(flasque_witness_to_jsonable(section, outcome))
         trials.append(entry)
     all_ok = extended == args.trials
     results = {"all_extended": all_ok, "extended": extended, "trials": args.trials}

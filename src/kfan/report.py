@@ -17,8 +17,8 @@ A smooth fan's stalk elements, kept in ray coordinates, are written and
 read in the coordinates of the character groups, through each stalk's
 ray chart (``kfan.sheaves.RayStalk.chart``): on a smooth fan, only here.
 Keys go through its unrolled maps (``RayStalk.chart_maps``), a read key
-checked for length first.  A ``check-flasque`` witness writes the
-components its extension shares with its problem once.
+checked for length first.  ``flasque_witness_to_jsonable`` writes the
+components an extension shares with its problem once.
 """
 
 from __future__ import annotations
@@ -103,11 +103,23 @@ def cochain_from_jsonable(complex, data) -> Cochain:
     return Cochain(complex, level, comps)
 
 
-def section_to_jsonable(section, written: dict | None = None) -> dict:
-    """A section as its domain's cone ids and its values, by cone id.
-    ``written`` maps cone ids to values already written, taken as they
-    are: the caller vouches that the section has those values there."""
-    written = written or {}
+def section_to_jsonable(section) -> dict:
+    """A section as its domain's cone ids and its values, by cone id."""
+    return _section_to_jsonable(section, {})
+
+
+def flasque_witness_to_jsonable(section, extension) -> dict:
+    """A ``check-flasque`` witness: the section as its problem and its
+    extension.  ``extend_section`` checked that the extension restricts
+    to the section, so the two agree on the cones they share: those
+    components are written once, as the problem's lists."""
+    problem = section_to_jsonable(section)
+    shared = dict(problem["components"])
+    return {"problem": problem, "extension": _section_to_jsonable(extension, shared)}
+
+
+def _section_to_jsonable(section, written: dict) -> dict:
+    # the values in ``written``, by cone id, are taken as they are
     comps = [
         [c, written[c] if c in written else element_to_jsonable(v)]
         for c, v in sorted(section.values.items())

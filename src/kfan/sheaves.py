@@ -14,16 +14,18 @@ by a picker built once per face pair (``RayRestriction``).  Z[M_sigma]
 is then the sum over the faces tau of sigma of A_tau, the tensor product
 over the rays of tau of (1 - x_i) Z[x_i^+-1]: the tau-part of an element
 is its restriction to tau under the projector prod (1 - eps_i), eps_i
-setting x_i = 1 (``split_rays``), and the parts sum back by
-zero-padding (``assemble_rays``).  So ``sheaf_a0`` is the sum over the
-cones tau of the constant sheaf A_tau on star(tau), and flasque: a
+setting x_i = 1, and the parts sum back by zero-padding.  The one
+projector, ``_top_part_into``, writes each tau-part straight into the
+cone that receives it: in the draw and the extension (``_projected``)
+and in the cover complex's contraction.  So ``sheaf_a0`` is the sum over
+the cones tau of the constant sheaf A_tau on star(tau), and flasque: a
 section extends by zero tau-parts off its domain, so the extension
-splits only the faces that the maximal cones outside the domain read.
-The extension is linear in the section, so ``random_section`` draws
-the tau-parts of ``SPARSE_DRAWS`` random cones of the domain, the
-others zero, as the cover complex draws its cocycles: a zero value is
-pushed, split and charted nowhere, so a trial costs the stars of the
-drawn cones.
+projects only the faces in the domain of the maximal cones outside it.
+The extension is linear in the section, so ``random_section`` draws the
+tau-parts of ``SPARSE_DRAWS`` random cones of the domain, the others
+zero, as the cover complex draws its cocycles: a zero value is pushed,
+projected and charted nowhere, so a trial costs the stars of the drawn
+cones.
 The character groups' own coordinates are read only where
 ``kfan.report`` writes or reads an element, through the stalk's ray
 chart (``RayStalk.chart``).
@@ -57,7 +59,6 @@ from __future__ import annotations
 import random
 from functools import reduce
 from itertools import combinations, product
-from operator import itemgetter
 
 from .cones import MAX_RANK, Cone, Fan, Subfan
 from .intlinalg import (
@@ -448,10 +449,9 @@ def _sign_patterns(width: int) -> tuple:
 
 # a smooth cone has at most as many rays as the lattice rank
 _SIGN_PATTERNS = tuple(_sign_patterns(w) for w in range(MAX_RANK + 1))
-_UNPAD = itemgetter(slice(-1))  # a key less its trailing 0
 
 
-def _top_part_into(out: dict, terms: dict, pick, pad) -> dict:
+def _top_part_into(out: dict, terms: dict, pick, pad) -> None:
     """out += the projector prod (1 - eps_i) on the terms picked into a
     face's ray coordinates by ``pick``, each result read by ``pad`` with
     one trailing 0: x^e goes to prod (x_i^e_i - 1), which is 0 when some
@@ -465,42 +465,17 @@ def _top_part_into(out: dict, terms: dict, pick, pad) -> dict:
         for p, sign in _SIGN_PATTERNS[len(e)]:
             key = pad(p(padded))
             out[key] = out.get(key, 0) + sign * k
-    return out
 
 
-def _top_part(terms: dict) -> dict:
-    """The projector prod (1 - eps_i) on ray-coordinate terms."""
-    out = _top_part_into({}, terms, tuple, _UNPAD)
-    return {e: k for e, k in out.items() if k}
-
-
-def split_rays(sheaf: FanSheaf, x: GroupRingElement, cone: int, faces) -> dict:
-    """The nonzero tau-parts, in tau's ray coordinates, of an element of
-    the stalk at a cone of a smooth fan, by face number: restrict to
-    each face tau (``push_terms``, none onto the cone itself), then
-    project onto A_tau.  Cones are numbers."""
-    restriction, parts = sheaf.restriction_at, {}
-    for tau in faces:
-        part = _top_part(x.terms if tau == cone else push_terms(x.terms, restriction(cone, tau)))
-        if part:
-            parts[tau] = part
-    return parts
-
-
-def assemble_rays(sheaf: FanSheaf, parts: dict, cone: int, faces) -> dict:
-    """The sum of the zero-padded tau-parts over the ``faces`` tau of the
-    cone that have one: the inverse of ``split_rays`` over all faces.
-    Only the parts of those faces are read, so the cost follows the
-    cone, not the number of parts.  Cones are numbers."""
+def _projected(sheaf: FanSheaf, cone: int, sources) -> GroupRingElement:
+    """The element at cone number ``cone`` of a smooth fan whose tau-parts
+    are those of the (face tau, terms, pick) ``sources``: the terms picked
+    into tau's ray coordinates, projected straight into the cone's
+    (``RayRestriction.pad``); the parts of the other faces are zero."""
     out: dict = {}
-    for tau in faces:
-        part = parts.get(tau)
-        if part:
-            pad = sheaf.restriction_at(cone, tau).pad
-            for e, k in part.items():
-                key = pad(e + (0,))
-                out[key] = out.get(key, 0) + k
-    return {e: k for e, k in out.items() if k} if 0 in out.values() else out
+    for tau, terms, pick in sources:
+        _top_part_into(out, terms, pick, sheaf.restriction_at(cone, tau).pad)
+    return GroupRingElement._normal(sheaf.stalk_at(cone), out)
 
 
 def random_monomial(cone: Cone, rng: random.Random) -> dict:
@@ -532,34 +507,23 @@ def extend_section(section: Section, depth: int = 3) -> Section | SolverGaveUp:
 
 
 def _split_extension(section: Section) -> Section:
-    """The section on its domain; elsewhere its tau-parts, assembled with
-    zero parts for the cones outside the domain.  Only the faces those
-    cones read are split, each once, and only from nonzero values: the
-    section is checked, so every maximal cone of the domain containing a
-    face restricts to the same value there."""
+    """The section on its domain; on each maximal cone outside it, the
+    tau-parts of its faces tau in the domain, projected from the value on
+    tau's home (``Subfan.home``), the other parts zero.  The section is
+    checked, so every maximal cone of the domain containing tau restricts
+    to the same value there, and a zero value has zero parts."""
     sheaf, given, fan = section.sheaf, section.values, section.sheaf.fan
-    outside = [c for c in fan.max_ids if c not in given]
-    wanted = {tau for c in outside for tau in fan.face_ids[c]}
-    parts: dict = {}
-    for top, value in given.items():
-        if not value.terms:  # its parts are zero, and any other home splits the same
-            continue
-        faces = [tau for tau in fan.face_ids[top] if tau in wanted]
-        wanted.difference_update(faces)
-        parts.update(split_rays(sheaf, value, top, faces))
+    home, restriction = section.domain.home(), sheaf.restriction_at
+
+    def parts(c):  # the faces of cone c in the domain with a nonzero home
+        for tau in fan.face_ids[c]:
+            top = home.get(tau)  # None off the domain
+            if top is not None and given[top].terms:
+                yield tau, given[top].terms, restriction(top, tau).apply
+
     # a maximal cone of the fan in the domain is one of the domain's
-    values = {c: given[c] for c in fan.max_ids if c in given}
-    values.update(_assembled(sheaf, parts, outside))
+    values = {c: given[c] if c in given else _projected(sheaf, c, parts(c)) for c in fan.max_ids}
     return Section.by_id(sheaf, fan.full_subfan(), values)
-
-
-def _assembled(sheaf: FanSheaf, parts: dict, cones) -> dict:
-    """The elements on these cone numbers whose tau-parts are ``parts``."""
-    faces = sheaf.fan.face_ids
-    return {
-        c: GroupRingElement._normal(sheaf.stalk_at(c), assemble_rays(sheaf, parts, c, faces[c]))
-        for c in cones
-    }
 
 
 def _search_extension(section: Section, depth: int) -> Section | SolverGaveUp:
@@ -633,19 +597,22 @@ def random_section(sheaf: FanSheaf, domain: Subfan, rng: random.Random) -> Secti
     """A random nonzero section, re-checked.  On a smooth fan, the tau-part
     of a ``random_monomial`` on each of ``SPARSE_DRAWS`` random cones tau
     of the domain (all of them, on a smaller domain), the other parts
-    zero, redrawn while all zero; otherwise a random nonzero solution of
-    the pairwise compatibility equations (``sample_nonzero_solution``).
-    Failing that, chi^m on every cone for a random m."""
+    zero, redrawn while all zero, projected into place (``_projected``);
+    otherwise a random nonzero solution of the pairwise compatibility
+    equations (``sample_nonzero_solution``).  Failing that, chi^m on
+    every cone for a random m."""
     fan = sheaf.fan
     cones = domain.max_ids()
     values = None
     if sheaf.smooth:
-        ids = sorted(domain.ids)
+        ids, faces = sorted(domain.ids), fan.face_ids
         for _ in range(MAX_ATTEMPTS):
-            drawn = rng.sample(ids, min(SPARSE_DRAWS, len(ids)))
-            parts = {c: _top_part(random_monomial(fan.cones[c], rng)) for c in drawn}
-            if any(parts.values()):
-                values = _assembled(sheaf, parts, cones)
+            picked = rng.sample(ids, min(SPARSE_DRAWS, len(ids)))
+            drawn = {c: random_monomial(fan.cones[c], rng) for c in picked}
+            # a monomial's tau-part is zero exactly when a coordinate or its coefficient is
+            if any(k and 0 not in e for m in drawn.values() for e, k in m.items()):
+                parts = {c: [(t, drawn[t], tuple) for t in faces[c] if t in drawn] for c in cones}
+                values = {c: _projected(sheaf, c, p) for c, p in parts.items()}
                 break
     else:
         # slots in (dim, rays) order on every domain: the sampler's draws follow it

@@ -1156,6 +1156,19 @@ def test_a_wrong_splitting_is_caught_at_its_first_lift(monkeypatch, capsys):
     assert [phi.target.is_zero for phi in reads] == [True] * (len(reads) - 1) + [False]
 
 
+def test_a_character_tuple_that_is_no_section_is_caught(monkeypatch, capsys):
+    # chi^m on the first piece only, zero on the others: not a section
+    def wrong_character(ring, m):
+        values = {c: GroupRingElement.zero(ring.sheaf.stalk_at(c)) for c in ring.fan.max_ids}
+        first = ring.fan.max_ids[0]
+        values[first] = GroupRingElement.character(ring.sheaf.stalk_at(first), m)
+        return Section.by_id(ring.sheaf, ring.domain, values)
+
+    monkeypatch.setattr(H0Ring, "character", wrong_character)
+    assert main(["k0-global", os.path.join(ROOT, P2_FILE), "--sample", "3"]) == 1
+    assert "character tuple for" in capsys.readouterr().err
+
+
 def test_info_compares_cones_linearly_on_a_256_cone_ladder(fanfile, monkeypatch):
     # each cone's "maximal" flag is one set lookup, not a scan of the
     # maximal cones with Cone.__eq__, and its character rank is read

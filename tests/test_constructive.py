@@ -1,9 +1,11 @@
 """Witnesses on smooth fans are constructed, not searched for.
 
 In ray coordinates an element splits into tau-parts, one per face, and
-the parts assemble back to it (``split_rays``, ``assemble_rays``); a
-tau-part restricts to 0 on every proper face of tau, and parts taken
-from face data assemble to an element restricting to that data.  The
+the parts assemble back to it (the two-step reference of
+``split_reference``); a tau-part restricts to 0 on every proper face of
+tau, and parts taken from face data assemble to an element restricting
+to that data.  The draw and the extension, which project each part
+straight into place (``sheaves._projected``), equal that reference.  The
 contraction solves random cocycles at every level, also those drawn by
 the kernel sampler, and the extension by zero parts restricts back to
 the section, on random smooth fans (2D blow-ups of P1 x P1, P3 and
@@ -31,13 +33,12 @@ from kfan.report import cochain_from_jsonable, cochain_to_jsonable
 from kfan.sheaves import (
     RayStalk,
     Section,
-    assemble_rays,
     extend_section,
     random_open_subfan,
     random_section,
     sheaf_a0,
-    split_rays,
 )
+from split_reference import assemble, drawn_values, extended_values, split, top_part
 from test_cech import load_gen_fans
 from test_fan_construction import blown_up_p1xp1
 from test_support_solver import kernel_cocycle, smith_complex
@@ -89,13 +90,13 @@ SMOOTH_FILES = [p for p in FAN_FILES if load(p).is_smooth()]
 def assembled_from_faces(sheaf, sigma, known: dict) -> GroupRingElement:
     """The element of Z[M_sigma] whose tau-part, for each face tau of
     sigma in ``known``, is the tau-part of known[tau], and zero for the
-    other faces.  The ray helpers take and key cones by number."""
+    other faces.  The reference takes and keys cones by number."""
     index = sheaf.fan.index_of
     parts = {}
     for tau, value in known.items():
-        parts.update(split_rays(sheaf, value, index(tau), [index(tau)]))
+        parts.update(split(sheaf, value.terms, index(tau), [index(tau)]))
     faces = sheaf.fan.face_ids[index(sigma)]
-    return GroupRingElement(sheaf.stalk(sigma), assemble_rays(sheaf, parts, index(sigma), faces))
+    return GroupRingElement(sheaf.stalk(sigma), assemble(sheaf, parts, index(sigma), faces))
 
 
 @pytest.mark.parametrize("path", SMOOTH_FILES, ids=os.path.basename)
@@ -162,12 +163,14 @@ def test_a_dense_section_splits_extends_and_restricts_back(no_solver, fan, seed)
     rng = random.Random(seed)
     for _ in range(3):
         domain = random_open_subfan(fan, rng)
-        parts = {c: sheaves._top_part(sheaves.random_monomial(fan.cones[c], rng)) for c in sorted(domain.ids)}
-        section = Section.by_id(sheaf, domain, sheaves._assembled(sheaf, parts, domain.max_ids()))
+        parts = {c: top_part(sheaves.random_monomial(fan.cones[c], rng)) for c in sorted(domain.ids)}
+        values = {c: assemble(sheaf, parts, c, fan.face_ids[c]) for c in domain.max_ids()}
+        values = {c: GroupRingElement(sheaf.stalk_at(c), v) for c, v in values.items()}
+        section = Section.by_id(sheaf, domain, values)
         assert section.check()
         for c, value in section.values.items():
             faces = fan.face_ids[c]
-            assert split_rays(sheaf, value, c, faces) == {tau: parts[tau] for tau in faces if parts[tau]}
+            assert split(sheaf, value.terms, c, faces) == {tau: parts[tau] for tau in faces if parts[tau]}
         extended = extend_section(section, depth=0)
         assert isinstance(extended, Section)
         assert extended.check()
@@ -197,7 +200,7 @@ def test_lift_with_zero_data_off_a_face_is_the_padding(name):
                     assert tau not in known or pushed == known[tau]
                     known[tau] = pushed
                 i, j = fan.index_of(sigma), fan.index_of(a)
-                padded = GroupRingElement(sheaf.stalk(sigma), assemble_rays(sheaf, {j: x.terms}, i, [j]))
+                padded = GroupRingElement(sheaf.stalk(sigma), assemble(sheaf, {j: x.terms}, i, [j]))
                 assert assembled_from_faces(sheaf, sigma, known) == padded
                 checked += 1
     assert checked > 20
@@ -283,17 +286,17 @@ def test_the_contraction_solves_kernel_sampled_cocycles(no_solver, path):
 
 
 def all_parts(sheaf, value, cone) -> dict:
-    """The tau-parts of value, keyed by face; ``split_rays`` keys them by
+    """The tau-parts of value, keyed by face; the reference keys them by
     face number."""
     fan = sheaf.fan
     i = fan.index_of(cone)
-    return {fan.cones[t]: part for t, part in split_rays(sheaf, value, i, fan.face_ids[i]).items()}
+    return {fan.cones[t]: part for t, part in split(sheaf, value.terms, i, fan.face_ids[i]).items()}
 
 
 def assembled(sheaf, parts, cone):
     fan = sheaf.fan
     i = fan.index_of(cone)
-    return assemble_rays(sheaf, {fan.index_of(t): p for t, p in parts.items()}, i, fan.face_ids[i])
+    return assemble(sheaf, {fan.index_of(t): p for t, p in parts.items()}, i, fan.face_ids[i])
 
 
 @RANDOM_FANS
@@ -312,52 +315,76 @@ def test_assembling_the_split_gives_back_cocycles_and_sections(fan, seed):
         assert assembled(sheaf, all_parts(sheaf, value, cone), cone) == value.terms
 
 
-class CountingParts(dict):
-    """Parts that count how many of them are read."""
+def counting_projections(monkeypatch) -> list:
+    """(cone, the faces its parts come from) for every element built from
+    tau-parts from now on (``sheaves._projected``)."""
+    built = []
+    project = sheaves._projected
 
-    reads = 0
+    def counting(sheaf, cone, sources):
+        sources = list(sources)
+        built.append((cone, [tau for tau, _terms, _pick in sources]))
+        return project(sheaf, cone, sources)
 
-    def get(self, key, default=None):
-        self.reads += 1
-        return super().get(key, default)
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return super().__getitem__(key)
-
-    def items(self):
-        self.reads += len(self)
-        return super().items()
+    monkeypatch.setattr(sheaves, "_projected", counting)
+    return built
 
 
 def test_assembling_reads_the_parts_of_the_cone_only(monkeypatch, tmp_path):
-    # a count, not a timing: on a 64-cone ladder a random section has a
-    # part on each of its 129 cones, and a cone is assembled from the
-    # parts of its at most 4 faces
+    # a count, not a timing: on a 64-cone ladder a cone is built from
+    # the parts of its own faces only, at most 4 of them, each once
     path = tmp_path / "ladder-64.json"
     path.write_text(json.dumps(load_gen_fans().ladder(64)))
-    reads, calls = [], []
-    original = sheaves.assemble_rays
-
-    def counting(sheaf, parts, cone, faces):
-        parts = CountingParts(parts)
-        out = original(sheaf, parts, cone, faces)
-        reads.append(parts.reads)
-        calls.append(len(faces))
-        return out
-
-    # the contraction projects its parts straight into place: only
-    # sections assemble, in sheaves
-    monkeypatch.setattr(sheaves, "assemble_rays", counting)
+    built = counting_projections(monkeypatch)
     fan = load(str(path))
     sheaf = sheaf_a0(fan)
     rng = random.Random(3)
     section = random_section(sheaf, fan.full_subfan(), rng)
-    assert section.check() and len(calls) == len(fan.max_cones) == 64
+    assert section.check() and len(built) == len(fan.max_cones) == 64
     assert extend_section(random_section(sheaf, random_open_subfan(fan, rng), rng)).check()
     assert cli.main(["check-flasque", str(path), "--trials", "3", "--json"]) == 0
-    assert len(calls) > 64 and max(calls) == 4
-    assert reads == calls
+    assert len(built) > 64 and any(faces for _cone, faces in built)
+    for cone, faces in built:
+        assert len(set(faces)) == len(faces) <= 4
+        assert set(faces) <= set(fan.face_ids[cone])
+
+
+@RANDOM_FANS
+@given(fan=random_smooth_fans(), seed=st.integers(0, 2**32), dense=st.booleans())
+def test_the_draw_and_the_extension_are_the_two_step_split(monkeypatch, fan, seed, dense):
+    # sparse: random_section's own draw, its monomials read as drawn;
+    # dense: a monomial on every cone of the domain, projected into place
+    # as the draw does.  Either way each value, and each value of the
+    # extension, is the reference's: restrict, project, pad and add
+    sheaf = sheaf_a0(fan)
+    rng = random.Random(seed)
+    draws = []
+    draw = sheaves.random_monomial
+
+    def recorded(cone, rng):
+        draws.append((fan.find(cone), draw(cone, rng)))
+        return draws[-1][1]
+
+    for _ in range(3):
+        domain = random_open_subfan(fan, rng)
+        cones = domain.max_ids()
+        with monkeypatch.context() as patch:
+            patch.setattr(sheaves, "random_monomial", recorded)
+            draws.clear()
+            if dense:
+                drawn = {c: sheaves.random_monomial(fan.cones[c], rng) for c in sorted(domain.ids)}
+                values = {}
+                for c in cones:
+                    sources = [(tau, drawn[tau], tuple) for tau in fan.face_ids[c]]
+                    values[c] = sheaves._projected(sheaf, c, sources)
+                section = Section.by_id(sheaf, domain, values)
+            else:
+                section = random_section(sheaf, domain, rng)
+                drawn = dict(draws[-min(sheaves.SPARSE_DRAWS, len(domain.ids)) :])
+        assert section.check()
+        assert {c: v.terms for c, v in section.values.items()} == drawn_values(sheaf, drawn, cones)
+        extended = extend_section(section, depth=0)
+        assert {c: v.terms for c, v in extended.values.items()} == extended_values(section)
 
 
 @RANDOM_FANS

@@ -39,7 +39,7 @@ from kfan.sheaves import (
 )
 from kfan.support_solver import MAX_ATTEMPTS
 from test_cech import level_tuples
-from test_constructive import random_smooth_fans
+from test_constructive import counting_projections, random_smooth_fans
 from test_fan_construction import ladder
 
 HERE = os.path.dirname(__file__)
@@ -243,25 +243,32 @@ def test_no_trial_pushes_along_a_map_onto_its_own_cone(monkeypatch, capsys, argv
 
 
 def test_the_extension_splits_only_the_faces_that_cones_outside_read(monkeypatch):
-    # the tau-parts of the domain's faces that no maximal cone outside
-    # the domain contains are never assembled, so they are never split
+    # each pair of a maximal cone outside the domain and a face of it in
+    # the domain whose home holds a nonzero value is projected exactly
+    # once, and no other pair is: a zero home has zero parts
     fan = bench_fan("p1xp1xp1")
     sheaf = sheaves.sheaf_a0(fan)
     rng = random.Random(7)
-    pushes = 0
+    projected = 0
     for _ in range(20):
         domain = random_open_subfan(fan, rng)
         section = random_section(sheaf, domain, rng)
-        outside = [c for c in fan.max_ids if c not in domain.ids]
-        read = {tau for c in outside for tau in fan.face_ids[c]} & domain.ids
-        calls = count_pushforwards(monkeypatch)
+        home = domain.home()
+        wanted = [
+            (c, tau)
+            for c in fan.max_ids
+            if c not in domain.ids
+            for tau in fan.face_ids[c]
+            if tau in domain.ids and section.values[home[tau]].terms
+        ]
+        built = counting_projections(monkeypatch)
         extended = sheaves._split_extension(section)
         monkeypatch.undo()
-        targets = [phi.target.cone_id for phi in calls]
-        assert set(targets) <= read and len(set(targets)) == len(targets)
+        pairs = [(c, tau) for c, faces in built for tau in faces]
+        assert sorted(pairs) == sorted(wanted)
         assert extended.check() and extended.restrict(domain) == section
-        pushes += len(calls)
-    assert pushes > 0
+        projected += len(pairs)
+    assert projected > 0
 
 
 @pytest.mark.parametrize("name", ["p1xp1xp1", "ladder-12"])

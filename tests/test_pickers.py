@@ -8,10 +8,10 @@ matrix, ``target.reduce(matrix.apply(q))`` summed, on every restriction
 of every fan file (restrictions to the zero cone and to a ray keep 0
 and 1 coordinates, where a bare ``itemgetter`` fails or returns an
 int), on the restrictions of a weighted P2, and onto a torsion target.
-The ray helpers of ``sheaves`` read pickers too: ``_top_part`` must be
-the explicit expansion of prod (x_i^e_i - 1), and restriction, a picker
-on smooth fans, must undo the zero-padding of ``assemble_rays`` on every
-face pair.
+The ray helpers of ``sheaves`` read pickers too: the projector
+``_top_part_into`` must be the explicit expansion of prod (x_i^e_i - 1),
+and restriction, a picker on smooth fans, must undo the zero-padding of
+``RayRestriction.pad`` on every face pair.
 """
 
 import glob
@@ -34,7 +34,8 @@ from kfan.intlinalg import (
     quotient,
 )
 from kfan.monoids import GroupRingElement
-from kfan.sheaves import RayRestriction, _top_part, assemble_rays, sheaf_a0
+from kfan.sheaves import RayRestriction, _top_part_into, sheaf_a0
+from split_reference import assemble, top_part
 
 HERE = os.path.dirname(__file__)
 FAN_FILES = sorted(
@@ -119,23 +120,6 @@ def test_pushforward_onto_a_torsion_target_keeps_the_matrix_path():
         assert x.pushforward(phi) == reference_pushforward(x, phi)
 
 
-def expanded(terms):
-    """sum of k prod (x_i^e_i - 1) over the terms k x^e, multiplied out
-    one factor at a time; a factor with e_i = 0 cancels itself."""
-    out = {}
-    for e, k in terms.items():
-        poly = {(): k}
-        for x in e:
-            nxt = {}
-            for key, c in poly.items():
-                for ext, s in (((x,), c), ((0,), -c)):
-                    nxt[key + ext] = nxt.get(key + ext, 0) + s
-            poly = nxt
-        for key, c in poly.items():
-            out[key] = out.get(key, 0) + c
-    return {key: c for key, c in out.items() if c}
-
-
 def ray_term_dicts(width):
     exponents = st.tuples(*[st.integers(-3, 3)] * width)
     return st.dictionaries(exponents, st.integers(-5, 5).filter(bool), max_size=6)
@@ -144,7 +128,11 @@ def ray_term_dicts(width):
 @SETTINGS
 @given(st.integers(0, MAX_RANK).flatmap(ray_term_dicts))
 def test_top_part_is_the_expanded_product(terms):
-    assert _top_part(terms) == expanded(terms)
+    # in the face's own coordinates: picked as they are, read back less
+    # the trailing 0
+    out: dict = {}
+    _top_part_into(out, terms, tuple, lambda key: key[:-1])
+    assert {e: k for e, k in out.items() if k} == top_part(terms)
 
 
 SMOOTH_FANS = [(os.path.basename(p), load(p)) for p in FAN_FILES]
@@ -169,7 +157,7 @@ def test_restrict_rays_undoes_pad_rays_on_every_face_pair(fan, seed):
             terms = random_ray_terms(len(tau.rays), rng)
             phi = sheaf.restriction(sigma, tau)
             face = phi.target.cone_id
-            padded = assemble_rays(sheaf, {face: terms}, phi.source.cone_id, [face])
+            padded = assemble(sheaf, {face: terms}, phi.source.cone_id, [face])
             assert GroupRingElement(phi.source, padded).pushforward(phi).terms == terms
             outside = [i for i, r in enumerate(sigma.rays) if r not in tau.rays]
             assert all(e[i] == 0 for e in padded for i in outside)

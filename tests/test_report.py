@@ -201,8 +201,8 @@ def test_a_flasque_witness_writes_what_its_extension_shares_once(monkeypatch, se
                 shared += 1
     assert shared
 
-    def alone(section, *_):
-        return section_to_jsonable(section)
+    def alone(section, extension):
+        return {"problem": section_to_jsonable(section), "extension": section_to_jsonable(extension)}
 
-    monkeypatch.setattr(cli, "section_to_jsonable", alone)
+    monkeypatch.setattr(cli, "flasque_witness_to_jsonable", alone)
     assert run(argv).to_json() == rep.to_json()

@@ -40,6 +40,7 @@ from kfan.sheaves import (
     sheaf_a0,
 )
 from kfan.support_solver import COORD_BOUND, MAX_ATTEMPTS, SolverGaveUp
+from split_reference import assemble, top_part
 from test_fan_construction import ladder
 from test_incidence_plan import count_pushforwards, matrix_of
 from test_intlinalg import field_copy
@@ -415,26 +416,77 @@ def test_random_section_falls_back_to_a_character_on_smooth_fans(monkeypatch):
             draws.clear()
 
 
-@pytest.mark.parametrize(
-    "make, producer",
-    [(projective_plane, "_assembled"), (weighted_p2_fan, "sample_nonzero_solution")],
-    ids=["smooth", "non-smooth"],
-)
-def test_a_sampled_family_that_is_no_section_is_refused(monkeypatch, make, producer):
-    # the producer's family plus 1 on its first cone: at the origin, that
-    # cone's augmentation is off by one from every other cone's
-    draw = getattr(sheaves, producer)
+def one_more_on_the_first(producer):
+    """``_projected`` plus 1 on the first cone it builds."""
+    built = []
 
     def off_by_one(*args):
-        values = draw(*args)
+        value = producer(*args)
+        built.append(value)
+        return value + GroupRingElement.one(value.group) if len(built) == 1 else value
+
+    return off_by_one
+
+
+def one_more_on_the_first_cone(producer):
+    """The sampler's family plus 1 on its first cone."""
+
+    def off_by_one(*args):
+        values = producer(*args)
         first = min(values)
         values[first] = values[first] + GroupRingElement.one(values[first].group)
         return values
+
+    return off_by_one
+
+
+@pytest.mark.parametrize(
+    "make, producer, corrupt",
+    [
+        (projective_plane, "_projected", one_more_on_the_first),
+        (weighted_p2_fan, "sample_nonzero_solution", one_more_on_the_first_cone),
+    ],
+    ids=["smooth", "non-smooth"],
+)
+def test_a_sampled_family_that_is_no_section_is_refused(monkeypatch, make, producer, corrupt):
+    # the producer's family plus 1 on its first cone: at the origin, that
+    # cone's augmentation is off by one from every other cone's
+    off_by_one = corrupt(getattr(sheaves, producer))
 
     monkeypatch.setattr(sheaves, producer, off_by_one)
     sheaf = sheaf_a0(make())
     with pytest.raises(CertificateError, match="sampled family is not a section"):
         random_section(sheaf, sheaf.fan.full_subfan(), random.Random(0))
+
+
+def one_cone_section(fan):
+    """A random section on the faces of the fan's first maximal cone."""
+    sheaf = sheaf_a0(fan)
+    domain = Subfan._trusted(fan, frozenset(fan.face_ids[fan.max_ids[0]]))
+    return random_section(sheaf, domain, random.Random(0))
+
+
+def test_an_extension_that_is_no_section_is_refused(monkeypatch):
+    # the first cone outside the domain gets one more: at the origin its
+    # augmentation is off by one from the domain's
+    section = one_cone_section(projective_plane())
+    monkeypatch.setattr(sheaves, "_projected", one_more_on_the_first(sheaves._projected))
+    with pytest.raises(CertificateError, match="extension is not a global section"):
+        extend_section(section)
+
+
+def test_an_extension_that_restricts_elsewhere_is_refused(monkeypatch):
+    # zero everywhere is a global section, but not one above a nonzero section
+    def zero_extension(section):
+        sheaf = section.sheaf
+        zero = {c: GroupRingElement.zero(sheaf.stalk_at(c)) for c in sheaf.fan.max_ids}
+        return Section.by_id(sheaf, sheaf.fan.full_subfan(), zero)
+
+    section = one_cone_section(projective_plane())
+    assert any(v.terms for v in section.values.values())
+    monkeypatch.setattr(sheaves, "_split_extension", zero_extension)
+    with pytest.raises(CertificateError, match="extension does not restrict to the given section"):
+        extend_section(section)
 
 
 def every_meet_is_the_zero_cone(fan, i, j):
@@ -886,9 +938,9 @@ def test_a_family_that_differs_at_one_wall_only_is_caught(name):
     member = random_section(sheaf, fan.full_subfan(), random.Random(name)).components
     for a, b, ridge in walls(fan):
         for cone in (a, b):
-            part = sheaves._top_part({(1,) * len(ridge.rays): 1})
+            part = top_part({(1,) * len(ridge.rays): 1})
             i, j = fan.index_of(cone), fan.index_of(ridge)
-            bump = GroupRingElement(sheaf.stalk(cone), sheaves.assemble_rays(sheaf, {j: part}, i, [j]))
+            bump = GroupRingElement(sheaf.stalk(cone), assemble(sheaf, {j: part}, i, [j]))
             comps = {**member, cone: member[cone] + bump}
             for cones in (fan.max_cones, fan.full_subfan().max_cones()):
                 values = [comps[c] for c in cones]
