@@ -464,20 +464,70 @@ def _parser() -> argparse.ArgumentParser:
     return make_parser()
 
 
+@functools.lru_cache(maxsize=None)
+def _plan(command: argparse.ArgumentParser) -> tuple | None:
+    """A command parser's exact option names, positionals, defaults
+    (``set_defaults`` too) and required dests, read off its actions for
+    ``_scan``; None if it declares what the scan does not read as argparse
+    does: an exclusive group, choices, or any but these two kinds."""
+    # -h is no exact option name here, so the full parser writes help
+    actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+    kinds = (argparse._StoreAction, argparse._StoreTrueAction)  # nargs None and 0
+    if command._mutually_exclusive_groups or any(
+        type(a) not in kinds or a.nargs not in (None, 0) or a.choices is not None
+        or (isinstance(a.default, str) and a.type is not None)  # argparse would convert it
+        for a in actions
+    ):
+        return None
+    return (
+        {s: a for a in actions for s in a.option_strings},
+        [a for a in actions if not a.option_strings],
+        {**command._defaults, **{a.dest: a.default for a in actions}},
+        {a.dest for a in actions if a.required},
+    )
+
+
+def _scan(name: str, words: list) -> argparse.Namespace | None:
+    """Command ``name``'s namespace for ``words`` in one pass, or None
+    where argparse would do more than match exact words (``_parse``)."""
+    plan = _plan(_parser().commands[name])
+    if plan is None:
+        return None
+    options, positionals, defaults, required = plan
+    values, free, words = {}, iter(positionals), iter(words)
+    for word in words:
+        if word[:1] != "-":
+            action = next(free, None)
+        elif (action := options.get(word)) is not None and action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        elif action is not None:
+            word = next(words, "-")  # a missing value is refused as "-"
+        if action is None or word[:1] == "-":
+            return None
+        try:
+            values[action.dest] = word if action.type is None else action.type(word)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None  # the full parser writes the usage error
+    if next(free, None) is not None or not required <= values.keys():
+        return None
+    return argparse.Namespace(**{**defaults, **values, "command": name})
+
+
 def _parse(argv) -> argparse.Namespace:
     """The namespace the full parser gives for ``argv`` (None reads
-    ``sys.argv[1:]``), with one scan of it.  An argv whose first word is
-    a command goes to that command's parser alone.  Any other argv, and
-    one that parser leaves arguments over from, takes the full parser,
-    which writes the help, the usage error and exit 2 itself."""
+    ``sys.argv[1:]``).  After a command name, one scan (``_scan``) reads
+    the rest: an exact option name takes the next word, converted by its
+    ``type``, another word fills the next positional, defaults fill the
+    rest.  The full parser, which writes help, usage errors and exit 2,
+    takes all else: a word starting with ``-`` that is no exact option
+    name (``--opt=v``, ``-h``, ``--``, ``-3``, an abbreviation), a value
+    starting with ``-``, a ``type`` that raises, a missing or left-over
+    word or required option, and a command the plan cannot read."""
     argv = sys.argv[1:] if argv is None else argv
     parser = _parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
+    if argv and argv[0] in parser.commands and (args := _scan(argv[0], argv[1:])) is not None:
+        return args
     return parser.parse_args(argv)
 
 

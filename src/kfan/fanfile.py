@@ -136,11 +136,16 @@ def parse_fan_file(text: str, origin: str = "<string>") -> FanFile:
 
 
 def read_fan_text(path: str | Path) -> str:
-    path = Path(path)
+    """The text of the fan file at ``path``: its bytes decoded as UTF-8
+    (JSON's encoding, RFC 8259), whatever the locale, with ``\\r\\n`` and
+    a lone ``\\r`` read as ``\\n``, as ``Path.read_text`` reads them in a
+    UTF-8 locale."""
     try:
-        return path.read_text()
+        with open(path, "rb") as f:
+            text = f.read().decode()
     except (OSError, UnicodeDecodeError) as e:
-        raise FanFileError(f"cannot read {path}: {e}") from e
+        raise FanFileError(f"cannot read {Path(path)}: {e}") from e
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def load_fan_file(path: str | Path, text: str | None = None) -> FanFile:

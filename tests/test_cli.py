@@ -1,5 +1,9 @@
+import argparse
+import contextlib
+import io
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -12,7 +16,7 @@ from hypothesis import strategies as st
 from kfan import cli, cones, intlinalg, monoids, sheaves
 from kfan.cli import main, run
 from kfan.cones import Cone
-from kfan.fanfile import build_fan, load_fan_file, parse_fan_file
+from kfan.fanfile import build_fan, load_fan_file, parse_fan_file, read_fan_text
 from kfan.cech import CechComplex, Cochain, H0Ring
 from kfan.monoids import GroupRingElement
 from kfan.report import (
@@ -197,6 +201,38 @@ def test_undecodable_fan_file_is_an_input_error(tmp_path):
     path = tmp_path / "fan.json"
     path.write_bytes(b"\xff\xfe{")
     assert run(["info", str(path)]) == 2
+
+
+def test_a_latin_1_fan_file_cannot_be_read(tmp_path, capsys):
+    # JSON is UTF-8 (RFC 8259), whatever the locale
+    path = tmp_path / "fan.json"
+    path.write_bytes(json.dumps(P2, ensure_ascii=False).replace("P2", "P\u00e9").encode("latin-1"))
+    assert run(["info", str(path)]) == 2
+    assert f"error: cannot read {path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+def test_line_endings_do_not_change_the_report(tmp_path, capsys):
+    # LF, CRLF and lone CR copies of a fan file read as one text, and
+    # their reports differ only in the file's name
+    with open(os.path.join(ROOT, "fans", "p2.json"), "rb") as f:
+        lf = f.read()
+    assert lf.count(b"\n") > 1 and b"\r" not in lf
+    reports = set()
+    for name, newline in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(lf.replace(b"\n", newline))
+        assert read_fan_text(path) == lf.decode()
+        assert main(["info", str(path), "--json"]) == 0
+        reports.add(capsys.readouterr().out.replace(str(path), "FAN"))
+    assert len(reports) == 1
+
+
+def test_fan_text_is_what_path_read_text_gives_in_utf_8():
+    folders = ("fans", os.path.join("bench", "fans"), os.path.join("tests", "golden"))
+    paths = [p for folder in folders for p in pathlib.Path(ROOT, folder).glob("*.json")]
+    assert len(paths) > 50
+    for path in paths:
+        assert read_fan_text(path) == path.read_text(encoding="utf-8"), path
 
 
 JSON_VALUES = st.recursive(
@@ -850,6 +886,96 @@ def test_help_and_usage_errors_are_the_full_parsers(monkeypatch, capsys, argv):
         assert "kfan: error: unrecognized arguments: --bogus" in err
     if argv[:1] == ["check-exactness"]:
         assert "kfan check-exactness: error: the following arguments are required: --level" in err
+
+
+def test_warm_jobs_and_golden_commands_make_no_argparse_parse(monkeypatch):
+    # the scan reads every benchmark job of pass 0 and every golden
+    # command; a form it hands on, such as --trials=2, reaches argparse
+    monkeypatch.chdir(ROOT)
+    argvs = parse_inputs(monkeypatch)
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in argvs:
+        cli._parse(argv)
+    assert calls == []
+    cli._parse(["check-flasque", P2_FILE, "--trials=2"])
+    assert calls
+
+
+def test_every_declared_action_is_of_a_kind_the_plan_reads():
+    # a new kind of option must fail here, not send every job of its
+    # command back to argparse unseen
+    for name, command in cli._parser().commands.items():
+        assert cli._plan(command) is not None, name
+    for kwargs in (
+        {"choices": ["a"]},
+        {"nargs": "?"},
+        {"action": "append"},
+        {"action": "count"},
+        {"action": "store_false"},
+        {"type": int, "default": "5"},
+    ):
+        parser = argparse.ArgumentParser()
+        parser.add_argument("--x", **kwargs)
+        assert cli._plan(parser) is None, kwargs
+
+
+def _parse_outcome(parse, argv) -> tuple:
+    """``vars()`` of the namespace, or the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return (vars(parse(list(argv))),)
+        except SystemExit as e:
+            return e.code, out.getvalue(), err.getvalue()
+
+
+SCAN_VALUES = ["2", "-3", "0x3", " 4", "\u0663", "", "k", "[[0, 0]]", P2_FILE, "-", "--"]
+SCAN_ODD_WORDS = ["-h", "--help", "--", "-", "-3", "0x3", " 4", "", "x", P2_FILE]
+
+
+def _scan_pieces(name: str) -> tuple[list, list, list]:
+    """Runs of words for a command: the positional and the required
+    options, which make a valid argv; more exact options with plain
+    values; and everything else: options abbreviated, ``--opt=v``, odd
+    values and odd words."""
+    base, plain, odd = [], [], [[w] for w in SCAN_ODD_WORDS]
+    for action in cli._parser().commands[name]._actions:
+        if not action.option_strings:
+            base.append([P2_FILE])
+        for option in (o for o in action.option_strings if o not in ("-h", "--help")):
+            if action.nargs == 0:
+                plain.append([option])
+                odd += [[option[:3]], [option[:-1]]]
+                continue
+            (base if action.required else plain).append([option, "2"])
+            odd += [[option, v] for v in SCAN_VALUES] + [[option]]
+            odd += [[option[:-1], "2"], [option[:3], "2"], [f"{option}=2"], [f"{option}=-3"]]
+    return base, plain, odd
+
+
+@st.composite
+def scan_argvs(draw):
+    name = draw(st.sampled_from(sorted(cli._parser().commands)))
+    base, plain, odd = _scan_pieces(name)
+    runs = base + draw(st.lists(st.sampled_from(plain), max_size=4))
+    runs += draw(st.lists(st.sampled_from(odd), max_size=2))
+    # a run repeated, or the first one (perhaps a positional) left out
+    runs = draw(st.lists(st.sampled_from(runs), max_size=1)) + draw(st.permutations(runs))
+    runs = runs[draw(st.sampled_from([0, 0, 0, 1])):]
+    return [name, *(word for run in runs for word in run)]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scan_argvs())
+def test_the_scan_gives_the_full_parsers_namespace_or_exit(argv):
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(cli._parser().parse_args, argv)
 
 
 def test_run_and_main_read_sys_argv_by_default(monkeypatch, capsys):
