@@ -17,9 +17,9 @@ differential is the alternating signed sum of restrictions over the
 fixed order of the maximal cones (only level zero is forced by the
 geometry), and d . d = 0 by telescoping.  It walks the pairs (s, i) of
 a cochain's support and the indices outside s: t = s + {i} takes the
-sign of i's position, its meet is the fan's cone on the rays of s's meet
-in maximal cone i, and each component's terms are pushed once per
-distinct meet (``monoids.push_terms``).
+sign of i's position, its meet is keyed by the rays s's meet shares with
+maximal cone i and looked up (``Fan.meet_id``) only when new, and each
+component's terms are pushed once per distinct meet (``monoids.push_terms``).
 Meets are kept by cone number, and the anchors a_tau below are read off
 the fan's one ``Subfan.home`` table, so no lookup hashes a ``Cone``.
 
@@ -84,7 +84,7 @@ class CechComplex:
     found when first asked for, and a tuple is checked by its shape, so
     no level is listed."""
 
-    __slots__ = ("fan", "sheaf", "top_level", "tuples", "_meets", "_max_rays", "_anchored")
+    __slots__ = ("fan", "sheaf", "top_level", "tuples", "_meets", "_anchored")
 
     def __init__(self, fan: Fan):
         self.fan = fan
@@ -94,7 +94,6 @@ class CechComplex:
         # tuples counter, which reads it (ROADMAP item 1 retires it)
         self.tuples = {}
         self._meets = {(i,): cone for i, cone in enumerate(fan.max_ids)}  # tuple -> cone number
-        self._max_rays = [fan.ray_sets[cone] for cone in fan.max_ids]
         # (meet of t, t[0], meet of t[1:]) -> (restriction's picker, pad) per
         # face tau of t's meet with a_tau = max_ids[t[0]]: see ``_contract``
         self._anchored: dict = {}
@@ -133,19 +132,20 @@ class CechComplex:
         of c's support and the indices outside s (see the module)."""
         if c.level >= self.top_level:
             raise LevelOverflow(f"level {c.level} is the top of the complex")
-        fan, max_rays, restriction = self.fan, self._max_rays, self.sheaf.restriction_at
+        fan, restriction = self.fan, self.sheaf.restriction_at
+        max_ids, ray_sets = fan.max_ids, fan.ray_sets
         sums: dict = {}  # coface t -> (its stalk, its summed terms), while they do not cancel
         for s, comp in c.components.items():
             meet = self.meet_id(s)
-            rays = fan.ray_sets[meet]
+            rays = ray_sets[meet]
             pushed = {rays: (self.sheaf.stalk_at(meet), comp.terms)}  # shared rays -> c_s there
-            for j, (lo, hi) in enumerate(zip((-1,) + s, s + (len(max_rays),))):
+            for j, (lo, hi) in enumerate(zip((-1,) + s, s + (len(max_ids),))):
                 head, tail, sign = s[:j], s[j:], -1 if j % 2 else 1
                 for i in range(lo + 1, hi):  # i takes position j in t
-                    shared = rays & max_rays[i]
+                    shared = rays & ray_sets[max_ids[i]]
                     found = pushed.get(shared)
                     if found is None:
-                        phi = restriction(meet, fan._by_rays[shared])
+                        phi = restriction(meet, fan.meet_id(meet, max_ids[i]))
                         found = pushed[shared] = phi.target, push_terms(comp.terms, phi)
                     t = head + (i,) + tail
                     acc = sums.get(t)

@@ -16,7 +16,7 @@ import random
 import sys
 
 from .cech import CechComplex, H0Ring, NotACocycle
-from .cones import MAX_RANK, ConeNotInFan, NotAFan, NotStronglyConvex, UnsupportedRank
+from .cones import MAX_RANK, NotAFan, NotStronglyConvex, UnsupportedRank
 from .fanfile import (
     FanFile, FanFileError, build_fan, dropped_entries, is_int_list, load_fan_file, read_fan_text,
     strict_json,
@@ -542,9 +542,6 @@ def _dispatch(args) -> JobReport | int:
         return args.fn(args)
     except (FanFileError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ConeNotInFan as e:
-        print(f"error: cone not in fan: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (CertificateError, NotACocycle) as e:
         print(f"error: certificate failed its re-check: {e}", file=sys.stderr)

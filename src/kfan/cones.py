@@ -22,9 +22,9 @@ faces, certified by its ridges and one probe point when it is complete
 and simplicial (``_certified_walls``), else pair by pair
 (``_check_pairs``).  It lists each cone's faces once (``_face_rays``),
 builds each distinct face once, and numbers its cones in canonical
-order.  Its tables and its subfans, the open sets of the poset topology
-used by the sheaf layer, hold cone numbers, and a ``Cone`` handed in is
-found by its ray set (``Fan.find``), so no ``Cone`` is hashed.
+order, recording each input cone's number (``Fan.input_ids``).  Its
+tables and subfans (the open sets of the sheaf layer) hold cone numbers,
+and a ``Cone`` handed in is found by its rays, unhashed (``Fan.index_of``).
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class NotAFan(Exception):
         super().__init__(message or f"cones {i} and {j} do not intersect in a common face")
 
 
-class ConeNotInFan(Exception):
-    pass
+class ConeNotInFan(KeyError):
+    """A cone that is not in the fan (``Fan.index_of``)."""
 
 
 class UnsupportedRank(Exception):
@@ -547,24 +547,26 @@ class Fan:
     alternating signs of the cover complex depend on it, so it is fixed
     for the fan's lifetime.  ``cones`` is canonically sorted, the zero
     cone always present, and a cone's number is its place there:
-    ``max_ids``, ``face_ids`` (each cone's faces), ``ray_sets`` and
-    ``_by_rays`` (a ray set's cone) hold numbers, ``max_cones`` is a
-    view of ``max_ids``, and the methods that take a ``Cone`` find it by
-    its rays (``find``).  Whether the fan is complete is one ridge count
+    ``max_ids``, ``face_ids`` (each cone's faces), ``ray_sets``,
+    ``_by_rays`` (a ray set's cone) and ``input_ids`` (each input cone's,
+    in input order) hold numbers, ``max_cones`` is a view of
+    ``max_ids``, and the methods that take a ``Cone`` look it up by its
+    rays (``index_of``).  Whether the fan is complete is one ridge count
     (``is_complete``).  ``sheaf`` is the fan's one structure sheaf, set
     by ``sheaves.sheaf_a0`` on first use.
     """
 
-    __slots__ = ("lattice", "cones", "max_ids", "face_ids", "ray_sets", "_by_rays", "_full",
-                 "sheaf")
+    __slots__ = ("lattice", "cones", "max_ids", "face_ids", "input_ids", "ray_sets", "_by_rays",
+                 "_full", "sheaf")
 
-    def __init__(self, lattice: Lattice, cones, max_cones, face_ids):
+    def __init__(self, lattice: Lattice, cones, max_ids, face_ids, input_ids):
         self.lattice = lattice
         self.cones = cones
+        self.max_ids = max_ids
         self.face_ids = face_ids
+        self.input_ids = input_ids
         self.ray_sets = tuple(frozenset(c.rays) for c in cones)
         self._by_rays = {rays: i for i, rays in enumerate(self.ray_sets)}
-        self.max_ids = tuple(map(self.find, max_cones))
         self._full = Subfan._trusted(self, frozenset(range(len(cones))))
         self.sheaf = None
 
@@ -573,14 +575,14 @@ class Fan:
         """The fan of the given cones and all their faces.
 
         Input cones that repeat another or are a proper face of another
-        are dropped; the rest keep their order as ``max_cones``.  Every
-        pair of maximal cones must meet in a common face (else
-        ``NotAFan``).  A complete simplicial fan of rank >= 2 is
-        certified by its ridges and one probe point
-        (``_certified_walls``), in time linear in the number of maximal
-        cones.  Anything else, and anything that fails that certificate, is
-        checked pair by pair (``_check_pairs``), so a ``NotAFan`` always
-        names the pair that check finds.
+        are dropped; the rest keep their order as ``max_cones``, and
+        ``input_ids`` keeps every input cone's number.  Every pair of
+        maximal cones must meet in a common face (else ``NotAFan``).  A
+        complete simplicial fan of rank >= 2 is certified by its ridges
+        and one probe point (``_certified_walls``), in time linear in the
+        number of maximal cones.  Anything else, and anything that fails
+        that certificate, is checked pair by pair (``_check_pairs``), so
+        a ``NotAFan`` always names the pair that check finds.
 
         The fan trusts the certificates of its input cones: every
         maximal cone is kept as given.  Each other distinct face is
@@ -593,6 +595,7 @@ class Fan:
         """
         if lattice.rank > MAX_RANK:
             raise UnsupportedRank(f"ambient rank {lattice.rank} > {MAX_RANK}")
+        max_cones = tuple(max_cones)
         distinct: dict[tuple, Cone] = {}
         for c in max_cones:
             if c.lattice != lattice:
@@ -614,7 +617,8 @@ class Fan:
         cones = tuple(sorted(built.values(), key=_order))
         number = {c.rays: i for i, c in enumerate(cones)}.__getitem__
         face_ids = tuple(tuple(sorted(map(number, _face_rays(c)))) for c in cones)
-        return cls(lattice, cones, tuple(maximal) or (built[()],), face_ids)
+        max_ids = tuple(number(c.rays) for c in maximal) or (number(()),)
+        return cls(lattice, cones, max_ids, face_ids, tuple(number(c.rays) for c in max_cones))
 
     @classmethod
     def from_rays_and_indices(
@@ -638,8 +642,8 @@ class Fan:
         return tuple(map(self.cones.__getitem__, self.max_ids))
 
     def find(self, cone: Cone) -> int | None:
-        """The number of ``cone`` in the fan, or None: the one lookup of a
-        ``Cone``, by its ray set in ``_by_rays`` and then by equality,
+        """The number of ``cone`` in the fan, or None where absence is an
+        answer: by its ray set in ``_by_rays`` and then by equality,
         lattice included."""
         i = self._by_rays.get(frozenset(cone.rays))
         return i if i is not None and self.cones[i] == cone else None

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cones import Cone, Fan
+from .cones import Fan
 from .intlinalg import Lattice, primitive
 
 
@@ -162,24 +162,15 @@ def build_fan(ff: FanFile) -> Fan:
 
 def dropped_entries(ff: FanFile, fan: Fan) -> list[str]:
     """A warning for each entry of ``ff.max_cones`` that ``fan``, built
-    from ``ff``, dropped: one that spans the same cone as an earlier
-    entry, or a proper face of another entry's cone.  The fan keeps the
-    other entries, in order, as ``max_ids``, so the two lists are walked
-    side by side: an entry is the next maximal cone when that cone's rays
-    are among the entry's and the cone contains the entry's other rays."""
+    from ``ff``, dropped, read off each entry's number (``Fan.input_ids``):
+    a maximal cone seen for the first time keeps its entry, seen again it
+    repeats it, and any other number is a face of another entry's cone."""
     warnings = []
-    kept: list[int] = []  # the entry of each maximal cone found so far
-    max_ids = fan.max_ids
-    for i, entry in enumerate(ff.max_cones):
-        rays = {ff.rays[x] for x in entry}
-        if len(kept) < len(max_ids):
-            top = max_ids[len(kept)]
-            cone = fan.cones[top]
-            if fan.ray_sets[top] <= rays and all(map(cone.contains, rays - fan.ray_sets[top])):
-                kept.append(i)
-                continue
-        c = fan.index_of(Cone.from_rays(fan.lattice, rays))
-        why = (f"the same cone as max cone {kept[max_ids.index(c)]}" if c in max_ids
-               else "a face of another max cone")
+    first = dict.fromkeys(fan.max_ids)  # maximal cone -> the entry that keeps it
+    for i, (entry, c) in enumerate(zip(ff.max_cones, fan.input_ids)):
+        if c in first and first[c] is None:
+            first[c] = i
+            continue
+        why = f"the same cone as max cone {first[c]}" if c in first else "a face of another max cone"
         warnings.append(f"max cone {i} {list(entry)} spans {why}; the fan drops it")
     return warnings

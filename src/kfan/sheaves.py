@@ -177,9 +177,10 @@ class FanSheaf:
     """The structure sheaf ``sheaf_a0`` of a fan, built on demand: the
     stalk at a cone sigma is Z[M_sigma], M_sigma = M / (sigma^perp), and
     the restriction to a face tau is the pushforward along M_sigma ->
-    M_tau.  A cone outside the fan, or a pair that is not a face pair,
-    raises ``KeyError``.  ``sheaf_a0`` keeps one per fan, so whatever
-    it builds serves every later reader of that fan.
+    M_tau.  A pair that is not a face pair raises ``KeyError``, and a
+    cone outside the fan ``ConeNotInFan``, a ``KeyError`` too, from
+    ``Fan.index_of``.  ``sheaf_a0`` keeps one per fan, so whatever it
+    builds serves every later reader of that fan.
 
     On a smooth fan ``stalk`` is a ``RayStalk`` and ``restriction`` a
     ``RayRestriction``, certified by construction.  Otherwise ``stalk`` is
@@ -208,16 +209,10 @@ class FanSheaf:
         self._restrictions = [{} for _ in range(n)]  # cone number -> face number -> its map
 
     def stalk(self, sigma: Cone) -> RayStalk | QuotientLattice:
-        return self.stalk_at(self._number(sigma))
+        return self.stalk_at(self.fan.index_of(sigma))
 
     def restriction(self, sigma: Cone, tau: Cone) -> RayRestriction | QuotientSurjection:
-        return self.restriction_at(self._number(sigma), self._number(tau))
-
-    def _number(self, cone: Cone) -> int:
-        i = self.fan.find(cone)
-        if i is None:
-            raise KeyError(cone)
-        return i
+        return self.restriction_at(self.fan.index_of(sigma), self.fan.index_of(tau))
 
     def stalk_at(self, i: int) -> RayStalk | QuotientLattice:
         """The stalk group at cone i of the fan, kept from its first

@@ -33,7 +33,7 @@ from kfan.fanfile import build_fan, load_fan_file
 from kfan.intlinalg import CertificateError, Lattice
 from kfan.monoids import GroupRingElement
 from kfan.report import cochain_from_jsonable, cochain_to_jsonable
-from kfan.sheaves import Section, random_section
+from kfan.sheaves import Section, random_section, sheaf_a0
 from kfan.support_solver import SolverGaveUp
 
 
@@ -229,6 +229,31 @@ def test_differential_overflow_at_top():
     with pytest.raises(LevelOverflow):
         cx.d(c)
     assert cx.is_cocycle(c)
+
+
+def local_section(fan):
+    """The section 1 over the faces of the fan's first maximal cone."""
+    sheaf, first = sheaf_a0(fan), fan.max_cones[0]
+    return Section(sheaf, fan.star_open(first), {first: GroupRingElement.one(sheaf.stalk(first))})
+
+
+@pytest.mark.parametrize(
+    "refused, error, match",
+    [
+        (lambda cx: cx.solve_coboundary(Cochain(cx, 0, {})), ValueError, "above level zero"),
+        (lambda cx: Cochain(cx, cx.top_level + 1, {}), LevelOverflow, "no level 3"),
+        (
+            lambda cx: H0Ring(cx.fan).membership(local_section(cx.fan)),
+            ValueError,
+            "not a global section",
+        ),
+    ],
+    ids=["coboundary-at-level-0", "cochain-above-the-top", "local-section-in-h0"],
+)
+def test_the_complex_and_h0_refuse_what_is_not_theirs(refused, error, match):
+    cx = CechComplex(projective_plane())
+    with pytest.raises(error, match=match):
+        refused(cx)
 
 
 def test_every_top_level_cochain_is_a_cocycle():

@@ -627,8 +627,11 @@ def test_kclass_from_a_cone_finds_no_hilbert_basis(fanfile, monkeypatch):
     assert rep.results["k0_class"] == [[[0, 0], 1], [[0, 1], 1], [[1, 0], 1]]
 
 
-def test_kclass_needs_a_monoid():
+def test_kclass_needs_a_monoid(fanfile, capsys):
     assert run(["kclass", "--shifts", "[[0]]"]) == 2
+    # a fan alone names no monoid: the cone picks one
+    assert main(["kclass", "--fan", fanfile(P2), "--shifts", "[[0,0]]"]) == 2
+    assert "--fan needs --cone to pick the monoid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -44,8 +44,8 @@ from kfan.cones import (
     dual_ray_generators,
     primitive,
 )
-from kfan.fanfile import load_fan_file
-from kfan.intlinalg import CertificateError, IntMatrix, Lattice, dot, rank, vec_neg
+from kfan.fanfile import build_fan, dropped_entries, load_fan_file, parse_fan_file
+from kfan.intlinalg import CertificateError, IntMatrix, Lattice, dot, rank, vec_add, vec_neg
 from test_cech import load_gen_fans
 
 Z2, Z3 = Lattice(2), Lattice(3)
@@ -706,3 +706,77 @@ def test_the_ridge_certificate_accepts_only_what_the_pairwise_check_accepts(data
     # a fan the certificate accepts must come out of the pairwise check
     # with the same tables; anything else takes that check anyway
     assert fan_outcome(*data) == pairwise_fan_outcome(*data)
+
+
+def is_fan_file(path):
+    with open(path, encoding="utf-8") as f:
+        return "max_cones" in json.load(f)
+
+
+# the fan files of fans/ and bench/fans/, and those among the golden files
+ENTRY_FILES = FAN_FILES + sorted(
+    filter(is_fan_file, glob.glob(os.path.join(HERE, "golden", "*.json")))
+)
+
+
+def reference_dropped_entries(ff, fan):
+    """The dropped-entry warnings found from geometry: the walk of
+    ``dropped_entries`` before the fan recorded its input numbers.  The
+    fan keeps the entries it does not drop, in order, as ``max_ids``: an
+    entry is the next maximal cone when that cone's rays are among the
+    entry's and the cone contains the entry's other rays; any other entry
+    is looked up as the cone on its rays."""
+    warnings = []
+    kept = []  # the entry of each maximal cone found so far
+    max_ids = fan.max_ids
+    for i, entry in enumerate(ff.max_cones):
+        rays = {ff.rays[x] for x in entry}
+        if len(kept) < len(max_ids):
+            top = max_ids[len(kept)]
+            cone = fan.cones[top]
+            if fan.ray_sets[top] <= rays and all(map(cone.contains, rays - fan.ray_sets[top])):
+                kept.append(i)
+                continue
+        c = fan.index_of(Cone.from_rays(fan.lattice, rays))
+        why = (f"the same cone as max cone {kept[max_ids.index(c)]}" if c in max_ids
+               else "a face of another max cone")
+        warnings.append(f"max cone {i} {list(entry)} spans {why}; the fan drops it")
+    return warnings
+
+
+@st.composite
+def fan_files_with_dropped_entries(draw):
+    """A fan file of ``ENTRY_FILES`` with entries inserted at random
+    positions, each built from an entry already there: a repeat with its
+    indices reordered, a face of its cone, or the entry with the sum of
+    two of its extreme rays, a ray that is not extreme, as a new ray."""
+    with open(draw(st.sampled_from(ENTRY_FILES)), encoding="utf-8") as f:
+        data = json.load(f)
+    lattice, rays, entries = Lattice(data["lattice_rank"]), data["rays"], data["max_cones"]
+    index = {primitive(r): i for i, r in reversed(list(enumerate(rays)))}
+    for _ in range(draw(st.integers(1, 4))):
+        entry = draw(st.sampled_from(entries))
+        cone = Cone.from_rays(lattice, [rays[x] for x in entry])
+        kind = draw(st.sampled_from(["repeat", "face", "extra ray"]))
+        if kind == "face":
+            new = [index[r] for r in draw(st.sampled_from(sorted(_face_rays(cone))))]
+        elif kind == "extra ray" and len(cone.rays) >= 2:
+            a, b = draw(st.lists(st.sampled_from(cone.rays), min_size=2, max_size=2, unique=True))
+            rays.append(list(primitive(vec_add(a, b))))
+            new = draw(st.permutations(entry + [len(rays) - 1]))
+        else:
+            new = draw(st.permutations(entry))
+        entries.insert(draw(st.integers(0, len(entries))), list(new))
+    return data
+
+
+@SETTINGS
+@given(fan_files_with_dropped_entries())
+def test_dropped_entry_warnings_match_the_geometry(data):
+    # the fan numbers every entry as the cone on its rays, and the
+    # warnings read off those numbers are the ones geometry finds
+    ff = parse_fan_file(json.dumps(data))
+    fan = build_fan(ff)
+    for entry, c in zip(ff.max_cones, fan.input_ids, strict=True):
+        assert fan.cones[c] == Cone.from_rays(fan.lattice, [ff.rays[x] for x in entry])
+    assert dropped_entries(ff, fan) == reference_dropped_entries(ff, fan)

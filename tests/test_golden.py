@@ -92,6 +92,7 @@ are regenerated the same way, without ``--json`` and into
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -100,7 +101,7 @@ import pytest
 
 from kfan import cli
 from kfan.cli import main, run
-from kfan.cones import Cone
+from kfan.cones import Cone, Fan
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -201,6 +202,18 @@ def test_text_report_matches_golden_file(name, monkeypatch, capsys):
         assert capsys.readouterr().out == f.read()
 
 
+def run_every_golden_afresh(capsys):
+    """Every golden command, each on a fan built afresh, against its
+    golden bytes and exit status."""
+    runs = [(name, GOLDEN[name].split() + ["--json"], EXIT_STATUS, "json") for name in sorted(GOLDEN)]
+    runs += [(name, TEXT_GOLDEN[name].split(), TEXT_EXIT_STATUS, "txt") for name in sorted(TEXT_GOLDEN)]
+    for name, argv, status, suffix in runs:
+        cli._built.cache_clear()
+        assert main(argv) == status.get(name, 0), name
+        with open(os.path.join("tests", "golden", f"{name}.{suffix}"), encoding="utf-8") as f:
+            assert capsys.readouterr().out == f.read(), name
+
+
 def test_no_golden_command_hashes_a_cone(monkeypatch, capsys):
     # the fan, its sheaf and the cover complex keep cone numbers, and the
     # fan finds a Cone by its ray set: every command, each on a fan built
@@ -210,13 +223,34 @@ def test_no_golden_command_hashes_a_cone(monkeypatch, capsys):
 
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(Cone, "__hash__", refuse)
-    runs = [(name, GOLDEN[name].split() + ["--json"], EXIT_STATUS, "json") for name in sorted(GOLDEN)]
-    runs += [(name, TEXT_GOLDEN[name].split(), TEXT_EXIT_STATUS, "txt") for name in sorted(TEXT_GOLDEN)]
-    for name, argv, status, suffix in runs:
-        cli._built.cache_clear()
-        assert main(argv) == status.get(name, 0), name
-        with open(os.path.join("tests", "golden", f"{name}.{suffix}"), encoding="utf-8") as f:
-            assert capsys.readouterr().out == f.read(), name
+    run_every_golden_afresh(capsys)
+
+
+def test_no_command_looks_a_cone_up(monkeypatch, capsys, tmp_path):
+    # construction numbers every input entry (Fan.input_ids), so neither
+    # the fan nor its dropped-entry warnings look a Cone up: every golden
+    # command, and info on a file with dropped entries, runs with
+    # Fan.find, which Fan.index_of calls too, refusing to run
+    def refuse(fan, cone):
+        raise AssertionError(f"{cone!r} was looked up")
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(Fan, "find", refuse)
+    run_every_golden_afresh(capsys)
+    # P2 whose first entry has the non-extreme ray (1, 1), repeated with
+    # its indices reordered, and a ray of P2 as an entry of its own
+    fan_file = tmp_path / "dropped.json"
+    fan_file.write_text(json.dumps({
+        "lattice_rank": 2,
+        "rays": [[1, 0], [0, 1], [-1, -1], [1, 1]],
+        "max_cones": [[0, 3, 1], [1, 2], [2, 0], [1, 3, 0], [2]],
+    }))
+    cli._built.cache_clear()
+    assert main(["info", str(fan_file), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["warnings"] == [
+        "max cone 3 [1, 3, 0] spans the same cone as max cone 0; the fan drops it",
+        "max cone 4 [2] spans a face of another max cone; the fan drops it",
+    ]
 
 
 def test_every_golden_command_twice_in_one_process(monkeypatch, capsys):

@@ -165,6 +165,25 @@ def test_extend_scalars_refuses_a_copy_of_the_source_group():
         extend_scalars_class(moved, QUADRANT, HALFPLANE)
 
 
+@pytest.mark.parametrize(
+    "refused, match",
+    [
+        (
+            lambda: k0_class(GradedFreeData(NAT, [(0,)]), K)
+            + k0_class(GradedFreeData(NAT, [(0,)]), CoefficientSpec("Z")),
+            "different coefficient rings",
+        ),
+        (lambda: hom_rank(-1, (0, 0), 1, (0, 0), QUADRANT), "ranks must be nonnegative"),
+        # the dual of a ray of Z^2 is a half-plane: it holds a line
+        (lambda: k0_affine_toric(Cone.from_rays(Z2, [(1, 0)]).dual(), K), "strongly convex"),
+    ],
+    ids=["two-coefficient-rings", "negative-rank", "cone-with-a-line"],
+)
+def test_graded_data_refuses_what_it_cannot_mean(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()
+
+
 def test_extend_scalars_requires_submonoid():
     cls = k0_class(GradedFreeData(HALFPLANE, [(1, 0)]), K)
     with pytest.raises(NotASubmonoid):

@@ -216,6 +216,43 @@ def test_a_component_off_the_domains_maximal_cones_is_refused():
     assert Section(sheaf, domain, {first: one[first]}).check()
 
 
+def star_section():
+    """The section 1 over the faces of the first maximal cone of P2."""
+    fan = projective_plane()
+    sheaf = sheaf_a0(fan)
+    first = fan.max_ids[0]
+    domain = fan.star_open(fan.cones[first])
+    return Section.by_id(sheaf, domain, {first: GroupRingElement.one(sheaf.stalk_at(first))})
+
+
+@pytest.mark.parametrize(
+    "refused, error, match",
+    [
+        (lambda s: Section.by_id(s.sheaf, s.domain, {}), ValueError, "missing component at"),
+        (
+            lambda s: Section.by_id(s.sheaf, projective_plane().full_subfan(), s.values),
+            ValueError,
+            "domain belongs to a different fan",
+        ),
+        # a maximal cone and one of its rays, the wrong way round
+        (lambda s: s.sheaf.restriction_at(min(s.domain.ids - {0}), s.sheaf.fan.max_ids[0]),
+         KeyError, None),
+        (lambda s: s.value_at(s.sheaf.fan.max_ids[1]), ValueError, "outside the section's domain"),
+        (
+            lambda s: s.restrict(s.sheaf.fan.full_subfan()),
+            ValueError,
+            "not a subset of the section's domain",
+        ),
+    ],
+    ids=["missing-component", "other-fan", "not-a-face-pair", "value-off-domain", "restrict-wider"],
+)
+def test_sections_and_restrictions_refuse_what_is_not_theirs(refused, error, match):
+    section = star_section()
+    assert section.check()
+    with pytest.raises(error, match=match):
+        refused(section)
+
+
 def test_restrict_matches_the_pushforward_from_a_maximal_cone():
     rng = random.Random(13)
     for fan in (projective_plane(), hirzebruch(2), p1_times_p1(), singular_quadric_cone_fan()):
